@@ -4,6 +4,13 @@ Polynomials are dense coefficient tuples, constant term first, trailing
 zeros trimmed.  The zero polynomial has an empty tuple and degree -1.
 All coefficients are fractions.Fraction; nothing here ever touches floats,
 so equality of computed values is meaningful.
+
+A product is computed on integers: each factor is brought to integer
+numerators over the lcm of its denominators, the numerators are convolved
+as plain ints, and the result is built once over the product of the two
+denominators.  Exact integer m-th roots use an integer Newton iteration, and
+the resultant follows the Euclidean remainder sequence in a loop, so neither
+depends on float range nor on the recursion limit.
 """
 
 from __future__ import annotations
@@ -47,6 +54,12 @@ def _rat(value: RatLike) -> Rat:
     if isinstance(value, Rat):
         return value
     return Rat(value)
+
+
+def _integer_numerators(coeffs: Sequence[Rat]) -> tuple[list[int], int]:
+    """Numerators over the lcm of the denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @dataclass(frozen=True)
@@ -120,13 +133,15 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return ZERO
-        out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, den_a = _integer_numerators(self.coeffs)
+        b, den_b = _integer_numerators(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        den = den_a * den_b
+        return Poly(Rat(c, den) for c in out)
 
     def scale(self, k: RatLike) -> "Poly":
         k = _rat(k)
@@ -245,23 +260,29 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
 
 
 def resultant(a: Poly, b: Poly) -> Rat:
-    """Resultant via the Euclidean reduction rules."""
-    if a.is_zero or b.is_zero:
-        return Rat(0)
-    if a.degree == 0 and b.degree == 0:
-        return Rat(1)
-    if b.degree == 0:
-        return b.coeffs[0] ** a.degree
-    if a.degree == 0:
-        return a.coeffs[0] ** b.degree
-    if a.degree < b.degree:
-        sign = Rat(-1) ** (a.degree * b.degree)
-        return sign * resultant(b, a)
-    _, r = divrem(a, b)
-    sign = Rat(-1) ** (a.degree * b.degree)
-    if r.is_zero:
-        return Rat(0)
-    return sign * b.leading ** (a.degree - r.degree) * resultant(b, r)
+    """Resultant via the Euclidean reduction rules, one remainder per step:
+    res(a, b) = (-1)^(deg a deg b) res(b, a), and for deg a >= deg b with
+    a = q*b + r, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r)."""
+    factor = Rat(1)
+    while True:
+        if a.is_zero or b.is_zero:
+            return Rat(0)
+        if a.degree == 0 and b.degree == 0:
+            return factor
+        if b.degree == 0:
+            return factor * b.coeffs[0] ** a.degree
+        if a.degree == 0:
+            return factor * a.coeffs[0] ** b.degree
+        if a.degree * b.degree % 2:
+            factor = -factor
+        if a.degree < b.degree:
+            a, b = b, a
+            continue
+        _, r = divrem(a, b)
+        if r.is_zero:
+            return Rat(0)
+        factor *= b.leading ** (a.degree - r.degree)
+        a, b = b, r
 
 
 def discriminant(p: Poly) -> Rat:
@@ -285,11 +306,15 @@ def _int_nth_root(v: int, m: int) -> Optional[int]:
     if m == 2:
         r = math.isqrt(v)
         return r if r * r == v else None
-    r = round(v ** (1.0 / m))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**m == v:
-            return cand
-    return None
+    # Newton's iteration for floor(v^(1/m)), from the power of two above it;
+    # it decreases strictly until it reaches the floor.
+    r = 1 << -(-v.bit_length() // m)
+    while True:
+        nxt = ((m - 1) * r + v // r ** (m - 1)) // m
+        if nxt >= r:
+            break
+        r = nxt
+    return r if r**m == v else None
 
 
 def rat_nth_root(x: Rat, m: int) -> Optional[Rat]:

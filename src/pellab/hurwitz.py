@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import permgroup as pg
+from .pellcore import admissible_exponents
 from .permgroup import Perm
 
 
@@ -202,7 +203,7 @@ def power_test(t: HurwitzTuple, m: int) -> bool:
         raise ValueError("power index must be >= 1")
     if m == 1:
         return True
-    if t.n % m != 0 or t.n // m < t.d:
+    if m not in admissible_exponents(t.n, t.d):
         raise ValueError(f"m = {m} not admissible for n = {t.n}, d = {t.d}")
     part = pg.congruence_partition(t.points, 2 * m)
     want = _expected_block_images(2 * m)
@@ -217,10 +218,6 @@ def power_test(t: HurwitzTuple, m: int) -> bool:
         if induced is None or induced != expected:
             return False
     return True
-
-
-def admissible_exponents(n: int, d: int) -> list[int]:
-    return [m for m in range(2, n + 1) if n % m == 0 and n // m >= d]
 
 
 def primitivity_profile(t: HurwitzTuple) -> set[int]:

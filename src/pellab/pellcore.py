@@ -4,6 +4,15 @@ A solution is a triple of rational polynomials with A^2 - D*B^2 = 1, B != 0,
 D squarefree of even degree 2d.  Powers of a solution are driven by the
 degree-m Chebyshev polynomial: the m-th power has first component T_m(A).
 The default degree policy asks deg D >= 4; allow_d1 relaxes it to 2.
+
+The m-th power (A + B*sqrt(D))^m is computed by square-and-multiply in
+Q[t][sqrt(D)], O(log m) polynomial products.  The Chebyshev root of A is
+read off in one pass: the top coefficients of T_m(P) are those of
+2^(m-1) P^m, so P is the m-th root, as a power series in 1/t, of
+A / 2^(m-1), truncated to the polynomial part (the approximate m-th root
+step of Kozen and Landau, "Polynomial decomposition algorithms", J. Symbolic
+Comput. 7, 1989).  T_m(P) = A is then checked by full composition, which
+is the certificate for the answer.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ class PellSolution:
 class PowerClassification:
     """Which admissible exponents m have a rational Chebyshev root of A.
 
-    admissible_m holds every candidate (m >= 2, m | n, n/m >= d); witnesses
+    admissible_m holds every candidate (see admissible_exponents); witnesses
     only the m where extraction succeeded.  primitive means no witness, i.e.
     primitive over the rationals; a root might still exist with irrational
     coefficients.
@@ -68,7 +77,17 @@ class PowerClassification:
     n: int
     admissible_m: frozenset[int]
     witnesses: dict[int, Poly] = field(default_factory=dict)
-    primitive: bool = True
+
+    @property
+    def primitive(self) -> bool:
+        return not self.witnesses
+
+
+def admissible_exponents(n: int, d: int) -> list[int]:
+    """The exponents m >= 2 for which a solution with deg A = n and
+    deg D = 2d can be an m-th power: m divides n and the root keeps
+    degree n/m >= d."""
+    return [m for m in range(2, n + 1) if n % m == 0 and n // m >= d]
 
 
 def verify_pell(
@@ -96,15 +115,18 @@ def verify_pell(
 
 @cache
 def chebyshev(m: int) -> Poly:
-    """Degree-m Chebyshev polynomial by the three-term recurrence."""
+    """Degree-m Chebyshev polynomial from its explicit coefficients:
+    T_m = sum_k (-1)^k m/(m-k) C(m-k, k) 2^(m-2k-1) t^(m-2k), 0 <= 2k <= m.
+    Only the requested index is cached."""
     if m < 0:
         raise ValueError("chebyshev index must be >= 0")
     if m == 0:
         return ONE
-    if m == 1:
-        return Poly([0, 1])
-    two_t = Poly([0, 2])
-    return two_t * chebyshev(m - 1) - chebyshev(m - 2)
+    coeffs = [0] * (m + 1)
+    for k in range(m // 2 + 1):
+        c = m * math.comb(m - k, k) * 2 ** (m - 2 * k) // (2 * (m - k))
+        coeffs[m - 2 * k] = -c if k % 2 else c
+    return Poly(coeffs)
 
 
 def power_polynomial(m: int) -> Poly:
@@ -124,16 +146,17 @@ def power_polynomial(m: int) -> Poly:
 
 
 def power_solution(sol: PellSolution, m: int) -> PellSolution:
-    """The m-th power: first component T_m(A), second from the odd binomial
-    terms of (A + sqrt(D)*B)^m."""
+    """The m-th power (A + B*sqrt(D))^m = Am + Bm*sqrt(D), so Am = T_m(A),
+    by square-and-multiply over the bits of m, highest first."""
     if m < 1:
         raise ValueError("power index must be >= 1")
     A, B, D = sol.A, sol.B, sol.D
-    Am = compose(chebyshev(m), A)
-    Bm = Poly([0])
-    for j in range(1, m + 1, 2):
-        term = (D ** ((j - 1) // 2) * B**j * A ** (m - j)).scale(math.comb(m, j))
-        Bm = Bm + term
+    Am, Bm = A, B
+    for bit in bin(m)[3:]:
+        # (a + b*sqrt(D))^2 = (a^2 + D*b^2) + 2ab*sqrt(D)
+        Am, Bm = Am * Am + D * (Bm * Bm), (Am * Bm).scale(2)
+        if bit == "1":
+            Am, Bm = Am * A + D * (Bm * B), Am * B + Bm * A
     return PellSolution(A=Am, B=Bm, D=D, n=m * sol.n, d=sol.d)
 
 
@@ -167,8 +190,14 @@ def generate_from_seed(
 
 
 def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
-    """A' with T_m(A') = A or = -A, solved from the top coefficient down and
-    confirmed by full composition; None when no rational A' exists."""
+    """A' with T_m(A') = A or = -A, or None when no rational A' exists.
+
+    With h = n/m, the top h+1 coefficients of T_m(P) are those of
+    2^(m-1) P^m.  Read as series in s = 1/t, t^(-n) * target / 2^(m-1) is
+    alpha(s) and t^(-h) * P is p(s), so p = alpha^(1/m) mod s^(h+1), by
+    Miller's recurrence for powers of a series:
+    p_k = sum_{j=1..k} ((m+1)j - mk) alpha_j p_(k-j) / (m k alpha_0).
+    The candidate is confirmed by full composition."""
     if m < 1:
         raise ValueError("root index must be >= 1")
     if m == 1:
@@ -180,18 +209,19 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
     lead_unit = Rat(2) ** (m - 1)
     for eps in (1, -1):
         target = A.scale(eps)
-        a = rat_nth_root(target.leading / lead_unit, m)
+        alpha = [target.coeff(n - i) / lead_unit for i in range(half + 1)]
+        a = rat_nth_root(alpha[0], m)
         if a is None:
             continue
-        coeffs = [Rat(0)] * (half + 1)
-        coeffs[half] = a
-        for i in range(1, half + 1):
-            # t^(n-i) coefficients of T_m(P) and 2^(m-1) P^m agree for i <= half,
-            # and depend on coeffs[half-i] only through m * a^(m-1) * coeffs[half-i].
-            cur = (Poly(coeffs) ** m).coeff(n - i) * lead_unit
-            delta = target.coeff(n - i) - cur
-            coeffs[half - i] = delta / (lead_unit * m * a ** (m - 1))
-        candidate = Poly(coeffs)
+        p = [a]
+        for k in range(1, half + 1):
+            acc = sum(
+                ((m + 1) * j - m * k) * alpha[j] * p[k - j]
+                for j in range(1, k + 1)
+                if alpha[j]
+            )
+            p.append(acc / (m * k * alpha[0]))
+        candidate = Poly(reversed(p))
         if compose(chebyshev(m), candidate) == target:
             return candidate
     return None
@@ -200,19 +230,14 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
 def classify_powers(sol: PellSolution) -> PowerClassification:
     """Try every admissible exponent; primitive when none has a rational
     root."""
-    candidates = frozenset(
-        m for m in range(2, sol.n + 1) if sol.n % m == 0 and sol.n // m >= sol.d
-    )
+    candidates = admissible_exponents(sol.n, sol.d)
     witnesses: dict[int, Poly] = {}
-    for m in sorted(candidates):
+    for m in candidates:
         root = extract_mth_root(sol.A, m)
         if root is not None:
             witnesses[m] = root
     return PowerClassification(
-        n=sol.n,
-        admissible_m=candidates,
-        witnesses=witnesses,
-        primitive=not witnesses,
+        n=sol.n, admissible_m=frozenset(candidates), witnesses=witnesses
     )
 
 

@@ -4,7 +4,8 @@ import io
 import json
 
 from pellab.cli import CommandResult, main, render, run
-from pellab.exactpoly import from_coeff_strings, parse_poly
+from pellab.exactpoly import ONE, Poly, from_coeff_strings, parse_poly
+from pellab.pellcore import power_solution, verify_pell
 
 
 def run_json(argv):
@@ -219,3 +220,17 @@ def test_render_human_mode():
     text = render(result, as_json=False)
     assert text.splitlines()[0] == "status: Ok"
     assert "note: note text" in text
+
+
+def test_decompose_finds_root_with_large_leading_coefficient():
+    # (c t^2, 1, c^2 t^4 - 1) raised to the 5th power: the witness needs the
+    # exact 5th root of a leading coefficient of about 670 bits.
+    c = 10**40 + 7
+    base = verify_pell(Poly([0, 0, c]), ONE, Poly([-1, 0, 0, 0, c * c]))
+    powered = power_solution(base, 5)
+    result = run(
+        ["decompose", "--A", str(powered.A), "--B", str(powered.B), "--D", str(powered.D)]
+    )
+    assert result.status == "Ok"
+    assert result.payload["witnesses"]["5"] == f"{c}*t^2"
+    assert result.payload["primitive"] is False

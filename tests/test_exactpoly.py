@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pellab.exactpoly import (
@@ -33,10 +34,28 @@ from pellab.exactpoly import (
     squarefree_part,
     to_coeff_strings,
 )
+from pellab.pellcore import chebyshev
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, small_ints, st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
+)
+rational_polys = st.lists(rationals, max_size=8).map(Poly)
+
+
+def fraction_convolution(a: Poly, b: Poly) -> Poly:
+    """Schoolbook product with a Fraction per coefficient product."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
@@ -150,6 +169,44 @@ def test_resultant_matches_sylvester_determinant(a, b):
     assert resultant(a, b) == sylvester_resultant(a, b)
 
 
+def test_resultant_of_consecutive_chebyshev():
+    # Res(T_(k+1), T_k) = (-1)^(k(k+1)/2) 2^(k(k-1)), from the product of
+    # T_(k+1) over the roots cos((2j-1)pi/2k) of T_k.
+    def closed_form(k):
+        return (-1) ** (k * (k + 1) // 2) * 2 ** (k * (k - 1))
+
+    for k in range(1, 9):
+        a, b = chebyshev(k + 1), chebyshev(k)
+        assert sylvester_resultant(a, b) == closed_form(k)
+        assert resultant(a, b) == closed_form(k)
+
+
+def test_resultant_past_recursion_limit():
+    # The remainder sequence of T_(k+1), T_k drops one degree per step, so a
+    # recursive resultant would go k levels deep.
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        k = sys.getrecursionlimit() + 50
+        value = resultant(chebyshev(k + 1), chebyshev(k))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert value == (-1) ** (k * (k + 1) // 2) * 2 ** (k * (k - 1))
+
+
+@given(rational_polys, rational_polys)
+@example(
+    Poly([Fraction(1, 3), 0, 0, Fraction(-5, 2**64 + 1)]),
+    Poly([Fraction(7, 2**80), 0, Fraction(-1, 6)]),
+)
+@example(Poly([Fraction(1, 3), Fraction(-2, 5)]), ZERO)
+def test_mul_matches_fraction_convolution(a, b):
+    product = a * b
+    assert product == fraction_convolution(a, b)
+    assert product == b * a
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
 @given(polys, polys, polys)
 def test_ring_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
@@ -198,6 +255,16 @@ def test_rat_nth_root():
     assert rat_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
     assert rat_nth_root(Fraction(-4), 2) is None
     assert rat_nth_root(Fraction(1, 2), 3) is None
+    # Exact at any size, beyond the float range too.
+    big = 10**40 + 7
+    assert rat_nth_root(Fraction(big**5), 5) == big
+    assert rat_nth_root(Fraction(big**5 + 1), 5) is None
+    assert rat_nth_root(Fraction(-(big**3), 3**60), 3) == Fraction(-big, 3**20)
+    huge = Fraction(3**700, 5**490)
+    assert huge.numerator > 2**1100 and huge.denominator > 2**1100
+    assert rat_nth_root(huge, 7) == Fraction(3**100, 5**70)
+    assert rat_nth_root(huge + 1, 7) is None
+    assert rat_nth_root(Fraction(2**1200), 2) == 2**600
 
 
 def test_parse_poly_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -13,9 +14,11 @@ from pellab.exactpoly import (
     ZERO,
     DegreeTooSmall,
     Poly,
+    Rat,
     compose,
     constant,
     parse_poly,
+    rat_nth_root,
 )
 from pellab.pellcore import (
     NON_SQUAREFREE_D,
@@ -63,6 +66,39 @@ def pair_power(A: Poly, B: Poly, D: Poly, m: int) -> tuple[Poly, Poly]:
     return ra, rb
 
 
+def binomial_power(A: Poly, B: Poly, D: Poly, m: int) -> tuple[Poly, Poly]:
+    """(A + sqrt(D)*B)^m from T_m(A) and the odd binomial terms."""
+    Bm = ZERO
+    for j in range(1, m + 1, 2):
+        Bm = Bm + (D ** ((j - 1) // 2) * B**j * A ** (m - j)).scale(comb(m, j))
+    return compose(chebyshev(m), A), Bm
+
+
+def extract_by_coefficients(A: Poly, m: int):
+    """Chebyshev root solved one coefficient at a time, each from a full
+    m-th power of the partial root, confirmed by composition."""
+    n = A.degree
+    if n < 1 or n % m != 0:
+        return None
+    half = n // m
+    lead_unit = Rat(2) ** (m - 1)
+    for eps in (1, -1):
+        target = A.scale(eps)
+        a = rat_nth_root(target.leading / lead_unit, m)
+        if a is None:
+            continue
+        coeffs = [Rat(0)] * (half + 1)
+        coeffs[half] = a
+        for i in range(1, half + 1):
+            cur = (Poly(coeffs) ** m).coeff(n - i) * lead_unit
+            delta = target.coeff(n - i) - cur
+            coeffs[half - i] = delta / (lead_unit * m * a ** (m - 1))
+        candidate = Poly(coeffs)
+        if compose(chebyshev(m), candidate) == target:
+            return candidate
+    return None
+
+
 def solve(text_a: str, text_b: str, text_d: str, allow_d1: bool = False) -> PellSolution:
     out = verify_pell(parse_poly(text_a), parse_poly(text_b), parse_poly(text_d), allow_d1=allow_d1)
     assert isinstance(out, PellSolution)
@@ -97,6 +133,14 @@ def test_chebyshev_degree_and_leading():
         T = chebyshev(m)
         assert T.degree == m
         assert T.leading == 2 ** (m - 1)
+
+
+def test_chebyshev_past_recursion_limit():
+    m = sys.getrecursionlimit() + 50
+    T = chebyshev(m)
+    assert T.degree == m
+    assert T.leading == 2 ** (m - 1)
+    assert T(1) == 1 and T(-1) == (-1) ** m
 
 
 def test_power_polynomial_small_values():
@@ -184,10 +228,21 @@ def test_power_solution_matches_quotient_ring_power():
         solve("2*t^3 - 1", "2*t", "t^4 - t"),
     ]
     for base in fixtures:
-        for m in range(1, 6):
+        for m in range(1, 13):
             powered = power_solution(base, m)
             ra, rb = pair_power(base.A, base.B, base.D, m)
             assert (powered.A, powered.B) == (ra, rb)
+
+
+def test_power_solution_degree_96():
+    u = Poly([Fraction(-5, 7), Fraction(3, 2)])
+    A = compose(parse_poly("2*t^3 - 1"), u)
+    base = verify_pell(A, u.scale(2), compose(parse_poly("t^4 - t"), u))
+    assert isinstance(base, PellSolution)
+    powered = power_solution(base, 32)
+    assert powered.A.degree == 96
+    assert powered.A == compose(chebyshev(32), A)
+    assert (powered.A, powered.B) == binomial_power(base.A, base.B, base.D, 32)
 
 
 def test_generate_from_seed_examples():
@@ -215,6 +270,8 @@ def test_extract_mth_root_examples():
     )
     assert extract_mth_root(parse_poly("t^5"), 2) is None
     assert extract_mth_root(parse_poly("t^2"), 1) == parse_poly("t^2")
+    big = Poly([0, 0, 10**40 + 7])
+    assert extract_mth_root(compose(chebyshev(5), big), 5) == big
 
 
 @given(
@@ -229,6 +286,34 @@ def test_extract_inverts_chebyshev_composition(m, coeffs):
         assert got == -p
     else:
         assert got == p
+
+
+# (a*b + 1)/b in lowest terms: numerator and denominator above 2^64.
+wide = st.builds(
+    lambda a, b, sign: sign * (a + Fraction(1, b)),
+    st.integers(2**64, 2**72),
+    st.integers(2**64, 2**70),
+    st.sampled_from([1, -1]),
+)
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.lists(wide, min_size=2, max_size=4),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-1, max_value=8),
+)
+def test_extract_mth_root_matches_coefficient_loop(m, coeffs, sign, bump):
+    target = compose(chebyshev(m), Poly(coeffs)).scale(sign)
+    if 0 <= bump <= target.degree:
+        # A nudge below the top n/m + 1 coefficients is caught only by the
+        # certificate; a nudge among them changes the series root itself.
+        target = target + Poly([0] * bump + [1])
+    root = extract_mth_root(target, m)
+    assert root == extract_by_coefficients(target, m)
+    if bump == -1:
+        assert root is not None
+        assert compose(chebyshev(m), root) in (target, -target)
 
 
 def test_classify_powers_examples():
