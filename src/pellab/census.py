@@ -77,8 +77,7 @@ class CensusReport:
 
 def _pi_from_sigma0(sigma0: Perm) -> Perm:
     """The forced product sigma1*tau: sigma0 after the ascending rotation."""
-    N = sigma0.size
-    return Perm(sigma0.images[x % N] for x in range(1, N + 1))
+    return pg._unchecked(sigma0.images[1:] + sigma0.images[:1])
 
 
 def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
@@ -207,22 +206,23 @@ def _admissible_pi(pi: Perm, n: int) -> bool:
     return False
 
 
-def _enumerate_partition(n: int, first_image: int) -> list[HurwitzTuple]:
-    """Tuples whose sigma0 maps 1 to first_image.
-
+def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[HurwitzTuple]:
+    """Ground truth: scan all fixed-point-free involutions sigma0, keep the
+    ones whose forced product sigma1*tau matches a census case, split; sorted.
     sigma1*tau sends 2n to sigma0(1), so the fixed-2n filter empties every
-    partition except first_image = 2n before any pairing is expanded.
-    """
+    involution but those with sigma0(1) = 2n: the scan pairs 1 with 2n first."""
+    if n < 2:
+        raise ValueError("census needs n >= 2")
+    if n > max_n:
+        raise TooLarge(f"n = {n} beyond brute-force bound {max_n}")
     N = 2 * n
-    if first_image != N:
-        return []
     out: list[HurwitzTuple] = []
     paired = [0] * (N + 1)
     paired[1], paired[N] = N, 1
 
     def descend(unpaired: list[int]) -> None:
         if not unpaired:
-            sigma0 = Perm(paired[1:])
+            sigma0 = pg._unchecked(tuple(paired[1:]))
             pi = _pi_from_sigma0(sigma0)
             if _admissible_pi(pi, n):
                 for sigma1, tau in _split_product(pi):
@@ -233,9 +233,9 @@ def _enumerate_partition(n: int, first_image: int) -> list[HurwitzTuple]:
         for idx, b in enumerate(rest):
             paired[a], paired[b] = b, a
             descend(rest[:idx] + rest[idx + 1 :])
-        paired[a] = 0
 
     descend(list(range(2, N)))
+    out.sort(key=_tuple_sort_key)
     return out
 
 
@@ -247,39 +247,19 @@ def _tuple_sort_key(t: HurwitzTuple):
     )
 
 
-def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[HurwitzTuple]:
-    """Ground truth: scan all fixed-point-free involutions sigma0, keep the
-    ones whose forced product sigma1*tau matches a census case, split.  The
-    scan is partitioned by the image of index 1 and merged in sorted order."""
-    if n < 2:
-        raise ValueError("census needs n >= 2")
-    if n > max_n:
-        raise TooLarge(f"n = {n} beyond brute-force bound {max_n}")
-    out: list[HurwitzTuple] = []
-    for first_image in range(2, 2 * n + 1):
-        out.extend(_enumerate_partition(n, first_image))
-    out.sort(key=_tuple_sort_key)
-    return out
-
-
 def canonical_key(t: HurwitzTuple):
     """Least image sequence of (sigma0, sigma1, taus) over the admissible
-    rotations: one conjugation per index fixed by sigma1 and every tau."""
+    rotations: one per index i0 fixed by sigma1 and every tau, the rotation
+    that relabels i0 as 2n."""
     N = t.points
-    best = None
-    base = standard_cycle(N)
-    for i0 in sorted(common_fixed(t)):
-        g = base ** ((N - i0) % N)
-        key = (
-            pg.conjugate(t.sigma0, g).images,
-            pg.conjugate(t.sigma1, g).images,
-            tuple(pg.conjugate(tau, g).images for tau in t.taus),
-        )
-        if best is None or key < best:
-            best = key
-    if best is None:
+    keys = [
+        (pg.rotate(t.sigma0, N - i0).images, pg.rotate(t.sigma1, N - i0).images,
+         tuple(pg.rotate(tau, N - i0).images for tau in t.taus))
+        for i0 in common_fixed(t)
+    ]
+    if not keys:
         raise ValueError("tuple has no commonly fixed index")
-    return best
+    return min(keys)
 
 
 def conjugacy_classes(tuples: Sequence[HurwitzTuple]) -> list[list[HurwitzTuple]]:
@@ -314,14 +294,15 @@ def closed_formulas(n: int) -> dict[str, int]:
     }
 
 
+def _primitive(disjoint: list[list[HurwitzTuple]], n: int) -> list[list[HurwitzTuple]]:
+    """The Disjoint-case classes whose tau = (h, 2n-h) has gcd(h, n) = 1."""
+    return [cls for cls in disjoint if math.gcd(pg.cycles(cls[0].taus[0])[0][0], n) == 1]
+
+
 def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
-    """Disjoint-case classes whose tau = (h, 2n-h) has gcd(h, n) = 1."""
+    """Count and list of the primitive Disjoint-case classes (see _primitive)."""
     disjoint = [t for p, t in enumerate_shapes(n) if p.case == DISJOINT]
-    primitive = []
-    for cls in conjugacy_classes(disjoint):
-        h = min(x for x in range(1, 2 * n + 1) if cls[0].taus[0](x) != x)
-        if math.gcd(h, n) == 1:
-            primitive.append(cls)
+    primitive = _primitive(conjugacy_classes(disjoint), n)
     return len(primitive), primitive
 
 
@@ -339,7 +320,8 @@ def census(
     shape_tuples: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
     for params, t in enumerate_shapes(n):
         shape_tuples[params.case].append(t)
-    shape_counts = {c: len(conjugacy_classes(shape_tuples[c])) for c in CASES}
+    shape_classes = {c: conjugacy_classes(shape_tuples[c]) for c in CASES}
+    shape_counts = {c: len(shape_classes[c]) for c in CASES}
 
     brute_counts: dict[str, Optional[int]] = {c: None for c in CASES}
     if use_brute:
@@ -361,7 +343,7 @@ def census(
         if brute is None and shape != formula:
             discrepancies.append(f"{c}: shape={shape} formula={formula}")
 
-    primitive_count, _ = primitive_disjoint_classes(n)
+    primitive_count = len(_primitive(shape_classes[DISJOINT], n))
 
     def counts(c: str) -> CaseCounts:
         return CaseCounts(shape=shape_counts[c], brute=brute_counts[c], formula=formulas[c])

@@ -16,6 +16,7 @@ unwrapped), so runs can be piped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,15 +53,11 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserError(message)
 
 
-def _poly_payload(p: Poly) -> list[str]:
-    return exactpoly.to_coeff_strings(p)
-
-
 def _solution_payload(sol: pellcore.PellSolution) -> dict:
     return {
-        "A": _poly_payload(sol.A),
-        "B": _poly_payload(sol.B),
-        "D": _poly_payload(sol.D),
+        "A": exactpoly.to_coeff_strings(sol.A),
+        "B": exactpoly.to_coeff_strings(sol.B),
+        "D": exactpoly.to_coeff_strings(sol.D),
         "n": sol.n,
         "d": sol.d,
         "text": {
@@ -121,10 +118,6 @@ def _read_tuple(args) -> hurwitz.HurwitzTuple:
         return hurwitz.tuple_from_json_dict(data)
     except ValueError as exc:
         raise _ParserError(str(exc)) from None
-
-
-def _tuple_payload(t: hurwitz.HurwitzTuple) -> dict:
-    return hurwitz.tuple_to_json_dict(t)
 
 
 def _report_payload(report: hurwitz.ValidationReport) -> dict:
@@ -229,19 +222,24 @@ def _cmd_zannier(args) -> CommandResult:
         f"{report.over_zero}/{report.over_one}/{report.over_infinity}/{report.over_taus} "
         "over 0/1/inf/taus"
     ]
-    return CommandResult(OK if report.ok else REJECTED, _tuple_payload(t), diagnostics)
+    return CommandResult(OK if report.ok else REJECTED, hurwitz.tuple_to_json_dict(t), diagnostics)
 
 
-def _cmd_validate(args) -> CommandResult:
-    t = _read_tuple(args)
-    report = hurwitz.validate(t)
+def _validation_result(report: hurwitz.ValidationReport) -> CommandResult:
     status = OK if report.ok else REJECTED
     diagnostics = [f"failed: {name}" for name in report.failed()]
     return CommandResult(status, _report_payload(report), diagnostics)
 
 
+def _cmd_validate(args) -> CommandResult:
+    return _validation_result(hurwitz.validate(_read_tuple(args)))
+
+
 def _cmd_profile(args) -> CommandResult:
     t = _read_tuple(args)
+    report = hurwitz.validate(t)
+    if not report.ok:
+        return _validation_result(report)
     diagnostics = []
     normalized = hurwitz.normalize_special(t)
     if normalized != t:
@@ -280,16 +278,17 @@ def _cmd_census(args) -> CommandResult:
     return CommandResult(OK, census_mod.report_to_json_dict(report), diagnostics)
 
 
-def _add_solution_source(sub, with_allow_d1=True):
+def _add_solution_source(sub):
     sub.add_argument("--A", help="polynomial, human syntax")
     sub.add_argument("--B", help="polynomial, human syntax")
     sub.add_argument("--D", help="polynomial, human syntax")
     sub.add_argument("--file", help="solution JSON file ('-' for stdin)")
-    if with_allow_d1:
-        sub.add_argument("--allow-d1", dest="allow_d1", action="store_true")
+    sub.add_argument("--allow-d1", dest="allow_d1", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later runs."""
     parser = _Parser(prog="pellab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")

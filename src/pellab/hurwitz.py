@@ -242,21 +242,19 @@ def normalize_special(t: HurwitzTuple) -> HurwitzTuple:
         images[(N - k) - 1] = x
         x = t.sigmaInf(x)
     gamma = Perm(images)
-    rebased = _conjugate_tuple(t, gamma)
+    rebased = _map_tuple(t, lambda p: pg.conjugate(p, gamma))
     fixed = common_fixed(rebased)
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
-    lowest = min(fixed)
-    g = standard_cycle(N) ** ((N - lowest) % N)
-    return _conjugate_tuple(rebased, g)
+    return _map_tuple(rebased, lambda p: pg.rotate(p, N - min(fixed)))
 
 
-def _conjugate_tuple(t: HurwitzTuple, g: Perm) -> HurwitzTuple:
+def _map_tuple(t: HurwitzTuple, f) -> HurwitzTuple:
     return HurwitzTuple(
-        sigma0=pg.conjugate(t.sigma0, g),
-        sigmaInf=pg.conjugate(t.sigmaInf, g),
-        sigma1=pg.conjugate(t.sigma1, g),
-        taus=tuple(pg.conjugate(tau, g) for tau in t.taus),
+        sigma0=f(t.sigma0),
+        sigmaInf=f(t.sigmaInf),
+        sigma1=f(t.sigma1),
+        taus=tuple(f(tau) for tau in t.taus),
         n=t.n,
         d=t.d,
     )
@@ -280,13 +278,17 @@ def tuple_from_json_dict(data: dict) -> HurwitzTuple:
     try:
         n = int(data["n"])
         d = int(data["d"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"tuple JSON needs integer n and d: {exc}") from None
+    if n < 1 or d < 1:
+        raise ValueError(f"tuple JSON needs n >= 1 and d >= 1, got n = {n}, d = {d}")
     N = 2 * n
     try:
         sigma0 = pg.parse_cycles(data["sigma0"], N)
         sigmaInf = pg.parse_cycles(data["sigmaInf"], N)
         sigma1 = pg.parse_cycles(data["sigma1"], N)
+        if not isinstance(data["taus"], list):
+            raise ValueError("tuple JSON field taus must be a list")
         taus = tuple(pg.parse_cycles(s, N) for s in data["taus"])
     except KeyError as exc:
         raise ValueError(f"tuple JSON missing field {exc}") from None

@@ -90,6 +90,17 @@ def admissible_exponents(n: int, d: int) -> list[int]:
     return [m for m in range(2, n + 1) if n % m == 0 and n // m >= d]
 
 
+def _below_degree_floor(D: Poly, allow_d1: bool) -> Optional[RejectionReason]:
+    """The degree policy: deg D >= 4, or >= 2 with allow_d1."""
+    least = 2 if allow_d1 else 4
+    if D.degree < least:
+        return RejectionReason(
+            SMALL_DEGREE_D,
+            f"deg D = {D.degree} below policy minimum {least} (allow_d1={allow_d1})",
+        )
+    return None
+
+
 def verify_pell(
     A: Poly, B: Poly, D: Poly, allow_d1: bool = False
 ) -> Union[PellSolution, RejectionReason]:
@@ -102,12 +113,8 @@ def verify_pell(
         return RejectionReason(
             ODD_DEGREE_D, f"deg D = {D.degree} is odd; no polynomial B*sqrt(D) form"
         )
-    least = 2 if allow_d1 else 4
-    if D.degree < least:
-        return RejectionReason(
-            SMALL_DEGREE_D,
-            f"deg D = {D.degree} below policy minimum {least} (allow_d1={allow_d1})",
-        )
+    if (small := _below_degree_floor(D, allow_d1)) is not None:
+        return small
     if discriminant(D) == 0:
         return RejectionReason(NON_SQUAREFREE_D, "D has a repeated root")
     return PellSolution(A=A, B=B, D=D, n=A.degree, d=D.degree // 2)
@@ -177,12 +184,8 @@ def generate_from_seed(
             ODD_DEGREE_D,
             f"odd-multiplicity part of A^2 - 1 has odd degree {D.degree}",
         )
-    least = 2 if allow_d1 else 4
-    if D.degree < least:
-        return RejectionReason(
-            SMALL_DEGREE_D,
-            f"deg D = {D.degree} below policy minimum {least} (allow_d1={allow_d1})",
-        )
+    if (small := _below_degree_floor(D, allow_d1)) is not None:
+        return small
     B = poly_sqrt(exact_div(U, D))
     if B is None:
         raise AssertionError("odd-multiplicity split must leave a square cofactor")

@@ -88,8 +88,16 @@ class Perm:
         return _from_cycle_lists(n, text_or_cycles)
 
 
+def _unchecked(images: tuple[int, ...]) -> Perm:
+    """Perm from images known to be a bijection; the checks stay at the
+    boundaries: Perm(images), cycle lists and cycle text."""
+    p = object.__new__(Perm)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity(n: int) -> Perm:
-    return Perm(range(1, n + 1))
+    return _unchecked(tuple(range(1, n + 1)))
 
 
 def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
@@ -104,14 +112,14 @@ def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
             seen.add(x)
         for i, x in enumerate(cyc):
             imgs[x - 1] = cyc[(i + 1) % len(cyc)]
-    return Perm(imgs)
+    return _unchecked(tuple(imgs))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
     """(a * b)(x) = a(b(x)): b acts first."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes {a.size} and {b.size} differ")
-    return Perm(a.images[bi - 1] for bi in b.images)
+    return _unchecked(tuple([a.images[bi - 1] for bi in b.images]))
 
 
 def chain(perms: Sequence[Perm]) -> Perm:
@@ -129,7 +137,7 @@ def inverse(a: Perm) -> Perm:
     imgs = [0] * a.size
     for i, ai in enumerate(a.images, start=1):
         imgs[ai - 1] = i
-    return Perm(imgs)
+    return _unchecked(tuple(imgs))
 
 
 def conjugate(a: Perm, g: Perm) -> Perm:
@@ -137,6 +145,14 @@ def conjugate(a: Perm, g: Perm) -> Perm:
     if a.size != g.size:
         raise SizeMismatch(f"sizes {a.size} and {g.size} differ")
     return compose(inverse(g), compose(a, g))
+
+
+def rotate(a: Perm, s: int) -> Perm:
+    """conjugate(a, c**s) for the descending N-cycle c (i to i-1, 1 to N) in
+    closed form, the relabel x -> x + s: x maps to a(x - s) + s, mod N in 1..N."""
+    N = a.size
+    imgs = a.images
+    return _unchecked(tuple([(imgs[(x - s) % N] + s - 1) % N + 1 for x in range(N)]))
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -403,6 +419,8 @@ def format_cycles(p: Perm) -> str:
 def parse_cycles(text: str, n: int) -> Perm:
     """Parse cycle notation on {1..n}.  Raises CycleParseError with the
     offending position."""
+    if not isinstance(text, str):
+        raise CycleParseError(f"cycle text must be a string, not {type(text).__name__}", 0)
     s = text
     pos = 0
     end = len(s)

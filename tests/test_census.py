@@ -25,8 +25,10 @@ from pellab.census import (
 )
 from pellab.hurwitz import (
     HurwitzTuple,
+    common_fixed,
     is_special,
     primitivity_profile,
+    standard_cycle,
     validate,
 )
 from pellab.permgroup import Perm
@@ -67,6 +69,24 @@ def fixed_point_free_involutions(N):
 
     rec(list(range(1, N + 1)))
     return out
+
+
+def conjugation_canonical_key(t):
+    """The key by explicit conjugation: one standard_cycle(2n) ** k and two
+    composes per entry for every commonly fixed index."""
+    N = t.points
+    best = None
+    base = standard_cycle(N)
+    for i0 in sorted(common_fixed(t)):
+        g = base ** ((N - i0) % N)
+        key = (
+            pg.conjugate(t.sigma0, g).images,
+            pg.conjugate(t.sigma1, g).images,
+            tuple(pg.conjugate(tau, g).images for tau in t.taus),
+        )
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def oracle_sigma0_and_split_count(n):
@@ -237,6 +257,21 @@ def test_canonical_key_is_conjugation_invariant():
     for cls in classes:
         keys = {canonical_key(t) for t in cls}
         assert len(keys) == 1
+
+
+def test_canonical_key_matches_conjugation_oracle():
+    for n in range(2, 11):
+        for _, t in enumerate_shapes(n):
+            assert canonical_key(t) == conjugation_canonical_key(t), (n, tuple_key(t))
+    for n in range(2, 7):
+        for t in brute_force_enumerate(n):
+            assert canonical_key(t) == conjugation_canonical_key(t), (n, tuple_key(t))
+
+
+def test_census_primitive_count_matches_public_function():
+    for n in range(2, 13):
+        report = census(n, use_brute=False)
+        assert report.primitive_disjoint_count == primitive_disjoint_classes(n)[0]
 
 
 def test_size_guards():

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+from unittest import mock
 
-from pellab.cli import CommandResult, main, render, run
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pellab.cli import CommandResult, build_parser, main, render, run
 from pellab.exactpoly import ONE, Poly, from_coeff_strings, parse_poly
+from pellab.hurwitz import HurwitzTuple, tuple_to_json_dict, zannier_tuple
 from pellab.pellcore import power_solution, verify_pell
+from pellab.permgroup import Perm, conjugate
 
 
 def run_json(argv):
@@ -234,3 +240,105 @@ def test_decompose_finds_root_with_large_leading_coefficient():
     assert result.status == "Ok"
     assert result.payload["witnesses"]["5"] == f"{c}*t^2"
     assert result.payload["primitive"] is False
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+    good = ["census", "--n", "4", "--json"]
+    alone = render(run(good), as_json=True)
+    for bad in (
+        ["census", "--n", "four"],
+        ["census", "--n", "4", "--bogus"],
+        ["verify", "--A", "t^2", "--file"],
+        ["profile", "--file", "missing.json", "--json"],
+        [],
+    ):
+        assert run(bad).status == "Error"
+        assert render(run(good), as_json=True) == alone
+
+
+def write_tuple(tmp_path, data):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_profile_rejects_invalid_tuple(tmp_path, capsys):
+    # The product of this tuple is (1,5)(3,7), not the identity, yet its
+    # entries pass the m = 2 power test.
+    path = write_tuple(
+        tmp_path,
+        {
+            "n": 4,
+            "d": 2,
+            "sigma0": "(1,8)(2,7)(3,6)(4,5)",
+            "sigmaInf": "(1,8,7,6,5,4,3,2)",
+            "sigma1": "(1,3)(5,7)",
+            "taus": ["(2,6)"],
+        },
+    )
+    assert main(["profile", "--file", path]) == 1
+    capsys.readouterr()
+    result = run(["profile", "--file", path])
+    assert result.status == "Rejected"
+    assert result.diagnostics == ["failed: ProductIdentity"]
+    assert result.payload == run(["validate", "--file", path]).payload
+
+
+def test_nonpositive_n_is_bad_input(tmp_path):
+    for n in (0, -2):
+        data = {"n": n, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": []}
+        path = write_tuple(tmp_path, data)
+        for command in ("validate", "profile"):
+            result = run([command, "--file", path])
+            assert result.status == "Error", (n, command)
+            assert any("n >= 1" in d for d in result.diagnostics)
+
+
+cycle_text = st.one_of(
+    st.lists(
+        st.lists(st.integers(min_value=-1, max_value=14), min_size=0, max_size=5),
+        max_size=6,
+    ).map(lambda cs: "".join("(" + ",".join(map(str, c)) + ")" for c in cs) or "()"),
+    st.text(alphabet="(),0123456789 x", max_size=20),
+    st.integers(),
+    st.none(),
+)
+
+odd_numbers = ["4", "four", "", None, 2.5, float("inf"), float("-inf"), [], {}, True]
+
+field_values = {
+    "n": st.one_of(st.integers(min_value=-3, max_value=7), st.sampled_from(odd_numbers)),
+    "d": st.one_of(st.integers(min_value=-2, max_value=4), st.sampled_from(odd_numbers)),
+    "sigma0": cycle_text,
+    "sigmaInf": cycle_text,
+    "sigma1": cycle_text,
+    "taus": st.one_of(st.lists(cycle_text, max_size=3), cycle_text),
+}
+
+
+@st.composite
+def tuple_json(draw):
+    """A staircase tuple, maybe relabelled, with some fields replaced or
+    dropped."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    t = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
+    g = Perm(draw(st.permutations(list(range(1, 2 * n + 1)))))
+    if draw(st.booleans()):
+        t = HurwitzTuple(*(conjugate(p, g) for p in (t.sigma0, t.sigmaInf, t.sigma1)),
+                         tuple(conjugate(tau, g) for tau in t.taus), t.n, t.d)
+    data = tuple_to_json_dict(t)
+    for key in draw(st.sets(st.sampled_from(sorted(field_values)), max_size=2)):
+        data[key] = draw(field_values[key])
+    for key in draw(st.sets(st.sampled_from(sorted(data)), max_size=1)):
+        del data[key]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["validate", "profile"]), tuple_json())
+def test_tuple_commands_never_raise(command, data):
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(data))):
+        result = run([command, "--json"])
+    assert result.status in ("Ok", "Rejected", "Error")
+    json.loads(render(result, as_json=True))

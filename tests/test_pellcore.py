@@ -192,6 +192,16 @@ def test_verify_pell_rejections():
     assert isinstance(out, RejectionReason) and out.kind == NON_SQUAREFREE_D
 
 
+def test_degree_floor_is_one_policy():
+    # A = 2t^2 - 1 seeds D = t^2 - 1; verify_pell and generate_from_seed must
+    # reject it with the same reason, and accept it with allow_d1.
+    seeded = generate_from_seed(parse_poly("2*t^2 - 1"))
+    verified = verify_pell(parse_poly("2*t^2 - 1"), parse_poly("2*t"), parse_poly("t^2 - 1"))
+    assert seeded == verified
+    assert verified.message == "deg D = 2 below policy minimum 4 (allow_d1=False)"
+    assert isinstance(solve("2*t^2 - 1", "2*t", "t^2 - 1", allow_d1=True), PellSolution)
+
+
 def test_power_solution_examples():
     base = solve("t", "1", "t^2 - 1", allow_d1=True)
     p2 = power_solution(base, 2)

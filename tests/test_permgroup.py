@@ -35,6 +35,7 @@ from pellab.permgroup import (
     is_transitive,
     parse_cycles,
     preserves_partition,
+    rotate,
 )
 
 
@@ -94,6 +95,10 @@ def test_perm_construction_validates():
         Perm([1, 1])
     with pytest.raises(ValueError):
         Perm([0, 1])
+    with pytest.raises(ValueError):
+        Perm.from_cycles(4, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError):
+        Perm.from_cycles(4, [(1, 5)])
     assert Perm([2, 1]).size == 2
 
 
@@ -270,6 +275,40 @@ def test_parse_cycles_errors_name_position():
         parse_cycles("(1)", 4)
     with pytest.raises(CycleParseError):
         parse_cycles("(1,9)", 4)
+    with pytest.raises(CycleParseError):
+        parse_cycles("(1,2)(2,3)", 4)
+    with pytest.raises(CycleParseError):
+        parse_cycles(12, 4)
+
+
+def test_rotate_examples():
+    a = Perm.from_cycles(12, "(1,11)")
+    assert rotate(a, 6) == Perm.from_cycles(12, "(5,7)")
+    assert rotate(a, 1) == Perm.from_cycles(12, "(2,12)")
+    assert rotate(a, 0) == a
+    assert rotate(a, 12) == a
+    assert rotate(a, -1) == rotate(a, 11)
+
+
+@st.composite
+def perm_and_shift(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    a = Perm(draw(st.permutations(list(range(1, n + 1)))))
+    return a, draw(st.integers(min_value=0, max_value=n - 1))
+
+
+@given(perm_and_shift())
+def test_rotate_is_conjugation_by_descending_cycle_power(a_s):
+    a, s = a_s
+    assert rotate(a, s) == conjugate(a, hurwitz.standard_cycle(a.size) ** s)
+
+
+@given(perm_triples(), st.integers(min_value=-20, max_value=20))
+def test_unchecked_results_are_bijections(abc, s):
+    a, b, g = abc
+    for p in (compose(a, b), inverse(a), conjugate(a, g), rotate(a, s), identity(a.size)):
+        assert Perm(p.images) == p
+        assert isinstance(p.images, tuple)
 
 
 @given(perm_triples())
