@@ -2,15 +2,19 @@
 
 Polynomials are dense coefficient tuples, constant term first, trailing
 zeros trimmed.  The zero polynomial has an empty tuple and degree -1.
-All coefficients are fractions.Fraction; nothing here ever touches floats,
-so equality of computed values is meaningful.
+Coefficients are fractions.Fraction at the API; nothing here ever touches
+floats, so equality of computed values is meaningful.
 
-A product is computed on integers: each factor is brought to integer
-numerators over the lcm of its denominators, the numerators are convolved
-as plain ints, and the result is built once over the product of the two
-denominators.  Exact integer m-th roots use an integer Newton iteration, and
-the resultant follows the Euclidean remainder sequence in a loop, so neither
-depends on float range nor on the recursion limit.
+The kernels work on integers: each operand is brought to integer numerators
+over the lcm of its denominators, and fractions are built once, from the
+integer result.  A product convolves the numerators.  Division is
+pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
+deg b + 1).  The gcd and the resultant follow the primitive remainder
+sequence: each pseudo-remainder is divided by its content, the gcd of its
+coefficients, so the coefficients stay small and no step reduces a fraction
+per coefficient.  Exact integer m-th roots use an integer Newton iteration,
+and every sequence runs in a loop, so nothing depends on float range or on
+the recursion limit.
 """
 
 from __future__ import annotations
@@ -181,22 +185,62 @@ def constant(c: RatLike) -> Poly:
     return Poly([_rat(c)])
 
 
+def _pseudo_divrem(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists, len(a) >= len(b) >= 1:
+    scale*a = q*b + r with len(r) = len(b) - 1 (not trimmed).
+
+    Each step multiplies by lc(b)/g, g = gcd(lc(b), leading remainder term),
+    so scale divides lc(b)^(deg a - deg b + 1) and is 1 when lc(b) divides
+    every leading term.  A coefficient below the current window is multiplied
+    by the scale so far only when the window reaches it."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    steps = len(a) - db
+    quo = [0] * steps
+    mults = [1] * steps
+    scale = 1
+    for i in range(steps - 1, -1, -1):
+        rem[i] *= scale
+        c = rem[i + db]
+        if not c:
+            continue
+        g = math.gcd(c, lb)
+        f, c = lb // g, c // g
+        quo[i] = c
+        for j in range(i, i + db):
+            rem[j] = f * rem[j] - c * b[j - i]
+        mults[i] = f
+        scale *= f
+    later = 1  # product of the multipliers of the steps after step i
+    for i in range(steps):
+        quo[i] *= later
+        later *= mults[i]
+    return quo, rem[:db], scale
+
+
+def _primitive(cs: list[int]) -> tuple[int, list[int]]:
+    """The content (gcd of the entries, 0 for none) and the primitive part
+    of cs, with trailing zeros dropped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    g = math.gcd(*cs)
+    return g, [c // g for c in cs] if g > 1 else cs
+
+
 def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: a = q*b + r with deg r < deg b."""
+    """Euclidean division: a = q*b + r with deg r < deg b.  Pseudo-divides
+    the integer numerators, scale*na = nq*nb + nr, then q = nq*den_b /
+    (scale*den_a) and r = nr / (scale*den_a)."""
     if b.is_zero:
         raise DivByZeroPoly("division by the zero polynomial")
     if a.degree < b.degree:
         return ZERO, a
-    rem = list(a.coeffs)
-    quo = [Rat(0)] * (a.degree - b.degree + 1)
-    lb = b.leading
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + b.degree] / lb
-        quo[i] = c
-        if c != 0:
-            for j, bc in enumerate(b.coeffs):
-                rem[i + j] -= c * bc
-    return Poly(quo), Poly(rem[: b.degree])
+    na, den_a = _integer_numerators(a.coeffs)
+    nb, den_b = _integer_numerators(b.coeffs)
+    nq, nr, scale = _pseudo_divrem(na, nb)
+    den = scale * den_a
+    return Poly(Rat(c * den_b, den) for c in nq), Poly(Rat(c, den) for c in nr)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -207,13 +251,19 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor, by the primitive remainder sequence
+    on integer numerators: each pseudo-remainder is divided by its content,
+    and the last nonzero one is made monic."""
     if a.is_zero and b.is_zero:
         raise GcdOfZeros("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        _, r = divrem(a, b)
-        a, b = b, r
-    return a.monic()
+    _, u = _primitive(_integer_numerators(a.coeffs)[0])
+    _, v = _primitive(_integer_numerators(b.coeffs)[0])
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        _, r, _ = _pseudo_divrem(u, v)
+        u, v = v, _primitive(r)[1]
+    return Poly(Rat(c, u[-1]) for c in u)
 
 
 def derivative(p: Poly) -> Poly:
@@ -260,29 +310,36 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
 
 
 def resultant(a: Poly, b: Poly) -> Rat:
-    """Resultant via the Euclidean reduction rules, one remainder per step:
-    res(a, b) = (-1)^(deg a deg b) res(b, a), and for deg a >= deg b with
-    a = q*b + r, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r)."""
-    factor = Rat(1)
-    while True:
-        if a.is_zero or b.is_zero:
-            return Rat(0)
-        if a.degree == 0 and b.degree == 0:
-            return factor
-        if b.degree == 0:
-            return factor * b.coeffs[0] ** a.degree
-        if a.degree == 0:
-            return factor * a.coeffs[0] ** b.degree
+    """Resultant along the primitive remainder sequence of the integer
+    numerators, by the reduction rules res(a, b) = (-1)^(deg a deg b) res(b, a),
+    res(c*a, b) = c^(deg b) res(a, b), and, for deg a >= deg b with
+    a = q*b + r, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r).
+    A pseudo-remainder scale*r = content*primitive enters as the factor
+    (content/scale)^(deg b), so no coefficient is ever a fraction."""
+    if a.is_zero or b.is_zero:
+        return Rat(0)
+    if a.degree == 0 or b.degree == 0:
+        return a.leading ** b.degree * b.leading ** a.degree
+    na, den_a = _integer_numerators(a.coeffs)
+    nb, den_b = _integer_numerators(b.coeffs)
+    cu, u = _primitive(na)
+    cv, v = _primitive(nb)
+    factor = Rat(cu, den_a) ** b.degree * Rat(cv, den_b) ** a.degree
+    if len(u) < len(v):
+        u, v = v, u
         if a.degree * b.degree % 2:
             factor = -factor
-        if a.degree < b.degree:
-            a, b = b, a
-            continue
-        _, r = divrem(a, b)
-        if r.is_zero:
+    while len(v) > 1:
+        m, n = len(u) - 1, len(v) - 1
+        _, r, scale = _pseudo_divrem(u, v)
+        c, r = _primitive(r)
+        if not r:
             return Rat(0)
-        factor *= b.leading ** (a.degree - r.degree)
-        a, b = b, r
+        factor *= v[-1] ** (m - len(r) + 1) * Rat(c, scale) ** n
+        if m * n % 2:
+            factor = -factor
+        u, v = v, r
+    return factor * v[0] ** (len(u) - 1)
 
 
 def discriminant(p: Poly) -> Rat:

@@ -276,10 +276,12 @@ def tuple_to_json_dict(t: HurwitzTuple) -> dict:
 
 def tuple_from_json_dict(data: dict) -> HurwitzTuple:
     try:
-        n = int(data["n"])
-        d = int(data["d"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"tuple JSON needs integer n and d: {exc}") from None
+        n, d = data["n"], data["d"]
+    except KeyError as exc:
+        raise ValueError(f"tuple JSON missing field {exc}") from None
+    # JSON integers only: bool is an int subclass, and int() would truncate 4.9.
+    if type(n) is not int or type(d) is not int:
+        raise ValueError(f"tuple JSON needs integer n and d, got n = {n!r}, d = {d!r}")
     if n < 1 or d < 1:
         raise ValueError(f"tuple JSON needs n >= 1 and d >= 1, got n = {n}, d = {d}")
     N = 2 * n

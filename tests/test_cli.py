@@ -295,6 +295,19 @@ def test_nonpositive_n_is_bad_input(tmp_path):
             assert any("n >= 1" in d for d in result.diagnostics)
 
 
+def test_non_integer_n_or_d_is_bad_input(tmp_path):
+    # int() would read 4.9 as 4 and true as 1, turning the file into a
+    # different tuple instead of refusing it.
+    data = tuple_to_json_dict(zannier_tuple(4, 2))
+    for changes in ({"n": 4.9, "d": True}, {"n": 4.9}, {"d": True}, {"n": "4"}, {"d": 2.0}):
+        path = write_tuple(tmp_path, dict(data, **changes))
+        for command in ("validate", "profile"):
+            result = run([command, "--file", path])
+            assert result.status == "Error", (changes, command)
+            assert main([command, "--file", path]) == 2
+            assert any("integer n and d" in d for d in result.diagnostics)
+
+
 cycle_text = st.one_of(
     st.lists(
         st.lists(st.integers(min_value=-1, max_value=14), min_size=0, max_size=5),

@@ -45,6 +45,12 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
 )
 rational_polys = st.lists(rationals, max_size=8).map(Poly)
+# Numerators and denominators past 2^64, mixed with small and zero ones.
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(2**100), 2**100), st.integers(2**64, 2**80)),
+)
+wide_polys = st.lists(wide_rationals, max_size=7).map(Poly)
 
 
 def fraction_convolution(a: Poly, b: Poly) -> Poly:
@@ -56,6 +62,27 @@ def fraction_convolution(a: Poly, b: Poly) -> Poly:
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
     return Poly(out)
+
+
+def fraction_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division with a Fraction operation per coefficient step."""
+    if a.degree < b.degree:
+        return ZERO, a
+    rem = list(a.coeffs)
+    quo = [Fraction(0)] * (a.degree - b.degree + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + b.degree] / b.leading
+        quo[i] = c
+        for j, bc in enumerate(b.coeffs):
+            rem[i + j] -= c * bc
+    return Poly(quo), Poly(rem[: b.degree])
+
+
+def fraction_gcd(a: Poly, b: Poly) -> Poly:
+    """Euclid's loop over Q on fraction_divrem remainders, made monic."""
+    while not b.is_zero:
+        a, b = b, fraction_divrem(a, b)[1]
+    return a.monic()
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
@@ -205,6 +232,42 @@ def test_mul_matches_fraction_convolution(a, b):
     assert product == fraction_convolution(a, b)
     assert product == b * a
     assert all(type(c) is Fraction for c in product.coeffs)
+
+
+neg_lead = Poly([Fraction(3, 2**65 + 1), 0, Fraction(-(2**70), 7)])
+
+
+@given(wide_polys, wide_polys)
+@example(Poly([Fraction(-(2**90), 3), 1, Fraction(5, 2**66)]), neg_lead)
+@example(neg_lead, Poly([Fraction(-(2**67), 2**65 + 3)]))
+@example(neg_lead, Poly([1, 2, 3, Fraction(-1, 2**64 + 5)]))
+@example(ZERO, neg_lead)
+@example(neg_lead, ZERO)
+def test_divrem_matches_fraction_long_division(a, b):
+    if b.is_zero:
+        with pytest.raises(DivByZeroPoly):
+            divrem(a, b)
+        return
+    q, r = divrem(a, b)
+    assert (q, r) == fraction_divrem(a, b)
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
+@given(wide_polys, wide_polys, st.lists(wide_rationals, max_size=4).map(Poly))
+@example(neg_lead, Poly([Fraction(-(2**67), 2**65 + 3)]), ONE)
+@example(ZERO, neg_lead, Poly([1, Fraction(-1, 2**64 + 1)]))
+@example(neg_lead, ZERO, ONE)
+@example(ZERO, ZERO, ONE)
+def test_gcd_matches_fraction_euclid(a, b, common):
+    # A shared factor makes the gcd nontrivial; common = 0 makes both zero.
+    a, b = a * common, b * common
+    if a.is_zero and b.is_zero:
+        with pytest.raises(GcdOfZeros):
+            gcd(a, b)
+        return
+    g = gcd(a, b)
+    assert g == fraction_gcd(a, b)
+    assert all(type(c) is Fraction for c in g.coeffs)
 
 
 @given(polys, polys, polys)

@@ -264,6 +264,10 @@ def test_tuple_json_rejects_bad_input():
         ("taus", [None]),
         ("d", float("inf")),
         ("n", float("-inf")),
+        ("n", 4.9),
+        ("n", 4.0),
+        ("n", "4"),
+        ("d", True),
     )
     for key, value in wrongly_typed:
         with pytest.raises(ValueError):

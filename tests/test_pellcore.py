@@ -17,6 +17,7 @@ from pellab.exactpoly import (
     Rat,
     compose,
     constant,
+    discriminant,
     parse_poly,
     rat_nth_root,
 )
@@ -269,6 +270,31 @@ def test_generate_from_seed_examples():
     assert out.D == parse_poly("t^2 - 1")
     with pytest.raises(DegreeTooSmall):
         generate_from_seed(constant(3))
+
+
+def test_generate_from_seed_degree_40():
+    # A = 1 + S^2 R gives A^2 - 1 = S^2 R (2 + S^2 R): a square factor of
+    # degree 20 and an odd-multiplicity part of degree 60.
+    S = Poly([Fraction(k * k - 7, k + 2) for k in range(10)] + [-3])
+    R = Poly([Fraction((-1) ** k * (k + 1), 2 * k + 3) for k in range(20)] + [Fraction(5, 7)])
+    A = ONE + S * S * R
+    assert A.degree == 40
+    out = generate_from_seed(A)
+    assert isinstance(out, PellSolution)
+    assert out.D * out.B * out.B == A * A - ONE
+    assert out.D.leading == 1 and out.D.degree == 60
+    assert discriminant(out.D) != 0
+    try:
+        import sympy
+    except ImportError:  # sympy is an optional oracle
+        return
+    t = sympy.Symbol("t")
+    U = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed((A * A - ONE).coeffs)], t)
+    odd = sympy.Poly(1, t, domain=sympy.QQ)
+    for factor, mult in U.sqf_list()[1]:
+        if mult % 2:
+            odd *= factor.monic()
+    assert out.D == Poly(Fraction(int(c.p), int(c.q)) for c in reversed(odd.all_coeffs()))
 
 
 def test_extract_mth_root_examples():
