@@ -82,7 +82,11 @@ def _pi_from_sigma0(sigma0: Perm) -> Perm:
 
 def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
     """All (sigma1, tau) with tau a transposition, sigma1*tau = pi (sigma1
-    acting first), sigma1 all-even cycles with exactly 4 fixed points."""
+    acting first), sigma1 all-even cycles with exactly 4 fixed points.
+
+    Empty unless pi is one of the three census cases: transpositions and at
+    most one 3- or 4-cycle, with as many fixed points as its longest cycle
+    has points (2 when there is no 3- or 4-cycle)."""
     N = pi.size
     transpositions = []
     big = None
@@ -93,6 +97,9 @@ def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
             big = cyc
         else:
             return []
+    big_len = len(big) if big else 0
+    if N - 2 * len(transpositions) - big_len != (big_len or 2):
+        return []
     out: list[tuple[Perm, Perm]] = []
     if big is None:
         for i, t in enumerate(transpositions):
@@ -192,20 +199,6 @@ def case_of(t: HurwitzTuple) -> str:
     return {2: DISJOINT, 3: THREE_CYCLE, 4: FOUR_CYCLE}[longest]
 
 
-def _admissible_pi(pi: Perm, n: int) -> bool:
-    """Cycle type must be one of the three census patterns, with 2n fixed."""
-    if pi(2 * n) != 2 * n:
-        return False
-    lens = sorted((len(c) for c in pg.cycles(pi)), reverse=True)
-    if lens == [2] * (n - 1):
-        return True
-    if n >= 3 and lens == [3] + [2] * (n - 3):
-        return True
-    if n >= 4 and lens == [4] + [2] * (n - 4):
-        return True
-    return False
-
-
 def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[HurwitzTuple]:
     """Ground truth: scan all fixed-point-free involutions sigma0, keep the
     ones whose forced product sigma1*tau matches a census case, split; sorted.
@@ -223,10 +216,8 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
     def descend(unpaired: list[int]) -> None:
         if not unpaired:
             sigma0 = pg._unchecked(tuple(paired[1:]))
-            pi = _pi_from_sigma0(sigma0)
-            if _admissible_pi(pi, n):
-                for sigma1, tau in _split_product(pi):
-                    out.append(_make_tuple(n, sigma0, sigma1, tau))
+            for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
+                out.append(_make_tuple(n, sigma0, sigma1, tau))
             return
         a = unpaired[0]
         rest = unpaired[1:]

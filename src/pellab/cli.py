@@ -22,7 +22,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import census as census_mod
 from . import exactpoly, hurwitz, pellcore
@@ -267,13 +266,7 @@ def _brute_bound() -> int:
 
 
 def _cmd_census(args) -> CommandResult:
-    bound = _brute_bound()
-    use_brute: Optional[bool] = None
-    if args.brute_force:
-        use_brute = True
-    elif args.no_brute_force:
-        use_brute = False
-    report = census_mod.census(args.n, use_brute=use_brute, brute_max=bound)
+    report = census_mod.census(args.n, use_brute=args.use_brute, brute_max=_brute_bound())
     diagnostics = [f"discrepancy: {d}" for d in report.discrepancies]
     return CommandResult(OK, census_mod.report_to_json_dict(report), diagnostics)
 
@@ -333,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("census", parents=[common], help="d = 2 census for n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--brute-force", dest="brute_force", action="store_true")
-    p.add_argument("--no-brute-force", dest="no_brute_force", action="store_true")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--brute-force", dest="use_brute", action="store_const", const=True)
+    route.add_argument("--no-brute-force", dest="use_brute", action="store_const", const=False)
     p.set_defaults(handler=_cmd_census)
 
     return parser

@@ -456,7 +456,10 @@ def parse_poly(text: str, var: str = "t") -> Poly:
             offset = m.start("varc") if m.group("varc") else m.start("varb")
             raise PolyParseError(f"unknown variable {name!r}", offset)
         if m.group("coeff") is not None:
-            coeff = Rat(m.group("coeff"))
+            try:
+                coeff = Rat(m.group("coeff"))
+            except ZeroDivisionError:
+                raise PolyParseError("zero denominator", m.start("coeff")) from None
             if m.group("varc") is not None:
                 exp = int(m.group("expc")) if m.group("expc") else 1
             else:
@@ -505,11 +508,17 @@ def to_coeff_strings(p: Poly) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
 
 
-def from_coeff_strings(items: Sequence[Union[str, int]]) -> Poly:
+def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
     """Inverse of to_coeff_strings; also accepts bare integers and
-    "num" strings."""
+    "num" strings.  Anything else, a float, a bool or a bare string among
+    them, is a PolyParseError."""
+    if not isinstance(items, list):
+        raise PolyParseError(f"coefficients must be a list, not {type(items).__name__}", 0)
     out = []
     for i, item in enumerate(items):
+        # A JSON float is inexact; null, true and objects are no coefficients.
+        if type(item) not in (str, int):
+            raise PolyParseError(f"bad coefficient {item!r}: not a string or an integer", i)
         try:
             out.append(Rat(item))
         except (ValueError, ZeroDivisionError) as exc:

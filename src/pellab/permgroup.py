@@ -196,26 +196,22 @@ def is_full_cycle(p: Perm) -> bool:
 
 
 def is_transitive(perms: Sequence[Perm], n: int) -> bool:
-    """Union-find over generator edges."""
+    """Whether the orbit of point 1 under the generators is all of 1..n."""
     if n < 1:
         raise ValueError("need at least one point")
     for p in perms:
         if p.size != n:
             raise SizeMismatch(f"generator size {p.size} != {n}")
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i in range(1, n + 1):
-            a, b = find(i), find(p(i))
-            if a != b:
-                parent[a] = b
-    return len({find(i) for i in range(1, n + 1)}) == 1
+    seen = [False, True] + [False] * (n - 1)
+    stack = [1]
+    while stack:
+        x = stack.pop()
+        for p in perms:
+            y = p.images[x - 1]
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return all(seen[1:])
 
 
 @dataclass(frozen=True)
@@ -238,12 +234,6 @@ class BlockPartition:
             seen |= b
         if len(self.blocks) != self.ell or seen != set(range(1, self.N + 1)):
             raise ValueError("blocks must partition 1..N")
-
-    def block_of(self, x: int) -> int:
-        for h, b in enumerate(self.blocks, start=1):
-            if x in b:
-                return h
-        raise ValueError(f"point {x} out of range")
 
     def as_sets(self) -> list[set[int]]:
         """Blocks in label order."""

@@ -4,12 +4,13 @@ import io
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pellab.cli import CommandResult, build_parser, main, render, run
-from pellab.exactpoly import ONE, Poly, from_coeff_strings, parse_poly
-from pellab.hurwitz import HurwitzTuple, tuple_to_json_dict, zannier_tuple
+from pellab.exactpoly import ONE, Poly, format_poly, from_coeff_strings, parse_poly
+from pellab.hurwitz import MAX_TUPLE_N, HurwitzTuple, tuple_to_json_dict, zannier_tuple
 from pellab.pellcore import power_solution, verify_pell
 from pellab.permgroup import Perm, conjugate
 
@@ -221,6 +222,30 @@ def test_census_env_bound(monkeypatch):
     assert result.status == "Error"
 
 
+def test_census_route_flags_exclude_each_other(capsys):
+    argv = ["census", "--n", "3", "--brute-force", "--no-brute-force"]
+    result = run(argv)
+    assert result.status == "Error"
+    assert any("not allowed with" in d for d in result.diagnostics)
+    assert main(argv) == 2
+    capsys.readouterr()
+    assert run(["census", "--n", "3", "--no-brute-force"]).payload["cases"]["Disjoint"]["brute"] is None
+    assert run(["census", "--n", "3", "--brute-force"]).payload["cases"]["Disjoint"]["brute"] == 1
+
+
+def test_tuple_size_bound_is_bad_input(tmp_path, capsys):
+    n = MAX_TUPLE_N + 1
+    data = {"n": n, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": []}
+    path = write_tuple(tmp_path, data)
+    for command in ("validate", "profile"):
+        result = run([command, "--file", path])
+        assert result.status == "Error"
+        assert any(f"n <= {MAX_TUPLE_N}" in d for d in result.diagnostics)
+        assert main([command, "--file", path]) == 2
+    assert run(["zannier", "--n", str(n), "--d", "2"]).status == "Error"
+    capsys.readouterr()
+
+
 def test_render_human_mode():
     result = CommandResult("Ok", {"x": 1}, ["note text"])
     text = render(result, as_json=False)
@@ -355,3 +380,103 @@ def test_tuple_commands_never_raise(command, data):
         result = run([command, "--json"])
     assert result.status in ("Ok", "Rejected", "Error")
     json.loads(render(result, as_json=True))
+
+
+# -- random command lines -----------------------------------------------------
+
+small_int = st.sampled_from(["2", "3", "4", "5", "6", "-1", "0", "1", "x", "", "2.5"])
+rational = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "1/0", "x", ""])
+small_poly = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=9).map(
+    lambda cs: format_poly(Poly(cs))
+)
+poly_text = st.one_of(
+    small_poly,
+    st.sampled_from(["2*t^3-1", "2*t^3 - 1", "t^2", "1", "2*t", "t^4-1", "t^4 - t", "t^2 - 1"]),
+    st.sampled_from(["t^", "t^-1", "1/0", "", "t^2 +", "x", "2t"]),
+    st.text(alphabet="t0123456789+-*/() .", max_size=12),
+)
+OPTIONS = {
+    "--A": poly_text,
+    "--B": poly_text,
+    "--D": poly_text,
+    "--f": poly_text,
+    "--m": small_int,
+    "--n": small_int,
+    "--d": small_int,
+    "--at": rational,
+    "--locus-in": st.lists(rational, max_size=3).map(",".join),
+    "--file": st.sampled_from(["own", "own", "own", "other", "-", "missing"]),
+}
+SOLUTION = (("--file",), ("--A", "--B", "--D"))
+COMMANDS = {  # each command's usual option sets, then options that may come on top
+    "verify": (SOLUTION, ("--allow-d1", "--A", "--file")),
+    "seed": ((("--A",),), ("--allow-d1",)),
+    "power": (tuple(("--m", *o) for o in SOLUTION), ("--allow-d1", "--m")),
+    "decompose": (SOLUTION, ("--allow-d1", "--D")),
+    "ramify": ((("--f", "--at"), ("--f", "--locus-in")), ("--at", "--locus-in")),
+    "zannier": ((("--n", "--d"),), ("--d",)),
+    "validate": ((("--file",), ()), ("--file",)),
+    "profile": ((("--file",), ()), ("--file",)),
+    "census": ((("--n",),), ("--brute-force", "--no-brute-force")),
+}
+coeff_items = st.one_of(
+    st.integers(min_value=-5, max_value=5).map(str),
+    st.sampled_from(["1/2", "-3/4", "1/0", "x", "", 3, 2.5, float("inf"), None, True, [], {}]),
+)
+SOLUTIONS = (
+    {"A": ["0", "0", "1"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]},
+    {"A": ["-1", "0", "0", "2"], "B": ["0", "2"], "D": ["0", "-1", "0", "0", "1"]},
+)
+
+
+@st.composite
+def solution_json(draw):
+    """A Pell solution with a field maybe replaced or dropped, or no solution
+    object at all."""
+    data = dict(draw(st.sampled_from(SOLUTIONS)))
+    for key in draw(st.sets(st.sampled_from(["A", "B", "D"]), max_size=2)):
+        data[key] = draw(st.one_of(st.lists(coeff_items, max_size=4), coeff_items))
+    for key in draw(st.sets(st.sampled_from(["A", "B", "D"]), max_size=1)):
+        del data[key]
+    return draw(st.one_of(st.just(data), st.just({"payload": data}), st.sampled_from([[], 3, "x"])))
+
+
+@st.composite
+def command_line(draw):
+    """One subcommand with one of its usual option sets, maybe more options,
+    and now and then a missing value or an unknown flag."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    usual, extra = COMMANDS[command]
+    argv = [command]
+    options = [*draw(st.sampled_from(usual)), *draw(st.lists(st.sampled_from(extra), max_size=1))]
+    for option in options:
+        argv.append(option)
+        if option in OPTIONS and draw(st.integers(min_value=0, max_value=19)):
+            argv.append(draw(OPTIONS[option]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    if not draw(st.integers(min_value=0, max_value=9)):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), "--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_line(), solution_json(), st.one_of(tuple_json(), st.sampled_from([[], "x"])))
+def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
+    own, other = ("tuple", "solution") if argv[0] in ("validate", "profile") else ("solution", "tuple")
+    files = {"solution": solution, "tuple": tuple_data}
+    for name, data in files.items():
+        (fuzz_dir / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    paths = {key: str(fuzz_dir / f"{name}.json")
+             for key, name in (("own", own), ("other", other), ("missing", "missing"))}
+    argv = [paths.get(arg, arg) if prev == "--file" else arg for prev, arg in zip([None, *argv], argv)]
+    with mock.patch("sys.stdin", io.StringIO("")):
+        result = run(argv)
+    assert result.status in ("Ok", "Rejected", "Error")
+    render(result, as_json=True)
+    render(result, as_json=False)

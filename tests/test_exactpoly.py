@@ -352,6 +352,9 @@ def test_parse_poly_errors_name_position():
         parse_poly("x^2")
     assert "position 0" in str(err.value)
     assert err.value.pos == 0
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("t - 3/0*t^2")
+    assert err.value.pos == 4
 
 
 def test_format_poly_examples():
@@ -374,3 +377,16 @@ def test_from_coeff_strings_errors_name_index():
     with pytest.raises(PolyParseError) as err:
         from_coeff_strings(["1", "x"])
     assert err.value.pos == 1
+    for items, pos in (
+        ("12", 0),
+        (None, 0),
+        (5, 0),
+        (["1", None], 1),
+        (["1", "2", float("inf")], 2),
+        ([0.5], 0),
+        ([True], 0),
+        ([[1]], 0),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            from_coeff_strings(items)
+        assert err.value.pos == pos

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from pellab import permgroup as pg
+from pellab.census import enumerate_shapes
 from pellab.hurwitz import (
+    MAX_TUPLE_N,
     DegreeOrder,
     HurwitzTuple,
     NotSpecialForm,
@@ -62,6 +68,8 @@ def test_zannier_tuple_examples():
         zannier_tuple(3, 5)
     with pytest.raises(DegreeOrder):
         zannier_tuple(4, 1)
+    with pytest.raises(ValueError, match=f"n <= {MAX_TUPLE_N}"):
+        zannier_tuple(MAX_TUPLE_N + 1, 2)
 
 
 def test_validate_zannier_budgets():
@@ -150,6 +158,117 @@ def test_primitivity_profiles_n6():
     assert primitivity_profile(disjoint_census_tuple(6, 3)) == {3}
     assert primitivity_profile(zannier_tuple(6, 2)) == set()
     assert primitivity_profile(zannier_tuple(8, 2)) == set()
+
+
+def block_image_power_test(t: HurwitzTuple, m: int) -> bool:
+    """The power test through block systems: on the mod-2m residue blocks
+    every entry must induce the label map of an m-th power."""
+    if m == 1:
+        return True
+    m2 = 2 * m
+    part = pg.congruence_partition(t.points, m2)
+    down = Perm([m2] + list(range(1, m2)))
+    mirror_fix_last = Perm([m2 - h if h < m2 else m2 for h in range(1, m2 + 1)])
+    mirror = Perm([m2 - h + 1 for h in range(1, m2 + 1)])
+    pairs = [
+        (t.sigmaInf, down),
+        (t.sigma1, mirror_fix_last),
+        (t.sigma0, mirror),
+        *((tau, pg.identity(m2)) for tau in t.taus),
+    ]
+    return all(pg.preserves_partition(p, part) == want for p, want in pairs)
+
+
+def relabelled(t: HurwitzTuple, g: Perm) -> HurwitzTuple:
+    """Conjugate every entry but sigmaInf by g."""
+    return HurwitzTuple(
+        pg.conjugate(t.sigma0, g),
+        t.sigmaInf,
+        pg.conjugate(t.sigma1, g),
+        tuple(pg.conjugate(tau, g) for tau in t.taus),
+        t.n,
+        t.d,
+    )
+
+
+def relabellings_fixing_last(N: int, m2: int, rng: random.Random) -> list[Perm]:
+    """A random relabelling of 1..N-1, and one that keeps every residue mod
+    m2; both fix N."""
+    anywhere = list(range(1, N))
+    rng.shuffle(anywhere)
+    images = [0] * N
+    for r in range(1, m2 + 1):
+        points = [x for x in range(r, N + 1, m2) if x != N]
+        for x, y in zip(points, rng.sample(points, len(points))):
+            images[x - 1] = y
+    images[N - 1] = N
+    return [Perm(anywhere + [N]), Perm(images)]
+
+
+def test_power_test_matches_block_images():
+    rng = random.Random(5)
+    tuples = [t for n in range(2, 13) for _, t in enumerate_shapes(n)]
+    tuples += [zannier_tuple(n, d) for n in range(2, 17) for d in range(2, n + 1)]
+    entries = {}
+    for t in tuples:
+        for field in ("sigma0", "sigma1", "taus"):
+            entries.setdefault((t.points, field), set()).add(getattr(t, field))
+    verdicts = Counter()
+
+    def check(kind, u, m):
+        got = power_test(u, m)
+        assert got == block_image_power_test(u, m), (kind, u, m)
+        verdicts[kind, got] += 1
+
+    crossed = set()
+    for t in tuples:
+        for m in admissible_exponents(t.n, t.d):
+            check("as built", t, m)
+            for g in relabellings_fixing_last(t.points, 2 * m, rng):
+                check("relabelled", relabelled(t, g), m)
+            if (t.points, m) in crossed or not power_test(t, m):
+                continue
+            # One power per size and m, with each entry in turn replaced by
+            # that entry of every other tuple on as many points: the product
+            # is no longer the identity, so each rule is tested on its own.
+            crossed.add((t.points, m))
+            for field in ("sigma0", "sigma1", "taus"):
+                for entry in entries[t.points, field]:
+                    check(f"crossed {field}", replace(t, **{field: entry}), m)
+    # Entries that keep every residue rule but one at some points.
+    base = disjoint_census_tuple(4, 2)
+    check("near miss", base, 2)
+    for field, entry in (
+        ("sigma0", Perm.from_cycles(8, "(1,7)(2,6)(3,5)(4,8)")),
+        ("sigma1", Perm.from_cycles(8, "(1,4)(3,6)(5,7)")),
+        ("taus", (Perm.from_cycles(8, "(1,2,3,4)"),)),
+    ):
+        check("near miss", replace(base, **{field: entry}), 2)
+    assert {kind for kind, _ in verdicts} == {
+        "as built", "relabelled", "crossed sigma0", "crossed sigma1", "crossed taus",
+        "near miss",
+    }
+    for kind, _ in verdicts:
+        assert verdicts[kind, True] > 0 and verdicts[kind, False] > 0, verdicts
+
+
+def test_malformed_sizes():
+    z = zannier_tuple(4, 2)
+    short = pg.identity(6)
+    assert not is_special(HurwitzTuple(z.sigma0, z.sigmaInf, short, z.taus, 4, 2))
+    assert not is_special(HurwitzTuple(z.sigma0, z.sigmaInf, z.sigma1, (short,), 4, 2))
+    # Special form reads only sigmaInf and the images of 2n; every other
+    # point must still be there for the power test.
+    for sigma0, sigma1, tau in (
+        (short, z.sigma1, z.taus[0]),
+        (pg.identity(10), z.sigma1, z.taus[0]),
+        (z.sigma0, Perm.from_cycles(10, "(1,7)(2,6)(9,10)"), z.taus[0]),
+        (z.sigma0, z.sigma1, Perm.from_cycles(10, "(3,5)")),
+    ):
+        t = HurwitzTuple(sigma0, z.sigmaInf, sigma1, (tau,), 4, 2)
+        assert is_special(t)
+        with pytest.raises(pg.SizeMismatch):
+            power_test(t, 2)
 
 
 def test_power_test_agrees_with_block_search():
@@ -272,4 +391,5 @@ def test_tuple_json_rejects_bad_input():
     for key, value in wrongly_typed:
         with pytest.raises(ValueError):
             tuple_from_json_dict(dict(data, **{key: value}))
-
+    with pytest.raises(ValueError, match=f"n <= {MAX_TUPLE_N}"):
+        tuple_from_json_dict(dict(data, n=MAX_TUPLE_N + 1))

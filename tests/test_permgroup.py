@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pellab import hurwitz
@@ -167,6 +167,48 @@ def test_is_transitive():
     assert not is_transitive([Perm.from_cycles(4, "(1,2)")], 4)
     z = hurwitz.zannier_tuple(5, 2)
     assert is_transitive(z.gens(), 10)
+
+
+def union_find_transitive(perms, n):
+    """Transitivity by union-find over the generator edges."""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for i in range(1, n + 1):
+            a, b = find(i), find(p(i))
+            if a != b:
+                parent[a] = b
+    return len({find(i) for i in range(1, n + 1)}) == 1
+
+
+@st.composite
+def sparse_generators(draw):
+    """Up to three permutations of n points, each moving a random subset,
+    so that both transitive and intransitive sets come up."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        moved = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True))
+        images = list(range(1, n + 1))
+        for x, y in zip(moved, draw(st.permutations(moved))):
+            images[x - 1] = y
+        gens.append(Perm(images))
+    return gens, n
+
+
+@given(sparse_generators())
+@example(([Perm.from_cycles(6, "(1,2,3)(4,5)"), Perm.from_cycles(6, "(3,4)")], 6))
+@example(([Perm.from_cycles(6, "(1,2,3)(4,5)"), Perm.from_cycles(6, "(3,4)(5,6)")], 6))
+@example(([], 1))
+def test_is_transitive_matches_union_find(gens_n):
+    gens, n = gens_n
+    assert is_transitive(gens, n) == union_find_transitive(gens, n)
 
 
 def test_congruence_partition_examples():
