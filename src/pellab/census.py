@@ -3,8 +3,8 @@ standard descending sigmaInf, sigma0 a fixed-point-free involution, and 2n
 fixed by sigma1 and tau.
 
 Three routes produce per-case conjugacy-class counts: shape enumeration
-(parameterized sigma0 layouts), brute force over all fixed-point-free
-involutions (ground truth), and closed formulas.  Reports carry all three and
+(parameterized sigma0 layouts), brute force over fixed-point-free
+involutions, pruned while pairing (ground truth), and closed formulas.  Reports carry all three and
 flag any disagreement; nothing is reconciled silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
@@ -28,7 +28,7 @@ THREE_CYCLE = "ThreeCycle"
 FOUR_CYCLE = "FourCycle"
 CASES = (DISJOINT, THREE_CYCLE, FOUR_CYCLE)
 
-BRUTE_DEFAULT_MAX = 8
+BRUTE_DEFAULT_MAX = 10
 
 
 class TooLarge(ValueError):
@@ -192,18 +192,28 @@ def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
     return out
 
 
-def case_of(t: HurwitzTuple) -> str:
-    """Case key from the longest cycle of sigma1*tau."""
-    product = pg.chain([t.sigma1, *t.taus])
-    longest = max((len(c) for c in pg.cycles(product)), default=2)
-    return {2: DISJOINT, 3: THREE_CYCLE, 4: FOUR_CYCLE}[longest]
+def _case_of_split(t: HurwitzTuple) -> str:
+    """Case of a split tuple: how many of tau's two points sigma1 moves (0
+    Disjoint, 1 ThreeCycle, 2 FourCycle; see _split_product)."""
+    s1 = t.sigma1.images
+    moved = [x for x, y in enumerate(t.taus[0].images, start=1) if x != y]
+    return CASES[sum(s1[x - 1] != x for x in moved)]
 
 
 def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[HurwitzTuple]:
-    """Ground truth: scan all fixed-point-free involutions sigma0, keep the
-    ones whose forced product sigma1*tau matches a census case, split; sorted.
-    sigma1*tau sends 2n to sigma0(1), so the fixed-2n filter empties every
-    involution but those with sigma0(1) = 2n: the scan pairs 1 with 2n first."""
+    """Ground truth: every fixed-point-free involution sigma0 whose forced
+    product pi = sigma1*tau matches a census case, split; sorted.
+
+    pi sends 2n to sigma0(1), so only involutions with sigma0(1) = 2n can fix
+    2n: the scan pairs 1 with 2n first.  pi(i) = sigma0(i+1), so pairing a
+    with b fixes pi(a-1) = b and pi(b-1) = a; the scan keeps the partial pi
+    as paths and cycles and cuts a branch as soon as
+      - a path or cycle has more than 4 points (no census case has a cycle
+        longer than 4, and a path lies inside one final cycle),
+      - two components have 3 or more points (every case has at most one
+        cycle that long, and two such paths joined would exceed 4 points),
+      - pi has more than 4 fixed points (FourCycle has the most, 4).
+    Each leaf that survives is still judged by _split_product alone."""
     if n < 2:
         raise ValueError("census needs n >= 2")
     if n > max_n:
@@ -212,8 +222,33 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
     out: list[HurwitzTuple] = []
     paired = [0] * (N + 1)
     paired[1], paired[N] = N, 1
+    nxt = [0] * (N + 1)  # the partial pi: nxt[i] = pi(i), prv[j] = pi^-1(j), 0 unknown
+    prv = [0] * (N + 1)
+    nxt[N] = prv[N] = N
+    nxt[N - 1], prv[1] = 1, N - 1
 
-    def descend(unpaired: list[int]) -> None:
+    def link(u: int, v: int, long: int, fixed: int) -> Optional[tuple[int, int]]:
+        """Set pi(u) = v; the new counts of long components and fixed points,
+        or None (nothing set) when the branch is cut."""
+        if u == v:
+            fixed += 1
+        else:
+            head, p = u, 1
+            while prv[head]:
+                head, p = prv[head], p + 1
+            if head != v:  # join two paths; otherwise close a cycle of p points
+                tail, q = v, 1
+                while nxt[tail]:
+                    tail, q = nxt[tail], q + 1
+                if p + q > 4:
+                    return None
+                long += (p + q >= 3) - (p >= 3) - (q >= 3)
+        if long > 1 or fixed > 4:
+            return None
+        nxt[u], prv[v] = v, u
+        return long, fixed
+
+    def descend(unpaired: list[int], long: int, fixed: int) -> None:
         if not unpaired:
             sigma0 = pg._unchecked(tuple(paired[1:]))
             for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
@@ -222,10 +257,17 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
         a = unpaired[0]
         rest = unpaired[1:]
         for idx, b in enumerate(rest):
-            paired[a], paired[b] = b, a
-            descend(rest[:idx] + rest[idx + 1 :])
+            first = link(a - 1, b, long, fixed)
+            if first is None:
+                continue
+            second = link(b - 1, a, *first)
+            if second is not None:
+                paired[a], paired[b] = b, a
+                descend(rest[:idx] + rest[idx + 1 :], *second)
+                nxt[b - 1] = prv[a] = 0
+            nxt[a - 1] = prv[b] = 0
 
-    descend(list(range(2, N)))
+    descend(list(range(2, N)), 0, 1)
     out.sort(key=_tuple_sort_key)
     return out
 
@@ -318,7 +360,7 @@ def census(
     if use_brute:
         brute_tuples: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
         for t in brute_force_enumerate(n, max_n=brute_max):
-            brute_tuples[case_of(t)].append(t)
+            brute_tuples[_case_of_split(t)].append(t)
         for c in CASES:
             brute_counts[c] = len(conjugacy_classes(brute_tuples[c]))
 

@@ -14,6 +14,7 @@ from itertools import combinations
 
 from pellab import permgroup as pg
 from pellab.census import (
+    BRUTE_DEFAULT_MAX,
     DISJOINT,
     FOUR_CYCLE,
     THREE_CYCLE,
@@ -194,7 +195,7 @@ def test_criterion_4_power_test_vs_block_systems():
 def test_criterion_5_census_three_routes():
     started = time.perf_counter()
     flagged: list[str] = []
-    for n in range(2, 9):
+    for n in range(2, BRUTE_DEFAULT_MAX + 1):
         report = census(n)
         for case in (DISJOINT, THREE_CYCLE, FOUR_CYCLE):
             counts = report.case_counts(case)

@@ -13,8 +13,11 @@ from pellab.census import (
     FOUR_CYCLE,
     THREE_CYCLE,
     TooLarge,
+    _case_of_split,
+    _make_tuple,
+    _pi_from_sigma0,
+    _split_product,
     brute_force_enumerate,
-    case_of,
     census,
     canonical_key,
     closed_formulas,
@@ -69,6 +72,38 @@ def fixed_point_free_involutions(N):
 
     rec(list(range(1, N + 1)))
     return out
+
+
+def leaf_filter_scan(n):
+    """The brute-force scan without pruning: every fixed-point-free involution
+    with sigma0(1) = 2n, each judged at the leaf by the split; sorted."""
+    N = 2 * n
+    out = []
+    paired = [0] * (N + 1)
+    paired[1], paired[N] = N, 1
+
+    def descend(unpaired):
+        if not unpaired:
+            sigma0 = pg._unchecked(tuple(paired[1:]))
+            for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
+                out.append(_make_tuple(n, sigma0, sigma1, tau))
+            return
+        a = unpaired[0]
+        rest = unpaired[1:]
+        for idx, b in enumerate(rest):
+            paired[a], paired[b] = b, a
+            descend(rest[:idx] + rest[idx + 1 :])
+
+    descend(list(range(2, N)))
+    out.sort(key=tuple_key)
+    return out
+
+
+def case_of(t):
+    """Case key from the longest cycle of sigma1*tau."""
+    product = pg.chain([t.sigma1, *t.taus])
+    longest = max((len(c) for c in pg.cycles(product)), default=2)
+    return {2: DISJOINT, 3: THREE_CYCLE, 4: FOUR_CYCLE}[longest]
 
 
 def conjugation_canonical_key(t):
@@ -153,19 +188,33 @@ def test_shape_tuples_are_valid_special_tuples():
 
 def test_brute_force_equals_shape_enumeration():
     totals = {2: 1, 3: 5, 4: 14, 5: 30}
-    for n in range(2, 6):
-        brute = brute_force_enumerate(n)
+    for n in range(2, 13):
+        brute = brute_force_enumerate(n, max_n=12)
         shapes = [t for _, t in enumerate_shapes(n)]
-        assert len(brute) == totals[n]
-        assert sorted(map(tuple_key, brute)) == sorted(map(tuple_key, shapes))
+        if n in totals:
+            assert len(brute) == totals[n]
+        assert sorted(map(tuple_key, brute)) == sorted(map(tuple_key, shapes)), n
 
 
 def test_brute_force_matches_unpruned_scan():
-    for n in range(2, 6):
+    for n in range(2, 8):
         oracle = oracle_sigma0_and_split_count(n)
         brute = brute_force_enumerate(n)
         assert {t.sigma0.images for t in brute} == set(oracle)
         assert len(brute) == sum(oracle.values())
+
+
+def test_brute_force_matches_leaf_filter_scan_n8():
+    brute = brute_force_enumerate(8)
+    assert list(map(tuple_key, brute)) == list(map(tuple_key, leaf_filter_scan(8)))
+
+
+def test_case_of_split_matches_cycle_oracle():
+    for n in range(2, 11):
+        for params, t in enumerate_shapes(n):
+            assert _case_of_split(t) == case_of(t) == params.case, (n, tuple_key(t))
+        for t in brute_force_enumerate(n):
+            assert _case_of_split(t) == case_of(t), (n, tuple_key(t))
 
 
 def test_conjugacy_classes_n6_disjoint():

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -74,6 +78,17 @@ def test_json_output_is_byte_identical(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.startswith('{"diagnostics"')
+
+
+def test_python_dash_m_matches_main(capsys):
+    argv = ["census", "--n", "3", "--json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pellab", *argv], capture_output=True, env=env, timeout=60)
+    assert main(argv) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == capsys.readouterr().out
+    assert proc.stderr == b""
 
 
 def test_seed_and_power_and_file_round_trip(tmp_path):
