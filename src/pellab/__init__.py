@@ -4,6 +4,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import census, cli, exactpoly, hurwitz, pellcore, permgroup
+from . import census, exactpoly, hurwitz, pellcore, permgroup
 
 __all__ = ["census", "cli", "exactpoly", "hurwitz", "pellcore", "permgroup", "__version__"]

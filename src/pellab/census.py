@@ -15,9 +15,10 @@ The three cases are keyed by the product sigma1*tau (sigma1 acting first):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
 from .hurwitz import HurwitzTuple, common_fixed, standard_cycle
@@ -32,7 +33,7 @@ BRUTE_DEFAULT_MAX = 10
 
 
 class TooLarge(ValueError):
-    """Brute force refused beyond the configured point bound."""
+    """Brute force refused beyond its point bound."""
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,14 @@ class CaseCounts:
 @dataclass(frozen=True)
 class CensusReport:
     n: int
-    disjoint: CaseCounts
-    three_cycle: CaseCounts
-    four_cycle: CaseCounts
+    cases: dict[str, CaseCounts]  # every case, in CASES order
     c1: int
     c2: int
     primitive_disjoint_count: int
     discrepancies: tuple[str, ...]
 
     def case_counts(self, case: str) -> CaseCounts:
-        return {DISJOINT: self.disjoint, THREE_CYCLE: self.three_cycle, FOUR_CYCLE: self.four_cycle}[case]
+        return self.cases[case]
 
 
 def _pi_from_sigma0(sigma0: Perm) -> Perm:
@@ -129,66 +128,45 @@ def _make_tuple(n: int, sigma0: Perm, sigma1: Perm, tau: Perm) -> HurwitzTuple:
     )
 
 
-def _sigma0_disjoint(n: int) -> Perm:
-    N = 2 * n
-    return Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, n + 1)])
-
-
-def _sigma0_three(n: int, h: int, k: int) -> Perm:
+def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
+    """The sigma0 layout: i pairs with 2n+1-i for i <= h, then each stretch
+    between consecutive points of (h, *cuts, 2n-h) folds onto itself."""
     N = 2 * n
     pairs = [(i, N + 1 - i) for i in range(1, h + 1)]
-    pairs += [(h + j, k + 1 - j) for j in range(1, (k - h) // 2 + 1)]
-    pairs += [(k + t, N - h + 1 - t) for t in range(1, (N - h - k) // 2 + 1)]
+    points = (h, *cuts, N - h)
+    for lo, hi in zip(points, points[1:]):
+        pairs += [(lo + j, hi + 1 - j) for j in range(1, (hi - lo) // 2 + 1)]
     return Perm.from_cycles(N, pairs)
 
 
-def _sigma0_four(n: int, h: int, k1: int, k2: int) -> Perm:
-    N = 2 * n
-    pairs = [(i, N + 1 - i) for i in range(1, h + 1)]
-    pairs += [(h + j, k1 + 1 - j) for j in range(1, (k1 - h) // 2 + 1)]
-    pairs += [(k1 + t, k2 + 1 - t) for t in range(1, (k2 - k1) // 2 + 1)]
-    pairs += [(k2 + v, N - h + 1 - v) for v in range(1, (N - h - k2) // 2 + 1)]
-    return Perm.from_cycles(N, pairs)
+def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every (h, cuts) in enumeration order: Disjoint (h = n, no cut), then
+    ThreeCycle (cut k), then FourCycle (cuts k1 < k2); the cuts lie
+    strictly between h and 2n-h, at even distances from h and each other."""
+    yield n, ()
+    for size in (1, 2):
+        for h in range(1, n):
+            for cuts in itertools.combinations(range(h + 2, 2 * n - h - 1, 2), size):
+                yield h, cuts
 
 
 def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
-    """Every special tuple, built from the case-by-case sigma0 layouts."""
+    """Every special tuple: each sigma0 layout with every split of its
+    forced product.  The Disjoint layout's splits take tau = (h, 2n-h) for
+    h = 1..n-1 in turn."""
     if n < 2:
         raise ValueError("census needs n >= 2")
-    N = 2 * n
     out: list[tuple[ShapeParams, HurwitzTuple]] = []
-
-    sigma0 = _sigma0_disjoint(n)
-    pairs = [(i, N - i) for i in range(1, n)]
-    for h in range(1, n):
-        sigma1 = Perm.from_cycles(N, [p for p in pairs if p != (h, N - h)])
-        tau = Perm.from_cycles(N, [(h, N - h)])
-        out.append((ShapeParams(DISJOINT, h=h), _make_tuple(n, sigma0, sigma1, tau)))
-
-    for h in range(1, n - 1):
-        for k in range(h + 2, N - h - 1, 2):
-            sigma0 = _sigma0_three(n, h, k)
-            for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
-                out.append(
-                    (
-                        ShapeParams(THREE_CYCLE, h=h, k=k, tau_choice=choice),
-                        _make_tuple(n, sigma0, sigma1, tau),
-                    )
-                )
-
-    for h in range(1, n - 2):
-        for k1 in range(h + 2, N - h - 3, 2):
-            for k2 in range(k1 + 2, N - h - 1, 2):
-                sigma0 = _sigma0_four(n, h, k1, k2)
-                for choice, (sigma1, tau) in enumerate(
-                    _split_product(_pi_from_sigma0(sigma0))
-                ):
-                    out.append(
-                        (
-                            ShapeParams(FOUR_CYCLE, h=h, k1=k1, k2=k2, tau_choice=choice),
-                            _make_tuple(n, sigma0, sigma1, tau),
-                        )
-                    )
+    for h, cuts in _layouts(n):
+        sigma0 = _sigma0(n, h, cuts)
+        for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+            if not cuts:
+                params = ShapeParams(DISJOINT, h=choice + 1)
+            elif len(cuts) == 1:
+                params = ShapeParams(THREE_CYCLE, h=h, k=cuts[0], tau_choice=choice)
+            else:
+                params = ShapeParams(FOUR_CYCLE, h=h, k1=cuts[0], k2=cuts[1], tau_choice=choice)
+            out.append((params, _make_tuple(n, sigma0, sigma1, tau)))
     return out
 
 
@@ -339,70 +317,56 @@ def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
     return len(primitive), primitive
 
 
-def census(
-    n: int,
-    use_brute: Optional[bool] = None,
-    brute_max: int = BRUTE_DEFAULT_MAX,
-) -> CensusReport:
-    """All three counting routes with discrepancies flagged."""
+def _classes_by_case(tuples: Iterable[HurwitzTuple]) -> dict[str, list[list[HurwitzTuple]]]:
+    """The conjugacy classes of each case, a tuple's case read from its
+    split."""
+    by_case: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
+    for t in tuples:
+        by_case[_case_of_split(t)].append(t)
+    return {c: conjugacy_classes(by_case[c]) for c in CASES}
+
+
+def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
+    """All three counting routes with discrepancies flagged; brute force by
+    default up to n = BRUTE_DEFAULT_MAX."""
     if n < 2:
         raise ValueError("census needs n >= 2")
     if use_brute is None:
-        use_brute = n <= brute_max
+        use_brute = n <= BRUTE_DEFAULT_MAX
 
-    shape_tuples: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
-    for params, t in enumerate_shapes(n):
-        shape_tuples[params.case].append(t)
-    shape_classes = {c: conjugacy_classes(shape_tuples[c]) for c in CASES}
-    shape_counts = {c: len(shape_classes[c]) for c in CASES}
-
-    brute_counts: dict[str, Optional[int]] = {c: None for c in CASES}
-    if use_brute:
-        brute_tuples: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
-        for t in brute_force_enumerate(n, max_n=brute_max):
-            brute_tuples[_case_of_split(t)].append(t)
-        for c in CASES:
-            brute_counts[c] = len(conjugacy_classes(brute_tuples[c]))
-
+    shape_classes = _classes_by_case(t for _, t in enumerate_shapes(n))
+    brute_classes = _classes_by_case(brute_force_enumerate(n)) if use_brute else None
     formulas = closed_formulas(n)
 
+    cases: dict[str, CaseCounts] = {}
     discrepancies: list[str] = []
     for c in CASES:
-        shape, brute, formula = shape_counts[c], brute_counts[c], formulas[c]
+        shape, formula = len(shape_classes[c]), formulas[c]
+        brute = None if brute_classes is None else len(brute_classes[c])
         if brute is not None and shape != brute:
             discrepancies.append(f"{c}: shape={shape} brute={brute}")
         if brute is not None and brute != formula:
             discrepancies.append(f"{c}: brute={brute} formula={formula}")
         if brute is None and shape != formula:
             discrepancies.append(f"{c}: shape={shape} formula={formula}")
-
-    primitive_count = len(_primitive(shape_classes[DISJOINT], n))
-
-    def counts(c: str) -> CaseCounts:
-        return CaseCounts(shape=shape_counts[c], brute=brute_counts[c], formula=formulas[c])
+        cases[c] = CaseCounts(shape=shape, brute=brute, formula=formula)
 
     return CensusReport(
         n=n,
-        disjoint=counts(DISJOINT),
-        three_cycle=counts(THREE_CYCLE),
-        four_cycle=counts(FOUR_CYCLE),
+        cases=cases,
         c1=formulas["C1"],
         c2=formulas["C2"],
-        primitive_disjoint_count=primitive_count,
+        primitive_disjoint_count=len(_primitive(shape_classes[DISJOINT], n)),
         discrepancies=tuple(discrepancies),
     )
 
 
 def report_to_json_dict(report: CensusReport) -> dict:
-    def case_dict(c: CaseCounts) -> dict:
-        return {"shape": c.shape, "brute": c.brute, "formula": c.formula}
-
     return {
         "n": report.n,
         "cases": {
-            DISJOINT: case_dict(report.disjoint),
-            THREE_CYCLE: case_dict(report.three_cycle),
-            FOUR_CYCLE: case_dict(report.four_cycle),
+            c: {"shape": counts.shape, "brute": counts.brute, "formula": counts.formula}
+            for c, counts in report.cases.items()
         },
         "C1": report.c1,
         "C2": report.c2,

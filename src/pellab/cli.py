@@ -7,10 +7,11 @@ with sorted keys so identical inputs give byte-identical output.  Exit codes:
 
 Polynomials on the command line use the human syntax ("t^4 - 2*t^2 + 1");
 solution files are JSON objects {A, B, D} with coefficient-string arrays
-("num/den", constant term first).  Tuple files are JSON objects with fields
-n, d, sigma0, sigmaInf, sigma1, taus in cycle notation.  Commands that read
-files also accept the full JSON output of a previous command (the payload is
-unwrapped), so runs can be piped.
+("num/den", constant term first).  Every rational read from text, a
+coefficient, --at or --locus-in, has the form [sign]digits[/digits].  Tuple
+files are JSON objects with fields n, d, sigma0, sigmaInf, sigma1, taus in
+cycle notation.  Commands that read files also accept the full JSON output
+of a previous command (the payload is unwrapped), so runs can be piped.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import census as census_mod
 from . import exactpoly, hurwitz, pellcore
@@ -190,7 +189,7 @@ def _cmd_ramify(args) -> CommandResult:
         raise _ParserError("need exactly one of --at or --locus-in")
     if args.at is not None:
         try:
-            c = Fraction(args.at)
+            c = exactpoly.parse_rational(args.at)
         except (ValueError, ZeroDivisionError) as exc:
             raise _ParserError(f"bad rational {args.at!r}: {exc}") from None
         branch_type = pellcore.ramification_type(f, c)
@@ -200,7 +199,9 @@ def _cmd_ramify(args) -> CommandResult:
         }
         return CommandResult(OK, payload, [])
     try:
-        values = [Fraction(part.strip()) for part in args.locus_in.split(",") if part.strip()]
+        values = [
+            exactpoly.parse_rational(part) for part in args.locus_in.split(",") if part.strip()
+        ]
     except (ValueError, ZeroDivisionError) as exc:
         raise _ParserError(f"bad rational list {args.locus_in!r}: {exc}") from None
     contained = pellcore.verify_branch_locus_in(f, values)
@@ -255,18 +256,8 @@ def _cmd_profile(args) -> CommandResult:
     return CommandResult(OK, payload, diagnostics)
 
 
-def _brute_bound() -> int:
-    raw = os.environ.get("PELLAB_BRUTE_MAX")
-    if raw is None:
-        return census_mod.BRUTE_DEFAULT_MAX
-    try:
-        return int(raw)
-    except ValueError:
-        raise _ParserError(f"PELLAB_BRUTE_MAX must be an integer, got {raw!r}") from None
-
-
 def _cmd_census(args) -> CommandResult:
-    report = census_mod.census(args.n, use_brute=args.use_brute, brute_max=_brute_bound())
+    report = census_mod.census(args.n, use_brute=args.use_brute)
     diagnostics = [f"discrepancy: {d}" for d in report.discrepancies]
     return CommandResult(OK, census_mod.report_to_json_dict(report), diagnostics)
 

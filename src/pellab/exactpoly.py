@@ -390,6 +390,25 @@ def rat_nth_root(x: Rat, m: int) -> Optional[Rat]:
     return -r if neg else r
 
 
+def _series_root(top: Sequence[Rat], m: int) -> Optional[Poly]:
+    """The polynomial P of degree h = len(top) - 1 whose m-th power begins
+    with the coefficients top, highest first; None when top[0] has no
+    rational m-th root (even m takes the positive one).
+
+    Read as series in s = 1/t, top is alpha(s) and t^(-h) * P is p(s), so
+    p = alpha^(1/m) mod s^(h+1), by Miller's recurrence for powers of a
+    series: p_k = sum_{j=1..k} ((m+1)j - mk) alpha_j p_(k-j) / (m k alpha_0).
+    The caller certifies the candidate."""
+    a = rat_nth_root(top[0], m)
+    if a is None:
+        return None
+    p = [a]
+    for k in range(1, len(top)):
+        acc = sum(((m + 1) * j - m * k) * top[j] * p[k - j] for j in range(1, k + 1) if top[j])
+        p.append(acc / (m * k * top[0]))
+    return Poly(reversed(p))
+
+
 def poly_sqrt(p: Poly) -> Optional[Poly]:
     """The square root with positive leading coefficient, or None when p is
     not the square of a rational polynomial."""
@@ -397,21 +416,9 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
         return ZERO
     if p.degree % 2 != 0:
         return None
-    if p.leading < 0:
-        return None
-    s = rat_nth_root(p.leading, 2)
-    if s is None:
-        return None
     k = p.degree // 2
-    q = [Rat(0)] * (k + 1)
-    q[k] = s
-    for i in range(1, k + 1):
-        acc = p.coeff(2 * k - i)
-        for j in range(1, i):
-            acc -= q[k - j] * q[k - i + j]
-        q[k - i] = acc / (2 * s)
-    root = Poly(q)
-    if root * root == p:
+    root = _series_root([p.coeff(2 * k - i) for i in range(k + 1)], 2)
+    if root is not None and root * root == p:
         return root
     return None
 
@@ -420,16 +427,33 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
 #
 # Human syntax: terms joined by + or -, highest degree first on output, e.g.
 # "t^4 - 2*t^2 + 1", "3/2*t", "-t", "0".  The parser also accepts terms in
-# any order and repeated terms (they sum).
+# any order and repeated terms (they sum).  A coefficient is digits with an
+# optional "/digits", the one rational form pellab reads from text.
 
+_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
+_RATIONAL_RE = re.compile(rf"\s*[+-]?{_UNSIGNED_RATIONAL}\s*")
 _TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
+    rf"""\s*(?P<sign>[+-])?\s*
         (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<varc>[a-zA-Z]\w*)\s*(?:\^\s*(?P<expc>\d+))?)?
+            (?P<coeff>{_UNSIGNED_RATIONAL})\s*(?:\*\s*(?P<varc>[a-zA-Z]\w*)\s*(?:\^\s*(?P<expc>\d+))?)?
           | (?P<varb>[a-zA-Z]\w*)\s*(?:\^\s*(?P<expb>\d+))?
         )""",
     re.VERBOSE,
 )
+
+
+def parse_rational(text: str) -> Rat:
+    """A rational in the coefficient form of parse_poly, with an optional
+    sign and surrounding space: "3", "-3/4", " +6/4 ".  Decimals, exponents
+    and every other form raise ValueError, in time linear in the text; a
+    zero denominator raises ZeroDivisionError.
+
+    >>> parse_rational("-6/4")
+    Fraction(-3, 2)
+    """
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
+    return Rat(text)
 
 
 def parse_poly(text: str, var: str = "t") -> Poly:
@@ -509,9 +533,10 @@ def to_coeff_strings(p: Poly) -> list[str]:
 
 
 def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
-    """Inverse of to_coeff_strings; also accepts bare integers and
-    "num" strings.  Anything else, a float, a bool or a bare string among
-    them, is a PolyParseError."""
+    """Inverse of to_coeff_strings: a list of strings in parse_rational's
+    form ("num/den" or "num") or bare integers.  Anything else, a float, a
+    bool, a decimal or exponent string, or a bare string for the list, is a
+    PolyParseError."""
     if not isinstance(items, list):
         raise PolyParseError(f"coefficients must be a list, not {type(items).__name__}", 0)
     out = []
@@ -520,7 +545,7 @@ def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
         if type(item) not in (str, int):
             raise PolyParseError(f"bad coefficient {item!r}: not a string or an integer", i)
         try:
-            out.append(Rat(item))
+            out.append(Rat(item) if type(item) is int else parse_rational(item))
         except (ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient {item!r}: {exc}", i) from None
     return Poly(out)

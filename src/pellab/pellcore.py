@@ -27,15 +27,15 @@ from .exactpoly import (
     DegreeTooSmall,
     Poly,
     Rat,
+    _series_root,
     compose,
     derivative,
-    discriminant,
+    divrem,
     exact_div,
+    gcd,
     poly_sqrt,
-    rat_nth_root,
     squarefree_decomposition,
     squarefree_part,
-    divrem,
 )
 
 NOT_UNIT = "NotUnit"
@@ -115,7 +115,7 @@ def verify_pell(
         )
     if (small := _below_degree_floor(D, allow_d1)) is not None:
         return small
-    if discriminant(D) == 0:
+    if gcd(D, derivative(D)).degree > 0:
         return RejectionReason(NON_SQUAREFREE_D, "D has a repeated root")
     return PellSolution(A=A, B=B, D=D, n=A.degree, d=D.degree // 2)
 
@@ -196,11 +196,9 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
     """A' with T_m(A') = A or = -A, or None when no rational A' exists.
 
     With h = n/m, the top h+1 coefficients of T_m(P) are those of
-    2^(m-1) P^m.  Read as series in s = 1/t, t^(-n) * target / 2^(m-1) is
-    alpha(s) and t^(-h) * P is p(s), so p = alpha^(1/m) mod s^(h+1), by
-    Miller's recurrence for powers of a series:
-    p_k = sum_{j=1..k} ((m+1)j - mk) alpha_j p_(k-j) / (m k alpha_0).
-    The candidate is confirmed by full composition."""
+    2^(m-1) P^m, so P is the truncated m-th root of target / 2^(m-1) read
+    from the top coefficient (exactpoly._series_root).  The candidate is
+    confirmed by full composition."""
     if m < 1:
         raise ValueError("root index must be >= 1")
     if m == 1:
@@ -208,24 +206,11 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
     n = A.degree
     if n < 1 or n % m != 0:
         return None
-    half = n // m
     lead_unit = Rat(2) ** (m - 1)
     for eps in (1, -1):
         target = A.scale(eps)
-        alpha = [target.coeff(n - i) / lead_unit for i in range(half + 1)]
-        a = rat_nth_root(alpha[0], m)
-        if a is None:
-            continue
-        p = [a]
-        for k in range(1, half + 1):
-            acc = sum(
-                ((m + 1) * j - m * k) * alpha[j] * p[k - j]
-                for j in range(1, k + 1)
-                if alpha[j]
-            )
-            p.append(acc / (m * k * alpha[0]))
-        candidate = Poly(reversed(p))
-        if compose(chebyshev(m), candidate) == target:
+        candidate = _series_root([target.coeff(n - i) / lead_unit for i in range(n // m + 1)], m)
+        if candidate is not None and compose(chebyshev(m), candidate) == target:
             return candidate
     return None
 

@@ -12,6 +12,7 @@ from pellab.census import (
     DISJOINT,
     FOUR_CYCLE,
     THREE_CYCLE,
+    ShapeParams,
     TooLarge,
     _case_of_split,
     _make_tuple,
@@ -141,6 +142,62 @@ def oracle_sigma0_and_split_count(n):
         elif n >= 4 and lens == [4] + [2] * (n - 4):
             found[sigma0.images] = 2
     return found
+
+
+def sigma0_disjoint(n):
+    N = 2 * n
+    return Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, n + 1)])
+
+
+def sigma0_three(n, h, k):
+    N = 2 * n
+    pairs = [(i, N + 1 - i) for i in range(1, h + 1)]
+    pairs += [(h + j, k + 1 - j) for j in range(1, (k - h) // 2 + 1)]
+    pairs += [(k + t, N - h + 1 - t) for t in range(1, (N - h - k) // 2 + 1)]
+    return Perm.from_cycles(N, pairs)
+
+
+def sigma0_four(n, h, k1, k2):
+    N = 2 * n
+    pairs = [(i, N + 1 - i) for i in range(1, h + 1)]
+    pairs += [(h + j, k1 + 1 - j) for j in range(1, (k1 - h) // 2 + 1)]
+    pairs += [(k1 + t, k2 + 1 - t) for t in range(1, (k2 - k1) // 2 + 1)]
+    pairs += [(k2 + v, N - h + 1 - v) for v in range(1, (N - h - k2) // 2 + 1)]
+    return Perm.from_cycles(N, pairs)
+
+
+def case_by_case_shapes(n):
+    """The shape enumeration written case by case: one sigma0 builder per
+    case, and the Disjoint splits built by hand."""
+    N = 2 * n
+    out = []
+    sigma0 = sigma0_disjoint(n)
+    pairs = [(i, N - i) for i in range(1, n)]
+    for h in range(1, n):
+        sigma1 = Perm.from_cycles(N, [p for p in pairs if p != (h, N - h)])
+        tau = Perm.from_cycles(N, [(h, N - h)])
+        out.append((ShapeParams(DISJOINT, h=h), _make_tuple(n, sigma0, sigma1, tau)))
+    for h in range(1, n - 1):
+        for k in range(h + 2, N - h - 1, 2):
+            sigma0 = sigma0_three(n, h, k)
+            for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+                params = ShapeParams(THREE_CYCLE, h=h, k=k, tau_choice=choice)
+                out.append((params, _make_tuple(n, sigma0, sigma1, tau)))
+    for h in range(1, n - 2):
+        for k1 in range(h + 2, N - h - 3, 2):
+            for k2 in range(k1 + 2, N - h - 1, 2):
+                sigma0 = sigma0_four(n, h, k1, k2)
+                for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+                    params = ShapeParams(FOUR_CYCLE, h=h, k1=k1, k2=k2, tau_choice=choice)
+                    out.append((params, _make_tuple(n, sigma0, sigma1, tau)))
+    return out
+
+
+def test_enumerate_shapes_matches_case_by_case_layouts():
+    for n in range(2, 13):
+        got = [(params, tuple_key(t)) for params, t in enumerate_shapes(n)]
+        want = [(params, tuple_key(t)) for params, t in case_by_case_shapes(n)]
+        assert got == want, n
 
 
 def test_enumerate_shapes_smallest_cases():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pellab.census import BRUTE_DEFAULT_MAX
 from pellab.cli import CommandResult, build_parser, main, render, run
 from pellab.exactpoly import ONE, Poly, format_poly, from_coeff_strings, parse_poly
 from pellab.hurwitz import MAX_TUPLE_N, HurwitzTuple, tuple_to_json_dict, zannier_tuple
@@ -80,15 +81,27 @@ def test_json_output_is_byte_identical(capsys):
     assert first.startswith('{"diagnostics"')
 
 
-def test_python_dash_m_matches_main(capsys):
-    argv = ["census", "--n", "3", "--json"]
+def python_m(module, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "pellab", *argv], capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60)
+
+
+def test_python_dash_m_matches_main(capsys):
+    argv = ["census", "--n", "3", "--json"]
+    proc = python_m("pellab", argv)
     assert main(argv) == 0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode() == capsys.readouterr().out
     assert proc.stderr == b""
+
+
+def test_python_dash_m_cli_is_quiet():
+    argv = ["census", "--n", "2", "--json"]
+    module_run, package_run = python_m("pellab.cli", argv), python_m("pellab", argv)
+    assert module_run.stderr == b""
+    assert module_run.returncode == 0
+    assert module_run.stdout == package_run.stdout
 
 
 def test_seed_and_power_and_file_round_trip(tmp_path):
@@ -135,6 +148,24 @@ def test_ramify_modes():
     assert result.status == "Error"
     result = run(["ramify", "--f", "t^2", "--at", "1/0"])
     assert result.status == "Error"
+
+
+def test_exponent_form_rationals_are_bad_input(tmp_path):
+    # Only [sign]digits[/digits] is read, so "1e100000" is never expanded.
+    for argv in (
+        ["ramify", "--f", "t^3 - 3*t", "--at", "1e100000"],
+        ["ramify", "--f", "t^3 - 3*t", "--locus-in", "2,1e100000,-2"],
+        ["ramify", "--f", "t^3 - 3*t", "--at", "2.5"],
+    ):
+        result = run(argv)
+        assert result.status == "Error", argv
+        assert any("bad rational" in d for d in result.diagnostics)
+    path = tmp_path / "sol.json"
+    solution = {"A": ["0", "0", "1e100000"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]}
+    path.write_text(json.dumps(solution), encoding="utf-8")
+    result = run(["verify", "--file", str(path)])
+    assert result.status == "Error"
+    assert any("bad coefficient '1e100000'" in d for d in result.diagnostics)
 
 
 def test_zannier_validate_profile_chain(tmp_path):
@@ -224,17 +255,18 @@ def test_census_cli_counts():
 
 
 def test_census_env_bound(monkeypatch):
-    monkeypatch.setenv("PELLAB_BRUTE_MAX", "2")
-    result = run(["census", "--n", "3"])
+    monkeypatch.delenv("PELLAB_BRUTE_MAX", raising=False)
+    beyond = ["census", "--n", str(BRUTE_DEFAULT_MAX + 1)]
+    result = run(beyond)
     assert result.status == "Ok"
-    assert result.payload["cases"]["Disjoint"]["brute"] is None
+    assert all(case["brute"] is None for case in result.payload["cases"].values())
+    assert run([*beyond, "--brute-force"]).status == "Error"
 
-    result = run(["census", "--n", "3", "--brute-force"])
-    assert result.status == "Error"
-
-    monkeypatch.setenv("PELLAB_BRUTE_MAX", "junk")
-    result = run(["census", "--n", "3"])
-    assert result.status == "Error"
+    # The bound is fixed: the environment variable that once moved it changes nothing.
+    argvs = (beyond, ["census", "--n", "3"])
+    want = [render(run(argv), as_json=True) for argv in argvs]
+    monkeypatch.setenv("PELLAB_BRUTE_MAX", "2")
+    assert [render(run(argv), as_json=True) for argv in argvs] == want
 
 
 def test_census_route_flags_exclude_each_other(capsys):
@@ -400,7 +432,7 @@ def test_tuple_commands_never_raise(command, data):
 # -- random command lines -----------------------------------------------------
 
 small_int = st.sampled_from(["2", "3", "4", "5", "6", "-1", "0", "1", "x", "", "2.5"])
-rational = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "1/0", "x", ""])
+rational = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "1e100000", "2.5"])
 small_poly = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=9).map(
     lambda cs: format_poly(Poly(cs))
 )
@@ -436,7 +468,9 @@ COMMANDS = {  # each command's usual option sets, then options that may come on 
 }
 coeff_items = st.one_of(
     st.integers(min_value=-5, max_value=5).map(str),
-    st.sampled_from(["1/2", "-3/4", "1/0", "x", "", 3, 2.5, float("inf"), None, True, [], {}]),
+    st.sampled_from(
+        ["1/2", "-3/4", "1/0", "x", "", "1e100000", "2.5", 3, 2.5, float("inf"), None, True, [], {}]
+    ),
 )
 SOLUTIONS = (
     {"A": ["0", "0", "1"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]},

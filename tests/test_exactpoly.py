@@ -27,6 +27,7 @@ from pellab.exactpoly import (
     from_coeff_strings,
     gcd,
     parse_poly,
+    parse_rational,
     poly_sqrt,
     rat_nth_root,
     resultant,
@@ -313,6 +314,36 @@ def test_poly_sqrt_rejects_nonsquare():
     assert poly_sqrt(ZERO) == ZERO
 
 
+def loop_poly_sqrt(p: Poly):
+    """The square root by its own convolution loop: each root coefficient,
+    from the top, solves one coefficient of root * root = p."""
+    if p.is_zero:
+        return ZERO
+    if p.degree % 2 != 0 or p.leading < 0:
+        return None
+    s = rat_nth_root(p.leading, 2)
+    if s is None:
+        return None
+    k = p.degree // 2
+    q = [Fraction(0)] * (k + 1)
+    q[k] = s
+    for i in range(1, k + 1):
+        acc = p.coeff(2 * k - i)
+        for j in range(1, i):
+            acc -= q[k - j] * q[k - i + j]
+        q[k - i] = acc / (2 * s)
+    root = Poly(q)
+    return root if root * root == p else None
+
+
+@given(wide_polys, wide_polys)
+@example(Poly([Fraction(-(2**90), 3), 1, Fraction(5, 2**66)]), ONE)
+@example(neg_lead, ZERO)
+def test_poly_sqrt_matches_convolution_loop(q, r):
+    for p in (q * q, q * q + r, q):
+        assert poly_sqrt(p) == loop_poly_sqrt(p)
+
+
 def test_rat_nth_root():
     assert rat_nth_root(Fraction(4, 9), 2) == Fraction(2, 3)
     assert rat_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
@@ -328,6 +359,22 @@ def test_rat_nth_root():
     assert rat_nth_root(huge, 7) == Fraction(3**100, 5**70)
     assert rat_nth_root(huge + 1, 7) is None
     assert rat_nth_root(Fraction(2**1200), 2) == 2**600
+
+
+def test_parse_rational_grammar():
+    assert parse_rational("-6/4") == Fraction(-3, 2)
+    assert parse_rational(" +3 ") == 3
+    for text in ("1e100000", "2.5", ".5", "1_000", "1 / 2", "- 3", "", "/2", "0x10", "inf", "x"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
+
+
+@given(wide_rationals)
+def test_parse_rational_reads_coeff_strings(x):
+    text = f"{x.numerator}/{x.denominator}"
+    assert parse_rational(text) == Fraction(text) == x
 
 
 def test_parse_poly_examples():

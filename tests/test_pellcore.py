@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pellab.exactpoly import (
@@ -191,6 +191,29 @@ def test_verify_pell_rejections():
     assert isinstance(out, RejectionReason) and out.kind == SMALL_DEGREE_D
     out = verify_pell(parse_poly("2*t^4 - 1"), ONE, parse_poly("4*t^8 - 4*t^4"))
     assert isinstance(out, RejectionReason) and out.kind == NON_SQUAREFREE_D
+
+
+seeds = st.lists(st.integers(-6, 6), min_size=2, max_size=5).map(Poly).filter(
+    lambda p: p.degree >= 1
+)
+
+
+@given(seeds, st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70)), st.booleans())
+def test_squarefree_verdict_matches_discriminant(seed, c, repeated):
+    # A unit from the seed, or its square (2A^2 - 1) + 2AB*sqrt(D) with the
+    # factor A moved into D, so that D*A^2 has a repeated root; D then
+    # scaled by c^2 and B by 1/c.
+    sol = generate_from_seed(seed, allow_d1=True)
+    assume(isinstance(sol, PellSolution))
+    A, B, D = sol.A, sol.B, sol.D
+    if repeated:
+        A, B, D = (A * A).scale(2) - ONE, B.scale(2), D * A * A
+    D, B = D.scale(c * c), B.scale(1 / c)
+    out = verify_pell(A, B, D, allow_d1=True)
+    assert (discriminant(D) == 0) == repeated
+    rejected = isinstance(out, RejectionReason)
+    assert rejected == repeated
+    assert not rejected or (out.kind, out.message) == (NON_SQUAREFREE_D, "D has a repeated root")
 
 
 def test_degree_floor_is_one_policy():
