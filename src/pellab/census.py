@@ -99,22 +99,25 @@ def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
     big_len = len(big) if big else 0
     if N - 2 * len(transpositions) - big_len != (big_len or 2):
         return []
-    out: list[tuple[Perm, Perm]] = []
+    imgs = pi.images
+
+    def split(moves: dict[int, int], tau: tuple[int, int]) -> tuple[Perm, Perm]:
+        """sigma1 is pi with the points of moves remapped; tau is one swap."""
+        sigma1 = list(imgs)
+        for x, y in moves.items():
+            sigma1[x - 1] = y
+        swap = list(range(1, N + 1))
+        x, y = tau
+        swap[x - 1], swap[y - 1] = y, x
+        return pg._unchecked(tuple(sigma1)), pg._unchecked(tuple(swap))
+
     if big is None:
-        for i, t in enumerate(transpositions):
-            rest = [c for j, c in enumerate(transpositions) if j != i]
-            out.append((Perm.from_cycles(N, rest), Perm.from_cycles(N, [t])))
-    elif len(big) == 3:
+        return [split({a: a, b: b}, (a, b)) for a, b in transpositions]
+    if len(big) == 3:
         a, b, c = big
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            sigma1 = Perm.from_cycles(N, transpositions + [(x, y)])
-            out.append((sigma1, Perm.from_cycles(N, [(x, z)])))
-    else:
-        a, b, c, d = big
-        for extra, tau in ((((a, b), (c, d)), (a, c)), (((b, c), (d, a)), (b, d))):
-            sigma1 = Perm.from_cycles(N, transpositions + list(extra))
-            out.append((sigma1, Perm.from_cycles(N, [tau])))
-    return out
+        return [split({x: y, y: x, z: z}, (x, z)) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+    a, b, c, d = big
+    return [split({a: b, b: a, c: d, d: c}, (a, c)), split({b: c, c: b, d: a, a: d}, (b, d))]
 
 
 def _make_tuple(n: int, sigma0: Perm, sigma1: Perm, tau: Perm) -> HurwitzTuple:
@@ -132,11 +135,14 @@ def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
     """The sigma0 layout: i pairs with 2n+1-i for i <= h, then each stretch
     between consecutive points of (h, *cuts, 2n-h) folds onto itself."""
     N = 2 * n
-    pairs = [(i, N + 1 - i) for i in range(1, h + 1)]
+    images = [0] * (N + 1)
+    for i in range(1, h + 1):
+        images[i], images[N + 1 - i] = N + 1 - i, i
     points = (h, *cuts, N - h)
     for lo, hi in zip(points, points[1:]):
-        pairs += [(lo + j, hi + 1 - j) for j in range(1, (hi - lo) // 2 + 1)]
-    return Perm.from_cycles(N, pairs)
+        for j in range(1, (hi - lo) // 2 + 1):
+            images[lo + j], images[hi + 1 - j] = hi + 1 - j, lo + j
+    return pg._unchecked(tuple(images[1:]))
 
 
 def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -261,16 +267,18 @@ def _tuple_sort_key(t: HurwitzTuple):
 def canonical_key(t: HurwitzTuple):
     """Least image sequence of (sigma0, sigma1, taus) over the admissible
     rotations: one per index i0 fixed by sigma1 and every tau, the rotation
-    that relabels i0 as 2n."""
+    that relabels i0 as 2n.  Keys compare sigma0 first, so sigma1 and the
+    taus are rotated only for the shifts that tie on the least sigma0."""
     N = t.points
-    keys = [
-        (pg.rotate(t.sigma0, N - i0).images, pg.rotate(t.sigma1, N - i0).images,
-         tuple(pg.rotate(tau, N - i0).images for tau in t.taus))
-        for i0 in common_fixed(t)
-    ]
-    if not keys:
+    by_shift = {N - i0: pg.rotate(t.sigma0, N - i0).images for i0 in common_fixed(t)}
+    if not by_shift:
         raise ValueError("tuple has no commonly fixed index")
-    return min(keys)
+    least = min(by_shift.values())
+    return min(
+        (least, pg.rotate(t.sigma1, s).images, tuple(pg.rotate(tau, s).images for tau in t.taus))
+        for s, zero in by_shift.items()
+        if zero == least
+    )
 
 
 def conjugacy_classes(tuples: Sequence[HurwitzTuple]) -> list[list[HurwitzTuple]]:

@@ -121,42 +121,40 @@ def validate(t: HurwitzTuple) -> ValidationReport:
         CheckResult("Transitive", pg.is_transitive(t.gens(), N), "orbit of the generators")
     )
 
-    checks.append(
-        CheckResult(
-            "InfinityFullCycle",
-            pg.is_full_cycle(t.sigmaInf),
-            f"cycle type {pg.cycle_type(t.sigmaInf)}",
-        )
-    )
+    # Each entry's cycles once; cycle types, fixed points and branching follow.
+    zero_cycles, inf_cycles, one_cycles = (pg.cycles(p) for p in (t.sigma0, t.sigmaInf, t.sigma1))
 
-    zero_cycles = pg.cycles(t.sigma0)
-    zero_even = all(len(c) % 2 == 0 for c in zero_cycles) and not pg.fixed_points(t.sigma0)
+    inf_type = pg._cycle_type(inf_cycles, N)
+    checks.append(CheckResult("InfinityFullCycle", inf_type == (N,), f"cycle type {inf_type}"))
+
+    zero_fixed = sorted(set(range(1, N + 1)).difference(*zero_cycles))
+    zero_even = all(len(c) % 2 == 0 for c in zero_cycles) and not zero_fixed
     checks.append(
         CheckResult(
             "ZeroEvenCycles",
             zero_even,
-            f"cycle type {pg.cycle_type(t.sigma0)}, fixed {sorted(pg.fixed_points(t.sigma0))}",
+            f"cycle type {pg._cycle_type(zero_cycles, N)}, fixed {zero_fixed}",
         )
     )
 
-    one_even = all(len(c) % 2 == 0 for c in pg.cycles(t.sigma1))
+    one_even = all(len(c) % 2 == 0 for c in one_cycles)
     checks.append(
-        CheckResult("OneEvenCycles", one_even, f"cycle type {pg.cycle_type(t.sigma1)}")
+        CheckResult("OneEvenCycles", one_even, f"cycle type {pg._cycle_type(one_cycles, N)}")
     )
 
-    fix1 = pg.fixed_points(t.sigma1)
+    fix1 = N - sum(map(len, one_cycles))
     checks.append(
         CheckResult(
             "FixedPointCount",
-            len(fix1) == 2 * t.d,
-            f"sigma1 fixes {len(fix1)} points, expected {2 * t.d}",
+            fix1 == 2 * t.d,
+            f"sigma1 fixes {fix1} points, expected {2 * t.d}",
         )
     )
 
-    over_zero = pg.branching(t.sigma0)
-    over_one = pg.branching(t.sigma1)
-    over_inf = pg.branching(t.sigmaInf)
-    over_taus = sum(pg.branching(tau) for tau in t.taus)
+    over_zero = pg._branching(zero_cycles)
+    over_one = pg._branching(one_cycles)
+    over_inf = pg._branching(inf_cycles)
+    over_taus = sum(pg._branching(pg.cycles(tau)) for tau in t.taus)
     total = over_zero + over_one + over_inf + over_taus
     checks.append(
         CheckResult(

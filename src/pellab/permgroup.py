@@ -149,46 +149,67 @@ def conjugate(a: Perm, g: Perm) -> Perm:
 
 def rotate(a: Perm, s: int) -> Perm:
     """conjugate(a, c**s) for the descending N-cycle c (i to i-1, 1 to N) in
-    closed form, the relabel x -> x + s: x maps to a(x - s) + s, mod N in 1..N."""
+    closed form, the relabel x -> x + s: x maps to a(x - s) + s, mod N in 1..N.
+    The images of a, cyclically shifted by s places, go through the table
+    (0, s+1, ..., N, 1, ..., s).
+
+    >>> a = Perm.from_cycles(12, "(1,11)")
+    >>> rotate(a, 6)
+    Perm.from_cycles(12, '(5,7)')
+    >>> rotate(a, -1) == rotate(a, 11)
+    True
+    >>> rotate(a, 12) == a
+    True
+    """
     N = a.size
+    if not N:
+        return a
+    s %= N
     imgs = a.images
-    return _unchecked(tuple([(imgs[(x - s) % N] + s - 1) % N + 1 for x in range(N)]))
+    shift = (0, *range(s + 1, N + 1), *range(1, s + 1))
+    return _unchecked(tuple([shift[x] for x in imgs[N - s :] + imgs[: N - s]]))
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted by that
     point."""
+    imgs = p.images
     out = []
-    seen = [False] * (p.size + 1)
-    for start in range(1, p.size + 1):
-        if seen[start]:
+    seen = [False] * (len(imgs) + 1)
+    for start, x in enumerate(imgs, start=1):
+        if seen[start] or x == start:
             continue
         cyc = [start]
-        seen[start] = True
-        x = p(start)
         while x != start:
             cyc.append(x)
             seen[x] = True
-            x = p(x)
-        if len(cyc) > 1:
-            out.append(tuple(cyc))
+            x = imgs[x - 1]
+        out.append(tuple(cyc))
     return out
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Multiset of cycle lengths, 1-cycles included, ascending."""
-    nontrivial = sorted(len(c) for c in cycles(p))
-    ones = p.size - sum(nontrivial)
-    return (1,) * ones + tuple(nontrivial)
+    return _cycle_type(cycles(p), p.size)
+
+
+def _cycle_type(nontrivial_cycles: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
+    """cycle_type from the nontrivial cycles of a permutation of N points."""
+    lengths = sorted(map(len, nontrivial_cycles))
+    return (1,) * (N - sum(lengths)) + tuple(lengths)
 
 
 def fixed_points(p: Perm) -> frozenset[int]:
-    return frozenset(i for i in range(1, p.size + 1) if p(i) == i)
+    return frozenset(i for i, x in enumerate(p.images, start=1) if x == i)
 
 
 def branching(p: Perm) -> int:
     """Sum of (length - 1) over all cycles."""
-    return sum(len(c) - 1 for c in cycles(p))
+    return _branching(cycles(p))
+
+
+def _branching(nontrivial_cycles: list[tuple[int, ...]]) -> int:
+    return sum(len(c) - 1 for c in nontrivial_cycles)
 
 
 def is_full_cycle(p: Perm) -> bool:

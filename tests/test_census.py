@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pellab import permgroup as pg
 from pellab.census import (
@@ -15,8 +17,10 @@ from pellab.census import (
     ShapeParams,
     TooLarge,
     _case_of_split,
+    _layouts,
     _make_tuple,
     _pi_from_sigma0,
+    _sigma0,
     _split_product,
     brute_force_enumerate,
     census,
@@ -398,3 +402,107 @@ def test_census_json_golden_n8():
     with open(FIXTURES / "census_n8.json", "r", encoding="utf-8") as fh:
         want = json.load(fh)
     assert got == want
+
+
+def split_product_from_cycles(pi):
+    """The split of pi built through the checked Perm.from_cycles: sigma1
+    from the cycle lists, tau from its one transposition."""
+    N = pi.size
+    transpositions = []
+    big = None
+    for cyc in pg.cycles(pi):
+        if len(cyc) == 2:
+            transpositions.append(cyc)
+        elif big is None and len(cyc) in (3, 4):
+            big = cyc
+        else:
+            return []
+    big_len = len(big) if big else 0
+    if N - 2 * len(transpositions) - big_len != (big_len or 2):
+        return []
+    out = []
+    if big is None:
+        for i, t in enumerate(transpositions):
+            rest = [c for j, c in enumerate(transpositions) if j != i]
+            out.append((Perm.from_cycles(N, rest), Perm.from_cycles(N, [t])))
+    elif len(big) == 3:
+        a, b, c = big
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            sigma1 = Perm.from_cycles(N, transpositions + [(x, y)])
+            out.append((sigma1, Perm.from_cycles(N, [(x, z)])))
+    else:
+        a, b, c, d = big
+        for extra, tau in ((((a, b), (c, d)), (a, c)), (((b, c), (d, a)), (b, d))):
+            sigma1 = Perm.from_cycles(N, transpositions + list(extra))
+            out.append((sigma1, Perm.from_cycles(N, [tau])))
+    return out
+
+
+def sigma0_from_pairs(n, h, cuts):
+    """The sigma0 layout built from its pair list by Perm.from_cycles."""
+    N = 2 * n
+    pairs = [(i, N + 1 - i) for i in range(1, h + 1)]
+    points = (h, *cuts, N - h)
+    for lo, hi in zip(points, points[1:]):
+        pairs += [(lo + j, hi + 1 - j) for j in range(1, (hi - lo) // 2 + 1)]
+    return Perm.from_cycles(N, pairs)
+
+
+def assert_split_matches_oracle(pi):
+    got = _split_product(pi)
+    # The checked constructor first: printing a non-bijection would not end.
+    for sigma1, tau in got:
+        assert Perm(sigma1.images) == sigma1 and Perm(tau.images) == tau
+        assert isinstance(sigma1.images, tuple) and isinstance(tau.images, tuple)
+    assert got == split_product_from_cycles(pi), pi
+    return got
+
+
+def test_sigma0_layouts_match_pair_oracle():
+    for n in range(2, 13):
+        for h, cuts in _layouts(n):
+            sigma0 = _sigma0(n, h, cuts)
+            assert Perm(sigma0.images) == sigma0
+            assert sigma0 == sigma0_from_pairs(n, h, cuts), (n, h, cuts)
+            assert not pg.fixed_points(sigma0)
+            assert pg.compose(sigma0, sigma0) == pg.identity(2 * n)
+
+
+def test_split_product_matches_cycle_list_oracle_on_census_products():
+    for n in range(2, 11):
+        for t in [t for _, t in enumerate_shapes(n)] + brute_force_enumerate(n):
+            assert assert_split_matches_oracle(_pi_from_sigma0(t.sigma0)), (n, tuple_key(t))
+
+
+@st.composite
+def census_like_products(draw):
+    """A product of transpositions plus at most one 3- or 4-cycle on at most
+    20 points, relabelled at random, with the number of splits it must have:
+    the fixed-point count is drawn freely, and only a census product (as
+    many fixed points as its longest cycle has points, 2 with none longer
+    than 2) splits."""
+    big = draw(st.sampled_from((0, 3, 4)))
+    pairs = draw(st.integers(min_value=0, max_value=(20 - big) // 2))
+    fixed = draw(st.integers(min_value=0, max_value=20 - big - 2 * pairs))
+    N = big + 2 * pairs + fixed
+    label = draw(st.permutations(list(range(1, N + 1))))
+    cyc_list = [tuple(label[:big])] if big else []
+    cyc_list += [(label[big + 2 * i], label[big + 2 * i + 1]) for i in range(pairs)]
+    splits = {0: pairs, 3: 3, 4: 2}[big] if fixed == (big or 2) else 0
+    return Perm.from_cycles(N, cyc_list), splits
+
+
+@given(census_like_products())
+def test_split_product_matches_oracle_on_drawn_products(pi_splits):
+    pi, splits = pi_splits
+    assert len(assert_split_matches_oracle(pi)) == splits
+
+
+@given(st.integers(min_value=1, max_value=20).flatmap(
+    lambda N: st.permutations(list(range(1, N + 1)))))
+def test_split_product_matches_oracle_on_any_product(images):
+    pi = Perm(images)
+    got = assert_split_matches_oracle(pi)
+    lengths = sorted(map(len, pg.cycles(pi)))
+    if any(k > 4 for k in lengths) or lengths.count(3) + lengths.count(4) > 1:
+        assert got == []

@@ -5,14 +5,18 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pellab import permgroup as pg
 from pellab.census import enumerate_shapes
 from pellab.hurwitz import (
     MAX_TUPLE_N,
+    CheckResult,
     DegreeOrder,
     HurwitzTuple,
     NotSpecialForm,
+    ValidationReport,
     admissible_exponents,
     common_fixed,
     is_special,
@@ -393,3 +397,125 @@ def test_tuple_json_rejects_bad_input():
             tuple_from_json_dict(dict(data, **{key: value}))
     with pytest.raises(ValueError, match=f"n <= {MAX_TUPLE_N}"):
         tuple_from_json_dict(dict(data, n=MAX_TUPLE_N + 1))
+
+
+def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
+    """validate asking permgroup for each fact of each entry on its own:
+    cycle type, fixed points and branching each walk the cycles again."""
+    checks = []
+    N = t.points
+    sizes = {p.size for p in t.gens()}
+    size_ok = sizes == {N} and t.n >= 1 and t.d >= 1
+    checks.append(
+        CheckResult("SizeConsistent", size_ok, f"sizes {sorted(sizes)}, expected {{{N}}}")
+    )
+    if not size_ok:
+        return ValidationReport(tuple(checks), 0, 0, 0, 0)
+    k = len(t.taus)
+    checks.append(CheckResult("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
+    product = pg.chain(t.gens())
+    checks.append(
+        CheckResult(
+            "ProductIdentity", product == pg.identity(N), f"product = {pg.format_cycles(product)}"
+        )
+    )
+    checks.append(
+        CheckResult("Transitive", pg.is_transitive(t.gens(), N), "orbit of the generators")
+    )
+    checks.append(
+        CheckResult(
+            "InfinityFullCycle",
+            pg.is_full_cycle(t.sigmaInf),
+            f"cycle type {pg.cycle_type(t.sigmaInf)}",
+        )
+    )
+    zero_even = all(len(c) % 2 == 0 for c in pg.cycles(t.sigma0)) and not pg.fixed_points(
+        t.sigma0
+    )
+    checks.append(
+        CheckResult(
+            "ZeroEvenCycles",
+            zero_even,
+            f"cycle type {pg.cycle_type(t.sigma0)}, fixed {sorted(pg.fixed_points(t.sigma0))}",
+        )
+    )
+    one_even = all(len(c) % 2 == 0 for c in pg.cycles(t.sigma1))
+    checks.append(
+        CheckResult("OneEvenCycles", one_even, f"cycle type {pg.cycle_type(t.sigma1)}")
+    )
+    fix1 = pg.fixed_points(t.sigma1)
+    checks.append(
+        CheckResult(
+            "FixedPointCount",
+            len(fix1) == 2 * t.d,
+            f"sigma1 fixes {len(fix1)} points, expected {2 * t.d}",
+        )
+    )
+    over_zero = pg.branching(t.sigma0)
+    over_one = pg.branching(t.sigma1)
+    over_inf = pg.branching(t.sigmaInf)
+    over_taus = sum(pg.branching(tau) for tau in t.taus)
+    total = over_zero + over_one + over_inf + over_taus
+    checks.append(
+        CheckResult(
+            "TotalBranching", total == 4 * t.n - 2, f"total {total}, expected {4 * t.n - 2}"
+        )
+    )
+    return ValidationReport(tuple(checks), over_zero, over_one, over_inf, over_taus)
+
+
+def assert_validate_matches_oracle(t: HurwitzTuple) -> ValidationReport:
+    report = validate(t)
+    assert report == validate_by_entry_queries(t), t
+    assert all(type(c.passed) is bool for c in report.checks)
+    return report
+
+
+def test_validate_matches_entry_query_oracle():
+    tuples = [t for n in range(2, 9) for _, t in enumerate_shapes(n)]
+    tuples += [zannier_tuple(n, d) for n in range(2, 13) for d in range(2, n + 1)]
+    z = zannier_tuple(4, 2)
+    tuples += [
+        replace(z, sigma1=pg.identity(6)),
+        replace(z, taus=(pg.identity(10),)),
+        replace(z, n=0),
+        replace(z, d=0),
+        replace(z, sigma1=Perm.from_cycles(8, "(1,7,2)(3,5)")),
+        replace(z, sigma0=Perm.from_cycles(8, "(1,8)(2,7)(3,6)")),
+        replace(z, sigma0=Perm.from_cycles(8, "(1,8,2,7)(3,6)(4,5)")),
+        replace(z, sigmaInf=Perm.from_cycles(8, "(1,2,3,4)(5,6,7,8)")),
+        replace(z, taus=z.taus * 3),
+        HurwitzTuple(pg.identity(8), pg.identity(8), pg.identity(8), (), 4, 2),
+    ]
+    reports = [assert_validate_matches_oracle(t) for t in tuples]
+    failed = {name for r in reports for name in r.failed()}
+    assert failed == {
+        "SizeConsistent", "TauCount", "ProductIdentity", "Transitive", "InfinityFullCycle",
+        "ZeroEvenCycles", "OneEvenCycles", "FixedPointCount", "TotalBranching",
+    }
+
+
+@st.composite
+def drawn_tuples(draw):
+    """Tuples of random entries on 2n points or a few points off, or a
+    staircase tuple with one entry replaced by a random one."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    N = 2 * n
+
+    def entry():
+        size = draw(st.sampled_from((N, N, N, max(N - 2, 0), N + 2)))
+        return Perm(draw(st.permutations(list(range(1, size + 1)))))
+
+    if n >= 2 and draw(st.booleans()):
+        base = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
+        field = draw(st.sampled_from(("sigma0", "sigmaInf", "sigma1", "taus")))
+        return replace(base, **{field: (entry(),) if field == "taus" else entry()})
+    taus = tuple(entry() for _ in range(draw(st.integers(min_value=0, max_value=3))))
+    d = draw(st.integers(min_value=0, max_value=4))
+    return HurwitzTuple(entry(), standard_cycle(N) if N else entry(), entry(), taus, n, d)
+
+
+@given(drawn_tuples())
+@example(replace(zannier_tuple(3, 2), sigma0=Perm.from_cycles(6, "(1,6)(2,5)")))
+def test_validate_matches_entry_query_oracle_on_drawn_tuples(t):
+    assert_validate_matches_oracle(t)

@@ -387,3 +387,58 @@ def test_cycles_partition_the_moved_points(abc):
         assert not moved & set(c)
         moved |= set(c)
     assert moved == {i for i in range(1, a.size + 1) if a(i) != i}
+
+
+def rotate_by_arithmetic(a, s):
+    """The rotation point by point: x maps to a(x - s) + s, mod N in 1..N."""
+    N = a.size
+    imgs = a.images
+    return Perm([(imgs[(x - s) % N] + s - 1) % N + 1 for x in range(N)])
+
+
+def cycles_by_calls(p):
+    """The nontrivial cycles walked through Perm.__call__."""
+    out = []
+    seen = [False] * (p.size + 1)
+    for start in range(1, p.size + 1):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = p(start)
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = p(x)
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return out
+
+
+@st.composite
+def perm_and_any_shift(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    a = Perm(draw(st.permutations(list(range(1, n + 1)))))
+    return a, draw(st.integers(min_value=-3 * n, max_value=3 * n))
+
+
+@given(perm_and_any_shift())
+def test_rotate_matches_pointwise_oracle(a_s):
+    a, s = a_s
+    got = rotate(a, s)
+    assert got == rotate_by_arithmetic(a, s)
+    assert Perm(got.images) == got
+
+
+@given(perm_and_any_shift())
+def test_cycles_and_fixed_points_match_call_oracle(a_s):
+    a, _ = a_s
+    assert cycles(a) == cycles_by_calls(a)
+    assert fixed_points(a) == frozenset(i for i in range(1, a.size + 1) if a(i) == i)
+
+
+def test_empty_perm_kernels():
+    empty = Perm(())
+    assert rotate(empty, 5) == rotate_by_arithmetic(empty, 5) == empty
+    assert cycles(empty) == cycles_by_calls(empty) == []
+    assert fixed_points(empty) == frozenset()
