@@ -72,7 +72,9 @@ class ValidationReport:
 
 def standard_cycle(N: int) -> Perm:
     """The descending N-cycle: i to i-1, 1 to N."""
-    return Perm([N] + list(range(1, N)))
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N = {N}")
+    return pg._unchecked((N, *range(1, N)))
 
 
 def is_special(t: HurwitzTuple) -> bool:
@@ -117,14 +119,14 @@ def validate(t: HurwitzTuple) -> ValidationReport:
         )
     )
 
-    checks.append(
-        CheckResult("Transitive", pg.is_transitive(t.gens(), N), "orbit of the generators")
-    )
-
     # Each entry's cycles once; cycle types, fixed points and branching follow.
     zero_cycles, inf_cycles, one_cycles = (pg.cycles(p) for p in (t.sigma0, t.sigmaInf, t.sigma1))
-
     inf_type = pg._cycle_type(inf_cycles, N)
+
+    # A full N-cycle among the generators is transitive on its own.
+    transitive = inf_type == (N,) or pg.is_transitive(t.gens(), N)
+    checks.append(CheckResult("Transitive", transitive, "orbit of the generators"))
+
     checks.append(CheckResult("InfinityFullCycle", inf_type == (N,), f"cycle type {inf_type}"))
 
     zero_fixed = sorted(set(range(1, N + 1)).difference(*zero_cycles))
@@ -239,26 +241,33 @@ def normalize_special(t: HurwitzTuple) -> HurwitzTuple:
     N = t.points
     if not pg.is_full_cycle(t.sigmaInf):
         raise ValueError("sigmaInf must be a full cycle")
+    for p in t.gens():
+        if p.size != N:
+            raise pg.SizeMismatch(f"sizes {p.size} and {N} differ")
     # gamma(N - k) = sigmaInf^k(N) conjugates sigmaInf to the standard cycle.
-    images = [0] * N
+    gamma, ginv = [0] * N, [0] * (N + 1)
     x = N
     for k in range(N):
-        images[(N - k) - 1] = x
-        x = t.sigmaInf(x)
-    gamma = Perm(images)
-    rebased = _map_tuple(t, lambda p: pg.conjugate(p, gamma))
-    fixed = common_fixed(rebased)
+        gamma[N - k - 1], ginv[x] = x, N - k
+        x = t.sigmaInf.images[x - 1]
+    fixed = common_fixed(t)
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
-    return _map_tuple(rebased, lambda p: pg.rotate(p, N - min(fixed)))
+    # Conjugating by gamma, then rotating by s, relabels each entry p to
+    # y -> ginv(p(gamma(y - s))) + s, mod N in 1..N.
+    s = N - min(ginv[f] for f in fixed)
+    src = [g - 1 for g in gamma[N - s :] + gamma[: N - s]]
+    back = [0] + [(ginv[z] + s - 1) % N + 1 for z in range(1, N + 1)]
 
+    def relabel(p: Perm) -> Perm:
+        imgs = p.images
+        return pg._unchecked(tuple([back[imgs[z]] for z in src]))
 
-def _map_tuple(t: HurwitzTuple, f) -> HurwitzTuple:
     return HurwitzTuple(
-        sigma0=f(t.sigma0),
-        sigmaInf=f(t.sigmaInf),
-        sigma1=f(t.sigma1),
-        taus=tuple(f(tau) for tau in t.taus),
+        sigma0=relabel(t.sigma0),
+        sigmaInf=relabel(t.sigmaInf),
+        sigma1=relabel(t.sigma1),
+        taus=tuple(relabel(tau) for tau in t.taus),
         n=t.n,
         d=t.d,
     )

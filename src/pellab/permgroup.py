@@ -8,6 +8,7 @@ order.  Conjugation is conjugate(a, g) = g^-1 * a * g.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -427,54 +428,96 @@ def format_cycles(p: Perm) -> str:
     return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cs)
 
 
+# Cycle text is one or more cycles; a cycle is "()" or at least two
+# comma-separated points in parentheses.  Whitespace may stand anywhere but
+# inside a point.  _HEAD, the longest start of a cycle the grammar allows,
+# locates the fault in rejected text.
+_OPEN, _POINT, _NEXT = r"\(\s*", r"\d+\s*", r",\s*"
+_CYCLE = rf"{_OPEN}(?:{_POINT}(?:{_NEXT}{_POINT})+)?\)"
+_TEXT = re.compile(rf"\s*(?:{_CYCLE}\s*)+")
+_HEAD = re.compile(rf"{_OPEN}(?:{_POINT}(?:{_NEXT}{_POINT})*(?:{_NEXT})?)?")
+_SPACE = re.compile(r"\s*")
+_DIGITS = re.compile(r"\d+")
+
+
 def parse_cycles(text: str, n: int) -> Perm:
     """Parse cycle notation on {1..n}.  Raises CycleParseError with the
-    offending position."""
+    offending position: the first fault in reading order, so a point out of
+    range comes before a later syntax error; repeated points are reported
+    last, at position 0.
+
+    >>> parse_cycles(" (1,3)( 2 , 4 ) ", 5)
+    Perm.from_cycles(5, '(1,3)(2,4)')
+    >>> parse_cycles("(1,2", 4)
+    Traceback (most recent call last):
+        ...
+    pellab.permgroup.CycleParseError: expected ')' (at position 4)
+    """
     if not isinstance(text, str):
         raise CycleParseError(f"cycle text must be a string, not {type(text).__name__}", 0)
-    s = text
-    pos = 0
-    end = len(s)
+    if _TEXT.fullmatch(text):
+        p = _read_accepted(text, n)
+        if p is not None:
+            return p
+    return _walk_cycles(text, n)
+
+
+def _read_accepted(text: str, n: int) -> Optional[Perm]:
+    """The permutation of text the grammar accepts, read by string splits;
+    None when a point is out of range, repeated or past int()'s digit limit."""
+    cycs = [c for c in "".join(text.split())[1:-1].split(")(") if c]
+    if not cycs:
+        return identity(n)
+    try:
+        flat = list(map(int, ",".join(cycs).split(",")))
+    except ValueError:
+        return None
+    if min(flat) < 1 or max(flat) > n or len(set(flat)) < len(flat):
+        return None
+    # Each point goes to the next in its cycle, the last back to the first.
+    succ = flat[1:] + flat[:1]
+    start = 0
+    for c in cycs:
+        end = start + c.count(",") + 1
+        succ[end - 1] = flat[start]
+        start = end
+    imgs = list(range(n + 1))
+    for x, y in zip(flat, succ):
+        imgs[x] = y
+    return _unchecked(tuple(imgs[1:]))
+
+
+def _walk_cycles(text: str, n: int) -> Perm:
+    """Read text cycle by cycle, raising CycleParseError at the first fault."""
+    end = len(text)
+    pos = _SPACE.match(text).end()
+    if pos == end:
+        raise CycleParseError("empty permutation text", 0)
     cycles_out: list[list[int]] = []
-    saw_any = False
     while pos < end:
-        if s[pos].isspace():
-            pos += 1
-            continue
-        if s[pos] != "(":
+        head = _HEAD.match(text, pos)
+        if head is None:
             raise CycleParseError("expected '('", pos)
-        pos += 1
-        cyc: list[int] = []
-        while True:
-            while pos < end and s[pos].isspace():
-                pos += 1
-            if pos < end and s[pos] == ")" and not cyc:
-                break
-            start = pos
-            while pos < end and s[pos].isdigit():
-                pos += 1
-            if pos == start:
-                raise CycleParseError("expected a point number", pos)
-            x = int(s[start:pos])
+        cyc = []
+        for m in _DIGITS.finditer(text, pos, head.end()):
+            x = int(m.group())
             if not 1 <= x <= n:
-                raise CycleParseError(f"point {x} out of range 1..{n}", start)
+                raise CycleParseError(f"point {x} out of range 1..{n}", m.start())
             cyc.append(x)
-            while pos < end and s[pos].isspace():
-                pos += 1
-            if pos < end and s[pos] == ",":
-                pos += 1
-                continue
-            break
-        if pos >= end or s[pos] != ")":
-            raise CycleParseError("expected ')'", pos if pos < end else end)
-        pos += 1
+        # The head stops after "(", "," or a point; that and the next
+        # character name the fault.
+        pos = head.end()
+        last = head.group().rstrip()[-1]
+        closed = text.startswith(")", pos)
+        if last == "," or (last == "(" and not closed):
+            raise CycleParseError("expected a point number", pos)
+        if not closed:
+            raise CycleParseError("expected ')'", pos)
         if len(cyc) == 1:
-            raise CycleParseError("cycles need at least two points", pos - 1)
+            raise CycleParseError("cycles need at least two points", pos)
         if cyc:
             cycles_out.append(cyc)
-        saw_any = True
-    if not saw_any:
-        raise CycleParseError("empty permutation text", 0)
+        pos = _SPACE.match(text, pos + 1).end()
     try:
         return _from_cycle_lists(n, cycles_out)
     except ValueError as exc:

@@ -529,3 +529,15 @@ def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
     assert result.status in ("Ok", "Rejected", "Error")
     render(result, as_json=True)
     render(result, as_json=False)
+
+
+def test_non_decimal_digit_in_tuple_file_is_bad_input(tmp_path, capsys):
+    # "²" passes str.isdigit but not int(): the error names its position.
+    data = dict(tuple_to_json_dict(zannier_tuple(6, 2)), sigma1="(1,²)")
+    path = write_tuple(tmp_path, data)
+    for command in ("validate", "profile"):
+        result = run([command, "--file", path])
+        assert result.status == "Error"
+        assert result.diagnostics == ["expected a point number (at position 3)"]
+        assert main([command, "--file", path]) == 2
+    capsys.readouterr()

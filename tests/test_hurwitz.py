@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given
@@ -48,6 +49,13 @@ def test_standard_cycle():
     assert s(1) == 6
     assert s(4) == 3
     assert pg.cycle_type(s) == (6,)
+    for N in range(1, 51):
+        checked = Perm([N] + list(range(1, N)))
+        assert standard_cycle(N) == checked
+        assert standard_cycle(N).images == checked.images
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            standard_cycle(N)
 
 
 def test_zannier_tuple_examples():
@@ -350,6 +358,92 @@ def test_normalize_special_needs_common_fixed_point():
     )
     with pytest.raises(ValueError):
         normalize_special(bad)
+
+
+def normalize_by_conjugation(t: HurwitzTuple) -> HurwitzTuple:
+    """normalize_special as conjugate-then-rotate: conjugate every entry by
+    gamma, which takes sigmaInf to the standard cycle, then rotate the least
+    common fixed index into 2n."""
+    if is_special(t):
+        return t
+    N = t.points
+    if not pg.is_full_cycle(t.sigmaInf):
+        raise ValueError("sigmaInf must be a full cycle")
+    images = [0] * N
+    x = N
+    for k in range(N):
+        images[(N - k) - 1] = x
+        x = t.sigmaInf(x)
+    gamma = Perm(images)
+    rebased = map_entries(t, lambda p: pg.conjugate(p, gamma))
+    fixed = common_fixed(rebased)
+    if not fixed:
+        raise ValueError("no index is fixed by sigma1 and every tau")
+    return map_entries(rebased, lambda p: pg.rotate(p, N - min(fixed)))
+
+
+def map_entries(t: HurwitzTuple, f) -> HurwitzTuple:
+    return replace(
+        t,
+        sigma0=f(t.sigma0),
+        sigmaInf=f(t.sigmaInf),
+        sigma1=f(t.sigma1),
+        taus=tuple(f(tau) for tau in t.taus),
+    )
+
+
+def normalize_outcome(normalize, t: HurwitzTuple):
+    """The normalized tuple, or the error's type and message."""
+    try:
+        return normalize(t)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@lru_cache(maxsize=None)
+def shape_tuples(n: int) -> list[HurwitzTuple]:
+    return [t for _, t in enumerate_shapes(n)]
+
+
+@st.composite
+def relabelled_tuples(draw):
+    """A staircase or census-shape tuple on at most 40 points, every entry
+    conjugated by one drawn relabelling; sometimes broken so that sigmaInf
+    is no full cycle, or no index is fixed by sigma1 and every tau."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=20))
+        t = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
+    else:
+        t = draw(st.sampled_from(shape_tuples(draw(st.integers(min_value=2, max_value=7)))))
+    N = t.points
+    g = Perm(draw(st.permutations(range(1, N + 1))))
+    t = map_entries(t, lambda p: pg.conjugate(p, g))
+    broken = draw(st.sampled_from((None, None, "sigmaInf", "sigma1")))
+    if broken == "sigmaInf":
+        t = replace(t, sigmaInf=t.sigma0)
+    elif broken == "sigma1":
+        t = replace(t, sigma1=pg.conjugate(standard_cycle(N), g))
+    return t
+
+
+@given(relabelled_tuples())
+@example(zannier_tuple(5, 2))
+@example(
+    HurwitzTuple(
+        Perm.from_cycles(4, "(1,4)(2,3)"),
+        pg.conjugate(standard_cycle(4), Perm.from_cycles(4, "(1,2)")),
+        Perm.from_cycles(4, "(1,3)(2,4)"),
+        (),
+        2,
+        2,
+    )
+)
+def test_normalize_special_matches_conjugation_oracle(t):
+    got = normalize_outcome(normalize_special, t)
+    assert got == normalize_outcome(normalize_by_conjugation, t)
+    if isinstance(got, HurwitzTuple):
+        assert is_special(got)
+        assert all(Perm(p.images) == p for p in got.gens())
 
 
 def test_tuple_json_round_trip():

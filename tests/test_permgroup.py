@@ -442,3 +442,116 @@ def test_empty_perm_kernels():
     assert rotate(empty, 5) == rotate_by_arithmetic(empty, 5) == empty
     assert cycles(empty) == cycles_by_calls(empty) == []
     assert fixed_points(empty) == frozenset()
+
+
+def parse_cycles_by_scanning(text, n):
+    """Cycle text read one character at a time, with str.isspace and
+    str.isdigit: the parser before the grammar regex, kept as the oracle for
+    its results, messages and positions."""
+    if not isinstance(text, str):
+        raise CycleParseError(f"cycle text must be a string, not {type(text).__name__}", 0)
+    s = text
+    pos = 0
+    end = len(s)
+    cycles_out = []
+    saw_any = False
+    while pos < end:
+        if s[pos].isspace():
+            pos += 1
+            continue
+        if s[pos] != "(":
+            raise CycleParseError("expected '('", pos)
+        pos += 1
+        cyc = []
+        while True:
+            while pos < end and s[pos].isspace():
+                pos += 1
+            if pos < end and s[pos] == ")" and not cyc:
+                break
+            start = pos
+            while pos < end and s[pos].isdigit():
+                pos += 1
+            if pos == start:
+                raise CycleParseError("expected a point number", pos)
+            x = int(s[start:pos])
+            if not 1 <= x <= n:
+                raise CycleParseError(f"point {x} out of range 1..{n}", start)
+            cyc.append(x)
+            while pos < end and s[pos].isspace():
+                pos += 1
+            if pos < end and s[pos] == ",":
+                pos += 1
+                continue
+            break
+        if pos >= end or s[pos] != ")":
+            raise CycleParseError("expected ')'", pos if pos < end else end)
+        pos += 1
+        if len(cyc) == 1:
+            raise CycleParseError("cycles need at least two points", pos - 1)
+        if cyc:
+            cycles_out.append(cyc)
+        saw_any = True
+    if not saw_any:
+        raise CycleParseError("empty permutation text", 0)
+    try:
+        return Perm.from_cycles(n, cycles_out)
+    except ValueError as exc:
+        raise CycleParseError(str(exc), 0) from None
+
+
+def parse_outcome(parse, text, n):
+    """The images read, or the error's type, message and position."""
+    try:
+        return parse(text, n).images
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+# Cycle-text characters, whitespace beyond ASCII, an Arabic-Indic digit
+# (decimal, so int() reads it) and two characters that are neither.
+PARSE_ALPHABET = "(),0123456789 \t\n\xa0٣x_"
+FAULTY_TAIL = "".join(f"({2 * i + 1},{2 * i + 2})" for i in range(2000))
+
+
+@st.composite
+def cycle_texts(draw):
+    """A random string over PARSE_ALPHABET, or the text of a permutation on
+    at most 40 points with one character inserted or deleted."""
+    if draw(st.booleans()):
+        return draw(st.text(PARSE_ALPHABET, max_size=40)), draw(st.integers(0, 12))
+    N = draw(st.integers(1, 40))
+    text = format_cycles(Perm(draw(st.permutations(range(1, N + 1)))))
+    i = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:i] + draw(st.sampled_from(PARSE_ALPHABET)) + text[i:], N
+    return text[:i] + text[i + 1 :], N
+
+
+@given(cycle_texts())
+@example(("(1,2)" + " " * 10**5 + "x", 4))
+@example(("(" + "\xa0" * 10**5 + "1,\n2)", 4))
+@example((" " * 10**5, 4))
+@example(("(1," + "\t" * 10**5, 4))
+@example((FAULTY_TAIL + "(4001)", 4001))
+@example((FAULTY_TAIL + "(4001", 4000))
+@example((FAULTY_TAIL + "(1 2)", 4000))
+@example((FAULTY_TAIL + "(3999,4000)", 4000))
+@example((FAULTY_TAIL + "()(4001,", 4001))
+@example(("(9," + "1" * 5000 + ")", 4))
+@example(("(1," + "1" * 5000 + ")", 4))
+def test_parse_cycles_matches_scanning_oracle(case):
+    text, n = case
+    assert parse_outcome(parse_cycles, text, n) == parse_outcome(parse_cycles_by_scanning, text, n)
+
+
+def test_parse_cycles_rejects_non_decimal_digits():
+    # str.isdigit accepts superscript and circled digits, int() does not: each
+    # is a fault at its position, not a conversion error without one.
+    for text, message in (
+        ("(1,²)", "expected a point number (at position 3)"),
+        ("(¹,2)", "expected a point number (at position 1)"),
+        ("(1,2①)", "expected ')' (at position 4)"),
+    ):
+        with pytest.raises(CycleParseError) as err:
+            parse_cycles(text, 12)
+        assert str(err.value) == message
