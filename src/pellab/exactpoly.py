@@ -1,20 +1,21 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are dense coefficient tuples, constant term first, trailing
-zeros trimmed.  The zero polynomial has an empty tuple and degree -1.
-Coefficients are fractions.Fraction at the API; nothing here ever touches
-floats, so equality of computed values is meaningful.
+A Poly is stored as integer numerators over one denominator: nums, constant
+term first with trailing zeros trimmed, and den > 0, in lowest terms
+(gcd(den, *nums) == 1).  The zero polynomial has nums == () and degree -1.
+Nothing here ever touches floats, so equality of computed values is
+meaningful, and equal polynomials have equal stored pairs.
 
-The kernels work on integers: each operand is brought to integer numerators
-over the lcm of its denominators, and fractions are built once, from the
-integer result.  A product convolves the numerators.  Division is
+The kernels read and write the stored integers directly; fractions.Fraction
+appears only at the API edge (coeffs, coeff, leading, evaluation, parsing
+and printing).  A product convolves the numerators.  Division is
 pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
 deg b + 1).  The gcd and the resultant follow the primitive remainder
 sequence: each pseudo-remainder is divided by its content, the gcd of its
-coefficients, so the coefficients stay small and no step reduces a fraction
-per coefficient.  Exact integer m-th roots use an integer Newton iteration,
-and every sequence runs in a loop, so nothing depends on float range or on
-the recursion limit.
+coefficients, so the coefficients stay small.  Each result is reduced once,
+by one gcd of its denominator and numerators.  Exact integer m-th roots use
+an integer Newton iteration, and every sequence runs in a loop, so nothing
+depends on float range or on the recursion limit.
 """
 
 from __future__ import annotations
@@ -55,101 +56,103 @@ class PolyParseError(ValueError):
 
 
 def _rat(value: RatLike) -> Rat:
+    """A Fraction, an int, or a string in parse_rational's form.  A float
+    or a bool is a TypeError: a binary float is no exact input."""
     if isinstance(value, Rat):
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected a Fraction, int or rational string, not {type(value).__name__}")
     return Rat(value)
 
 
-def _integer_numerators(coeffs: Sequence[Rat]) -> tuple[list[int], int]:
-    """Numerators over the lcm of the denominators, and that lcm."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poly:
-    """Immutable rational polynomial.
+    """Immutable rational polynomial, nums/den in lowest terms.
 
     >>> p = Poly([1, 0, -2])
     >>> p.degree
     2
     >>> p(Rat(3))
     Fraction(-17, 1)
+    >>> h = Poly([Rat(1, 2), Rat(2, 4)])
+    >>> h.nums, h.den
+    ((1, 1), 2)
     """
 
-    coeffs: tuple[Rat, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
+    def __new__(cls, coeffs: Iterable[RatLike] = ()) -> "Poly":
         cs = [_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients as fractions, constant term first."""
+        return tuple(Rat(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Rat:
         if self.is_zero:
             raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Rat(self.nums[-1], self.den)
 
     def coeff(self, k: int) -> Rat:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Rat(self.nums[k], self.den)
         return Rat(0)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroInput("cannot normalize the zero polynomial")
-        lc = self.leading
-        if lc == 1:
-            return self
-        return Poly(c / lc for c in self.coeffs)
+        return _poly(list(self.nums), self.nums[-1])
 
     def __call__(self, x: RatLike) -> Rat:
         x = _rat(x)
         acc = Rat(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        a, b = [c * fa for c in self.nums], [c * fb for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a[i] += c
+        return _poly(a, self.den * fa)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _poly([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return ZERO
-        a, den_a = _integer_numerators(self.coeffs)
-        b, den_b = _integer_numerators(other.coeffs)
+        a, b = self.nums, other.nums
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for k, y in enumerate(b, i):
                     out[k] += x * y
-        den = den_a * den_b
-        return Poly(Rat(c, den) for c in out)
+        return _poly(out, self.den * other.den)
 
     def scale(self, k: RatLike) -> "Poly":
         k = _rat(k)
-        return Poly(k * c for c in self.coeffs)
+        return _poly([c * k.numerator for c in self.nums], self.den * k.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -165,9 +168,7 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return Poly((Rat(0),) * k + self.coeffs)
+        return _poly([0] * k + list(self.nums), self.den)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -176,16 +177,30 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
 
+def _poly(nums: list[int], den: int = 1) -> Poly:
+    """The Poly nums/den, for den != 0: trailing zeros trimmed, reduced by
+    one gcd to lowest terms with den > 0.  nums may be changed in place."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    p = object.__new__(Poly)
+    object.__setattr__(p, "nums", tuple(c // g for c in nums) if g != 1 else tuple(nums))
+    object.__setattr__(p, "den", den // g)
+    return p
+
+
 ZERO = Poly()
 ONE = Poly([1])
 X = Poly([0, 1])
 
 
 def constant(c: RatLike) -> Poly:
-    return Poly([_rat(c)])
+    return Poly([c])
 
 
-def _pseudo_divrem(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Pseudo-division of integer coefficient lists, len(a) >= len(b) >= 1:
     scale*a = q*b + r with len(r) = len(b) - 1 (not trimmed).
 
@@ -230,17 +245,14 @@ def _primitive(cs: list[int]) -> tuple[int, list[int]]:
 
 def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: a = q*b + r with deg r < deg b.  Pseudo-divides
-    the integer numerators, scale*na = nq*nb + nr, then q = nq*den_b /
-    (scale*den_a) and r = nr / (scale*den_a)."""
+    the numerators, scale*a.nums = nq*b.nums + nr, then q = nq*b.den /
+    (scale*a.den) and r = nr / (scale*a.den)."""
     if b.is_zero:
         raise DivByZeroPoly("division by the zero polynomial")
     if a.degree < b.degree:
         return ZERO, a
-    na, den_a = _integer_numerators(a.coeffs)
-    nb, den_b = _integer_numerators(b.coeffs)
-    nq, nr, scale = _pseudo_divrem(na, nb)
-    den = scale * den_a
-    return Poly(Rat(c * den_b, den) for c in nq), Poly(Rat(c, den) for c in nr)
+    nq, nr, scale = _pseudo_divrem(a.nums, b.nums)
+    return _poly([c * b.den for c in nq], scale * a.den), _poly(nr, scale * a.den)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -252,30 +264,30 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by the primitive remainder sequence
-    on integer numerators: each pseudo-remainder is divided by its content,
+    on the numerators: each pseudo-remainder is divided by its content,
     and the last nonzero one is made monic."""
     if a.is_zero and b.is_zero:
         raise GcdOfZeros("gcd(0, 0) is undefined")
-    _, u = _primitive(_integer_numerators(a.coeffs)[0])
-    _, v = _primitive(_integer_numerators(b.coeffs)[0])
+    _, u = _primitive(list(a.nums))
+    _, v = _primitive(list(b.nums))
     if len(u) < len(v):
         u, v = v, u
     while v:
         _, r, _ = _pseudo_divrem(u, v)
         u, v = v, _primitive(r)[1]
-    return Poly(Rat(c, u[-1]) for c in u)
+    return _poly(u, u[-1])
 
 
 def derivative(p: Poly) -> Poly:
-    return Poly(i * c for i, c in enumerate(p.coeffs) if i > 0)
+    return _poly([i * c for i, c in enumerate(p.nums) if i], p.den)
 
 
 def compose(p: Poly, q: Poly) -> Poly:
-    """p(q(t)) by Horner in q."""
+    """p(q(t)) by Horner in q on the numerators of p, over p.den once."""
     acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * q + constant(c)
-    return acc
+    for c in reversed(p.nums):
+        acc = acc * q + _poly([c])
+    return _poly(list(acc.nums), acc.den * p.den)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -310,8 +322,8 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
 
 
 def resultant(a: Poly, b: Poly) -> Rat:
-    """Resultant along the primitive remainder sequence of the integer
-    numerators, by the reduction rules res(a, b) = (-1)^(deg a deg b) res(b, a),
+    """Resultant along the primitive remainder sequence of the numerators,
+    by the reduction rules res(a, b) = (-1)^(deg a deg b) res(b, a),
     res(c*a, b) = c^(deg b) res(a, b), and, for deg a >= deg b with
     a = q*b + r, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r).
     A pseudo-remainder scale*r = content*primitive enters as the factor
@@ -320,11 +332,9 @@ def resultant(a: Poly, b: Poly) -> Rat:
         return Rat(0)
     if a.degree == 0 or b.degree == 0:
         return a.leading ** b.degree * b.leading ** a.degree
-    na, den_a = _integer_numerators(a.coeffs)
-    nb, den_b = _integer_numerators(b.coeffs)
-    cu, u = _primitive(na)
-    cv, v = _primitive(nb)
-    factor = Rat(cu, den_a) ** b.degree * Rat(cv, den_b) ** a.degree
+    cu, u = _primitive(list(a.nums))
+    cv, v = _primitive(list(b.nums))
+    factor = Rat(cu, a.den) ** b.degree * Rat(cv, b.den) ** a.degree
     if len(u) < len(v):
         u, v = v, u
         if a.degree * b.degree % 2:

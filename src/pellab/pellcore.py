@@ -29,6 +29,7 @@ from .exactpoly import (
     Rat,
     _series_root,
     compose,
+    constant,
     derivative,
     divrem,
     exact_div,
@@ -236,7 +237,7 @@ def verify_branch_locus_in(f: Poly, values) -> bool:
         raise DegreeTooSmall("branch locus check needs degree >= 2")
     product = ONE
     for c in values:
-        product = product * (f - Poly([Rat(c)]))
+        product = product * (f - constant(c))
     radical = squarefree_part(derivative(f))
     if product.is_zero:
         return False
@@ -249,7 +250,7 @@ def ramification_type(f: Poly, c) -> tuple[tuple[int, int], ...]:
     squarefree decomposition; sum of products equals deg f."""
     if f.degree < 1:
         raise DegreeTooSmall("ramification type needs degree >= 1")
-    shifted = f - Poly([Rat(c)])
+    shifted = f - constant(c)
     return tuple(
         sorted((mult, fac.degree) for mult, fac in squarefree_decomposition(shifted))
     )

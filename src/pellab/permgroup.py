@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import dropwhile
 from typing import Iterable, Optional, Sequence
 
 
@@ -500,7 +501,13 @@ def _walk_cycles(text: str, n: int) -> Perm:
             raise CycleParseError("expected '('", pos)
         cyc = []
         for m in _DIGITS.finditer(text, pos, head.end()):
-            x = int(m.group())
+            # Leading zeros, of any script, do not count.  A point with more
+            # digits than n is out of range and never reaches int(), which
+            # refuses more than 4300 digits.
+            digits = "".join(dropwhile(lambda c: not int(c), m.group())) or "0"
+            if len(digits) > len(str(n)):
+                raise CycleParseError(f"point of {len(digits)} digits out of range 1..{n}", m.start())
+            x = int(digits)
             if not 1 <= x <= n:
                 raise CycleParseError(f"point {x} out of range 1..{n}", m.start())
             cyc.append(x)

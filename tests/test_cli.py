@@ -81,6 +81,18 @@ def test_json_output_is_byte_identical(capsys):
     assert first.startswith('{"diagnostics"')
 
 
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_json_lines_match_golden_fixture(case, capsys):
+    """The --json line of each polynomial command, byte for byte, as
+    recorded in tests/fixtures/cli_golden.json."""
+    code = main(case["argv"])
+    assert capsys.readouterr().out == case["line"] + "\n"
+    assert code == {"Ok": 0, "Rejected": 1, "Error": 2}[json.loads(case["line"])["status"]]
+
+
 def python_m(module, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -386,6 +398,8 @@ cycle_text = st.one_of(
         max_size=6,
     ).map(lambda cs: "".join("(" + ",".join(map(str, c)) + ")" for c in cs) or "()"),
     st.text(alphabet="(),0123456789 x", max_size=20),
+    # A point past int()'s 4300-digit limit.
+    st.integers(min_value=4301, max_value=5000).map(lambda k: "(1," + "1" * k + ")"),
     st.integers(),
     st.none(),
 )
@@ -426,6 +440,7 @@ def test_tuple_commands_never_raise(command, data):
     with mock.patch("sys.stdin", io.StringIO(json.dumps(data))):
         result = run([command, "--json"])
     assert result.status in ("Ok", "Rejected", "Error")
+    assert not any("integer string conversion" in d for d in result.diagnostics)
     json.loads(render(result, as_json=True))
 
 
@@ -539,5 +554,17 @@ def test_non_decimal_digit_in_tuple_file_is_bad_input(tmp_path, capsys):
         result = run([command, "--file", path])
         assert result.status == "Error"
         assert result.diagnostics == ["expected a point number (at position 3)"]
+        assert main([command, "--file", path]) == 2
+    capsys.readouterr()
+
+
+def test_long_point_in_tuple_file_is_bad_input(tmp_path, capsys):
+    # A point past int()'s 4300-digit limit is a range fault with a position.
+    data = dict(tuple_to_json_dict(zannier_tuple(6, 2)), sigma1="(1," + "1" * 5000 + ")")
+    path = write_tuple(tmp_path, data)
+    for command in ("validate", "profile"):
+        result = run([command, "--file", path])
+        assert result.status == "Error"
+        assert result.diagnostics == ["point of 5000 digits out of range 1..12 (at position 3)"]
         assert main([command, "--file", path]) == 2
     capsys.readouterr()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -437,3 +438,92 @@ def test_from_coeff_strings_errors_name_index():
         with pytest.raises(PolyParseError) as err:
             from_coeff_strings(items)
         assert err.value.pos == pos
+
+
+# -- stored form and the Fraction boundary -----------------------------------
+
+
+def assert_canonical(p: Poly):
+    """nums/den trimmed, in lowest terms with den > 0, and equal (hash too)
+    to the Poly rebuilt from its Fraction coefficients."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    again = Poly(p.coeffs)
+    assert again == p and hash(again) == hash(p)
+    assert (again.nums, again.den) == (p.nums, p.den)
+
+
+@given(st.one_of(wide_polys, rational_polys), st.one_of(wide_polys, rational_polys), wide_rationals)
+@example(neg_lead, Poly([Fraction(-(2**67), 2**65 + 3)]), Fraction(-1, 3))
+@example(Poly([Fraction(-(2**90), 3), 1, Fraction(5, 2**66)]), neg_lead, Fraction(0))
+@example(ZERO, neg_lead, Fraction(2**70, 3))
+@example(neg_lead, ZERO, Fraction(1))
+def test_results_are_canonical(a, b, k):
+    # -b gives each divisor a negative leading coefficient as well, so the
+    # pseudo-division scale is negative on one side.
+    results = [a + b, a - b, -a, a * b, a.scale(k), derivative(a), a.shift(2), compose(a, b)]
+    for d in (b, -b):
+        if not d.is_zero:
+            results.extend(divrem(a, d))
+    if not (a.is_zero and b.is_zero):
+        results.append(gcd(a, b))
+    if not a.is_zero:
+        results.append(a.monic())
+        results.append(poly_sqrt(a * a))
+    results.extend(r for r in (poly_sqrt(a),) if r is not None)
+    for r in results:
+        assert_canonical(r)
+
+
+def test_stored_form_example():
+    p = Poly([Fraction(1, 2), Fraction(2, 4)])
+    assert (p.nums, p.den) == ((1, 1), 2)
+    assert p.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    assert (ZERO.nums, ZERO.den) == ((), 1)
+    q = Poly([Fraction(-2, 3), 0, Fraction(4, -9), 0])
+    assert (q.nums, q.den) == ((-6, 0, -4), 9)
+    assert q.leading == Fraction(-4, 9) and q.coeff(1) == 0 and q.coeff(7) == 0
+
+
+def test_poly_reads_exact_inputs_only():
+    assert Poly(["-3/4", " 2 ", 5]) == Poly([Fraction(-3, 4), 2, 5])
+    for bad in (0.1, 2.5, True, False, None, [1]):
+        with pytest.raises(TypeError):
+            Poly([bad])
+    for bad in ("0.1", "1e3", "1_000", "x"):
+        with pytest.raises(ValueError):
+            Poly([bad])
+
+
+def test_constant_reads_exact_inputs_only():
+    assert constant("-5/10") == Poly([Fraction(-1, 2)])
+    with pytest.raises(TypeError):
+        constant(0.5)
+    with pytest.raises(TypeError):
+        constant(True)
+    with pytest.raises(ValueError):
+        constant("1e3")
+
+
+def test_scale_reads_exact_inputs_only():
+    assert X.scale("3/2") == Poly([0, Fraction(3, 2)])
+    with pytest.raises(TypeError):
+        X.scale(0.1)
+    with pytest.raises(TypeError):
+        X.scale(True)
+    with pytest.raises(ValueError):
+        X.scale("0.1")
+
+
+def test_evaluation_reads_exact_inputs_only():
+    p = Poly([1, 0, -2])
+    assert p("-1/2") == Fraction(1, 2)
+    assert ZERO(3) == 0 and type(ZERO(3)) is Fraction
+    with pytest.raises(TypeError):
+        p(0.1)
+    with pytest.raises(TypeError):
+        p(False)
+    with pytest.raises(ValueError):
+        p("1e3")

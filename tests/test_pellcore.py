@@ -426,6 +426,23 @@ def test_ramification_type_examples():
     assert ramification_type(parse_poly("t^2"), Fraction(0)) == ((2, 1),)
 
 
+def test_value_arguments_read_exact_inputs_only():
+    # A float is no exact branch value; strings follow parse_rational.
+    f4 = power_polynomial(4)
+    assert ramification_type(f4, "0") == ramification_type(f4, 0) == ((2, 2),)
+    assert verify_branch_locus_in(f4, ["0", 1])
+    for value in (0.1, 0.0, True):
+        with pytest.raises(TypeError):
+            ramification_type(f4, value)
+        with pytest.raises(TypeError):
+            verify_branch_locus_in(f4, [0, value])
+    for text in ("0.1", "1e3"):
+        with pytest.raises(ValueError):
+            ramification_type(f4, text)
+        with pytest.raises(ValueError):
+            verify_branch_locus_in(f4, [text])
+
+
 def test_seed_odd_multiplicity_locus_has_degree_2d():
     for text in ["t^2", "2*t^3 - 1", "t^3", "4*t^4 - 3*t^2"]:
         out = generate_from_seed(parse_poly(text), allow_d1=True)

@@ -473,7 +473,16 @@ def parse_cycles_by_scanning(text, n):
                 pos += 1
             if pos == start:
                 raise CycleParseError("expected a point number", pos)
-            x = int(s[start:pos])
+            # Significant digits only: leading zeros of any script drop out,
+            # and a point with more digits than n is out of range unread.
+            size = pos - start
+            for c in s[start:pos]:
+                if int(c):
+                    break
+                size -= 1
+            if size > len(str(n)):
+                raise CycleParseError(f"point of {size} digits out of range 1..{n}", start)
+            x = int(s[pos - size : pos]) if size else 0
             if not 1 <= x <= n:
                 raise CycleParseError(f"point {x} out of range 1..{n}", start)
             cyc.append(x)
@@ -539,6 +548,8 @@ def cycle_texts(draw):
 @example((FAULTY_TAIL + "()(4001,", 4001))
 @example(("(9," + "1" * 5000 + ")", 4))
 @example(("(1," + "1" * 5000 + ")", 4))
+@example(("(1," + "0" * 5000 + "2)x", 4))
+@example(("(1,\u0660\u06602)x", 4))
 def test_parse_cycles_matches_scanning_oracle(case):
     text, n = case
     assert parse_outcome(parse_cycles, text, n) == parse_outcome(parse_cycles_by_scanning, text, n)
@@ -555,3 +566,20 @@ def test_parse_cycles_rejects_non_decimal_digits():
         with pytest.raises(CycleParseError) as err:
             parse_cycles(text, 12)
         assert str(err.value) == message
+
+
+def test_parse_cycles_long_point_is_a_positioned_range_fault():
+    # More significant digits than n is out of range, found before int(),
+    # which refuses more than 4300 digits, would see the point.
+    with pytest.raises(CycleParseError) as err:
+        parse_cycles("(1," + "1" * 5000 + ")", 4)
+    assert str(err.value) == "point of 5000 digits out of range 1..4 (at position 3)"
+    with pytest.raises(CycleParseError) as err:
+        parse_cycles("(2,3)(1," + "7" * 5000 + ")(", 120)
+    assert str(err.value) == "point of 5000 digits out of range 1..120 (at position 8)"
+    # Leading zeros, ASCII or not, still read as before.
+    assert parse_cycles("(1,0002)", 4) == Perm.from_cycles(4, "(1,2)")
+    assert parse_cycles("(1," + "0" * 5000 + "2)", 4) == Perm.from_cycles(4, "(1,2)")
+    with pytest.raises(CycleParseError) as err:
+        parse_cycles("(1,\u0660\u06602)x", 4)
+    assert str(err.value) == "expected '(' (at position 7)"
