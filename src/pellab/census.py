@@ -4,8 +4,10 @@ fixed by sigma1 and tau.
 
 Three routes produce per-case conjugacy-class counts: shape enumeration
 (parameterized sigma0 layouts), brute force over fixed-point-free
-involutions, pruned while pairing (ground truth), and closed formulas.  Reports carry all three and
-flag any disagreement; nothing is reconciled silently.
+involutions, pruned while pairing (ground truth), and closed formulas.  The
+first two count classes by orbit counting over their tuples, with no class
+ever built.  Reports carry all three and flag any disagreement; nothing is
+reconciled silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -29,7 +31,7 @@ THREE_CYCLE = "ThreeCycle"
 FOUR_CYCLE = "FourCycle"
 CASES = (DISJOINT, THREE_CYCLE, FOUR_CYCLE)
 
-BRUTE_DEFAULT_MAX = 10
+BRUTE_DEFAULT_MAX = 24
 
 
 class TooLarge(ValueError):
@@ -54,7 +56,8 @@ class ShapeParams:
 
 @dataclass(frozen=True)
 class CaseCounts:
-    """Class counts for one case; brute is None when not engaged."""
+    """Class counts for one case; brute is None when not engaged, and a
+    route's count is None when its orbit sum is not whole (a discrepancy)."""
 
     shape: Optional[int]
     brute: Optional[int]
@@ -67,7 +70,7 @@ class CensusReport:
     cases: dict[str, CaseCounts]  # every case, in CASES order
     c1: int
     c2: int
-    primitive_disjoint_count: int
+    primitive_disjoint_count: Optional[int]
     discrepancies: tuple[str, ...]
 
     def case_counts(self, case: str) -> CaseCounts:
@@ -120,15 +123,10 @@ def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
     return [split({a: b, b: a, c: d, d: c}, (a, c)), split({b: c, c: b, d: a, a: d}, (b, d))]
 
 
-def _make_tuple(n: int, sigma0: Perm, sigma1: Perm, tau: Perm) -> HurwitzTuple:
-    return HurwitzTuple(
-        sigma0=sigma0,
-        sigmaInf=standard_cycle(2 * n),
-        sigma1=sigma1,
-        taus=(tau,),
-        n=n,
-        d=2,
-    )
+def _make_tuple(sigma_inf: Perm, sigma0: Perm, sigma1: Perm, tau: Perm) -> HurwitzTuple:
+    """The tuple on sigma_inf's 2n points; each route builds sigma_inf once."""
+    n = sigma_inf.size // 2
+    return HurwitzTuple(sigma0=sigma0, sigmaInf=sigma_inf, sigma1=sigma1, taus=(tau,), n=n, d=2)
 
 
 def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
@@ -162,6 +160,7 @@ def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
     h = 1..n-1 in turn."""
     if n < 2:
         raise ValueError("census needs n >= 2")
+    sigma_inf = standard_cycle(2 * n)
     out: list[tuple[ShapeParams, HurwitzTuple]] = []
     for h, cuts in _layouts(n):
         sigma0 = _sigma0(n, h, cuts)
@@ -172,7 +171,7 @@ def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
                 params = ShapeParams(THREE_CYCLE, h=h, k=cuts[0], tau_choice=choice)
             else:
                 params = ShapeParams(FOUR_CYCLE, h=h, k1=cuts[0], k2=cuts[1], tau_choice=choice)
-            out.append((params, _make_tuple(n, sigma0, sigma1, tau)))
+            out.append((params, _make_tuple(sigma_inf, sigma0, sigma1, tau)))
     return out
 
 
@@ -203,6 +202,7 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
     if n > max_n:
         raise TooLarge(f"n = {n} beyond brute-force bound {max_n}")
     N = 2 * n
+    sigma_inf = standard_cycle(N)
     out: list[HurwitzTuple] = []
     paired = [0] * (N + 1)
     paired[1], paired[N] = N, 1
@@ -236,7 +236,7 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
         if not unpaired:
             sigma0 = pg._unchecked(tuple(paired[1:]))
             for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
-                out.append(_make_tuple(n, sigma0, sigma1, tau))
+                out.append(_make_tuple(sigma_inf, sigma0, sigma1, tau))
             return
         a = unpaired[0]
         rest = unpaired[1:]
@@ -257,40 +257,42 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
 
 
 def _tuple_sort_key(t: HurwitzTuple):
-    return (
-        t.sigma0.images,
-        t.sigma1.images,
-        tuple(tau.images for tau in t.taus),
-    )
+    return t.sigma0.images, t.sigma1.images, tuple(tau.images for tau in t.taus)
 
 
-def canonical_key(t: HurwitzTuple):
-    """Least image sequence of (sigma0, sigma1, taus) over the admissible
-    rotations: one per index i0 fixed by sigma1 and every tau, the rotation
-    that relabels i0 as 2n.  Keys compare sigma0 first, so sigma1 and the
-    taus are rotated only for the shifts that tie on the least sigma0."""
+def _orbit_weight(t: HurwitzTuple) -> int:
+    """12 |Stab(t)| / |CF(t)|: CF(t) is the points fixed by sigma1 and every
+    tau (2, 3 or 4 of them in the Disjoint, ThreeCycle and FourCycle cases)
+    and Stab(t) the rotations that fix every entry.  A rotation by s can fix
+    t only if CF(t) + s = CF(t) (mod 2n); since 2n is in CF(t), s is one of
+    its points.  Only such s are tried, sigma0 first.  The quotient is
+    exact: CF(t) is a union of cosets of Stab(t), and |CF(t)| <= 4."""
     N = t.points
-    by_shift = {N - i0: pg.rotate(t.sigma0, N - i0).images for i0 in common_fixed(t)}
-    if not by_shift:
-        raise ValueError("tuple has no commonly fixed index")
-    least = min(by_shift.values())
-    return min(
-        (least, pg.rotate(t.sigma1, s).images, tuple(pg.rotate(tau, s).images for tau in t.taus))
-        for s, zero in by_shift.items()
-        if zero == least
-    )
+    cf = common_fixed(t)
+    stab = 1
+    for s in cf:
+        if (
+            s != N
+            and {(x + s) % N or N for x in cf} == cf
+            and all(pg.rotate(p, s) == p for p in (t.sigma0, t.sigma1, *t.taus))
+        ):
+            stab += 1
+    return 12 * stab // len(cf)
 
 
-def conjugacy_classes(tuples: Sequence[HurwitzTuple]) -> list[list[HurwitzTuple]]:
-    """Group by canonical form; members and classes sorted, least member
-    first."""
-    groups: dict[tuple, list[HurwitzTuple]] = {}
+def _orbit_sums(tuples: Iterable[HurwitzTuple]) -> dict[str, int]:
+    """12 times each case's number of conjugacy classes, a tuple's case read
+    from its split.
+
+    Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
+    the 2n rotations whose members fix 2n in common.  The rotations that
+    carry one of a member's |CF| common fixed points to 2n reach exactly
+    those members, each |Stab| times, so a class has |CF| / |Stab| members
+    and its weights sum to 12."""
+    sums = dict.fromkeys(CASES, 0)
     for t in tuples:
-        groups.setdefault(canonical_key(t), []).append(t)
-    classes = []
-    for key in sorted(groups):
-        classes.append(sorted(groups[key], key=_tuple_sort_key))
-    return classes
+        sums[_case_of_split(t)] += _orbit_weight(t)
+    return sums
 
 
 def closed_formulas(n: int) -> dict[str, int]:
@@ -313,49 +315,40 @@ def closed_formulas(n: int) -> dict[str, int]:
     }
 
 
-def _primitive(disjoint: list[list[HurwitzTuple]], n: int) -> list[list[HurwitzTuple]]:
-    """The Disjoint-case classes whose tau = (h, 2n-h) has gcd(h, n) = 1."""
-    return [cls for cls in disjoint if math.gcd(pg.cycles(cls[0].taus[0])[0][0], n) == 1]
-
-
-def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
-    """Count and list of the primitive Disjoint-case classes (see _primitive)."""
-    disjoint = [t for p, t in enumerate_shapes(n) if p.case == DISJOINT]
-    primitive = _primitive(conjugacy_classes(disjoint), n)
-    return len(primitive), primitive
-
-
-def _classes_by_case(tuples: Iterable[HurwitzTuple]) -> dict[str, list[list[HurwitzTuple]]]:
-    """The conjugacy classes of each case, a tuple's case read from its
-    split."""
-    by_case: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
-    for t in tuples:
-        by_case[_case_of_split(t)].append(t)
-    return {c: conjugacy_classes(by_case[c]) for c in CASES}
-
-
 def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
     """All three counting routes with discrepancies flagged; brute force by
-    default up to n = BRUTE_DEFAULT_MAX."""
+    default up to n = BRUTE_DEFAULT_MAX.  An orbit sum that is not a whole
+    number of classes is a discrepancy, and its count is None."""
     if n < 2:
         raise ValueError("census needs n >= 2")
     if use_brute is None:
         use_brute = n <= BRUTE_DEFAULT_MAX
 
-    shape_classes = _classes_by_case(t for _, t in enumerate_shapes(n))
-    brute_classes = _classes_by_case(brute_force_enumerate(n)) if use_brute else None
+    brute_sums = _orbit_sums(brute_force_enumerate(n)) if use_brute else None
+    shapes = enumerate_shapes(n)
+    shape_sums = _orbit_sums(t for _, t in shapes)
+    primitive_sum = sum(
+        _orbit_weight(t) for p, t in shapes if p.case == DISJOINT and math.gcd(p.h, n) == 1
+    )
     formulas = closed_formulas(n)
+    discrepancies: list[str] = []
+
+    def classes(label: str, weighted: int) -> Optional[int]:
+        count, rest = divmod(weighted, 12)
+        if rest:
+            discrepancies.append(f"{label}: orbit sum {weighted}/12 is not a whole class count")
+            return None
+        return count
 
     cases: dict[str, CaseCounts] = {}
-    discrepancies: list[str] = []
     for c in CASES:
-        shape, formula = len(shape_classes[c]), formulas[c]
-        brute = None if brute_classes is None else len(brute_classes[c])
-        if brute is not None and shape != brute:
+        shape, formula = classes(f"{c} shape", shape_sums[c]), formulas[c]
+        brute = None if brute_sums is None else classes(f"{c} brute", brute_sums[c])
+        if use_brute and shape != brute:
             discrepancies.append(f"{c}: shape={shape} brute={brute}")
-        if brute is not None and brute != formula:
+        if use_brute and brute != formula:
             discrepancies.append(f"{c}: brute={brute} formula={formula}")
-        if brute is None and shape != formula:
+        if not use_brute and shape != formula:
             discrepancies.append(f"{c}: shape={shape} formula={formula}")
         cases[c] = CaseCounts(shape=shape, brute=brute, formula=formula)
 
@@ -364,7 +357,7 @@ def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
         cases=cases,
         c1=formulas["C1"],
         c2=formulas["C2"],
-        primitive_disjoint_count=len(_primitive(shape_classes[DISJOINT], n)),
+        primitive_disjoint_count=classes("primitive Disjoint", primitive_sum),
         discrepancies=tuple(discrepancies),
     )
 

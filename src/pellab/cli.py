@@ -8,7 +8,8 @@ with sorted keys so identical inputs give byte-identical output.  Exit codes:
 Polynomials on the command line use the human syntax ("t^4 - 2*t^2 + 1");
 solution files are JSON objects {A, B, D} with coefficient-string arrays
 ("num/den", constant term first).  Every rational read from text, a
-coefficient, --at or --locus-in, has the form [sign]digits[/digits].  Tuple
+coefficient, --at or --locus-in, has the form [sign]digits[/digits], and
+the integer options --n, --d and --m the form [sign]digits.  Tuple
 files are JSON objects with fields n, d, sigma0, sigmaInf, sigma1, taus in
 cycle notation.  Commands that read files also accept the full JSON output
 of a previous command (the payload is unwrapped), so runs can be piped.
@@ -262,6 +263,12 @@ def _cmd_census(args) -> CommandResult:
     return CommandResult(OK, census_mod.report_to_json_dict(report), diagnostics)
 
 
+def integer(text: str) -> int:
+    """The integer options' type: exactpoly.parse_integer, under the name
+    argparse prints ("invalid integer value")."""
+    return exactpoly.parse_integer(text)
+
+
 def _add_solution_source(sub):
     sub.add_argument("--A", help="polynomial, human syntax")
     sub.add_argument("--B", help="polynomial, human syntax")
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_seed)
 
     p = subs.add_parser("power", parents=[common], help="m-th power of a solution")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=integer, required=True)
     _add_solution_source(p)
     p.set_defaults(handler=_cmd_power)
 
@@ -303,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ramify)
 
     p = subs.add_parser("zannier", parents=[common], help="staircase tuple for (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--d", type=integer, required=True)
     p.set_defaults(handler=_cmd_zannier)
 
     p = subs.add_parser("validate", parents=[common], help="validate a tuple file")
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_profile)
 
     p = subs.add_parser("census", parents=[common], help="d = 2 census for n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     route = p.add_mutually_exclusive_group()
     route.add_argument("--brute-force", dest="use_brute", action="store_const", const=True)
     route.add_argument("--no-brute-force", dest="use_brute", action="store_const", const=False)

@@ -1,0 +1,67 @@
+"""Independent oracles that the tests import: code kept out of src because
+no command reaches it.
+
+The census counts conjugacy classes by orbit counting and never builds one.
+The key-based grouping below builds every class, so the tests check the
+counts against it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Sequence
+
+from pellab import permgroup as pg
+from pellab.census import CASES, DISJOINT, _case_of_split, _tuple_sort_key, enumerate_shapes
+from pellab.hurwitz import HurwitzTuple, common_fixed
+
+
+def canonical_key(t: HurwitzTuple):
+    """Least image sequence of (sigma0, sigma1, taus) over the admissible
+    rotations: one per index i0 fixed by sigma1 and every tau, the rotation
+    that relabels i0 as 2n.  Keys compare sigma0 first, so sigma1 and the
+    taus are rotated only for the shifts that tie on the least sigma0."""
+    N = t.points
+    by_shift = {N - i0: pg.rotate(t.sigma0, N - i0).images for i0 in common_fixed(t)}
+    if not by_shift:
+        raise ValueError("tuple has no commonly fixed index")
+    least = min(by_shift.values())
+    return min(
+        (least, pg.rotate(t.sigma1, s).images, tuple(pg.rotate(tau, s).images for tau in t.taus))
+        for s, zero in by_shift.items()
+        if zero == least
+    )
+
+
+def conjugacy_classes(tuples: Sequence[HurwitzTuple]) -> list[list[HurwitzTuple]]:
+    """Group by canonical form; members and classes sorted, least member
+    first."""
+    groups: dict[tuple, list[HurwitzTuple]] = {}
+    for t in tuples:
+        groups.setdefault(canonical_key(t), []).append(t)
+    classes = []
+    for key in sorted(groups):
+        classes.append(sorted(groups[key], key=_tuple_sort_key))
+    return classes
+
+
+def classes_by_case(tuples: Iterable[HurwitzTuple]) -> dict[str, list[list[HurwitzTuple]]]:
+    """The conjugacy classes of each case, a tuple's case read from its
+    split."""
+    by_case: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
+    for t in tuples:
+        by_case[_case_of_split(t)].append(t)
+    return {c: conjugacy_classes(by_case[c]) for c in CASES}
+
+
+def primitive_classes(disjoint: list[list[HurwitzTuple]], n: int) -> list[list[HurwitzTuple]]:
+    """The Disjoint-case classes whose tau = (h, 2n-h) has gcd(h, n) = 1."""
+    return [cls for cls in disjoint if math.gcd(pg.cycles(cls[0].taus[0])[0][0], n) == 1]
+
+
+def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
+    """Count and list of the primitive Disjoint-case classes (see
+    primitive_classes)."""
+    disjoint = [t for p, t in enumerate_shapes(n) if p.case == DISJOINT]
+    primitive = primitive_classes(conjugacy_classes(disjoint), n)
+    return len(primitive), primitive

@@ -19,9 +19,7 @@ from pellab.census import (
     FOUR_CYCLE,
     THREE_CYCLE,
     census,
-    conjugacy_classes,
     enumerate_shapes,
-    primitive_disjoint_classes,
 )
 from pellab.exactpoly import (
     Poly,
@@ -47,6 +45,8 @@ from pellab.pellcore import (
     verify_pell,
 )
 from pellab.permgroup import Perm
+
+from oracles import conjugacy_classes, primitive_disjoint_classes
 
 ZERO_ONE = [Fraction(0), Fraction(1)]
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pellab import census as census_module
 from pellab import permgroup as pg
 from pellab.census import (
     BRUTE_DEFAULT_MAX,
+    CASES,
     DISJOINT,
     FOUR_CYCLE,
     THREE_CYCLE,
@@ -19,16 +21,15 @@ from pellab.census import (
     _case_of_split,
     _layouts,
     _make_tuple,
+    _orbit_sums,
+    _orbit_weight,
     _pi_from_sigma0,
     _sigma0,
     _split_product,
     brute_force_enumerate,
     census,
-    canonical_key,
     closed_formulas,
-    conjugacy_classes,
     enumerate_shapes,
-    primitive_disjoint_classes,
     report_to_json_dict,
 )
 from pellab.hurwitz import (
@@ -40,6 +41,13 @@ from pellab.hurwitz import (
     validate,
 )
 from pellab.permgroup import Perm
+
+from oracles import (
+    canonical_key,
+    classes_by_case,
+    conjugacy_classes,
+    primitive_disjoint_classes,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,7 +99,7 @@ def leaf_filter_scan(n):
         if not unpaired:
             sigma0 = pg._unchecked(tuple(paired[1:]))
             for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
-                out.append(_make_tuple(n, sigma0, sigma1, tau))
+                out.append(_make_tuple(standard_cycle(N), sigma0, sigma1, tau))
             return
         a = unpaired[0]
         rest = unpaired[1:]
@@ -180,20 +188,20 @@ def case_by_case_shapes(n):
     for h in range(1, n):
         sigma1 = Perm.from_cycles(N, [p for p in pairs if p != (h, N - h)])
         tau = Perm.from_cycles(N, [(h, N - h)])
-        out.append((ShapeParams(DISJOINT, h=h), _make_tuple(n, sigma0, sigma1, tau)))
+        out.append((ShapeParams(DISJOINT, h=h), _make_tuple(standard_cycle(N), sigma0, sigma1, tau)))
     for h in range(1, n - 1):
         for k in range(h + 2, N - h - 1, 2):
             sigma0 = sigma0_three(n, h, k)
             for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
                 params = ShapeParams(THREE_CYCLE, h=h, k=k, tau_choice=choice)
-                out.append((params, _make_tuple(n, sigma0, sigma1, tau)))
+                out.append((params, _make_tuple(standard_cycle(N), sigma0, sigma1, tau)))
     for h in range(1, n - 2):
         for k1 in range(h + 2, N - h - 3, 2):
             for k2 in range(k1 + 2, N - h - 1, 2):
                 sigma0 = sigma0_four(n, h, k1, k2)
                 for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
                     params = ShapeParams(FOUR_CYCLE, h=h, k1=k1, k2=k2, tau_choice=choice)
-                    out.append((params, _make_tuple(n, sigma0, sigma1, tau)))
+                    out.append((params, _make_tuple(standard_cycle(N), sigma0, sigma1, tau)))
     return out
 
 
@@ -382,6 +390,86 @@ def test_census_primitive_count_matches_public_function():
     for n in range(2, 13):
         report = census(n, use_brute=False)
         assert report.primitive_disjoint_count == primitive_disjoint_classes(n)[0]
+
+
+def disjoint_h(t):
+    """h of a Disjoint tuple's tau = (h, 2n-h)."""
+    return pg.cycles(t.taus[0])[0][0]
+
+
+def test_orbit_counts_match_class_oracle():
+    """Both routes for every n up to the brute-force bound: the orbit count
+    of each case is the number of classes the key-based grouping builds,
+    and the primitive orbit sum, taken per tuple, is the primitive class
+    count.  The per-tuple filter holds because every member of a Disjoint
+    class has the same gcd(h, n)."""
+    assert BRUTE_DEFAULT_MAX == 24
+    for n in range(2, BRUTE_DEFAULT_MAX + 1):
+        report = census(n)
+        primitive = primitive_disjoint_classes(n)[0]
+        assert report.primitive_disjoint_count == primitive, n
+        routes = {"shape": [t for _, t in enumerate_shapes(n)], "brute": brute_force_enumerate(n)}
+        for route, tuples in routes.items():
+            classes = classes_by_case(tuples)
+            for c in CASES:
+                assert getattr(report.case_counts(c), route) == len(classes[c]), (n, route, c)
+            for cls in classes[DISJOINT]:
+                assert len({math.gcd(disjoint_h(t), n) for t in cls}) == 1, (n, route)
+            primitive_sum = sum(
+                _orbit_weight(t)
+                for t in tuples
+                if _case_of_split(t) == DISJOINT and math.gcd(disjoint_h(t), n) == 1
+            )
+            assert primitive_sum == 12 * primitive, (n, route)
+        assert report.discrepancies == (), n
+
+
+def test_orbit_weights_of_a_class_sum_to_twelve():
+    for n in range(2, 9):
+        tuples = [t for _, t in enumerate_shapes(n)]
+        for c, classes in classes_by_case(tuples).items():
+            for cls in classes:
+                assert sum(map(_orbit_weight, cls)) == 12, (n, c, tuple_key(cls[0]))
+            assert _orbit_sums(t for cls in classes for t in cls)[c] == 12 * len(classes)
+
+
+def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
+    """Half of a known class: at n = 5 the Disjoint tuples with h = 1 and
+    h = 4 form one class, each weighing 6 of its 12.  Without the h = 1
+    tuple the Disjoint sum is 18, which is no whole number of classes."""
+    shapes = enumerate_shapes(5)
+    disjoint = [t for p, t in shapes if p.case == DISJOINT]
+    assert sorted(sorted(map(disjoint_h, cls)) for cls in conjugacy_classes(disjoint)) == [
+        [1, 4],
+        [2, 3],
+    ]
+    keep = [(p, t) for p, t in shapes if (p.case, p.h) != (DISJOINT, 1)]
+    brute = [t for t in brute_force_enumerate(5) if t != shapes[0][1]]
+    assert shapes[0][0] == ShapeParams(DISJOINT, h=1) and len(brute) == len(keep)
+    not_whole = "orbit sum 18/12 is not a whole class count"
+
+    monkeypatch.setattr(census_module, "enumerate_shapes", lambda n: keep)
+    report = census(5, use_brute=False)
+    assert report.case_counts(DISJOINT) == census_module.CaseCounts(None, None, 2)
+    assert report.case_counts(THREE_CYCLE).shape == 6
+    assert report.primitive_disjoint_count is None
+    assert report.discrepancies == (
+        f"Disjoint shape: {not_whole}",
+        "Disjoint: shape=None formula=2",
+        f"primitive Disjoint: {not_whole}",
+    )
+    assert report_to_json_dict(report)["cases"][DISJOINT]["shape"] is None
+
+    monkeypatch.undo()
+    monkeypatch.setattr(census_module, "brute_force_enumerate", lambda n: brute)
+    report = census(5)
+    assert report.case_counts(DISJOINT) == census_module.CaseCounts(2, None, 2)
+    assert report.primitive_disjoint_count == 2
+    assert report.discrepancies == (
+        f"Disjoint brute: {not_whole}",
+        "Disjoint: shape=2 brute=None",
+        "Disjoint: brute=None formula=2",
+    )
 
 
 def test_size_guards():

@@ -281,6 +281,30 @@ def test_census_env_bound(monkeypatch):
     assert [render(run(argv), as_json=True) for argv in argvs] == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--n", "{}"],
+        ["zannier", "--n", "{}", "--d", "2"],
+        ["zannier", "--n", "4", "--d", "{}"],
+        ["power", "--m", "{}", "--A", "t^2", "--B", "1", "--D", "t^4-1"],
+    ],
+    ids=["census --n", "zannier --n", "zannier --d", "power --m"],
+)
+def test_integer_options_read_the_rational_grammar(argv, capsys):
+    def with_value(text):
+        return [arg.format(text) for arg in argv]
+
+    assert run(with_value("3")).status == "Ok"
+    assert run(with_value(" +3 ")) == run(with_value("3"))
+    for text in ("1_0", "3.0", "0x3", "1e1"):
+        result = run(with_value(text))
+        assert result.status == "Error", text
+        assert any(repr(text) in d for d in result.diagnostics), text
+        assert main(with_value(text)) == 2
+    capsys.readouterr()
+
+
 def test_census_route_flags_exclude_each_other(capsys):
     argv = ["census", "--n", "3", "--brute-force", "--no-brute-force"]
     result = run(argv)
