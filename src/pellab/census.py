@@ -300,10 +300,7 @@ def closed_formulas(n: int) -> dict[str, int]:
     intermediate sums C1 and C2."""
     if n < 2:
         raise ValueError("census needs n >= 2")
-    c1 = 0
-    for h in range(1, n - 2):
-        for k in range(h + 2, 2 * n - 4 - h + 1, 2):
-            c1 += n - 1 - (k + h) // 2
+    c1 = math.comb(n - 1, 3)
     c2 = n // 2 - 1 if n % 2 == 0 else 0
     four = c1 // 2 if n % 2 == 1 else (c1 + c2) // 2
     return {

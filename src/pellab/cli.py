@@ -152,12 +152,12 @@ def _cmd_seed(args) -> CommandResult:
 
 
 def _cmd_power(args) -> CommandResult:
+    if args.m < 1:
+        raise _ParserError("--m must be >= 1")
     A, B, D = _read_solution(args)
     base = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
     if isinstance(base, pellcore.RejectionReason):
         return _rejection(base)
-    if args.m < 1:
-        raise _ParserError("--m must be >= 1")
     powered = pellcore.power_solution(base, args.m)
     return CommandResult(OK, _solution_payload(powered), [])
 

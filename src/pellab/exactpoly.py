@@ -307,12 +307,14 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     if p.degree == 0:
         return []
     out: list[tuple[int, Poly]] = []
-    g = gcd(p, derivative(p))
-    c = exact_div(p.monic(), g)
-    d = exact_div(derivative(p.monic()), g) - derivative(c)
+    q = p.monic()
+    dq = derivative(q)
+    g = gcd(q, dq)
+    c = exact_div(q, g)
+    d = exact_div(dq, g) - derivative(c)
     i = 1
     while c.degree > 0:
-        y = gcd(c, d) if not d.is_zero else c.monic()
+        y = gcd(c, d)
         if y.degree > 0:
             out.append((i, y))
         c = exact_div(c, y)

@@ -32,9 +32,7 @@ from .exactpoly import (
     constant,
     derivative,
     divrem,
-    exact_div,
     gcd,
-    poly_sqrt,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -172,24 +170,26 @@ def generate_from_seed(
     A: Poly, allow_d1: bool = False
 ) -> Union[PellSolution, RejectionReason]:
     """Split A^2 - 1 = D * B^2 with D the monic product of odd-multiplicity
-    factors; every square factor lands in B."""
+    factors; every square factor lands in B.  A^2 - 1 = (A - 1)(A + 1), and
+    the two factors differ by 2, so they are coprime and their squarefree
+    decompositions, each of degree n, together make that of A^2 - 1: a
+    factor fac of multiplicity mult goes into D when mult is odd, and
+    B = |lc A| * prod fac^(mult // 2).
+
+    >>> from pellab.exactpoly import parse_poly
+    >>> generate_from_seed(parse_poly("2*t^3 - 1"))
+    PellSolution(A=Poly('2*t^3 - 1'), B=Poly('2*t'), D=Poly('t^4 - t'), n=3, d=2)
+    """
     if A.degree < 1:
         raise DegreeTooSmall("seed must be nonconstant")
-    U = A * A - ONE
-    D = ONE
-    for mult, fac in squarefree_decomposition(U):
-        if mult % 2 != 0:
-            D = D * fac
-    if D.degree % 2 != 0:
-        return RejectionReason(
-            ODD_DEGREE_D,
-            f"odd-multiplicity part of A^2 - 1 has odd degree {D.degree}",
-        )
+    D, B = ONE, constant(abs(A.leading))
+    for half in (A - ONE, A + ONE):
+        for mult, fac in squarefree_decomposition(half):
+            if mult % 2:
+                D = D * fac
+            B = B * fac ** (mult // 2)
     if (small := _below_degree_floor(D, allow_d1)) is not None:
         return small
-    B = poly_sqrt(exact_div(U, D))
-    if B is None:
-        raise AssertionError("odd-multiplicity split must leave a square cofactor")
     return PellSolution(A=A, B=B, D=D, n=A.degree, d=D.degree // 2)
 
 

@@ -4,16 +4,22 @@ no command reaches it.
 The census counts conjugacy classes by orbit counting and never builds one.
 The key-based grouping below builds every class, so the tests check the
 counts against it.
+
+The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
+reads D and B from their decompositions.  The whole-unit seed below
+decomposes A^2 - 1 itself and takes B as the square root of the cofactor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from pellab import permgroup as pg
 from pellab.census import CASES, DISJOINT, _case_of_split, _tuple_sort_key, enumerate_shapes
+from pellab.exactpoly import ONE, Poly, exact_div, poly_sqrt, squarefree_decomposition
 from pellab.hurwitz import HurwitzTuple, common_fixed
+from pellab.pellcore import PellSolution, RejectionReason, _below_degree_floor
 
 
 def canonical_key(t: HurwitzTuple):
@@ -65,3 +71,19 @@ def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
     disjoint = [t for p, t in enumerate_shapes(n) if p.case == DISJOINT]
     primitive = primitive_classes(conjugacy_classes(disjoint), n)
     return len(primitive), primitive
+
+
+def seed_by_whole_unit(A: Poly, allow_d1: bool = False) -> Union[PellSolution, RejectionReason]:
+    """generate_from_seed's answer from A^2 - 1 as one polynomial: D is the
+    product of its odd-multiplicity factors, B the square root of
+    (A^2 - 1) / D with positive leading coefficient."""
+    U = A * A - ONE
+    D = ONE
+    for mult, fac in squarefree_decomposition(U):
+        if mult % 2:
+            D = D * fac
+    if (small := _below_degree_floor(D, allow_d1)) is not None:
+        return small
+    B = poly_sqrt(exact_div(U, D))
+    assert B is not None, "odd-multiplicity split must leave a square cofactor"
+    return PellSolution(A=A, B=B, D=D, n=A.degree, d=D.degree // 2)

@@ -335,6 +335,21 @@ def test_closed_formulas_values():
     assert closed_formulas(8)[FOUR_CYCLE] == 19
 
 
+def c1_double_sum(n):
+    """C1 as the counting argument's double sum over the Four-cycle
+    layouts (h, k)."""
+    c1 = 0
+    for h in range(1, n - 2):
+        for k in range(h + 2, 2 * n - 4 - h + 1, 2):
+            c1 += n - 1 - (k + h) // 2
+    return c1
+
+
+def test_closed_formula_c1_matches_double_sum():
+    for n in range(2, 201):
+        assert closed_formulas(n)["C1"] == c1_double_sum(n), n
+
+
 def test_census_counts_agree_three_ways():
     for n in range(2, 9):
         report = census(n)

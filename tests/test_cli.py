@@ -131,6 +131,11 @@ def test_seed_and_power_and_file_round_trip(tmp_path):
 
     bad = run(["power", "--m", "0", "--file", str(path)])
     assert bad.status == "Error"
+    # --m is refused before the solution is read, so a non-unit is an Error
+    # too, not a NotUnit rejection.
+    bad = run(["power", "--m", "0", "--A", "t", "--B", "1", "--D", "t^2"])
+    assert (bad.status, bad.diagnostics) == ("Error", ["--m must be >= 1"])
+    assert main(["power", "--m", "0", "--A", "t", "--B", "1", "--D", "t^2"]) == 2
 
 
 def test_decompose_flags_rational_primitive():

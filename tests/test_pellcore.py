@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from pellab import pellcore
 from pellab.exactpoly import (
     ONE,
     X,
@@ -20,6 +21,7 @@ from pellab.exactpoly import (
     discriminant,
     parse_poly,
     rat_nth_root,
+    squarefree_decomposition,
 )
 from pellab.pellcore import (
     NON_SQUAREFREE_D,
@@ -38,6 +40,8 @@ from pellab.pellcore import (
     verify_branch_locus_in,
     verify_pell,
 )
+
+from oracles import seed_by_whole_unit
 
 
 def chebyshev_closed_form(n: int) -> Poly:
@@ -441,6 +445,43 @@ def test_value_arguments_read_exact_inputs_only():
             ramification_type(f4, text)
         with pytest.raises(ValueError):
             verify_branch_locus_in(f4, [text])
+
+
+small_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly).filter(
+    lambda p: not p.is_zero
+)
+seed_scales = st.one_of(
+    st.just(Fraction(1)),
+    st.just(Fraction(-1)),
+    st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 40)),
+)
+
+
+@given(small_polys, small_polys, st.sampled_from((1, -1)), seed_scales)
+def test_seed_matches_whole_unit_oracle(S, R, unit, c):
+    # A = +-1 + S^2 R has a square factor S^2 in A -+ 1; scaling A by c
+    # (negative c flips the leading sign) usually leaves no square factor.
+    A = (constant(unit) + S * S * R).scale(c)
+    assume(A.degree >= 1)
+    for allow_d1 in (False, True):
+        assert generate_from_seed(A, allow_d1) == seed_by_whole_unit(A, allow_d1)
+
+
+def test_seed_decomposes_only_at_degree_n(monkeypatch):
+    # The seed decomposes A - 1 and A + 1 (degree n), never A^2 - 1 (2n).
+    degrees = []
+
+    def recording(p):
+        degrees.append(p.degree)
+        return squarefree_decomposition(p)
+
+    monkeypatch.setattr(pellcore, "squarefree_decomposition", recording)
+    S = Poly([3, -1, 2])
+    A = ONE + S * S * Poly([1, 0, 5])
+    out = generate_from_seed(A, allow_d1=True)
+    assert isinstance(out, PellSolution)
+    assert out.D * out.B * out.B == A * A - ONE
+    assert degrees and max(degrees) <= A.degree
 
 
 def test_seed_odd_multiplicity_locus_has_degree_2d():
