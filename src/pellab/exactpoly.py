@@ -8,14 +8,17 @@ meaningful, and equal polynomials have equal stored pairs.
 
 The kernels read and write the stored integers directly; fractions.Fraction
 appears only at the API edge (coeffs, coeff, leading, evaluation, parsing
-and printing).  A product convolves the numerators.  Division is
+and printing).  A product convolves the numerators.  Composition runs
+Horner on the numerators of the inner polynomial, with the powers of its
+denominator folded into the outer coefficients.  Division is
 pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
 deg b + 1).  The gcd and the resultant follow the primitive remainder
 sequence: each pseudo-remainder is divided by its content, the gcd of its
 coefficients, so the coefficients stay small.  Each result is reduced once,
-by one gcd of its denominator and numerators.  Exact integer m-th roots use
-an integer Newton iteration, and every sequence runs in a loop, so nothing
-depends on float range or on the recursion limit.
+by one gcd of its denominator and numerators.  The series m-th root keeps
+its coefficients as integer numerators over one common denominator.  Exact
+integer m-th roots use an integer Newton iteration, and every sequence runs
+in a loop, so nothing depends on float range or on the recursion limit.
 """
 
 from __future__ import annotations
@@ -142,13 +145,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.nums, other.nums
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return _poly(out, self.den * other.den)
+        return _poly(_convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, k: RatLike) -> "Poly":
         k = _rat(k)
@@ -157,13 +154,13 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = ONE
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return ONE
+        acc = self
+        for bit in bin(n)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     def shift(self, k: int) -> "Poly":
@@ -175,6 +172,16 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists, untrimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
 
 
 def _poly(nums: list[int], den: int = 1) -> Poly:
@@ -283,11 +290,20 @@ def derivative(p: Poly) -> Poly:
 
 
 def compose(p: Poly, q: Poly) -> Poly:
-    """p(q(t)) by Horner in q on the numerators of p, over p.den once."""
-    acc = ZERO
-    for c in reversed(p.nums):
-        acc = acc * q + _poly([c])
-    return _poly(list(acc.nums), acc.den * p.den)
+    """p(q(t)) by Horner on the numerators.  With d = deg p and q = Q/e,
+    e^d * p.den * p(q) = sum_i p.nums[i] * e^(d-i) * Q^i, so each step is
+    acc <- acc*Q + p.nums[i]*e^(d-i) on integers, and the result is
+    reduced once, over p.den * e^d."""
+    if p.is_zero:
+        return ZERO
+    qs = q.nums or (0,)  # a zero q as the constant 0, so acc keeps its constant term
+    acc = [p.nums[-1]]
+    power = 1  # e^(d-i) at step i
+    for c in reversed(p.nums[:-1]):
+        acc = _convolve(acc, qs)
+        power *= q.den
+        acc[0] += c * power
+    return _poly(acc, p.den * power)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -402,23 +418,40 @@ def rat_nth_root(x: Rat, m: int) -> Optional[Rat]:
     return -r if neg else r
 
 
-def _series_root(top: Sequence[Rat], m: int) -> Optional[Poly]:
+def _series_root(top: Sequence[int], lead: Rat, m: int) -> Optional[Poly]:
     """The polynomial P of degree h = len(top) - 1 whose m-th power begins
-    with the coefficients top, highest first; None when top[0] has no
-    rational m-th root (even m takes the positive one).
+    with the coefficients alpha_0..alpha_h, highest first.  top holds
+    integers proportional to them, and lead is alpha_0 itself.  None when
+    lead has no rational m-th root (even m takes the positive one).
 
-    Read as series in s = 1/t, top is alpha(s) and t^(-h) * P is p(s), so
+    Read as series in s = 1/t, alpha is alpha(s) and t^(-h) * P is p(s), so
     p = alpha^(1/m) mod s^(h+1), by Miller's recurrence for powers of a
     series: p_k = sum_{j=1..k} ((m+1)j - mk) alpha_j p_(k-j) / (m k alpha_0).
-    The caller certifies the candidate."""
-    a = rat_nth_root(top[0], m)
+    Only the ratios alpha_j / alpha_0 = top[j] / top[0] enter, and p_0..p_k
+    are kept as integer numerators over their least common denominator: if
+    that is den before step k, the sum S over the numerators gives
+    p_k = S / (den * c) with c = m k top[0], and den grows by the factor
+    c / gcd(S, c).  The caller certifies the candidate."""
+    a = rat_nth_root(lead, m)
     if a is None:
         return None
-    p = [a]
+    if top[0] < 0:  # only the ratios enter; a positive top[0] keeps den positive
+        top = [-x for x in top]
+    nums = [a.numerator]
+    den = a.denominator
     for k in range(1, len(top)):
-        acc = sum(((m + 1) * j - m * k) * top[j] * p[k - j] for j in range(1, k + 1) if top[j])
-        p.append(acc / (m * k * top[0]))
-    return Poly(reversed(p))
+        acc = 0
+        for j in range(1, k + 1):
+            if top[j]:
+                acc += ((m + 1) * j - m * k) * top[j] * nums[k - j]
+        c = m * k * top[0]
+        g = math.gcd(acc, c)
+        grow = c // g
+        if grow != 1:
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums.append(acc // g)
+    return _poly(nums[::-1], den)
 
 
 def poly_sqrt(p: Poly) -> Optional[Poly]:
@@ -428,8 +461,7 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
         return ZERO
     if p.degree % 2 != 0:
         return None
-    k = p.degree // 2
-    root = _series_root([p.coeff(2 * k - i) for i in range(k + 1)], 2)
+    root = _series_root(p.nums[p.degree // 2 :][::-1], p.leading, 2)
     if root is not None and root * root == p:
         return root
     return None

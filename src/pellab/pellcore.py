@@ -26,7 +26,6 @@ from .exactpoly import (
     ONE,
     DegreeTooSmall,
     Poly,
-    Rat,
     _series_root,
     compose,
     constant,
@@ -199,7 +198,10 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
     With h = n/m, the top h+1 coefficients of T_m(P) are those of
     2^(m-1) P^m, so P is the truncated m-th root of target / 2^(m-1) read
     from the top coefficient (exactpoly._series_root).  The candidate is
-    confirmed by full composition."""
+    confirmed by full composition.  One target suffices: for odd m, T_m is
+    odd and the root of -A is minus the root of A, so -A has a root exactly
+    when A has; for even m, T_m(P) has a positive leading coefficient, so
+    the target is whichever of A and -A has one."""
     if m < 1:
         raise ValueError("root index must be >= 1")
     if m == 1:
@@ -207,12 +209,10 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
     n = A.degree
     if n < 1 or n % m != 0:
         return None
-    lead_unit = Rat(2) ** (m - 1)
-    for eps in (1, -1):
-        target = A.scale(eps)
-        candidate = _series_root([target.coeff(n - i) / lead_unit for i in range(n // m + 1)], m)
-        if candidate is not None and compose(chebyshev(m), candidate) == target:
-            return candidate
+    target = -A if m % 2 == 0 and A.nums[-1] < 0 else A
+    candidate = _series_root(target.nums[n - n // m :][::-1], target.leading / 2 ** (m - 1), m)
+    if candidate is not None and compose(chebyshev(m), candidate) == target:
+        return candidate
     return None
 
 

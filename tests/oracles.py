@@ -8,16 +8,30 @@ counts against it.
 The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
 decomposes A^2 - 1 itself and takes B as the square root of the cofactor.
+
+The series root and composition run on integer numerators.  Below, the
+same recurrence runs on Fractions, and composition is Horner on reduced
+Poly values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from pellab import permgroup as pg
 from pellab.census import CASES, DISJOINT, _case_of_split, _tuple_sort_key, enumerate_shapes
-from pellab.exactpoly import ONE, Poly, exact_div, poly_sqrt, squarefree_decomposition
+from pellab.exactpoly import (
+    ONE,
+    ZERO,
+    Poly,
+    Rat,
+    constant,
+    exact_div,
+    poly_sqrt,
+    rat_nth_root,
+    squarefree_decomposition,
+)
 from pellab.hurwitz import HurwitzTuple, common_fixed
 from pellab.pellcore import PellSolution, RejectionReason, _below_degree_floor
 
@@ -87,3 +101,26 @@ def seed_by_whole_unit(A: Poly, allow_d1: bool = False) -> Union[PellSolution, R
     B = poly_sqrt(exact_div(U, D))
     assert B is not None, "odd-multiplicity split must leave a square cofactor"
     return PellSolution(A=A, B=B, D=D, n=A.degree, d=D.degree // 2)
+
+
+def series_root_by_fractions(top: Sequence[Rat], m: int) -> Optional[Poly]:
+    """_series_root's answer from the coefficients top themselves, highest
+    first, by Miller's recurrence with a Fraction per product and sum:
+    p_k = sum_{j=1..k} ((m+1)j - mk) top[j] p_(k-j) / (m k top[0])."""
+    a = rat_nth_root(top[0], m)
+    if a is None:
+        return None
+    p = [a]
+    for k in range(1, len(top)):
+        acc = sum(((m + 1) * j - m * k) * top[j] * p[k - j] for j in range(1, k + 1) if top[j])
+        p.append(acc / (m * k * top[0]))
+    return Poly(reversed(p))
+
+
+def compose_by_fractions(p: Poly, q: Poly) -> Poly:
+    """p(q(t)) by Horner on Poly values, acc <- acc*q + c over the
+    coefficients c of p, highest first, each step a reduced Poly."""
+    acc = ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * q + constant(c)
+    return acc

@@ -18,6 +18,7 @@ from pellab.exactpoly import (
     Poly,
     PolyParseError,
     ZeroInput,
+    _series_root,
     compose,
     constant,
     derivative,
@@ -38,6 +39,8 @@ from pellab.exactpoly import (
     to_coeff_strings,
 )
 from pellab.pellcore import chebyshev
+
+from oracles import compose_by_fractions, series_root_by_fractions
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, max_size=6).map(Poly)
@@ -141,6 +144,32 @@ def test_arithmetic_basics():
     assert p(Fraction(2)) == 1 + 4 + 12
     assert p.scale(Fraction(1, 2)) == Poly([Fraction(1, 2), 1, Fraction(3, 2)])
     assert Poly([0, 0, 1]).shift(2) == Poly([0, 0, 0, 0, 1])
+
+
+@given(polys, st.integers(0, 9))
+def test_power_is_repeated_product(p, e):
+    expected = ONE
+    for _ in range(e):
+        expected = expected * p
+    assert p**e == expected
+
+
+def test_power_multiplies_only_as_needed(monkeypatch):
+    p = Poly([Fraction(1, 3), -2, 5])
+    mul = Poly.__mul__
+    products = []
+
+    def counting(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    counts = []
+    for e in range(1, 5):
+        products.clear()
+        p**e
+        counts.append(len(products))
+    assert counts == [0, 1, 2, 2]
 
 
 def test_divrem_and_exact_div():
@@ -303,6 +332,15 @@ def test_compose_associates(a, b, c):
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
+@given(st.one_of(wide_polys, rational_polys), st.one_of(wide_polys, rational_polys))
+@example(Poly([Fraction(-(2**90), 3), 1, Fraction(5, 2**66)]), ZERO)
+@example(Poly([Fraction(7, 2**80)]), neg_lead)
+@example(neg_lead, Poly([Fraction(1, 3), Fraction(-5, 2**64 + 1)]))
+def test_compose_matches_fraction_horner(p, q):
+    assert compose(p, q) == compose_by_fractions(p, q)
+    assert compose(p, ZERO) == constant(p.coeff(0))
+
+
 @given(nonzero_polys)
 def test_poly_sqrt_of_square(p):
     root = poly_sqrt(p * p)
@@ -314,6 +352,13 @@ def test_poly_sqrt_rejects_nonsquare():
     assert poly_sqrt(Poly([1, 1])) is None
     assert poly_sqrt(Poly([0, 1, 1])) is None
     assert poly_sqrt(ZERO) == ZERO
+
+
+def test_poly_sqrt_of_constants():
+    assert poly_sqrt(Poly([4])) == constant(2)
+    assert poly_sqrt(Poly([Fraction(1, 9)])) == constant(Fraction(1, 3))
+    assert poly_sqrt(Poly([-4])) is None
+    assert poly_sqrt(Poly([2])) is None
 
 
 def loop_poly_sqrt(p: Poly):
@@ -344,6 +389,39 @@ def loop_poly_sqrt(p: Poly):
 def test_poly_sqrt_matches_convolution_loop(q, r):
     for p in (q * q, q * q + r, q):
         assert poly_sqrt(p) == loop_poly_sqrt(p)
+
+
+@given(
+    st.integers(2, 7),
+    wide_rationals.filter(bool),
+    st.sampled_from([1, 2, -1]),
+    st.lists(st.one_of(st.just(Fraction(0)), wide_rationals), max_size=5),
+    st.booleans(),
+)
+@example(3, Fraction(1), 1, [Fraction(0)], False)
+@example(2, Fraction(-(2**70), 3), -1, [Fraction(0), Fraction(5, 2**66)], True)
+def test_series_root_matches_fraction_recurrence(m, r, factor, rest, planted):
+    # A planted top is the top of root**m.  Otherwise the lead is factor *
+    # r**m, with no m-th root for factor 2 or for -1 with m even, and the
+    # rest is arbitrary: the candidate's m-th power then begins with top,
+    # but below it seldom matches any given polynomial, so the caller's
+    # certificate rejects it.
+    if planted:
+        root = Poly([*reversed(rest), r])
+        power = root**m
+        top = [power.coeff(power.degree - i) for i in range(len(rest) + 1)]
+    else:
+        top = [factor * r**m, *rest]
+    numerators = Poly(reversed(top)).nums[::-1]
+    got = _series_root(numerators, top[0], m)
+    assert got == series_root_by_fractions(top, m)
+    if planted:
+        assert got in (root, -root)
+    elif factor == 2 or (factor == -1 and m % 2 == 0):
+        assert got is None
+    if got is not None:
+        power = got**m
+        assert [power.coeff(power.degree - i) for i in range(len(top))] == top
 
 
 def test_rat_nth_root():

@@ -337,6 +337,25 @@ def test_extract_mth_root_examples():
     assert extract_mth_root(compose(chebyshev(5), big), 5) == big
 
 
+def test_extract_mth_root_composes_once(monkeypatch):
+    # For odd m the root of -A is minus the root of A; for even m only the
+    # sign with a positive leading coefficient can be T_m of anything.
+    calls = []
+    real = pellcore.compose
+
+    def counting(p, q):
+        calls.append(q)
+        return real(p, q)
+
+    monkeypatch.setattr(pellcore, "compose", counting)
+    assert extract_mth_root(parse_poly("4*t^3 + t"), 3) is None
+    assert len(calls) == 1
+    calls.clear()
+    root = Poly([1, 2])
+    assert extract_mth_root(-compose(chebyshev(4), root), 4) == root
+    assert len(calls) == 1
+
+
 @given(
     st.integers(min_value=2, max_value=4),
     st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda c: c[-1] != 0),
