@@ -499,7 +499,10 @@ def parse_rational(text: str) -> Rat:
     """
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
-    return Rat(text)
+    try:
+        return Rat(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError("zero denominator") from None
 
 
 def parse_integer(text: str) -> int:

@@ -67,9 +67,9 @@ class PowerClassification:
     """Which admissible exponents m have a rational Chebyshev root of A.
 
     admissible_m holds every candidate (see admissible_exponents); witnesses
-    only the m where extraction succeeded.  primitive means no witness, i.e.
-    primitive over the rationals; a root might still exist with irrational
-    coefficients.
+    maps each m that has a rational root to that root.  primitive means no
+    witness, i.e. primitive over the rationals; a root might still exist
+    with irrational coefficients.
     """
 
     n: int
@@ -132,22 +132,6 @@ def chebyshev(m: int) -> Poly:
         c = m * math.comb(m - k, k) * 2 ** (m - 2 * k) // (2 * (m - k))
         coeffs[m - 2 * k] = -c if k % 2 else c
     return Poly(coeffs)
-
-
-def power_polynomial(m: int) -> Poly:
-    """Degree-m polynomial f with f(t^2) = T_m(t)^2, from the closed even/odd
-    formulas (not from chebyshev; the composition identity is a test)."""
-    if m < 1:
-        raise ValueError("power polynomial index must be >= 1")
-    k = m // 2
-    w = Poly([0, 1])
-    w1 = Poly([-1, 1])
-    inner = Poly([0])
-    for j in range(0, k + 1):
-        inner = inner + (w1**j * w ** (k - j)).scale(math.comb(m, 2 * j))
-    if m % 2 == 0:
-        return inner * inner
-    return w * inner * inner
 
 
 def power_solution(sol: PellSolution, m: int) -> PellSolution:
@@ -217,11 +201,15 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
 
 
 def classify_powers(sol: PellSolution) -> PowerClassification:
-    """Try every admissible exponent; primitive when none has a rational
-    root."""
+    """Try the admissible exponents; primitive when none has a rational
+    root.  T_ab = T_a o T_b, so a root for m gives one for every divisor of
+    m (each admissible too): m is tried only when every smaller admissible
+    divisor has a witness."""
     candidates = admissible_exponents(sol.n, sol.d)
     witnesses: dict[int, Poly] = {}
     for m in candidates:
+        if not all(m % k or k in witnesses for k in candidates if k < m):
+            continue
         root = extract_mth_root(sol.A, m)
         if root is not None:
             witnesses[m] = root

@@ -1,9 +1,11 @@
-"""Permutations on {1..N}, block systems, and a small dihedral recognizer.
+"""Permutations on {1..N}: products, cycles, the rotation relabel, cycle
+text, and the ell-block imprimitivity test.
 
 A Perm stores the image tuple one-based: p(i) == images[i-1].  Composition
 follows (a * b)(x) = a(b(x)), so the right factor acts first; chain() is the
 opposite reading (first listed acts first) for products given in application
-order.  Conjugation is conjugate(a, g) = g^-1 * a * g.
+order.  rotate(a, s) is the conjugation g^-1 * a * g by g = c**s, c the
+descending N-cycle.
 """
 
 from __future__ import annotations
@@ -16,22 +18,6 @@ from typing import Iterable, Optional, Sequence
 
 class SizeMismatch(ValueError):
     """Operands act on different point counts."""
-
-
-class NotADivisor(ValueError):
-    """Block count must divide the point count."""
-
-
-class NeedFullCycle(ValueError):
-    """No generator is a single N-cycle."""
-
-
-class NotPreserved(ValueError):
-    """A generator does not map blocks to blocks."""
-
-
-class ClosureOverflow(RuntimeError):
-    """Generated group exceeded the closure bound."""
 
 
 class CycleParseError(ValueError):
@@ -142,15 +128,8 @@ def inverse(a: Perm) -> Perm:
     return _unchecked(tuple(imgs))
 
 
-def conjugate(a: Perm, g: Perm) -> Perm:
-    """g^-1 * a * g."""
-    if a.size != g.size:
-        raise SizeMismatch(f"sizes {a.size} and {g.size} differ")
-    return compose(inverse(g), compose(a, g))
-
-
 def rotate(a: Perm, s: int) -> Perm:
-    """conjugate(a, c**s) for the descending N-cycle c (i to i-1, 1 to N) in
+    """c^-s * a * c^s for the descending N-cycle c (i to i-1, 1 to N) in
     closed form, the relabel x -> x + s: x maps to a(x - s) + s, mod N in 1..N.
     The images of a, cyclically shifted by s places, go through the table
     (0, s+1, ..., N, 1, ..., s).
@@ -205,11 +184,6 @@ def fixed_points(p: Perm) -> frozenset[int]:
     return frozenset(i for i, x in enumerate(p.images, start=1) if x == i)
 
 
-def branching(p: Perm) -> int:
-    """Sum of (length - 1) over all cycles."""
-    return _branching(cycles(p))
-
-
 def _branching(nontrivial_cycles: list[tuple[int, ...]]) -> int:
     return sum(len(c) - 1 for c in nontrivial_cycles)
 
@@ -235,6 +209,15 @@ def is_transitive(perms: Sequence[Perm], n: int) -> bool:
                 seen[y] = True
                 stack.append(y)
     return all(seen[1:])
+
+
+# The block layer stays in src only as perfbench's profile oracle; ROADMAP item 7 moves it.
+class NotADivisor(ValueError):
+    """Block count must divide the point count."""
+
+
+class NeedFullCycle(ValueError):
+    """No generator is a single N-cycle."""
 
 
 @dataclass(frozen=True)
@@ -263,16 +246,6 @@ class BlockPartition:
         return [set(b) for b in self.blocks]
 
 
-def congruence_partition(N: int, ell: int) -> BlockPartition:
-    """Blocks by residue: label h holds {j : j = h (mod ell)}, h = 1..ell."""
-    if ell < 1 or N % ell != 0:
-        raise NotADivisor(f"{ell} does not divide {N}")
-    blocks = tuple(
-        frozenset(range(h, N + 1, ell)) for h in range(1, ell + 1)
-    )
-    return BlockPartition(N, ell, blocks)
-
-
 def preserves_partition(p: Perm, part: BlockPartition) -> Optional[Perm]:
     """Induced permutation of block labels, or None when some block is
     split."""
@@ -297,8 +270,8 @@ def is_ell_imprimitive(perms: Sequence[Perm], ell: int) -> Optional[BlockPartiti
 
     The first full cycle among the generators is the designated one; its
     block through any point is the orbit of that point under the cycle's
-    ell-th power.  Labels follow congruence_partition when the designated
-    cycle already sends each point to its predecessor.
+    ell-th power.  When the designated cycle sends each point to its
+    predecessor, label h holds the residue class {j : j = h (mod ell)}.
     """
     if not perms:
         raise NeedFullCycle("no generators")
@@ -320,100 +293,6 @@ def is_ell_imprimitive(perms: Sequence[Perm], ell: int) -> Optional[BlockPartiti
         if preserves_partition(p, part) is None:
             return None
     return part
-
-
-def induced_block_action(perms: Sequence[Perm], part: BlockPartition) -> list[Perm]:
-    """Image of each generator on block labels; NotPreserved if any splits a
-    block."""
-    out = []
-    for i, p in enumerate(perms):
-        q = preserves_partition(p, part)
-        if q is None:
-            raise NotPreserved(f"generator {i} does not preserve the partition")
-        out.append(q)
-    return out
-
-
-def closure(perms: Sequence[Perm], max_size: int) -> list[Perm]:
-    """All products of the generators, or ClosureOverflow past max_size."""
-    if not perms:
-        raise ValueError("need at least one generator")
-    n = perms[0].size
-    for p in perms:
-        if p.size != n:
-            raise SizeMismatch("mixed generator sizes")
-    seen = {identity(n).images}
-    frontier = [identity(n)]
-    elements = [identity(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = compose(p, g)
-                if h.images not in seen:
-                    seen.add(h.images)
-                    if len(seen) > max_size:
-                        raise ClosureOverflow(f"closure exceeded {max_size} elements")
-                    elements.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return elements
-
-
-def _order_of(p: Perm) -> int:
-    k = 1
-    q = p
-    e = identity(p.size)
-    while q != e:
-        q = compose(q, p)
-        k += 1
-    return k
-
-
-def is_dihedral_of_order(
-    perms: Sequence[Perm],
-    order: int,
-    r: Optional[Perm] = None,
-    s: Optional[Perm] = None,
-    max_size: Optional[int] = None,
-) -> bool:
-    """Whether the generated group is dihedral of the given order, with r of
-    order order/2, s an involution outside <r>, and (s*r)^2 = id.  When r and
-    s are omitted, any such pair inside the group qualifies."""
-    if order < 2 or order % 2 != 0:
-        return False
-    m = order // 2
-    if max_size is None:
-        max_size = 10 * m
-    group = closure(perms, max_size)
-    if len(group) != order:
-        return False
-    e = identity(perms[0].size)
-
-    def fits(rc: Perm, sc: Perm) -> bool:
-        if _order_of(rc) != m or sc == e:
-            return False
-        if compose(sc, sc) != e:
-            return False
-        sr = compose(sc, rc)
-        if compose(sr, sr) != e:
-            return False
-        powers = {(rc**k).images for k in range(m)}
-        return sc.images not in powers
-
-    if r is not None and s is not None:
-        if r.images not in {g.images for g in group}:
-            return False
-        if s.images not in {g.images for g in group}:
-            return False
-        return fits(r, s)
-    for rc in group:
-        if _order_of(rc) != m:
-            continue
-        for sc in group:
-            if fits(rc, sc):
-                return True
-    return False
 
 
 # -- text form ---------------------------------------------------------------

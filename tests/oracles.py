@@ -12,6 +12,21 @@ decomposes A^2 - 1 itself and takes B as the square root of the cofactor.
 The series root and composition run on integer numerators.  Below, the
 same recurrence runs on Fractions, and composition is Horner on reduced
 Poly values.
+
+classify_powers skips every m that has an admissible divisor without a
+root, since T_ab = T_a o T_b.  classify_powers_every_m tries every
+admissible m.
+
+The commands answer with permgroup's products, rotation and cycle walk and
+with hurwitz's residue-congruence power test.  The permutation layer below
+reaches the same facts another way: conjugate as g^-1 * a * g, branching
+from the cycles, and the paper's block criterion for the profile, with
+congruence block systems (congruence_partition), their induced label
+actions (induced_block_action, NotPreserved), the bounded group closure
+(closure, ClosureOverflow) and the dihedral recognizer
+(is_dihedral_of_order, _order_of).  power_polynomial, the f with
+f(t^2) = T_m(t)^2, is built from its closed formulas for the ramification
+tests.
 """
 
 from __future__ import annotations
@@ -33,7 +48,26 @@ from pellab.exactpoly import (
     squarefree_decomposition,
 )
 from pellab.hurwitz import HurwitzTuple, common_fixed
-from pellab.pellcore import PellSolution, RejectionReason, _below_degree_floor
+from pellab.pellcore import (
+    PellSolution,
+    PowerClassification,
+    RejectionReason,
+    _below_degree_floor,
+    admissible_exponents,
+    extract_mth_root,
+)
+from pellab.permgroup import (
+    BlockPartition,
+    NotADivisor,
+    Perm,
+    SizeMismatch,
+    _branching,
+    compose,
+    cycles,
+    identity,
+    inverse,
+    preserves_partition,
+)
 
 
 def canonical_key(t: HurwitzTuple):
@@ -124,3 +158,156 @@ def compose_by_fractions(p: Poly, q: Poly) -> Poly:
     for c in reversed(p.coeffs):
         acc = acc * q + constant(c)
     return acc
+
+
+def classify_powers_every_m(sol: PellSolution) -> PowerClassification:
+    """classify_powers' answer from an extraction at every admissible m."""
+    candidates = admissible_exponents(sol.n, sol.d)
+    witnesses: dict[int, Poly] = {}
+    for m in candidates:
+        root = extract_mth_root(sol.A, m)
+        if root is not None:
+            witnesses[m] = root
+    return PowerClassification(
+        n=sol.n, admissible_m=frozenset(candidates), witnesses=witnesses
+    )
+
+
+def power_polynomial(m: int) -> Poly:
+    """Degree-m polynomial f with f(t^2) = T_m(t)^2, from the closed even/odd
+    formulas (not from chebyshev; the composition identity is a test)."""
+    if m < 1:
+        raise ValueError("power polynomial index must be >= 1")
+    k = m // 2
+    w = Poly([0, 1])
+    w1 = Poly([-1, 1])
+    inner = Poly([0])
+    for j in range(0, k + 1):
+        inner = inner + (w1**j * w ** (k - j)).scale(math.comb(m, 2 * j))
+    if m % 2 == 0:
+        return inner * inner
+    return w * inner * inner
+
+
+class NotPreserved(ValueError):
+    """A generator does not map blocks to blocks."""
+
+
+class ClosureOverflow(RuntimeError):
+    """Generated group exceeded the closure bound."""
+
+
+def conjugate(a: Perm, g: Perm) -> Perm:
+    """g^-1 * a * g."""
+    if a.size != g.size:
+        raise SizeMismatch(f"sizes {a.size} and {g.size} differ")
+    return compose(inverse(g), compose(a, g))
+
+
+def branching(p: Perm) -> int:
+    """Sum of (length - 1) over all cycles."""
+    return _branching(cycles(p))
+
+
+def congruence_partition(N: int, ell: int) -> BlockPartition:
+    """Blocks by residue: label h holds {j : j = h (mod ell)}, h = 1..ell."""
+    if ell < 1 or N % ell != 0:
+        raise NotADivisor(f"{ell} does not divide {N}")
+    blocks = tuple(
+        frozenset(range(h, N + 1, ell)) for h in range(1, ell + 1)
+    )
+    return BlockPartition(N, ell, blocks)
+
+
+def induced_block_action(perms: Sequence[Perm], part: BlockPartition) -> list[Perm]:
+    """Image of each generator on block labels; NotPreserved if any splits a
+    block."""
+    out = []
+    for i, p in enumerate(perms):
+        q = preserves_partition(p, part)
+        if q is None:
+            raise NotPreserved(f"generator {i} does not preserve the partition")
+        out.append(q)
+    return out
+
+
+def closure(perms: Sequence[Perm], max_size: int) -> list[Perm]:
+    """All products of the generators, or ClosureOverflow past max_size."""
+    if not perms:
+        raise ValueError("need at least one generator")
+    n = perms[0].size
+    for p in perms:
+        if p.size != n:
+            raise SizeMismatch("mixed generator sizes")
+    seen = {identity(n).images}
+    frontier = [identity(n)]
+    elements = [identity(n)]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for p in perms:
+                h = compose(p, g)
+                if h.images not in seen:
+                    seen.add(h.images)
+                    if len(seen) > max_size:
+                        raise ClosureOverflow(f"closure exceeded {max_size} elements")
+                    elements.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return elements
+
+
+def _order_of(p: Perm) -> int:
+    k = 1
+    q = p
+    e = identity(p.size)
+    while q != e:
+        q = compose(q, p)
+        k += 1
+    return k
+
+
+def is_dihedral_of_order(
+    perms: Sequence[Perm],
+    order: int,
+    r: Optional[Perm] = None,
+    s: Optional[Perm] = None,
+    max_size: Optional[int] = None,
+) -> bool:
+    """Whether the generated group is dihedral of the given order, with r of
+    order order/2, s an involution outside <r>, and (s*r)^2 = id.  When r and
+    s are omitted, any such pair inside the group qualifies."""
+    if order < 2 or order % 2 != 0:
+        return False
+    m = order // 2
+    if max_size is None:
+        max_size = 10 * m
+    group = closure(perms, max_size)
+    if len(group) != order:
+        return False
+    e = identity(perms[0].size)
+
+    def fits(rc: Perm, sc: Perm) -> bool:
+        if _order_of(rc) != m or sc == e:
+            return False
+        if compose(sc, sc) != e:
+            return False
+        sr = compose(sc, rc)
+        if compose(sr, sr) != e:
+            return False
+        powers = {(rc**k).images for k in range(m)}
+        return sc.images not in powers
+
+    if r is not None and s is not None:
+        if r.images not in {g.images for g in group}:
+            return False
+        if s.images not in {g.images for g in group}:
+            return False
+        return fits(r, s)
+    for rc in group:
+        if _order_of(rc) != m:
+            continue
+        for sc in group:
+            if fits(rc, sc):
+                return True
+    return False

@@ -39,14 +39,20 @@ from pellab.pellcore import (
     PellSolution,
     chebyshev,
     classify_powers,
-    power_polynomial,
     power_solution,
     verify_branch_locus_in,
     verify_pell,
 )
 from pellab.permgroup import Perm
 
-from oracles import conjugacy_classes, primitive_disjoint_classes
+from oracles import (
+    congruence_partition,
+    conjugacy_classes,
+    induced_block_action,
+    is_dihedral_of_order,
+    power_polynomial,
+    primitive_disjoint_classes,
+)
 
 ZERO_ONE = [Fraction(0), Fraction(1)]
 
@@ -264,15 +270,15 @@ def test_criterion_8_dihedral_quotients():
                 if m < 3:
                     continue
                 N = 2 * n
-                part = pg.congruence_partition(N, m)
-                acts = pg.induced_block_action(t.gens(), part)
+                part = congruence_partition(N, m)
+                acts = induced_block_action(t.gens(), part)
                 act0, actInf, act1 = acts[0], acts[1], acts[2]
                 assert actInf == Perm([m] + list(range(1, m)))
                 assert act1 == Perm([m - h for h in range(1, m)] + [m])
                 assert act0 == Perm(list(range(m, 0, -1)))
                 for extra in acts[3:]:
                     assert extra == pg.identity(m)
-                assert pg.is_dihedral_of_order(acts, 2 * m, r=actInf, s=act1)
+                assert is_dihedral_of_order(acts, 2 * m, r=actInf, s=act1)
                 seen += 1
     assert seen >= 12
     verdict(8, f"dihedral block quotients on {seen} tuple-exponent pairs", started)

@@ -46,6 +46,7 @@ from oracles import (
     canonical_key,
     classes_by_case,
     conjugacy_classes,
+    conjugate,
     primitive_disjoint_classes,
 )
 
@@ -128,9 +129,9 @@ def conjugation_canonical_key(t):
     for i0 in sorted(common_fixed(t)):
         g = base ** ((N - i0) % N)
         key = (
-            pg.conjugate(t.sigma0, g).images,
-            pg.conjugate(t.sigma1, g).images,
-            tuple(pg.conjugate(tau, g).images for tau in t.taus),
+            conjugate(t.sigma0, g).images,
+            conjugate(t.sigma1, g).images,
+            tuple(conjugate(tau, g).images for tau in t.taus),
         )
         if best is None or key < best:
             best = key

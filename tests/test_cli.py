@@ -17,7 +17,9 @@ from pellab.cli import CommandResult, build_parser, main, render, run
 from pellab.exactpoly import ONE, Poly, format_poly, from_coeff_strings, parse_poly
 from pellab.hurwitz import MAX_TUPLE_N, HurwitzTuple, tuple_to_json_dict, zannier_tuple
 from pellab.pellcore import power_solution, verify_pell
-from pellab.permgroup import Perm, conjugate
+from pellab.permgroup import Perm
+
+from oracles import conjugate
 
 
 def run_json(argv):
@@ -183,6 +185,24 @@ def test_exponent_form_rationals_are_bad_input(tmp_path):
     result = run(["verify", "--file", str(path)])
     assert result.status == "Error"
     assert any("bad coefficient '1e100000'" in d for d in result.diagnostics)
+
+
+def test_zero_denominator_is_named(tmp_path, capsys):
+    # Fraction's own message for 1/0 is "Fraction(1, 0)".
+    path = tmp_path / "sol.json"
+    solution = {"A": ["1/0"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]}
+    path.write_text(json.dumps(solution), encoding="utf-8")
+    for argv in (
+        ["ramify", "--f", "t^3 - 3*t", "--at", "1/0"],
+        ["ramify", "--f", "t^3 - 3*t", "--locus-in", "0,1/0"],
+        ["verify", "--file", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert "status: Error" in capsys.readouterr().out
+        result = run(argv)
+        assert result.status == "Error", argv
+        assert any("zero denominator" in d for d in result.diagnostics), result.diagnostics
+        assert not any("Fraction(" in d for d in result.diagnostics), result.diagnostics
 
 
 def test_zannier_validate_profile_chain(tmp_path):

@@ -32,6 +32,8 @@ from pellab.hurwitz import (
 )
 from pellab.permgroup import Perm
 
+from oracles import branching, congruence_partition, conjugate
+
 
 def disjoint_census_tuple(n: int, h: int) -> HurwitzTuple:
     """n - 1 transpositions (i, 2n - i); tau is the one at h."""
@@ -178,7 +180,7 @@ def block_image_power_test(t: HurwitzTuple, m: int) -> bool:
     if m == 1:
         return True
     m2 = 2 * m
-    part = pg.congruence_partition(t.points, m2)
+    part = congruence_partition(t.points, m2)
     down = Perm([m2] + list(range(1, m2)))
     mirror_fix_last = Perm([m2 - h if h < m2 else m2 for h in range(1, m2 + 1)])
     mirror = Perm([m2 - h + 1 for h in range(1, m2 + 1)])
@@ -194,10 +196,10 @@ def block_image_power_test(t: HurwitzTuple, m: int) -> bool:
 def relabelled(t: HurwitzTuple, g: Perm) -> HurwitzTuple:
     """Conjugate every entry but sigmaInf by g."""
     return HurwitzTuple(
-        pg.conjugate(t.sigma0, g),
+        conjugate(t.sigma0, g),
         t.sigmaInf,
-        pg.conjugate(t.sigma1, g),
-        tuple(pg.conjugate(tau, g) for tau in t.taus),
+        conjugate(t.sigma1, g),
+        tuple(conjugate(tau, g) for tau in t.taus),
         t.n,
         t.d,
     )
@@ -319,10 +321,10 @@ def test_normalize_special_undoes_rotation():
     z = zannier_tuple(5, 2)
     g = standard_cycle(10) ** 3
     rotated = HurwitzTuple(
-        pg.conjugate(z.sigma0, g),
-        pg.conjugate(z.sigmaInf, g),
-        pg.conjugate(z.sigma1, g),
-        tuple(pg.conjugate(t, g) for t in z.taus),
+        conjugate(z.sigma0, g),
+        conjugate(z.sigmaInf, g),
+        conjugate(z.sigma1, g),
+        tuple(conjugate(t, g) for t in z.taus),
         5,
         2,
     )
@@ -334,10 +336,10 @@ def test_normalize_special_handles_arbitrary_relabeling():
     z = zannier_tuple(6, 2)
     g = Perm.from_cycles(12, "(1,5,9)(2,12)(3,7)(4,10,8,6)")
     scrambled = HurwitzTuple(
-        pg.conjugate(z.sigma0, g),
-        pg.conjugate(z.sigmaInf, g),
-        pg.conjugate(z.sigma1, g),
-        tuple(pg.conjugate(t, g) for t in z.taus),
+        conjugate(z.sigma0, g),
+        conjugate(z.sigmaInf, g),
+        conjugate(z.sigma1, g),
+        tuple(conjugate(t, g) for t in z.taus),
         6,
         2,
     )
@@ -375,7 +377,7 @@ def normalize_by_conjugation(t: HurwitzTuple) -> HurwitzTuple:
         images[(N - k) - 1] = x
         x = t.sigmaInf(x)
     gamma = Perm(images)
-    rebased = map_entries(t, lambda p: pg.conjugate(p, gamma))
+    rebased = map_entries(t, lambda p: conjugate(p, gamma))
     fixed = common_fixed(rebased)
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
@@ -417,12 +419,12 @@ def relabelled_tuples(draw):
         t = draw(st.sampled_from(shape_tuples(draw(st.integers(min_value=2, max_value=7)))))
     N = t.points
     g = Perm(draw(st.permutations(range(1, N + 1))))
-    t = map_entries(t, lambda p: pg.conjugate(p, g))
+    t = map_entries(t, lambda p: conjugate(p, g))
     broken = draw(st.sampled_from((None, None, "sigmaInf", "sigma1")))
     if broken == "sigmaInf":
         t = replace(t, sigmaInf=t.sigma0)
     elif broken == "sigma1":
-        t = replace(t, sigma1=pg.conjugate(standard_cycle(N), g))
+        t = replace(t, sigma1=conjugate(standard_cycle(N), g))
     return t
 
 
@@ -431,7 +433,7 @@ def relabelled_tuples(draw):
 @example(
     HurwitzTuple(
         Perm.from_cycles(4, "(1,4)(2,3)"),
-        pg.conjugate(standard_cycle(4), Perm.from_cycles(4, "(1,2)")),
+        conjugate(standard_cycle(4), Perm.from_cycles(4, "(1,2)")),
         Perm.from_cycles(4, "(1,3)(2,4)"),
         (),
         2,
@@ -545,10 +547,10 @@ def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
             f"sigma1 fixes {len(fix1)} points, expected {2 * t.d}",
         )
     )
-    over_zero = pg.branching(t.sigma0)
-    over_one = pg.branching(t.sigma1)
-    over_inf = pg.branching(t.sigmaInf)
-    over_taus = sum(pg.branching(tau) for tau in t.taus)
+    over_zero = branching(t.sigma0)
+    over_one = branching(t.sigma1)
+    over_inf = branching(t.sigmaInf)
+    over_taus = sum(branching(tau) for tau in t.taus)
     total = over_zero + over_one + over_inf + over_taus
     checks.append(
         CheckResult(

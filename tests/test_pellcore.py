@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -34,14 +35,13 @@ from pellab.pellcore import (
     classify_powers,
     extract_mth_root,
     generate_from_seed,
-    power_polynomial,
     power_solution,
     ramification_type,
     verify_branch_locus_in,
     verify_pell,
 )
 
-from oracles import seed_by_whole_unit
+from oracles import classify_powers_every_m, power_polynomial, seed_by_whole_unit
 
 
 def chebyshev_closed_form(n: int) -> Poly:
@@ -430,6 +430,36 @@ def test_classify_powers_round_trips_witnesses():
             assert m in cls.witnesses
             assert compose(chebyshev(m), cls.witnesses[m]) == powered.A
             assert not cls.primitive
+
+
+def test_classify_powers_skips_multiples_of_a_rootless_m(monkeypatch):
+    # n = 12, d = 2: the admissible m are 2, 3, 4 and 6.  The 4th power has
+    # roots for 2 and 4; 3 has none, so neither has its multiple 6.
+    tried = []
+    real = pellcore.extract_mth_root
+
+    def recording(A, m):
+        tried.append(m)
+        return real(A, m)
+
+    monkeypatch.setattr(pellcore, "extract_mth_root", recording)
+    powered = power_solution(generate_from_seed(parse_poly("2*t^3 - 1")), 4)
+    assert (powered.n, powered.d) == (12, 2)
+    cls = classify_powers(powered)
+    assert tried == [2, 3, 4]
+    assert sorted(cls.admissible_m) == [2, 3, 4, 6]
+    assert sorted(cls.witnesses) == [2, 4]
+
+
+@given(seeds, st.integers(min_value=1, max_value=12), st.booleans())
+def test_classify_powers_matches_every_m_oracle(seed, m, nudge):
+    # A planted m-th power, or its A plus t, which has no root for most m.
+    base = generate_from_seed(seed, allow_d1=True)
+    assume(isinstance(base, PellSolution))
+    sol = power_solution(base, m)
+    if nudge:
+        sol = replace(sol, A=sol.A + X)
+    assert classify_powers(sol) == classify_powers_every_m(sol)
 
 
 def test_verify_branch_locus_examples():

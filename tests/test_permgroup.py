@@ -9,33 +9,36 @@ from hypothesis import strategies as st
 from pellab import hurwitz
 from pellab.permgroup import (
     BlockPartition,
-    ClosureOverflow,
     CycleParseError,
     NeedFullCycle,
     NotADivisor,
-    NotPreserved,
     Perm,
     SizeMismatch,
-    branching,
     chain,
-    closure,
     compose,
-    congruence_partition,
-    conjugate,
     cycle_type,
     cycles,
     fixed_points,
     format_cycles,
     identity,
-    induced_block_action,
     inverse,
-    is_dihedral_of_order,
     is_ell_imprimitive,
     is_full_cycle,
     is_transitive,
     parse_cycles,
     preserves_partition,
     rotate,
+)
+
+from oracles import (
+    ClosureOverflow,
+    NotPreserved,
+    branching,
+    closure,
+    congruence_partition,
+    conjugate,
+    induced_block_action,
+    is_dihedral_of_order,
 )
 
 
