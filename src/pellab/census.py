@@ -73,9 +73,6 @@ class CensusReport:
     primitive_disjoint_count: Optional[int]
     discrepancies: tuple[str, ...]
 
-    def case_counts(self, case: str) -> CaseCounts:
-        return self.cases[case]
-
 
 def _pi_from_sigma0(sigma0: Perm) -> Perm:
     """The forced product sigma1*tau: sigma0 after the ascending rotation."""
@@ -175,15 +172,7 @@ def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
     return out
 
 
-def _case_of_split(t: HurwitzTuple) -> str:
-    """Case of a split tuple: how many of tau's two points sigma1 moves (0
-    Disjoint, 1 ThreeCycle, 2 FourCycle; see _split_product)."""
-    s1 = t.sigma1.images
-    moved = [x for x, y in enumerate(t.taus[0].images, start=1) if x != y]
-    return CASES[sum(s1[x - 1] != x for x in moved)]
-
-
-def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[HurwitzTuple]:
+def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
     """Ground truth: every fixed-point-free involution sigma0 whose forced
     product pi = sigma1*tau matches a census case, split; sorted.
 
@@ -199,8 +188,8 @@ def brute_force_enumerate(n: int, max_n: int = BRUTE_DEFAULT_MAX) -> list[Hurwit
     Each leaf that survives is still judged by _split_product alone."""
     if n < 2:
         raise ValueError("census needs n >= 2")
-    if n > max_n:
-        raise TooLarge(f"n = {n} beyond brute-force bound {max_n}")
+    if n > BRUTE_DEFAULT_MAX:
+        raise TooLarge(f"n = {n} beyond brute-force bound {BRUTE_DEFAULT_MAX}")
     N = 2 * n
     sigma_inf = standard_cycle(N)
     out: list[HurwitzTuple] = []
@@ -260,15 +249,14 @@ def _tuple_sort_key(t: HurwitzTuple):
     return t.sigma0.images, t.sigma1.images, tuple(tau.images for tau in t.taus)
 
 
-def _orbit_weight(t: HurwitzTuple) -> int:
-    """12 |Stab(t)| / |CF(t)|: CF(t) is the points fixed by sigma1 and every
-    tau (2, 3 or 4 of them in the Disjoint, ThreeCycle and FourCycle cases)
-    and Stab(t) the rotations that fix every entry.  A rotation by s can fix
-    t only if CF(t) + s = CF(t) (mod 2n); since 2n is in CF(t), s is one of
-    its points.  Only such s are tried, sigma0 first.  The quotient is
-    exact: CF(t) is a union of cosets of Stab(t), and |CF(t)| <= 4."""
+def _orbit_weight(t: HurwitzTuple, cf: frozenset[int]) -> int:
+    """12 |Stab(t)| / |CF(t)|: cf = CF(t) is the points fixed by sigma1 and
+    every tau, and Stab(t) the rotations that fix every entry.  A rotation
+    by s can fix t only if CF(t) + s = CF(t) (mod 2n); since 2n is in CF(t),
+    s is one of its points.  Only such s are tried, sigma0 first.  The
+    quotient is exact: CF(t) is a union of cosets of Stab(t), and
+    |CF(t)| <= 4."""
     N = t.points
-    cf = common_fixed(t)
     stab = 1
     for s in cf:
         if (
@@ -281,8 +269,8 @@ def _orbit_weight(t: HurwitzTuple) -> int:
 
 
 def _orbit_sums(tuples: Iterable[HurwitzTuple]) -> dict[str, int]:
-    """12 times each case's number of conjugacy classes, a tuple's case read
-    from its split.
+    """12 times each case's number of conjugacy classes; a split tuple's
+    case is its number of common fixed points, those of sigma1*tau.
 
     Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
     the 2n rotations whose members fix 2n in common.  The rotations that
@@ -291,7 +279,8 @@ def _orbit_sums(tuples: Iterable[HurwitzTuple]) -> dict[str, int]:
     and its weights sum to 12."""
     sums = dict.fromkeys(CASES, 0)
     for t in tuples:
-        sums[_case_of_split(t)] += _orbit_weight(t)
+        cf = common_fixed(t)
+        sums[CASES[len(cf) - 2]] += _orbit_weight(t, cf)
     return sums
 
 
@@ -325,7 +314,9 @@ def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
     shapes = enumerate_shapes(n)
     shape_sums = _orbit_sums(t for _, t in shapes)
     primitive_sum = sum(
-        _orbit_weight(t) for p, t in shapes if p.case == DISJOINT and math.gcd(p.h, n) == 1
+        _orbit_weight(t, common_fixed(t))
+        for p, t in shapes
+        if p.case == DISJOINT and math.gcd(p.h, n) == 1
     )
     formulas = closed_formulas(n)
     discrepancies: list[str] = []

@@ -113,10 +113,7 @@ def _read_solution(args) -> tuple[Poly, Poly, Poly]:
 
 def _read_tuple(args) -> hurwitz.HurwitzTuple:
     data = _load_json_file(args.file if args.file is not None else "-")
-    try:
-        return hurwitz.tuple_from_json_dict(data)
-    except ValueError as exc:
-        raise _ParserError(str(exc)) from None
+    return hurwitz.tuple_from_json_dict(data)
 
 
 def _report_payload(report: hurwitz.ValidationReport) -> dict:

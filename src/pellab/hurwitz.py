@@ -1,5 +1,5 @@
 """Branched-cover permutation tuples: validation, the staircase example
-family, power testing by residues, and normalization.
+family, the power profile from one residue gcd, and normalization.
 
 A tuple acts on 2n points.  Its product is read in application order (the
 first entry acts first); the monodromy entries are sigma0, sigmaInf, sigma1
@@ -10,6 +10,7 @@ sigmaInf to the standard descending cycle (i maps to i-1, 1 to 2n) and puts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import permgroup as pg
@@ -188,11 +189,12 @@ def zannier_tuple(n: int, d: int) -> HurwitzTuple:
     )
 
 
-def power_test(t: HurwitzTuple, m: int) -> bool:
-    """Whether the tuple behaves like an m-th power: mod 2m, sigma1 and sigma0
-    act as the reflections x -> -x and x -> 1 - x, and every tau fixes each
-    residue.  Equivalently, every entry maps the mod-2m residue blocks onto
-    blocks with the label images of an m-th power.
+def primitivity_profile(t: HurwitzTuple) -> set[int]:
+    """Admissible exponents m >= 2 for which the tuple behaves like an m-th
+    power: mod 2m, sigma1 and sigma0 act as x -> -x and x -> 1 - x, and
+    every tau fixes each residue.  These hold exactly when 2m divides G, the
+    gcd over all x of sigma1(x) + x, sigma0(x) + x - 1 and tau(x) - x
+    (G >= 1, as sigma1(x) + x >= 2).  Empty means combinatorially primitive.
 
     The n = 6 worked example: with tau = (3, 9), the tuple is a cube and no
     square.
@@ -202,34 +204,23 @@ def power_test(t: HurwitzTuple, m: int) -> bool:
     >>> sigma1 = Perm.from_cycles(N, [(i, N - i) for i in (1, 2, 4, 5)])
     >>> cube = HurwitzTuple(sigma0, standard_cycle(N), sigma1,
     ...                     (Perm.from_cycles(N, "(3,9)"),), n=6, d=2)
-    >>> [power_test(cube, m) for m in (1, 2, 3)]
-    [True, False, True]
+    >>> primitivity_profile(cube)
+    {3}
     """
     if not is_special(t):
-        raise NotSpecialForm("power_test needs the special form")
-    if m < 1:
-        raise ValueError("power index must be >= 1")
-    if m == 1:
-        return True
-    if m not in admissible_exponents(t.n, t.d):
-        raise ValueError(f"m = {m} not admissible for n = {t.n}, d = {t.d}")
-    N, m2 = t.points, 2 * m
+        raise NotSpecialForm("primitivity_profile needs the special form")
+    N = t.points
     for p in t.gens():
         if p.size != N:
             raise pg.SizeMismatch(f"size {p.size} != {N}")
     # sigmaInf, the standard cycle x -> x - 1, lowers every residue by one
     # because 2m divides 2n.
-    return (
-        all((y + x) % m2 == 0 for x, y in enumerate(t.sigma1.images, 1))
-        and all((y + x) % m2 == 1 for x, y in enumerate(t.sigma0.images, 1))
-        and all((y - x) % m2 == 0 for tau in t.taus for x, y in enumerate(tau.images, 1))
+    G = math.gcd(
+        *(y + x for x, y in enumerate(t.sigma1.images, 1)),
+        *(y + x - 1 for x, y in enumerate(t.sigma0.images, 1)),
+        *(y - x for tau in t.taus for x, y in enumerate(tau.images, 1)),
     )
-
-
-def primitivity_profile(t: HurwitzTuple) -> set[int]:
-    """Admissible exponents m >= 2 passing power_test; empty means the tuple
-    is combinatorially primitive."""
-    return {m for m in admissible_exponents(t.n, t.d) if power_test(t, m)}
+    return {m for m in admissible_exponents(t.n, t.d) if G % (2 * m) == 0}
 
 
 def normalize_special(t: HurwitzTuple) -> HurwitzTuple:

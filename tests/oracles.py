@@ -1,9 +1,11 @@
 """Independent oracles that the tests import: code kept out of src because
 no command reaches it.
 
-The census counts conjugacy classes by orbit counting and never builds one.
-The key-based grouping below builds every class, so the tests check the
-counts against it.
+The census counts conjugacy classes by orbit counting and never builds one,
+and reads a tuple's case from how many points sigma1 and tau fix in common.
+The key-based grouping below builds every class, and case_of reads the case
+from the longest cycle of sigma1*tau, so the tests check the counts against
+them.
 
 The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
@@ -17,10 +19,13 @@ classify_powers skips every m that has an admissible divisor without a
 root, since T_ab = T_a o T_b.  classify_powers_every_m tries every
 admissible m.
 
+profile reads every exponent from one gcd of residues over all entries.
+power_test tests one m at a time, by its residue congruences mod 2m.
+
 The commands answer with permgroup's products, rotation and cycle walk and
-with hurwitz's residue-congruence power test.  The permutation layer below
-reaches the same facts another way: conjugate as g^-1 * a * g, branching
-from the cycles, and the paper's block criterion for the profile, with
+with hurwitz's residue gcd.  The permutation layer below reaches the same
+facts another way: conjugate as g^-1 * a * g, branching from the cycles,
+and the paper's block criterion for the profile, with
 congruence block systems (congruence_partition), their induced label
 actions (induced_block_action, NotPreserved), the bounded group closure
 (closure, ClosureOverflow) and the dihedral recognizer
@@ -35,7 +40,14 @@ import math
 from typing import Iterable, Optional, Sequence, Union
 
 from pellab import permgroup as pg
-from pellab.census import CASES, DISJOINT, _case_of_split, _tuple_sort_key, enumerate_shapes
+from pellab.census import (
+    CASES,
+    DISJOINT,
+    FOUR_CYCLE,
+    THREE_CYCLE,
+    _tuple_sort_key,
+    enumerate_shapes,
+)
 from pellab.exactpoly import (
     ONE,
     ZERO,
@@ -47,7 +59,13 @@ from pellab.exactpoly import (
     rat_nth_root,
     squarefree_decomposition,
 )
-from pellab.hurwitz import HurwitzTuple, common_fixed
+from pellab.hurwitz import (
+    HurwitzTuple,
+    NotSpecialForm,
+    common_fixed,
+    is_special,
+    standard_cycle,
+)
 from pellab.pellcore import (
     PellSolution,
     PowerClassification,
@@ -99,12 +117,19 @@ def conjugacy_classes(tuples: Sequence[HurwitzTuple]) -> list[list[HurwitzTuple]
     return classes
 
 
+def case_of(t: HurwitzTuple) -> str:
+    """Case key from the longest cycle of sigma1*tau."""
+    product = pg.chain([t.sigma1, *t.taus])
+    longest = max((len(c) for c in pg.cycles(product)), default=2)
+    return {2: DISJOINT, 3: THREE_CYCLE, 4: FOUR_CYCLE}[longest]
+
+
 def classes_by_case(tuples: Iterable[HurwitzTuple]) -> dict[str, list[list[HurwitzTuple]]]:
-    """The conjugacy classes of each case, a tuple's case read from its
-    split."""
+    """The conjugacy classes of each case, a tuple's case read from the
+    longest cycle of sigma1*tau."""
     by_case: dict[str, list[HurwitzTuple]] = {c: [] for c in CASES}
     for t in tuples:
-        by_case[_case_of_split(t)].append(t)
+        by_case[case_of(t)].append(t)
     return {c: conjugacy_classes(by_case[c]) for c in CASES}
 
 
@@ -187,6 +212,44 @@ def power_polynomial(m: int) -> Poly:
     if m % 2 == 0:
         return inner * inner
     return w * inner * inner
+
+
+def power_test(t: HurwitzTuple, m: int) -> bool:
+    """Whether the tuple behaves like an m-th power: mod 2m, sigma1 and sigma0
+    act as the reflections x -> -x and x -> 1 - x, and every tau fixes each
+    residue.  Equivalently, every entry maps the mod-2m residue blocks onto
+    blocks with the label images of an m-th power.
+
+    The n = 6 worked example: with tau = (3, 9), the tuple is a cube and no
+    square.
+
+    >>> N = 12
+    >>> sigma0 = Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, 7)])
+    >>> sigma1 = Perm.from_cycles(N, [(i, N - i) for i in (1, 2, 4, 5)])
+    >>> cube = HurwitzTuple(sigma0, standard_cycle(N), sigma1,
+    ...                     (Perm.from_cycles(N, "(3,9)"),), n=6, d=2)
+    >>> [power_test(cube, m) for m in (1, 2, 3)]
+    [True, False, True]
+    """
+    if not is_special(t):
+        raise NotSpecialForm("power_test needs the special form")
+    if m < 1:
+        raise ValueError("power index must be >= 1")
+    if m == 1:
+        return True
+    if m not in admissible_exponents(t.n, t.d):
+        raise ValueError(f"m = {m} not admissible for n = {t.n}, d = {t.d}")
+    N, m2 = t.points, 2 * m
+    for p in t.gens():
+        if p.size != N:
+            raise pg.SizeMismatch(f"size {p.size} != {N}")
+    # sigmaInf, the standard cycle x -> x - 1, lowers every residue by one
+    # because 2m divides 2n.
+    return (
+        all((y + x) % m2 == 0 for x, y in enumerate(t.sigma1.images, 1))
+        and all((y + x) % m2 == 1 for x, y in enumerate(t.sigma0.images, 1))
+        and all((y - x) % m2 == 0 for tau in t.taus for x, y in enumerate(tau.images, 1))
+    )
 
 
 class NotPreserved(ValueError):

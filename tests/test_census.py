@@ -18,7 +18,6 @@ from pellab.census import (
     THREE_CYCLE,
     ShapeParams,
     TooLarge,
-    _case_of_split,
     _layouts,
     _make_tuple,
     _orbit_sums,
@@ -44,6 +43,7 @@ from pellab.permgroup import Perm
 
 from oracles import (
     canonical_key,
+    case_of,
     classes_by_case,
     conjugacy_classes,
     conjugate,
@@ -111,13 +111,6 @@ def leaf_filter_scan(n):
     descend(list(range(2, N)))
     out.sort(key=tuple_key)
     return out
-
-
-def case_of(t):
-    """Case key from the longest cycle of sigma1*tau."""
-    product = pg.chain([t.sigma1, *t.taus])
-    longest = max((len(c) for c in pg.cycles(product)), default=2)
-    return {2: DISJOINT, 3: THREE_CYCLE, 4: FOUR_CYCLE}[longest]
 
 
 def conjugation_canonical_key(t):
@@ -259,7 +252,7 @@ def test_shape_tuples_are_valid_special_tuples():
 def test_brute_force_equals_shape_enumeration():
     totals = {2: 1, 3: 5, 4: 14, 5: 30}
     for n in range(2, 13):
-        brute = brute_force_enumerate(n, max_n=12)
+        brute = brute_force_enumerate(n)
         shapes = [t for _, t in enumerate_shapes(n)]
         if n in totals:
             assert len(brute) == totals[n]
@@ -279,12 +272,13 @@ def test_brute_force_matches_leaf_filter_scan_n8():
     assert list(map(tuple_key, brute)) == list(map(tuple_key, leaf_filter_scan(8)))
 
 
-def test_case_of_split_matches_cycle_oracle():
+def test_case_from_common_fixed_matches_cycle_oracle():
     for n in range(2, 11):
         for params, t in enumerate_shapes(n):
-            assert _case_of_split(t) == case_of(t) == params.case, (n, tuple_key(t))
+            case = CASES[len(common_fixed(t)) - 2]
+            assert case == case_of(t) == params.case, (n, tuple_key(t))
         for t in brute_force_enumerate(n):
-            assert _case_of_split(t) == case_of(t), (n, tuple_key(t))
+            assert CASES[len(common_fixed(t)) - 2] == case_of(t), (n, tuple_key(t))
 
 
 def test_conjugacy_classes_n6_disjoint():
@@ -356,7 +350,7 @@ def test_census_counts_agree_three_ways():
         report = census(n)
         expected = EXPECTED_CLASS_COUNTS[n]
         for case, want in zip((DISJOINT, THREE_CYCLE, FOUR_CYCLE), expected):
-            counts = report.case_counts(case)
+            counts = report.cases[case]
             assert counts.shape == want
             assert counts.brute == want
             assert counts.formula == want
@@ -366,8 +360,8 @@ def test_census_counts_agree_three_ways():
 
 def test_census_without_brute():
     report = census(5, use_brute=False)
-    assert report.case_counts(DISJOINT).brute is None
-    assert report.case_counts(DISJOINT).shape == 2
+    assert report.cases[DISJOINT].brute is None
+    assert report.cases[DISJOINT].shape == 2
     assert report.discrepancies == ()
 
 
@@ -428,13 +422,13 @@ def test_orbit_counts_match_class_oracle():
         for route, tuples in routes.items():
             classes = classes_by_case(tuples)
             for c in CASES:
-                assert getattr(report.case_counts(c), route) == len(classes[c]), (n, route, c)
+                assert getattr(report.cases[c], route) == len(classes[c]), (n, route, c)
             for cls in classes[DISJOINT]:
                 assert len({math.gcd(disjoint_h(t), n) for t in cls}) == 1, (n, route)
             primitive_sum = sum(
-                _orbit_weight(t)
+                _orbit_weight(t, common_fixed(t))
                 for t in tuples
-                if _case_of_split(t) == DISJOINT and math.gcd(disjoint_h(t), n) == 1
+                if case_of(t) == DISJOINT and math.gcd(disjoint_h(t), n) == 1
             )
             assert primitive_sum == 12 * primitive, (n, route)
         assert report.discrepancies == (), n
@@ -445,7 +439,8 @@ def test_orbit_weights_of_a_class_sum_to_twelve():
         tuples = [t for _, t in enumerate_shapes(n)]
         for c, classes in classes_by_case(tuples).items():
             for cls in classes:
-                assert sum(map(_orbit_weight, cls)) == 12, (n, c, tuple_key(cls[0]))
+                weights = [_orbit_weight(t, common_fixed(t)) for t in cls]
+                assert sum(weights) == 12, (n, c, tuple_key(cls[0]))
             assert _orbit_sums(t for cls in classes for t in cls)[c] == 12 * len(classes)
 
 
@@ -466,8 +461,8 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
 
     monkeypatch.setattr(census_module, "enumerate_shapes", lambda n: keep)
     report = census(5, use_brute=False)
-    assert report.case_counts(DISJOINT) == census_module.CaseCounts(None, None, 2)
-    assert report.case_counts(THREE_CYCLE).shape == 6
+    assert report.cases[DISJOINT] == census_module.CaseCounts(None, None, 2)
+    assert report.cases[THREE_CYCLE].shape == 6
     assert report.primitive_disjoint_count is None
     assert report.discrepancies == (
         f"Disjoint shape: {not_whole}",
@@ -479,7 +474,7 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(census_module, "brute_force_enumerate", lambda n: brute)
     report = census(5)
-    assert report.case_counts(DISJOINT) == census_module.CaseCounts(2, None, 2)
+    assert report.cases[DISJOINT] == census_module.CaseCounts(2, None, 2)
     assert report.primitive_disjoint_count == 2
     assert report.discrepancies == (
         f"Disjoint brute: {not_whole}",
@@ -496,7 +491,7 @@ def test_size_guards():
     with pytest.raises(ValueError):
         census(1)
     report = census(9, use_brute=False)
-    assert report.case_counts(DISJOINT).brute is None
+    assert report.cases[DISJOINT].brute is None
     assert report.discrepancies == ()
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pellab import hurwitz
 from pellab import permgroup as pg
 from pellab.census import enumerate_shapes
 from pellab.hurwitz import (
@@ -22,7 +23,6 @@ from pellab.hurwitz import (
     common_fixed,
     is_special,
     normalize_special,
-    power_test,
     primitivity_profile,
     standard_cycle,
     tuple_from_json_dict,
@@ -32,7 +32,7 @@ from pellab.hurwitz import (
 )
 from pellab.permgroup import Perm
 
-from oracles import branching, congruence_partition, conjugate
+from oracles import branching, congruence_partition, conjugate, power_test
 
 
 def disjoint_census_tuple(n: int, h: int) -> HurwitzTuple:
@@ -446,6 +446,69 @@ def test_normalize_special_matches_conjugation_oracle(t):
     if isinstance(got, HurwitzTuple):
         assert is_special(got)
         assert all(Perm(p.images) == p for p in got.gens())
+
+
+@st.composite
+def profile_tuples(draw):
+    """A census-shape tuple for n <= 12, a staircase tuple for n <= 40, or
+    either one with every entry conjugated by a drawn relabelling and then
+    normalized."""
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(shape_tuples(draw(st.integers(min_value=2, max_value=12)))))
+    else:
+        n = draw(st.integers(min_value=2, max_value=40))
+        t = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
+    if draw(st.booleans()):
+        g = Perm(draw(st.permutations(range(1, t.points + 1))))
+        t = normalize_special(map_entries(t, lambda p: conjugate(p, g)))
+    return t
+
+
+@given(profile_tuples())
+@example(disjoint_census_tuple(12, 4))
+def test_primitivity_profile_matches_power_test(t):
+    want = {m for m in admissible_exponents(t.n, t.d) if power_test(t, m)}
+    assert primitivity_profile(t) == want
+
+
+def test_primitivity_profile_rejects_bad_inputs():
+    z = zannier_tuple(4, 2)
+    short = pg.identity(6)
+    for n in (4, 5):  # admissible m: [2] at n = 4, none at n = 5
+        moves_last = Perm.from_cycles(2 * n, [(2 * n - 1, 2 * n)])
+        shifted = replace(zannier_tuple(n, 2), taus=(moves_last,))
+        with pytest.raises(NotSpecialForm):
+            primitivity_profile(shifted)
+    for sigma0, sigma1, tau in (
+        (short, z.sigma1, z.taus[0]),
+        (pg.identity(10), z.sigma1, z.taus[0]),
+        (z.sigma0, Perm.from_cycles(10, "(1,7)(2,6)(9,10)"), z.taus[0]),
+        (z.sigma0, z.sigma1, Perm.from_cycles(10, "(3,5)")),
+    ):
+        with pytest.raises(pg.SizeMismatch):
+            primitivity_profile(HurwitzTuple(sigma0, z.sigmaInf, sigma1, (tau,), 4, 2))
+
+
+def test_primitivity_profile_checks_once(monkeypatch):
+    """One special-form check and one admissible list per call, however
+    many exponents are admissible (four at n = 12)."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(hurwitz, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(hurwitz, name, wrapper)
+
+    counted("is_special")
+    counted("admissible_exponents")
+    t = disjoint_census_tuple(12, 4)
+    assert admissible_exponents(12, 2) == [2, 3, 4, 6]
+    assert primitivity_profile(t) == {2, 4}
+    assert calls == {"is_special": 1, "admissible_exponents": 1}
 
 
 def test_tuple_json_round_trip():
