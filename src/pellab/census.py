@@ -6,8 +6,9 @@ Three routes produce per-case conjugacy-class counts: shape enumeration
 (parameterized sigma0 layouts), brute force over fixed-point-free
 involutions, pruned while pairing (ground truth), and closed formulas.  The
 first two count classes by orbit counting over their tuples, with no class
-ever built.  Reports carry all three and flag any disagreement; nothing is
-reconciled silently.
+ever built; the shape route streams its tuples into that one pass.
+Reports carry all three and flag any disagreement; nothing is reconciled
+silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -30,28 +31,13 @@ DISJOINT = "Disjoint"
 THREE_CYCLE = "ThreeCycle"
 FOUR_CYCLE = "FourCycle"
 CASES = (DISJOINT, THREE_CYCLE, FOUR_CYCLE)
+PRIMITIVE = "primitive Disjoint"
 
 BRUTE_DEFAULT_MAX = 24
 
 
 class TooLarge(ValueError):
     """Brute force refused beyond its point bound."""
-
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """Which parameterized layout produced a tuple.
-
-    Disjoint uses h alone (tau = (h, 2n-h)).  ThreeCycle uses (h, k) and one
-    of 3 tau choices; FourCycle uses (h, k1, k2) and one of 2.
-    """
-
-    case: str
-    h: int
-    k: Optional[int] = None
-    k1: Optional[int] = None
-    k2: Optional[int] = None
-    tau_choice: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,25 +137,15 @@ def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
                 yield h, cuts
 
 
-def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
-    """Every special tuple: each sigma0 layout with every split of its
-    forced product.  The Disjoint layout's splits take tau = (h, 2n-h) for
-    h = 1..n-1 in turn."""
-    if n < 2:
-        raise ValueError("census needs n >= 2")
+def _shape_tuples(n: int) -> Iterator[HurwitzTuple]:
+    """Every special tuple, one at a time: each sigma0 layout with every
+    split of its forced product.  The Disjoint layout's splits take
+    tau = (h, 2n-h) for h = 1..n-1 in turn."""
     sigma_inf = standard_cycle(2 * n)
-    out: list[tuple[ShapeParams, HurwitzTuple]] = []
     for h, cuts in _layouts(n):
         sigma0 = _sigma0(n, h, cuts)
-        for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
-            if not cuts:
-                params = ShapeParams(DISJOINT, h=choice + 1)
-            elif len(cuts) == 1:
-                params = ShapeParams(THREE_CYCLE, h=h, k=cuts[0], tau_choice=choice)
-            else:
-                params = ShapeParams(FOUR_CYCLE, h=h, k1=cuts[0], k2=cuts[1], tau_choice=choice)
-            out.append((params, _make_tuple(sigma_inf, sigma0, sigma1, tau)))
-    return out
+        for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
+            yield _make_tuple(sigma_inf, sigma0, sigma1, tau)
 
 
 def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
@@ -269,18 +245,26 @@ def _orbit_weight(t: HurwitzTuple, cf: frozenset[int]) -> int:
 
 
 def _orbit_sums(tuples: Iterable[HurwitzTuple]) -> dict[str, int]:
-    """12 times each case's number of conjugacy classes; a split tuple's
-    case is its number of common fixed points, those of sigma1*tau.
+    """12 times each case's number of conjugacy classes and, under PRIMITIVE,
+    of primitive Disjoint classes; a split tuple's case is its number of
+    common fixed points, those of sigma1*tau.
 
     Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
     the 2n rotations whose members fix 2n in common.  The rotations that
     carry one of a member's |CF| common fixed points to 2n reach exactly
     those members, each |Stab| times, so a class has |CF| / |Stab| members
-    and its weights sum to 12."""
-    sums = dict.fromkeys(CASES, 0)
+    and its weights sum to 12.  A Disjoint class is primitive when its
+    tau = (h, 2n-h) has gcd(h, n) = 1; every member has the same gcd(h, n),
+    so each tuple is judged alone."""
+    sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
     for t in tuples:
         cf = common_fixed(t)
-        sums[CASES[len(cf) - 2]] += _orbit_weight(t, cf)
+        weight = _orbit_weight(t, cf)
+        sums[CASES[len(cf) - 2]] += weight
+        if len(cf) == 2:
+            h = next(x for x, y in enumerate(t.taus[0].images, 1) if x != y)
+            if math.gcd(h, t.n) == 1:
+                sums[PRIMITIVE] += weight
     return sums
 
 
@@ -311,13 +295,7 @@ def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
         use_brute = n <= BRUTE_DEFAULT_MAX
 
     brute_sums = _orbit_sums(brute_force_enumerate(n)) if use_brute else None
-    shapes = enumerate_shapes(n)
-    shape_sums = _orbit_sums(t for _, t in shapes)
-    primitive_sum = sum(
-        _orbit_weight(t, common_fixed(t))
-        for p, t in shapes
-        if p.case == DISJOINT and math.gcd(p.h, n) == 1
-    )
+    shape_sums = _orbit_sums(_shape_tuples(n))
     formulas = closed_formulas(n)
     discrepancies: list[str] = []
 
@@ -345,7 +323,7 @@ def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
         cases=cases,
         c1=formulas["C1"],
         c2=formulas["C2"],
-        primitive_disjoint_count=classes("primitive Disjoint", primitive_sum),
+        primitive_disjoint_count=classes(PRIMITIVE, shape_sums[PRIMITIVE]),
         discrepancies=tuple(discrepancies),
     )
 

@@ -48,6 +48,9 @@ class _ParserError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no option prefixes: main reads "--json" from argv as written
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _ParserError(message)
 

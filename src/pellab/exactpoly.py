@@ -517,7 +517,7 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def parse_poly(text: str, var: str = "t") -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse human polynomial syntax.  Raises PolyParseError with the
     offending position."""
     s = text
@@ -537,7 +537,7 @@ def parse_poly(text: str, var: str = "t") -> Poly:
             raise PolyParseError("expected '+' or '-' between terms", pos)
         sign = -1 if m.group("sign") == "-" else 1
         name = m.group("varc") or m.group("varb")
-        if name is not None and name != var:
+        if name is not None and name != "t":
             offset = m.start("varc") if m.group("varc") else m.start("varb")
             raise PolyParseError(f"unknown variable {name!r}", offset)
         if m.group("coeff") is not None:
@@ -563,7 +563,7 @@ def parse_poly(text: str, var: str = "t") -> Poly:
     return Poly(out)
 
 
-def format_poly(p: Poly, var: str = "t") -> str:
+def format_poly(p: Poly) -> str:
     """Canonical human form, highest degree first."""
     if p.is_zero:
         return "0"
@@ -577,9 +577,9 @@ def format_poly(p: Poly, var: str = "t") -> str:
         if k == 0:
             body = str(mag)
         elif mag == 1:
-            body = var if k == 1 else f"{var}^{k}"
+            body = "t" if k == 1 else f"t^{k}"
         else:
-            body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
+            body = f"{mag}*t" if k == 1 else f"{mag}*t^{k}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

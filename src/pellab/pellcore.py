@@ -38,7 +38,6 @@ from .exactpoly import (
 
 NOT_UNIT = "NotUnit"
 ZERO_B = "ZeroB"
-ODD_DEGREE_D = "OddDegreeD"
 SMALL_DEGREE_D = "SmallDegreeD"
 NON_SQUAREFREE_D = "NonSquarefreeD"
 
@@ -107,10 +106,7 @@ def verify_pell(
         return RejectionReason(ZERO_B, "B = 0 gives only the trivial unit")
     if A * A - D * (B * B) != ONE:
         return RejectionReason(NOT_UNIT, "A^2 - D*B^2 != 1")
-    if D.degree % 2 != 0:
-        return RejectionReason(
-            ODD_DEGREE_D, f"deg D = {D.degree} is odd; no polynomial B*sqrt(D) form"
-        )
+    # With B != 0, A^2 - D*B^2 = 1 forces deg D even unless D = 0 (degree -1).
     if (small := _below_degree_floor(D, allow_d1)) is not None:
         return small
     if gcd(D, derivative(D)).degree > 0:

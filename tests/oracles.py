@@ -5,7 +5,9 @@ The census counts conjugacy classes by orbit counting and never builds one,
 and reads a tuple's case from how many points sigma1 and tau fix in common.
 The key-based grouping below builds every class, and case_of reads the case
 from the longest cycle of sigma1*tau, so the tests check the counts against
-them.
+them.  The census also streams its shape route, one tuple at a time;
+enumerate_shapes lists the same tuples in the same order, each with the
+ShapeParams of the layout that made it, and the tests pin that order.
 
 The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
@@ -37,6 +39,7 @@ tests.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from pellab import permgroup as pg
@@ -45,8 +48,12 @@ from pellab.census import (
     DISJOINT,
     FOUR_CYCLE,
     THREE_CYCLE,
+    _layouts,
+    _make_tuple,
+    _pi_from_sigma0,
+    _sigma0,
+    _split_product,
     _tuple_sort_key,
-    enumerate_shapes,
 )
 from pellab.exactpoly import (
     ONE,
@@ -86,6 +93,43 @@ from pellab.permgroup import (
     inverse,
     preserves_partition,
 )
+
+
+@dataclass(frozen=True)
+class ShapeParams:
+    """Which parameterized layout produced a tuple.
+
+    Disjoint uses h alone (tau = (h, 2n-h)).  ThreeCycle uses (h, k) and one
+    of 3 tau choices; FourCycle uses (h, k1, k2) and one of 2.
+    """
+
+    case: str
+    h: int
+    k: Optional[int] = None
+    k1: Optional[int] = None
+    k2: Optional[int] = None
+    tau_choice: int = 0
+
+
+def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
+    """Every special tuple: each sigma0 layout with every split of its
+    forced product.  The Disjoint layout's splits take tau = (h, 2n-h) for
+    h = 1..n-1 in turn."""
+    if n < 2:
+        raise ValueError("census needs n >= 2")
+    sigma_inf = standard_cycle(2 * n)
+    out: list[tuple[ShapeParams, HurwitzTuple]] = []
+    for h, cuts in _layouts(n):
+        sigma0 = _sigma0(n, h, cuts)
+        for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+            if not cuts:
+                params = ShapeParams(DISJOINT, h=choice + 1)
+            elif len(cuts) == 1:
+                params = ShapeParams(THREE_CYCLE, h=h, k=cuts[0], tau_choice=choice)
+            else:
+                params = ShapeParams(FOUR_CYCLE, h=h, k1=cuts[0], k2=cuts[1], tau_choice=choice)
+            out.append((params, _make_tuple(sigma_inf, sigma0, sigma1, tau)))
+    return out
 
 
 def canonical_key(t: HurwitzTuple):

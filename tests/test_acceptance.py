@@ -19,7 +19,6 @@ from pellab.census import (
     FOUR_CYCLE,
     THREE_CYCLE,
     census,
-    enumerate_shapes,
 )
 from pellab.exactpoly import (
     Poly,
@@ -47,6 +46,7 @@ from pellab.permgroup import Perm
 from oracles import (
     congruence_partition,
     conjugacy_classes,
+    enumerate_shapes,
     induced_block_action,
     is_dihedral_of_order,
     power_polynomial,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,20 +16,20 @@ from pellab.census import (
     CASES,
     DISJOINT,
     FOUR_CYCLE,
+    PRIMITIVE,
     THREE_CYCLE,
-    ShapeParams,
     TooLarge,
     _layouts,
     _make_tuple,
     _orbit_sums,
     _orbit_weight,
     _pi_from_sigma0,
+    _shape_tuples,
     _sigma0,
     _split_product,
     brute_force_enumerate,
     census,
     closed_formulas,
-    enumerate_shapes,
     report_to_json_dict,
 )
 from pellab.hurwitz import (
@@ -42,11 +43,13 @@ from pellab.hurwitz import (
 from pellab.permgroup import Perm
 
 from oracles import (
+    ShapeParams,
     canonical_key,
     case_of,
     classes_by_case,
     conjugacy_classes,
     conjugate,
+    enumerate_shapes,
     primitive_disjoint_classes,
 )
 
@@ -204,6 +207,33 @@ def test_enumerate_shapes_matches_case_by_case_layouts():
         got = [(params, tuple_key(t)) for params, t in enumerate_shapes(n)]
         want = [(params, tuple_key(t)) for params, t in case_by_case_shapes(n)]
         assert got == want, n
+
+
+def test_shape_tuples_stream_the_enumerate_shapes_order():
+    for n in range(2, 13):
+        got = [tuple_key(t) for t in _shape_tuples(n)]
+        want = [tuple_key(t) for _, t in enumerate_shapes(n)]
+        assert got == want, n
+
+
+def test_primitive_orbit_sum_is_the_same_on_both_routes():
+    for n in range(2, 17):
+        shape = _orbit_sums(_shape_tuples(n))[PRIMITIVE]
+        brute = _orbit_sums(brute_force_enumerate(n))[PRIMITIVE]
+        assert shape == brute == 12 * primitive_disjoint_classes(n)[0], n
+
+
+def test_shape_route_census_holds_no_tuple_list():
+    """At n = 24 the shape route makes 4,324 tuples, about 7 MB held as a
+    list; streamed, the census holds one at a time."""
+    tracemalloc.start()
+    try:
+        report = census(24, use_brute=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.discrepancies == ()
+    assert peak < 1_000_000, peak
 
 
 def test_enumerate_shapes_smallest_cases():
@@ -459,7 +489,7 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     assert shapes[0][0] == ShapeParams(DISJOINT, h=1) and len(brute) == len(keep)
     not_whole = "orbit sum 18/12 is not a whole class count"
 
-    monkeypatch.setattr(census_module, "enumerate_shapes", lambda n: keep)
+    monkeypatch.setattr(census_module, "_shape_tuples", lambda n: (t for _, t in keep))
     report = census(5, use_brute=False)
     assert report.cases[DISJOINT] == census_module.CaseCounts(None, None, 2)
     assert report.cases[THREE_CYCLE].shape == 6

@@ -45,6 +45,17 @@ def test_verify_rejected():
     assert relaxed.status == "Ok"
 
 
+def test_zero_d_is_below_the_degree_floor():
+    """D = 0 solves A^2 - D*B^2 = 1 with A = 1, but its degree is -1: the
+    floor rejects it, with or without --allow-d1."""
+    for command in (["verify"], ["power", "--m", "2"], ["decompose"]):
+        for relax in ([], ["--allow-d1"]):
+            result = run([*command, "--A", "1", "--B", "1", "--D", "0", *relax])
+            assert result.status == "Rejected", (command, relax)
+            assert result.payload["reason"]["kind"] == "SmallDegreeD", (command, relax)
+            assert "deg D = -1" in result.payload["reason"]["message"]
+
+
 def test_parse_error_names_position():
     result = run(["verify", "--A", "t^", "--B", "1", "--D", "t^4-1"])
     assert result.status == "Error"
@@ -339,6 +350,19 @@ def test_census_route_flags_exclude_each_other(capsys):
     capsys.readouterr()
     assert run(["census", "--n", "3", "--no-brute-force"]).payload["cases"]["Disjoint"]["brute"] is None
     assert run(["census", "--n", "3", "--brute-force"]).payload["cases"]["Disjoint"]["brute"] == 1
+
+
+def test_option_prefixes_are_bad_input(capsys):
+    """main reads --json from argv as written, so a prefix of an option
+    name is refused rather than read as the option."""
+    for prefix in ("--j", "--js", "--jso"):
+        argv = ["census", "--n", "3", prefix]
+        result = run(argv)
+        assert result.status == "Error", prefix
+        assert any(prefix in d for d in result.diagnostics), prefix
+        assert main(argv) == 2, prefix
+    assert main(["census", "--n", "3", "--no-brute"]) == 2
+    capsys.readouterr()
 
 
 def test_tuple_size_bound_is_bad_input(tmp_path, capsys):

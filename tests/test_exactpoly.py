@@ -486,6 +486,7 @@ def test_parse_poly_errors_name_position():
     assert "position 1" in str(err.value)
     with pytest.raises(PolyParseError) as err:
         parse_poly("x^2")
+    assert "unknown variable 'x'" in str(err.value)
     assert "position 0" in str(err.value)
     assert err.value.pos == 0
     with pytest.raises(PolyParseError) as err:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from pellab import hurwitz
 from pellab import permgroup as pg
-from pellab.census import enumerate_shapes
 from pellab.hurwitz import (
     MAX_TUPLE_N,
     CheckResult,
@@ -32,7 +31,7 @@ from pellab.hurwitz import (
 )
 from pellab.permgroup import Perm
 
-from oracles import branching, congruence_partition, conjugate, power_test
+from oracles import branching, congruence_partition, conjugate, enumerate_shapes, power_test
 
 
 def disjoint_census_tuple(n: int, h: int) -> HurwitzTuple:
