@@ -5,10 +5,12 @@ fixed by sigma1 and tau.
 Three routes produce per-case conjugacy-class counts: shape enumeration
 (parameterized sigma0 layouts), brute force over fixed-point-free
 involutions, pruned while pairing (ground truth), and closed formulas.  The
-first two count classes by orbit counting over their tuples, with no class
-ever built; the shape route streams its tuples into that one pass.
-Reports carry all three and flag any disagreement; nothing is reconciled
-silently.
+first two count classes by orbit counting per sigma0, with no class and no
+tuple ever built: sigma0 forces the product pi = sigma1*tau, and one scan
+of pi's images gives every split's tau and the points they all fix.  Both
+routes stream their sigma0 into that one pass.  Tuples are built only by
+the test oracles.  Reports carry all three and flag any disagreement;
+nothing is reconciled silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
-from .hurwitz import HurwitzTuple, common_fixed, standard_cycle
 from .permgroup import Perm
 
 DISJOINT = "Disjoint"
@@ -34,10 +35,15 @@ CASES = (DISJOINT, THREE_CYCLE, FOUR_CYCLE)
 PRIMITIVE = "primitive Disjoint"
 
 BRUTE_DEFAULT_MAX = 24
+SHAPE_MAX = 64
+
+# One sigma0 with what its splits share: CF, the points every split's sigma1
+# and tau fix, and each split's tau as a point pair.
+Splits = tuple[Perm, frozenset[int], list[tuple[int, int]]]
 
 
 class TooLarge(ValueError):
-    """Brute force refused beyond its point bound."""
+    """A census n beyond the bound of a route it would run."""
 
 
 @dataclass(frozen=True)
@@ -65,51 +71,54 @@ def _pi_from_sigma0(sigma0: Perm) -> Perm:
     return pg._unchecked(sigma0.images[1:] + sigma0.images[:1])
 
 
-def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
-    """All (sigma1, tau) with tau a transposition, sigma1*tau = pi (sigma1
-    acting first), sigma1 all-even cycles with exactly 4 fixed points.
+def _splits(sigma0: Perm) -> tuple[frozenset[int], list[tuple[int, int]]]:
+    """CF and the taus of every split (sigma1, tau) of sigma0's forced
+    product pi = sigma1*tau (sigma1 acting first): tau a transposition,
+    sigma1 = pi*tau all-even cycles with exactly 4 fixed points.
 
-    Empty unless pi is one of the three census cases: transpositions and at
-    most one 3- or 4-cycle, with as many fixed points as its longest cycle
-    has points (2 when there is no 3- or 4-cycle)."""
-    N = pi.size
-    transpositions = []
-    big = None
-    for cyc in pg.cycles(pi):
-        if len(cyc) == 2:
-            transpositions.append(cyc)
-        elif big is None and len(cyc) in (3, 4):
-            big = cyc
-        else:
-            return []
-    big_len = len(big) if big else 0
-    if N - 2 * len(transpositions) - big_len != (big_len or 2):
-        return []
-    imgs = pi.images
-
-    def split(moves: dict[int, int], tau: tuple[int, int]) -> tuple[Perm, Perm]:
-        """sigma1 is pi with the points of moves remapped; tau is one swap."""
-        sigma1 = list(imgs)
-        for x, y in moves.items():
-            sigma1[x - 1] = y
-        swap = list(range(1, N + 1))
-        x, y = tau
-        swap[x - 1], swap[y - 1] = y, x
-        return pg._unchecked(tuple(sigma1)), pg._unchecked(tuple(swap))
-
-    if big is None:
-        return [split({a: a, b: b}, (a, b)) for a, b in transpositions]
-    if len(big) == 3:
-        a, b, c = big
-        return [split({x: y, y: x, z: z}, (x, z)) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
-    a, b, c, d = big
-    return [split({a: b, b: a, c: d, d: c}, (a, c)), split({b: c, c: b, d: a, a: d}, (b, d))]
+    No taus unless pi is one of the three census cases: transpositions and
+    at most one 3- or 4-cycle, with as many fixed points as its longest
+    cycle has points (2 when there is no 3- or 4-cycle).  The points off
+    pi's 1- and 2-cycles tell which: none, or 3 or 4, which then form one
+    cycle (a b c) or (a b c d) from its least point.  Disjoint takes each
+    transposition as tau, by least point, ThreeCycle (a, c), (b, a) or
+    (c, b), and FourCycle (a, c) or (b, d).  Each split's sigma1 moves the
+    points of pi's cycles that its tau fixes, so sigma1 and tau fix in
+    common exactly pi's fixed points, whatever the split."""
+    pi = _pi_from_sigma0(sigma0).images
+    cf = frozenset([x for x, y in enumerate(pi, 1) if x == y])
+    long = [x for x, y in enumerate(pi, 1) if pi[y - 1] != x]
+    if len(long) not in (0, 3, 4) or len(cf) != (len(long) or 2):
+        return frozenset(), []
+    if not long:
+        return cf, [(x, y) for x, y in enumerate(pi, 1) if x < y]
+    a = long[0]
+    b = pi[a - 1]
+    c = pi[b - 1]
+    return cf, [(a, c), (b, a), (c, b)] if len(long) == 3 else [(a, c), (b, pi[c - 1])]
 
 
-def _make_tuple(sigma_inf: Perm, sigma0: Perm, sigma1: Perm, tau: Perm) -> HurwitzTuple:
-    """The tuple on sigma_inf's 2n points; each route builds sigma_inf once."""
-    n = sigma_inf.size // 2
-    return HurwitzTuple(sigma0=sigma0, sigmaInf=sigma_inf, sigma1=sigma1, taus=(tau,), n=n, d=2)
+def _split_weights(sigma0: Perm, cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[int]:
+    """12 |Stab(t)| / |CF(t)| for the tuple t of each split of sigma0, with
+    CF(t) = cf, and Stab(t) the rotations that fix every entry of t.
+
+    A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
+    and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
+    rotations that fix sigma0 and tau.  A rotation by s can fix t only if
+    CF + s = CF (mod 2n); since 2n is in CF, s is one of its points.  The s
+    that also fix sigma0 are found once, and each tau tries only those.
+    The quotient is exact: CF(t) is a union of cosets of Stab(t), and
+    |CF(t)| <= 4."""
+    N = sigma0.size
+    shifts = [
+        s
+        for s in cf
+        if s != N and {(x + s) % N or N for x in cf} == cf and pg.rotate(sigma0, s) == sigma0
+    ]
+    return [
+        12 * (1 + sum({(a + s) % N or N, (b + s) % N or N} == {a, b} for s in shifts)) // len(cf)
+        for a, b in taus
+    ]
 
 
 def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
@@ -117,12 +126,11 @@ def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
     between consecutive points of (h, *cuts, 2n-h) folds onto itself."""
     N = 2 * n
     images = [0] * (N + 1)
-    for i in range(1, h + 1):
-        images[i], images[N + 1 - i] = N + 1 - i, i
+    images[1 : h + 1] = range(N, N - h, -1)
+    images[N - h + 1 :] = range(h, 0, -1)
     points = (h, *cuts, N - h)
-    for lo, hi in zip(points, points[1:]):
-        for j in range(1, (hi - lo) // 2 + 1):
-            images[lo + j], images[hi + 1 - j] = hi + 1 - j, lo + j
+    for lo, hi in zip(points, points[1:]):  # lo + j pairs with hi + 1 - j
+        images[lo + 1 : hi + 1] = range(hi, lo, -1)
     return pg._unchecked(tuple(images[1:]))
 
 
@@ -137,20 +145,18 @@ def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
                 yield h, cuts
 
 
-def _shape_tuples(n: int) -> Iterator[HurwitzTuple]:
-    """Every special tuple, one at a time: each sigma0 layout with every
-    split of its forced product.  The Disjoint layout's splits take
-    tau = (h, 2n-h) for h = 1..n-1 in turn."""
-    sigma_inf = standard_cycle(2 * n)
+def _shape_route(n: int) -> Iterator[Splits]:
+    """Every sigma0 layout, in enumeration order, with its CF and taus;
+    every layout's forced product splits.  The Disjoint layout's taus are
+    (h, 2n-h) for h = 1..n-1 in turn."""
     for h, cuts in _layouts(n):
         sigma0 = _sigma0(n, h, cuts)
-        for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
-            yield _make_tuple(sigma_inf, sigma0, sigma1, tau)
+        yield (sigma0, *_splits(sigma0))
 
 
-def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
-    """Ground truth: every fixed-point-free involution sigma0 whose forced
-    product pi = sigma1*tau matches a census case, split; sorted.
+def _brute_leaves(n: int) -> Iterator[Perm]:
+    """Every fixed-point-free involution sigma0 that the pruned scan keeps,
+    one at a time.
 
     pi sends 2n to sigma0(1), so only involutions with sigma0(1) = 2n can fix
     2n: the scan pairs 1 with 2n first.  pi(i) = sigma0(i+1), so pairing a
@@ -161,14 +167,8 @@ def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
       - two components have 3 or more points (every case has at most one
         cycle that long, and two such paths joined would exceed 4 points),
       - pi has more than 4 fixed points (FourCycle has the most, 4).
-    Each leaf that survives is still judged by _split_product alone."""
-    if n < 2:
-        raise ValueError("census needs n >= 2")
-    if n > BRUTE_DEFAULT_MAX:
-        raise TooLarge(f"n = {n} beyond brute-force bound {BRUTE_DEFAULT_MAX}")
+    Each leaf that survives is still judged by _splits alone."""
     N = 2 * n
-    sigma_inf = standard_cycle(N)
-    out: list[HurwitzTuple] = []
     paired = [0] * (N + 1)
     paired[1], paired[N] = N, 1
     nxt = [0] * (N + 1)  # the partial pi: nxt[i] = pi(i), prv[j] = pi^-1(j), 0 unknown
@@ -197,11 +197,9 @@ def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
         nxt[u], prv[v] = v, u
         return long, fixed
 
-    def descend(unpaired: list[int], long: int, fixed: int) -> None:
+    def descend(unpaired: list[int], long: int, fixed: int) -> Iterator[Perm]:
         if not unpaired:
-            sigma0 = pg._unchecked(tuple(paired[1:]))
-            for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
-                out.append(_make_tuple(sigma_inf, sigma0, sigma1, tau))
+            yield pg._unchecked(tuple(paired[1:]))
             return
         a = unpaired[0]
         rest = unpaired[1:]
@@ -212,58 +210,40 @@ def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
             second = link(b - 1, a, *first)
             if second is not None:
                 paired[a], paired[b] = b, a
-                descend(rest[:idx] + rest[idx + 1 :], *second)
+                yield from descend(rest[:idx] + rest[idx + 1 :], *second)
                 nxt[b - 1] = prv[a] = 0
             nxt[a - 1] = prv[b] = 0
 
-    descend(list(range(2, N)), 0, 1)
-    out.sort(key=_tuple_sort_key)
-    return out
+    return descend(list(range(2, N)), 0, 1)
 
 
-def _tuple_sort_key(t: HurwitzTuple):
-    return t.sigma0.images, t.sigma1.images, tuple(tau.images for tau in t.taus)
+def _brute_route(n: int) -> Iterator[Splits]:
+    """Every brute-force leaf whose forced product splits, with its CF and
+    taus."""
+    for sigma0 in _brute_leaves(n):
+        cf, taus = _splits(sigma0)
+        if taus:
+            yield sigma0, cf, taus
 
 
-def _orbit_weight(t: HurwitzTuple, cf: frozenset[int]) -> int:
-    """12 |Stab(t)| / |CF(t)|: cf = CF(t) is the points fixed by sigma1 and
-    every tau, and Stab(t) the rotations that fix every entry.  A rotation
-    by s can fix t only if CF(t) + s = CF(t) (mod 2n); since 2n is in CF(t),
-    s is one of its points.  Only such s are tried, sigma0 first.  The
-    quotient is exact: CF(t) is a union of cosets of Stab(t), and
-    |CF(t)| <= 4."""
-    N = t.points
-    stab = 1
-    for s in cf:
-        if (
-            s != N
-            and {(x + s) % N or N for x in cf} == cf
-            and all(pg.rotate(p, s) == p for p in (t.sigma0, t.sigma1, *t.taus))
-        ):
-            stab += 1
-    return 12 * stab // len(cf)
-
-
-def _orbit_sums(tuples: Iterable[HurwitzTuple]) -> dict[str, int]:
+def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     """12 times each case's number of conjugacy classes and, under PRIMITIVE,
-    of primitive Disjoint classes; a split tuple's case is its number of
-    common fixed points, those of sigma1*tau.
+    of primitive Disjoint classes, from one route's sigma0 and splits; a
+    split's case is read from |CF|: 2, 3 or 4 common fixed points.
 
     Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
     the 2n rotations whose members fix 2n in common.  The rotations that
     carry one of a member's |CF| common fixed points to 2n reach exactly
     those members, each |Stab| times, so a class has |CF| / |Stab| members
-    and its weights sum to 12.  A Disjoint class is primitive when its
-    tau = (h, 2n-h) has gcd(h, n) = 1; every member has the same gcd(h, n),
-    so each tuple is judged alone."""
+    and its weights (_split_weights) sum to 12.  A Disjoint class is
+    primitive when its tau = (h, 2n-h) has gcd(h, n) = 1; every member has
+    the same gcd(h, n), so each split is judged alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
-    for t in tuples:
-        cf = common_fixed(t)
-        weight = _orbit_weight(t, cf)
-        sums[CASES[len(cf) - 2]] += weight
-        if len(cf) == 2:
-            h = next(x for x, y in enumerate(t.taus[0].images, 1) if x != y)
-            if math.gcd(h, t.n) == 1:
+    for sigma0, cf, taus in route:
+        case, n = CASES[len(cf) - 2], sigma0.size // 2
+        for tau, weight in zip(taus, _split_weights(sigma0, cf, taus)):
+            sums[case] += weight
+            if case == DISJOINT and math.gcd(min(tau), n) == 1:
                 sums[PRIMITIVE] += weight
     return sums
 
@@ -287,15 +267,20 @@ def closed_formulas(n: int) -> dict[str, int]:
 
 def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
     """All three counting routes with discrepancies flagged; brute force by
-    default up to n = BRUTE_DEFAULT_MAX.  An orbit sum that is not a whole
-    number of classes is a discrepancy, and its count is None."""
+    default up to n = BRUTE_DEFAULT_MAX, and no n past SHAPE_MAX, both
+    checked before any enumeration.  An orbit sum that is not a whole number
+    of classes is a discrepancy, and its count is None."""
     if n < 2:
         raise ValueError("census needs n >= 2")
     if use_brute is None:
         use_brute = n <= BRUTE_DEFAULT_MAX
+    if use_brute and n > BRUTE_DEFAULT_MAX:
+        raise TooLarge(f"n = {n} beyond brute-force bound {BRUTE_DEFAULT_MAX}")
+    if n > SHAPE_MAX:
+        raise TooLarge(f"n = {n} beyond shape-route bound {SHAPE_MAX}")
 
-    brute_sums = _orbit_sums(brute_force_enumerate(n)) if use_brute else None
-    shape_sums = _orbit_sums(_shape_tuples(n))
+    brute_sums = _orbit_sums(_brute_route(n)) if use_brute else None
+    shape_sums = _orbit_sums(_shape_route(n))
     formulas = closed_formulas(n)
     discrepancies: list[str] = []
 

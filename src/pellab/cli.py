@@ -91,6 +91,8 @@ def _load_json_file(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _ParserError(f"bad JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise _ParserError(f"bad JSON in {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise _ParserError(f"expected a JSON object in {path}")
     return _unwrap(data)

@@ -5,9 +5,15 @@ The census counts conjugacy classes by orbit counting and never builds one,
 and reads a tuple's case from how many points sigma1 and tau fix in common.
 The key-based grouping below builds every class, and case_of reads the case
 from the longest cycle of sigma1*tau, so the tests check the counts against
-them.  The census also streams its shape route, one tuple at a time;
-enumerate_shapes lists the same tuples in the same order, each with the
-ShapeParams of the layout that made it, and the tests pin that order.
+them.  The census also builds no tuple: it weighs each sigma0's splits from
+sigma0, the points its forced product fixes and each tau as a point pair.
+The tuple level below builds every split tuple and weighs it alone:
+_split_product makes sigma1 and tau as Perms, _shape_tuples streams the
+shape route's tuples, brute_force_enumerate lists and sorts those of the
+census's pruned leaf scan, and _orbit_weight and _orbit_sums take each
+tuple's common fixed points and rotate all its entries.  enumerate_shapes
+lists the shape tuples in the same order, each with the ShapeParams of the
+layout that made it, and the tests pin that order.
 
 The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
@@ -40,20 +46,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from pellab import permgroup as pg
 from pellab.census import (
+    BRUTE_DEFAULT_MAX,
     CASES,
     DISJOINT,
     FOUR_CYCLE,
+    PRIMITIVE,
     THREE_CYCLE,
+    TooLarge,
+    _brute_leaves,
     _layouts,
-    _make_tuple,
     _pi_from_sigma0,
     _sigma0,
-    _split_product,
-    _tuple_sort_key,
 )
 from pellab.exactpoly import (
     ONE,
@@ -93,6 +100,129 @@ from pellab.permgroup import (
     inverse,
     preserves_partition,
 )
+
+
+def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
+    """All (sigma1, tau) with tau a transposition, sigma1*tau = pi (sigma1
+    acting first), sigma1 all-even cycles with exactly 4 fixed points.
+
+    Empty unless pi is one of the three census cases: transpositions and at
+    most one 3- or 4-cycle, with as many fixed points as its longest cycle
+    has points (2 when there is no 3- or 4-cycle)."""
+    N = pi.size
+    transpositions = []
+    big = None
+    for cyc in pg.cycles(pi):
+        if len(cyc) == 2:
+            transpositions.append(cyc)
+        elif big is None and len(cyc) in (3, 4):
+            big = cyc
+        else:
+            return []
+    big_len = len(big) if big else 0
+    if N - 2 * len(transpositions) - big_len != (big_len or 2):
+        return []
+    imgs = pi.images
+
+    def split(moves: dict[int, int], tau: tuple[int, int]) -> tuple[Perm, Perm]:
+        """sigma1 is pi with the points of moves remapped; tau is one swap."""
+        sigma1 = list(imgs)
+        for x, y in moves.items():
+            sigma1[x - 1] = y
+        swap = list(range(1, N + 1))
+        x, y = tau
+        swap[x - 1], swap[y - 1] = y, x
+        return pg._unchecked(tuple(sigma1)), pg._unchecked(tuple(swap))
+
+    if big is None:
+        return [split({a: a, b: b}, (a, b)) for a, b in transpositions]
+    if len(big) == 3:
+        a, b, c = big
+        return [split({x: y, y: x, z: z}, (x, z)) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+    a, b, c, d = big
+    return [split({a: b, b: a, c: d, d: c}, (a, c)), split({b: c, c: b, d: a, a: d}, (b, d))]
+
+
+def _make_tuple(sigma_inf: Perm, sigma0: Perm, sigma1: Perm, tau: Perm) -> HurwitzTuple:
+    """The tuple on sigma_inf's 2n points; each route builds sigma_inf once."""
+    n = sigma_inf.size // 2
+    return HurwitzTuple(sigma0=sigma0, sigmaInf=sigma_inf, sigma1=sigma1, taus=(tau,), n=n, d=2)
+
+
+def _shape_tuples(n: int) -> Iterator[HurwitzTuple]:
+    """Every special tuple, one at a time: each sigma0 layout with every
+    split of its forced product.  The Disjoint layout's splits take
+    tau = (h, 2n-h) for h = 1..n-1 in turn."""
+    sigma_inf = standard_cycle(2 * n)
+    for h, cuts in _layouts(n):
+        sigma0 = _sigma0(n, h, cuts)
+        for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
+            yield _make_tuple(sigma_inf, sigma0, sigma1, tau)
+
+
+def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
+    """Ground truth: every tuple of the pruned scan's fixed-point-free
+    involutions (census._brute_leaves) whose forced product
+    pi = sigma1*tau matches a census case, split; sorted."""
+    if n < 2:
+        raise ValueError("census needs n >= 2")
+    if n > BRUTE_DEFAULT_MAX:
+        raise TooLarge(f"n = {n} beyond brute-force bound {BRUTE_DEFAULT_MAX}")
+    sigma_inf = standard_cycle(2 * n)
+    out = [
+        _make_tuple(sigma_inf, sigma0, sigma1, tau)
+        for sigma0 in _brute_leaves(n)
+        for sigma1, tau in _split_product(_pi_from_sigma0(sigma0))
+    ]
+    out.sort(key=_tuple_sort_key)
+    return out
+
+
+def _tuple_sort_key(t: HurwitzTuple):
+    return t.sigma0.images, t.sigma1.images, tuple(tau.images for tau in t.taus)
+
+
+def _orbit_weight(t: HurwitzTuple, cf: frozenset[int]) -> int:
+    """12 |Stab(t)| / |CF(t)|: cf = CF(t) is the points fixed by sigma1 and
+    every tau, and Stab(t) the rotations that fix every entry.  A rotation
+    by s can fix t only if CF(t) + s = CF(t) (mod 2n); since 2n is in CF(t),
+    s is one of its points.  Only such s are tried, sigma0 first.  The
+    quotient is exact: CF(t) is a union of cosets of Stab(t), and
+    |CF(t)| <= 4."""
+    N = t.points
+    stab = 1
+    for s in cf:
+        if (
+            s != N
+            and {(x + s) % N or N for x in cf} == cf
+            and all(pg.rotate(p, s) == p for p in (t.sigma0, t.sigma1, *t.taus))
+        ):
+            stab += 1
+    return 12 * stab // len(cf)
+
+
+def _orbit_sums(tuples: Iterable[HurwitzTuple]) -> dict[str, int]:
+    """12 times each case's number of conjugacy classes and, under PRIMITIVE,
+    of primitive Disjoint classes; a split tuple's case is its number of
+    common fixed points, those of sigma1*tau.
+
+    Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
+    the 2n rotations whose members fix 2n in common.  The rotations that
+    carry one of a member's |CF| common fixed points to 2n reach exactly
+    those members, each |Stab| times, so a class has |CF| / |Stab| members
+    and its weights sum to 12.  A Disjoint class is primitive when its
+    tau = (h, 2n-h) has gcd(h, n) = 1; every member has the same gcd(h, n),
+    so each tuple is judged alone."""
+    sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
+    for t in tuples:
+        cf = common_fixed(t)
+        weight = _orbit_weight(t, cf)
+        sums[CASES[len(cf) - 2]] += weight
+        if len(cf) == 2:
+            h = next(x for x, y in enumerate(t.taus[0].images, 1) if x != y)
+            if math.gcd(h, t.n) == 1:
+                sums[PRIMITIVE] += weight
+    return sums
 
 
 @dataclass(frozen=True)

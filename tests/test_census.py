@@ -17,17 +17,12 @@ from pellab.census import (
     DISJOINT,
     FOUR_CYCLE,
     PRIMITIVE,
+    SHAPE_MAX,
     THREE_CYCLE,
     TooLarge,
     _layouts,
-    _make_tuple,
-    _orbit_sums,
-    _orbit_weight,
     _pi_from_sigma0,
-    _shape_tuples,
     _sigma0,
-    _split_product,
-    brute_force_enumerate,
     census,
     closed_formulas,
     report_to_json_dict,
@@ -44,6 +39,12 @@ from pellab.permgroup import Perm
 
 from oracles import (
     ShapeParams,
+    _make_tuple,
+    _orbit_sums,
+    _orbit_weight,
+    _shape_tuples,
+    _split_product,
+    brute_force_enumerate,
     canonical_key,
     case_of,
     classes_by_case,
@@ -234,6 +235,74 @@ def test_shape_route_census_holds_no_tuple_list():
         tracemalloc.stop()
     assert report.discrepancies == ()
     assert peak < 1_000_000, peak
+
+
+def oracle_tuples(sigma0):
+    """The tuples of sigma0's splits, built by the tuple-level oracle."""
+    sigma_inf = standard_cycle(sigma0.size)
+    splits = _split_product(_pi_from_sigma0(sigma0))
+    return [_make_tuple(sigma_inf, sigma0, sigma1, tau) for sigma1, tau in splits]
+
+
+def test_split_weights_match_the_tuple_oracle():
+    """Every split on both routes, weighed per sigma0 with no tuple built,
+    has its tuple's tau, CF, case and tuple-level orbit weight."""
+    for n in range(2, 15):
+        routes = {"shape": census_module._shape_route(n), "brute": census_module._brute_route(n)}
+        splits = dict.fromkeys(routes, 0)
+        for name, route in routes.items():
+            for sigma0, cf, taus in route:
+                splits[name] += len(taus)
+                tuples = oracle_tuples(sigma0)
+                assert [set(tau) for tau in taus] == [set(pg.cycles(t.taus[0])[0]) for t in tuples]
+                weights = census_module._split_weights(sigma0, cf, taus)
+                for t, weight in zip(tuples, weights):
+                    assert common_fixed(t) == cf, (n, tuple_key(t))
+                    assert weight == _orbit_weight(t, cf), (n, tuple_key(t))
+                    assert CASES[len(cf) - 2] == case_of(t), (n, tuple_key(t))
+        assert splits["shape"] == splits["brute"] == len(brute_force_enumerate(n)), n
+
+
+def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
+    for n in range(2, 25):
+        got = census_module._orbit_sums(census_module._shape_route(n))
+        assert got == _orbit_sums(_shape_tuples(n)), n
+    for n in range(2, 13):
+        got = census_module._orbit_sums(census_module._brute_route(n))
+        assert got == _orbit_sums(brute_force_enumerate(n)), n
+
+
+def test_forced_product_is_scanned_once_per_layout(monkeypatch):
+    calls = []
+    splits = census_module._splits
+    monkeypatch.setattr(
+        census_module, "_splits", lambda sigma0: calls.append(sigma0) or splits(sigma0)
+    )
+    for n in (2, 3, 5, 12):
+        calls.clear()
+        assert census(n, use_brute=False).discrepancies == ()
+        assert len(calls) == len(list(_layouts(n))), n
+
+
+def test_census_builds_no_perm_per_split(monkeypatch):
+    """Per layout the shape route builds sigma0, its forced product and at
+    most three rotations of sigma0; no sigma1 or tau.  At n = 12 the 221
+    layouts have 506 splits."""
+    built = []
+    unchecked = pg._unchecked
+    monkeypatch.setattr(pg, "_unchecked", lambda images: built.append(images) or unchecked(images))
+    assert census(12, use_brute=False).discrepancies == ()
+    assert len(built) <= 5 * len(list(_layouts(12)))
+
+
+def test_shape_route_bound():
+    for n in (SHAPE_MAX + 1, 10**6):
+        for use_brute in (None, False):
+            with pytest.raises(TooLarge, match=f"^n = {n} beyond shape-route bound {SHAPE_MAX}$"):
+                census(n, use_brute=use_brute)
+        with pytest.raises(TooLarge, match=f"brute-force bound {BRUTE_DEFAULT_MAX}$"):
+            census(n, use_brute=True)
+    assert census(SHAPE_MAX).discrepancies == ()
 
 
 def test_enumerate_shapes_smallest_cases():
@@ -474,6 +543,17 @@ def test_orbit_weights_of_a_class_sum_to_twelve():
             assert _orbit_sums(t for cls in classes for t in cls)[c] == 12 * len(classes)
 
 
+def without_split(route, t):
+    """route with the split that makes tuple t left out of its sigma0's taus."""
+    tau = pg.cycles(t.taus[0])[0]
+
+    def patched(n):
+        for sigma0, cf, taus in route(n):
+            yield sigma0, cf, [x for x in taus if (sigma0, x) != (t.sigma0, tau)]
+
+    return patched
+
+
 def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     """Half of a known class: at n = 5 the Disjoint tuples with h = 1 and
     h = 4 form one class, each weighing 6 of its 12.  Without the h = 1
@@ -489,7 +569,9 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     assert shapes[0][0] == ShapeParams(DISJOINT, h=1) and len(brute) == len(keep)
     not_whole = "orbit sum 18/12 is not a whole class count"
 
-    monkeypatch.setattr(census_module, "_shape_tuples", lambda n: (t for _, t in keep))
+    monkeypatch.setattr(
+        census_module, "_shape_route", without_split(census_module._shape_route, shapes[0][1])
+    )
     report = census(5, use_brute=False)
     assert report.cases[DISJOINT] == census_module.CaseCounts(None, None, 2)
     assert report.cases[THREE_CYCLE].shape == 6
@@ -502,7 +584,9 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     assert report_to_json_dict(report)["cases"][DISJOINT]["shape"] is None
 
     monkeypatch.undo()
-    monkeypatch.setattr(census_module, "brute_force_enumerate", lambda n: brute)
+    monkeypatch.setattr(
+        census_module, "_brute_route", without_split(census_module._brute_route, shapes[0][1])
+    )
     report = census(5)
     assert report.cases[DISJOINT] == census_module.CaseCounts(2, None, 2)
     assert report.primitive_disjoint_count == 2

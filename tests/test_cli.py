@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellab.census import BRUTE_DEFAULT_MAX
+from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
 from pellab.cli import CommandResult, build_parser, main, render, run
 from pellab.exactpoly import ONE, Poly, format_poly, from_coeff_strings, parse_poly
 from pellab.hurwitz import MAX_TUPLE_N, HurwitzTuple, tuple_to_json_dict, zannier_tuple
@@ -249,6 +249,26 @@ def test_profile_reads_stdin(monkeypatch):
     assert result.payload["profile"] == []
 
 
+NESTED = "[" * 200_000  # deeper than the JSON decoder can recurse
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED, encoding="utf-8")
+    for command in ("validate", "profile", "verify"):
+        for source, stdin in ((str(path), ""), ("-", NESTED)):
+            argv = [command, "--file", source]
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                result = run(argv)
+            assert result.status == "Error", argv
+            assert result.diagnostics == [f"bad JSON in {source}: nested too deeply"], argv
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                assert main(argv) == 2
+    with mock.patch("sys.stdin", io.StringIO(NESTED)):
+        assert run(["profile"]).diagnostics == ["bad JSON in -: nested too deeply"]
+    capsys.readouterr()
+
+
 def test_profile_normalizes_with_note(tmp_path):
     data = {
         "n": 6,
@@ -315,6 +335,19 @@ def test_census_env_bound(monkeypatch):
     want = [render(run(argv), as_json=True) for argv in argvs]
     monkeypatch.setenv("PELLAB_BRUTE_MAX", "2")
     assert [render(run(argv), as_json=True) for argv in argvs] == want
+
+
+def test_census_shape_route_bound(capsys):
+    for n in (SHAPE_MAX + 1, 10**6):
+        want = [f"census error: n = {n} beyond shape-route bound {SHAPE_MAX}"]
+        for route in ([], ["--no-brute-force"]):
+            argv = ["census", "--n", str(n), *route]
+            result = run(argv)
+            assert (result.status, result.diagnostics) == ("Error", want), argv
+            assert main(argv) == 2
+        result = run(["census", "--n", str(n), "--brute-force"])
+        assert result.diagnostics == [f"census error: n = {n} beyond brute-force bound {BRUTE_DEFAULT_MAX}"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -568,14 +601,19 @@ SOLUTIONS = (
 
 @st.composite
 def solution_json(draw):
-    """A Pell solution with a field maybe replaced or dropped, or no solution
-    object at all."""
+    """The text of a Pell solution with a field maybe replaced or dropped,
+    or of no solution object at all, one an array nested too deeply."""
     data = dict(draw(st.sampled_from(SOLUTIONS)))
     for key in draw(st.sets(st.sampled_from(["A", "B", "D"]), max_size=2)):
         data[key] = draw(st.one_of(st.lists(coeff_items, max_size=4), coeff_items))
     for key in draw(st.sets(st.sampled_from(["A", "B", "D"]), max_size=1)):
         del data[key]
-    return draw(st.one_of(st.just(data), st.just({"payload": data}), st.sampled_from([[], 3, "x"])))
+    return draw(st.one_of(
+        st.just(json.dumps(data)),
+        st.just(json.dumps({"payload": data})),
+        st.sampled_from(["[]", "3", '"x"']),
+        st.just(NESTED),
+    ))
 
 
 @st.composite
@@ -606,9 +644,9 @@ def fuzz_dir(tmp_path_factory):
 @given(command_line(), solution_json(), st.one_of(tuple_json(), st.sampled_from([[], "x"])))
 def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
     own, other = ("tuple", "solution") if argv[0] in ("validate", "profile") else ("solution", "tuple")
-    files = {"solution": solution, "tuple": tuple_data}
-    for name, data in files.items():
-        (fuzz_dir / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    files = {"solution": solution, "tuple": json.dumps(tuple_data)}
+    for name, text in files.items():
+        (fuzz_dir / f"{name}.json").write_text(text, encoding="utf-8")
     paths = {key: str(fuzz_dir / f"{name}.json")
              for key, name in (("own", own), ("other", other), ("missing", "missing"))}
     argv = [paths.get(arg, arg) if prev == "--file" else arg for prev, arg in zip([None, *argv], argv)]
