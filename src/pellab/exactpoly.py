@@ -12,10 +12,10 @@ and printing).  A product convolves the numerators.  Composition runs
 Horner on the numerators of the inner polynomial, with the powers of its
 denominator folded into the outer coefficients.  Division is
 pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
-deg b + 1).  The gcd and the resultant follow the primitive remainder
-sequence: each pseudo-remainder is divided by its content, the gcd of its
-coefficients, so the coefficients stay small.  Each result is reduced once,
-by one gcd of its denominator and numerators.  The series m-th root keeps
+deg b + 1).  Only gcd follows the primitive remainder sequence: each
+pseudo-remainder is divided by its content, the gcd of its coefficients,
+so the coefficients stay small.  Each result is reduced once, by one
+gcd of its denominator and numerators.  The series m-th root keeps
 its coefficients as integer numerators over one common denominator.  Exact
 integer m-th roots use an integer Newton iteration, and every sequence runs
 in a loop, so nothing depends on float range or on the recursion limit.
@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import dropwhile
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -200,7 +201,6 @@ def _poly(nums: list[int], den: int = 1) -> Poly:
 
 ZERO = Poly()
 ONE = Poly([1])
-X = Poly([0, 1])
 
 
 def constant(c: RatLike) -> Poly:
@@ -339,47 +339,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     return out
 
 
-def resultant(a: Poly, b: Poly) -> Rat:
-    """Resultant along the primitive remainder sequence of the numerators,
-    by the reduction rules res(a, b) = (-1)^(deg a deg b) res(b, a),
-    res(c*a, b) = c^(deg b) res(a, b), and, for deg a >= deg b with
-    a = q*b + r, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r).
-    A pseudo-remainder scale*r = content*primitive enters as the factor
-    (content/scale)^(deg b), so no coefficient is ever a fraction."""
-    if a.is_zero or b.is_zero:
-        return Rat(0)
-    if a.degree == 0 or b.degree == 0:
-        return a.leading ** b.degree * b.leading ** a.degree
-    cu, u = _primitive(list(a.nums))
-    cv, v = _primitive(list(b.nums))
-    factor = Rat(cu, a.den) ** b.degree * Rat(cv, b.den) ** a.degree
-    if len(u) < len(v):
-        u, v = v, u
-        if a.degree * b.degree % 2:
-            factor = -factor
-    while len(v) > 1:
-        m, n = len(u) - 1, len(v) - 1
-        _, r, scale = _pseudo_divrem(u, v)
-        c, r = _primitive(r)
-        if not r:
-            return Rat(0)
-        factor *= v[-1] ** (m - len(r) + 1) * Rat(c, scale) ** n
-        if m * n % 2:
-            factor = -factor
-        u, v = v, r
-    return factor * v[0] ** (len(u) - 1)
-
-
-def discriminant(p: Poly) -> Rat:
-    """disc(p) = (-1)^(d(d-1)/2) res(p, p') / lc(p); zero iff p has a
-    repeated root."""
-    d = p.degree
-    if d < 1:
-        raise DegreeTooSmall("discriminant needs degree >= 1")
-    sign = Rat(-1) ** (d * (d - 1) // 2)
-    return sign * resultant(p, derivative(p)) / p.leading
-
-
 def _int_nth_root(v: int, m: int) -> Optional[int]:
     """Exact integer m-th root of v >= 0, or None."""
     if v < 0:
@@ -487,6 +446,10 @@ _TERM_RE = re.compile(
     re.VERBOSE,
 )
 
+# Largest exponent parse_poly reads: "t^k" builds a list of k + 1
+# coefficients before any check can look at the polynomial.
+MAX_DEGREE = 10_000
+
 
 def parse_rational(text: str) -> Rat:
     """A rational in the coefficient form of parse_poly, with an optional
@@ -517,9 +480,21 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
+def _exponent(m: re.Match, group: str) -> int:
+    """The term's exponent, 1 when it has none, refused past MAX_DEGREE.
+    Leading zeros, of any script, do not count, and no exponent longer than
+    the bound reaches int(), which refuses more than 4300 digits."""
+    digits = m.group(group) or "1"
+    if len(digits) > len(str(MAX_DEGREE)):
+        digits = "".join(dropwhile(lambda c: not int(c), digits)) or "0"
+    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        raise PolyParseError(f"exponent past the degree bound {MAX_DEGREE}", m.start(group))
+    return int(digits)
+
+
 def parse_poly(text: str) -> Poly:
-    """Parse human polynomial syntax.  Raises PolyParseError with the
-    offending position."""
+    """Parse human polynomial syntax, exponents up to MAX_DEGREE.  Raises
+    PolyParseError with the offending position."""
     s = text
     pos = 0
     end = len(s)
@@ -545,13 +520,10 @@ def parse_poly(text: str) -> Poly:
                 coeff = Rat(m.group("coeff"))
             except ZeroDivisionError:
                 raise PolyParseError("zero denominator", m.start("coeff")) from None
-            if m.group("varc") is not None:
-                exp = int(m.group("expc")) if m.group("expc") else 1
-            else:
-                exp = 0
+            exp = _exponent(m, "expc") if m.group("varc") is not None else 0
         else:
             coeff = Rat(1)
-            exp = int(m.group("expb")) if m.group("expb") else 1
+            exp = _exponent(m, "expb")
         terms[exp] = terms.get(exp, Rat(0)) + sign * coeff
         pos = m.end()
         first = False

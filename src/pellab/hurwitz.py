@@ -18,9 +18,10 @@ from .pellcore import admissible_exponents
 from .permgroup import Perm
 
 
-# Largest n read from tuple JSON or built by zannier_tuple: every entry is an
-# image list of 2n points, built before any check can look at the tuple.
+# Largest n, and 2n * entries, read from tuple JSON or built by zannier_tuple:
+# every entry is an image list of 2n points, built before any check can run.
 MAX_TUPLE_N = 100_000
+MAX_TUPLE_POINTS = 2_000_000
 
 
 class DegreeOrder(ValueError):
@@ -175,6 +176,8 @@ def zannier_tuple(n: int, d: int) -> HurwitzTuple:
         raise DegreeOrder(f"need n >= d >= 2, got n={n}, d={d}")
     if n > MAX_TUPLE_N:
         raise ValueError(f"need n <= {MAX_TUPLE_N}, got n = {n}")
+    if 2 * n * (d + 2) > MAX_TUPLE_POINTS:
+        raise ValueError(f"need 2n * (d + 2) <= {MAX_TUPLE_POINTS}, got {2 * n * (d + 2)}")
     N = 2 * n
     sigma0 = Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, n + 1)])
     sigma1 = Perm.from_cycles(N, [(i, N - i) for i in range(1, n - d + 1)])
@@ -291,6 +294,9 @@ def tuple_from_json_dict(data: dict) -> HurwitzTuple:
     if n > MAX_TUPLE_N:
         raise ValueError(f"tuple JSON needs n <= {MAX_TUPLE_N}, got n = {n}")
     N = 2 * n
+    entries = 3 + len(data["taus"]) if isinstance(data.get("taus"), list) else 0
+    if N * entries > MAX_TUPLE_POINTS:
+        raise ValueError(f"tuple JSON needs 2n * entries <= {MAX_TUPLE_POINTS}, got {N * entries}")
     try:
         sigma0 = pg.parse_cycles(data["sigma0"], N)
         sigmaInf = pg.parse_cycles(data["sigmaInf"], N)

@@ -211,7 +211,8 @@ def is_transitive(perms: Sequence[Perm], n: int) -> bool:
     return all(seen[1:])
 
 
-# The block layer stays in src only as perfbench's profile oracle; ROADMAP item 7 moves it.
+# The block layer stays in src only as perfbench's profile oracle: once ROADMAP
+# item 1 gives perfbench its own copy, item 6 moves it to the test oracles.
 class NotADivisor(ValueError):
     """Block count must divide the point count."""
 

@@ -23,6 +23,13 @@ The series root and composition run on integer numerators.  Below, the
 same recurrence runs on Fractions, and composition is Horner on reduced
 Poly values.
 
+The commands decide squarefreeness by gcd(D, D'), and gcd is the only
+remainder sequence in src.  resultant and discriminant below run the same
+primitive remainder sequence under the resultant's reduction rules; the
+tests check resultant against a Sylvester determinant, the Chebyshev closed
+form and sympy, and the squarefree verdict against discriminant.  X is the
+polynomial t.
+
 classify_powers skips every m that has an admissible divisor without a
 root, since T_ab = T_a o T_b.  classify_powers_every_m tries every
 admissible m.
@@ -65,9 +72,13 @@ from pellab.census import (
 from pellab.exactpoly import (
     ONE,
     ZERO,
+    DegreeTooSmall,
     Poly,
     Rat,
+    _primitive,
+    _pseudo_divrem,
     constant,
+    derivative,
     exact_div,
     poly_sqrt,
     rat_nth_root,
@@ -357,6 +368,50 @@ def compose_by_fractions(p: Poly, q: Poly) -> Poly:
     for c in reversed(p.coeffs):
         acc = acc * q + constant(c)
     return acc
+
+
+X = Poly([0, 1])
+
+
+def resultant(a: Poly, b: Poly) -> Rat:
+    """Resultant along the primitive remainder sequence of the numerators,
+    by the reduction rules res(a, b) = (-1)^(deg a deg b) res(b, a),
+    res(c*a, b) = c^(deg b) res(a, b), and, for deg a >= deg b with
+    a = q*b + r, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r).
+    A pseudo-remainder scale*r = content*primitive enters as the factor
+    (content/scale)^(deg b), so no coefficient is ever a fraction."""
+    if a.is_zero or b.is_zero:
+        return Rat(0)
+    if a.degree == 0 or b.degree == 0:
+        return a.leading ** b.degree * b.leading ** a.degree
+    cu, u = _primitive(list(a.nums))
+    cv, v = _primitive(list(b.nums))
+    factor = Rat(cu, a.den) ** b.degree * Rat(cv, b.den) ** a.degree
+    if len(u) < len(v):
+        u, v = v, u
+        if a.degree * b.degree % 2:
+            factor = -factor
+    while len(v) > 1:
+        m, n = len(u) - 1, len(v) - 1
+        _, r, scale = _pseudo_divrem(u, v)
+        c, r = _primitive(r)
+        if not r:
+            return Rat(0)
+        factor *= v[-1] ** (m - len(r) + 1) * Rat(c, scale) ** n
+        if m * n % 2:
+            factor = -factor
+        u, v = v, r
+    return factor * v[0] ** (len(u) - 1)
+
+
+def discriminant(p: Poly) -> Rat:
+    """disc(p) = (-1)^(d(d-1)/2) res(p, p') / lc(p); zero iff p has a
+    repeated root."""
+    d = p.degree
+    if d < 1:
+        raise DegreeTooSmall("discriminant needs degree >= 1")
+    sign = Rat(-1) ** (d * (d - 1) // 2)
+    return sign * resultant(p, derivative(p)) / p.leading
 
 
 def classify_powers_every_m(sol: PellSolution) -> PowerClassification:

@@ -22,7 +22,6 @@ from pellab.census import (
 )
 from pellab.exactpoly import (
     Poly,
-    X,
     compose,
     parse_poly,
     squarefree_decomposition,
@@ -44,6 +43,7 @@ from pellab.pellcore import (
 from pellab.permgroup import Perm
 
 from oracles import (
+    X,
     congruence_partition,
     conjugacy_classes,
     enumerate_shapes,

@@ -14,8 +14,14 @@ from hypothesis import strategies as st
 
 from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
 from pellab.cli import CommandResult, build_parser, main, render, run
-from pellab.exactpoly import ONE, Poly, format_poly, from_coeff_strings, parse_poly
-from pellab.hurwitz import MAX_TUPLE_N, HurwitzTuple, tuple_to_json_dict, zannier_tuple
+from pellab.exactpoly import MAX_DEGREE, ONE, Poly, format_poly, from_coeff_strings, parse_poly
+from pellab.hurwitz import (
+    MAX_TUPLE_N,
+    MAX_TUPLE_POINTS,
+    HurwitzTuple,
+    tuple_to_json_dict,
+    zannier_tuple,
+)
 from pellab.pellcore import power_solution, verify_pell
 from pellab.permgroup import Perm
 
@@ -411,6 +417,40 @@ def test_tuple_size_bound_is_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tuple_points_bound_is_bad_input(tmp_path, capsys):
+    argv = ["zannier", "--n", "1000", "--d", "1000"]
+    result = run(argv)
+    assert (result.status, result.diagnostics) == (
+        "Error", [f"need 2n * (d + 2) <= {MAX_TUPLE_POINTS}, got 2004000"]
+    )
+    assert main(argv) == 2
+    data = {"n": 20_000, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": ["()"] * 48}
+    path = write_tuple(tmp_path, data)
+    want = [f"tuple JSON needs 2n * entries <= {MAX_TUPLE_POINTS}, got 2040000"]
+    for command in ("validate", "profile"):
+        result = run([command, "--file", path])
+        assert (result.status, result.diagnostics) == ("Error", want)
+        assert main([command, "--file", path]) == 2
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(data))):
+            assert run([command]).diagnostics == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("exponent", [str(MAX_DEGREE + 1), "9" * 5000], ids=["one past", "5000 digits"])
+def test_exponent_past_degree_bound_is_bad_input(exponent, capsys):
+    text = f"t^{exponent}"
+    want = [f"polynomial error: exponent past the degree bound {MAX_DEGREE} (at position 2)"]
+    for argv in (
+        ["verify", "--A", text, "--B", "1", "--D", "t^4-1"],
+        ["seed", "--A", text],
+        ["ramify", "--f", text, "--at", "0"],
+    ):
+        result = run(argv)
+        assert (result.status, result.diagnostics) == ("Error", want), argv[0]
+        assert main(argv) == 2
+    capsys.readouterr()
+
+
 def test_render_human_mode():
     result = CommandResult("Ok", {"x": 1}, ["note text"])
     text = render(result, as_json=False)
@@ -561,6 +601,7 @@ poly_text = st.one_of(
     small_poly,
     st.sampled_from(["2*t^3-1", "2*t^3 - 1", "t^2", "1", "2*t", "t^4-1", "t^4 - t", "t^2 - 1"]),
     st.sampled_from(["t^", "t^-1", "1/0", "", "t^2 +", "x", "2t"]),
+    st.sampled_from([f"t^{MAX_DEGREE + 1}", f"2*t^0{MAX_DEGREE + 1}", "2*t^" + "9" * 5000]),
     st.text(alphabet="t0123456789+-*/() .", max_size=12),
 )
 OPTIONS = {
@@ -653,6 +694,7 @@ def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
     with mock.patch("sys.stdin", io.StringIO("")):
         result = run(argv)
     assert result.status in ("Ok", "Rejected", "Error")
+    assert not any("integer string conversion" in d for d in result.diagnostics)
     render(result, as_json=True)
     render(result, as_json=False)
 

@@ -9,8 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pellab.exactpoly import (
+    MAX_DEGREE,
     ONE,
-    X,
     ZERO,
     DegreeTooSmall,
     DivByZeroPoly,
@@ -22,7 +22,6 @@ from pellab.exactpoly import (
     compose,
     constant,
     derivative,
-    discriminant,
     divrem,
     exact_div,
     format_poly,
@@ -33,14 +32,13 @@ from pellab.exactpoly import (
     parse_rational,
     poly_sqrt,
     rat_nth_root,
-    resultant,
     squarefree_decomposition,
     squarefree_part,
     to_coeff_strings,
 )
 from pellab.pellcore import chebyshev
 
-from oracles import compose_by_fractions, series_root_by_fractions
+from oracles import X, compose_by_fractions, discriminant, resultant, series_root_by_fractions
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, max_size=6).map(Poly)
@@ -492,6 +490,23 @@ def test_parse_poly_errors_name_position():
     with pytest.raises(PolyParseError) as err:
         parse_poly("t - 3/0*t^2")
     assert err.value.pos == 4
+
+
+def test_parse_poly_degree_bound():
+    assert parse_poly(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
+    # Leading zeros do not count toward the exponent's digits.
+    assert parse_poly("2*t^" + "0" * 6000 + str(MAX_DEGREE)).degree == MAX_DEGREE
+    past = MAX_DEGREE + 1
+    for text, pos in (
+        (f"t^{past}", 2),
+        (f"1 + 3*t^{past}", 8),
+        (f"t^2 - t ^ 0{past}", 10),
+        ("t^" + "9" * 5000, 2),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == f"exponent past the degree bound {MAX_DEGREE} (at position {pos})"
+        assert err.value.pos == pos
 
 
 def test_format_poly_examples():

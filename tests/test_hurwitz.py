@@ -13,6 +13,7 @@ from pellab import hurwitz
 from pellab import permgroup as pg
 from pellab.hurwitz import (
     MAX_TUPLE_N,
+    MAX_TUPLE_POINTS,
     CheckResult,
     DegreeOrder,
     HurwitzTuple,
@@ -555,6 +556,27 @@ def test_tuple_json_rejects_bad_input():
             tuple_from_json_dict(dict(data, **{key: value}))
     with pytest.raises(ValueError, match=f"n <= {MAX_TUPLE_N}"):
         tuple_from_json_dict(dict(data, n=MAX_TUPLE_N + 1))
+
+
+def test_tuple_points_bound():
+    # zannier_tuple(n, n) has n + 2 entries on 2n points: 2,004,000 at n = 1000.
+    with pytest.raises(ValueError) as err:
+        zannier_tuple(1000, 1000)
+    assert str(err.value) == f"need 2n * (d + 2) <= {MAX_TUPLE_POINTS}, got 2004000"
+    t = zannier_tuple(999, 999)
+    assert len(t.gens()) * t.points == 1_999_998
+    # 48 taus on 40,000 points: 51 entries, 2,040,000 points, refused before
+    # any entry is read, but after the n checks and only for a list of taus.
+    data = {"n": 20_000, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": ["()"] * 48}
+    want = f"tuple JSON needs 2n * entries <= {MAX_TUPLE_POINTS}, got 2040000"
+    for broken in (data, dict(data, sigma0="(1,x)")):
+        with pytest.raises(ValueError) as err:
+            tuple_from_json_dict(broken)
+        assert str(err.value) == want
+    with pytest.raises(ValueError, match=f"n <= {MAX_TUPLE_N}"):
+        tuple_from_json_dict(dict(data, n=MAX_TUPLE_N + 1))
+    with pytest.raises(ValueError, match="taus must be a list"):
+        tuple_from_json_dict(dict(data, taus="()" * 48))
 
 
 def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:

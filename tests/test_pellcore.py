@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from pellab import pellcore
 from pellab.exactpoly import (
     ONE,
-    X,
     ZERO,
     DegreeTooSmall,
     Poly,
     Rat,
     compose,
     constant,
-    discriminant,
     parse_poly,
     rat_nth_root,
     squarefree_decomposition,
@@ -41,7 +39,7 @@ from pellab.pellcore import (
     verify_pell,
 )
 
-from oracles import classify_powers_every_m, power_polynomial, seed_by_whole_unit
+from oracles import X, classify_powers_every_m, discriminant, power_polynomial, seed_by_whole_unit
 
 
 def chebyshev_closed_form(n: int) -> Poly:

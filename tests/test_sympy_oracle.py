@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pellab.exactpoly import Poly, gcd, resultant, squarefree_decomposition
+from pellab.exactpoly import Poly, gcd, squarefree_decomposition
+
+from oracles import resultant
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.subresultants_qq_zz import res_q
