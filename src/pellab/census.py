@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import permgroup as pg
 from .permgroup import Perm
@@ -46,8 +45,7 @@ class TooLarge(ValueError):
     """A census n beyond the bound of a route it would run."""
 
 
-@dataclass(frozen=True)
-class CaseCounts:
+class CaseCounts(NamedTuple):
     """Class counts for one case; brute is None when not engaged, and a
     route's count is None when its orbit sum is not whole (a discrepancy)."""
 
@@ -56,8 +54,7 @@ class CaseCounts:
     formula: int
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     n: int
     cases: dict[str, CaseCounts]  # every case, in CASES order
     c1: int

@@ -21,7 +21,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import census as census_mod
 from . import exactpoly, hurwitz, pellcore
@@ -36,8 +36,7 @@ ERROR = "Error"
 EXIT_CODES = {OK: 0, REJECTED: 1, ERROR: 2}
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     status: str
     payload: object
     diagnostics: list[str]
@@ -160,6 +159,10 @@ def _cmd_power(args) -> CommandResult:
     base = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
     if isinstance(base, pellcore.RejectionReason):
         return _rejection(base)
+    if args.m * base.n > exactpoly.MAX_DEGREE:
+        raise _ParserError(
+            f"--m {args.m} times deg A = {base.n} is past the degree bound {exactpoly.MAX_DEGREE}"
+        )
     powered = pellcore.power_solution(base, args.m)
     return CommandResult(OK, _solution_payload(powered), [])
 

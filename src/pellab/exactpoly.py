@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import dropwhile
 from typing import Iterable, Optional, Sequence, Union
@@ -71,9 +70,8 @@ def _rat(value: RatLike) -> Rat:
     return Rat(value)
 
 
-@dataclass(frozen=True, init=False)
 class Poly:
-    """Immutable rational polynomial, nums/den in lowest terms.
+    """Immutable, hashable rational polynomial, nums/den in lowest terms.
 
     >>> p = Poly([1, 0, -2])
     >>> p.degree
@@ -85,6 +83,7 @@ class Poly:
     ((1, 1), 2)
     """
 
+    __slots__ = ("nums", "den")
     nums: tuple[int, ...]
     den: int
 
@@ -173,6 +172,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Poly")
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

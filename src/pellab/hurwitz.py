@@ -11,7 +11,7 @@ sigmaInf to the standard descending cycle (i maps to i-1, 1 to 2n) and puts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import permgroup as pg
 from .pellcore import admissible_exponents
@@ -32,8 +32,7 @@ class NotSpecialForm(ValueError):
     """Operation needs a tuple in special (normalized) form."""
 
 
-@dataclass(frozen=True)
-class HurwitzTuple:
+class HurwitzTuple(NamedTuple):
     sigma0: Perm
     sigmaInf: Perm
     sigma1: Perm
@@ -49,15 +48,13 @@ class HurwitzTuple:
         return 2 * self.n
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     over_zero: int
     over_one: int

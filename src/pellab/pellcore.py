@@ -18,9 +18,8 @@ is the certificate for the answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactpoly import (
     ONE,
@@ -42,16 +41,14 @@ SMALL_DEGREE_D = "SmallDegreeD"
 NON_SQUAREFREE_D = "NonSquarefreeD"
 
 
-@dataclass(frozen=True)
-class RejectionReason:
+class RejectionReason(NamedTuple):
     """Structured negative verdict; kind is one of the module constants."""
 
     kind: str
     message: str
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     """Verified solution of A^2 - D*B^2 = 1 with n = deg A, d = deg D / 2."""
 
     A: Poly
@@ -61,8 +58,7 @@ class PellSolution:
     d: int
 
 
-@dataclass
-class PowerClassification:
+class PowerClassification(NamedTuple):
     """Which admissible exponents m have a rational Chebyshev root of A.
 
     admissible_m holds every candidate (see admissible_exponents); witnesses
@@ -73,7 +69,7 @@ class PowerClassification:
 
     n: int
     admissible_m: frozenset[int]
-    witnesses: dict[int, Poly] = field(default_factory=dict)
+    witnesses: dict[int, Poly]
 
     @property
     def primitive(self) -> bool:

@@ -11,7 +11,6 @@ descending N-cycle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import dropwhile
 from typing import Iterable, Optional, Sequence
 
@@ -28,10 +27,11 @@ class CycleParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Perm:
-    """Permutation of {1..N} as a one-based image tuple."""
+    """Immutable, hashable permutation of {1..N} as a one-based image
+    tuple."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
@@ -68,6 +68,17 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm.from_cycles({self.size}, {format_cycles(self)!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Perm")
 
     @staticmethod
     def from_cycles(n: int, text_or_cycles) -> "Perm":
@@ -221,26 +232,40 @@ class NeedFullCycle(ValueError):
     """No generator is a single N-cycle."""
 
 
-@dataclass(frozen=True)
 class BlockPartition:
     """Partition of {1..N} into ell labeled blocks of size N/ell;
-    blocks[h-1] carries label h."""
+    blocks[h-1] carries label h.  Immutable and hashable."""
 
+    __slots__ = ("N", "ell", "blocks")
     N: int
     ell: int
     blocks: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        if self.ell < 1 or self.N % self.ell != 0:
-            raise NotADivisor(f"{self.ell} does not divide {self.N}")
-        size = self.N // self.ell
+    def __init__(self, N: int, ell: int, blocks: tuple[frozenset[int], ...]):
+        if ell < 1 or N % ell != 0:
+            raise NotADivisor(f"{ell} does not divide {N}")
+        size = N // ell
         seen: set[int] = set()
-        for b in self.blocks:
+        for b in blocks:
             if len(b) != size:
                 raise ValueError("blocks must have equal size N/ell")
             seen |= b
-        if len(self.blocks) != self.ell or seen != set(range(1, self.N + 1)):
+        if len(blocks) != ell or seen != set(range(1, N + 1)):
             raise ValueError("blocks must partition 1..N")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.ell, self.blocks) == (other.N, other.ell, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.N, self.ell, self.blocks))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable BlockPartition")
 
     def as_sets(self) -> list[set[int]]:
         """Blocks in label order."""

@@ -157,6 +157,23 @@ def test_seed_and_power_and_file_round_trip(tmp_path):
     assert main(["power", "--m", "0", "--A", "t", "--B", "1", "--D", "t^2"]) == 2
 
 
+def test_power_past_degree_bound_is_bad_input(monkeypatch, capsys):
+    # The power of (2t^3 - 1, 2t, t^4 - t) has degree 3m; refused before
+    # power_solution runs, after verify_pell has read deg A.
+    monkeypatch.setattr("pellab.pellcore.power_solution", lambda base, m: pytest.fail("built"))
+    solution = ["--A", "2*t^3-1", "--B", "2*t", "--D", "t^4-t"]
+    for m in (3334, 10**9):
+        argv = ["power", "--m", str(m), *solution]
+        want = [f"--m {m} times deg A = 3 is past the degree bound {MAX_DEGREE}"]
+        result = run(argv)
+        assert (result.status, result.diagnostics) == ("Error", want)
+        assert main(argv) == 2
+    # A non-solution is still a rejection, whatever --m is.
+    rejected = run(["power", "--m", str(10**9), "--A", "t", "--B", "1", "--D", "t^2"])
+    assert rejected.status == "Rejected"
+    capsys.readouterr()
+
+
 def test_decompose_flags_rational_primitive():
     result = run(["decompose", "--A", "t^2", "--B", "1", "--D", "t^4-1"])
     assert result.status == "Ok"
@@ -609,7 +626,7 @@ OPTIONS = {
     "--B": poly_text,
     "--D": poly_text,
     "--f": poly_text,
-    "--m": small_int,
+    "--m": st.one_of(small_int, st.sampled_from([str(MAX_DEGREE + 1), "1000000000", "9" * 4000])),
     "--n": small_int,
     "--d": small_int,
     "--at": rational,

@@ -580,6 +580,15 @@ def test_results_are_canonical(a, b, k):
         assert_canonical(r)
 
 
+def test_poly_is_a_value_type():
+    p = Poly([Fraction(1, 2), 1])
+    assert p == parse_poly("t + 1/2") and hash(p) == hash(parse_poly("t + 1/2"))
+    assert p != ((1, 2), 2) and p != Fraction(1, 2) and ONE != 1
+    for field in ("nums", "den"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, getattr(p, field))
+
+
 def test_stored_form_example():
     p = Poly([Fraction(1, 2), Fraction(2, 4)])
     assert (p.nums, p.den) == ((1, 1), 2)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -248,7 +247,7 @@ def test_power_test_matches_block_images():
             crossed.add((t.points, m))
             for field in ("sigma0", "sigma1", "taus"):
                 for entry in entries[t.points, field]:
-                    check(f"crossed {field}", replace(t, **{field: entry}), m)
+                    check(f"crossed {field}", t._replace(**{field: entry}), m)
     # Entries that keep every residue rule but one at some points.
     base = disjoint_census_tuple(4, 2)
     check("near miss", base, 2)
@@ -257,7 +256,7 @@ def test_power_test_matches_block_images():
         ("sigma1", Perm.from_cycles(8, "(1,4)(3,6)(5,7)")),
         ("taus", (Perm.from_cycles(8, "(1,2,3,4)"),)),
     ):
-        check("near miss", replace(base, **{field: entry}), 2)
+        check("near miss", base._replace(**{field: entry}), 2)
     assert {kind for kind, _ in verdicts} == {
         "as built", "relabelled", "crossed sigma0", "crossed sigma1", "crossed taus",
         "near miss",
@@ -385,8 +384,7 @@ def normalize_by_conjugation(t: HurwitzTuple) -> HurwitzTuple:
 
 
 def map_entries(t: HurwitzTuple, f) -> HurwitzTuple:
-    return replace(
-        t,
+    return t._replace(
         sigma0=f(t.sigma0),
         sigmaInf=f(t.sigmaInf),
         sigma1=f(t.sigma1),
@@ -422,9 +420,9 @@ def relabelled_tuples(draw):
     t = map_entries(t, lambda p: conjugate(p, g))
     broken = draw(st.sampled_from((None, None, "sigmaInf", "sigma1")))
     if broken == "sigmaInf":
-        t = replace(t, sigmaInf=t.sigma0)
+        t = t._replace(sigmaInf=t.sigma0)
     elif broken == "sigma1":
-        t = replace(t, sigma1=conjugate(standard_cycle(N), g))
+        t = t._replace(sigma1=conjugate(standard_cycle(N), g))
     return t
 
 
@@ -476,7 +474,7 @@ def test_primitivity_profile_rejects_bad_inputs():
     short = pg.identity(6)
     for n in (4, 5):  # admissible m: [2] at n = 4, none at n = 5
         moves_last = Perm.from_cycles(2 * n, [(2 * n - 1, 2 * n)])
-        shifted = replace(zannier_tuple(n, 2), taus=(moves_last,))
+        shifted = zannier_tuple(n, 2)._replace(taus=(moves_last,))
         with pytest.raises(NotSpecialForm):
             primitivity_profile(shifted)
     for sigma0, sigma1, tau in (
@@ -656,15 +654,15 @@ def test_validate_matches_entry_query_oracle():
     tuples += [zannier_tuple(n, d) for n in range(2, 13) for d in range(2, n + 1)]
     z = zannier_tuple(4, 2)
     tuples += [
-        replace(z, sigma1=pg.identity(6)),
-        replace(z, taus=(pg.identity(10),)),
-        replace(z, n=0),
-        replace(z, d=0),
-        replace(z, sigma1=Perm.from_cycles(8, "(1,7,2)(3,5)")),
-        replace(z, sigma0=Perm.from_cycles(8, "(1,8)(2,7)(3,6)")),
-        replace(z, sigma0=Perm.from_cycles(8, "(1,8,2,7)(3,6)(4,5)")),
-        replace(z, sigmaInf=Perm.from_cycles(8, "(1,2,3,4)(5,6,7,8)")),
-        replace(z, taus=z.taus * 3),
+        z._replace(sigma1=pg.identity(6)),
+        z._replace(taus=(pg.identity(10),)),
+        z._replace(n=0),
+        z._replace(d=0),
+        z._replace(sigma1=Perm.from_cycles(8, "(1,7,2)(3,5)")),
+        z._replace(sigma0=Perm.from_cycles(8, "(1,8)(2,7)(3,6)")),
+        z._replace(sigma0=Perm.from_cycles(8, "(1,8,2,7)(3,6)(4,5)")),
+        z._replace(sigmaInf=Perm.from_cycles(8, "(1,2,3,4)(5,6,7,8)")),
+        z._replace(taus=z.taus * 3),
         HurwitzTuple(pg.identity(8), pg.identity(8), pg.identity(8), (), 4, 2),
     ]
     reports = [assert_validate_matches_oracle(t) for t in tuples]
@@ -689,13 +687,13 @@ def drawn_tuples(draw):
     if n >= 2 and draw(st.booleans()):
         base = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
         field = draw(st.sampled_from(("sigma0", "sigmaInf", "sigma1", "taus")))
-        return replace(base, **{field: (entry(),) if field == "taus" else entry()})
+        return base._replace(**{field: (entry(),) if field == "taus" else entry()})
     taus = tuple(entry() for _ in range(draw(st.integers(min_value=0, max_value=3))))
     d = draw(st.integers(min_value=0, max_value=4))
     return HurwitzTuple(entry(), standard_cycle(N) if N else entry(), entry(), taus, n, d)
 
 
 @given(drawn_tuples())
-@example(replace(zannier_tuple(3, 2), sigma0=Perm.from_cycles(6, "(1,6)(2,5)")))
+@example(zannier_tuple(3, 2)._replace(sigma0=Perm.from_cycles(6, "(1,6)(2,5)")))
 def test_validate_matches_entry_query_oracle_on_drawn_tuples(t):
     assert_validate_matches_oracle(t)

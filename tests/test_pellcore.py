@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -456,7 +455,7 @@ def test_classify_powers_matches_every_m_oracle(seed, m, nudge):
     assume(isinstance(base, PellSolution))
     sol = power_solution(base, m)
     if nudge:
-        sol = replace(sol, A=sol.A + X)
+        sol = sol._replace(A=sol.A + X)
     assert classify_powers(sol) == classify_powers_every_m(sol)
 
 

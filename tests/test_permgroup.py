@@ -230,6 +230,19 @@ def test_block_partition_validates():
         BlockPartition(4, 3, (frozenset({1}), frozenset({2}), frozenset({3, 4})))
 
 
+def test_perm_and_block_partition_are_value_types():
+    p = Perm((2, 3, 1, 4))
+    assert p == parse_cycles("(1,2,3)", 4) and hash(p) == hash(parse_cycles("(1,2,3)", 4))
+    assert p != (2, 3, 1, 4) and p != "(1,2,3)"
+    part = congruence_partition(4, 2)
+    same = BlockPartition(4, 2, tuple(frozenset(b) for b in part.as_sets()))
+    assert part == same and hash(part) == hash(same)
+    assert part != (4, 2, part.blocks)
+    for value, field in ((p, "images"), (part, "blocks"), (part, "N")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+
 def test_preserves_partition():
     part = congruence_partition(8, 4)
     sInf = hurwitz.standard_cycle(8)

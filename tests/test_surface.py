@@ -4,12 +4,17 @@ module-attribute reference through the top-level definitions of the
 modules of src/pellab (not the package's __init__ and __main__); the
 definitions it never reaches must be exactly UNREACHED, and each reason
 names the ROADMAP item that will empty its entry.  Code that only the
-tests call belongs in tests/oracles.py."""
+tests call belongs in tests/oracles.py.  A fresh interpreter's start-up,
+importing the CLI and building its parser, must not import `dataclasses`
+or `inspect`."""
 
 from __future__ import annotations
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "pellab"
@@ -91,3 +96,25 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
 def test_each_unreached_reason_names_the_item_that_empties_it():
     for entry, reason in UNREACHED.items():
         assert re.search(r"\bROADMAP item \d+\b", reason), entry
+
+
+STARTUP = """\
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import pellab.cli
+pellab.cli.build_parser()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # Each command runs in a fresh process; importing these two was about
+    # half of its start-up.
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    added = json.loads(out.stdout)
+    assert "pellab.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
