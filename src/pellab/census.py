@@ -6,11 +6,13 @@ Three routes produce per-case conjugacy-class counts: shape enumeration
 (parameterized sigma0 layouts), brute force over fixed-point-free
 involutions, pruned while pairing (ground truth), and closed formulas.  The
 first two count classes by orbit counting per sigma0, with no class and no
-tuple ever built: sigma0 forces the product pi = sigma1*tau, and one scan
-of pi's images gives every split's tau and the points they all fix.  Both
-routes stream their sigma0 into that one pass.  Tuples are built only by
-the test oracles.  Reports carry all three and flag any disagreement;
-nothing is reconciled silently.
+tuple ever built: sigma0 forces the product pi = sigma1*tau, whose splits
+give every tau and the points they all fix.  The shape route reads these
+from each layout's cut points and builds sigma0 only when a rotation might
+fix it; the brute route finds them by one scan of each leaf's pi.  Both
+routes stream into one pass.  Tuples are built only by the test oracles.
+Reports carry all three and flag any disagreement; nothing is reconciled
+silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -20,9 +22,10 @@ The three cases are keyed by the product sigma1*tau (sigma1 acting first):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import permgroup as pg
 from .permgroup import Perm
@@ -36,9 +39,9 @@ PRIMITIVE = "primitive Disjoint"
 BRUTE_DEFAULT_MAX = 24
 SHAPE_MAX = 64
 
-# One sigma0 with what its splits share: CF, the points every split's sigma1
-# and tau fix, and each split's tau as a point pair.
-Splits = tuple[Perm, frozenset[int], list[tuple[int, int]]]
+# One sigma0, built on call, with what its splits share: CF, the points every
+# split's sigma1 and tau fix, and each split's tau as a point pair.
+Splits = tuple[Callable[[], Perm], frozenset[int], list[tuple[int, int]]]
 
 
 class TooLarge(ValueError):
@@ -95,23 +98,27 @@ def _splits(sigma0: Perm) -> tuple[frozenset[int], list[tuple[int, int]]]:
     return cf, [(a, c), (b, a), (c, b)] if len(long) == 3 else [(a, c), (b, pi[c - 1])]
 
 
-def _split_weights(sigma0: Perm, cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[int]:
+def _split_weights(
+    sigma0: Callable[[], Perm], cf: frozenset[int], taus: Sequence[tuple[int, int]]
+) -> list[int]:
     """12 |Stab(t)| / |CF(t)| for the tuple t of each split of sigma0, with
     CF(t) = cf, and Stab(t) the rotations that fix every entry of t.
 
     A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
     and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
     rotations that fix sigma0 and tau.  A rotation by s can fix t only if
-    CF + s = CF (mod 2n); since 2n is in CF, s is one of its points.  The s
-    that also fix sigma0 are found once, and each tau tries only those.
-    The quotient is exact: CF(t) is a union of cosets of Stab(t), and
-    |CF(t)| <= 4."""
-    N = sigma0.size
-    shifts = [
-        s
-        for s in cf
-        if s != N and {(x + s) % N or N for x in cf} == cf and pg.rotate(sigma0, s) == sigma0
-    ]
+    CF + s = CF (mod 2n); since 2n is in CF, s is one of its points and 2n
+    is its largest.  Only when such an s exists is sigma0 built, to keep
+    the s that also fix it, and each tau tries only those; with none, every
+    split weighs 12 / |CF|.  The quotient is exact: CF(t) is a union of
+    cosets of Stab(t), and |CF(t)| <= 4."""
+    N = max(cf)
+    shifts = [s for s in cf if s != N and {(x + s) % N or N for x in cf} == cf]
+    if shifts:
+        fixed = sigma0()
+        shifts = [s for s in shifts if pg.rotate(fixed, s) == fixed]
+    if not shifts:
+        return [12 // len(cf)] * len(taus)
     return [
         12 * (1 + sum({(a + s) % N or N, (b + s) % N or N} == {a, b} for s in shifts)) // len(cf)
         for a, b in taus
@@ -142,13 +149,40 @@ def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
                 yield h, cuts
 
 
+def _layout_splits(
+    n: int, h: int, cuts: Sequence[int]
+) -> tuple[frozenset[int], list[tuple[int, int]]]:
+    """CF and the taus of the layout's forced product pi, read from its cut
+    points P = (h, *cuts, 2n-h), as _splits would find them in pi.
+
+    pi(x) = sigma0(x+1).  Inside the stretch between consecutive points
+    lo < hi of P, pi swaps x and lo + hi - x and fixes the fold centre
+    (lo + hi)/2; outside [h, 2n-h] it swaps x and 2n-x and fixes 2n.  Each
+    point of P goes to the next, and 2n-h to h, so pi's one longer cycle is
+    P itself: the 3-cycle (h k 2n-h) for one cut k, the 4-cycle
+    (h k1 k2 2n-h) for two.  Disjoint has P = (n, n), so n is fixed and
+    its taus are the transpositions (x, 2n-x).
+
+    >>> cf, taus = _layout_splits(4, 1, (3,))
+    >>> sorted(cf), taus
+    ([2, 5, 8], [(1, 7), (3, 1), (7, 3)])
+    """
+    N = 2 * n
+    points = (h, *cuts, N - h)
+    cf = frozenset([N, *[(lo + hi) // 2 for lo, hi in zip(points, points[1:])]])
+    if not cuts:
+        return cf, [(x, N - x) for x in range(1, n)]
+    if len(cuts) == 1:
+        return cf, [(h, N - h), (cuts[0], h), (N - h, cuts[0])]
+    return cf, [(h, cuts[1]), (cuts[0], N - h)]
+
+
 def _shape_route(n: int) -> Iterator[Splits]:
-    """Every sigma0 layout, in enumeration order, with its CF and taus;
-    every layout's forced product splits.  The Disjoint layout's taus are
-    (h, 2n-h) for h = 1..n-1 in turn."""
+    """Every sigma0 layout, in enumeration order, unbuilt, with its CF and
+    taus; every layout's forced product splits.  The Disjoint layout's taus
+    are (h, 2n-h) for h = 1..n-1 in turn."""
     for h, cuts in _layouts(n):
-        sigma0 = _sigma0(n, h, cuts)
-        yield (sigma0, *_splits(sigma0))
+        yield (functools.partial(_sigma0, n, h, cuts), *_layout_splits(n, h, cuts))
 
 
 def _brute_leaves(n: int) -> Iterator[Perm]:
@@ -216,11 +250,11 @@ def _brute_leaves(n: int) -> Iterator[Perm]:
 
 def _brute_route(n: int) -> Iterator[Splits]:
     """Every brute-force leaf whose forced product splits, with its CF and
-    taus."""
+    taus, each found by one scan of the leaf's pi."""
     for sigma0 in _brute_leaves(n):
         cf, taus = _splits(sigma0)
         if taus:
-            yield sigma0, cf, taus
+            yield (lambda sigma0=sigma0: sigma0), cf, taus
 
 
 def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
@@ -237,11 +271,14 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     the same gcd(h, n), so each split is judged alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
     for sigma0, cf, taus in route:
-        case, n = CASES[len(cf) - 2], sigma0.size // 2
-        for tau, weight in zip(taus, _split_weights(sigma0, cf, taus)):
-            sums[case] += weight
-            if case == DISJOINT and math.gcd(min(tau), n) == 1:
-                sums[PRIMITIVE] += weight
+        case = CASES[len(cf) - 2]
+        weights = _split_weights(sigma0, cf, taus)
+        sums[case] += sum(weights)
+        if case == DISJOINT:
+            n = max(cf) // 2
+            sums[PRIMITIVE] += sum(
+                w for tau, w in zip(taus, weights) if math.gcd(min(tau), n) == 1
+            )
     return sums
 
 

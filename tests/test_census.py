@@ -253,7 +253,7 @@ def test_split_weights_match_the_tuple_oracle():
         for name, route in routes.items():
             for sigma0, cf, taus in route:
                 splits[name] += len(taus)
-                tuples = oracle_tuples(sigma0)
+                tuples = oracle_tuples(sigma0())
                 assert [set(tau) for tau in taus] == [set(pg.cycles(t.taus[0])[0]) for t in tuples]
                 weights = census_module._split_weights(sigma0, cf, taus)
                 for t, weight in zip(tuples, weights):
@@ -272,27 +272,36 @@ def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
         assert got == _orbit_sums(brute_force_enumerate(n)), n
 
 
-def test_forced_product_is_scanned_once_per_layout(monkeypatch):
+def test_shape_route_never_scans_a_forced_product(monkeypatch):
     calls = []
     splits = census_module._splits
     monkeypatch.setattr(
         census_module, "_splits", lambda sigma0: calls.append(sigma0) or splits(sigma0)
     )
     for n in (2, 3, 5, 12):
-        calls.clear()
         assert census(n, use_brute=False).discrepancies == ()
-        assert len(calls) == len(list(_layouts(n))), n
+    assert calls == []
+
+
+def test_layout_splits_match_the_scan_of_the_built_layout():
+    """The CF and taus read from each layout's cut points are those one scan
+    of the built sigma0's forced product finds."""
+    for n in range(2, 33):
+        for h, cuts in _layouts(n):
+            want = census_module._splits(_sigma0(n, h, cuts))
+            assert census_module._layout_splits(n, h, cuts) == want, (n, h, cuts)
 
 
 def test_census_builds_no_perm_per_split(monkeypatch):
-    """Per layout the shape route builds sigma0, its forced product and at
-    most three rotations of sigma0; no sigma1 or tau.  At n = 12 the 221
-    layouts have 506 splits."""
+    """The shape route builds sigma0 only for a layout whose CF some
+    rotation maps onto itself, and then the rotations of sigma0 it tries;
+    no forced product, sigma1 or tau.  At n = 12 the 221 layouts have 506
+    splits and take 25 Perms."""
     built = []
     unchecked = pg._unchecked
     monkeypatch.setattr(pg, "_unchecked", lambda images: built.append(images) or unchecked(images))
     assert census(12, use_brute=False).discrepancies == ()
-    assert len(built) <= 5 * len(list(_layouts(12)))
+    assert len(built) <= 25
 
 
 def test_shape_route_bound():
@@ -549,7 +558,7 @@ def without_split(route, t):
 
     def patched(n):
         for sigma0, cf, taus in route(n):
-            yield sigma0, cf, [x for x in taus if (sigma0, x) != (t.sigma0, tau)]
+            yield sigma0, cf, [x for x in taus if (sigma0(), x) != (t.sigma0, tau)]
 
     return patched
 
