@@ -11,8 +11,8 @@ give every tau and the points they all fix.  The shape route reads these
 from each layout's cut points and builds sigma0 only when a rotation might
 fix it; the brute route finds them by one scan of each leaf's pi.  Both
 routes stream into one pass.  Tuples are built only by the test oracles.
-Reports carry all three and flag any disagreement; nothing is reconciled
-silently.
+Reports carry all three, for each case and for the primitive Disjoint
+count, and flag any disagreement; nothing is reconciled silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -283,8 +283,13 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
 
 
 def closed_formulas(n: int) -> dict[str, int]:
-    """Per-case class counts straight from the counting arguments, plus the
-    intermediate sums C1 and C2."""
+    """Per-case class counts straight from the counting arguments, the
+    primitive Disjoint count #{h <= n/2 : gcd(h, n) = 1} (one class per
+    tau = (h, 2n-h)), and the intermediate sums C1 and C2.
+
+    >>> closed_formulas(12)[PRIMITIVE]
+    2
+    """
     if n < 2:
         raise ValueError("census needs n >= 2")
     c1 = math.comb(n - 1, 3)
@@ -294,55 +299,49 @@ def closed_formulas(n: int) -> dict[str, int]:
         DISJOINT: n // 2,
         THREE_CYCLE: (n - 1) * (n - 2) // 2,
         FOUR_CYCLE: four,
+        PRIMITIVE: sum(math.gcd(h, n) == 1 for h in range(1, n // 2 + 1)),
         "C1": c1,
         "C2": c2,
     }
 
 
 def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
-    """All three counting routes with discrepancies flagged; brute force by
-    default up to n = BRUTE_DEFAULT_MAX, and no n past SHAPE_MAX, both
-    checked before any enumeration.  An orbit sum that is not a whole number
-    of classes is a discrepancy, and its count is None."""
-    if n < 2:
-        raise ValueError("census needs n >= 2")
+    """Each case and the primitive Disjoint count on all three routes, with
+    discrepancies flagged; brute force by default up to BRUTE_DEFAULT_MAX,
+    and no n past SHAPE_MAX, both checked first.  An orbit sum that is not
+    a whole number of classes is a discrepancy, and its count is None."""
     if use_brute is None:
         use_brute = n <= BRUTE_DEFAULT_MAX
     if use_brute and n > BRUTE_DEFAULT_MAX:
         raise TooLarge(f"n = {n} beyond brute-force bound {BRUTE_DEFAULT_MAX}")
     if n > SHAPE_MAX:
         raise TooLarge(f"n = {n} beyond shape-route bound {SHAPE_MAX}")
-
-    brute_sums = _orbit_sums(_brute_route(n)) if use_brute else None
-    shape_sums = _orbit_sums(_shape_route(n))
     formulas = closed_formulas(n)
+    sums = {"shape": _orbit_sums(_shape_route(n))}
+    if use_brute:
+        sums["brute"] = _orbit_sums(_brute_route(n))
     discrepancies: list[str] = []
-
-    def classes(label: str, weighted: int) -> Optional[int]:
-        count, rest = divmod(weighted, 12)
-        if rest:
-            discrepancies.append(f"{label}: orbit sum {weighted}/12 is not a whole class count")
-            return None
-        return count
-
     cases: dict[str, CaseCounts] = {}
-    for c in CASES:
-        shape, formula = classes(f"{c} shape", shape_sums[c]), formulas[c]
-        brute = None if brute_sums is None else classes(f"{c} brute", brute_sums[c])
-        if use_brute and shape != brute:
-            discrepancies.append(f"{c}: shape={shape} brute={brute}")
-        if use_brute and brute != formula:
-            discrepancies.append(f"{c}: brute={brute} formula={formula}")
-        if not use_brute and shape != formula:
-            discrepancies.append(f"{c}: shape={shape} formula={formula}")
-        cases[c] = CaseCounts(shape=shape, brute=brute, formula=formula)
-
+    for c in (*CASES, PRIMITIVE):
+        counts: dict[str, Optional[int]] = {}
+        for route, route_sums in sums.items():
+            count, rest = divmod(route_sums[c], 12)
+            if rest:
+                discrepancies.append(
+                    f"{c} {route}: orbit sum {route_sums[c]}/12 is not a whole class count"
+                )
+            counts[route] = None if rest else count
+        chain = [*counts.items(), ("formula", formulas[c])]
+        discrepancies += [
+            f"{c}: {a}={x} {b}={y}" for (a, x), (b, y) in zip(chain, chain[1:]) if x != y
+        ]
+        cases[c] = CaseCounts(counts["shape"], counts.get("brute"), formulas[c])
     return CensusReport(
         n=n,
         cases=cases,
         c1=formulas["C1"],
         c2=formulas["C2"],
-        primitive_disjoint_count=classes(PRIMITIVE, shape_sums[PRIMITIVE]),
+        primitive_disjoint_count=cases.pop(PRIMITIVE).shape,
         discrepancies=tuple(discrepancies),
     )
 

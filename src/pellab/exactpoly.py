@@ -449,10 +449,8 @@ _INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 _RATIONAL_RE = re.compile(rf"\s*[+-]?{_UNSIGNED_RATIONAL}\s*")
 _TERM_RE = re.compile(
     rf"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>{_UNSIGNED_RATIONAL})\s*(?:\*\s*(?P<varc>[a-zA-Z]\w*)\s*(?:\^\s*(?P<expc>\d+))?)?
-          | (?P<varb>[a-zA-Z]\w*)\s*(?:\^\s*(?P<expb>\d+))?
-        )""",
+        (?:(?P<coeff>{_UNSIGNED_RATIONAL})\s*)?
+        (?:(?(coeff)\*\s*)(?P<var>[a-zA-Z]\w*)\s*(?:\^\s*(?P<exp>\d+))?)?""",
     re.VERBOSE,
 )
 
@@ -490,15 +488,15 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def _exponent(m: re.Match, group: str) -> int:
+def _exponent(m: re.Match) -> int:
     """The term's exponent, 1 when it has none, refused past MAX_DEGREE.
     Leading zeros, of any script, do not count, and no exponent longer than
     the bound reaches int(), which refuses more than 4300 digits."""
-    digits = m.group(group) or "1"
+    digits = m.group("exp") or "1"
     if len(digits) > len(str(MAX_DEGREE)):
         digits = "".join(dropwhile(lambda c: not int(c), digits)) or "0"
     if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-        raise PolyParseError(f"exponent past the degree bound {MAX_DEGREE}", m.start(group))
+        raise PolyParseError(f"exponent past the degree bound {MAX_DEGREE}", m.start("exp"))
     return int(digits)
 
 
@@ -515,25 +513,22 @@ def parse_poly(text: str) -> Poly:
             pos += 1
         if pos == end:
             break
-        m = _TERM_RE.match(s, pos)
-        if not m or m.start() != pos:
+        m = _TERM_RE.match(s, pos)  # every part is optional, so it always matches
+        name = m.group("var")
+        if m.group("coeff") is None and name is None:
             raise PolyParseError("expected a term", pos)
         if not first and m.group("sign") is None:
             raise PolyParseError("expected '+' or '-' between terms", pos)
         sign = -1 if m.group("sign") == "-" else 1
-        name = m.group("varc") or m.group("varb")
         if name is not None and name != "t":
-            offset = m.start("varc") if m.group("varc") else m.start("varb")
-            raise PolyParseError(f"unknown variable {name!r}", offset)
+            raise PolyParseError(f"unknown variable {name!r}", m.start("var"))
+        coeff = Rat(1)
         if m.group("coeff") is not None:
             try:
                 coeff = Rat(m.group("coeff"))
             except ZeroDivisionError:
                 raise PolyParseError("zero denominator", m.start("coeff")) from None
-            exp = _exponent(m, "expc") if m.group("varc") is not None else 0
-        else:
-            coeff = Rat(1)
-            exp = _exponent(m, "expb")
+        exp = 0 if name is None else _exponent(m)
         terms[exp] = terms.get(exp, Rat(0)) + sign * coeff
         pos = m.end()
         first = False

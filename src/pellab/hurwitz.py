@@ -280,7 +280,7 @@ def tuple_to_json_dict(t: HurwitzTuple) -> dict:
 
 def tuple_from_json_dict(data: dict) -> HurwitzTuple:
     try:
-        n, d = data["n"], data["d"]
+        n, d, taus = data["n"], data["d"], data["taus"]
     except KeyError as exc:
         raise ValueError(f"tuple JSON missing field {exc}") from None
     # JSON integers only: bool is an int subclass, and int() would truncate 4.9.
@@ -290,17 +290,17 @@ def tuple_from_json_dict(data: dict) -> HurwitzTuple:
         raise ValueError(f"tuple JSON needs n >= 1 and d >= 1, got n = {n}, d = {d}")
     if n > MAX_TUPLE_N:
         raise ValueError(f"tuple JSON needs n <= {MAX_TUPLE_N}, got n = {n}")
+    if not isinstance(taus, list):
+        raise ValueError("tuple JSON field taus must be a list")
     N = 2 * n
-    entries = 3 + len(data["taus"]) if isinstance(data.get("taus"), list) else 0
+    entries = 3 + len(taus)
     if N * entries > MAX_TUPLE_POINTS:
         raise ValueError(f"tuple JSON needs 2n * entries <= {MAX_TUPLE_POINTS}, got {N * entries}")
     try:
         sigma0 = pg.parse_cycles(data["sigma0"], N)
         sigmaInf = pg.parse_cycles(data["sigmaInf"], N)
         sigma1 = pg.parse_cycles(data["sigma1"], N)
-        if not isinstance(data["taus"], list):
-            raise ValueError("tuple JSON field taus must be a list")
-        taus = tuple(pg.parse_cycles(s, N) for s in data["taus"])
+        taus = tuple(pg.parse_cycles(s, N) for s in taus)
     except KeyError as exc:
         raise ValueError(f"tuple JSON missing field {exc}") from None
     return HurwitzTuple(sigma0=sigma0, sigmaInf=sigmaInf, sigma1=sigma1, taus=taus, n=n, d=d)

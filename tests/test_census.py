@@ -27,6 +27,7 @@ from pellab.census import (
     closed_formulas,
     report_to_json_dict,
 )
+from pellab.cli import main
 from pellab.hurwitz import (
     HurwitzTuple,
     common_fixed,
@@ -505,9 +506,10 @@ def test_canonical_key_matches_conjugation_oracle():
 
 
 def test_census_primitive_count_matches_public_function():
-    for n in range(2, 13):
-        report = census(n, use_brute=False)
-        assert report.primitive_disjoint_count == primitive_disjoint_classes(n)[0]
+    for n in range(2, 25):
+        primitive = primitive_disjoint_classes(n)[0]
+        assert closed_formulas(n)[PRIMITIVE] == primitive, n
+        assert census(n, use_brute=False).primitive_disjoint_count == primitive, n
 
 
 def disjoint_h(t):
@@ -588,7 +590,8 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     assert report.discrepancies == (
         f"Disjoint shape: {not_whole}",
         "Disjoint: shape=None formula=2",
-        f"primitive Disjoint: {not_whole}",
+        f"primitive Disjoint shape: {not_whole}",
+        "primitive Disjoint: shape=None formula=2",
     )
     assert report_to_json_dict(report)["cases"][DISJOINT]["shape"] is None
 
@@ -603,7 +606,55 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
         f"Disjoint brute: {not_whole}",
         "Disjoint: shape=2 brute=None",
         "Disjoint: brute=None formula=2",
+        f"primitive Disjoint brute: {not_whole}",
+        "primitive Disjoint: shape=2 brute=None",
+        "primitive Disjoint: brute=None formula=2",
     )
+
+
+def test_census_flags_a_primitive_count_that_disagrees(monkeypatch):
+    """One route's primitive orbit sum shifted by 12 is still a whole class
+    count, so only the comparison with the other route and the closed form
+    can catch it.  At n = 5 there are two primitive classes, h = 1 and 2."""
+    orbit_sums = census_module._orbit_sums
+    cases = {use_brute: census(5, use_brute=use_brute).cases for use_brute in (False, True)}
+    want = {
+        ("shape", False): ("primitive Disjoint: shape=3 formula=2",),
+        ("shape", True): ("primitive Disjoint: shape=3 brute=2",),
+        ("brute", True): (
+            "primitive Disjoint: shape=2 brute=3",
+            "primitive Disjoint: brute=3 formula=2",
+        ),
+    }
+    for (route, use_brute), discrepancies in want.items():
+
+        def shifted(splits, route=route):
+            sums = orbit_sums(splits)
+            sums[PRIMITIVE] += 12 * (splits.__name__ == f"_{route}_route")
+            return sums
+
+        monkeypatch.setattr(census_module, "_orbit_sums", shifted)
+        report = census(5, use_brute=use_brute)
+        assert report.discrepancies == discrepancies, (route, use_brute)
+        assert report.primitive_disjoint_count == 2 + (route == "shape")
+        assert report.cases == cases[use_brute]
+        monkeypatch.undo()
+
+
+def test_bounds_are_checked_before_the_closed_form(monkeypatch, capsys):
+    """The closed form takes O(n) gcds and --n takes any integer: an n past
+    both bounds is refused before the formula runs."""
+
+    def refuse(n):
+        raise AssertionError(f"closed_formulas({n}) ran before the bounds")
+
+    monkeypatch.setattr(census_module, "closed_formulas", refuse)
+    for use_brute in (None, False, True):
+        with pytest.raises(TooLarge):
+            census(10**12, use_brute=use_brute)
+    for route in ([], ["--no-brute-force"], ["--brute-force"]):
+        assert main(["census", "--n", str(10**12), *route]) == 2
+    capsys.readouterr()
 
 
 def test_size_guards():

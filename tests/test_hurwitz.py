@@ -564,7 +564,7 @@ def test_tuple_points_bound():
     t = zannier_tuple(999, 999)
     assert len(t.gens()) * t.points == 1_999_998
     # 48 taus on 40,000 points: 51 entries, 2,040,000 points, refused before
-    # any entry is read, but after the n checks and only for a list of taus.
+    # any entry is read, but after the n checks and the check that taus is a list.
     data = {"n": 20_000, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": ["()"] * 48}
     want = f"tuple JSON needs 2n * entries <= {MAX_TUPLE_POINTS}, got 2040000"
     for broken in (data, dict(data, sigma0="(1,x)")):
@@ -575,6 +575,17 @@ def test_tuple_points_bound():
         tuple_from_json_dict(dict(data, n=MAX_TUPLE_N + 1))
     with pytest.raises(ValueError, match="taus must be a list"):
         tuple_from_json_dict(dict(data, taus="()" * 48))
+
+
+def test_tuple_json_taus_not_a_list_is_refused_before_any_entry_is_read(monkeypatch):
+    data = {"n": MAX_TUPLE_N, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": "(1,2)"}
+    calls = []
+    parse_cycles = pg.parse_cycles
+    monkeypatch.setattr(pg, "parse_cycles", lambda *args: calls.append(args) or parse_cycles(*args))
+    with pytest.raises(ValueError) as err:
+        tuple_from_json_dict(data)
+    assert str(err.value) == "tuple JSON field taus must be a list"
+    assert calls == []
 
 
 def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
