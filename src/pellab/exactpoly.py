@@ -351,8 +351,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
 
 def _int_nth_root(v: int, m: int) -> Optional[int]:
     """Exact integer m-th root of v >= 0, or None."""
-    if v < 0:
-        return None
     if v in (0, 1):
         return v
     if m == 1:
@@ -454,8 +452,8 @@ _TERM_RE = re.compile(
     re.VERBOSE,
 )
 
-# Largest exponent parse_poly reads: "t^k" builds a list of k + 1
-# coefficients before any check can look at the polynomial.
+# Largest degree read from text or from a file: "t^k" builds a list of k + 1
+# coefficients, and a file's list is parsed, before any other check.
 MAX_DEGREE = 10_000
 
 
@@ -571,12 +569,14 @@ def to_coeff_strings(p: Poly) -> list[str]:
 
 
 def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
-    """Inverse of to_coeff_strings: a list of strings in parse_rational's
-    form ("num/den" or "num") or bare integers.  Anything else, a float, a
-    bool, a decimal or exponent string, or a bare string for the list, is a
-    PolyParseError."""
+    """Inverse of to_coeff_strings: a list of at most MAX_DEGREE + 1 strings
+    in parse_rational's form ("num/den" or "num") or bare integers, counted
+    before any is parsed.  Anything else, a float, a bool, a decimal or
+    exponent string, a bare string for the list, is a PolyParseError."""
     if not isinstance(items, list):
         raise PolyParseError(f"coefficients must be a list, not {type(items).__name__}", 0)
+    if len(items) > MAX_DEGREE + 1:
+        raise PolyParseError(f"more coefficients than the degree bound {MAX_DEGREE} allows", MAX_DEGREE + 1)
     out = []
     for i, item in enumerate(items):
         # A JSON float is inexact; null, true and objects are no coefficients.

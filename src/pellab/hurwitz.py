@@ -20,6 +20,7 @@ from .permgroup import Perm
 
 # Largest n, and 2n * entries, read from tuple JSON or built by zannier_tuple:
 # every entry is an image list of 2n points, built before any check can run.
+# The point bound alone is not enough: the work per point grows with n.
 MAX_TUPLE_N = 100_000
 MAX_TUPLE_POINTS = 2_000_000
 
@@ -286,8 +287,8 @@ def tuple_from_json_dict(data: dict) -> HurwitzTuple:
     # JSON integers only: bool is an int subclass, and int() would truncate 4.9.
     if type(n) is not int or type(d) is not int:
         raise ValueError(f"tuple JSON needs integer n and d, got n = {n!r}, d = {d!r}")
-    if n < 1 or d < 1:
-        raise ValueError(f"tuple JSON needs n >= 1 and d >= 1, got n = {n}, d = {d}")
+    if not n >= d >= 1:
+        raise ValueError(f"tuple JSON needs n >= d >= 1, got n = {n}, d = {d}")
     if n > MAX_TUPLE_N:
         raise ValueError(f"tuple JSON needs n <= {MAX_TUPLE_N}, got n = {n}")
     if not isinstance(taus, list):

@@ -211,18 +211,17 @@ def classify_powers(sol: PellSolution) -> PowerClassification:
 
 
 def verify_branch_locus_in(f: Poly, values) -> bool:
-    """Whether every critical value of f lies in the given set: the
-    squarefree part of f' must divide prod(f - c)."""
+    """Whether every critical value of f lies in the given set: r = rad f'
+    must divide prod(f - c).  The product is folded modulo r, P <- P*(g - c)
+    mod r with g = f mod r, so nothing built reaches degree 2 deg r - 1."""
     if f.degree < 2:
         raise DegreeTooSmall("branch locus check needs degree >= 2")
+    radical = squarefree_part(derivative(f))
+    g = divrem(f, radical)[1]
     product = ONE
     for c in values:
-        product = product * (f - constant(c))
-    radical = squarefree_part(derivative(f))
-    if product.is_zero:
-        return False
-    _, rem = divrem(product, radical)
-    return rem.is_zero
+        product = divrem(product * (g - constant(c)), radical)[1]
+    return product.is_zero
 
 
 def ramification_type(f: Poly, c) -> tuple[tuple[int, int], ...]:

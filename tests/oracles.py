@@ -47,6 +47,10 @@ actions (induced_block_action, NotPreserved), the bounded group closure
 (is_dihedral_of_order, _order_of).  power_polynomial, the f with
 f(t^2) = T_m(t)^2, is built from its closed formulas for the ramification
 tests.
+
+verify_branch_locus_in folds prod(f - c) modulo rad f', so it builds
+nothing of degree 2 deg f or more.  branch_locus_by_product multiplies the
+product out and divides it by rad f' once.
 """
 
 from __future__ import annotations
@@ -79,10 +83,12 @@ from pellab.exactpoly import (
     _pseudo_divrem,
     constant,
     derivative,
+    divrem,
     exact_div,
     poly_sqrt,
     rat_nth_root,
     squarefree_decomposition,
+    squarefree_part,
 )
 from pellab.hurwitz import (
     HurwitzTuple,
@@ -425,6 +431,21 @@ def classify_powers_every_m(sol: PellSolution) -> PowerClassification:
     return PowerClassification(
         n=sol.n, admissible_m=frozenset(candidates), witnesses=witnesses
     )
+
+
+def branch_locus_by_product(f: Poly, values) -> bool:
+    """verify_branch_locus_in's answer from the whole product, of degree
+    deg f * len(values), divided once by the squarefree part of f'."""
+    if f.degree < 2:
+        raise DegreeTooSmall("branch locus check needs degree >= 2")
+    product = ONE
+    for c in values:
+        product = product * (f - constant(c))
+    radical = squarefree_part(derivative(f))
+    if product.is_zero:
+        return False
+    _, rem = divrem(product, radical)
+    return rem.is_zero
 
 
 def power_polynomial(m: int) -> Poly:

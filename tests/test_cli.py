@@ -174,6 +174,23 @@ def test_power_past_degree_bound_is_bad_input(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_solution_file_past_degree_bound_is_bad_input(tmp_path, capsys):
+    # 10,002 coefficients, one past the bound, are refused before any is
+    # read; a verify would otherwise take seconds.
+    data = {"A": ["1"] * (MAX_DEGREE + 2), "B": ["1"], "D": ["-1", "0", "0", "0", "1"]}
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["verify", "--file", str(path)]
+    want = [
+        "polynomial error: more coefficients than the degree bound "
+        f"{MAX_DEGREE} allows (at position {MAX_DEGREE + 1})"
+    ]
+    result = run(argv)
+    assert (result.status, result.diagnostics) == ("Error", want)
+    assert main(argv) == 2
+    capsys.readouterr()
+
+
 def test_decompose_flags_rational_primitive():
     result = run(["decompose", "--A", "t^2", "--B", "1", "--D", "t^4-1"])
     assert result.status == "Ok"
@@ -532,14 +549,20 @@ def test_profile_rejects_invalid_tuple(tmp_path, capsys):
     assert result.payload == run(["validate", "--file", path]).payload
 
 
-def test_nonpositive_n_is_bad_input(tmp_path):
-    for n in (0, -2):
-        data = {"n": n, "d": 2, "sigma0": "()", "sigmaInf": "()", "sigma1": "()", "taus": []}
-        path = write_tuple(tmp_path, data)
+def test_nonpositive_n_is_bad_input(tmp_path, capsys):
+    # A d past n fails FixedPointCount anyway (sigma1 fixes at most 2n
+    # points), and that check formats 2d: a 4300-digit d would stop it at
+    # CPython's limit on integer string conversion.
+    data = tuple_to_json_dict(zannier_tuple(4, 2))
+    for n, d in ((0, 2), (-2, 2), (4, 5), (4, int("9" * 4300))):
+        path = write_tuple(tmp_path, dict(data, n=n, d=d))
         for command in ("validate", "profile"):
             result = run([command, "--file", path])
             assert result.status == "Error", (n, command)
-            assert any("n >= 1" in d for d in result.diagnostics)
+            assert main([command, "--file", path]) == 2
+            assert any("n >= d >= 1" in x for x in result.diagnostics)
+            assert not any("integer string conversion" in x for x in result.diagnostics)
+    capsys.readouterr()
 
 
 def test_non_integer_n_or_d_is_bad_input(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pellab import exactpoly
 from pellab.exactpoly import (
     MAX_DEGREE,
     ONE,
@@ -496,6 +497,8 @@ def test_parse_poly_degree_bound():
     assert parse_poly(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
     # Leading zeros do not count toward the exponent's digits.
     assert parse_poly("2*t^" + "0" * 6000 + str(MAX_DEGREE)).degree == MAX_DEGREE
+    # A file's coefficient list has the same bound.
+    assert from_coeff_strings(["1"] * (MAX_DEGREE + 1)).degree == MAX_DEGREE
     past = MAX_DEGREE + 1
     for text, pos in (
         (f"t^{past}", 2),
@@ -538,10 +541,22 @@ def test_from_coeff_strings_errors_name_index():
         ([0.5], 0),
         ([True], 0),
         ([[1]], 0),
+        (["0"] * (MAX_DEGREE + 1) + ["1"], MAX_DEGREE + 1),
     ):
         with pytest.raises(PolyParseError) as err:
             from_coeff_strings(items)
         assert err.value.pos == pos
+
+
+def test_from_coeff_strings_counts_before_parsing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactpoly, "parse_rational", lambda text: calls.append(text))
+    with pytest.raises(PolyParseError) as err:
+        from_coeff_strings(["1"] * (MAX_DEGREE + 2))
+    assert str(err.value) == (
+        f"more coefficients than the degree bound {MAX_DEGREE} allows (at position {MAX_DEGREE + 1})"
+    )
+    assert calls == []
 
 
 # -- stored form and the Fraction boundary -----------------------------------

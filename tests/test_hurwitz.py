@@ -533,8 +533,8 @@ def test_tuple_json_rejects_bad_input():
     broken["n"] = "four"
     with pytest.raises(ValueError):
         tuple_from_json_dict(broken)
-    for key, value in (("n", 0), ("n", -2), ("d", 0), ("d", -1)):
-        with pytest.raises(ValueError, match="n >= 1 and d >= 1"):
+    for key, value in (("n", 0), ("n", -2), ("d", 0), ("d", -1), ("d", 5)):
+        with pytest.raises(ValueError, match="n >= d >= 1"):
             tuple_from_json_dict(dict(data, **{key: value}))
     wrongly_typed = (
         ("sigma0", 18),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from pellab import pellcore
+from pellab import exactpoly, pellcore
 from pellab.exactpoly import (
     ONE,
     ZERO,
@@ -38,7 +38,14 @@ from pellab.pellcore import (
     verify_pell,
 )
 
-from oracles import X, classify_powers_every_m, discriminant, power_polynomial, seed_by_whole_unit
+from oracles import (
+    X,
+    branch_locus_by_product,
+    classify_powers_every_m,
+    discriminant,
+    power_polynomial,
+    seed_by_whole_unit,
+)
 
 
 def chebyshev_closed_form(n: int) -> Poly:
@@ -491,6 +498,63 @@ def test_value_arguments_read_exact_inputs_only():
             ramification_type(f4, text)
         with pytest.raises(ValueError):
             verify_branch_locus_in(f4, [text])
+
+
+small_rats = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def locus_cases(draw):
+    """f with a list of values: a random f of degree 2-8; T_k(at + b), whose
+    critical values are -1 and 1 (only -1 for k = 2); or f with
+    f' = prod(t - r) over rational r, whose critical values f(r) are
+    rational.  The values repeat, may be empty, and may cover every
+    critical value."""
+    kind = draw(st.sampled_from(("random", "chebyshev", "rational")))
+    if kind == "random":
+        f = Poly(draw(st.lists(st.integers(-9, 9), min_size=3, max_size=9)))
+        assume(f.degree >= 2)
+        critical = []
+    elif kind == "chebyshev":
+        a = draw(small_rats.filter(bool))
+        f = compose(chebyshev(draw(st.integers(2, 8))), Poly([draw(small_rats), a]))
+        critical = [Fraction(-1), Fraction(1)]
+    else:
+        roots = draw(st.lists(small_rats, min_size=1, max_size=7))
+        df = ONE
+        for r in roots:
+            df = df * Poly([-r, 1])
+        f = Poly([draw(small_rats), *(c / (i + 1) for i, c in enumerate(df.coeffs))])
+        critical = [f(r) for r in roots]
+    pool = critical + draw(st.lists(small_rats, min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), max_size=6))
+    if draw(st.booleans()):
+        values += critical
+    return f, values
+
+
+@given(locus_cases())
+def test_verify_branch_locus_matches_product_oracle(case):
+    f, values = case
+    assert verify_branch_locus_in(f, values) == branch_locus_by_product(f, values)
+
+
+def test_verify_branch_locus_builds_below_twice_the_degree(monkeypatch):
+    # The product of f - c over 2000 values has degree 6000; folded modulo
+    # rad f', nothing built reaches 2 deg f.
+    degrees = []
+    build = exactpoly._poly
+
+    def recording(nums, den=1):
+        p = build(nums, den)
+        degrees.append(p.degree)
+        return p
+
+    f = parse_poly("t^3 - 3*t")
+    monkeypatch.setattr(exactpoly, "_poly", recording)
+    assert not verify_branch_locus_in(f, range(2000))
+    assert verify_branch_locus_in(f, [*range(2000), -2])
+    assert degrees and max(degrees) < 2 * f.degree
 
 
 small_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly).filter(

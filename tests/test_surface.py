@@ -6,7 +6,8 @@ definitions it never reaches must be exactly UNREACHED, and each reason
 names the ROADMAP item that will empty its entry.  Code that only the
 tests call belongs in tests/oracles.py.  A fresh interpreter's start-up,
 importing the CLI and building its parser, must not import `dataclasses`
-or `inspect`."""
+or `inspect`.  Every backticked `module.NAME` in README.md names a
+top-level definition of that module."""
 
 from __future__ import annotations
 
@@ -96,6 +97,15 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
 def test_each_unreached_reason_names_the_item_that_empties_it():
     for entry, reason in UNREACHED.items():
         assert re.search(r"\bROADMAP item \d+\b", reason), entry
+
+
+def test_readme_names_only_existing_definitions():
+    # A backticked `module.NAME` in README.md names a top-level definition.
+    defs = _read_modules()[0]
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    named = {(m, name) for m, name in re.findall(r"`(\w+)\.(\w+)`", readme) if m in defs}
+    assert ("exactpoly", "MAX_DEGREE") in named
+    assert {(m, name) for m, name in named if name not in defs[m]} == set()
 
 
 STARTUP = """\
