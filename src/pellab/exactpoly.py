@@ -7,8 +7,11 @@ Nothing here ever touches floats, so equality of computed values is
 meaningful, and equal polynomials have equal stored pairs.
 
 The kernels read and write the stored integers directly; fractions.Fraction
-appears only at the API edge (coeffs, coeff, leading, evaluation, parsing
-and printing).  A product convolves the numerators.  Composition runs
+appears only at the API edge (coeffs, coeff, leading, evaluation,
+parse_rational and parse_poly).  Solution text, printed by format_poly and
+to_coeff_strings and read by from_coeff_strings, goes through one integer
+(numerator, denominator) pair per coefficient, never a Fraction.  A product convolves the numerators, and a square takes each
+cross product once and doubles it.  Composition runs
 Horner on the numerators of the inner polynomial, with the powers of its
 denominator folded into the outer coefficients.  Division is
 pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
@@ -145,6 +148,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if other is self:
+            return _poly(_square(self.nums), self.den * self.den)
         return _poly(_convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, k: RatLike) -> "Poly":
@@ -192,6 +197,19 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if x:
             for k, y in enumerate(b, i):
                 out[k] += x * y
+    return out
+
+
+def _square(a: Sequence[int]) -> list[int]:
+    """The square of an integer coefficient list, untrimmed: each product
+    a_i*a_j with i < j is taken once and doubled."""
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x += x
+            for k in range(i + 1, len(a)):
+                out[i + k] += x * a[k]
     return out
 
 
@@ -457,6 +475,17 @@ _TERM_RE = re.compile(
 MAX_DEGREE = 10_000
 
 
+def _rational_pair(text: str) -> tuple[int, int]:
+    """parse_rational's value as (numerator, denominator), not reduced."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
+    num, _, den = text.partition("/")
+    num, den = int(num), int(den) if den else 1
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    return num, den
+
+
 def parse_rational(text: str) -> Rat:
     """A rational in the coefficient form of parse_poly, with an optional
     sign and surrounding space: "3", "-3/4", " +6/4 ".  Decimals, exponents
@@ -466,12 +495,7 @@ def parse_rational(text: str) -> Rat:
     >>> parse_rational("-6/4")
     Fraction(-3, 2)
     """
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
-    try:
-        return Rat(text)
-    except ZeroDivisionError:
-        raise ZeroDivisionError("zero denominator") from None
+    return Rat(*_rational_pair(text))
 
 
 def parse_integer(text: str) -> int:
@@ -538,34 +562,41 @@ def parse_poly(text: str) -> Poly:
     return Poly(out)
 
 
+def _reduced_pairs(p: Poly) -> list[tuple[int, int]]:
+    """Each coefficient of p as (numerator, denominator) in lowest terms,
+    constant term first; 0 is (0, 1)."""
+    den = p.den
+    out = []
+    for c in p.nums:
+        g = math.gcd(c, den)
+        out.append((c // g, den // g))
+    return out
+
+
 def format_poly(p: Poly) -> str:
     """Canonical human form, highest degree first."""
     if p.is_zero:
         return "0"
     parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
+    for k, (num, den) in reversed(list(enumerate(_reduced_pairs(p)))):
+        if not num:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        elif mag == 1:
+        mag = abs(num)
+        if k and mag == 1 and den == 1:
             body = "t" if k == 1 else f"t^{k}"
         else:
-            body = f"{mag}*t" if k == 1 else f"{mag}*t^{k}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            body = str(mag) if den == 1 else f"{mag}/{den}"
+            if k:
+                body += "*t" if k == 1 else f"*t^{k}"
+        parts.append(" - " if num < 0 else " + ")
+        parts.append(body)
+    parts[0] = "-" if parts[0] == " - " else ""  # the leading term's sign
+    return "".join(parts)
 
 
 def to_coeff_strings(p: Poly) -> list[str]:
     """JSON form: ["num/den", ...] from the constant term up."""
-    return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+    return [f"{num}/{den}" for num, den in _reduced_pairs(p)]
 
 
 def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
@@ -577,13 +608,14 @@ def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
         raise PolyParseError(f"coefficients must be a list, not {type(items).__name__}", 0)
     if len(items) > MAX_DEGREE + 1:
         raise PolyParseError(f"more coefficients than the degree bound {MAX_DEGREE} allows", MAX_DEGREE + 1)
-    out = []
+    pairs = []
     for i, item in enumerate(items):
         # A JSON float is inexact; null, true and objects are no coefficients.
         if type(item) not in (str, int):
             raise PolyParseError(f"bad coefficient {item!r}: not a string or an integer", i)
         try:
-            out.append(Rat(item) if type(item) is int else parse_rational(item))
+            pairs.append((item, 1) if type(item) is int else _rational_pair(item))
         except (ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient {item!r}: {exc}", i) from None
-    return Poly(out)
+    den = math.lcm(*(d for _, d in pairs))
+    return _poly([num * (den // d) for num, d in pairs], den)

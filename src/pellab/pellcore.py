@@ -12,7 +12,11 @@ read off in one pass: the top coefficients of T_m(P) are those of
 A / 2^(m-1), truncated to the polynomial part (the approximate m-th root
 step of Kozen and Landau, "Polynomial decomposition algorithms", J. Symbolic
 Comput. 7, 1989).  T_m(P) = A is then checked by full composition, which
-is the certificate for the answer.
+is the certificate for the answer.  Chebyshev roots are unique up to sign
+and T_ab = T_a o T_b, so classify_powers takes the root for a composite m
+from the witness of its largest admissible divisor a, at degree n/a; that
+root has the sign an extraction from A gives (a positive leading
+coefficient for even m, that of lc A for odd m).
 """
 
 from __future__ import annotations
@@ -196,13 +200,23 @@ def classify_powers(sol: PellSolution) -> PowerClassification:
     """Try the admissible exponents; primitive when none has a rational
     root.  T_ab = T_a o T_b, so a root for m gives one for every divisor of
     m (each admissible too): m is tried only when every smaller admissible
-    divisor has a witness."""
+    divisor has a witness.  Roots are unique up to sign, so the root for m
+    is taken from the witness of the largest such divisor a, as its
+    (m/a)-th root at degree n/a.  It has the sign an extraction from A
+    gives, a positive leading coefficient for even m and that of lc A for
+    odd m, since extract_mth_root's rule composes: an even a or b gives a
+    positive root, and odd ones keep the sign of lc A.  Only an m with no
+    admissible proper divisor, a prime, is extracted from A itself."""
     candidates = admissible_exponents(sol.n, sol.d)
     witnesses: dict[int, Poly] = {}
     for m in candidates:
-        if not all(m % k or k in witnesses for k in candidates if k < m):
+        divisors = [k for k in candidates if k < m and m % k == 0]
+        if not all(k in witnesses for k in divisors):
             continue
-        root = extract_mth_root(sol.A, m)
+        if divisors:
+            root = extract_mth_root(witnesses[divisors[-1]], m // divisors[-1])
+        else:
+            root = extract_mth_root(sol.A, m)
         if root is not None:
             witnesses[m] = root
     return PowerClassification(
@@ -213,14 +227,16 @@ def classify_powers(sol: PellSolution) -> PowerClassification:
 def verify_branch_locus_in(f: Poly, values) -> bool:
     """Whether every critical value of f lies in the given set: r = rad f'
     must divide prod(f - c).  The product is folded modulo r, P <- P*(g - c)
-    mod r with g = f mod r, so nothing built reaches degree 2 deg r - 1."""
+    mod r with g = f mod r, so nothing built reaches degree 2 deg r - 1.
+    r is squarefree, so each distinct value is folded once; every value is
+    read first."""
     if f.degree < 2:
         raise DegreeTooSmall("branch locus check needs degree >= 2")
     radical = squarefree_part(derivative(f))
     g = divrem(f, radical)[1]
     product = ONE
-    for c in values:
-        product = divrem(product * (g - constant(c)), radical)[1]
+    for c in dict.fromkeys(map(constant, values)):
+        product = divrem(product * (g - c), radical)[1]
     return product.is_zero
 
 

@@ -23,6 +23,11 @@ The series root and composition run on integer numerators.  Below, the
 same recurrence runs on Fractions, and composition is Horner on reduced
 Poly values.
 
+Solution text is printed and read as integer pairs, one reduced
+(numerator, denominator) per coefficient.  The text functions below print
+from a Fraction per coefficient and read through Fraction's own string
+parser and the Poly constructor.
+
 The commands decide squarefreeness by gcd(D, D'), and gcd is the only
 remainder sequence in src.  resultant and discriminant below run the same
 primitive remainder sequence under the resultant's reduction rules; the
@@ -75,10 +80,13 @@ from pellab.census import (
 )
 from pellab.exactpoly import (
     ONE,
+    MAX_DEGREE,
     ZERO,
     DegreeTooSmall,
     Poly,
+    PolyParseError,
     Rat,
+    _RATIONAL_RE,
     _primitive,
     _pseudo_divrem,
     constant,
@@ -374,6 +382,65 @@ def compose_by_fractions(p: Poly, q: Poly) -> Poly:
     for c in reversed(p.coeffs):
         acc = acc * q + constant(c)
     return acc
+
+
+def parse_rational_by_fraction(text: str) -> Rat:
+    """parse_rational's answer from fractions.Fraction's own string parser,
+    behind the same grammar check and messages."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
+    try:
+        return Rat(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError("zero denominator") from None
+
+
+def format_poly_by_fractions(p: Poly) -> str:
+    """format_poly's text from a Fraction per coefficient."""
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeff(k)
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = "t" if k == 1 else f"t^{k}"
+        else:
+            body = f"{mag}*t" if k == 1 else f"{mag}*t^{k}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def to_coeff_strings_by_fractions(p: Poly) -> list[str]:
+    """to_coeff_strings' list from the Fraction coefficients."""
+    return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+
+
+def from_coeff_strings_by_fractions(items: list[Union[str, int]]) -> Poly:
+    """from_coeff_strings' answer, or its PolyParseError, from a Fraction
+    per item and the Poly constructor."""
+    if not isinstance(items, list):
+        raise PolyParseError(f"coefficients must be a list, not {type(items).__name__}", 0)
+    if len(items) > MAX_DEGREE + 1:
+        raise PolyParseError(f"more coefficients than the degree bound {MAX_DEGREE} allows", MAX_DEGREE + 1)
+    out = []
+    for i, item in enumerate(items):
+        if type(item) not in (str, int):
+            raise PolyParseError(f"bad coefficient {item!r}: not a string or an integer", i)
+        try:
+            out.append(Rat(item) if type(item) is int else parse_rational_by_fraction(item))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolyParseError(f"bad coefficient {item!r}: {exc}", i) from None
+    return Poly(out)
 
 
 X = Poly([0, 1])

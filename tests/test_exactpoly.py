@@ -39,7 +39,16 @@ from pellab.exactpoly import (
 )
 from pellab.pellcore import chebyshev
 
-from oracles import X, compose_by_fractions, discriminant, resultant, series_root_by_fractions
+from oracles import (
+    X,
+    compose_by_fractions,
+    discriminant,
+    format_poly_by_fractions,
+    from_coeff_strings_by_fractions,
+    resultant,
+    series_root_by_fractions,
+    to_coeff_strings_by_fractions,
+)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, max_size=6).map(Poly)
@@ -263,6 +272,8 @@ def test_mul_matches_fraction_convolution(a, b):
     assert product == fraction_convolution(a, b)
     assert product == b * a
     assert all(type(c) is Fraction for c in product.coeffs)
+    # a * a is the squaring kernel: each cross product taken once, doubled.
+    assert a * a == fraction_convolution(a, a)
 
 
 neg_lead = Poly([Fraction(3, 2**65 + 1), 0, Fraction(-(2**70), 7)])
@@ -550,13 +561,58 @@ def test_from_coeff_strings_errors_name_index():
 
 def test_from_coeff_strings_counts_before_parsing(monkeypatch):
     calls = []
-    monkeypatch.setattr(exactpoly, "parse_rational", lambda text: calls.append(text))
+    monkeypatch.setattr(exactpoly, "_rational_pair", lambda text: calls.append(text))
     with pytest.raises(PolyParseError) as err:
         from_coeff_strings(["1"] * (MAX_DEGREE + 2))
     assert str(err.value) == (
         f"more coefficients than the degree bound {MAX_DEGREE} allows (at position {MAX_DEGREE + 1})"
     )
     assert calls == []
+
+
+# Items for a solution file's coefficient list: well-formed strings, JSON
+# integers, and items from_coeff_strings refuses, among them strings past
+# int()'s 4300-digit limit.
+good_items = st.one_of(
+    wide_rationals.map(lambda x: f"{x.numerator}/{x.denominator}"),
+    st.integers(-(2**100), 2**100),
+    st.integers(-(2**100), 2**100).map(str),
+    st.sampled_from((" +6/4 ", "-0", "0/7", "007/010", "\t-3\n", "\u0661\u0662/\u0663")),
+)
+bad_items = st.sampled_from(
+    (
+        "1/0", "-0/0", "2.5", "1e3", ".5", "1_000", "1 / 2", "- 3", "", "/2", "x", "0x10",
+        "1" * 4301, "1/" + "2" * 4301, "1" * 4301 + "/0", "-" + "0" * 4400,
+        None, 0.5, float("inf"), True, [1], {"num": 1},
+    )
+)
+item_lists = st.lists(st.one_of(good_items, good_items, bad_items), max_size=6)
+
+
+@given(st.one_of(wide_polys, rational_polys))
+@example(Poly([Fraction(-1, 2), 1, 0, -1, Fraction(3, 7)]))
+@example(Poly([1]))
+@example(Poly([-1]))
+@example(ZERO)
+def test_text_matches_fraction_oracle(p):
+    assert format_poly(p) == format_poly_by_fractions(p)
+    assert to_coeff_strings(p) == to_coeff_strings_by_fractions(p)
+
+
+def _read(read, items):
+    try:
+        return read(items)
+    except PolyParseError as exc:
+        return str(exc), exc.pos
+
+
+@given(item_lists)
+@example(["1", "2/0", 0.5])
+@example(["6/4", -3, "0"])
+@example([])
+def test_from_coeff_strings_matches_fraction_oracle(items):
+    # The same Poly, or the same message at the same position.
+    assert _read(from_coeff_strings, items) == _read(from_coeff_strings_by_fractions, items)
 
 
 # -- stored form and the Fraction boundary -----------------------------------
@@ -581,7 +637,7 @@ def assert_canonical(p: Poly):
 def test_results_are_canonical(a, b, k):
     # -b gives each divisor a negative leading coefficient as well, so the
     # pseudo-division scale is negative on one side.
-    results = [a + b, a - b, -a, a * b, a.scale(k), derivative(a), a.shift(2), compose(a, b)]
+    results = [a + b, a - b, -a, a * b, a * a, a.scale(k), derivative(a), a.shift(2), compose(a, b)]
     for d in (b, -b):
         if not d.is_zero:
             results.extend(divrem(a, d))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pellab import exactpoly, pellcore
@@ -438,31 +438,43 @@ def test_classify_powers_round_trips_witnesses():
 
 def test_classify_powers_skips_multiples_of_a_rootless_m(monkeypatch):
     # n = 12, d = 2: the admissible m are 2, 3, 4 and 6.  The 4th power has
-    # roots for 2 and 4; 3 has none, so neither has its multiple 6.
+    # roots for 2 and 4; 3 has none, so neither has its multiple 6.  The
+    # root for 4 is the square root of the witness for 2, at degree 6.
     tried = []
     real = pellcore.extract_mth_root
 
     def recording(A, m):
-        tried.append(m)
+        tried.append((A.degree, m))
         return real(A, m)
 
     monkeypatch.setattr(pellcore, "extract_mth_root", recording)
     powered = power_solution(generate_from_seed(parse_poly("2*t^3 - 1")), 4)
     assert (powered.n, powered.d) == (12, 2)
     cls = classify_powers(powered)
-    assert tried == [2, 3, 4]
+    assert tried == [(12, 2), (12, 3), (6, 2)]
     assert sorted(cls.admissible_m) == [2, 3, 4, 6]
     assert sorted(cls.witnesses) == [2, 4]
 
 
-@given(seeds, st.integers(min_value=1, max_value=12), st.booleans())
-def test_classify_powers_matches_every_m_oracle(seed, m, nudge):
-    # A planted m-th power, or its A plus t, which has no root for most m.
+@given(
+    seeds,
+    st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from((16, 18, 20, 24))),
+    st.booleans(),
+    st.booleans(),
+)
+@example(Poly([0, 2]), 24, False, True)
+@example(Poly([-1, 0, 0, 2]), 8, False, True)
+def test_classify_powers_matches_every_m_oracle(seed, m, nudge, flip):
+    # A planted m-th power, or its A plus t, which has no root for most m;
+    # with flip, the solution (-A, B, D), so lc A has either sign.  Composite
+    # m take their roots from a divisor's witness.
     base = generate_from_seed(seed, allow_d1=True)
     assume(isinstance(base, PellSolution))
     sol = power_solution(base, m)
     if nudge:
         sol = sol._replace(A=sol.A + X)
+    if flip:
+        sol = sol._replace(A=-sol.A)
     assert classify_powers(sol) == classify_powers_every_m(sol)
 
 
@@ -537,6 +549,25 @@ def locus_cases(draw):
 def test_verify_branch_locus_matches_product_oracle(case):
     f, values = case
     assert verify_branch_locus_in(f, values) == branch_locus_by_product(f, values)
+
+
+def test_verify_branch_locus_folds_each_value_once(monkeypatch):
+    # rad f' is squarefree, so a repeated value cannot change the verdict.
+    calls = []
+    real = pellcore.divrem
+
+    def counting(a, b):
+        calls.append(a.degree)
+        return real(a, b)
+
+    monkeypatch.setattr(pellcore, "divrem", counting)
+    f = parse_poly("t^3 - 3*t")
+    counts = []
+    for values in ([0, 1], [0] * 50 + [1]):
+        calls.clear()
+        assert not verify_branch_locus_in(f, values)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_verify_branch_locus_builds_below_twice_the_degree(monkeypatch):

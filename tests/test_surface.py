@@ -7,7 +7,8 @@ names the ROADMAP item that will empty its entry.  Code that only the
 tests call belongs in tests/oracles.py.  A fresh interpreter's start-up,
 importing the CLI and building its parser, must not import `dataclasses`
 or `inspect`.  Every backticked `module.NAME` in README.md names a
-top-level definition of that module."""
+top-level definition of that module.  The same walk from the solution
+text functions of exactpoly reaches no Fraction."""
 
 from __future__ import annotations
 
@@ -61,16 +62,20 @@ def _read_modules():
     return defs, names, aliases
 
 
-def reached_definitions() -> tuple[set, set]:
+def reached_definitions(start=(("cli", "main"),), leaves=()) -> tuple[set, set]:
+    """The definitions reached from start, and all of them; a definition in
+    leaves is reached but not walked into."""
     defs, names, aliases = _read_modules()
     everything = {(mod, name) for mod in defs for name in defs[mod]}
     seen = set()
-    stack = [("cli", "main")]
+    stack = list(start)
     while stack:
         mod, name = stack.pop()
         if (mod, name) in seen:
             continue
         seen.add((mod, name))
+        if (mod, name) in leaves:
+            continue
         for ref in ast.walk(defs[mod][name]):
             target = None
             if isinstance(ref, ast.Name):
@@ -92,6 +97,23 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
     assert ("pellcore", "classify_powers") in reached
     assert ("permgroup", "rotate") in reached
     assert everything - reached == set(UNREACHED)
+
+
+def test_solution_text_path_builds_no_fraction():
+    # Solution text is printed and read as integer pairs.  Poly is a leaf:
+    # its constructor and its coeffs, coeff and leading are the Fraction
+    # edge, so the path may build a Poly only through _poly, and reads no
+    # Fraction coefficient.
+    defs = _read_modules()[0]
+    text_path = [("exactpoly", n) for n in ("from_coeff_strings", "to_coeff_strings", "format_poly")]
+    reached, _ = reached_definitions(text_path, leaves={("exactpoly", "Poly")})
+    for mod, name in reached - {("exactpoly", "Poly")}:
+        for node in ast.walk(defs[mod][name]):
+            assert not (isinstance(node, ast.Name) and node.id in ("Rat", "Fraction")), name
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("coeff", "coeffs", "leading")), name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "Poly", name
+    assert ("exactpoly", "_poly") in reached
 
 
 def test_each_unreached_reason_names_the_item_that_empties_it():
