@@ -11,8 +11,12 @@ give every tau and the points they all fix.  The shape route reads these
 from each layout's cut points and builds sigma0 only when a rotation might
 fix it; the brute route finds them by one scan of each leaf's pi.  Both
 routes stream into one pass.  Tuples are built only by the test oracles.
-Reports carry all three, for each case and for the primitive Disjoint
-count, and flag any disagreement; nothing is reconciled silently.
+Of the rotations other than the identity, only the one by n can fix a
+transposition tau, and it fixes a tuple only if it maps CF, the points
+sigma1 and tau fix in common, onto itself; few layouts have such a CF, and
+only theirs have sigma0 built.  Reports carry all three, for each case and
+for the primitive Disjoint count, and flag any disagreement; nothing is
+reconciled silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -23,7 +27,6 @@ The three cases are keyed by the product sigma1*tau (sigma1 acting first):
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -106,23 +109,19 @@ def _split_weights(
 
     A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
     and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
-    rotations that fix sigma0 and tau.  A rotation by s can fix t only if
-    CF + s = CF (mod 2n); since 2n is in CF, s is one of its points and 2n
-    is its largest.  Only when such an s exists is sigma0 built, to keep
-    the s that also fix it, and each tau tries only those; with none, every
-    split weighs 12 / |CF|.  The quotient is exact: CF(t) is a union of
-    cosets of Stab(t), and |CF(t)| <= 4."""
+    rotations that fix sigma0 and tau.  A rotation by s != 0 fixes a
+    transposition (a, b) only if a + s = b and b + s = a (mod N = 2n), so
+    2s = 0 and s = N/2 = n; it can fix t only if CF + n = CF as well.  Only
+    then is sigma0 built, to see whether the rotation by n fixes it; if so,
+    each tau it fixes weighs 24 / |CF|, and every other split 12 / |CF|.
+    The quotient is exact: CF(t) is a union of cosets of Stab(t)."""
     N = max(cf)
-    shifts = [s for s in cf if s != N and {(x + s) % N or N for x in cf} == cf]
-    if shifts:
+    n = N // 2
+    if n in cf and {(x + n) % N or N for x in cf} == cf:
         fixed = sigma0()
-        shifts = [s for s in shifts if pg.rotate(fixed, s) == fixed]
-    if not shifts:
-        return [12 // len(cf)] * len(taus)
-    return [
-        12 * (1 + sum({(a + s) % N or N, (b + s) % N or N} == {a, b} for s in shifts)) // len(cf)
-        for a, b in taus
-    ]
+        if pg.rotate(fixed, n) == fixed:
+            return [12 * (1 + ((a + n) % N == b)) // len(cf) for a, b in taus]
+    return [12 // len(cf)] * len(taus)
 
 
 def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
@@ -138,22 +137,13 @@ def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
     return pg._unchecked(tuple(images[1:]))
 
 
-def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every (h, cuts) in enumeration order: Disjoint (h = n, no cut), then
-    ThreeCycle (cut k), then FourCycle (cuts k1 < k2); the cuts lie
-    strictly between h and 2n-h, at even distances from h and each other."""
-    yield n, ()
-    for size in (1, 2):
-        for h in range(1, n):
-            for cuts in itertools.combinations(range(h + 2, 2 * n - h - 1, 2), size):
-                yield h, cuts
-
-
-def _layout_splits(
-    n: int, h: int, cuts: Sequence[int]
-) -> tuple[frozenset[int], list[tuple[int, int]]]:
-    """CF and the taus of the layout's forced product pi, read from its cut
-    points P = (h, *cuts, 2n-h), as _splits would find them in pi.
+def _shape_route(n: int) -> Iterator[Splits]:
+    """Every sigma0 layout, in enumeration order, unbuilt, with CF and the
+    taus of its forced product pi, read from its cut points
+    P = (h, *cuts, 2n-h) as _splits would find them in pi; every layout's
+    pi splits.  Disjoint is h = n with no cut, then ThreeCycle (cut k), then
+    FourCycle (cuts k1 < k2); the cuts lie strictly between h and 2n-h, at
+    even distances from h and each other.
 
     pi(x) = sigma0(x+1).  Inside the stretch between consecutive points
     lo < hi of P, pi swaps x and lo + hi - x and fixes the fold centre
@@ -161,28 +151,22 @@ def _layout_splits(
     point of P goes to the next, and 2n-h to h, so pi's one longer cycle is
     P itself: the 3-cycle (h k 2n-h) for one cut k, the 4-cycle
     (h k1 k2 2n-h) for two.  Disjoint has P = (n, n), so n is fixed and
-    its taus are the transpositions (x, 2n-x).
+    its taus are the transpositions (x, 2n-x) for x = 1..n-1 in turn.
 
-    >>> cf, taus = _layout_splits(4, 1, (3,))
-    >>> sorted(cf), taus
-    ([2, 5, 8], [(1, 7), (3, 1), (7, 3)])
+    >>> [(sorted(cf), taus) for _, cf, taus in _shape_route(3)]
+    [([3, 6], [(1, 5), (2, 4)]), ([2, 4, 6], [(1, 5), (3, 1), (5, 3)])]
     """
     N = 2 * n
-    points = (h, *cuts, N - h)
-    cf = frozenset([N, *[(lo + hi) // 2 for lo, hi in zip(points, points[1:])]])
-    if not cuts:
-        return cf, [(x, N - x) for x in range(1, n)]
-    if len(cuts) == 1:
-        return cf, [(h, N - h), (cuts[0], h), (N - h, cuts[0])]
-    return cf, [(h, cuts[1]), (cuts[0], N - h)]
-
-
-def _shape_route(n: int) -> Iterator[Splits]:
-    """Every sigma0 layout, in enumeration order, unbuilt, with its CF and
-    taus; every layout's forced product splits.  The Disjoint layout's taus
-    are (h, 2n-h) for h = 1..n-1 in turn."""
-    for h, cuts in _layouts(n):
-        yield (functools.partial(_sigma0, n, h, cuts), *_layout_splits(n, h, cuts))
+    yield functools.partial(_sigma0, n, n, ()), frozenset((n, N)), [(x, N - x) for x in range(1, n)]
+    for h in range(1, n):
+        for k in range(h + 2, N - h - 1, 2):
+            cf = frozenset((N, (h + k) // 2, (k + N - h) // 2))
+            yield functools.partial(_sigma0, n, h, (k,)), cf, [(h, N - h), (k, h), (N - h, k)]
+    for h in range(1, n):
+        for k1 in range(h + 2, N - h - 1, 2):
+            for k2 in range(k1 + 2, N - h - 1, 2):
+                cf = frozenset((N, (h + k1) // 2, (k1 + k2) // 2, (k2 + N - h) // 2))
+                yield functools.partial(_sigma0, n, h, (k1, k2)), cf, [(h, k2), (k1, N - h)]
 
 
 def _brute_leaves(n: int) -> Iterator[Perm]:

@@ -196,6 +196,8 @@ def _cmd_ramify(args) -> CommandResult:
     if args.at is not None:
         try:
             c = exactpoly.parse_rational(args.at)
+        except PolyParseError as exc:  # the digit limit: the text is too long to echo
+            raise _ParserError(f"bad rational --at: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise _ParserError(f"bad rational {args.at!r}: {exc}") from None
         branch_type = pellcore.ramification_type(f, c)
@@ -204,12 +206,15 @@ def _cmd_ramify(args) -> CommandResult:
             "type": [[index, count] for index, count in branch_type],
         }
         return CommandResult(OK, payload, [])
-    try:
-        values = [
-            exactpoly.parse_rational(part) for part in args.locus_in.split(",") if part.strip()
-        ]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _ParserError(f"bad rational list {args.locus_in!r}: {exc}") from None
+    values = []
+    for i, part in enumerate(args.locus_in.split(",")):
+        try:
+            if part.strip():
+                values.append(exactpoly.parse_rational(part))
+        except PolyParseError as exc:
+            raise _ParserError(f"bad rational --locus-in item {i}: {exc}") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _ParserError(f"bad rational list {args.locus_in!r}: {exc}") from None
     contained = pellcore.verify_branch_locus_in(f, values)
     payload = {
         "contained": contained,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import dropwhile
 from typing import Iterable, Optional, Sequence, Union
@@ -54,10 +55,12 @@ class DegreeTooSmall(ValueError):
 
 
 class PolyParseError(ValueError):
-    """Bad polynomial text; .pos is the 0-based offset of the problem."""
+    """Bad polynomial text; .pos is the 0-based offset of the problem, and
+    .message the message without it."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -460,9 +463,9 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
 # optional "/digits", the one rational form pellab reads from text; an
 # integer option of the command line is its numerator alone.
 
-_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
+_UNSIGNED_RATIONAL = r"(\d+)(?:/(\d+))?"  # numerator, denominator
 _INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
-_RATIONAL_RE = re.compile(rf"\s*[+-]?{_UNSIGNED_RATIONAL}\s*")
+_RATIONAL_RE = re.compile(rf"\s*([+-]?){_UNSIGNED_RATIONAL}\s*")  # sign, numerator, denominator
 _TERM_RE = re.compile(
     rf"""\s*(?P<sign>[+-])?\s*
         (?:(?P<coeff>{_UNSIGNED_RATIONAL})\s*)?
@@ -475,12 +478,30 @@ _TERM_RE = re.compile(
 MAX_DEGREE = 10_000
 
 
-def _rational_pair(text: str) -> tuple[int, int]:
-    """parse_rational's value as (numerator, denominator), not reduced."""
-    if not _RATIONAL_RE.fullmatch(text):
+def _significant_digits(digits: str, pos: int) -> str:
+    """A coefficient's run of digits, ready for int().  CPython refuses an
+    int/str conversion past sys.get_int_max_str_digits() digits (4300 by
+    default, 0 for none); the limit is process-wide, so it is read at each
+    use and never raised here.  A run past it loses its leading zeros,
+    which of any script do not count; more significant digits than the
+    limit is a PolyParseError at pos, where the run starts, that names it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        digits = "".join(dropwhile(lambda c: not int(c), digits)) or "0"
+        if len(digits) > limit:
+            raise PolyParseError(f"coefficient of {len(digits)} digits past the {limit}-digit limit", pos)
+    return digits
+
+
+def _rational_pair(text: str, at: int = 0) -> tuple[int, int]:
+    """parse_rational's value as (numerator, denominator), not reduced; at
+    is the offset of text in what it was read from, for error positions."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
         raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
-    num, _, den = text.partition("/")
-    num, den = int(num), int(den) if den else 1
+    sign, num, den = m.groups("1")
+    num = int(sign + _significant_digits(num, at + m.start(2)))
+    den = int(_significant_digits(den, at + m.start(3)))
     if not den:
         raise ZeroDivisionError("zero denominator")
     return num, den
@@ -490,7 +511,10 @@ def parse_rational(text: str) -> Rat:
     """A rational in the coefficient form of parse_poly, with an optional
     sign and surrounding space: "3", "-3/4", " +6/4 ".  Decimals, exponents
     and every other form raise ValueError, in time linear in the text; a
-    zero denominator raises ZeroDivisionError.
+    zero denominator raises ZeroDivisionError.  Leading zeros do not count
+    toward CPython's limit on int/str conversion (4300 digits by default);
+    more significant digits than that in the numerator or the denominator
+    is a PolyParseError, a ValueError, at the start of those digits.
 
     >>> parse_rational("-6/4")
     Fraction(-3, 2)
@@ -547,7 +571,7 @@ def parse_poly(text: str) -> Poly:
         coeff = Rat(1)
         if m.group("coeff") is not None:
             try:
-                coeff = Rat(m.group("coeff"))
+                coeff = Rat(*_rational_pair(m.group("coeff"), m.start("coeff")))
             except ZeroDivisionError:
                 raise PolyParseError("zero denominator", m.start("coeff")) from None
         exp = 0 if name is None else _exponent(m)
@@ -615,6 +639,8 @@ def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
             raise PolyParseError(f"bad coefficient {item!r}: not a string or an integer", i)
         try:
             pairs.append((item, 1) if type(item) is int else _rational_pair(item))
+        except PolyParseError as exc:  # the digit limit: the item is too long to echo
+            raise PolyParseError(exc.message, i) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient {item!r}: {exc}", i) from None
     den = math.lcm(*(d for _, d in pairs))

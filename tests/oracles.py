@@ -7,6 +7,10 @@ The key-based grouping below builds every class, and case_of reads the case
 from the longest cycle of sigma1*tau, so the tests check the counts against
 them.  The census also builds no tuple: it weighs each sigma0's splits from
 sigma0, the points its forced product fixes and each tau as a point pair.
+Its shape route writes one loop per case; _layouts and _layout_splits
+below list the same layouts as (h, cuts) and read CF and the taus from the
+cut points in one generic pass, and split_weights_by_scan weighs them by
+trying every point of CF as a shift, not the rotation by n alone.
 The tuple level below builds every split tuple and weighs it alone:
 _split_product makes sigma1 and tau as Perms, _shape_tuples streams the
 shape route's tuples, brute_force_enumerate lists and sorts those of the
@@ -60,9 +64,12 @@ product out and divides it by rad f' once.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from decimal import Decimal
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from pellab import permgroup as pg
 from pellab.census import (
@@ -74,7 +81,6 @@ from pellab.census import (
     THREE_CYCLE,
     TooLarge,
     _brute_leaves,
-    _layouts,
     _pi_from_sigma0,
     _sigma0,
 )
@@ -125,6 +131,63 @@ from pellab.permgroup import (
     inverse,
     preserves_partition,
 )
+
+
+def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every (h, cuts) in enumeration order: Disjoint (h = n, no cut), then
+    ThreeCycle (cut k), then FourCycle (cuts k1 < k2); the cuts lie
+    strictly between h and 2n-h, at even distances from h and each other."""
+    yield n, ()
+    for size in (1, 2):
+        for h in range(1, n):
+            for cuts in itertools.combinations(range(h + 2, 2 * n - h - 1, 2), size):
+                yield h, cuts
+
+
+def _layout_splits(
+    n: int, h: int, cuts: Sequence[int]
+) -> tuple[frozenset[int], list[tuple[int, int]]]:
+    """CF and the taus of the layout's forced product pi, read from its cut
+    points P = (h, *cuts, 2n-h), as _splits would find them in pi.
+
+    pi(x) = sigma0(x+1).  Inside the stretch between consecutive points
+    lo < hi of P, pi swaps x and lo + hi - x and fixes the fold centre
+    (lo + hi)/2; outside [h, 2n-h] it swaps x and 2n-x and fixes 2n.  Each
+    point of P goes to the next, and 2n-h to h, so pi's one longer cycle is
+    P itself: the 3-cycle (h k 2n-h) for one cut k, the 4-cycle
+    (h k1 k2 2n-h) for two.  Disjoint has P = (n, n), so n is fixed and
+    its taus are the transpositions (x, 2n-x).
+
+    >>> cf, taus = _layout_splits(4, 1, (3,))
+    >>> sorted(cf), taus
+    ([2, 5, 8], [(1, 7), (3, 1), (7, 3)])
+    """
+    N = 2 * n
+    points = (h, *cuts, N - h)
+    cf = frozenset([N, *[(lo + hi) // 2 for lo, hi in zip(points, points[1:])]])
+    if not cuts:
+        return cf, [(x, N - x) for x in range(1, n)]
+    if len(cuts) == 1:
+        return cf, [(h, N - h), (cuts[0], h), (N - h, cuts[0])]
+    return cf, [(h, cuts[1]), (cuts[0], N - h)]
+
+
+def split_weights_by_scan(
+    sigma0: Callable[[], Perm], cf: frozenset[int], taus: Sequence[tuple[int, int]]
+) -> list[int]:
+    """census._split_weights as a scan: every point s of CF but 2n is tried
+    for CF + s = CF (mod 2n), not s = n alone."""
+    N = max(cf)
+    shifts = [s for s in cf if s != N and {(x + s) % N or N for x in cf} == cf]
+    if shifts:
+        fixed = sigma0()
+        shifts = [s for s in shifts if pg.rotate(fixed, s) == fixed]
+    if not shifts:
+        return [12 // len(cf)] * len(taus)
+    return [
+        12 * (1 + sum({(a + s) % N or N, (b + s) % N or N} == {a, b} for s in shifts)) // len(cf)
+        for a, b in taus
+    ]
 
 
 def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:
@@ -386,11 +449,25 @@ def compose_by_fractions(p: Poly, q: Poly) -> Poly:
 
 def parse_rational_by_fraction(text: str) -> Rat:
     """parse_rational's answer from fractions.Fraction's own string parser,
-    behind the same grammar check and messages."""
-    if not _RATIONAL_RE.fullmatch(text):
+    behind the same grammar check, digit limit and messages.  decimal has
+    no limit on its conversions: each run of digits is counted by its
+    Decimal's exponent and handed to Fraction as the digits of its int."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
         raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    runs = []
+    for group in (2, 3):
+        if m.group(group) is not None:
+            value = Decimal(m.group(group))
+            if limit and value.adjusted() >= limit:
+                raise PolyParseError(
+                    f"coefficient of {value.adjusted() + 1} digits past the {limit}-digit limit",
+                    m.start(group),
+                )
+            runs.append(str(int(value)))
     try:
-        return Rat(text)
+        return Rat(m.group(1) + "/".join(runs))
     except ZeroDivisionError:
         raise ZeroDivisionError("zero denominator") from None
 
@@ -438,6 +515,8 @@ def from_coeff_strings_by_fractions(items: list[Union[str, int]]) -> Poly:
             raise PolyParseError(f"bad coefficient {item!r}: not a string or an integer", i)
         try:
             out.append(Rat(item) if type(item) is int else parse_rational_by_fraction(item))
+        except PolyParseError as exc:
+            raise PolyParseError(exc.message, i) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient {item!r}: {exc}", i) from None
     return Poly(out)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -20,7 +21,6 @@ from pellab.census import (
     SHAPE_MAX,
     THREE_CYCLE,
     TooLarge,
-    _layouts,
     _pi_from_sigma0,
     _sigma0,
     census,
@@ -40,6 +40,8 @@ from pellab.permgroup import Perm
 
 from oracles import (
     ShapeParams,
+    _layout_splits,
+    _layouts,
     _make_tuple,
     _orbit_sums,
     _orbit_weight,
@@ -53,6 +55,7 @@ from oracles import (
     conjugate,
     enumerate_shapes,
     primitive_disjoint_classes,
+    split_weights_by_scan,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -290,7 +293,29 @@ def test_layout_splits_match_the_scan_of_the_built_layout():
     for n in range(2, 33):
         for h, cuts in _layouts(n):
             want = census_module._splits(_sigma0(n, h, cuts))
-            assert census_module._layout_splits(n, h, cuts) == want, (n, h, cuts)
+            assert _layout_splits(n, h, cuts) == want, (n, h, cuts)
+
+
+def test_shape_route_matches_the_layout_oracle():
+    """The route's one loop per case yields the layouts in the oracle's
+    order, each with the oracle's CF and taus and its sigma0."""
+    for n in range(2, 49):
+        route = list(census_module._shape_route(n))
+        layouts = list(_layouts(n))
+        assert len(route) == len(layouts), n
+        for (sigma0, cf, taus), (h, cuts) in zip(route, layouts):
+            assert (cf, taus) == _layout_splits(n, h, cuts), (n, h, cuts)
+            assert sigma0() == _sigma0(n, h, cuts), (n, h, cuts)
+
+
+def test_split_weights_match_the_scan_on_both_routes():
+    """Trying only the rotation by n changes no weight: on every item of the
+    shape route up to SHAPE_MAX and of the brute route up to n = 12, the
+    weights are those of the scan of every point of CF as a shift."""
+    routes = [census_module._shape_route(n) for n in range(2, SHAPE_MAX + 1)]
+    routes += [census_module._brute_route(n) for n in range(2, 13)]
+    for item in itertools.chain.from_iterable(routes):
+        assert census_module._split_weights(*item) == split_weights_by_scan(*item), item[1:]
 
 
 def test_census_builds_no_perm_per_split(monkeypatch):

@@ -633,7 +633,16 @@ def test_tuple_commands_never_raise(command, data):
 # -- random command lines -----------------------------------------------------
 
 small_int = st.sampled_from(["2", "3", "4", "5", "6", "-1", "0", "1", "x", "", "2.5"])
-rational = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "1e100000", "2.5"])
+# Coefficients past int()'s 4300-digit limit, by significant digits or by
+# leading zeros alone.
+long_coeff = st.tuples(st.integers(min_value=4301, max_value=6000), st.sampled_from("01")).map(
+    lambda kd: kd[1] * kd[0] + "7"
+)
+rational = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "1e100000", "2.5"]),
+    long_coeff,
+    long_coeff.map(lambda c: "1/" + c),
+)
 small_poly = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=9).map(
     lambda cs: format_poly(Poly(cs))
 )
@@ -642,6 +651,7 @@ poly_text = st.one_of(
     st.sampled_from(["2*t^3-1", "2*t^3 - 1", "t^2", "1", "2*t", "t^4-1", "t^4 - t", "t^2 - 1"]),
     st.sampled_from(["t^", "t^-1", "1/0", "", "t^2 +", "x", "2t"]),
     st.sampled_from([f"t^{MAX_DEGREE + 1}", f"2*t^0{MAX_DEGREE + 1}", "2*t^" + "9" * 5000]),
+    long_coeff.map(lambda c: f"t^2 - {c}*t"),
     st.text(alphabet="t0123456789+-*/() .", max_size=12),
 )
 OPTIONS = {
@@ -670,6 +680,7 @@ COMMANDS = {  # each command's usual option sets, then options that may come on 
 }
 coeff_items = st.one_of(
     st.integers(min_value=-5, max_value=5).map(str),
+    long_coeff,
     st.sampled_from(
         ["1/2", "-3/4", "1/0", "x", "", "1e100000", "2.5", 3, 2.5, float("inf"), None, True, [], {}]
     ),
@@ -760,4 +771,29 @@ def test_long_point_in_tuple_file_is_bad_input(tmp_path, capsys):
         assert result.status == "Error"
         assert result.diagnostics == ["point of 5000 digits out of range 1..12 (at position 3)"]
         assert main([command, "--file", path]) == 2
+    capsys.readouterr()
+
+
+def test_long_coefficient_is_read_or_positioned_bad_input(capsys):
+    # Leading zeros do not count toward int()'s digit limit; more significant
+    # digits than it is a polynomial error with a position, not CPython's.
+    limit = sys.get_int_max_str_digits()
+    result = run(["ramify", "--f", "t^2", "--at", "1/" + "0" * (limit + 100) + "7"])
+    assert result.status == "Ok"
+    assert result.payload["at"] == "1/7"
+    A = "t^2 - " + "1" * (limit + 101)
+    result = run(["verify", "--A", A, "--B", "1", "--D", "t^4 - 1"])
+    assert result.status == "Error"
+    assert result.diagnostics == [
+        f"polynomial error: coefficient of {limit + 101} digits past the {limit}-digit limit (at position 6)"
+    ]
+    assert main(["verify", "--A", A, "--B", "1", "--D", "t^4 - 1"]) == 2
+    past = f"coefficient of {limit + 1} digits past the {limit}-digit limit (at position 2)"
+    for option, text, diagnostic in (
+        ("--at", "1/" + "2" * (limit + 1), f"bad rational --at: {past}"),
+        ("--locus-in", "0,1/" + "2" * (limit + 1), f"bad rational --locus-in item 1: {past}"),
+    ):
+        result = run(["ramify", "--f", "t^2", option, text])
+        assert result.status == "Error"
+        assert result.diagnostics == [diagnostic]
     capsys.readouterr()

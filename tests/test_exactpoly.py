@@ -523,6 +523,34 @@ def test_parse_poly_degree_bound():
         assert err.value.pos == pos
 
 
+def test_coefficient_digits_past_the_int_limit():
+    # Leading zeros, of any script, do not count toward CPython's limit on
+    # int/str conversion; more significant digits than it is a PolyParseError
+    # at the start of those digits that names the limit.
+    limit = sys.get_int_max_str_digits()
+    seventh = "1/" + "0" * (limit + 100) + "7"
+    assert parse_rational(seventh) == Fraction(1, 7)
+    assert parse_rational(" -" + "\u0660" * limit + "3/" + "9" * limit) == Fraction(-3, 10**limit - 1)
+    assert parse_poly(f"{seventh}*t^2 - 3") == Poly([-3, 0, Fraction(1, 7)])
+    assert from_coeff_strings([seventh, "-" + "0" * (limit + 1)]) == Poly([Fraction(1, 7)])
+    past = "1" * (limit + 1)
+    message = f"coefficient of {limit + 1} digits past the {limit}-digit limit"
+    for read, text, pos in (
+        (parse_rational, f" -{past}", 2),
+        (parse_rational, f"3/00{past}", 2),
+        (parse_poly, f"t - 2/3*t^2 + {past}*t^3", 14),
+        (parse_poly, f"t - 2/0{past}*t^2", 6),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            read(text)
+        assert str(err.value) == f"{message} (at position {pos})", text[:12]
+        assert err.value.pos == pos
+    with pytest.raises(PolyParseError) as err:
+        from_coeff_strings(["1", "2/" + past])
+    assert str(err.value) == f"{message} (at position 1)"
+    assert err.value.pos == 1
+
+
 def test_format_poly_examples():
     assert format_poly(Poly([1, 0, -2, 0, 1])) == "t^4 - 2*t^2 + 1"
     assert format_poly(ZERO) == "0"
@@ -571,18 +599,20 @@ def test_from_coeff_strings_counts_before_parsing(monkeypatch):
 
 
 # Items for a solution file's coefficient list: well-formed strings, JSON
-# integers, and items from_coeff_strings refuses, among them strings past
-# int()'s 4300-digit limit.
+# integers, among them strings past int()'s 4300-digit limit only by their
+# leading zeros, and items from_coeff_strings refuses, among them strings
+# with more significant digits than the limit.
 good_items = st.one_of(
     wide_rationals.map(lambda x: f"{x.numerator}/{x.denominator}"),
     st.integers(-(2**100), 2**100),
     st.integers(-(2**100), 2**100).map(str),
     st.sampled_from((" +6/4 ", "-0", "0/7", "007/010", "\t-3\n", "\u0661\u0662/\u0663")),
+    st.sampled_from(("-" + "0" * 4400, "1/" + "0" * 4400 + "7", "\u0660" * 4300 + "12/5")),
 )
 bad_items = st.sampled_from(
     (
         "1/0", "-0/0", "2.5", "1e3", ".5", "1_000", "1 / 2", "- 3", "", "/2", "x", "0x10",
-        "1" * 4301, "1/" + "2" * 4301, "1" * 4301 + "/0", "-" + "0" * 4400,
+        "1" * 4301, "1/" + "2" * 4301, "1" * 4301 + "/0", " -0" + "9" * 4301, "0" * 4400 + "/0",
         None, 0.5, float("inf"), True, [1], {"num": 1},
     )
 )
