@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import census as census_mod
-from . import exactpoly, hurwitz, pellcore
-from .exactpoly import Poly, PolyParseError
+if TYPE_CHECKING:
+    from . import hurwitz, pellcore
+    from .exactpoly import Poly
 
 SCHEMA = "pellab/1"
 
@@ -55,6 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solution_payload(sol: pellcore.PellSolution) -> dict:
+    from . import exactpoly
+
     return {
         "A": exactpoly.to_coeff_strings(sol.A),
         "B": exactpoly.to_coeff_strings(sol.B),
@@ -86,8 +89,19 @@ def _load_json_file(path: str) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    limit = sys.get_int_max_str_digits()
+
+    def read_int(digits: str) -> int:
+        # JSON has no leading zeros, so the text's length is the digit count.
+        count = len(digits) - digits.startswith("-")
+        if limit and count > limit:
+            raise _ParserError(
+                f"bad JSON in {path}: integer of {count} digits past the {limit}-digit limit"
+            )
+        return int(digits)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=read_int)
     except json.JSONDecodeError as exc:
         raise _ParserError(f"bad JSON in {path}: {exc}") from None
     except RecursionError:
@@ -98,6 +112,8 @@ def _load_json_file(path: str) -> dict:
 
 
 def _read_solution(args) -> tuple[Poly, Poly, Poly]:
+    from . import exactpoly
+
     if args.file is not None:
         data = _load_json_file(args.file)
         try:
@@ -116,6 +132,8 @@ def _read_solution(args) -> tuple[Poly, Poly, Poly]:
 
 
 def _read_tuple(args) -> hurwitz.HurwitzTuple:
+    from . import hurwitz
+
     data = _load_json_file(args.file if args.file is not None else "-")
     return hurwitz.tuple_from_json_dict(data)
 
@@ -137,6 +155,8 @@ def _report_payload(report: hurwitz.ValidationReport) -> dict:
 
 
 def _cmd_verify(args) -> CommandResult:
+    from . import pellcore
+
     A, B, D = _read_solution(args)
     outcome = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
     if isinstance(outcome, pellcore.RejectionReason):
@@ -145,6 +165,8 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _cmd_seed(args) -> CommandResult:
+    from . import exactpoly, pellcore
+
     A = exactpoly.parse_poly(args.A)
     outcome = pellcore.generate_from_seed(A, allow_d1=args.allow_d1)
     if isinstance(outcome, pellcore.RejectionReason):
@@ -153,6 +175,8 @@ def _cmd_seed(args) -> CommandResult:
 
 
 def _cmd_power(args) -> CommandResult:
+    from . import exactpoly, pellcore
+
     if args.m < 1:
         raise _ParserError("--m must be >= 1")
     A, B, D = _read_solution(args)
@@ -168,6 +192,8 @@ def _cmd_power(args) -> CommandResult:
 
 
 def _cmd_decompose(args) -> CommandResult:
+    from . import exactpoly, pellcore
+
     A, B, D = _read_solution(args)
     base = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
     if isinstance(base, pellcore.RejectionReason):
@@ -190,13 +216,15 @@ def _cmd_decompose(args) -> CommandResult:
 
 
 def _cmd_ramify(args) -> CommandResult:
+    from . import exactpoly, pellcore
+
     f = exactpoly.parse_poly(args.f)
     if (args.at is None) == (args.locus_in is None):
         raise _ParserError("need exactly one of --at or --locus-in")
     if args.at is not None:
         try:
             c = exactpoly.parse_rational(args.at)
-        except PolyParseError as exc:  # the digit limit: the text is too long to echo
+        except exactpoly.PolyParseError as exc:  # the digit limit: the text is too long to echo
             raise _ParserError(f"bad rational --at: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise _ParserError(f"bad rational {args.at!r}: {exc}") from None
@@ -211,7 +239,7 @@ def _cmd_ramify(args) -> CommandResult:
         try:
             if part.strip():
                 values.append(exactpoly.parse_rational(part))
-        except PolyParseError as exc:
+        except exactpoly.PolyParseError as exc:
             raise _ParserError(f"bad rational --locus-in item {i}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise _ParserError(f"bad rational list {args.locus_in!r}: {exc}") from None
@@ -226,6 +254,8 @@ def _cmd_ramify(args) -> CommandResult:
 
 
 def _cmd_zannier(args) -> CommandResult:
+    from . import hurwitz
+
     t = hurwitz.zannier_tuple(args.n, args.d)
     report = hurwitz.validate(t)
     diagnostics = [
@@ -243,10 +273,14 @@ def _validation_result(report: hurwitz.ValidationReport) -> CommandResult:
 
 
 def _cmd_validate(args) -> CommandResult:
+    from . import hurwitz
+
     return _validation_result(hurwitz.validate(_read_tuple(args)))
 
 
 def _cmd_profile(args) -> CommandResult:
+    from . import hurwitz
+
     t = _read_tuple(args)
     report = hurwitz.validate(t)
     if not report.ok:
@@ -268,15 +302,27 @@ def _cmd_profile(args) -> CommandResult:
 
 
 def _cmd_census(args) -> CommandResult:
-    report = census_mod.census(args.n, use_brute=args.use_brute)
+    from . import census
+
+    report = census.census(args.n, use_brute=args.use_brute)
     diagnostics = [f"discrepancy: {d}" for d in report.discrepancies]
-    return CommandResult(OK, census_mod.report_to_json_dict(report), diagnostics)
+    return CommandResult(OK, census.report_to_json_dict(report), diagnostics)
+
+
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 
 
 def integer(text: str) -> int:
-    """The integer options' type: exactpoly.parse_integer, under the name
-    argparse prints ("invalid integer value")."""
-    return exactpoly.parse_integer(text)
+    """The integer options' type: a rational's form without the "/digits",
+    "12" or " -3 ".  Underscores, other bases and every other form raise
+    ValueError, which argparse prints as "invalid integer value".
+
+    >>> integer("+12")
+    12
+    """
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"expected [sign]digits, got {text!r}")
+    return int(text)
 
 
 def _add_solution_source(sub):
@@ -342,6 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The Error prefix of the library's exceptions, by the module that defines
+# them.  A module the command did not load cannot have raised, so it is
+# looked up in sys.modules, never imported.
+_ERROR_PREFIXES = (
+    ("exactpoly", ("PolyParseError", "DegreeTooSmall", "ZeroInput"), "polynomial error: "),
+    ("census", ("TooLarge",), "census error: "),
+    ("hurwitz", ("DegreeOrder", "NotSpecialForm"), "tuple error: "),
+)
+
+
+def _error_text(exc: ValueError) -> str:
+    for module, names, prefix in _ERROR_PREFIXES:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, tuple(getattr(loaded, n) for n in names)):
+            return prefix + str(exc)
+    return str(exc)
+
+
 def run(argv) -> CommandResult:
     """Dispatch one command line; never raises for bad input."""
     parser = build_parser()
@@ -350,16 +414,10 @@ def run(argv) -> CommandResult:
         return args.handler(args)
     except _ParserError as exc:
         return CommandResult(ERROR, None, [str(exc)])
-    except (PolyParseError, exactpoly.DegreeTooSmall, exactpoly.ZeroInput) as exc:
-        return CommandResult(ERROR, None, [f"polynomial error: {exc}"])
-    except census_mod.TooLarge as exc:
-        return CommandResult(ERROR, None, [f"census error: {exc}"])
-    except (hurwitz.DegreeOrder, hurwitz.NotSpecialForm) as exc:
-        return CommandResult(ERROR, None, [f"tuple error: {exc}"])
     except OSError as exc:
         return CommandResult(ERROR, None, [f"file error: {exc}"])
     except ValueError as exc:
-        return CommandResult(ERROR, None, [str(exc)])
+        return CommandResult(ERROR, None, [_error_text(exc)])
 
 
 def render(result: CommandResult, as_json: bool) -> str:

@@ -461,10 +461,9 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
 # "t^4 - 2*t^2 + 1", "3/2*t", "-t", "0".  The parser also accepts terms in
 # any order and repeated terms (they sum).  A coefficient is digits with an
 # optional "/digits", the one rational form pellab reads from text; an
-# integer option of the command line is its numerator alone.
+# integer option of the command line (cli.integer) is its numerator alone.
 
 _UNSIGNED_RATIONAL = r"(\d+)(?:/(\d+))?"  # numerator, denominator
-_INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 _RATIONAL_RE = re.compile(rf"\s*([+-]?){_UNSIGNED_RATIONAL}\s*")  # sign, numerator, denominator
 _TERM_RE = re.compile(
     rf"""\s*(?P<sign>[+-])?\s*
@@ -520,18 +519,6 @@ def parse_rational(text: str) -> Rat:
     Fraction(-3, 2)
     """
     return Rat(*_rational_pair(text))
-
-
-def parse_integer(text: str) -> int:
-    """An integer in parse_rational's form without the "/digits": "12",
-    " -3 ".  Underscores, other bases and every other form raise ValueError.
-
-    >>> parse_integer("+12")
-    12
-    """
-    if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"expected [sign]digits, got {text!r}")
-    return int(text)
 
 
 def _exponent(m: re.Match) -> int:

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from . import permgroup as pg
-from .pellcore import admissible_exponents
+from .degrees import admissible_exponents
 from .permgroup import Perm
 
 

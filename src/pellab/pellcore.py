@@ -25,6 +25,7 @@ import math
 from functools import cache
 from typing import NamedTuple, Optional, Union
 
+from .degrees import admissible_exponents
 from .exactpoly import (
     ONE,
     DegreeTooSmall,
@@ -34,6 +35,7 @@ from .exactpoly import (
     constant,
     derivative,
     divrem,
+    exact_div,
     gcd,
     squarefree_decomposition,
     squarefree_part,
@@ -78,13 +80,6 @@ class PowerClassification(NamedTuple):
     @property
     def primitive(self) -> bool:
         return not self.witnesses
-
-
-def admissible_exponents(n: int, d: int) -> list[int]:
-    """The exponents m >= 2 for which a solution with deg A = n and
-    deg D = 2d can be an m-th power: m divides n and the root keeps
-    degree n/m >= d."""
-    return [m for m in range(2, n + 1) if n % m == 0 and n // m >= d]
 
 
 def _below_degree_floor(D: Poly, allow_d1: bool) -> Optional[RejectionReason]:
@@ -226,18 +221,23 @@ def classify_powers(sol: PellSolution) -> PowerClassification:
 
 def verify_branch_locus_in(f: Poly, values) -> bool:
     """Whether every critical value of f lies in the given set: r = rad f'
-    must divide prod(f - c).  The product is folded modulo r, P <- P*(g - c)
-    mod r with g = f mod r, so nothing built reaches degree 2 deg r - 1.
-    r is squarefree, so each distinct value is folded once; every value is
-    read first."""
+    must divide prod(f - c).  r is squarefree, so that holds exactly when
+    dividing r by gcd(r, f - c), for each distinct value c in turn, leaves
+    a constant; the loop stops as soon as it does.  g = f mod rad f' stands
+    for f, since r divides rad f', so everything built is a factor of
+    rad f' or comes from g, of a height that does not grow with the number
+    of values.  Every value is read first."""
     if f.degree < 2:
         raise DegreeTooSmall("branch locus check needs degree >= 2")
     radical = squarefree_part(derivative(f))
     g = divrem(f, radical)[1]
-    product = ONE
     for c in dict.fromkeys(map(constant, values)):
-        product = divrem(product * (g - c), radical)[1]
-    return product.is_zero
+        common = gcd(radical, g - c)
+        if common.degree > 0:
+            radical = exact_div(radical, common)
+            if radical.degree < 1:
+                return True
+    return False
 
 
 def ramification_type(f: Poly, c) -> tuple[tuple[int, int], ...]:

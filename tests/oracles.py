@@ -57,9 +57,10 @@ actions (induced_block_action, NotPreserved), the bounded group closure
 f(t^2) = T_m(t)^2, is built from its closed formulas for the ramification
 tests.
 
-verify_branch_locus_in folds prod(f - c) modulo rad f', so it builds
-nothing of degree 2 deg f or more.  branch_locus_by_product multiplies the
-product out and divides it by rad f' once.
+verify_branch_locus_in divides rad f' by gcd(rad f', f - c) per value.
+branch_locus_by_product multiplies prod(f - c) out and divides it by
+rad f' once; branch_locus_by_fold folds the product modulo rad f',
+P <- P*(g - c) mod r, whose coefficients grow with every value.
 """
 
 from __future__ import annotations
@@ -592,6 +593,20 @@ def branch_locus_by_product(f: Poly, values) -> bool:
         return False
     _, rem = divrem(product, radical)
     return rem.is_zero
+
+
+def branch_locus_by_fold(f: Poly, values) -> bool:
+    """verify_branch_locus_in's answer from prod(f - c) folded modulo
+    r = rad f', P <- P*(g - c) mod r with g = f mod r, once per distinct
+    value."""
+    if f.degree < 2:
+        raise DegreeTooSmall("branch locus check needs degree >= 2")
+    radical = squarefree_part(derivative(f))
+    g = divrem(f, radical)[1]
+    product = ONE
+    for c in dict.fromkeys(map(constant, values)):
+        product = divrem(product * (g - c), radical)[1]
+    return product.is_zero
 
 
 def power_polynomial(m: int) -> Poly:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
-from pellab.cli import CommandResult, build_parser, main, render, run
+from pellab.cli import CommandResult, build_parser, integer, main, render, run
 from pellab.exactpoly import MAX_DEGREE, ONE, Poly, format_poly, from_coeff_strings, parse_poly
 from pellab.hurwitz import (
     MAX_TUPLE_N,
@@ -31,6 +31,15 @@ from oracles import conjugate
 def run_json(argv):
     result = run(argv)
     return result, json.loads(render(result, as_json=True))
+
+
+def test_integer_grammar():
+    assert integer("-12") == -12
+    assert integer(" +3 ") == 3
+    assert integer("0007") == 7
+    for text in ("1_0", "1/2", "2.0", "1e3", "0x10", "- 3", "", "+", "inf", "x"):
+        with pytest.raises(ValueError):
+            integer(text)
 
 
 def test_verify_ok_and_payload_round_trip():
@@ -306,6 +315,37 @@ def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
                 assert main(argv) == 2
     with mock.patch("sys.stdin", io.StringIO(NESTED)):
         assert run(["profile"]).diagnostics == ["bad JSON in -: nested too deeply"]
+    capsys.readouterr()
+
+
+def test_json_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys):
+    # A bare JSON integer past int()'s digit limit is refused as the file is
+    # read: the answer names the file and the limit and echoes no digits.
+    limit = sys.get_int_max_str_digits()
+    solution = '{"A": [%s], "B": ["1"], "D": ["1"]}'
+    tuple_text = json.dumps(dict(tuple_to_json_dict(zannier_tuple(4, 2)), n="N"))
+    cases = [
+        (["verify"], solution % ("1" * 4400), 4400),
+        (["power", "--m", "2"], solution % ("-" + "7" * (limit + 1)), limit + 1),
+        (["validate"], tuple_text.replace('"N"', "1" * 4400), 4400),
+        (["profile"], tuple_text.replace('"N"', "1" * 4400), 4400),
+    ]
+    for command, text, digits in cases:
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        for source, stdin in ((str(path), ""), ("-", text)):
+            argv = [*command, "--file", source]
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                result = run(argv)
+            assert result.status == "Error", argv
+            assert result.diagnostics == [
+                f"bad JSON in {source}: integer of {digits} digits past the {limit}-digit limit"
+            ], argv
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                assert main(argv) == 2
+    # At the limit, and with the sign not counted, the integer is read.
+    path.write_text(solution % ("-" + "1" * limit), encoding="utf-8")
+    assert run(["verify", "--file", str(path)]).status == "Rejected"
     capsys.readouterr()
 
 

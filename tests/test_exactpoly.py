@@ -28,7 +28,6 @@ from pellab.exactpoly import (
     format_poly,
     from_coeff_strings,
     gcd,
-    parse_integer,
     parse_poly,
     parse_rational,
     poly_sqrt,
@@ -459,15 +458,6 @@ def test_parse_rational_grammar():
             parse_rational(text)
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
-
-
-def test_parse_integer_grammar():
-    assert parse_integer("-12") == -12
-    assert parse_integer(" +3 ") == 3
-    assert parse_integer("0007") == 7
-    for text in ("1_0", "1/2", "2.0", "1e3", "0x10", "- 3", "", "+", "inf", "x"):
-        with pytest.raises(ValueError):
-            parse_integer(text)
 
 
 @given(wide_rationals)

@@ -40,6 +40,7 @@ from pellab.pellcore import (
 
 from oracles import (
     X,
+    branch_locus_by_fold,
     branch_locus_by_product,
     classify_powers_every_m,
     discriminant,
@@ -549,18 +550,22 @@ def locus_cases(draw):
 def test_verify_branch_locus_matches_product_oracle(case):
     f, values = case
     assert verify_branch_locus_in(f, values) == branch_locus_by_product(f, values)
+    assert verify_branch_locus_in(f, values) == branch_locus_by_fold(f, values)
 
 
 def test_verify_branch_locus_folds_each_value_once(monkeypatch):
     # rad f' is squarefree, so a repeated value cannot change the verdict.
     calls = []
-    real = pellcore.divrem
 
-    def counting(a, b):
-        calls.append(a.degree)
-        return real(a, b)
+    def counting(real):
+        def wrapper(a, b):
+            calls.append(a.degree)
+            return real(a, b)
 
-    monkeypatch.setattr(pellcore, "divrem", counting)
+        return wrapper
+
+    monkeypatch.setattr(pellcore, "divrem", counting(pellcore.divrem))
+    monkeypatch.setattr(pellcore, "gcd", counting(pellcore.gcd))
     f = parse_poly("t^3 - 3*t")
     counts = []
     for values in ([0, 1], [0] * 50 + [1]):
@@ -586,6 +591,29 @@ def test_verify_branch_locus_builds_below_twice_the_degree(monkeypatch):
     assert not verify_branch_locus_in(f, range(2000))
     assert verify_branch_locus_in(f, [*range(2000), -2])
     assert degrees and max(degrees) < 2 * f.degree
+
+
+def test_verify_branch_locus_height_stays_flat_in_the_values(monkeypatch):
+    # Folding prod(f - c) modulo rad f' adds about log2 |c| bits to every
+    # coefficient per value: near 257,000 bits after 20,000 values.  Every
+    # polynomial built stays within a small multiple of the bits of f and
+    # of the largest value.
+    bits = []
+    build = exactpoly._poly
+
+    def recording(nums, den=1):
+        p = build(nums, den)
+        bits.append(max(abs(c).bit_length() for c in (*p.nums, p.den)))
+        return p
+
+    monkeypatch.setattr(exactpoly, "_poly", recording)
+    for text in ("t^3 - 3*t", "t^5 - 7*t^3 + 3/2*t"):
+        f = parse_poly(text)
+        f_bits = max(abs(c).bit_length() for c in (*f.nums, f.den))
+        bits.clear()
+        assert not verify_branch_locus_in(f, range(20_000))
+        assert max(bits) <= 4 * (f_bits + (20_000).bit_length())
+    assert verify_branch_locus_in(parse_poly("t^3 - 3*t"), [*range(20_000), -2])
 
 
 small_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly).filter(

@@ -4,9 +4,12 @@ module-attribute reference through the top-level definitions of the
 modules of src/pellab (not the package's __init__ and __main__); the
 definitions it never reaches must be exactly UNREACHED, and each reason
 names the ROADMAP item that will empty its entry.  Code that only the
-tests call belongs in tests/oracles.py.  A fresh interpreter's start-up,
-importing the CLI and building its parser, must not import `dataclasses`
-or `inspect`.  Every backticked `module.NAME` in README.md names a
+tests call belongs in tests/oracles.py.  The walk follows relative
+imports inside function bodies too, since the CLI imports each library
+module in the handlers that use it.  A fresh interpreter's start-up,
+importing the CLI and building its parser, must not import `dataclasses`,
+`inspect` or any library module, and each command loads only the modules
+it runs.  Every backticked `module.NAME` in README.md names a
 top-level definition of that module.  The same walk from the solution
 text functions of exactpoly reaches no Fraction."""
 
@@ -18,6 +21,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from pellab.hurwitz import tuple_to_json_dict, zannier_tuple
 
 SRC = Path(__file__).parent.parent / "src" / "pellab"
 
@@ -43,7 +48,7 @@ def _defined_names(node: ast.stmt) -> list[str]:
 
 def _read_modules():
     """Per module: its top-level definitions, and the names and module
-    aliases its relative imports bind."""
+    aliases its relative imports bind, at the top level or in a function."""
     defs, names, aliases = {}, {}, {}
     for path in sorted(SRC.glob("[!_]*.py")):
         mod = path.stem
@@ -52,6 +57,7 @@ def _read_modules():
         for node in tree.body:
             for name in _defined_names(node):
                 defs[mod][name] = node
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
                     bound = a.asname or a.name
@@ -130,23 +136,57 @@ def test_readme_names_only_existing_definitions():
     assert {(m, name) for m, name in named if name not in defs[m]} == set()
 
 
+# Runs the code in argv[2] in a fresh interpreter with src on its path, and
+# prints, on its last line, the modules that loaded.
 STARTUP = """\
 import json, sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
-import pellab.cli
-pellab.cli.build_parser()
+exec(sys.argv[2])
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
+PARSER = "import pellab.cli\npellab.cli.build_parser()"
+LIBRARY = {f"pellab.{m}" for m in ("census", "degrees", "exactpoly", "hurwitz", "pellcore", "permgroup")}
+
+
+def _loaded(code: str) -> set[str]:
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP, str(SRC.parent), code],
+        capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
     # Each command runs in a fresh process; importing these two was about
     # half of its start-up.
-    out = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP, str(SRC.parent)],
-        capture_output=True, text=True, check=True,
-    )
-    added = json.loads(out.stdout)
+    added = _loaded(PARSER)
     assert "pellab.cli" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    assert not {"dataclasses", "inspect"} & added
+
+
+def test_importing_the_package_loads_no_submodule():
+    added = _loaded("import pellab\nassert pellab.census.__name__ == 'pellab.census'")
+    assert "pellab.census" in added
+    assert {m for m in _loaded("import pellab") if m.startswith("pellab.")} == set()
+
+
+def test_building_the_parser_loads_no_library_module():
+    # The handlers import what they run; the integer option type reads its
+    # digits without exactpoly.
+    assert not (LIBRARY | {"fractions", "decimal"}) & _loaded(PARSER)
+
+
+def test_census_loads_no_polynomial_or_tuple_module():
+    added = _loaded(PARSER + "\npellab.cli.main(['census', '--n', '6', '--json'])")
+    assert "pellab.census" in added
+    assert not {"pellab.exactpoly", "pellab.hurwitz", "pellab.pellcore", "fractions"} & added
+
+
+def test_validate_loads_neither_census_nor_polynomial_modules(tmp_path):
+    # hurwitz reads admissible_exponents from degrees, not from pellcore.
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(tuple_to_json_dict(zannier_tuple(6, 3))), encoding="utf-8")
+    added = _loaded(PARSER + f"\npellab.cli.main(['validate', '--file', {str(path)!r}])")
+    assert "pellab.hurwitz" in added
+    assert not {"pellab.census", "pellab.exactpoly", "pellab.pellcore", "fractions"} & added
