@@ -11,6 +11,7 @@ sigmaInf to the standard descending cycle (i maps to i-1, 1 to 2n) and puts
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from . import permgroup as pg
@@ -74,13 +75,13 @@ def standard_cycle(N: int) -> Perm:
     """The descending N-cycle: i to i-1, 1 to N."""
     if N < 1:
         raise ValueError(f"need N >= 1, got N = {N}")
-    return pg._unchecked((N, *range(1, N)))
+    return pg._unchecked((N, *range(1, N)), (N,))
 
 
 def is_special(t: HurwitzTuple) -> bool:
     """sigmaInf is the standard cycle and 2n is fixed by sigma1 and every tau."""
     N = t.points
-    return t.sigmaInf == standard_cycle(N) and all(
+    return t.sigmaInf.images == standard_cycle(N).images and all(
         p.size >= N and p(N) == N for p in (t.sigma1, *t.taus)
     )
 
@@ -110,18 +111,19 @@ def validate(t: HurwitzTuple) -> ValidationReport:
     k = len(t.taus)
     checks.append(CheckResult("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
 
-    product = pg.chain(t.gens())
-    checks.append(
-        CheckResult(
-            "ProductIdentity",
-            product == pg.identity(N),
-            f"product = {pg.format_cycles(product)}",
-        )
-    )
+    # The product in application order, folded over the image tuples.
+    sigma0, *rest = t.gens()
+    product = sigma0.images
+    for p in rest:
+        imgs = p.images
+        product = [imgs[x - 1] for x in product]
+    product_ok = product == list(range(1, N + 1))
+    shown = "()" if product_ok else pg.format_cycles(pg._unchecked(tuple(product)))
+    checks.append(CheckResult("ProductIdentity", product_ok, f"product = {shown}"))
 
-    # Each entry's cycles once; cycle types, fixed points and branching follow.
-    zero_cycles, inf_cycles, one_cycles = (pg.cycles(p) for p in (t.sigma0, t.sigmaInf, t.sigma1))
-    inf_type = pg._cycle_type(inf_cycles, N)
+    # Each entry's cycle type, counted when its text was read; evenness,
+    # fixed points and branching (N minus the number of cycles) follow.
+    zero_type, inf_type, one_type = map(pg.cycle_type, (t.sigma0, t.sigmaInf, t.sigma1))
 
     # A full N-cycle among the generators is transitive on its own.
     transitive = inf_type == (N,) or pg.is_transitive(t.gens(), N)
@@ -129,22 +131,17 @@ def validate(t: HurwitzTuple) -> ValidationReport:
 
     checks.append(CheckResult("InfinityFullCycle", inf_type == (N,), f"cycle type {inf_type}"))
 
-    zero_fixed = sorted(set(range(1, N + 1)).difference(*zero_cycles))
-    zero_even = all(len(c) % 2 == 0 for c in zero_cycles) and not zero_fixed
+    # A fixed point is a cycle of odd length 1.
+    zero_even = all(c % 2 == 0 for c in set(zero_type))
+    zero_fixed = sorted(pg.fixed_points(sigma0)) if zero_type[0] == 1 else []
     checks.append(
-        CheckResult(
-            "ZeroEvenCycles",
-            zero_even,
-            f"cycle type {pg._cycle_type(zero_cycles, N)}, fixed {zero_fixed}",
-        )
+        CheckResult("ZeroEvenCycles", zero_even, f"cycle type {zero_type}, fixed {zero_fixed}")
     )
 
-    one_even = all(len(c) % 2 == 0 for c in one_cycles)
-    checks.append(
-        CheckResult("OneEvenCycles", one_even, f"cycle type {pg._cycle_type(one_cycles, N)}")
-    )
+    one_even = all(c % 2 == 0 or c == 1 for c in set(one_type))
+    checks.append(CheckResult("OneEvenCycles", one_even, f"cycle type {one_type}"))
 
-    fix1 = N - sum(map(len, one_cycles))
+    fix1 = one_type.count(1)
     checks.append(
         CheckResult(
             "FixedPointCount",
@@ -153,10 +150,10 @@ def validate(t: HurwitzTuple) -> ValidationReport:
         )
     )
 
-    over_zero = pg._branching(zero_cycles)
-    over_one = pg._branching(one_cycles)
-    over_inf = pg._branching(inf_cycles)
-    over_taus = sum(pg._branching(pg.cycles(tau)) for tau in t.taus)
+    over_zero = N - len(zero_type)
+    over_one = N - len(one_type)
+    over_inf = N - len(inf_type)
+    over_taus = sum(N - len(pg.cycle_type(tau)) for tau in t.taus)
     total = over_zero + over_one + over_inf + over_taus
     checks.append(
         CheckResult(
@@ -216,11 +213,13 @@ def primitivity_profile(t: HurwitzTuple) -> set[int]:
             raise pg.SizeMismatch(f"size {p.size} != {N}")
     # sigmaInf, the standard cycle x -> x - 1, lowers every residue by one
     # because 2m divides 2n.
+    points = range(1, N + 1)
     G = math.gcd(
-        *(y + x for x, y in enumerate(t.sigma1.images, 1)),
-        *(y + x - 1 for x, y in enumerate(t.sigma0.images, 1)),
-        *(y - x for tau in t.taus for x, y in enumerate(tau.images, 1)),
+        *map(operator.add, t.sigma1.images, points),
+        *map(operator.add, t.sigma0.images, range(N)),
     )
+    for tau in t.taus:
+        G = math.gcd(G, *map(operator.sub, tau.images, points))
     return {m for m in admissible_exponents(t.n, t.d) if G % (2 * m) == 0}
 
 

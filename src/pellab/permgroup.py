@@ -2,16 +2,16 @@
 text, and the ell-block imprimitivity test.
 
 A Perm stores the image tuple one-based: p(i) == images[i-1].  Composition
-follows (a * b)(x) = a(b(x)), so the right factor acts first; chain() is the
-opposite reading (first listed acts first) for products given in application
-order.  rotate(a, s) is the conjugation g^-1 * a * g by g = c**s, c the
-descending N-cycle.
+follows (a * b)(x) = a(b(x)), so the right factor acts first.  rotate(a, s)
+is the conjugation g^-1 * a * g by g = c**s, c the descending N-cycle.
 """
 
 from __future__ import annotations
 
+import json
+import operator
 import re
-from itertools import dropwhile
+from itertools import compress, dropwhile, repeat
 from typing import Iterable, Optional, Sequence
 
 
@@ -29,9 +29,12 @@ class CycleParseError(ValueError):
 
 class Perm:
     """Immutable, hashable permutation of {1..N} as a one-based image
-    tuple."""
+    tuple.  The slot _ctype holds the cycle type once it is known: set by
+    the cycle-list and cycle-text constructors, which count it as they
+    read, or by the first cycle_type call; equality and hashing read the
+    images alone."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_ctype")
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
@@ -87,16 +90,19 @@ class Perm:
         return _from_cycle_lists(n, text_or_cycles)
 
 
-def _unchecked(images: tuple[int, ...]) -> Perm:
-    """Perm from images known to be a bijection; the checks stay at the
-    boundaries: Perm(images), cycle lists and cycle text."""
+def _unchecked(images: tuple[int, ...], ctype: Optional[tuple[int, ...]] = None) -> Perm:
+    """Perm from images known to be a bijection, with its cycle type when
+    the caller knows it; the checks stay at the boundaries: Perm(images),
+    cycle lists and cycle text."""
     p = object.__new__(Perm)
     object.__setattr__(p, "images", images)
+    if ctype is not None:
+        object.__setattr__(p, "_ctype", ctype)
     return p
 
 
 def identity(n: int) -> Perm:
-    return _unchecked(tuple(range(1, n + 1)))
+    return _unchecked(tuple(range(1, n + 1)), (1,) * n)
 
 
 def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
@@ -111,7 +117,9 @@ def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
             seen.add(x)
         for i, x in enumerate(cyc):
             imgs[x - 1] = cyc[(i + 1) % len(cyc)]
-    return _unchecked(tuple(imgs))
+    # A one-point cycle is a fixed point, as is every point of no cycle.
+    lengths = sorted(len(c) for c in cycles if len(c) > 1)
+    return _unchecked(tuple(imgs), (1,) * (n - sum(lengths)) + tuple(lengths))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -119,17 +127,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     if a.size != b.size:
         raise SizeMismatch(f"sizes {a.size} and {b.size} differ")
     return _unchecked(tuple([a.images[bi - 1] for bi in b.images]))
-
-
-def chain(perms: Sequence[Perm]) -> Perm:
-    """Product of perms read in application order: the first listed acts
-    first."""
-    if not perms:
-        raise ValueError("empty chain has no defined size")
-    acc = identity(perms[0].size)
-    for p in perms:
-        acc = compose(p, acc)
-    return acc
 
 
 def inverse(a: Perm) -> Perm:
@@ -181,8 +178,14 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Multiset of cycle lengths, 1-cycles included, ascending."""
-    return _cycle_type(cycles(p), p.size)
+    """Multiset of cycle lengths, 1-cycles included, ascending.  Only a Perm
+    built from images is walked, once."""
+    try:
+        return p._ctype
+    except AttributeError:
+        ctype = _cycle_type(cycles(p), p.size)
+        object.__setattr__(p, "_ctype", ctype)
+        return ctype
 
 
 def _cycle_type(nontrivial_cycles: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
@@ -192,11 +195,8 @@ def _cycle_type(nontrivial_cycles: list[tuple[int, ...]], N: int) -> tuple[int, 
 
 
 def fixed_points(p: Perm) -> frozenset[int]:
-    return frozenset(i for i, x in enumerate(p.images, start=1) if x == i)
-
-
-def _branching(nontrivial_cycles: list[tuple[int, ...]]) -> int:
-    return sum(len(c) - 1 for c in nontrivial_cycles)
+    points = range(1, p.size + 1)
+    return frozenset(compress(points, map(operator.eq, p.images, points)))
 
 
 def is_full_cycle(p: Perm) -> bool:
@@ -336,11 +336,10 @@ def format_cycles(p: Perm) -> str:
 
 # Cycle text is one or more cycles; a cycle is "()" or at least two
 # comma-separated points in parentheses.  Whitespace may stand anywhere but
-# inside a point.  _HEAD, the longest start of a cycle the grammar allows,
-# locates the fault in rejected text.
+# inside a point.  _read_accepted checks the grammar with string tests;
+# _HEAD, the longest start of a cycle the grammar allows, locates the fault
+# in rejected text.
 _OPEN, _POINT, _NEXT = r"\(\s*", r"\d+\s*", r",\s*"
-_CYCLE = rf"{_OPEN}(?:{_POINT}(?:{_NEXT}{_POINT})+)?\)"
-_TEXT = re.compile(rf"\s*(?:{_CYCLE}\s*)+")
 _HEAD = re.compile(rf"{_OPEN}(?:{_POINT}(?:{_NEXT}{_POINT})*(?:{_NEXT})?)?")
 _SPACE = re.compile(r"\s*")
 _DIGITS = re.compile(r"\d+")
@@ -361,36 +360,54 @@ def parse_cycles(text: str, n: int) -> Perm:
     """
     if not isinstance(text, str):
         raise CycleParseError(f"cycle text must be a string, not {type(text).__name__}", 0)
-    if _TEXT.fullmatch(text):
-        p = _read_accepted(text, n)
-        if p is not None:
-            return p
+    p = _read_accepted(text, n)
+    if p is not None:
+        return p
     return _walk_cycles(text, n)
 
 
 def _read_accepted(text: str, n: int) -> Optional[Perm]:
-    """The permutation of text the grammar accepts, read by string splits;
-    None when a point is out of range, repeated or past int()'s digit limit."""
-    cycs = [c for c in "".join(text.split())[1:-1].split(")(") if c]
+    """The permutation of text the grammar accepts, read by string splits,
+    with the cycle type counted on the way.  None when the grammar rejects
+    the text, when a point is out of range or repeated, and when a point is
+    not plain JSON (leading zeros, digits beyond ASCII, more than int()'s
+    digit limit): _walk_cycles reads those."""
+    words = text.split()
+    body = "".join(words)
+    if body[:1] != "(" or body[-1:] != ")":
+        return None
+    # Whitespace may not split a point.
+    if any(a[-1].isdecimal() and b[0].isdecimal() for a, b in zip(words, words[1:])):
+        return None
+    # Between the outer parentheses, the cycles are the pieces between ")("
+    # pairs; "()" leaves an empty one.  Only decimal points and commas may
+    # remain, and an empty point is not JSON.  The JSON scanner reads a
+    # list of points in about half the time of int() per point.
+    cycs = list(filter(None, body[1:-1].split(")(")))
     if not cycs:
         return identity(n)
+    points = ",".join(cycs)
+    if not points.replace(",", "").isdecimal():
+        return None
     try:
-        flat = list(map(int, ",".join(cycs).split(",")))
+        flat = json.loads(f"[{points}]")
     except ValueError:
         return None
-    if min(flat) < 1 or max(flat) > n or len(set(flat)) < len(flat):
+    commas = list(map(str.count, cycs, repeat(",")))
+    if min(commas) < 1 or min(flat) < 1 or max(flat) > n or len(set(flat)) < len(flat):
         return None
     # Each point goes to the next in its cycle, the last back to the first.
     succ = flat[1:] + flat[:1]
     start = 0
-    for c in cycs:
-        end = start + c.count(",") + 1
+    for c in commas:
+        end = start + c + 1
         succ[end - 1] = flat[start]
         start = end
     imgs = list(range(n + 1))
     for x, y in zip(flat, succ):
         imgs[x] = y
-    return _unchecked(tuple(imgs[1:]))
+    commas.sort()
+    return _unchecked(tuple(imgs[1:]), (1,) * (n - len(flat)) + tuple([c + 1 for c in commas]))
 
 
 def _walk_cycles(text: str, n: int) -> Perm:

@@ -47,8 +47,10 @@ profile reads every exponent from one gcd of residues over all entries.
 power_test tests one m at a time, by its residue congruences mod 2m.
 
 The commands answer with permgroup's products, rotation and cycle walk and
-with hurwitz's residue gcd.  The permutation layer below reaches the same
-facts another way: conjugate as g^-1 * a * g, branching from the cycles,
+with hurwitz's residue gcd; validate folds a tuple's product over the image
+tuples and reads branching from the cycle types its parser counted.  The
+permutation layer below reaches the same facts another way: chain as a
+product of Perms, conjugate as g^-1 * a * g, branching from the cycles,
 and the paper's block criterion for the profile, with
 congruence block systems (congruence_partition), their induced label
 actions (induced_block_action, NotPreserved), the bounded group closure
@@ -125,7 +127,6 @@ from pellab.permgroup import (
     NotADivisor,
     Perm,
     SizeMismatch,
-    _branching,
     compose,
     cycles,
     identity,
@@ -382,7 +383,7 @@ def conjugacy_classes(tuples: Sequence[HurwitzTuple]) -> list[list[HurwitzTuple]
 
 def case_of(t: HurwitzTuple) -> str:
     """Case key from the longest cycle of sigma1*tau."""
-    product = pg.chain([t.sigma1, *t.taus])
+    product = chain([t.sigma1, *t.taus])
     longest = max((len(c) for c in pg.cycles(product)), default=2)
     return {2: DISJOINT, 3: THREE_CYCLE, 4: FOUR_CYCLE}[longest]
 
@@ -671,6 +672,37 @@ class ClosureOverflow(RuntimeError):
     """Generated group exceeded the closure bound."""
 
 
+def format_cycles_loosely(p: Perm, rng) -> str:
+    """Cycle text of p as the grammar allows it, not as format_cycles writes
+    it: each cycle from a random point, the cycles in random order with "()"
+    pieces among them, and random whitespace after any token."""
+    pieces = []
+    for c in cycles(p):
+        k = rng.randrange(len(c))
+        pieces.append(c[k:] + c[:k])
+    pieces += [()] * rng.randrange(0 if pieces else 1, 3)
+    rng.shuffle(pieces)
+    tokens = []
+    for c in pieces:
+        tokens.append("(")
+        for i, x in enumerate(c):
+            tokens += [",", str(x)] if i else [str(x)]
+        tokens.append(")")
+    spaces = ("", "", " ", "\t", "\n", "\xa0", "  ")
+    return "".join(tok + rng.choice(spaces) for tok in ["", *tokens])
+
+
+def chain(perms: Sequence[Perm]) -> Perm:
+    """Product of perms read in application order: the first listed acts
+    first."""
+    if not perms:
+        raise ValueError("empty chain has no defined size")
+    acc = identity(perms[0].size)
+    for p in perms:
+        acc = compose(p, acc)
+    return acc
+
+
 def conjugate(a: Perm, g: Perm) -> Perm:
     """g^-1 * a * g."""
     if a.size != g.size:
@@ -680,7 +712,7 @@ def conjugate(a: Perm, g: Perm) -> Perm:
 
 def branching(p: Perm) -> int:
     """Sum of (length - 1) over all cycles."""
-    return _branching(cycles(p))
+    return sum(len(c) - 1 for c in cycles(p))
 
 
 def congruence_partition(N: int, ell: int) -> BlockPartition:

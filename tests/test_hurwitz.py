@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from functools import lru_cache
@@ -31,7 +32,15 @@ from pellab.hurwitz import (
 )
 from pellab.permgroup import Perm
 
-from oracles import branching, congruence_partition, conjugate, enumerate_shapes, power_test
+from oracles import (
+    branching,
+    chain,
+    congruence_partition,
+    conjugate,
+    enumerate_shapes,
+    format_cycles_loosely,
+    power_test,
+)
 
 
 def disjoint_census_tuple(n: int, h: int) -> HurwitzTuple:
@@ -602,7 +611,7 @@ def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
         return ValidationReport(tuple(checks), 0, 0, 0, 0)
     k = len(t.taus)
     checks.append(CheckResult("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
-    product = pg.chain(t.gens())
+    product = chain(t.gens())
     checks.append(
         CheckResult(
             "ProductIdentity", product == pg.identity(N), f"product = {pg.format_cycles(product)}"
@@ -708,3 +717,60 @@ def drawn_tuples(draw):
 @example(zannier_tuple(3, 2)._replace(sigma0=Perm.from_cycles(6, "(1,6)(2,5)")))
 def test_validate_matches_entry_query_oracle_on_drawn_tuples(t):
     assert_validate_matches_oracle(t)
+
+
+@st.composite
+def json_tuples(draw):
+    """Tuples that tuple JSON can carry, n >= d >= 1 with every entry on 2n
+    points: random entries, or a staircase tuple with at most one entry
+    replaced by a random one."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=n))
+    N = 2 * n
+
+    def entry():
+        return Perm(draw(st.permutations(list(range(1, N + 1)))))
+
+    if d >= 2 and draw(st.booleans()):
+        t = zannier_tuple(n, d)
+        field = draw(st.sampled_from(("sigma0", "sigmaInf", "sigma1", "taus", None)))
+        if field is None:
+            return t
+        return t._replace(**{field: (entry(),) if field == "taus" else entry()})
+    taus = tuple(entry() for _ in range(draw(st.integers(min_value=0, max_value=3))))
+    return HurwitzTuple(entry(), entry(), entry(), taus, n, d)
+
+
+@given(json_tuples(), st.randoms(use_true_random=False))
+def test_validate_after_a_loose_json_round_trip_matches_entry_query_oracle(t, rng):
+    # The entries come back from text that is not format_cycles's: cycles
+    # rotated and shuffled, "()" pieces and whitespace.  Their cycle types are
+    # counted by the parser, the oracle's are walked.
+    data = {"n": t.n, "d": t.d, "taus": [format_cycles_loosely(tau, rng) for tau in t.taus]}
+    for name in ("sigma0", "sigmaInf", "sigma1"):
+        data[name] = format_cycles_loosely(getattr(t, name), rng)
+    read = tuple_from_json_dict(json.loads(json.dumps(data)))
+    assert read == t
+    assert validate(read) == validate_by_entry_queries(t)
+
+
+def test_validate_and_profile_walk_no_cycles(monkeypatch):
+    """Tuple JSON and zannier_tuple build each entry with its cycle type,
+    so validate and profile (special form, then the residue gcd) walk no
+    entry's cycles, on a special tuple and on a relabelled one."""
+    z = zannier_tuple(12, 3)
+    g = Perm(random.Random(5).sample(range(1, 25), 24))
+    moved = HurwitzTuple(
+        *(conjugate(p, g) for p in z[:3]), tuple(conjugate(tau, g) for tau in z.taus), 12, 3
+    )
+    texts = [tuple_to_json_dict(t) for t in (z, moved)]
+    want = primitivity_profile(z)
+    walks = []
+    cycles = pg.cycles
+    monkeypatch.setattr(pg, "cycles", lambda p: walks.append(p) or cycles(p))
+    read = [tuple_from_json_dict(data) for data in texts]
+    assert normalize_special(read[1]) != read[1]
+    for t in (zannier_tuple(12, 3), *read):
+        assert validate(t).ok
+        assert primitivity_profile(normalize_special(t)) == want
+    assert walks == []

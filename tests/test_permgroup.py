@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pellab import hurwitz
+from pellab import hurwitz, permgroup
 from pellab.permgroup import (
     BlockPartition,
     CycleParseError,
@@ -14,7 +14,7 @@ from pellab.permgroup import (
     NotADivisor,
     Perm,
     SizeMismatch,
-    chain,
+    _cycle_type,
     compose,
     cycle_type,
     cycles,
@@ -34,9 +34,11 @@ from oracles import (
     ClosureOverflow,
     NotPreserved,
     branching,
+    chain,
     closure,
     congruence_partition,
     conjugate,
+    format_cycles_loosely,
     induced_block_action,
     is_dihedral_of_order,
 )
@@ -462,7 +464,7 @@ def test_empty_perm_kernels():
 
 def parse_cycles_by_scanning(text, n):
     """Cycle text read one character at a time, with str.isspace and
-    str.isdigit: the parser before the grammar regex, kept as the oracle for
+    str.isdigit: the parser before the grammar checks, kept as the oracle for
     its results, messages and positions."""
     if not isinstance(text, str):
         raise CycleParseError(f"cycle text must be a string, not {type(text).__name__}", 0)
@@ -566,9 +568,80 @@ def cycle_texts(draw):
 @example(("(1," + "1" * 5000 + ")", 4))
 @example(("(1," + "0" * 5000 + "2)x", 4))
 @example(("(1,\u0660\u06602)x", 4))
+@example(("(1 2)", 4))
+@example(("(+1,2)", 4))
+@example(("(1_0,2)", 12))
+@example(("((1,2)", 4))
+@example(("(1,2))", 4))
+@example(("(1,2)(", 4))
+@example(("(1,,2)", 4))
+@example(("(,1,2)", 4))
+@example(("(1,2,)", 4))
+@example(("(1.0,2)", 4))
+@example(("(true,2)", 4))
+@example(("(1)", 4))
+@example(("()(1,2)()", 4))
+@example(("(\uff11,\uff12)(3,4)", 4))
+@example(("(1,\xa02)\t(3 ,\t4)", 4))
 def test_parse_cycles_matches_scanning_oracle(case):
     text, n = case
     assert parse_outcome(parse_cycles, text, n) == parse_outcome(parse_cycles_by_scanning, text, n)
+
+
+@st.composite
+def loose_cycle_texts(draw):
+    """The text of a permutation on at most 40 points as the grammar allows
+    it (format_cycles_loosely)."""
+    N = draw(st.integers(1, 40))
+    p = Perm(draw(st.permutations(range(1, N + 1))))
+    return format_cycles_loosely(p, draw(st.randoms(use_true_random=False))), N
+
+
+@given(st.one_of(cycle_texts(), loose_cycle_texts()))
+@example(("()(1,2)()", 4))
+@example(("(\uff11,\uff12)", 4))
+@example(("(1,0002)", 4))
+def test_parsed_text_records_the_walked_cycle_type(case):
+    text, n = case
+    try:
+        p = parse_cycles(text, n)
+    except CycleParseError:
+        return
+    assert p._ctype == _cycle_type(cycles(p), n)
+
+
+@st.composite
+def cycle_lists(draw):
+    """The cycles of a permutation on at most 12 points, each from a random
+    point, with one-point cycles for some fixed points and empty cycles."""
+    n = draw(st.integers(0, 12))
+    p = Perm(draw(st.permutations(range(1, n + 1))))
+    lists = []
+    for c in cycles(p):
+        k = draw(st.integers(0, len(c) - 1))
+        lists.append(list(c[k:] + c[:k]))
+    lists += [[x] for x in sorted(fixed_points(p)) if draw(st.booleans())]
+    lists += [[]] * draw(st.integers(0, 2))
+    return n, draw(st.permutations(lists))
+
+
+@given(cycle_lists())
+def test_cycle_lists_record_the_walked_cycle_type(case):
+    n, lists = case
+    p = Perm.from_cycles(n, lists)
+    assert p._ctype == _cycle_type(cycles(p), n)
+
+
+def test_cycle_type_walks_a_perm_from_images_once(monkeypatch):
+    walks = []
+    walk = cycles
+    monkeypatch.setattr(permgroup, "cycles", lambda p: walks.append(p) or walk(p))
+    p = Perm([2, 3, 1, 5, 4])
+    assert cycle_type(p) == cycle_type(p) == (2, 3)
+    assert walks == [p]
+    assert cycle_type(Perm.from_cycles(5, "(1,2,3)(4,5)")) == (2, 3)
+    assert cycle_type(identity(3)) == (1, 1, 1)
+    assert walks == [p]
 
 
 def test_parse_cycles_rejects_non_decimal_digits():
