@@ -17,14 +17,16 @@ of a previous command (the payload is unwrapped), so runs can be piped.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from . import hurwitz, pellcore
     from .exactpoly import Poly
 
@@ -45,14 +47,6 @@ class CommandResult(NamedTuple):
 
 class _ParserError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # no option prefixes: main reads "--json" from argv as written
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        raise _ParserError(message)
 
 
 def _solution_payload(sol: pellcore.PellSolution) -> dict:
@@ -325,66 +319,162 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _add_solution_source(sub):
-    sub.add_argument("--A", help="polynomial, human syntax")
-    sub.add_argument("--B", help="polynomial, human syntax")
-    sub.add_argument("--D", help="polynomial, human syntax")
-    sub.add_argument("--file", help="solution JSON file ('-' for stdin)")
-    sub.add_argument("--allow-d1", dest="allow_d1", action="store_true")
+class _Option(NamedTuple):
+    """One option of a command.  Its kind is "flag" (bare, stores True),
+    "text", "integer" (read by integer), or "route", one of census's two
+    exclusive route flags, which stores const."""
+
+    flag: str
+    dest: str
+    kind: str
+    help: str | None = None
+    required: bool = False
+    const: bool | None = None
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable[..., CommandResult]
+    options: tuple[_Option, ...]
+
+
+_JSON = _Option("--json", "json", "flag", "machine output")
+_SOLUTION_SOURCE = (
+    _Option("--A", "A", "text", "polynomial, human syntax"),
+    _Option("--B", "B", "text", "polynomial, human syntax"),
+    _Option("--D", "D", "text", "polynomial, human syntax"),
+    _Option("--file", "file", "text", "solution JSON file ('-' for stdin)"),
+    _Option("--allow-d1", "allow_d1", "flag"),
+)
+_TUPLE_FILE = _Option("--file", "file", "text", "tuple JSON file ('-' for stdin)")
+
+# The reader and the argparse parser are both built from this table.
+_COMMANDS = {
+    "verify": _Command("check A^2 - D*B^2 = 1", _cmd_verify, (_JSON, *_SOLUTION_SOURCE)),
+    "seed": _Command("build a solution from A alone", _cmd_seed, (
+        _JSON,
+        _Option("--A", "A", "text", required=True),
+        _Option("--allow-d1", "allow_d1", "flag"),
+    )),
+    "power": _Command("m-th power of a solution", _cmd_power, (
+        _JSON,
+        _Option("--m", "m", "integer", required=True),
+        *_SOLUTION_SOURCE,
+    )),
+    "decompose": _Command("find Chebyshev roots of A", _cmd_decompose, (_JSON, *_SOLUTION_SOURCE)),
+    "ramify": _Command("ramification of a polynomial", _cmd_ramify, (
+        _JSON,
+        _Option("--f", "f", "text", required=True),
+        _Option("--at", "at", "text", "rational branch value"),
+        _Option("--locus-in", "locus_in", "text", "comma-separated rationals"),
+    )),
+    "zannier": _Command("staircase tuple for (n, d)", _cmd_zannier, (
+        _JSON,
+        _Option("--n", "n", "integer", required=True),
+        _Option("--d", "d", "integer", required=True),
+    )),
+    "validate": _Command("validate a tuple file", _cmd_validate, (_JSON, _TUPLE_FILE)),
+    "profile": _Command("power profile of a tuple", _cmd_profile, (_JSON, _TUPLE_FILE)),
+    "census": _Command("d = 2 census for n", _cmd_census, (
+        _JSON,
+        _Option("--n", "n", "integer", required=True),
+        _Option("--brute-force", "use_brute", "route", const=True),
+        _Option("--no-brute-force", "use_brute", "route", const=False),
+    )),
+}
+
+
+class _Reader:
+    """Reads a plain command line off _COMMANDS: the command name, then
+    options as --opt=value or --opt value (a value not starting with "-"),
+    bare flags without "=", every required option, at most one route flag.
+    Anything else, help included, reads as None and is left to argparse,
+    which words its help and errors."""
+
+    def __init__(self):
+        self.commands = {}
+        for name, command in _COMMANDS.items():
+            options = command.options
+            defaults = {"command": name, "handler": command.handler}
+            defaults.update((o.dest, False if o.kind == "flag" else None) for o in options)
+            required = {o.flag for o in options if o.required}
+            routes = {o.flag for o in options if o.kind == "route"}
+            self.commands[name] = ({o.flag: o for o in options}, defaults, required, routes)
+
+    def read(self, argv) -> SimpleNamespace | None:
+        if not argv or argv[0] not in self.commands:
+            return None
+        options, defaults, required, routes = self.commands[argv[0]]
+        values = dict(defaults)
+        seen = set()
+        words = iter(argv[1:])
+        for word in words:
+            flag, eq, value = word.partition("=")
+            option = options.get(flag)
+            if option is None:
+                return None
+            if option.kind in ("flag", "route"):
+                if eq:
+                    return None
+                value = option.const if option.kind == "route" else True
+            else:
+                if not eq:
+                    value = next(words, "-")  # a missing value is refused as "-" is
+                    if value.startswith("-"):
+                        return None
+                elif value == "--":  # argparse drops a "--" value
+                    return None
+                if option.kind == "integer":
+                    try:
+                        value = integer(value)
+                    except ValueError:
+                        return None
+            values[option.dest] = value
+            seen.add(flag)
+        if not required <= seen or len(routes & seen) > 1:
+            return None
+        return SimpleNamespace(**values)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later runs."""
+def build_parser() -> _Reader:
+    """The command-line reader, built on first use and shared by later runs."""
+    return _Reader()
+
+
+@functools.cache
+def _argparser():
+    """The argparse parser over the same table, for the command lines the
+    reader leaves: it prints help and words each usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):  # no option prefixes: main reads "--json" from argv as written
+            super().__init__(allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            raise _ParserError(message)
+
     parser = _Parser(prog="pellab", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine output")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify", parents=[common], help="check A^2 - D*B^2 = 1")
-    _add_solution_source(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = subs.add_parser("seed", parents=[common], help="build a solution from A alone")
-    p.add_argument("--A", required=True)
-    p.add_argument("--allow-d1", dest="allow_d1", action="store_true")
-    p.set_defaults(handler=_cmd_seed)
-
-    p = subs.add_parser("power", parents=[common], help="m-th power of a solution")
-    p.add_argument("--m", type=integer, required=True)
-    _add_solution_source(p)
-    p.set_defaults(handler=_cmd_power)
-
-    p = subs.add_parser("decompose", parents=[common], help="find Chebyshev roots of A")
-    _add_solution_source(p)
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = subs.add_parser("ramify", parents=[common], help="ramification of a polynomial")
-    p.add_argument("--f", required=True)
-    p.add_argument("--at", help="rational branch value")
-    p.add_argument("--locus-in", dest="locus_in", help="comma-separated rationals")
-    p.set_defaults(handler=_cmd_ramify)
-
-    p = subs.add_parser("zannier", parents=[common], help="staircase tuple for (n, d)")
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--d", type=integer, required=True)
-    p.set_defaults(handler=_cmd_zannier)
-
-    p = subs.add_parser("validate", parents=[common], help="validate a tuple file")
-    p.add_argument("--file", help="tuple JSON file ('-' for stdin)")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = subs.add_parser("profile", parents=[common], help="power profile of a tuple")
-    p.add_argument("--file", help="tuple JSON file ('-' for stdin)")
-    p.set_defaults(handler=_cmd_profile)
-
-    p = subs.add_parser("census", parents=[common], help="d = 2 census for n")
-    p.add_argument("--n", type=integer, required=True)
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--brute-force", dest="use_brute", action="store_const", const=True)
-    route.add_argument("--no-brute-force", dest="use_brute", action="store_const", const=False)
-    p.set_defaults(handler=_cmd_census)
-
+    for name, command in _COMMANDS.items():
+        p = subs.add_parser(name, help=command.help)
+        route = None
+        for o in command.options:
+            if o.kind == "flag":
+                p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
+            elif o.kind == "route":
+                route = route or p.add_mutually_exclusive_group()
+                route.add_argument(o.flag, dest=o.dest, action="store_const", const=o.const, help=o.help)
+            else:
+                p.add_argument(
+                    o.flag,
+                    dest=o.dest,
+                    type=integer if o.kind == "integer" else None,
+                    required=o.required,
+                    help=o.help,
+                )
+        p.set_defaults(handler=command.handler)
     return parser
 
 
@@ -408,9 +498,10 @@ def _error_text(exc: ValueError) -> str:
 
 def run(argv) -> CommandResult:
     """Dispatch one command line; never raises for bad input."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().read(argv)
+        if args is None:
+            args = _argparser().parse_args(argv)
         return args.handler(args)
     except _ParserError as exc:
         return CommandResult(ERROR, None, [str(exc)])

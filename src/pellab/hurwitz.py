@@ -111,14 +111,14 @@ def validate(t: HurwitzTuple) -> ValidationReport:
     k = len(t.taus)
     checks.append(CheckResult("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
 
-    # The product in application order, folded over the image tuples.
+    # The product in application order, folded over the image tuples, one
+    # C gather per entry (N = 2n >= 2, so itemgetter gives a tuple).
     sigma0, *rest = t.gens()
     product = sigma0.images
     for p in rest:
-        imgs = p.images
-        product = [imgs[x - 1] for x in product]
-    product_ok = product == list(range(1, N + 1))
-    shown = "()" if product_ok else pg.format_cycles(pg._unchecked(tuple(product)))
+        product = operator.itemgetter(*product)((0, *p.images))
+    product_ok = product == tuple(range(1, N + 1))
+    shown = "()" if product_ok else pg.format_cycles(pg._unchecked(product))
     checks.append(CheckResult("ProductIdentity", product_ok, f"product = {shown}"))
 
     # Each entry's cycle type, counted when its text was read; evenness,

@@ -9,9 +9,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pellab import cli
 from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
 from pellab.cli import CommandResult, build_parser, integer, main, render, run
 from pellab.exactpoly import MAX_DEGREE, ONE, Poly, format_poly, from_coeff_strings, parse_poly
@@ -119,6 +120,78 @@ def test_json_lines_match_golden_fixture(case, capsys):
     code = main(case["argv"])
     assert capsys.readouterr().out == case["line"] + "\n"
     assert code == {"Ok": 0, "Rejected": 1, "Error": 2}[json.loads(case["line"])["status"]]
+
+
+USAGE = json.loads((Path(__file__).parent / "fixtures" / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[f"{i}-{' '.join(c['argv'])}" for i, c in enumerate(USAGE)])
+def test_help_and_usage_errors_match_fixture(case, capsys, monkeypatch):
+    """The output and exit code of each help and bad command line, byte for
+    byte, as recorded in tests/fixtures/cli_usage.json (argparse's wording
+    under Python 3.11, help wrapped at COLUMNS=80)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # help exits from inside argparse
+        code = exc.code
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["code"]
+
+
+# Words for the reader oracle: the table's flags bare, with "=value" and
+# followed by a value, and words no command takes.  The values include
+# those argparse reads in its own ways: empty, "-"-leading, "--", spaced,
+# underscored and fullwidth digits.
+READER_FLAGS = sorted({o.flag for c in cli._COMMANDS.values() for o in c.options})
+READER_VALUES = ["", "-", "-1", "-1/2", " 4 ", "--json", "--", "1_0", "\uff14", "4", "3", "t^2", "t", "x=y"]
+reader_word = st.one_of(
+    st.sampled_from(READER_FLAGS),
+    st.builds("{}={}".format, st.sampled_from(READER_FLAGS), st.sampled_from(READER_VALUES)),
+    st.sampled_from(READER_VALUES),
+    st.sampled_from(["--bogus", "--js", "-h", "census"]),
+)
+
+
+@st.composite
+def reader_argv(draw):
+    """A command, its required options mostly, then more of its own options
+    and any words, each option bare, with "=value" or followed by a value."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    options = cli._COMMANDS[command].options if command in cli._COMMANDS else ()
+    picked = [o for o in options if o.required and draw(st.integers(min_value=0, max_value=9))]
+    picked += draw(st.lists(st.sampled_from(options), max_size=3)) if options else []
+    argv = [command]
+    for option in picked:
+        value = draw(st.sampled_from(READER_VALUES))
+        forms = [[option.flag], [option.flag, value], [f"{option.flag}={value}"]]
+        if option.kind in ("flag", "route"):  # mostly their usual form
+            forms[1:1] = [[option.flag]] * 3
+        argv += draw(st.sampled_from(forms))
+    if draw(st.booleans()):
+        for word in draw(st.lists(reader_word, max_size=3)):
+            argv.insert(draw(st.integers(min_value=1, max_value=len(argv))), word)
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(reader_argv())
+@example(["census", "--n", "4", "--brute-force", "--brute-force", "--json"])
+@example(["census", "--n=4", "--no-brute-force", "--brute-force"])
+@example(["seed", "--A=--json", "--allow-d1"])
+@example(["ramify", "--f", "t", "--at=-1/2", "--at", "x=y"])
+def test_reader_agrees_with_argparse(argv):
+    """The option-table reader either leaves a command line to argparse or
+    reads the same namespace, and run gives the same result both ways."""
+    args = build_parser().read(argv)
+    if args is None:
+        return
+    assert vars(args) == vars(cli._argparser().parse_args(argv))
+    with mock.patch("sys.stdin", io.StringIO("")):
+        fast = run(argv)
+        with mock.patch.object(cli._Reader, "read", return_value=None):
+            slow = run(argv)
+    assert fast == slow
 
 
 def python_m(module, argv):

@@ -182,6 +182,20 @@ def test_primitivity_profiles_n6():
     assert primitivity_profile(zannier_tuple(8, 2)) == set()
 
 
+def test_primitivity_profile_folds_each_tau():
+    # The docstring's cube with tau = (3,8) for (3,9): still special form,
+    # its product fails, and tau(3) - 3 = 5 leaves no residue fixed, so no
+    # m passes.  Without the tau term the other entries still give {3}.
+    N = 12
+    sigma0 = Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, 7)])
+    sigma1 = Perm.from_cycles(N, [(i, N - i) for i in (1, 2, 4, 5)])
+    t = HurwitzTuple(sigma0, standard_cycle(N), sigma1, (Perm.from_cycles(N, "(3,8)"),), n=6, d=2)
+    assert is_special(t)
+    assert validate(t).failed() == ["ProductIdentity"]
+    assert primitivity_profile(t) == set()
+    assert primitivity_profile(t._replace(taus=())) == {3}
+
+
 def block_image_power_test(t: HurwitzTuple, m: int) -> bool:
     """The power test through block systems: on the mod-2m residue blocks
     every entry must induce the label map of an m-th power."""

@@ -8,8 +8,8 @@ tests call belongs in tests/oracles.py.  The walk follows relative
 imports inside function bodies too, since the CLI imports each library
 module in the handlers that use it.  A fresh interpreter's start-up,
 importing the CLI and building its parser, must not import `dataclasses`,
-`inspect` or any library module, and each command loads only the modules
-it runs.  Every backticked `module.NAME` in README.md names a
+`inspect`, `argparse` or any library module, each command loads only the
+modules it runs, and only help and bad command lines load argparse.  Every backticked `module.NAME` in README.md names a
 top-level definition of that module.  The same walk from the solution
 text functions of exactpoly reaches no Fraction."""
 
@@ -190,3 +190,34 @@ def test_validate_loads_neither_census_nor_polynomial_modules(tmp_path):
     added = _loaded(PARSER + f"\npellab.cli.main(['validate', '--file', {str(path)!r}])")
     assert "pellab.hurwitz" in added
     assert not {"pellab.census", "pellab.exactpoly", "pellab.pellcore", "fractions"} & added
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_building_the_parser_loads_no_argparse():
+    # argparse, with the gettext and locale it imports, was about two
+    # thirds of start-up.
+    assert not ARGPARSE & _loaded(PARSER)
+
+
+def test_plain_command_lines_load_no_argparse(tmp_path):
+    # Every golden line and one line of each other command is read off the
+    # option table, so no entry falls off the fast path unnoticed; a bad
+    # command line still loads argparse, which words its error.
+    from pellab.cli import build_parser
+
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(tuple_to_json_dict(zannier_tuple(6, 3))), encoding="utf-8")
+    golden = json.loads((SRC.parent.parent / "tests" / "fixtures" / "cli_golden.json").read_text(encoding="utf-8"))
+    lines = [case["argv"] for case in golden] + [
+        ["validate", "--file", str(path)],
+        ["profile", f"--file={path}", "--json"],
+        ["zannier", "--n", "6", "--d=3"],
+        ["census", "--n", "6", "--json"],
+        ["census", "--no-brute-force", "--n=4"],
+    ]
+    for argv in lines:
+        assert build_parser().read(argv) is not None, argv
+    assert not ARGPARSE & _loaded(PARSER + f"\nfor argv in {lines!r}:\n    pellab.cli.main(argv)")
+    assert "argparse" in _loaded(PARSER + "\npellab.cli.main(['census', '--n', 'four'])")
