@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from collections.abc import Callable
 
     from . import hurwitz, pellcore
-    from .exactpoly import Poly
 
 SCHEMA = "pellab/1"
 
@@ -105,24 +104,22 @@ def _load_json_file(path: str) -> dict:
     return _unwrap(data)
 
 
-def _read_solution(args) -> tuple[Poly, Poly, Poly]:
-    from . import exactpoly
+def _read_solution(args) -> pellcore.PellSolution | CommandResult:
+    """The solution of --file or of --A, --B, --D, verified, or its rejection."""
+    from . import exactpoly, pellcore
 
     if args.file is not None:
         data = _load_json_file(args.file)
         try:
-            return tuple(
-                exactpoly.from_coeff_strings(data[name]) for name in ("A", "B", "D")
-            )
+            A, B, D = (exactpoly.from_coeff_strings(data[name]) for name in ("A", "B", "D"))
         except KeyError as exc:
             raise _ParserError(f"solution file missing field {exc}") from None
-    if args.A is None or args.B is None or args.D is None:
+    elif args.A is None or args.B is None or args.D is None:
         raise _ParserError("need --file or all of --A, --B, --D")
-    return (
-        exactpoly.parse_poly(args.A),
-        exactpoly.parse_poly(args.B),
-        exactpoly.parse_poly(args.D),
-    )
+    else:
+        A, B, D = map(exactpoly.parse_poly, (args.A, args.B, args.D))
+    outcome = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
+    return _rejection(outcome) if isinstance(outcome, pellcore.RejectionReason) else outcome
 
 
 def _read_tuple(args) -> hurwitz.HurwitzTuple:
@@ -149,13 +146,8 @@ def _report_payload(report: hurwitz.ValidationReport) -> dict:
 
 
 def _cmd_verify(args) -> CommandResult:
-    from . import pellcore
-
-    A, B, D = _read_solution(args)
-    outcome = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
-    if isinstance(outcome, pellcore.RejectionReason):
-        return _rejection(outcome)
-    return CommandResult(OK, _solution_payload(outcome), [])
+    sol = _read_solution(args)
+    return sol if isinstance(sol, CommandResult) else CommandResult(OK, _solution_payload(sol), [])
 
 
 def _cmd_seed(args) -> CommandResult:
@@ -173,10 +165,9 @@ def _cmd_power(args) -> CommandResult:
 
     if args.m < 1:
         raise _ParserError("--m must be >= 1")
-    A, B, D = _read_solution(args)
-    base = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
-    if isinstance(base, pellcore.RejectionReason):
-        return _rejection(base)
+    base = _read_solution(args)
+    if isinstance(base, CommandResult):
+        return base
     if args.m * base.n > exactpoly.MAX_DEGREE:
         raise _ParserError(
             f"--m {args.m} times deg A = {base.n} is past the degree bound {exactpoly.MAX_DEGREE}"
@@ -188,10 +179,9 @@ def _cmd_power(args) -> CommandResult:
 def _cmd_decompose(args) -> CommandResult:
     from . import exactpoly, pellcore
 
-    A, B, D = _read_solution(args)
-    base = pellcore.verify_pell(A, B, D, allow_d1=args.allow_d1)
-    if isinstance(base, pellcore.RejectionReason):
-        return _rejection(base)
+    base = _read_solution(args)
+    if isinstance(base, CommandResult):
+        return base
     cls = pellcore.classify_powers(base)
     payload = {
         "n": cls.n,
@@ -309,7 +299,7 @@ _INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 def integer(text: str) -> int:
     """The integer options' type: a rational's form without the "/digits",
     "12" or " -3 ".  Underscores, other bases and every other form raise
-    ValueError, which argparse prints as "invalid integer value".
+    ValueError: the reader refuses the line, argparse words the error.
 
     >>> integer("+12")
     12
@@ -384,12 +374,23 @@ _COMMANDS = {
 }
 
 
+def _claims(word: str, options) -> bool:
+    """Whether argparse takes word, after an option that needs a value, as an
+    option: a word led by "-" is a value only if it is "-", or a negative
+    number or holds a space and no option claims it (-h..., --help=..., --opt=...)."""
+    head = word.partition("=")[0]
+    if word.startswith("-h") or head == "--help" or head in options:
+        return True
+    dashed = word[:1] == "-" and word != "-"
+    return dashed and " " not in word and not re.match(r"^-\d+$|^-\d*\.\d+$", word)
+
+
 class _Reader:
-    """Reads a plain command line off _COMMANDS: the command name, then
-    options as --opt=value or --opt value (a value not starting with "-"),
-    bare flags without "=", every required option, at most one route flag.
-    Anything else, help included, reads as None and is left to argparse,
-    which words its help and errors."""
+    """Reads the handler's arguments off _COMMANDS: the command name, then
+    options as --opt=value ("--opt=--" is the text "--") or --opt value (a
+    value as argparse takes it), bare flags without "=", every required
+    option, at most one route flag.  Every line argparse accepts reads so,
+    but an integer option given "=--"; anything else reads as None."""
 
     def __init__(self):
         self.commands = {}
@@ -417,18 +418,15 @@ class _Reader:
                 if eq:
                     return None
                 value = option.const if option.kind == "route" else True
-            else:
-                if not eq:
-                    value = next(words, "-")  # a missing value is refused as "-" is
-                    if value.startswith("-"):
-                        return None
-                elif value == "--":  # argparse drops a "--" value
+            elif not eq:
+                value = next(words, None)
+                if value is None or _claims(value, options):
                     return None
-                if option.kind == "integer":
-                    try:
-                        value = integer(value)
-                    except ValueError:
-                        return None
+            if option.kind == "integer":
+                try:
+                    value = integer(value)
+                except ValueError:
+                    return None
             values[option.dest] = value
             seen.add(flag)
         if not required <= seen or len(routes & seen) > 1:
@@ -444,8 +442,8 @@ def build_parser() -> _Reader:
 
 @functools.cache
 def _argparser():
-    """The argparse parser over the same table, for the command lines the
-    reader leaves: it prints help and words each usage error."""
+    """The argparse parser over the same table, for the lines the reader
+    refuses: it prints help and words each usage error, and sets no handler."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -474,7 +472,6 @@ def _argparser():
                     required=o.required,
                     help=o.help,
                 )
-        p.set_defaults(handler=command.handler)
     return parser
 
 
@@ -497,11 +494,14 @@ def _error_text(exc: ValueError) -> str:
 
 
 def run(argv) -> CommandResult:
-    """Dispatch one command line; never raises for bad input."""
+    """Dispatch one command line, read by the reader alone; never raises for bad input."""
     try:
         args = build_parser().read(argv)
-        if args is None:
-            args = _argparser().parse_args(argv)
+        if args is None:  # argparse prints help and exits, or raises the usage error,
+            _argparser().parse_args(argv)  # but stores an integer option's "=--" as []
+            options = _COMMANDS[argv[0]].options
+            flag = next(o.flag for o in options if o.kind == "integer" and f"{o.flag}=--" in argv)
+            raise _ParserError(f"argument {flag}: invalid integer value: '--'")
         return args.handler(args)
     except _ParserError as exc:
         return CommandResult(ERROR, None, [str(exc)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from bisect import bisect
 from itertools import compress, dropwhile, repeat
 from typing import Iterable, Optional, Sequence
 
@@ -117,9 +118,7 @@ def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
             seen.add(x)
         for i, x in enumerate(cyc):
             imgs[x - 1] = cyc[(i + 1) % len(cyc)]
-    # A one-point cycle is a fixed point, as is every point of no cycle.
-    lengths = sorted(len(c) for c in cycles if len(c) > 1)
-    return _unchecked(tuple(imgs), (1,) * (n - sum(lengths)) + tuple(lengths))
+    return _unchecked(tuple(imgs), _cycle_type(map(len, cycles), n))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -183,15 +182,17 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     try:
         return p._ctype
     except AttributeError:
-        ctype = _cycle_type(cycles(p), p.size)
+        ctype = _cycle_type(map(len, cycles(p)), p.size)
         object.__setattr__(p, "_ctype", ctype)
         return ctype
 
 
-def _cycle_type(nontrivial_cycles: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
-    """cycle_type from the nontrivial cycles of a permutation of N points."""
-    lengths = sorted(map(len, nontrivial_cycles))
-    return (1,) * (N - sum(lengths)) + tuple(lengths)
+def _cycle_type(lengths: Iterable[int], N: int) -> tuple[int, ...]:
+    """cycle_type from the cycle lengths of a permutation of N points; a
+    length below 2, a one-point or empty cycle, leaves its point fixed."""
+    moved = sorted(lengths)
+    del moved[: bisect(moved, 1)]
+    return (1,) * (N - sum(moved)) + tuple(moved)
 
 
 def fixed_points(p: Perm) -> frozenset[int]:
@@ -406,8 +407,7 @@ def _read_accepted(text: str, n: int) -> Optional[Perm]:
     imgs = list(range(n + 1))
     for x, y in zip(flat, succ):
         imgs[x] = y
-    commas.sort()
-    return _unchecked(tuple(imgs[1:]), (1,) * (n - len(flat)) + tuple([c + 1 for c in commas]))
+    return _unchecked(tuple(imgs[1:]), _cycle_type([c + 1 for c in commas], n))
 
 
 def _walk_cycles(text: str, n: int) -> Perm:

@@ -141,10 +141,14 @@ def test_help_and_usage_errors_match_fixture(case, capsys, monkeypatch):
 
 # Words for the reader oracle: the table's flags bare, with "=value" and
 # followed by a value, and words no command takes.  The values include
-# those argparse reads in its own ways: empty, "-"-leading, "--", spaced,
-# underscored and fullwidth digits.
+# those argparse reads in its own ways: empty, "-"-leading (negative
+# numbers, Arabic-Indic digits and a trailing newline among them, spaced,
+# help-like or option-like), "--", spaced, underscored and fullwidth digits.
 READER_FLAGS = sorted({o.flag for c in cli._COMMANDS.values() for o in c.options})
-READER_VALUES = ["", "-", "-1", "-1/2", " 4 ", "--json", "--", "1_0", "\uff14", "4", "3", "t^2", "t", "x=y"]
+READER_VALUES = [
+    "", "-", "-1", "-1/2", " 4 ", "--json", "--", "1_0", "\uff14", "4", "3", "t^2", "t", "x=y",
+    "-t + 1", "-1.5", "-.5", "-h", "-hx", "-h x", "--help=a b", "-\u0664", "-4\n", "--n 4", "--at=-1 2", "- 1",
+]
 reader_word = st.one_of(
     st.sampled_from(READER_FLAGS),
     st.builds("{}={}".format, st.sampled_from(READER_FLAGS), st.sampled_from(READER_VALUES)),
@@ -180,18 +184,40 @@ def reader_argv(draw):
 @example(["census", "--n=4", "--no-brute-force", "--brute-force"])
 @example(["seed", "--A=--json", "--allow-d1"])
 @example(["ramify", "--f", "t", "--at=-1/2", "--at", "x=y"])
+@example(["ramify", "--f", "t", "--at", "--at=-1 2"])
+@example(["seed", "--A", "--help=a b"])
+@example(["seed", "--A", "-h x"])
+@example(["seed", "--A", "-t + 1", "--A=--"])
+@example(["census", "--n", "-4\n"])
+@example(["census", "--n=--", "--n", "4"])
 def test_reader_agrees_with_argparse(argv):
-    """The option-table reader either leaves a command line to argparse or
-    reads the same namespace, and run gives the same result both ways."""
+    """Where the option-table reader reads a command line, argparse reads
+    the same namespace, but for the handler, which it does not set, and a
+    "--opt=--" value, which it stores as [] where the reader reads "--".
+    Where the reader refuses a line, argparse exits for help or words the
+    usage error that run answers, but for an integer option given "=--",
+    which run answers as an Error that names it."""
+    parser = cli._argparser()
     args = build_parser().read(argv)
-    if args is None:
+    if args is not None:
+        namespace = vars(parser.parse_args(argv))
+        assert "handler" not in namespace
+        read = vars(args)
+        assert read.pop("handler") is cli._COMMANDS[argv[0]].handler
+        assert read == {dest: "--" if value == [] else value for dest, value in namespace.items()}
         return
-    assert vars(args) == vars(cli._argparser().parse_args(argv))
-    with mock.patch("sys.stdin", io.StringIO("")):
-        fast = run(argv)
-        with mock.patch.object(cli._Reader, "read", return_value=None):
-            slow = run(argv)
-    assert fast == slow
+    try:
+        with mock.patch("sys.stdout", io.StringIO()):
+            parser.parse_args(argv)
+    except SystemExit as exc:  # help
+        assert exc.code == 0
+        return
+    except cli._ParserError as exc:
+        assert run(argv) == CommandResult("Error", None, [str(exc)])
+        return
+    integers = [o.flag for o in cli._COMMANDS[argv[0]].options if o.kind == "integer"]
+    flag = next(flag for flag in integers if f"{flag}=--" in argv)
+    assert run(argv) == CommandResult("Error", None, [f"argument {flag}: invalid integer value: '--'"])
 
 
 def python_m(module, argv):
@@ -779,6 +805,8 @@ OPTIONS = {
     "--locus-in": st.lists(rational, max_size=3).map(",".join),
     "--file": st.sampled_from(["own", "own", "own", "other", "-", "missing"]),
 }
+# Values led by "-", which argparse reads in its own ways, and "--".
+dashed = st.sampled_from(["--", "-", "-1", "-2", "-1.5", "-t + 1", "--json", "-h"])
 SOLUTION = (("--file",), ("--A", "--B", "--D"))
 COMMANDS = {  # each command's usual option sets, then options that may come on top
     "verify": (SOLUTION, ("--allow-d1", "--A", "--file")),
@@ -824,15 +852,18 @@ def solution_json(draw):
 @st.composite
 def command_line(draw):
     """One subcommand with one of its usual option sets, maybe more options,
-    and now and then a missing value or an unknown flag."""
+    each value as --opt value or --opt=value, and now and then a missing
+    value, a "-"-led value or "--", or an unknown flag."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     usual, extra = COMMANDS[command]
     argv = [command]
     options = [*draw(st.sampled_from(usual)), *draw(st.lists(st.sampled_from(extra), max_size=1))]
     for option in options:
-        argv.append(option)
         if option in OPTIONS and draw(st.integers(min_value=0, max_value=19)):
-            argv.append(draw(OPTIONS[option]))
+            value = draw(OPTIONS[option] if draw(st.integers(min_value=0, max_value=4)) else dashed)
+            argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+        else:
+            argv.append(option)
     if draw(st.booleans()):
         argv.append("--json")
     if not draw(st.integers(min_value=0, max_value=9)):
@@ -847,6 +878,10 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None)
 @given(command_line(), solution_json(), st.one_of(tuple_json(), st.sampled_from([[], "x"])))
+@example(["census", "--n=--"], "{}", [])
+@example(["validate", "--file=--"], "{}", [])
+@example(["ramify", "--f", "t", "--at=--"], "{}", [])
+@example(["seed", "--A=--"], "{}", [])
 def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
     own, other = ("tuple", "solution") if argv[0] in ("validate", "profile") else ("solution", "tuple")
     files = {"solution": solution, "tuple": json.dumps(tuple_data)}
@@ -855,6 +890,7 @@ def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
     paths = {key: str(fuzz_dir / f"{name}.json")
              for key, name in (("own", own), ("other", other), ("missing", "missing"))}
     argv = [paths.get(arg, arg) if prev == "--file" else arg for prev, arg in zip([None, *argv], argv)]
+    argv = [f"--file={paths.get(arg[7:], arg[7:])}" if arg.startswith("--file=") else arg for arg in argv]
     with mock.patch("sys.stdin", io.StringIO("")):
         result = run(argv)
     assert result.status in ("Ok", "Rejected", "Error")

@@ -607,7 +607,7 @@ def test_parsed_text_records_the_walked_cycle_type(case):
         p = parse_cycles(text, n)
     except CycleParseError:
         return
-    assert p._ctype == _cycle_type(cycles(p), n)
+    assert p._ctype == _cycle_type(map(len, cycles(p)), n)
 
 
 @st.composite
@@ -629,7 +629,7 @@ def cycle_lists(draw):
 def test_cycle_lists_record_the_walked_cycle_type(case):
     n, lists = case
     p = Perm.from_cycles(n, lists)
-    assert p._ctype == _cycle_type(cycles(p), n)
+    assert p._ctype == _cycle_type(map(len, cycles(p)), n)
 
 
 def test_cycle_type_walks_a_perm_from_images_once(monkeypatch):

@@ -152,7 +152,7 @@ LIBRARY = {f"pellab.{m}" for m in ("census", "degrees", "exactpoly", "hurwitz", 
 def _loaded(code: str) -> set[str]:
     out = subprocess.run(
         [sys.executable, "-I", "-c", STARTUP, str(SRC.parent), code],
-        capture_output=True, text=True, check=True,
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
     )
     return set(json.loads(out.stdout.splitlines()[-1]))
 
@@ -202,9 +202,10 @@ def test_building_the_parser_loads_no_argparse():
 
 
 def test_plain_command_lines_load_no_argparse(tmp_path):
-    # Every golden line and one line of each other command is read off the
-    # option table, so no entry falls off the fast path unnoticed; a bad
-    # command line still loads argparse, which words its error.
+    # Every golden line, one line of each other command and lines with
+    # "-"-led values ("-" reads the empty stdin) are read off the option
+    # table, so no entry falls off the fast path unnoticed; a bad command
+    # line still loads argparse, which words its error.
     from pellab.cli import build_parser
 
     path = tmp_path / "tuple.json"
@@ -216,6 +217,11 @@ def test_plain_command_lines_load_no_argparse(tmp_path):
         ["zannier", "--n", "6", "--d=3"],
         ["census", "--n", "6", "--json"],
         ["census", "--no-brute-force", "--n=4"],
+        ["census", "--n", "-1"],
+        ["ramify", "--f", "t", "--at", "-2"],
+        ["power", "--m", "-2", "--A", "t", "--B", "1", "--D", "t^2-1"],
+        ["seed", "--A", "-t^3 + 1"],
+        ["verify", "--file", "-"],
     ]
     for argv in lines:
         assert build_parser().read(argv) is not None, argv
