@@ -7,18 +7,22 @@ Nothing here ever touches floats, so equality of computed values is
 meaningful, and equal polynomials have equal stored pairs.
 
 The kernels read and write the stored integers directly; fractions.Fraction
-appears only at the API edge (coeffs, coeff, leading, evaluation,
-parse_rational and parse_poly).  Solution text, printed by format_poly and
-to_coeff_strings and read by from_coeff_strings, goes through one integer
-(numerator, denominator) pair per coefficient, never a Fraction.  A product convolves the numerators, and a square takes each
-cross product once and doubles it.  Composition runs
+appears only at the API edge (coeffs, coeff, leading, evaluation and
+parse_rational).  Solution text, printed by format_poly and
+to_coeff_strings and read by from_coeff_strings, and polynomial text read
+by parse_poly go through one integer (numerator, denominator) pair per
+coefficient, never a Fraction.  A product convolves the numerators, and a
+square takes each cross product once and doubles it.  Composition runs
 Horner on the numerators of the inner polynomial, with the powers of its
 denominator folded into the outer coefficients.  Division is
 pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
-deg b + 1).  Only gcd follows the primitive remainder sequence: each
-pseudo-remainder is divided by its content, the gcd of its coefficients,
-so the coefficients stay small.  Each result is reduced once, by one
-gcd of its denominator and numerators.  The series m-th root keeps
+deg b + 1).  gcd is the heuristic gcd (GCDHEU): both primitive parts are
+evaluated at an integer xi, the integer gcd of the two values is read back
+as balanced base-xi digits, and the candidate counts only if it divides
+both parts exactly.  When six points give none, gcd falls back to the
+primitive remainder sequence, each pseudo-remainder divided by its
+content.  Each result is reduced once, by one gcd of its denominator and
+numerators.  The series m-th root keeps
 its coefficients as integer numerators over one common denominator.  Exact
 integer m-th roots use an integer Newton iteration, and every sequence runs
 in a loop, so nothing depends on float range or on the recursion limit.
@@ -300,16 +304,58 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def _divides(b: Sequence[int], a: Sequence[int]) -> bool:
+    """Whether the integer list b divides a, len(a) >= len(b) >= 1."""
+    return not any(_pseudo_divrem(a, b)[1])
+
+
+def _heuristic_gcd(u: list[int], v: list[int]) -> Optional[list[int]]:
+    """The gcd of the primitive lists u and v, len(u) >= len(v) >= 1, as a
+    primitive list with a positive leading coefficient, or None when six
+    evaluation points give none.  GCDHEU (Char, Geddes and Gonnet, J.
+    Symbolic Comput. 7, 1989): at an integer xi >= 2*min(|u|, |v|) + 2
+    (maximum norms), read gcd(u(xi), v(xi)) as base-xi digits, each in
+    (-xi/2, xi/2]; the primitive part of the polynomial they make is the
+    gcd exactly when it divides both u and v.  Each miss grows xi to about
+    2.73 * xi^(5/4), in integers."""
+    xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 2
+    for _ in range(6):
+        uval = vval = 0
+        for c in reversed(u):
+            uval = uval * xi + c
+        for c in reversed(v):
+            vval = vval * xi + c
+        h = math.gcd(uval, vval)
+        half = xi // 2
+        digits = []
+        while h:
+            h, d = divmod(h, xi)
+            if d > half:
+                d -= xi
+                h += 1
+            digits.append(d)
+        if len(digits) <= len(v):
+            g = _primitive(digits)[1]
+            if len(g) == 1 or _divides(g, v) and _divides(g, u):  # 1 divides both
+                return g
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by the primitive remainder sequence
-    on the numerators: each pseudo-remainder is divided by its content,
-    and the last nonzero one is made monic."""
+    """Monic greatest common divisor, from the primitive parts u and v of
+    the numerators: by the heuristic gcd (_heuristic_gcd), whose every
+    answer is certified by exact division of u and v, and when that gives
+    up, by the primitive remainder sequence, each pseudo-remainder divided
+    by its content and the last nonzero one made monic."""
     if a.is_zero and b.is_zero:
         raise GcdOfZeros("gcd(0, 0) is undefined")
     _, u = _primitive(list(a.nums))
     _, v = _primitive(list(b.nums))
     if len(u) < len(v):
         u, v = v, u
+    if v and (g := _heuristic_gcd(u, v)) is not None:
+        return _poly(g, g[-1])
     while v:
         _, r, _ = _pseudo_divrem(u, v)
         u, v = v, _primitive(r)[1]
@@ -535,11 +581,13 @@ def _exponent(m: re.Match) -> int:
 
 def parse_poly(text: str) -> Poly:
     """Parse human polynomial syntax, exponents up to MAX_DEGREE.  Raises
-    PolyParseError with the offending position."""
+    PolyParseError with the offending position.  Each exponent's terms sum
+    as integer (numerator, denominator) pairs, and the Poly is built once
+    over the lcm of their denominators."""
     s = text
     pos = 0
     end = len(s)
-    terms: dict[int, Rat] = {}
+    terms: dict[int, tuple[int, int]] = {}  # exponent: (numerator, denominator)
     first = True
     while True:
         while pos < end and s[pos].isspace():
@@ -552,25 +600,31 @@ def parse_poly(text: str) -> Poly:
             raise PolyParseError("expected a term", pos)
         if not first and m.group("sign") is None:
             raise PolyParseError("expected '+' or '-' between terms", pos)
-        sign = -1 if m.group("sign") == "-" else 1
         if name is not None and name != "t":
             raise PolyParseError(f"unknown variable {name!r}", m.start("var"))
-        coeff = Rat(1)
+        num, den = 1, 1
         if m.group("coeff") is not None:
             try:
-                coeff = Rat(*_rational_pair(m.group("coeff"), m.start("coeff")))
+                num, den = _rational_pair(m.group("coeff"), m.start("coeff"))
             except ZeroDivisionError:
                 raise PolyParseError("zero denominator", m.start("coeff")) from None
+        if m.group("sign") == "-":
+            num = -num
         exp = 0 if name is None else _exponent(m)
-        terms[exp] = terms.get(exp, Rat(0)) + sign * coeff
+        if exp in terms:  # a repeated term sums over the lcm of the two denominators
+            n0, d0 = terms[exp]
+            lcm = math.lcm(d0, den)
+            num, den = n0 * (lcm // d0) + num * (lcm // den), lcm
+        terms[exp] = num, den
         pos = m.end()
         first = False
     if first:
         raise PolyParseError("empty polynomial", 0)
-    out = [Rat(0)] * (max(terms) + 1)
-    for exp, c in terms.items():
-        out[exp] = c
-    return Poly(out)
+    den = math.lcm(*(d for _, d in terms.values()))
+    out = [0] * (max(terms) + 1)
+    for exp, (num, d) in terms.items():
+        out[exp] = num * (den // d)
+    return _poly(out, den)
 
 
 def _reduced_pairs(p: Poly) -> list[tuple[int, int]]:

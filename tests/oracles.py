@@ -32,12 +32,14 @@ Solution text is printed and read as integer pairs, one reduced
 from a Fraction per coefficient and read through Fraction's own string
 parser and the Poly constructor.
 
-The commands decide squarefreeness by gcd(D, D'), and gcd is the only
-remainder sequence in src.  resultant and discriminant below run the same
-primitive remainder sequence under the resultant's reduction rules; the
-tests check resultant against a Sylvester determinant, the Chebyshev closed
-form and sympy, and the squarefree verdict against discriminant.  X is the
-polynomial t.
+The commands decide squarefreeness by gcd(D, D').  gcd is the heuristic
+gcd, certified by exact division, and its fallback, the primitive
+remainder sequence, is the only remainder sequence in src; a test reaches
+it by making the heuristic give up.  resultant and discriminant below run
+the same primitive remainder sequence under the resultant's reduction
+rules; the tests check resultant against a Sylvester determinant, the
+Chebyshev closed form and sympy, and the squarefree verdict against
+discriminant.  X is the polynomial t.
 
 classify_powers skips every m that has an admissible divisor without a
 root, since T_ab = T_a o T_b.  classify_powers_every_m tries every

@@ -331,6 +331,75 @@ def test_gcd_divides_both(a, b):
     assert divrem(b, g)[1].is_zero
 
 
+@given(wide_polys, wide_polys, st.lists(wide_rationals, max_size=4).map(Poly))
+@example(neg_lead, Poly([Fraction(-(2**67), 2**65 + 3)]), ONE)
+@example(Poly([4, 0, 1]), Poly([1, 1]), ONE)
+def test_gcd_fallback_matches_fraction_euclid(a, b, common):
+    # With the heuristic giving up, gcd is the primitive remainder sequence.
+    a, b = a * common, b * common
+    if a.is_zero and b.is_zero:
+        return
+    gave_up = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactpoly, "_heuristic_gcd", lambda u, v: gave_up.append(1))
+        g = gcd(a, b)
+    assert g == fraction_gcd(a, b)
+    assert gave_up or a.is_zero or b.is_zero
+
+
+# Coefficients of 1 bit to past 2^200, each sign.
+wide_ints = st.integers(0, 210).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+
+
+@given(st.lists(wide_ints, min_size=1, max_size=6).map(Poly).filter(lambda g: not g.is_zero))
+@example(Poly([1]))
+@example(Poly([-(2**201) - 1, 3, -(2**200)]))
+def test_gcd_of_planted_families(g):
+    # t(t+1) and (t+2)(t+3) are coprime, but both are even at every integer,
+    # so every evaluation gcd carries at least a factor 2 beside g(xi); the
+    # second pair, products of three consecutive integers, carries 6.
+    t = X
+    for cof_a, cof_b in [
+        (t * (t + ONE), (t + constant(2)) * (t + constant(3))),
+        (t * (t + ONE) * (t + constant(2)), (t + constant(3)) * (t + constant(4)) * (t + constant(5))),
+    ]:
+        a, b = g * cof_a, g * cof_b
+        assert gcd(a, b) == gcd(b, a) == g.monic()
+        u, v = (exactpoly._primitive(list(p.nums))[1] for p in (a, b))  # of equal length
+        found = exactpoly._heuristic_gcd(u, v)
+        assert found is None or Poly(found).monic() == g.monic()
+
+
+def test_gcd_of_zero_constants_and_negative_leads():
+    a = Poly([6, -5, -1])  # -(t - 1)(t + 6)
+    assert gcd(a, ZERO) == gcd(ZERO, a) == Poly([-6, 5, 1])
+    assert gcd(constant(-7), ZERO) == gcd(ZERO, constant(Fraction(1, 3))) == ONE
+    assert gcd(a, constant(-4)) == gcd(constant(4), a) == ONE
+    assert gcd(constant(-4), constant(6)) == ONE
+    assert gcd(a, a.scale(-5)) == Poly([-6, 5, 1])
+    assert gcd(a, Poly([1, -1]).scale(Fraction(-2, 3))) == Poly([-1, 1])
+    assert gcd(a * Poly([-2, -3]), Poly([-2, -3]).scale(-9)) == Poly([Fraction(2, 3), 1])
+
+
+def test_gcd_heuristic_needs_each_certificate_and_its_bound():
+    t = X
+    # Below 2*min(|u|, |v|) + 2 the digits of g(xi) = xi - k are a constant
+    # for every xi in (k, 2k], and a constant divides both inputs.
+    for k in range(1, 60):
+        g = t - constant(k)
+        assert gcd(g * (t + ONE), g * (t + constant(2))) == g
+    # The first candidate, t + 1, divides only the shorter input:
+    # t^2 + 4 and t + 1 are 20 and 5 at xi = 4.
+    assert gcd(Poly([4, 0, 1]), Poly([1, 1])) == ONE
+    assert gcd(Poly([1, 1]), Poly([4, 0, 1])) == ONE
+    # ... and, of two inputs of one length, only one: t + 1 and t + 6 are 5
+    # and 10 at xi = 4.
+    assert gcd(Poly([1, 1]), Poly([6, 1])) == ONE
+    assert gcd(Poly([6, 1]), Poly([1, 1])) == ONE
+    # The heuristic itself answers once xi has grown.
+    assert exactpoly._heuristic_gcd([4, 0, 1], [1, 1]) == [1]
+
+
 @given(polys, polys)
 def test_derivative_product_rule(a, b):
     assert derivative(a * b) == derivative(a) * b + a * derivative(b)

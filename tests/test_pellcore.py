@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import sys
+import time
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import assume, example, given
@@ -327,6 +329,24 @@ def test_generate_from_seed_degree_40():
         if mult % 2:
             odd *= factor.monic()
     assert out.D == Poly(Fraction(int(c.p), int(c.q)) for c in reversed(odd.all_coeffs()))
+
+
+def test_generate_from_seed_degree_240():
+    # A = 1 + S^2 R with S and R of degree 80 and coefficients in [-3, 3]:
+    # the seed's gcds run at degree 240, which took the primitive remainder
+    # sequence about 3 s.
+    rng = Random(7)
+    S = Poly([rng.randint(-3, 3) for _ in range(81)])
+    R = Poly([rng.randint(-3, 3) for _ in range(81)])
+    A = ONE + S * S * R
+    assert A.degree == 240
+    started = time.perf_counter()
+    out = generate_from_seed(A)
+    elapsed = time.perf_counter() - started
+    assert isinstance(out, PellSolution)
+    assert isinstance(verify_pell(out.A, out.B, out.D), PellSolution)
+    assert out.D * out.B * out.B == A * A - ONE
+    assert elapsed < 1.0
 
 
 def test_extract_mth_root_examples():

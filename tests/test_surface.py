@@ -11,7 +11,7 @@ importing the CLI and building its parser, must not import `dataclasses`,
 `inspect`, `argparse` or any library module, each command loads only the
 modules it runs, and only help and bad command lines load argparse.  Every backticked `module.NAME` in README.md names a
 top-level definition of that module.  The same walk from the solution
-text functions of exactpoly reaches no Fraction."""
+text functions of exactpoly and from parse_poly reaches no Fraction."""
 
 from __future__ import annotations
 
@@ -106,12 +106,13 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
 
 
 def test_solution_text_path_builds_no_fraction():
-    # Solution text is printed and read as integer pairs.  Poly is a leaf:
+    # Solution text is printed and read, and polynomial text read, as
+    # integer pairs.  Poly is a leaf:
     # its constructor and its coeffs, coeff and leading are the Fraction
     # edge, so the path may build a Poly only through _poly, and reads no
     # Fraction coefficient.
     defs = _read_modules()[0]
-    text_path = [("exactpoly", n) for n in ("from_coeff_strings", "to_coeff_strings", "format_poly")]
+    text_path = [("exactpoly", n) for n in ("from_coeff_strings", "to_coeff_strings", "format_poly", "parse_poly")]
     reached, _ = reached_definitions(text_path, leaves={("exactpoly", "Poly")})
     for mod, name in reached - {("exactpoly", "Poly")}:
         for node in ast.walk(defs[mod][name]):
@@ -119,7 +120,7 @@ def test_solution_text_path_builds_no_fraction():
             assert not (isinstance(node, ast.Attribute) and node.attr in ("coeff", "coeffs", "leading")), name
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id != "Poly", name
-    assert ("exactpoly", "_poly") in reached
+    assert {("exactpoly", "_poly"), ("exactpoly", "_rational_pair")} <= reached
 
 
 def test_each_unreached_reason_names_the_item_that_empties_it():
@@ -190,6 +191,21 @@ def test_validate_loads_neither_census_nor_polynomial_modules(tmp_path):
     added = _loaded(PARSER + f"\npellab.cli.main(['validate', '--file', {str(path)!r}])")
     assert "pellab.hurwitz" in added
     assert not {"pellab.census", "pellab.exactpoly", "pellab.pellcore", "fractions"} & added
+
+
+def test_solution_commands_load_only_the_solution_modules():
+    # seed and verify run gcd; its heuristic imports nothing, so these
+    # commands load what they did with the remainder sequence alone
+    # (decimal comes with fractions).
+    allowed = {"pellab.degrees", "pellab.exactpoly", "pellab.pellcore", "fractions", "numbers", "decimal", "_decimal"}
+    before = _loaded(PARSER)
+    for argv in (
+        ["seed", "--A", "2*t^3 - 1", "--json"],
+        ["verify", "--A", "2*t^3 - 1", "--B", "2*t", "--D", "t^4 - t", "--json"],
+    ):
+        added = _loaded(PARSER + f"\npellab.cli.main({argv!r})") - before
+        assert "pellab.exactpoly" in added
+        assert added <= allowed, argv
 
 
 ARGPARSE = {"argparse", "gettext", "locale"}
