@@ -18,9 +18,9 @@ of a previous command (the payload is unwrapped), so runs can be piped.
 from __future__ import annotations
 
 import functools
-import json
 import re
 import sys
+from _json import encode_basestring_ascii, make_encoder
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -77,6 +77,8 @@ def _unwrap(data: dict) -> dict:
 
 
 def _load_json_file(path: str) -> dict:
+    import json
+
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -293,9 +295,6 @@ def _cmd_census(args) -> CommandResult:
     return CommandResult(OK, census.report_to_json_dict(report), diagnostics)
 
 
-_INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
-
-
 def integer(text: str) -> int:
     """The integer options' type: a rational's form without the "/digits",
     "12" or " -3 ".  Underscores, other bases and every other form raise
@@ -304,7 +303,9 @@ def integer(text: str) -> int:
     >>> integer("+12")
     12
     """
-    if not _INTEGER_RE.fullmatch(text):
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits.isdecimal():
         raise ValueError(f"expected [sign]digits, got {text!r}")
     return int(text)
 
@@ -511,6 +512,28 @@ def run(argv) -> CommandResult:
         return CommandResult(ERROR, None, [_error_text(exc)])
 
 
+# json.dumps(value, sort_keys=True, separators=(",", ":")) as the chunks of
+# the C encoder that json itself runs, so start-up loads no json package;
+# only reading JSON input loads it.  markers is None: a call that raises
+# (an int past the digit limit) would leave ids in a shared dict, and the
+# next call on the same containers would read them as a cycle.
+_compact = make_encoder(None, None, encode_basestring_ascii, None, ":", ",", True, False, True)
+
+
+def _indented(value, margin: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), each line after the
+    first led by margin; keys, scalars and empty containers go through the
+    C encoder."""
+    inner = margin + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = (_indented(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "]"
+    return "".join(_compact(value, 0))
+
+
 def render(result: CommandResult, as_json: bool) -> str:
     body = {
         "schema": SCHEMA,
@@ -519,10 +542,10 @@ def render(result: CommandResult, as_json: bool) -> str:
         "diagnostics": result.diagnostics,
     }
     if as_json:
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        return "".join(_compact(body, 0))
     lines = [f"status: {result.status}"]
     if result.payload is not None:
-        lines.append(json.dumps(result.payload, sort_keys=True, indent=2))
+        lines.append(_indented(result.payload))
     lines.extend(f"note: {d}" for d in result.diagnostics)
     return "\n".join(lines)
 

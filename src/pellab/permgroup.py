@@ -8,7 +8,6 @@ is the conjugation g^-1 * a * g by g = c**s, c the descending N-cycle.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 from bisect import bisect
@@ -390,6 +389,8 @@ def _read_accepted(text: str, n: int) -> Optional[Perm]:
     points = ",".join(cycs)
     if not points.replace(",", "").isdecimal():
         return None
+    import json
+
     try:
         flat = json.loads(f"[{points}]")
     except ValueError:

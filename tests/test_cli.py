@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,38 @@ def test_integer_grammar():
     for text in ("1_0", "1/2", "2.0", "1e3", "0x10", "- 3", "", "+", "inf", "x"):
         with pytest.raises(ValueError):
             integer(text)
+
+
+# integer's former regex, kept as its oracle.
+INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def integer_oracle(text: str) -> int:
+    if not INTEGER_RE.fullmatch(text):
+        raise ValueError(f"expected [sign]digits, got {text!r}")
+    return int(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(st.sampled_from("0123456789\u0664\u0967\U0001d7d8\u00b2\u2167 \t\n\x0b\x1c\x85\xa0\u2003\u3000+-_x"), max_size=8))
+@example("")
+@example("+")
+@example(" - ")
+@example("+-3")
+@example("\u0664\u0662")
+@example("\u3000-7\x85")
+@example("1_0")
+@example("0\x1c")
+@example("\u00b2")
+@example("9" * 5000)
+def test_integer_matches_the_regex_oracle(text):
+    def outcome(read):
+        try:
+            return read(text)
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    assert outcome(integer) == outcome(integer_oracle)
 
 
 def test_verify_ok_and_payload_round_trip():
@@ -629,6 +662,50 @@ def test_render_human_mode():
     text = render(result, as_json=False)
     assert text.splitlines()[0] == "status: Ok"
     assert "note: note text" in text
+
+
+# Strings with JSON's escapes, control characters, DEL, non-ASCII, astral
+# characters and lone surrogates (argv carries them via surrogateescape).
+json_text = st.text(st.sampled_from('ab"\\/\x00\x08\t\n\x1f\x7f\x80\xe9\u2028\u20ac\ud800\udcff\U0001f600'), max_size=6)
+json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(max_value=-(10**40)), json_text
+)
+json_tree = st.recursive(
+    json_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_tree, st.lists(json_text, max_size=3))
+@example({}, [])
+@example([[], {}, ()], ["\udcff"])
+@example({"b": [1, {"a": ""}], "a": (True, None, -(10**50))}, ["x"])
+def test_render_is_json_dumps_in_both_modes(payload, diagnostics):
+    result = CommandResult("Ok", payload, diagnostics)
+    body = {"schema": "pellab/1", "status": "Ok", "payload": payload, "diagnostics": diagnostics}
+    assert render(result, as_json=True) == json.dumps(body, sort_keys=True, separators=(",", ":"))
+    shown = [] if payload is None else [json.dumps(payload, sort_keys=True, indent=2)]
+    lines = ["status: Ok", *shown, *(f"note: {d}" for d in diagnostics)]
+    assert render(result, as_json=False) == "\n".join(lines)
+
+
+def test_render_after_a_failed_render_of_the_same_body():
+    # A render that raises must leave nothing behind: a shared circular-check
+    # memo would still hold the body's containers and refuse the next render.
+    payload = {"x": [10**5000 - 1]}
+    result = CommandResult("Ok", payload, [])
+    for as_json in (True, False):
+        with pytest.raises(ValueError):
+            render(result, as_json)
+    payload["x"][0] = 1
+    assert render(result, as_json=True) == '{"diagnostics":[],"payload":{"x":[1]},"schema":"pellab/1","status":"Ok"}'
+    assert render(result, as_json=False) == 'status: Ok\n{\n  "x": [\n    1\n  ]\n}'
 
 
 def test_decompose_finds_root_with_large_leading_coefficient():

@@ -8,10 +8,12 @@ tests call belongs in tests/oracles.py.  The walk follows relative
 imports inside function bodies too, since the CLI imports each library
 module in the handlers that use it.  A fresh interpreter's start-up,
 importing the CLI and building its parser, must not import `dataclasses`,
-`inspect`, `argparse` or any library module, each command loads only the
-modules it runs, and only help and bad command lines load argparse.  Every backticked `module.NAME` in README.md names a
-top-level definition of that module.  The same walk from the solution
-text functions of exactpoly and from parse_poly reaches no Fraction."""
+`inspect`, `argparse`, `json` or any library module, each command loads
+only the modules it runs, only help and bad command lines load argparse,
+and only commands that read JSON load json.  Every backticked
+`module.NAME` in README.md names a top-level definition of that module.
+The same walk from the solution text functions of exactpoly and from
+parse_poly reaches no Fraction."""
 
 from __future__ import annotations
 
@@ -138,13 +140,14 @@ def test_readme_names_only_existing_definitions():
 
 
 # Runs the code in argv[2] in a fresh interpreter with src on its path, and
-# prints, on its last line, the modules that loaded.
+# prints, on its last line, the modules that loaded, as a repr: the harness
+# itself imports nothing, so it hides no module from the snapshot.
 STARTUP = """\
-import json, sys
+import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 exec(sys.argv[2])
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(repr(sorted(set(sys.modules) - before)))
 """
 PARSER = "import pellab.cli\npellab.cli.build_parser()"
 LIBRARY = {f"pellab.{m}" for m in ("census", "degrees", "exactpoly", "hurwitz", "pellcore", "permgroup")}
@@ -155,7 +158,7 @@ def _loaded(code: str) -> set[str]:
         [sys.executable, "-I", "-c", STARTUP, str(SRC.parent), code],
         stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
     )
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
@@ -206,6 +209,23 @@ def test_solution_commands_load_only_the_solution_modules():
         added = _loaded(PARSER + f"\npellab.cli.main({argv!r})") - before
         assert "pellab.exactpoly" in added
         assert added <= allowed, argv
+
+
+def test_only_commands_that_read_json_load_json(tmp_path):
+    # The envelope is written by the C encoder of _json; the json package
+    # (about half of start-up) loads only where a file or stdin is read.
+    assert "json" not in _loaded(PARSER)
+    for argv in (
+        ["census", "--n", "6", "--json"],
+        ["zannier", "--n", "6", "--d", "3", "--json"],
+        ["seed", "--A", "2*t^3 - 1", "--json"],
+        ["verify", "--A", "2*t^3 - 1", "--B", "2*t", "--D", "t^4 - t"],
+    ):
+        added = _loaded(PARSER + f"\npellab.cli.main({argv!r})")
+        assert "pellab.cli" in added and "json" not in added, argv
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(tuple_to_json_dict(zannier_tuple(6, 3))), encoding="utf-8")
+    assert "json" in _loaded(PARSER + f"\npellab.cli.main(['validate', '--file', {str(path)!r}])")
 
 
 ARGPARSE = {"argparse", "gettext", "locale"}
