@@ -216,7 +216,7 @@ def _cmd_ramify(args) -> CommandResult:
             raise _ParserError(f"bad rational {args.at!r}: {exc}") from None
         branch_type = pellcore.ramification_type(f, c)
         payload = {
-            "at": f"{c.numerator}/{c.denominator}",
+            "at": "%d/%d" % c,
             "type": [[index, count] for index, count in branch_type],
         }
         return CommandResult(OK, payload, [])
@@ -232,7 +232,7 @@ def _cmd_ramify(args) -> CommandResult:
     contained = pellcore.verify_branch_locus_in(f, values)
     payload = {
         "contained": contained,
-        "values": [f"{v.numerator}/{v.denominator}" for v in values],
+        "values": ["%d/%d" % v for v in values],
     }
     status = OK if contained else REJECTED
     diagnostics = [] if contained else ["some critical value falls outside the given set"]

@@ -6,26 +6,28 @@ term first with trailing zeros trimmed, and den > 0, in lowest terms
 Nothing here ever touches floats, so equality of computed values is
 meaningful, and equal polynomials have equal stored pairs.
 
-The kernels read and write the stored integers directly; fractions.Fraction
-appears only at the API edge (coeffs, coeff, leading, evaluation and
-parse_rational).  Solution text, printed by format_poly and
+The one rational type is the integer pair (numerator, denominator): the
+kernels read and write the stored integers directly, a rational argument
+(to Poly, constant, scale and evaluation) is read as a pair by _pair, and
+parse_rational returns one.  Solution text, printed by format_poly and
 to_coeff_strings and read by from_coeff_strings, and polynomial text read
-by parse_poly go through one integer (numerator, denominator) pair per
-coefficient, never a Fraction.  A product convolves the numerators, and a
-square takes each cross product once and doubles it.  Composition runs
-Horner on the numerators of the inner polynomial, with the powers of its
-denominator folded into the outer coefficients.  Division is
-pseudo-division, scale*a = q*b + r with scale a divisor of lc(b)^(deg a -
-deg b + 1).  gcd is the heuristic gcd (GCDHEU): both primitive parts are
-evaluated at an integer xi, the integer gcd of the two values is read back
-as balanced base-xi digits, and the candidate counts only if it divides
-both parts exactly.  When six points give none, gcd falls back to the
-primitive remainder sequence, each pseudo-remainder divided by its
-content.  Each result is reduced once, by one gcd of its denominator and
-numerators.  The series m-th root keeps
-its coefficients as integer numerators over one common denominator.  Exact
-integer m-th roots use an integer Newton iteration, and every sequence runs
-in a loop, so nothing depends on float range or on the recursion limit.
+by parse_poly go through one pair per coefficient.  Only coeffs, coeff,
+leading and evaluation hand a caller a fractions.Fraction, whose class
+_fraction_class imports on its first call.  A product convolves
+the numerators, and a square takes each cross product once and doubles it.
+Composition runs Horner on the numerators of the inner polynomial, with
+the powers of its denominator folded into the outer coefficients.
+Division is pseudo-division, scale*a = q*b + r with scale a divisor of
+lc(b)^(deg a - deg b + 1).  gcd is the heuristic gcd (GCDHEU): both
+primitive parts are evaluated at an integer xi, the integer gcd of the two
+values is read back as balanced base-xi digits, and the candidate counts
+only if it divides both parts exactly.  When six points give none, gcd
+falls back to the primitive remainder sequence, each pseudo-remainder
+divided by its content.  Each result is reduced once, by one gcd of its
+denominator and numerators.  The series m-th root keeps its coefficients
+as integer numerators over one common denominator.  Exact integer m-th
+roots use an integer Newton iteration, and every sequence runs in a loop,
+so nothing depends on float range or on the recursion limit.
 """
 
 from __future__ import annotations
@@ -33,13 +35,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from itertools import dropwhile
 from typing import Iterable, Optional, Sequence, Union
-
-Rat = Fraction
-
-RatLike = Union[Rat, int, str]
 
 
 class DivByZeroPoly(ZeroDivisionError):
@@ -68,16 +65,30 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
-def _rat(value: RatLike) -> Rat:
-    """A Fraction, an int, or a string in parse_rational's form.  A float
-    or a bool is a TypeError: a binary float is no exact input."""
-    if isinstance(value, Rat):
-        return value
+def _pair(value) -> tuple[int, int]:
+    """A rational argument as (numerator, denominator), den != 0, not
+    reduced: a string in parse_rational's form, an int, an int pair, or a
+    Fraction, known without importing fractions.  A float, a bool or
+    another shape is a TypeError: a binary float is no exact input."""
     if isinstance(value, str):
         return parse_rational(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected a Fraction, int or rational string, not {type(value).__name__}")
-    return Rat(value)
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return value.numerator, value.denominator
+    num, den = value if isinstance(value, tuple) and len(value) == 2 else (value, 1)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (num, den)):
+        raise TypeError(f"expected a Fraction, int, int pair or rational string, not {type(value).__name__}")
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    return num, den
+
+
+def _fraction_class() -> type:
+    """fractions.Fraction, for the accessors that hand one to a caller; the
+    first call imports fractions (with decimal and numbers)."""
+    import fractions
+
+    return fractions.Fraction
 
 
 class Poly:
@@ -86,9 +97,9 @@ class Poly:
     >>> p = Poly([1, 0, -2])
     >>> p.degree
     2
-    >>> p(Rat(3))
+    >>> p(3)
     Fraction(-17, 1)
-    >>> h = Poly([Rat(1, 2), Rat(2, 4)])
+    >>> h = Poly([(1, 2), (2, 4)])
     >>> h.nums, h.den
     ((1, 1), 2)
     """
@@ -97,15 +108,14 @@ class Poly:
     nums: tuple[int, ...]
     den: int
 
-    def __new__(cls, coeffs: Iterable[RatLike] = ()) -> "Poly":
-        cs = [_rat(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
+    def __new__(cls, coeffs: Iterable = ()) -> "Poly":
+        return _from_pairs([_pair(c) for c in coeffs])
 
     @property
-    def coeffs(self) -> tuple[Rat, ...]:
+    def coeffs(self) -> tuple:
         """The coefficients as fractions, constant term first."""
-        return tuple(Rat(c, self.den) for c in self.nums)
+        fraction = _fraction_class()
+        return tuple(fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
@@ -116,27 +126,21 @@ class Poly:
         return not self.nums
 
     @property
-    def leading(self) -> Rat:
+    def leading(self):
         if self.is_zero:
             raise ZeroInput("zero polynomial has no leading coefficient")
-        return Rat(self.nums[-1], self.den)
+        return _fraction_class()(self.nums[-1], self.den)
 
-    def coeff(self, k: int) -> Rat:
-        if 0 <= k < len(self.nums):
-            return Rat(self.nums[k], self.den)
-        return Rat(0)
+    def coeff(self, k: int):
+        return _fraction_class()(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroInput("cannot normalize the zero polynomial")
         return _poly(list(self.nums), self.nums[-1])
 
-    def __call__(self, x: RatLike) -> Rat:
-        x = _rat(x)
-        acc = Rat(0)
-        for c in reversed(self.nums):
-            acc = acc * x + c
-        return acc / self.den
+    def __call__(self, x):
+        return compose(self, constant(x)).coeff(0)
 
     def __add__(self, other: "Poly") -> "Poly":
         g = math.gcd(self.den, other.den)
@@ -159,9 +163,9 @@ class Poly:
             return _poly(_square(self.nums), self.den * self.den)
         return _poly(_convolve(self.nums, other.nums), self.den * other.den)
 
-    def scale(self, k: RatLike) -> "Poly":
-        k = _rat(k)
-        return _poly([c * k.numerator for c in self.nums], self.den * k.denominator)
+    def scale(self, k) -> "Poly":
+        num, den = _pair(k)
+        return _poly([c * num for c in self.nums], self.den * den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -234,11 +238,18 @@ def _poly(nums: list[int], den: int = 1) -> Poly:
     return p
 
 
+def _from_pairs(pairs: Sequence[tuple[int, int]]) -> Poly:
+    """The Poly with coefficients num/den, den != 0, constant term first,
+    built over the lcm of the denominators."""
+    den = math.lcm(*(d for _, d in pairs))
+    return _poly([num * (den // d) for num, d in pairs], den)
+
+
 ZERO = Poly()
 ONE = Poly([1])
 
 
-def constant(c: RatLike) -> Poly:
+def constant(c) -> Poly:
     return Poly([c])
 
 
@@ -436,27 +447,13 @@ def _int_nth_root(v: int, m: int) -> Optional[int]:
     return r if r**m == v else None
 
 
-def rat_nth_root(x: Rat, m: int) -> Optional[Rat]:
-    """Exact rational m-th root, or None.  Even m needs x >= 0 and returns
-    the nonnegative root; odd m keeps the sign."""
-    if m < 1:
-        raise ValueError("root index must be positive")
-    neg = x < 0
-    if neg and m % 2 == 0:
-        return None
-    num = _int_nth_root(abs(x.numerator), m)
-    den = _int_nth_root(x.denominator, m)
-    if num is None or den is None:
-        return None
-    r = Rat(num, den)
-    return -r if neg else r
-
-
-def _series_root(top: Sequence[int], lead: Rat, m: int) -> Optional[Poly]:
+def _series_root(top: Sequence[int], lead: tuple[int, int], m: int) -> Optional[Poly]:
     """The polynomial P of degree h = len(top) - 1 whose m-th power begins
     with the coefficients alpha_0..alpha_h, highest first.  top holds
-    integers proportional to them, and lead is alpha_0 itself.  None when
-    lead has no rational m-th root (even m takes the positive one).
+    integers proportional to them, and lead is alpha_0 itself, read by
+    _pair with den > 0 and reduced by one gcd before the integer m-th root
+    of each half is taken.  None when lead has no rational m-th root (even
+    m takes the positive one).
 
     Read as series in s = 1/t, alpha is alpha(s) and t^(-h) * P is p(s), so
     p = alpha^(1/m) mod s^(h+1), by Miller's recurrence for powers of a
@@ -466,13 +463,14 @@ def _series_root(top: Sequence[int], lead: Rat, m: int) -> Optional[Poly]:
     that is den before step k, the sum S over the numerators gives
     p_k = S / (den * c) with c = m k top[0], and den grows by the factor
     c / gcd(S, c).  The caller certifies the candidate."""
-    a = rat_nth_root(lead, m)
-    if a is None:
+    num, den = _pair(lead)
+    g = math.gcd(num, den)
+    root, den = _int_nth_root(abs(num) // g, m), _int_nth_root(den // g, m)
+    if root is None or den is None or num < 0 and m % 2 == 0:
         return None
     if top[0] < 0:  # only the ratios enter; a positive top[0] keeps den positive
         top = [-x for x in top]
-    nums = [a.numerator]
-    den = a.denominator
+    nums = [-root if num < 0 else root]
     for k in range(1, len(top)):
         acc = 0
         for j in range(1, k + 1):
@@ -495,7 +493,7 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
         return ZERO
     if p.degree % 2 != 0:
         return None
-    root = _series_root(p.nums[p.degree // 2 :][::-1], p.leading, 2)
+    root = _series_root(p.nums[p.degree // 2 :][::-1], (p.nums[-1], p.den), 2)
     if root is not None and root * root == p:
         return root
     return None
@@ -552,19 +550,23 @@ def _rational_pair(text: str, at: int = 0) -> tuple[int, int]:
     return num, den
 
 
-def parse_rational(text: str) -> Rat:
+def parse_rational(text: str) -> tuple[int, int]:
     """A rational in the coefficient form of parse_poly, with an optional
-    sign and surrounding space: "3", "-3/4", " +6/4 ".  Decimals, exponents
-    and every other form raise ValueError, in time linear in the text; a
-    zero denominator raises ZeroDivisionError.  Leading zeros do not count
-    toward CPython's limit on int/str conversion (4300 digits by default);
-    more significant digits than that in the numerator or the denominator
-    is a PolyParseError, a ValueError, at the start of those digits.
+    sign and surrounding space: "3", "-3/4", " +6/4 ", as the pair
+    (numerator, denominator) in lowest terms with den > 0.  Decimals,
+    exponents and every other form raise ValueError, in time linear in the
+    text; a zero denominator raises ZeroDivisionError.  Leading zeros do
+    not count toward CPython's limit on int/str conversion (4300 digits by
+    default); more significant digits than that in the numerator or the
+    denominator is a PolyParseError, a ValueError, at the start of those
+    digits.
 
     >>> parse_rational("-6/4")
-    Fraction(-3, 2)
+    (-3, 2)
     """
-    return Rat(*_rational_pair(text))
+    num, den = _rational_pair(text)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _exponent(m: re.Match) -> int:
@@ -620,11 +622,10 @@ def parse_poly(text: str) -> Poly:
         first = False
     if first:
         raise PolyParseError("empty polynomial", 0)
-    den = math.lcm(*(d for _, d in terms.values()))
-    out = [0] * (max(terms) + 1)
-    for exp, (num, d) in terms.items():
-        out[exp] = num * (den // d)
-    return _poly(out, den)
+    pairs = [(0, 1)] * (max(terms) + 1)
+    for exp, pair in terms.items():
+        pairs[exp] = pair
+    return _from_pairs(pairs)
 
 
 def _reduced_pairs(p: Poly) -> list[tuple[int, int]]:
@@ -684,5 +685,4 @@ def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
             raise PolyParseError(exc.message, i) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient {item!r}: {exc}", i) from None
-    den = math.lcm(*(d for _, d in pairs))
-    return _poly([num * (den // d) for num, d in pairs], den)
+    return _from_pairs(pairs)

@@ -156,7 +156,7 @@ def generate_from_seed(
     """
     if A.degree < 1:
         raise DegreeTooSmall("seed must be nonconstant")
-    D, B = ONE, constant(abs(A.leading))
+    D, B = ONE, constant((abs(A.nums[-1]), A.den))
     for half in (A - ONE, A + ONE):
         for mult, fac in squarefree_decomposition(half):
             if mult % 2:
@@ -185,7 +185,7 @@ def extract_mth_root(A: Poly, m: int) -> Optional[Poly]:
     if n < 1 or n % m != 0:
         return None
     target = -A if m % 2 == 0 and A.nums[-1] < 0 else A
-    candidate = _series_root(target.nums[n - n // m :][::-1], target.leading / 2 ** (m - 1), m)
+    candidate = _series_root(target.nums[n - n // m :][::-1], (target.nums[-1], target.den << (m - 1)), m)
     if candidate is not None and compose(chebyshev(m), candidate) == target:
         return candidate
     return None

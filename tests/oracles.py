@@ -23,9 +23,10 @@ The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
 decomposes A^2 - 1 itself and takes B as the square root of the cofactor.
 
-The series root and composition run on integer numerators.  Below, the
-same recurrence runs on Fractions, and composition is Horner on reduced
-Poly values.
+The series root and composition run on integer numerators, and the series
+root takes the m-th root of its lead's reduced integer pair.  Below, the
+same recurrence runs on Fractions from rat_nth_root, the m-th root of a
+Fraction, and composition is Horner on reduced Poly values.
 
 Solution text is printed and read as integer pairs, one reduced
 (numerator, denominator) per coefficient.  The text functions below print
@@ -74,6 +75,7 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction as Rat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from pellab import permgroup as pg
@@ -96,8 +98,8 @@ from pellab.exactpoly import (
     DegreeTooSmall,
     Poly,
     PolyParseError,
-    Rat,
     _RATIONAL_RE,
+    _int_nth_root,
     _primitive,
     _pseudo_divrem,
     constant,
@@ -105,7 +107,6 @@ from pellab.exactpoly import (
     divrem,
     exact_div,
     poly_sqrt,
-    rat_nth_root,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -426,6 +427,22 @@ def seed_by_whole_unit(A: Poly, allow_d1: bool = False) -> Union[PellSolution, R
     B = poly_sqrt(exact_div(U, D))
     assert B is not None, "odd-multiplicity split must leave a square cofactor"
     return PellSolution(A=A, B=B, D=D, n=A.degree, d=D.degree // 2)
+
+
+def rat_nth_root(x: Rat, m: int) -> Optional[Rat]:
+    """Exact rational m-th root, or None.  Even m needs x >= 0 and returns
+    the nonnegative root; odd m keeps the sign."""
+    if m < 1:
+        raise ValueError("root index must be positive")
+    neg = x < 0
+    if neg and m % 2 == 0:
+        return None
+    num = _int_nth_root(abs(x.numerator), m)
+    den = _int_nth_root(x.denominator, m)
+    if num is None or den is None:
+        return None
+    r = Rat(num, den)
+    return -r if neg else r
 
 
 def series_root_by_fractions(top: Sequence[Rat], m: int) -> Optional[Poly]:

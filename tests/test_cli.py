@@ -344,6 +344,13 @@ def test_decompose_flags_rational_primitive():
     assert result.diagnostics == []
 
 
+def test_decompose_reduces_the_scaled_lead():
+    # 18*t^2 - 1 = T_2(3*t): the series root's lead, 18 over 2^(m-1), comes
+    # as the pair (18, 2), an m-th power only once reduced to 9/1.
+    result = run(["decompose", "--A", "18*t^2 - 1", "--B", "6*t", "--D", "9*t^2 - 1", "--allow-d1"])
+    assert (result.status, result.payload["witnesses"]) == ("Ok", {"2": "3*t"})
+
+
 def test_ramify_modes():
     result = run(["ramify", "--f", "16*t^3 - 24*t^2 + 9*t", "--at", "0"])
     assert result.status == "Ok"

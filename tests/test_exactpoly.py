@@ -31,7 +31,6 @@ from pellab.exactpoly import (
     parse_poly,
     parse_rational,
     poly_sqrt,
-    rat_nth_root,
     squarefree_decomposition,
     squarefree_part,
     to_coeff_strings,
@@ -44,6 +43,8 @@ from oracles import (
     discriminant,
     format_poly_by_fractions,
     from_coeff_strings_by_fractions,
+    parse_rational_by_fraction,
+    rat_nth_root,
     resultant,
     series_root_by_fractions,
     to_coeff_strings_by_fractions,
@@ -520,8 +521,8 @@ def test_rat_nth_root():
 
 
 def test_parse_rational_grammar():
-    assert parse_rational("-6/4") == Fraction(-3, 2)
-    assert parse_rational(" +3 ") == 3
+    assert parse_rational("-6/4") == (-3, 2)
+    assert parse_rational(" +3 ") == (3, 1)
     for text in ("1e100000", "2.5", ".5", "1_000", "1 / 2", "- 3", "", "/2", "0x10", "inf", "x"):
         with pytest.raises(ValueError):
             parse_rational(text)
@@ -529,10 +530,17 @@ def test_parse_rational_grammar():
         parse_rational("1/0")
 
 
-@given(wide_rationals)
-def test_parse_rational_reads_coeff_strings(x):
+@given(wide_rationals, st.integers(1, 2**40), st.sampled_from(["", "+", "-", " -"]))
+def test_parse_rational_reads_coeff_strings(x, k, sign):
     text = f"{x.numerator}/{x.denominator}"
-    assert parse_rational(text) == Fraction(text) == x
+    assert parse_rational(text) == (x.numerator, x.denominator) and Fraction(text) == x
+    # Whatever factor the text carries, the pair is in lowest terms with
+    # den > 0, the value Fraction's own parser reads.
+    scaled = f"{sign}{abs(x.numerator) * k}/{x.denominator * k}"
+    num, den = parse_rational(scaled)
+    assert den > 0 and math.gcd(num, den) == 1
+    expected = parse_rational_by_fraction(scaled)
+    assert (num, den) == (expected.numerator, expected.denominator)
 
 
 def test_parse_poly_examples():
@@ -588,8 +596,8 @@ def test_coefficient_digits_past_the_int_limit():
     # at the start of those digits that names the limit.
     limit = sys.get_int_max_str_digits()
     seventh = "1/" + "0" * (limit + 100) + "7"
-    assert parse_rational(seventh) == Fraction(1, 7)
-    assert parse_rational(" -" + "\u0660" * limit + "3/" + "9" * limit) == Fraction(-3, 10**limit - 1)
+    assert parse_rational(seventh) == (1, 7)
+    assert parse_rational(" -" + "\u0660" * limit + "3/" + "9" * limit) == (-1, (10**limit - 1) // 3)
     assert parse_poly(f"{seventh}*t^2 - 3") == Poly([-3, 0, Fraction(1, 7)])
     assert from_coeff_strings([seventh, "-" + "0" * (limit + 1)]) == Poly([Fraction(1, 7)])
     past = "1" * (limit + 1)
@@ -799,3 +807,27 @@ def test_evaluation_reads_exact_inputs_only():
         p(False)
     with pytest.raises(ValueError):
         p("1e3")
+
+
+def test_rational_arguments_read_integer_pairs():
+    # (num, den) is the one rational type in src: either sign, not reduced,
+    # den != 0; its halves are ints, not bools.
+    p = Poly([1, 0, -2])
+    assert Poly([(1, 2), (-4, -6), (3, 1)]) == Poly([Fraction(1, 2), Fraction(2, 3), 3])
+    assert constant((6, -4)) == constant("-3/2")
+    assert X.scale((3, 6)) == X.scale(Fraction(1, 2))
+    assert p((1, -2)) == p("-1/2") == Fraction(1, 2)
+    for read in (lambda c: Poly([1, c]), constant, X.scale, p):
+        with pytest.raises(ZeroDivisionError):
+            read((1, 0))
+        for bad in ((1.0, 2), (True, 1), (1, False), (1, 2, 3), (1,), (Fraction(1, 2), 1), [1, 2]):
+            with pytest.raises(TypeError):
+                read(bad)
+
+
+def test_series_root_reduces_its_lead():
+    # 18*t^2 - 1 = T_2(3*t): the lead 18 over 2^(m-1) = 2 arrives as the
+    # pair (18, 2), whose halves are no squares; reduced, 9/1 is.
+    assert _series_root([18, 0], (18, 2), 2) == Poly([0, 3])
+    assert _series_root([-8, 0], (-24, 3), 3) == Poly([0, -2])
+    assert _series_root([-8, 0], (-8, 1), 2) is None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
+from fractions import Fraction as Rat
 from math import comb
 from random import Random
 
@@ -16,11 +17,9 @@ from pellab.exactpoly import (
     ZERO,
     DegreeTooSmall,
     Poly,
-    Rat,
     compose,
     constant,
     parse_poly,
-    rat_nth_root,
     squarefree_decomposition,
 )
 from pellab.pellcore import (
@@ -47,6 +46,7 @@ from oracles import (
     classify_powers_every_m,
     discriminant,
     power_polynomial,
+    rat_nth_root,
     seed_by_whole_unit,
 )
 
@@ -531,6 +531,19 @@ def test_value_arguments_read_exact_inputs_only():
             ramification_type(f4, text)
         with pytest.raises(ValueError):
             verify_branch_locus_in(f4, [text])
+
+
+def test_value_arguments_read_integer_pairs():
+    f4 = power_polynomial(4)
+    assert ramification_type(f4, (0, 3)) == ramification_type(f4, 0) == ((2, 2),)
+    assert ramification_type(f4, (-2, -2)) == ramification_type(f4, 1)
+    assert verify_branch_locus_in(f4, [(0, 5), (3, 3)])
+    assert not verify_branch_locus_in(f4, [(0, 5), (1, 2)])
+    for bad, error in (((1, 0), ZeroDivisionError), ((1.0, 2), TypeError), ((True, 1), TypeError), ((1, 2, 3), TypeError)):
+        with pytest.raises(error):
+            ramification_type(f4, bad)
+        with pytest.raises(error):
+            verify_branch_locus_in(f4, [0, bad])
 
 
 small_rats = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))

@@ -13,7 +13,9 @@ only the modules it runs, only help and bad command lines load argparse,
 and only commands that read JSON load json.  Every backticked
 `module.NAME` in README.md names a top-level definition of that module.
 The same walk from the solution text functions of exactpoly and from
-parse_poly reaches no Fraction."""
+parse_poly reaches no Fraction.  Only exactpoly._fraction_class, behind
+the accessors that hand out a Fraction, imports fractions or decimal, and
+no solution command loads either."""
 
 from __future__ import annotations
 
@@ -109,10 +111,9 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
 
 def test_solution_text_path_builds_no_fraction():
     # Solution text is printed and read, and polynomial text read, as
-    # integer pairs.  Poly is a leaf:
-    # its constructor and its coeffs, coeff and leading are the Fraction
-    # edge, so the path may build a Poly only through _poly, and reads no
-    # Fraction coefficient.
+    # integer pairs.  Poly is a leaf: its coeffs, coeff and leading are the
+    # Fraction edge, so the path reads no Fraction coefficient, and it
+    # builds a Poly only through _poly, not by the constructor's _pair.
     defs = _read_modules()[0]
     text_path = [("exactpoly", n) for n in ("from_coeff_strings", "to_coeff_strings", "format_poly", "parse_poly")]
     reached, _ = reached_definitions(text_path, leaves={("exactpoly", "Poly")})
@@ -196,19 +197,57 @@ def test_validate_loads_neither_census_nor_polynomial_modules(tmp_path):
     assert not {"pellab.census", "pellab.exactpoly", "pellab.pellcore", "fractions"} & added
 
 
-def test_solution_commands_load_only_the_solution_modules():
-    # seed and verify run gcd; its heuristic imports nothing, so these
-    # commands load what they did with the remainder sequence alone
-    # (decimal comes with fractions).
-    allowed = {"pellab.degrees", "pellab.exactpoly", "pellab.pellcore", "fractions", "numbers", "decimal", "_decimal"}
+def test_solution_commands_load_only_the_solution_modules(tmp_path):
+    # Rationals are integer pairs from the text to the envelope, so no
+    # solution command loads fractions, nor the decimal and numbers it
+    # imports; a file adds only the json package that reads it.  The first
+    # Fraction a caller asks a Poly for loads fractions.
+    allowed = {"pellab.degrees", "pellab.exactpoly", "pellab.pellcore"}
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({"A": ["-1", "0", "0", "2"], "B": ["0", "2"], "D": ["0", "-1", "0", "0", "1"]}), encoding="utf-8")
     before = _loaded(PARSER)
+    reads_json = _loaded(PARSER + "\nimport json") - before
     for argv in (
         ["seed", "--A", "2*t^3 - 1", "--json"],
         ["verify", "--A", "2*t^3 - 1", "--B", "2*t", "--D", "t^4 - t", "--json"],
+        ["verify", "--file", str(path), "--json"],
+        ["power", "--m", "3", "--A", "2*t^3 - 1", "--B", "2*t", "--D", "t^4 - t", "--json"],
+        ["decompose", "--A", "18*t^2 - 1", "--B", "6*t", "--D", "9*t^2 - 1", "--allow-d1", "--json"],
+        ["ramify", "--f", "t^3 - 3*t", "--at=-6/3", "--json"],
+        ["ramify", "--f", "t^3 - 3*t", "--locus-in", "2, -2/1", "--json"],
     ):
         added = _loaded(PARSER + f"\npellab.cli.main({argv!r})") - before
         assert "pellab.exactpoly" in added
-        assert added <= allowed, argv
+        assert added <= allowed | (reads_json if "--file" in argv else set()), argv
+    poly = "import pellab.exactpoly\np = pellab.exactpoly.Poly([(1, 2), '2/3'])\n"
+    assert "fractions" not in _loaded(poly + "print(p.scale((3, 4)) * p - pellab.exactpoly.constant(-1))")
+    assert "fractions" in _loaded(poly + "p.leading")
+
+
+def test_only_the_fraction_accessor_imports_fractions_or_decimal():
+    # A static guard on every path, reached by a command line or not: only
+    # exactpoly._fraction_class, behind coeffs, coeff, leading and
+    # evaluation, imports fractions (which imports decimal and numbers), and
+    # the old Fraction aliases Rat and RatLike appear nowhere.
+    lazy = {"fractions", "decimal", "numbers"}
+    importers, aliases = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    roots = {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots = {node.module.split(".")[0]}
+                else:
+                    roots = set()
+                if roots & lazy:
+                    importers.add((path.stem, (_defined_names(top) or [None])[0]))
+                words = {getattr(node, attr, None) for attr in ("id", "attr", "arg", "name", "asname")}
+                if words & {"Rat", "RatLike"}:
+                    aliases.add((path.stem, (_defined_names(top) or [None])[0]))
+    assert importers == {("exactpoly", "_fraction_class")}
+    assert aliases == set()
 
 
 def test_only_commands_that_read_json_load_json(tmp_path):
