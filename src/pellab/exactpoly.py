@@ -18,12 +18,14 @@ the numerators, and a square takes each cross product once and doubles it.
 Composition runs Horner on the numerators of the inner polynomial, with
 the powers of its denominator folded into the outer coefficients.
 Division is pseudo-division, scale*a = q*b + r with scale a divisor of
-lc(b)^(deg a - deg b + 1).  gcd is the heuristic gcd (GCDHEU): both
-primitive parts are evaluated at an integer xi, the integer gcd of the two
-values is read back as balanced base-xi digits, and the candidate counts
-only if it divides both parts exactly.  When six points give none, gcd
-falls back to the primitive remainder sequence, each pseudo-remainder
-divided by its content.  Each result is reduced once, by one gcd of its
+lc(b)^(deg a - deg b + 1).  gcd_cofactors is the heuristic gcd (GCDHEU):
+both primitive parts are evaluated at an integer xi, the integer gcd of
+the two values is read back as balanced base-xi digits, and the candidate
+counts only if it divides both parts exactly; those two quotients are the
+cofactors it returns with the gcd, on which Yun's squarefree decomposition
+runs.  When six points give none, it falls back to the primitive remainder
+sequence, each pseudo-remainder divided by its content, and divides both
+parts by the last.  Each result is reduced once, by one gcd of its
 denominator and numerators.  The series m-th root keeps its coefficients
 as integer numerators over one common denominator.  Exact integer m-th
 roots use an integer Newton iteration, and every sequence runs in a loop,
@@ -254,8 +256,8 @@ def constant(c) -> Poly:
 
 
 def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of integer coefficient lists, len(a) >= len(b) >= 1:
-    scale*a = q*b + r with len(r) = len(b) - 1 (not trimmed).
+    """Pseudo-division of integer lists, len(b) >= 1: scale*a = q*b + r,
+    len(r) = len(b) - 1 (not trimmed), or q = [] and r = a for a shorter a.
 
     Each step multiplies by lc(b)/g, g = gcd(lc(b), leading remainder term),
     so scale divides lc(b)^(deg a - deg b + 1) and is 1 when lc(b) divides
@@ -308,28 +310,24 @@ def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _poly([c * b.den for c in nq], scale * a.den), _poly(nr, scale * a.den)
 
 
-def exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divrem(a, b)
-    if not r.is_zero:
-        raise ValueError("division is not exact")
-    return q
+def _cofactor(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
+    """a / b for integer lists with lc(b) > 0 when b divides a in Z[t],
+    else None: an exact division by such a b takes every step at scale 1."""
+    q, r, scale = _pseudo_divrem(a, b)
+    return q if scale == 1 and not any(r) else None
 
 
-def _divides(b: Sequence[int], a: Sequence[int]) -> bool:
-    """Whether the integer list b divides a, len(a) >= len(b) >= 1."""
-    return not any(_pseudo_divrem(a, b)[1])
-
-
-def _heuristic_gcd(u: list[int], v: list[int]) -> Optional[list[int]]:
-    """The gcd of the primitive lists u and v, len(u) >= len(v) >= 1, as a
-    primitive list with a positive leading coefficient, or None when six
-    evaluation points give none.  GCDHEU (Char, Geddes and Gonnet, J.
-    Symbolic Comput. 7, 1989): at an integer xi >= 2*min(|u|, |v|) + 2
-    (maximum norms), read gcd(u(xi), v(xi)) as base-xi digits, each in
-    (-xi/2, xi/2]; the primitive part of the polynomial they make is the
-    gcd exactly when it divides both u and v.  Each miss grows xi to about
-    2.73 * xi^(5/4), in integers."""
+def _heuristic_gcd(u: list[int], v: list[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """(g, u/g, v/g) for nonempty primitive lists u and v, g their gcd as a
+    primitive list with lc(g) > 0, or None when six evaluation points give
+    none.  GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
+    at an integer xi >= 2*min(|u|, |v|) + 2 (maximum norms), read
+    gcd(u(xi), v(xi)) as base-xi digits, each in (-xi/2, xi/2]; the
+    primitive part g of the polynomial they make is the gcd exactly when
+    u and v divide by it exactly, and those quotients are the cofactors (u
+    and v for a constant g).  Each miss grows xi to about 2.73 * xi^(5/4)."""
     xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 2
+    bound = min(len(u), len(v))
     for _ in range(6):
         uval = vval = 0
         for c in reversed(u):
@@ -345,32 +343,44 @@ def _heuristic_gcd(u: list[int], v: list[int]) -> Optional[list[int]]:
                 d -= xi
                 h += 1
             digits.append(d)
-        if len(digits) <= len(v):
+        if len(digits) <= bound:
             g = _primitive(digits)[1]
-            if len(g) == 1 or _divides(g, v) and _divides(g, u):  # 1 divides both
-                return g
+            if len(g) == 1:
+                return g, u, v
+            if (cv := _cofactor(v, g)) is not None and (cu := _cofactor(u, g)) is not None:
+                return g, cu, cv
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, from the primitive parts u and v of
-    the numerators: by the heuristic gcd (_heuristic_gcd), whose every
-    answer is certified by exact division of u and v, and when that gives
-    up, by the primitive remainder sequence, each pseudo-remainder divided
-    by its content and the last nonzero one made monic."""
+def gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g), g the monic gcd, from the primitive parts u and v of
+    the numerators: by the heuristic gcd, which returns the quotients that
+    certify it, and when that gives up, by the primitive remainder
+    sequence, each pseudo-remainder divided by its content, whose last
+    member, made positive, divides u and v exactly.  A constant g gives
+    (ONE, a, b)."""
     if a.is_zero and b.is_zero:
         raise GcdOfZeros("gcd(0, 0) is undefined")
-    _, u = _primitive(list(a.nums))
-    _, v = _primitive(list(b.nums))
-    if len(u) < len(v):
-        u, v = v, u
-    if v and (g := _heuristic_gcd(u, v)) is not None:
-        return _poly(g, g[-1])
-    while v:
-        _, r, _ = _pseudo_divrem(u, v)
-        u, v = v, _primitive(r)[1]
-    return _poly(u, u[-1])
+    ka, u = _primitive(list(a.nums))
+    kb, v = _primitive(list(b.nums))
+    found = _heuristic_gcd(u, v) if u and v else None
+    if found is None:
+        x, y = u, v  # a shorter x leaves itself as the remainder: one swap
+        while y:
+            x, y = y, _primitive(_pseudo_divrem(x, y)[1])[1]
+        g = x if x[-1] > 0 else [-c for c in x]
+        found = g, _cofactor(u, g), _cofactor(v, g)
+    g, cu, cv = found
+    if len(g) == 1:
+        return ONE, a, b
+    ka, kb = ka * g[-1], kb * g[-1]
+    return _poly(g, g[-1]), _poly([c * ka for c in cu], a.den), _poly([c * kb for c in cv], b.den)
+
+
+def gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor (gcd_cofactors)."""
+    return gcd_cofactors(a, b)[0]
 
 
 def derivative(p: Poly) -> Poly:
@@ -395,34 +405,26 @@ def compose(p: Poly, q: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
+    """Monic product of the distinct irreducible factors of p, p/gcd(p, p')."""
     if p.is_zero:
         raise ZeroInput("squarefree part of 0 is undefined")
-    if p.degree == 0:
-        return ONE
-    return exact_div(p, gcd(p, derivative(p))).monic()
+    return gcd_cofactors(p, derivative(p))[1].monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     """Yun decomposition: [(multiplicity, monic factor)], factors coprime,
-    squarefree, nonconstant, with p = content * prod(factor^multiplicity)."""
+    squarefree, nonconstant, with p = content * prod(factor^multiplicity).
+    Yun's loop (SYMSAC 1976) runs on gcd cofactors: from c, d = p/g, p'/g
+    for g = gcd(p, p'), y, c, d = gcd(c, d - c'), c/y, (d - c')/y."""
     if p.is_zero:
         raise ZeroInput("decomposition of 0 is undefined")
-    if p.degree == 0:
-        return []
     out: list[tuple[int, Poly]] = []
-    q = p.monic()
-    dq = derivative(q)
-    g = gcd(q, dq)
-    c = exact_div(q, g)
-    d = exact_div(dq, g) - derivative(c)
+    _, c, d = gcd_cofactors(p, derivative(p))
     i = 1
     while c.degree > 0:
-        y = gcd(c, d)
+        y, c, d = gcd_cofactors(c, d - derivative(c))
         if y.degree > 0:
             out.append((i, y))
-        c = exact_div(c, y)
-        d = exact_div(d, y) - derivative(c)
         i += 1
     return out
 

@@ -35,8 +35,8 @@ from .exactpoly import (
     constant,
     derivative,
     divrem,
-    exact_div,
     gcd,
+    gcd_cofactors,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -222,21 +222,19 @@ def classify_powers(sol: PellSolution) -> PowerClassification:
 def verify_branch_locus_in(f: Poly, values) -> bool:
     """Whether every critical value of f lies in the given set: r = rad f'
     must divide prod(f - c).  r is squarefree, so that holds exactly when
-    dividing r by gcd(r, f - c), for each distinct value c in turn, leaves
-    a constant; the loop stops as soon as it does.  g = f mod rad f' stands
-    for f, since r divides rad f', so everything built is a factor of
-    rad f' or comes from g, of a height that does not grow with the number
-    of values.  Every value is read first."""
+    r, replaced by its cofactor r / gcd(r, f - c) for each distinct value
+    c in turn, ends a constant; the loop stops as soon as it is.  g = f mod
+    rad f' stands for f, since r divides rad f', so everything built is a
+    factor of rad f' or comes from g, of a height that does not grow with
+    the number of values.  Every value is read first."""
     if f.degree < 2:
         raise DegreeTooSmall("branch locus check needs degree >= 2")
     radical = squarefree_part(derivative(f))
     g = divrem(f, radical)[1]
     for c in dict.fromkeys(map(constant, values)):
-        common = gcd(radical, g - c)
-        if common.degree > 0:
-            radical = exact_div(radical, common)
-            if radical.degree < 1:
-                return True
+        radical = gcd_cofactors(radical, g - c)[1]
+        if radical.degree < 1:
+            return True
     return False
 
 

@@ -21,7 +21,9 @@ layout that made it, and the tests pin that order.
 
 The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
-decomposes A^2 - 1 itself and takes B as the square root of the cofactor.
+decomposes A^2 - 1 itself and takes B as the square root of the cofactor,
+by exact_div, a division that must leave no remainder; in src every exact
+quotient is a cofactor that gcd_cofactors returns.
 
 The series root and composition run on integer numerators, and the series
 root takes the m-th root of its lead's reduced integer pair.  Below, the
@@ -105,7 +107,6 @@ from pellab.exactpoly import (
     constant,
     derivative,
     divrem,
-    exact_div,
     poly_sqrt,
     squarefree_decomposition,
     squarefree_part,
@@ -411,6 +412,13 @@ def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
     disjoint = [t for p, t in enumerate_shapes(n) if p.case == DISJOINT]
     primitive = primitive_classes(conjugacy_classes(disjoint), n)
     return len(primitive), primitive
+
+
+def exact_div(a: Poly, b: Poly) -> Poly:
+    q, r = divrem(a, b)
+    if not r.is_zero:
+        raise ValueError("division is not exact")
+    return q
 
 
 def seed_by_whole_unit(A: Poly, allow_d1: bool = False) -> Union[PellSolution, RejectionReason]:

@@ -6,17 +6,28 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellab import cli
 from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
 from pellab.cli import CommandResult, build_parser, integer, main, render, run
-from pellab.exactpoly import MAX_DEGREE, ONE, Poly, format_poly, from_coeff_strings, parse_poly
+from pellab.exactpoly import (
+    MAX_DEGREE,
+    ONE,
+    Poly,
+    compose,
+    constant,
+    derivative,
+    format_poly,
+    from_coeff_strings,
+    parse_poly,
+)
 from pellab.hurwitz import (
     MAX_TUPLE_N,
     MAX_TUPLE_POINTS,
@@ -24,10 +35,17 @@ from pellab.hurwitz import (
     tuple_to_json_dict,
     zannier_tuple,
 )
-from pellab.pellcore import power_solution, verify_pell
+from pellab.pellcore import PellSolution, chebyshev, power_solution, verify_pell
 from pellab.permgroup import Perm
 
-from oracles import conjugate
+from oracles import (
+    branch_locus_by_fold,
+    branch_locus_by_product,
+    classify_powers_every_m,
+    compose_by_fractions,
+    conjugate,
+)
+from test_exactpoly import fraction_gcd
 
 
 def run_json(argv):
@@ -366,6 +384,130 @@ def test_ramify_modes():
     assert result.status == "Error"
     result = run(["ramify", "--f", "t^2", "--at", "1/0"])
     assert result.status == "Error"
+
+
+# -- solution pipelines, every Ok payload re-derived ---------------------------
+
+
+def _fractions(strings: list[str]) -> list[Fraction]:
+    """A payload's coefficient strings as Fractions, constant term first."""
+    return [Fraction(s) for s in strings]
+
+
+def _text(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _product(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _unit_defect(A: list, B: list, D: list) -> list:
+    """A^2 - D*B^2 on coefficient lists, trailing zeros trimmed."""
+    square, rest = _product(A, A), _product(D, _product(B, B))
+    out = [Fraction(0)] * max(len(square), len(rest))
+    for i, x in enumerate(square):
+        out[i] += x
+    for i, y in enumerate(rest):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _type_by_gcd_chain(p: Poly) -> list[list[int]]:
+    """ramify --at's type of the fiber p = 0: with g_0 = p and g_i =
+    fraction_gcd(g_(i-1), g_(i-1)'), deg g_(i-1) - deg g_i distinct roots
+    of p have multiplicity at least i."""
+    degrees = [p.degree]
+    while degrees[-1] > 0:
+        p = fraction_gcd(p, derivative(p))
+        degrees.append(p.degree)
+    at_least = [x - y for x, y in zip(degrees, degrees[1:])] + [0]
+    return [[i, x - y] for i, (x, y) in enumerate(zip(at_least, at_least[1:]), 1) if x > y]
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def pell_seeds(draw):
+    """A seed A of degree 1 to 6, and whether it is T_j(P) for a linear P
+    and j >= 2, whose critical values are -1 and 1: either T_j(P) for P of
+    degree 1 or 2, or c * (+-1 + S^2 R), which has the square factor S^2 in
+    A -+ 1 while c = +-1."""
+    if draw(st.booleans()):
+        top = draw(st.lists(small_rationals, max_size=1))
+        P = Poly([draw(small_rationals), draw(small_rationals.filter(bool)), *top])
+        j = draw(st.integers(1, 3))
+        A, planted = compose(chebyshev(j), P), j >= 2 and P.degree == 1
+    else:
+        S, R = (Poly(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))) for _ in "SR")
+        unit = constant(draw(st.sampled_from([1, -1])))
+        A, planted = (unit + S * S * R).scale(draw(small_rationals.filter(bool))), False
+    assume(1 <= A.degree <= 6)
+    return A, planted
+
+
+@settings(max_examples=100, deadline=None)
+@given(pell_seeds(), st.integers(2, 3), small_rationals, st.lists(small_rationals, max_size=3), st.booleans())
+@example((parse_poly("2*t^3 - 1"), False), 2, Fraction(0), [Fraction(-1)], False)
+@example((compose(chebyshev(3), parse_poly("2*t - 1/3")), True), 3, Fraction(1, 3), [], True)
+def test_solution_pipeline_matches_the_oracles(fuzz_dir, seed, k, c, values, unit_values):
+    # seed -> verify --file -> power --m k -> decompose, then ramify --at
+    # and --locus-in on A: every Ok payload is checked by code that shares
+    # nothing with the route that made it.
+    A, planted = seed
+    path = str(fuzz_dir / "pipeline.json")
+    seeded, body = run_json(["seed", f"--A={format_poly(A)}", "--allow-d1", "--json"])
+    assert seeded.status == "Ok" and _fractions(seeded.payload["A"]) == list(A.coeffs)
+    Path(path).write_text(json.dumps(body), encoding="utf-8")
+    assert run(["verify", "--file", path, "--allow-d1"]) == seeded
+    powered = run(["power", "--m", str(k), "--file", path, "--allow-d1"])
+    assert powered.status == "Ok" and powered.payload["n"] == k * A.degree
+    for payload in (seeded.payload, powered.payload):
+        A_, B_, D_ = (_fractions(payload[name]) for name in "ABD")
+        assert _unit_defect(A_, B_, D_) == [1]
+        D = Poly(D_)
+        assert (len(A_) - 1, D.degree) == (payload["n"], 2 * payload["d"])
+        assert fraction_gcd(D, derivative(D)) == ONE
+
+    Path(path).write_text(json.dumps(powered.payload), encoding="utf-8")
+    decomposed = run(["decompose", "--file", path, "--allow-d1"])
+    Ak, Bk, Dk = (Poly(_fractions(powered.payload[name])) for name in "ABD")
+    every_m = classify_powers_every_m(PellSolution(Ak, Bk, Dk, Ak.degree, Dk.degree // 2))
+    witnesses = {str(m): format_poly(w) for m, w in sorted(every_m.witnesses.items())}
+    assert (decomposed.status, decomposed.payload) == ("Ok", {
+        "n": Ak.degree,
+        "admissible": sorted(every_m.admissible_m),
+        "witnesses": witnesses,
+        "primitive": not witnesses,
+    })
+    # A_k = T_k(A), and n >= d, so k and each admissible divisor of it are
+    # witnesses.
+    assert all(str(m) in witnesses for m in every_m.admissible_m if k % m == 0) and str(k) in witnesses
+    for m, text in witnesses.items():
+        assert compose_by_fractions(chebyshev(int(m)), parse_poly(text)) in (Ak, -Ak)
+
+    f = f"--f={format_poly(A)}"
+    for at in (c, A(c), Fraction(1), Fraction(-1)):
+        result = run(["ramify", f, f"--at={_text(at)}"])
+        want = {"at": _text(at), "type": _type_by_gcd_chain(A - constant(at))}
+        assert (result.status, result.payload) == ("Ok", want)
+    if A.degree >= 2:
+        values = [*values, A(c), *([Fraction(-1), Fraction(1)] if unit_values else [])]
+        contained = branch_locus_by_product(A, values)
+        assert contained == branch_locus_by_fold(A, values)
+        assert contained or not (planted and unit_values)
+        result = run(["ramify", f, "--locus-in=" + ",".join(map(_text, values))])
+        assert (result.status, result.payload) == (
+            "Ok" if contained else "Rejected",
+            {"contained": contained, "values": [_text(v) for v in values]},
+        )
 
 
 def test_exponent_form_rationals_are_bad_input(tmp_path):

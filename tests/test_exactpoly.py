@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pellab import exactpoly
@@ -24,10 +24,10 @@ from pellab.exactpoly import (
     constant,
     derivative,
     divrem,
-    exact_div,
     format_poly,
     from_coeff_strings,
     gcd,
+    gcd_cofactors,
     parse_poly,
     parse_rational,
     poly_sqrt,
@@ -41,6 +41,7 @@ from oracles import (
     X,
     compose_by_fractions,
     discriminant,
+    exact_div,
     format_poly_by_fractions,
     from_coeff_strings_by_fractions,
     parse_rational_by_fraction,
@@ -97,6 +98,16 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, fraction_divrem(a, b)[1]
     return a.monic()
+
+
+def assert_cofactors(a: Poly, b: Poly):
+    """gcd_cofactors(a, b) is (gcd(a, b), a/g, b/g), g monic, with the
+    quotients of fraction_divrem, and swapping a and b swaps the cofactors."""
+    g, ca, cb = gcd_cofactors(a, b)
+    assert g == gcd(a, b) and g.leading == 1
+    assert g * ca == a and g * cb == b
+    assert fraction_divrem(a, g) == (ca, ZERO) and fraction_divrem(b, g) == (cb, ZERO)
+    assert gcd_cofactors(b, a) == (g, cb, ca)
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
@@ -216,6 +227,35 @@ def test_squarefree_decomposition_example():
     ]
 
 
+factor_powers = st.tuples(st.lists(small_ints, min_size=1, max_size=3).map(Poly), st.integers(1, 4))
+# A negative or fractional scale, or one of any size.
+scales = st.one_of(st.sampled_from([Fraction(-1), Fraction(1, 3), Fraction(-7, 2)]), rationals.filter(bool))
+
+
+@given(st.lists(factor_powers, max_size=3), scales)
+@example([], Fraction(-5, 3))
+@example([(Poly([4]), 3)], Fraction(1, 2))
+@example([(Poly([-1, 1]), 3), (Poly([2, 2]), 2), (Poly([0, 3]), 1)], Fraction(-2, 9))
+@example([(Poly([1, 0, 1]), 2), (Poly([-1, 0, 1]), 2)], Fraction(-1))
+def test_squarefree_decomposition_contract(planted, scale):
+    # p = scale * prod(f^e) over drawn f (constants among them), whose
+    # factors may coincide or share roots.
+    p = constant(scale)
+    for f, e in planted:
+        p = p * f**e
+    assume(not p.is_zero)
+    out = squarefree_decomposition(p)
+    product = radical = ONE
+    for k, (mult, fac) in enumerate(out):
+        assert fac.degree > 0 and fac.leading == 1
+        assert fraction_gcd(fac, derivative(fac)) == ONE
+        assert all(fraction_gcd(fac, other) == ONE for _, other in out[:k])
+        product, radical = product * fac**mult, radical * fac
+    assert [mult for mult, _ in out] == sorted({mult for mult, _ in out})
+    assert product.scale(p.leading) == p
+    assert squarefree_part(p) == radical
+
+
 def test_discriminant_examples():
     assert discriminant(Poly([-1, 0, 1])) == 4
     assert discriminant(Poly([-1, 0, 0, 0, 1])) == -256
@@ -330,6 +370,7 @@ def test_gcd_divides_both(a, b):
     assert g.leading == 1
     assert divrem(a, g)[1].is_zero
     assert divrem(b, g)[1].is_zero
+    assert_cofactors(a, b)
 
 
 @given(wide_polys, wide_polys, st.lists(wide_rationals, max_size=4).map(Poly))
@@ -344,6 +385,7 @@ def test_gcd_fallback_matches_fraction_euclid(a, b, common):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactpoly, "_heuristic_gcd", lambda u, v: gave_up.append(1))
         g = gcd(a, b)
+        assert_cofactors(a, b)
     assert g == fraction_gcd(a, b)
     assert gave_up or a.is_zero or b.is_zero
 
@@ -368,7 +410,7 @@ def test_gcd_of_planted_families(g):
         assert gcd(a, b) == gcd(b, a) == g.monic()
         u, v = (exactpoly._primitive(list(p.nums))[1] for p in (a, b))  # of equal length
         found = exactpoly._heuristic_gcd(u, v)
-        assert found is None or Poly(found).monic() == g.monic()
+        assert found is None or Poly(found[0]).monic() == g.monic()
 
 
 def test_gcd_of_zero_constants_and_negative_leads():
@@ -380,6 +422,27 @@ def test_gcd_of_zero_constants_and_negative_leads():
     assert gcd(a, a.scale(-5)) == Poly([-6, 5, 1])
     assert gcd(a, Poly([1, -1]).scale(Fraction(-2, 3))) == Poly([-1, 1])
     assert gcd(a * Poly([-2, -3]), Poly([-2, -3]).scale(-9)) == Poly([Fraction(2, 3), 1])
+    # The cofactors, in both argument orders; a constant gcd hands both
+    # inputs back.
+    for x, y in (
+        (a, ZERO),
+        (constant(-7), ZERO),
+        (ZERO, constant(Fraction(1, 3))),
+        (a, constant(-4)),
+        (constant(-4), constant(6)),
+        (a, a.scale(-5)),
+        (a, Poly([1, -1]).scale(Fraction(-2, 3))),
+        (a * Poly([-2, -3]), Poly([-2, -3]).scale(-9)),
+    ):
+        assert_cofactors(x, y)
+    assert gcd_cofactors(a, ZERO) == (Poly([-6, 5, 1]), constant(-1), ZERO)
+    assert gcd_cofactors(a, a.scale(-5)) == (Poly([-6, 5, 1]), constant(-1), constant(5))
+    assert gcd_cofactors(constant(-4), a) == (ONE, constant(-4), a)
+    assert gcd_cofactors(a, Poly([1, -1]).scale(Fraction(-2, 3))) == (
+        Poly([-1, 1]),
+        Poly([-6, -1]),
+        constant(Fraction(2, 3)),
+    )
 
 
 def test_gcd_heuristic_needs_each_certificate_and_its_bound():
@@ -398,7 +461,7 @@ def test_gcd_heuristic_needs_each_certificate_and_its_bound():
     assert gcd(Poly([1, 1]), Poly([6, 1])) == ONE
     assert gcd(Poly([6, 1]), Poly([1, 1])) == ONE
     # The heuristic itself answers once xi has grown.
-    assert exactpoly._heuristic_gcd([4, 0, 1], [1, 1]) == [1]
+    assert exactpoly._heuristic_gcd([4, 0, 1], [1, 1])[0] == [1]
 
 
 @given(polys, polys)

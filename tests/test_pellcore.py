@@ -598,7 +598,7 @@ def test_verify_branch_locus_folds_each_value_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pellcore, "divrem", counting(pellcore.divrem))
-    monkeypatch.setattr(pellcore, "gcd", counting(pellcore.gcd))
+    monkeypatch.setattr(pellcore, "gcd_cofactors", counting(pellcore.gcd_cofactors))
     f = parse_poly("t^3 - 3*t")
     counts = []
     for values in ([0, 1], [0] * 50 + [1]):
@@ -606,6 +606,34 @@ def test_verify_branch_locus_folds_each_value_once(monkeypatch):
         assert not verify_branch_locus_in(f, values)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_quotients_are_gcd_cofactors(monkeypatch):
+    # Yun's loop, the squarefree part and the locus loop take each quotient
+    # from gcd_cofactors, whose exact divisions certify its gcd; the one
+    # division left is f mod rad f'.
+    division = pellcore.divrem
+
+    def refuse(a, b):
+        raise AssertionError("divrem called")
+
+    monkeypatch.setattr(exactpoly, "divrem", refuse)
+    p = parse_poly("-2/3*t^2") * parse_poly("t - 1") ** 3 * parse_poly("t^2 + 1")
+    assert squarefree_decomposition(p) == [
+        (1, parse_poly("t^2 + 1")),
+        (2, parse_poly("t")),
+        (3, parse_poly("t - 1")),
+    ]
+    assert exactpoly.squarefree_part(p) == parse_poly("t^4 - t^3 + t^2 - t")
+    f = parse_poly("16*t^3 - 24*t^2 + 9*t")  # t(4t - 3)^2, critical values 0 and 1
+    assert ramification_type(f, 0) == ((1, 1), (2, 1))
+    radical = exactpoly.squarefree_part(exactpoly.derivative(f))
+    calls = []
+    monkeypatch.setattr(pellcore, "divrem", lambda a, b: calls.append((a, b)) or division(a, b))
+    for values, contained in (([0, 1], True), ([5] * 3, False), ([2, 0, 1, 0], True)):
+        calls.clear()
+        assert verify_branch_locus_in(f, values) is contained
+        assert calls == [(f, radical)]
 
 
 def test_verify_branch_locus_builds_below_twice_the_degree(monkeypatch):
