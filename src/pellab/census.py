@@ -14,9 +14,9 @@ routes stream into one pass.  Tuples are built only by the test oracles.
 Of the rotations other than the identity, only the one by n can fix a
 transposition tau, and it fixes a tuple only if it maps CF, the points
 sigma1 and tau fix in common, onto itself; few layouts have such a CF, and
-only theirs have sigma0 built.  Reports carry all three, for each case and
-for the primitive Disjoint count, and flag any disagreement; nothing is
-reconciled silently.
+only theirs have sigma0 built.  The payload census returns carries all
+three, for each case and for the primitive Disjoint count, and flags any
+disagreement; nothing is reconciled silently.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
 from .permgroup import Perm
@@ -49,24 +49,6 @@ Splits = tuple[Callable[[], Perm], frozenset[int], list[tuple[int, int]]]
 
 class TooLarge(ValueError):
     """A census n beyond the bound of a route it would run."""
-
-
-class CaseCounts(NamedTuple):
-    """Class counts for one case; brute is None when not engaged, and a
-    route's count is None when its orbit sum is not whole (a discrepancy)."""
-
-    shape: Optional[int]
-    brute: Optional[int]
-    formula: int
-
-
-class CensusReport(NamedTuple):
-    n: int
-    cases: dict[str, CaseCounts]  # every case, in CASES order
-    c1: int
-    c2: int
-    primitive_disjoint_count: Optional[int]
-    discrepancies: tuple[str, ...]
 
 
 def _pi_from_sigma0(sigma0: Perm) -> Perm:
@@ -289,11 +271,18 @@ def closed_formulas(n: int) -> dict[str, int]:
     }
 
 
-def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
-    """Each case and the primitive Disjoint count on all three routes, with
-    discrepancies flagged; brute force by default up to BRUTE_DEFAULT_MAX,
-    and no n past SHAPE_MAX, both checked first.  An orbit sum that is not
-    a whole number of classes is a discrepancy, and its count is None."""
+def census(n: int, use_brute: Optional[bool] = None) -> dict:
+    """The payload census --json prints, {"n", "cases": {case: {"shape",
+    "brute", "formula"}}, "C1", "C2", "primitiveDisjoint", "discrepancies"}:
+    each case and the primitive Disjoint count on all three routes (brute
+    None when not engaged), and every disagreement.  Brute force runs by
+    default up to BRUTE_DEFAULT_MAX, and no n past SHAPE_MAX is taken, both
+    checked first.  An orbit sum that is not a whole number of classes is a
+    discrepancy, and its count is None.
+
+    >>> census(4)["cases"][DISJOINT]
+    {'shape': 2, 'brute': 2, 'formula': 2}
+    """
     if use_brute is None:
         use_brute = n <= BRUTE_DEFAULT_MAX
     if use_brute and n > BRUTE_DEFAULT_MAX:
@@ -305,7 +294,7 @@ def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
     if use_brute:
         sums["brute"] = _orbit_sums(_brute_route(n))
     discrepancies: list[str] = []
-    cases: dict[str, CaseCounts] = {}
+    cases: dict[str, dict[str, Optional[int]]] = {}
     for c in (*CASES, PRIMITIVE):
         counts: dict[str, Optional[int]] = {}
         for route, route_sums in sums.items():
@@ -319,26 +308,12 @@ def census(n: int, use_brute: Optional[bool] = None) -> CensusReport:
         discrepancies += [
             f"{c}: {a}={x} {b}={y}" for (a, x), (b, y) in zip(chain, chain[1:]) if x != y
         ]
-        cases[c] = CaseCounts(counts["shape"], counts.get("brute"), formulas[c])
-    return CensusReport(
-        n=n,
-        cases=cases,
-        c1=formulas["C1"],
-        c2=formulas["C2"],
-        primitive_disjoint_count=cases.pop(PRIMITIVE).shape,
-        discrepancies=tuple(discrepancies),
-    )
-
-
-def report_to_json_dict(report: CensusReport) -> dict:
+        cases[c] = {"shape": counts["shape"], "brute": counts.get("brute"), "formula": formulas[c]}
     return {
-        "n": report.n,
-        "cases": {
-            c: {"shape": counts.shape, "brute": counts.brute, "formula": counts.formula}
-            for c, counts in report.cases.items()
-        },
-        "C1": report.c1,
-        "C2": report.c2,
-        "primitiveDisjoint": report.primitive_disjoint_count,
-        "discrepancies": list(report.discrepancies),
+        "n": n,
+        "cases": cases,
+        "C1": formulas["C1"],
+        "C2": formulas["C2"],
+        "primitiveDisjoint": cases.pop(PRIMITIVE)["shape"],
+        "discrepancies": discrepancies,
     }

@@ -131,22 +131,6 @@ def _read_tuple(args) -> hurwitz.HurwitzTuple:
     return hurwitz.tuple_from_json_dict(data)
 
 
-def _report_payload(report: hurwitz.ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
-        "branching": {
-            "overZero": report.over_zero,
-            "overOne": report.over_one,
-            "overInfinity": report.over_infinity,
-            "overTaus": report.over_taus,
-        },
-    }
-
-
 def _cmd_verify(args) -> CommandResult:
     sol = _read_solution(args)
     return sol if isinstance(sol, CommandResult) else CommandResult(OK, _solution_payload(sol), [])
@@ -244,18 +228,18 @@ def _cmd_zannier(args) -> CommandResult:
 
     t = hurwitz.zannier_tuple(args.n, args.d)
     report = hurwitz.validate(t)
+    b = report["branching"]
     diagnostics = [
-        f"validation {'passed' if report.ok else 'FAILED'}; branching "
-        f"{report.over_zero}/{report.over_one}/{report.over_infinity}/{report.over_taus} "
-        "over 0/1/inf/taus"
+        f"validation {'passed' if report['ok'] else 'FAILED'}; branching "
+        f"{b['overZero']}/{b['overOne']}/{b['overInfinity']}/{b['overTaus']} over 0/1/inf/taus"
     ]
-    return CommandResult(OK if report.ok else REJECTED, hurwitz.tuple_to_json_dict(t), diagnostics)
+    return CommandResult(OK if report["ok"] else REJECTED, hurwitz.tuple_to_json_dict(t), diagnostics)
 
 
-def _validation_result(report: hurwitz.ValidationReport) -> CommandResult:
-    status = OK if report.ok else REJECTED
-    diagnostics = [f"failed: {name}" for name in report.failed()]
-    return CommandResult(status, _report_payload(report), diagnostics)
+def _validation_result(report: dict) -> CommandResult:
+    status = OK if report["ok"] else REJECTED
+    diagnostics = [f"failed: {c['name']}" for c in report["checks"] if not c["passed"]]
+    return CommandResult(status, report, diagnostics)
 
 
 def _cmd_validate(args) -> CommandResult:
@@ -269,7 +253,7 @@ def _cmd_profile(args) -> CommandResult:
 
     t = _read_tuple(args)
     report = hurwitz.validate(t)
-    if not report.ok:
+    if not report["ok"]:
         return _validation_result(report)
     diagnostics = []
     normalized = hurwitz.normalize_special(t)
@@ -290,9 +274,9 @@ def _cmd_profile(args) -> CommandResult:
 def _cmd_census(args) -> CommandResult:
     from . import census
 
-    report = census.census(args.n, use_brute=args.use_brute)
-    diagnostics = [f"discrepancy: {d}" for d in report.discrepancies]
-    return CommandResult(OK, census.report_to_json_dict(report), diagnostics)
+    payload = census.census(args.n, use_brute=args.use_brute)
+    diagnostics = [f"discrepancy: {d}" for d in payload["discrepancies"]]
+    return CommandResult(OK, payload, diagnostics)
 
 
 def integer(text: str) -> int:
@@ -522,8 +506,8 @@ _compact = make_encoder(None, None, encode_basestring_ascii, None, ":", ",", Tru
 
 def _indented(value, margin: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2), each line after the
-    first led by margin; keys, scalars and empty containers go through the
-    C encoder."""
+    first led by margin; keys and strings go through the C string encoder,
+    other scalars and empty containers through the C encoder."""
     inner = margin + "  "
     if isinstance(value, dict) and value:
         items = (f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
@@ -531,6 +515,8 @@ def _indented(value, margin: str = "") -> str:
     if isinstance(value, (list, tuple)) and value:
         items = (_indented(v, inner) for v in value)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     return "".join(_compact(value, 0))
 
 

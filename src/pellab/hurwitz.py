@@ -50,27 +50,6 @@ class HurwitzTuple(NamedTuple):
         return 2 * self.n
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-
-
-class ValidationReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
-    over_zero: int
-    over_one: int
-    over_infinity: int
-    over_taus: int
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
-
 def standard_cycle(N: int) -> Perm:
     """The descending N-cycle: i to i-1, 1 to N."""
     if N < 1:
@@ -94,22 +73,32 @@ def common_fixed(t: HurwitzTuple) -> frozenset[int]:
     return fixed
 
 
-def validate(t: HurwitzTuple) -> ValidationReport:
-    """One pass/fail entry per structural invariant, plus the branching
-    spent over each branch point."""
-    checks: list[CheckResult] = []
+def _validation(checks: list[tuple[str, bool, str]], *branching: int) -> dict:
+    """validate's payload from its checks (name, passed, detail) and branching."""
+    return {
+        "ok": all(passed for _, passed, _ in checks),
+        "checks": [{"name": n, "passed": p, "detail": x} for n, p, x in checks],
+        "branching": dict(zip(("overZero", "overOne", "overInfinity", "overTaus"), branching)),
+    }
+
+
+def validate(t: HurwitzTuple) -> dict:
+    """The payload validate prints, {"ok", "checks": [{"name", "passed",
+    "detail"}], "branching": {"overZero", "overOne", "overInfinity",
+    "overTaus"}}: one entry per structural invariant, in order, and the
+    branching spent over each branch point.
+
+    >>> report = validate(zannier_tuple(4, 2))
+    >>> report["ok"], report["branching"]
+    (True, {'overZero': 4, 'overOne': 2, 'overInfinity': 7, 'overTaus': 1})
+    """
     N = t.points
 
     sizes = {p.size for p in t.gens()}
     size_ok = sizes == {N} and t.n >= 1 and t.d >= 1
-    checks.append(
-        CheckResult("SizeConsistent", size_ok, f"sizes {sorted(sizes)}, expected {{{N}}}")
-    )
+    checks = [("SizeConsistent", size_ok, f"sizes {sorted(sizes)}, expected {{{N}}}")]
     if not size_ok:
-        return ValidationReport(tuple(checks), 0, 0, 0, 0)
-
-    k = len(t.taus)
-    checks.append(CheckResult("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
+        return _validation(checks, 0, 0, 0, 0)
 
     # The product in application order, folded over the image tuples, one
     # C gather per entry (N = 2n >= 2, so itemgetter gives a tuple).
@@ -119,7 +108,6 @@ def validate(t: HurwitzTuple) -> ValidationReport:
         product = operator.itemgetter(*product)((0, *p.images))
     product_ok = product == tuple(range(1, N + 1))
     shown = "()" if product_ok else pg.format_cycles(pg._unchecked(product))
-    checks.append(CheckResult("ProductIdentity", product_ok, f"product = {shown}"))
 
     # Each entry's cycle type, counted when its text was read; evenness,
     # fixed points and branching (N minus the number of cycles) follow.
@@ -127,41 +115,30 @@ def validate(t: HurwitzTuple) -> ValidationReport:
 
     # A full N-cycle among the generators is transitive on its own.
     transitive = inf_type == (N,) or pg.is_transitive(t.gens(), N)
-    checks.append(CheckResult("Transitive", transitive, "orbit of the generators"))
-
-    checks.append(CheckResult("InfinityFullCycle", inf_type == (N,), f"cycle type {inf_type}"))
 
     # A fixed point is a cycle of odd length 1.
     zero_even = all(c % 2 == 0 for c in set(zero_type))
     zero_fixed = sorted(pg.fixed_points(sigma0)) if zero_type[0] == 1 else []
-    checks.append(
-        CheckResult("ZeroEvenCycles", zero_even, f"cycle type {zero_type}, fixed {zero_fixed}")
-    )
-
     one_even = all(c % 2 == 0 or c == 1 for c in set(one_type))
-    checks.append(CheckResult("OneEvenCycles", one_even, f"cycle type {one_type}"))
-
     fix1 = one_type.count(1)
-    checks.append(
-        CheckResult(
-            "FixedPointCount",
-            fix1 == 2 * t.d,
-            f"sigma1 fixes {fix1} points, expected {2 * t.d}",
-        )
-    )
 
     over_zero = N - len(zero_type)
     over_one = N - len(one_type)
     over_inf = N - len(inf_type)
     over_taus = sum(N - len(pg.cycle_type(tau)) for tau in t.taus)
     total = over_zero + over_one + over_inf + over_taus
-    checks.append(
-        CheckResult(
-            "TotalBranching", total == 4 * t.n - 2, f"total {total}, expected {4 * t.n - 2}"
-        )
-    )
-
-    return ValidationReport(tuple(checks), over_zero, over_one, over_inf, over_taus)
+    k = len(t.taus)
+    checks += [
+        ("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"),
+        ("ProductIdentity", product_ok, f"product = {shown}"),
+        ("Transitive", transitive, "orbit of the generators"),
+        ("InfinityFullCycle", inf_type == (N,), f"cycle type {inf_type}"),
+        ("ZeroEvenCycles", zero_even, f"cycle type {zero_type}, fixed {zero_fixed}"),
+        ("OneEvenCycles", one_even, f"cycle type {one_type}"),
+        ("FixedPointCount", fix1 == 2 * t.d, f"sigma1 fixes {fix1} points, expected {2 * t.d}"),
+        ("TotalBranching", total == 4 * t.n - 2, f"total {total}, expected {4 * t.n - 2}"),
+    ]
+    return _validation(checks, over_zero, over_one, over_inf, over_taus)
 
 
 def zannier_tuple(n: int, d: int) -> HurwitzTuple:

@@ -32,11 +32,12 @@ from pellab.hurwitz import (
     MAX_TUPLE_N,
     MAX_TUPLE_POINTS,
     HurwitzTuple,
+    tuple_from_json_dict,
     tuple_to_json_dict,
     zannier_tuple,
 )
 from pellab.pellcore import PellSolution, chebyshev, power_solution, verify_pell
-from pellab.permgroup import Perm
+from pellab.permgroup import Perm, is_ell_imprimitive
 
 from oracles import (
     branch_locus_by_fold,
@@ -46,6 +47,7 @@ from oracles import (
     conjugate,
 )
 from test_exactpoly import fraction_gcd
+from test_hurwitz import disjoint_census_tuple, validate_by_entry_queries
 
 
 def run_json(argv):
@@ -165,12 +167,20 @@ GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").rea
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
-def test_json_lines_match_golden_fixture(case, capsys):
-    """The --json line of each polynomial command, byte for byte, as
-    recorded in tests/fixtures/cli_golden.json."""
+def test_json_lines_match_golden_fixture(case, capsys, monkeypatch):
+    """The output of each command, byte for byte, as recorded in
+    tests/fixtures/cli_golden.json: the --json line of the polynomial
+    commands, and both modes of census, zannier, validate and profile, a
+    tuple read from the entry's stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(case.get("stdin", "")))
     code = main(case["argv"])
-    assert capsys.readouterr().out == case["line"] + "\n"
-    assert code == {"Ok": 0, "Rejected": 1, "Error": 2}[json.loads(case["line"])["status"]]
+    line = case["line"]
+    assert capsys.readouterr().out == line + "\n"
+    if "--json" in case["argv"]:
+        status = json.loads(line)["status"]
+    else:
+        status = line.partition("\n")[0].removeprefix("status: ")
+    assert code == {"Ok": 0, "Rejected": 1, "Error": 2}[status]
 
 
 USAGE = json.loads((Path(__file__).parent / "fixtures" / "cli_usage.json").read_text(encoding="utf-8"))
@@ -508,6 +518,68 @@ def test_solution_pipeline_matches_the_oracles(fuzz_dir, seed, k, c, values, uni
             "Ok" if contained else "Rejected",
             {"contained": contained, "values": [_text(v) for v in values]},
         )
+
+
+@st.composite
+def pipeline_tuples(draw):
+    """A staircase tuple's (n, d) or a Disjoint census tuple's (n, h), a
+    relabelling g (None: sent as made), and a transposition to stand for
+    the taus (None: kept)."""
+    kind = draw(st.sampled_from(["zannier", "disjoint"]))
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, n) if kind == "zannier" else st.integers(1, n - 1))
+    N = 2 * n
+    g = draw(st.none() | st.permutations(range(1, N + 1)).map(Perm))
+    pair = draw(st.none() | st.lists(st.integers(1, N), min_size=2, max_size=2, unique=True))
+    return kind, n, k, g, None if pair is None else Perm.from_cycles(N, [tuple(pair)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pipeline_tuples())
+@example(("disjoint", 6, 3, None, None))
+@example(("disjoint", 6, 2, Perm(tuple(5 * x % 13 for x in range(1, 13))), None))
+def test_tuple_pipeline_matches_the_oracles(case):
+    # zannier -> validate -> profile, and Disjoint census tuples, each sent
+    # on stdin as made or relabelled: every validate payload is the
+    # entry-query oracle's, and every Ok profile is the set of m for which
+    # is_ell_imprimitive finds 2m blocks that every entry preserves.
+    kind, n, k, g, tau = case
+    if kind == "zannier":
+        made = run(["zannier", "--n", str(n), "--d", str(k), "--json"])
+        text = render(made, as_json=True)
+        t = tuple_from_json_dict(made.payload)
+    else:
+        t = disjoint_census_tuple(n, k)
+        text = json.dumps(tuple_to_json_dict(t))
+    if g is not None:
+        entries = (conjugate(p, g) for p in (t.sigma0, t.sigmaInf, t.sigma1))
+        t = HurwitzTuple(*entries, tuple(conjugate(x, g) for x in t.taus), t.n, t.d)
+    if tau is not None:
+        t = t._replace(taus=(tau,))
+    if g is not None or tau is not None:
+        text = json.dumps(tuple_to_json_dict(t))
+    results = {}
+    for command in ("validate", "profile"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            results[command] = run([command, "--file", "-"])
+
+    want = validate_by_entry_queries(t)
+    failed = [f"failed: {c['name']}" for c in want["checks"] if not c["passed"]]
+    checked = ("Ok" if want["ok"] else "Rejected", want, failed)
+    assert results["validate"] == checked
+    assert want["ok"] or tau is not None
+    if not want["ok"]:
+        assert results["profile"] == checked
+        return
+    N = 2 * n
+    special = t.sigmaInf.images == (N, *range(1, N)) and all(p(N) == N for p in (t.sigma1, *t.taus))
+    admissible = [m for m in range(2, n + 1) if n % m == 0 and n // m >= t.d]
+    profile = [m for m in admissible if is_ell_imprimitive(t.gens(), 2 * m) is not None]
+    assert results["profile"] == (
+        "Ok",
+        {"n": n, "d": t.d, "admissible": admissible, "profile": profile, "primitive": not profile},
+        [] if special else ["input tuple was conjugated into special form first"],
+    )
 
 
 def test_exponent_form_rationals_are_bad_input(tmp_path):

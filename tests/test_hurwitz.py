@@ -14,11 +14,9 @@ from pellab import permgroup as pg
 from pellab.hurwitz import (
     MAX_TUPLE_N,
     MAX_TUPLE_POINTS,
-    CheckResult,
     DegreeOrder,
     HurwitzTuple,
     NotSpecialForm,
-    ValidationReport,
     admissible_exponents,
     common_fixed,
     is_special,
@@ -94,30 +92,30 @@ def test_zannier_tuple_examples():
         zannier_tuple(MAX_TUPLE_N + 1, 2)
 
 
+def failed(report: dict) -> list[str]:
+    """The names of a validate payload's failed checks, in order."""
+    return [c["name"] for c in report["checks"] if not c["passed"]]
+
+
 def test_validate_zannier_budgets():
     report = validate(zannier_tuple(5, 2))
-    assert report.ok
-    assert report.failed() == []
-    budgets = (
-        report.over_zero,
-        report.over_one,
-        report.over_infinity,
-        report.over_taus,
-    )
-    assert budgets == (5, 3, 9, 1)
+    assert report["ok"]
+    assert failed(report) == []
+    budgets = report["branching"]
+    assert budgets == {"overZero": 5, "overOne": 3, "overInfinity": 9, "overTaus": 1}
 
 
 def test_validate_family_budgets():
     for d in (2, 3, 4):
         for n in range(d, 9):
             report = validate(zannier_tuple(n, d))
-            assert report.ok
-            assert (
-                report.over_zero,
-                report.over_one,
-                report.over_infinity,
-                report.over_taus,
-            ) == (n, n - d, 2 * n - 1, d - 1)
+            assert report["ok"]
+            assert report["branching"] == {
+                "overZero": n,
+                "overOne": n - d,
+                "overInfinity": 2 * n - 1,
+                "overTaus": d - 1,
+            }
 
 
 def test_validate_names_failures():
@@ -131,16 +129,16 @@ def test_validate_names_failures():
         2,
     )
     report = validate(broken)
-    assert not report.ok
-    assert report.failed() == ["ProductIdentity", "FixedPointCount", "TotalBranching"]
+    assert not report["ok"]
+    assert failed(report) == ["ProductIdentity", "FixedPointCount", "TotalBranching"]
 
 
 def test_validate_size_mismatch_short_circuits():
     z = zannier_tuple(4, 2)
     broken = HurwitzTuple(pg.identity(6), z.sigmaInf, z.sigma1, z.taus, 4, 2)
     report = validate(broken)
-    assert not report.ok
-    assert report.failed()[0] == "SizeConsistent"
+    assert not report["ok"]
+    assert failed(report)[0] == "SizeConsistent"
 
 
 def test_is_special_and_common_fixed():
@@ -191,7 +189,7 @@ def test_primitivity_profile_folds_each_tau():
     sigma1 = Perm.from_cycles(N, [(i, N - i) for i in (1, 2, 4, 5)])
     t = HurwitzTuple(sigma0, standard_cycle(N), sigma1, (Perm.from_cycles(N, "(3,8)"),), n=6, d=2)
     assert is_special(t)
-    assert validate(t).failed() == ["ProductIdentity"]
+    assert failed(validate(t)) == ["ProductIdentity"]
     assert primitivity_profile(t) == set()
     assert primitivity_profile(t._replace(taus=())) == {3}
 
@@ -367,7 +365,7 @@ def test_normalize_special_handles_arbitrary_relabeling():
     )
     fixed = normalize_special(scrambled)
     assert is_special(fixed)
-    assert validate(fixed).ok
+    assert validate(fixed)["ok"]
     assert primitivity_profile(fixed) == primitivity_profile(z)
 
 
@@ -611,31 +609,47 @@ def test_tuple_json_taus_not_a_list_is_refused_before_any_entry_is_read(monkeypa
     assert calls == []
 
 
-def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
+def validate_by_entry_queries(t: HurwitzTuple) -> dict:
     """validate asking permgroup for each fact of each entry on its own:
     cycle type, fixed points and branching each walk the cycles again."""
+
+    def check(name, passed, detail):
+        return {"name": name, "passed": passed, "detail": detail}
+
+    def report(checks, over_zero, over_one, over_inf, over_taus):
+        return {
+            "ok": all(c["passed"] for c in checks),
+            "checks": checks,
+            "branching": {
+                "overZero": over_zero,
+                "overOne": over_one,
+                "overInfinity": over_inf,
+                "overTaus": over_taus,
+            },
+        }
+
     checks = []
     N = t.points
     sizes = {p.size for p in t.gens()}
     size_ok = sizes == {N} and t.n >= 1 and t.d >= 1
     checks.append(
-        CheckResult("SizeConsistent", size_ok, f"sizes {sorted(sizes)}, expected {{{N}}}")
+        check("SizeConsistent", size_ok, f"sizes {sorted(sizes)}, expected {{{N}}}")
     )
     if not size_ok:
-        return ValidationReport(tuple(checks), 0, 0, 0, 0)
+        return report(checks, 0, 0, 0, 0)
     k = len(t.taus)
-    checks.append(CheckResult("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
+    checks.append(check("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"))
     product = chain(t.gens())
     checks.append(
-        CheckResult(
+        check(
             "ProductIdentity", product == pg.identity(N), f"product = {pg.format_cycles(product)}"
         )
     )
     checks.append(
-        CheckResult("Transitive", pg.is_transitive(t.gens(), N), "orbit of the generators")
+        check("Transitive", pg.is_transitive(t.gens(), N), "orbit of the generators")
     )
     checks.append(
-        CheckResult(
+        check(
             "InfinityFullCycle",
             pg.is_full_cycle(t.sigmaInf),
             f"cycle type {pg.cycle_type(t.sigmaInf)}",
@@ -645,7 +659,7 @@ def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
         t.sigma0
     )
     checks.append(
-        CheckResult(
+        check(
             "ZeroEvenCycles",
             zero_even,
             f"cycle type {pg.cycle_type(t.sigma0)}, fixed {sorted(pg.fixed_points(t.sigma0))}",
@@ -653,11 +667,11 @@ def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
     )
     one_even = all(len(c) % 2 == 0 for c in pg.cycles(t.sigma1))
     checks.append(
-        CheckResult("OneEvenCycles", one_even, f"cycle type {pg.cycle_type(t.sigma1)}")
+        check("OneEvenCycles", one_even, f"cycle type {pg.cycle_type(t.sigma1)}")
     )
     fix1 = pg.fixed_points(t.sigma1)
     checks.append(
-        CheckResult(
+        check(
             "FixedPointCount",
             len(fix1) == 2 * t.d,
             f"sigma1 fixes {len(fix1)} points, expected {2 * t.d}",
@@ -669,17 +683,17 @@ def validate_by_entry_queries(t: HurwitzTuple) -> ValidationReport:
     over_taus = sum(branching(tau) for tau in t.taus)
     total = over_zero + over_one + over_inf + over_taus
     checks.append(
-        CheckResult(
+        check(
             "TotalBranching", total == 4 * t.n - 2, f"total {total}, expected {4 * t.n - 2}"
         )
     )
-    return ValidationReport(tuple(checks), over_zero, over_one, over_inf, over_taus)
+    return report(checks, over_zero, over_one, over_inf, over_taus)
 
 
-def assert_validate_matches_oracle(t: HurwitzTuple) -> ValidationReport:
+def assert_validate_matches_oracle(t: HurwitzTuple) -> dict:
     report = validate(t)
     assert report == validate_by_entry_queries(t), t
-    assert all(type(c.passed) is bool for c in report.checks)
+    assert all(type(c["passed"]) is bool for c in report["checks"])
     return report
 
 
@@ -700,8 +714,8 @@ def test_validate_matches_entry_query_oracle():
         HurwitzTuple(pg.identity(8), pg.identity(8), pg.identity(8), (), 4, 2),
     ]
     reports = [assert_validate_matches_oracle(t) for t in tuples]
-    failed = {name for r in reports for name in r.failed()}
-    assert failed == {
+    names = {name for r in reports for name in failed(r)}
+    assert names == {
         "SizeConsistent", "TauCount", "ProductIdentity", "Transitive", "InfinityFullCycle",
         "ZeroEvenCycles", "OneEvenCycles", "FixedPointCount", "TotalBranching",
     }
@@ -785,6 +799,6 @@ def test_validate_and_profile_walk_no_cycles(monkeypatch):
     read = [tuple_from_json_dict(data) for data in texts]
     assert normalize_special(read[1]) != read[1]
     for t in (zannier_tuple(12, 3), *read):
-        assert validate(t).ok
+        assert validate(t)["ok"]
         assert primitivity_profile(normalize_special(t)) == want
     assert walks == []
