@@ -8,15 +8,14 @@ involutions, pruned while pairing (ground truth), and closed formulas.  The
 first two count classes by orbit counting per sigma0, with no class and no
 tuple ever built: sigma0 forces the product pi = sigma1*tau, whose splits
 give every tau and the points they all fix.  The shape route reads these
-from each layout's cut points and builds sigma0 only when a rotation might
-fix it; the brute route finds them by one scan of each leaf's pi.  Both
-routes stream into one pass.  Tuples are built only by the test oracles.
-Of the rotations other than the identity, only the one by n can fix a
-transposition tau, and it fixes a tuple only if it maps CF, the points
-sigma1 and tau fix in common, onto itself; few layouts have such a CF, and
-only theirs have sigma0 built.  The payload census returns carries all
-three, for each case and for the primitive Disjoint count, and flags any
-disagreement; nothing is reconciled silently.
+from each layout's cut points, the brute route by one scan of each leaf's
+pi; both stream into one pass, and only the test oracles build tuples.
+Besides the identity, only the rotation by n can fix a transposition tau,
+and it fixes the tuple exactly when it fixes tau and CF, the points sigma1
+and tau fix in common, holds n and is closed under +n: CF decides, so
+census builds no Perm and imports no other module of the package.  The
+payload census returns carries all three routes' counts, for each case
+and for the primitive Disjoint count, and flags any disagreement.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -26,12 +25,8 @@ The three cases are keyed by the product sigma1*tau (sigma1 acting first):
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-from . import permgroup as pg
-from .permgroup import Perm
+from typing import Iterable, Iterator, Optional, Sequence
 
 DISJOINT = "Disjoint"
 THREE_CYCLE = "ThreeCycle"
@@ -42,21 +37,21 @@ PRIMITIVE = "primitive Disjoint"
 BRUTE_DEFAULT_MAX = 24
 SHAPE_MAX = 64
 
-# One sigma0, built on call, with what its splits share: CF, the points every
-# split's sigma1 and tau fix, and each split's tau as a point pair.
-Splits = tuple[Callable[[], Perm], frozenset[int], list[tuple[int, int]]]
+# What the splits of one sigma0 share: CF, the points every split's sigma1 and
+# tau fix, and each split's tau as a point pair.
+Splits = tuple[frozenset[int], list[tuple[int, int]]]
 
 
 class TooLarge(ValueError):
     """A census n beyond the bound of a route it would run."""
 
 
-def _pi_from_sigma0(sigma0: Perm) -> Perm:
-    """The forced product sigma1*tau: sigma0 after the ascending rotation."""
-    return pg._unchecked(sigma0.images[1:] + sigma0.images[:1])
+def _pi_from_sigma0(sigma0: tuple[int, ...]) -> tuple[int, ...]:
+    """pi = sigma1*tau from sigma0, as images: sigma0 after the ascending rotation."""
+    return sigma0[1:] + sigma0[:1]
 
 
-def _splits(sigma0: Perm) -> tuple[frozenset[int], list[tuple[int, int]]]:
+def _splits(sigma0: tuple[int, ...]) -> Splits:
     """CF and the taus of every split (sigma1, tau) of sigma0's forced
     product pi = sigma1*tau (sigma1 acting first): tau a transposition,
     sigma1 = pi*tau all-even cycles with exactly 4 fixed points.
@@ -70,7 +65,7 @@ def _splits(sigma0: Perm) -> tuple[frozenset[int], list[tuple[int, int]]]:
     (c, b), and FourCycle (a, c) or (b, d).  Each split's sigma1 moves the
     points of pi's cycles that its tau fixes, so sigma1 and tau fix in
     common exactly pi's fixed points, whatever the split."""
-    pi = _pi_from_sigma0(sigma0).images
+    pi = _pi_from_sigma0(sigma0)
     cf = frozenset([x for x, y in enumerate(pi, 1) if x == y])
     long = [x for x, y in enumerate(pi, 1) if pi[y - 1] != x]
     if len(long) not in (0, 3, 4) or len(cf) != (len(long) or 2):
@@ -83,77 +78,76 @@ def _splits(sigma0: Perm) -> tuple[frozenset[int], list[tuple[int, int]]]:
     return cf, [(a, c), (b, a), (c, b)] if len(long) == 3 else [(a, c), (b, pi[c - 1])]
 
 
-def _split_weights(
-    sigma0: Callable[[], Perm], cf: frozenset[int], taus: Sequence[tuple[int, int]]
-) -> list[int]:
-    """12 |Stab(t)| / |CF(t)| for the tuple t of each split of sigma0, with
-    CF(t) = cf, and Stab(t) the rotations that fix every entry of t.
+def _split_weights(cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[int]:
+    """12 |Stab(t)| / |CF(t)| for the tuple t of each split of a sigma0
+    layout, with CF(t) = cf, and Stab(t) the rotations that fix every entry.
 
     A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
     and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
     rotations that fix sigma0 and tau.  A rotation by s != 0 fixes a
     transposition (a, b) only if a + s = b and b + s = a (mod N = 2n), so
-    2s = 0 and s = N/2 = n; it can fix t only if CF + n = CF as well.  Only
-    then is sigma0 built, to see whether the rotation by n fixes it; if so,
-    each tau it fixes weighs 24 / |CF|, and every other split 12 / |CF|.
-    The quotient is exact: CF(t) is a union of cosets of Stab(t)."""
+    2s = 0 and s = n, the half turn.  It fixes t only if it maps CF onto
+    itself: n = 2n + n is in CF and CF + n = CF.  Then it fixes sigma0
+    (below), so each tau it fixes weighs 24 / |CF|, and every other split
+    12 / |CF|.  The quotient is exact: CF(t) is a union of cosets of Stab(t).
+
+    Every sigma0 of either route is a layout (the brute route's leaves that
+    split are the layouts; the tests check it up to n = 24): each arc
+    between cyclically consecutive points of P = (h, *cuts, 2n-h) folds
+    onto itself about its centre, and CF is the set of those centres; the
+    arc through 2n, where x pairs with 2n+1-x, has centre 2n.  When CF holds
+    n and is closed, the half turn swaps n and 2n and pairs off the other
+    centres, each below n with one above.
+      - Disjoint: sigma0 is x -> 2n+1-x, which the half turn fixes.
+      - ThreeCycle: three centres cannot be paired off; CF is never closed.
+      - FourCycle: the centres c1 < c2 < c3 inside (h, 2n-h) pair off only
+        as c2 = n and c3 = c1 + n.  The arcs give c1 + c3 = (k1 + k2)/2 + n
+        = c2 + n = 2n, so c1 = n/2, the cuts are n-h and n+h, and P + n = P:
+        the half turn maps each arc onto an arc, and each fold onto a fold."""
     N = max(cf)
     n = N // 2
     if n in cf and {(x + n) % N or N for x in cf} == cf:
-        fixed = sigma0()
-        if pg.rotate(fixed, n) == fixed:
-            return [12 * (1 + ((a + n) % N == b)) // len(cf) for a, b in taus]
+        return [12 * (1 + ((a + n) % N == b)) // len(cf) for a, b in taus]
     return [12 // len(cf)] * len(taus)
 
 
-def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
-    """The sigma0 layout: i pairs with 2n+1-i for i <= h, then each stretch
-    between consecutive points of (h, *cuts, 2n-h) folds onto itself."""
-    N = 2 * n
-    images = [0] * (N + 1)
-    images[1 : h + 1] = range(N, N - h, -1)
-    images[N - h + 1 :] = range(h, 0, -1)
-    points = (h, *cuts, N - h)
-    for lo, hi in zip(points, points[1:]):  # lo + j pairs with hi + 1 - j
-        images[lo + 1 : hi + 1] = range(hi, lo, -1)
-    return pg._unchecked(tuple(images[1:]))
-
-
 def _shape_route(n: int) -> Iterator[Splits]:
-    """Every sigma0 layout, in enumeration order, unbuilt, with CF and the
-    taus of its forced product pi, read from its cut points
-    P = (h, *cuts, 2n-h) as _splits would find them in pi; every layout's
-    pi splits.  Disjoint is h = n with no cut, then ThreeCycle (cut k), then
-    FourCycle (cuts k1 < k2); the cuts lie strictly between h and 2n-h, at
-    even distances from h and each other.
+    """Every sigma0 layout, in enumeration order, as the CF and taus of its
+    forced product pi, read from its cut points P = (h, *cuts, 2n-h) as
+    _splits would find them in pi; every layout's pi splits.  Disjoint is
+    h = n with no cut, then ThreeCycle (cut k), then FourCycle (cuts
+    k1 < k2); the cuts lie strictly between h and 2n-h, at even distances
+    from h and each other.
 
-    pi(x) = sigma0(x+1).  Inside the stretch between consecutive points
-    lo < hi of P, pi swaps x and lo + hi - x and fixes the fold centre
-    (lo + hi)/2; outside [h, 2n-h] it swaps x and 2n-x and fixes 2n.  Each
-    point of P goes to the next, and 2n-h to h, so pi's one longer cycle is
-    P itself: the 3-cycle (h k 2n-h) for one cut k, the 4-cycle
-    (h k1 k2 2n-h) for two.  Disjoint has P = (n, n), so n is fixed and
-    its taus are the transpositions (x, 2n-x) for x = 1..n-1 in turn.
+    The layout pairs i with 2n+1-i for i <= h and folds each stretch
+    between consecutive points lo < hi of P onto itself, lo + j with
+    hi + 1 - j.  pi(x) = sigma0(x+1) swaps x and lo + hi - x inside such a
+    stretch and fixes the fold centre (lo + hi)/2; outside [h, 2n-h] it
+    swaps x and 2n-x and fixes 2n.  Each point of P goes to the next, and
+    2n-h to h, so pi's one longer cycle is P itself: the 3-cycle
+    (h k 2n-h) for one cut k, the 4-cycle (h k1 k2 2n-h) for two.
+    Disjoint has P = (n, n), so n is fixed and its taus are the
+    transpositions (x, 2n-x) for x = 1..n-1 in turn.
 
-    >>> [(sorted(cf), taus) for _, cf, taus in _shape_route(3)]
+    >>> [(sorted(cf), taus) for cf, taus in _shape_route(3)]
     [([3, 6], [(1, 5), (2, 4)]), ([2, 4, 6], [(1, 5), (3, 1), (5, 3)])]
     """
     N = 2 * n
-    yield functools.partial(_sigma0, n, n, ()), frozenset((n, N)), [(x, N - x) for x in range(1, n)]
+    yield frozenset((n, N)), [(x, N - x) for x in range(1, n)]
     for h in range(1, n):
         for k in range(h + 2, N - h - 1, 2):
             cf = frozenset((N, (h + k) // 2, (k + N - h) // 2))
-            yield functools.partial(_sigma0, n, h, (k,)), cf, [(h, N - h), (k, h), (N - h, k)]
+            yield cf, [(h, N - h), (k, h), (N - h, k)]
     for h in range(1, n):
         for k1 in range(h + 2, N - h - 1, 2):
             for k2 in range(k1 + 2, N - h - 1, 2):
                 cf = frozenset((N, (h + k1) // 2, (k1 + k2) // 2, (k2 + N - h) // 2))
-                yield functools.partial(_sigma0, n, h, (k1, k2)), cf, [(h, k2), (k1, N - h)]
+                yield cf, [(h, k2), (k1, N - h)]
 
 
-def _brute_leaves(n: int) -> Iterator[Perm]:
+def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
     """Every fixed-point-free involution sigma0 that the pruned scan keeps,
-    one at a time.
+    one at a time, as its image tuple.
 
     pi sends 2n to sigma0(1), so only involutions with sigma0(1) = 2n can fix
     2n: the scan pairs 1 with 2n first.  pi(i) = sigma0(i+1), so pairing a
@@ -194,9 +188,9 @@ def _brute_leaves(n: int) -> Iterator[Perm]:
         nxt[u], prv[v] = v, u
         return long, fixed
 
-    def descend(unpaired: list[int], long: int, fixed: int) -> Iterator[Perm]:
+    def descend(unpaired: list[int], long: int, fixed: int) -> Iterator[tuple[int, ...]]:
         if not unpaired:
-            yield pg._unchecked(tuple(paired[1:]))
+            yield tuple(paired[1:])
             return
         a = unpaired[0]
         rest = unpaired[1:]
@@ -220,13 +214,13 @@ def _brute_route(n: int) -> Iterator[Splits]:
     for sigma0 in _brute_leaves(n):
         cf, taus = _splits(sigma0)
         if taus:
-            yield (lambda sigma0=sigma0: sigma0), cf, taus
+            yield cf, taus
 
 
 def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     """12 times each case's number of conjugacy classes and, under PRIMITIVE,
-    of primitive Disjoint classes, from one route's sigma0 and splits; a
-    split's case is read from |CF|: 2, 3 or 4 common fixed points.
+    of primitive Disjoint classes, from one route's splits; a split's case
+    is read from |CF|: 2, 3 or 4 common fixed points.
 
     Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
     the 2n rotations whose members fix 2n in common.  The rotations that
@@ -236,9 +230,9 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     primitive when its tau = (h, 2n-h) has gcd(h, n) = 1; every member has
     the same gcd(h, n), so each split is judged alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
-    for sigma0, cf, taus in route:
+    for cf, taus in route:
         case = CASES[len(cf) - 2]
-        weights = _split_weights(sigma0, cf, taus)
+        weights = _split_weights(cf, taus)
         sums[case] += sum(weights)
         if case == DISJOINT:
             n = max(cf) // 2

@@ -1,9 +1,9 @@
-"""Permutations on {1..N}: products, cycles, the rotation relabel, cycle
-text, and the ell-block imprimitivity test.
+"""Permutations on {1..N}: cycles, fixed points, transitivity, cycle text,
+and the ell-block imprimitivity test.
 
-A Perm stores the image tuple one-based: p(i) == images[i-1].  Composition
-follows (a * b)(x) = a(b(x)), so the right factor acts first.  rotate(a, s)
-is the conjugation g^-1 * a * g by g = c**s, c the descending N-cycle.
+A Perm stores the image tuple one-based: p(i) == images[i-1].  No command
+multiplies, inverts or rotates Perms (hurwitz folds a tuple's product over
+image tuples), so those operations are test oracles.
 """
 
 from __future__ import annotations
@@ -49,22 +49,6 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
-
-    def __pow__(self, k: int) -> "Perm":
-        n = self.size
-        if k < 0:
-            return inverse(self) ** (-k)
-        acc = identity(n)
-        base = self
-        while k:
-            if k & 1:
-                acc = compose(acc, base)
-            base = compose(base, base)
-            k >>= 1
-        return acc
 
     def __str__(self) -> str:
         return format_cycles(self)
@@ -118,43 +102,6 @@ def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
         for i, x in enumerate(cyc):
             imgs[x - 1] = cyc[(i + 1) % len(cyc)]
     return _unchecked(tuple(imgs), _cycle_type(map(len, cycles), n))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """(a * b)(x) = a(b(x)): b acts first."""
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes {a.size} and {b.size} differ")
-    return _unchecked(tuple([a.images[bi - 1] for bi in b.images]))
-
-
-def inverse(a: Perm) -> Perm:
-    imgs = [0] * a.size
-    for i, ai in enumerate(a.images, start=1):
-        imgs[ai - 1] = i
-    return _unchecked(tuple(imgs))
-
-
-def rotate(a: Perm, s: int) -> Perm:
-    """c^-s * a * c^s for the descending N-cycle c (i to i-1, 1 to N) in
-    closed form, the relabel x -> x + s: x maps to a(x - s) + s, mod N in 1..N.
-    The images of a, cyclically shifted by s places, go through the table
-    (0, s+1, ..., N, 1, ..., s).
-
-    >>> a = Perm.from_cycles(12, "(1,11)")
-    >>> rotate(a, 6)
-    Perm.from_cycles(12, '(5,7)')
-    >>> rotate(a, -1) == rotate(a, 11)
-    True
-    >>> rotate(a, 12) == a
-    True
-    """
-    N = a.size
-    if not N:
-        return a
-    s %= N
-    imgs = a.images
-    shift = (0, *range(s + 1, N + 1), *range(1, s + 1))
-    return _unchecked(tuple([shift[x] for x in imgs[N - s :] + imgs[: N - s]]))
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -337,12 +284,7 @@ def format_cycles(p: Perm) -> str:
 # Cycle text is one or more cycles; a cycle is "()" or at least two
 # comma-separated points in parentheses.  Whitespace may stand anywhere but
 # inside a point.  _read_accepted checks the grammar with string tests;
-# _HEAD, the longest start of a cycle the grammar allows, locates the fault
-# in rejected text.
-_OPEN, _POINT, _NEXT = r"\(\s*", r"\d+\s*", r",\s*"
-_HEAD = re.compile(rf"{_OPEN}(?:{_POINT}(?:{_NEXT}{_POINT})*(?:{_NEXT})?)?")
-_SPACE = re.compile(r"\s*")
-_DIGITS = re.compile(r"\d+")
+# _walk_cycles locates the fault in rejected text.
 
 
 def parse_cycles(text: str, n: int) -> Perm:
@@ -412,18 +354,24 @@ def _read_accepted(text: str, n: int) -> Optional[Perm]:
 
 
 def _walk_cycles(text: str, n: int) -> Perm:
-    """Read text cycle by cycle, raising CycleParseError at the first fault."""
+    """Read text cycle by cycle, raising CycleParseError at the first fault.
+    head_re matches the longest start of a cycle the grammar allows.  Only
+    rejected text comes here, so the patterns are compiled here, not on
+    import; re caches them."""
+    head_re = re.compile(r"\(\s*(?:\d+\s*(?:,\s*\d+\s*)*(?:,\s*)?)?")
+    space_re = re.compile(r"\s*")
+    digits_re = re.compile(r"\d+")
     end = len(text)
-    pos = _SPACE.match(text).end()
+    pos = space_re.match(text).end()
     if pos == end:
         raise CycleParseError("empty permutation text", 0)
     cycles_out: list[list[int]] = []
     while pos < end:
-        head = _HEAD.match(text, pos)
+        head = head_re.match(text, pos)
         if head is None:
             raise CycleParseError("expected '('", pos)
         cyc = []
-        for m in _DIGITS.finditer(text, pos, head.end()):
+        for m in digits_re.finditer(text, pos, head.end()):
             # Leading zeros, of any script, do not count.  A point with more
             # digits than n is out of range and never reaches int(), which
             # refuses more than 4300 digits.
@@ -447,7 +395,7 @@ def _walk_cycles(text: str, n: int) -> Perm:
             raise CycleParseError("cycles need at least two points", pos)
         if cyc:
             cycles_out.append(cyc)
-        pos = _SPACE.match(text, pos + 1).end()
+        pos = space_re.match(text, pos + 1).end()
     try:
         return _from_cycle_lists(n, cycles_out)
     except ValueError as exc:

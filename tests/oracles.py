@@ -5,12 +5,15 @@ The census counts conjugacy classes by orbit counting and never builds one,
 and reads a tuple's case from how many points sigma1 and tau fix in common.
 The key-based grouping below builds every class, and case_of reads the case
 from the longest cycle of sigma1*tau, so the tests check the counts against
-them.  The census also builds no tuple: it weighs each sigma0's splits from
-sigma0, the points its forced product fixes and each tau as a point pair.
+them.  The census also builds no tuple and no Perm: it weighs each
+sigma0's splits from the points its forced product fixes and each tau as a
+point pair, and decides from CF alone whether the half turn fixes sigma0.
 Its shape route writes one loop per case; _layouts and _layout_splits
 below list the same layouts as (h, cuts) and read CF and the taus from the
-cut points in one generic pass, and split_weights_by_scan weighs them by
-trying every point of CF as a shift, not the rotation by n alone.
+cut points in one generic pass, _sigma0 builds each layout, and
+split_weights_by_scan weighs the splits by trying every point of CF as a
+shift of the built sigma0, not the rotation by n alone.  forced_product is
+census's pi on a Perm.
 The tuple level below builds every split tuple and weighs it alone:
 _split_product makes sigma1 and tau as Perms, _shape_tuples streams the
 shape route's tuples, brute_force_enumerate lists and sorts those of the
@@ -51,18 +54,18 @@ admissible m.
 profile reads every exponent from one gcd of residues over all entries.
 power_test tests one m at a time, by its residue congruences mod 2m.
 
-The commands answer with permgroup's products, rotation and cycle walk and
-with hurwitz's residue gcd; validate folds a tuple's product over the image
-tuples and reads branching from the cycle types its parser counted.  The
-permutation layer below reaches the same facts another way: chain as a
+The commands answer with permgroup's cycle walk and with hurwitz's residue
+gcd; validate folds a tuple's product over the image tuples and reads
+branching from the cycle types its parser counted.  No command multiplies,
+inverts or rotates a Perm: compose, inverse, power and rotate live below.
+The permutation layer below reaches the same facts another way: chain as a
 product of Perms, conjugate as g^-1 * a * g, branching from the cycles,
-and the paper's block criterion for the profile, with
-congruence block systems (congruence_partition), their induced label
-actions (induced_block_action, NotPreserved), the bounded group closure
-(closure, ClosureOverflow) and the dihedral recognizer
-(is_dihedral_of_order, _order_of).  power_polynomial, the f with
-f(t^2) = T_m(t)^2, is built from its closed formulas for the ramification
-tests.
+and the paper's block criterion for the profile, with congruence block
+systems (congruence_partition), their induced label actions
+(induced_block_action, NotPreserved), the bounded group closure (closure,
+ClosureOverflow) and the dihedral recognizer (is_dihedral_of_order,
+_order_of).  power_polynomial, the f with f(t^2) = T_m(t)^2, is built from
+its closed formulas for the ramification tests.
 
 verify_branch_locus_in divides rad f' by gcd(rad f', f - c) per value.
 branch_locus_by_product multiplies prod(f - c) out and divides it by
@@ -91,7 +94,6 @@ from pellab.census import (
     TooLarge,
     _brute_leaves,
     _pi_from_sigma0,
-    _sigma0,
 )
 from pellab.exactpoly import (
     ONE,
@@ -131,12 +133,80 @@ from pellab.permgroup import (
     NotADivisor,
     Perm,
     SizeMismatch,
-    compose,
     cycles,
     identity,
-    inverse,
     preserves_partition,
 )
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """(a * b)(x) = a(b(x)): b acts first."""
+    if a.size != b.size:
+        raise SizeMismatch(f"sizes {a.size} and {b.size} differ")
+    return pg._unchecked(tuple([a.images[bi - 1] for bi in b.images]))
+
+
+def inverse(a: Perm) -> Perm:
+    imgs = [0] * a.size
+    for i, ai in enumerate(a.images, start=1):
+        imgs[ai - 1] = i
+    return pg._unchecked(tuple(imgs))
+
+
+def power(p: Perm, k: int) -> Perm:
+    """p**k, k of any sign, by repeated squaring."""
+    n = p.size
+    if k < 0:
+        return power(inverse(p), -k)
+    acc = identity(n)
+    base = p
+    while k:
+        if k & 1:
+            acc = compose(acc, base)
+        base = compose(base, base)
+        k >>= 1
+    return acc
+
+
+def rotate(a: Perm, s: int) -> Perm:
+    """c^-s * a * c^s for the descending N-cycle c (i to i-1, 1 to N) in
+    closed form, the relabel x -> x + s: x maps to a(x - s) + s, mod N in 1..N.
+    The images of a, cyclically shifted by s places, go through the table
+    (0, s+1, ..., N, 1, ..., s).
+
+    >>> a = Perm.from_cycles(12, "(1,11)")
+    >>> rotate(a, 6)
+    Perm.from_cycles(12, '(5,7)')
+    >>> rotate(a, -1) == rotate(a, 11)
+    True
+    >>> rotate(a, 12) == a
+    True
+    """
+    N = a.size
+    if not N:
+        return a
+    s %= N
+    imgs = a.images
+    shift = (0, *range(s + 1, N + 1), *range(1, s + 1))
+    return pg._unchecked(tuple([shift[x] for x in imgs[N - s :] + imgs[: N - s]]))
+
+
+def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
+    """The sigma0 layout: i pairs with 2n+1-i for i <= h, then each stretch
+    between consecutive points of (h, *cuts, 2n-h) folds onto itself."""
+    N = 2 * n
+    images = [0] * (N + 1)
+    images[1 : h + 1] = range(N, N - h, -1)
+    images[N - h + 1 :] = range(h, 0, -1)
+    points = (h, *cuts, N - h)
+    for lo, hi in zip(points, points[1:]):  # lo + j pairs with hi + 1 - j
+        images[lo + 1 : hi + 1] = range(hi, lo, -1)
+    return pg._unchecked(tuple(images[1:]))
+
+
+def forced_product(sigma0: Perm) -> Perm:
+    """census._pi_from_sigma0 on a Perm: pi = sigma1*tau."""
+    return pg._unchecked(_pi_from_sigma0(sigma0.images))
 
 
 def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -182,12 +252,13 @@ def split_weights_by_scan(
     sigma0: Callable[[], Perm], cf: frozenset[int], taus: Sequence[tuple[int, int]]
 ) -> list[int]:
     """census._split_weights as a scan: every point s of CF but 2n is tried
-    for CF + s = CF (mod 2n), not s = n alone."""
+    for CF + s = CF (mod 2n), not s = n alone, and sigma0 is built to see
+    which of those rotations fix it, where census decides that from CF."""
     N = max(cf)
     shifts = [s for s in cf if s != N and {(x + s) % N or N for x in cf} == cf]
     if shifts:
         fixed = sigma0()
-        shifts = [s for s in shifts if pg.rotate(fixed, s) == fixed]
+        shifts = [s for s in shifts if rotate(fixed, s) == fixed]
     if not shifts:
         return [12 // len(cf)] * len(taus)
     return [
@@ -250,7 +321,7 @@ def _shape_tuples(n: int) -> Iterator[HurwitzTuple]:
     sigma_inf = standard_cycle(2 * n)
     for h, cuts in _layouts(n):
         sigma0 = _sigma0(n, h, cuts)
-        for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
+        for sigma1, tau in _split_product(forced_product(sigma0)):
             yield _make_tuple(sigma_inf, sigma0, sigma1, tau)
 
 
@@ -265,8 +336,8 @@ def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
     sigma_inf = standard_cycle(2 * n)
     out = [
         _make_tuple(sigma_inf, sigma0, sigma1, tau)
-        for sigma0 in _brute_leaves(n)
-        for sigma1, tau in _split_product(_pi_from_sigma0(sigma0))
+        for sigma0 in map(pg._unchecked, _brute_leaves(n))
+        for sigma1, tau in _split_product(forced_product(sigma0))
     ]
     out.sort(key=_tuple_sort_key)
     return out
@@ -289,7 +360,7 @@ def _orbit_weight(t: HurwitzTuple, cf: frozenset[int]) -> int:
         if (
             s != N
             and {(x + s) % N or N for x in cf} == cf
-            and all(pg.rotate(p, s) == p for p in (t.sigma0, t.sigma1, *t.taus))
+            and all(rotate(p, s) == p for p in (t.sigma0, t.sigma1, *t.taus))
         ):
             stab += 1
     return 12 * stab // len(cf)
@@ -345,7 +416,7 @@ def enumerate_shapes(n: int) -> list[tuple[ShapeParams, HurwitzTuple]]:
     out: list[tuple[ShapeParams, HurwitzTuple]] = []
     for h, cuts in _layouts(n):
         sigma0 = _sigma0(n, h, cuts)
-        for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+        for choice, (sigma1, tau) in enumerate(_split_product(forced_product(sigma0))):
             if not cuts:
                 params = ShapeParams(DISJOINT, h=choice + 1)
             elif len(cuts) == 1:
@@ -362,12 +433,12 @@ def canonical_key(t: HurwitzTuple):
     that relabels i0 as 2n.  Keys compare sigma0 first, so sigma1 and the
     taus are rotated only for the shifts that tie on the least sigma0."""
     N = t.points
-    by_shift = {N - i0: pg.rotate(t.sigma0, N - i0).images for i0 in common_fixed(t)}
+    by_shift = {N - i0: rotate(t.sigma0, N - i0).images for i0 in common_fixed(t)}
     if not by_shift:
         raise ValueError("tuple has no commonly fixed index")
     least = min(by_shift.values())
     return min(
-        (least, pg.rotate(t.sigma1, s).images, tuple(pg.rotate(tau, s).images for tau in t.taus))
+        (least, rotate(t.sigma1, s).images, tuple(rotate(tau, s).images for tau in t.taus))
         for s, zero in by_shift.items()
         if zero == least
     )
@@ -828,7 +899,7 @@ def is_dihedral_of_order(
         sr = compose(sc, rc)
         if compose(sr, sr) != e:
             return False
-        powers = {(rc**k).images for k in range(m)}
+        powers = {power(rc, k).images for k in range(m)}
         return sc.images not in powers
 
     if r is not None and s is not None:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,6 @@ from pellab.census import (
     SHAPE_MAX,
     THREE_CYCLE,
     TooLarge,
-    _pi_from_sigma0,
-    _sigma0,
     census,
     closed_formulas,
 )
@@ -45,15 +45,20 @@ from oracles import (
     _orbit_sums,
     _orbit_weight,
     _shape_tuples,
+    _sigma0,
     _split_product,
     brute_force_enumerate,
     canonical_key,
     case_of,
     classes_by_case,
+    compose,
     conjugacy_classes,
     conjugate,
     enumerate_shapes,
+    forced_product,
+    power,
     primitive_disjoint_classes,
+    rotate,
     split_weights_by_scan,
 )
 
@@ -106,7 +111,7 @@ def leaf_filter_scan(n):
     def descend(unpaired):
         if not unpaired:
             sigma0 = pg._unchecked(tuple(paired[1:]))
-            for sigma1, tau in _split_product(_pi_from_sigma0(sigma0)):
+            for sigma1, tau in _split_product(forced_product(sigma0)):
                 out.append(_make_tuple(standard_cycle(N), sigma0, sigma1, tau))
             return
         a = unpaired[0]
@@ -121,13 +126,13 @@ def leaf_filter_scan(n):
 
 
 def conjugation_canonical_key(t):
-    """The key by explicit conjugation: one standard_cycle(2n) ** k and two
-    composes per entry for every commonly fixed index."""
+    """The key by explicit conjugation: one power of standard_cycle(2n) and
+    two composes per entry for every commonly fixed index."""
     N = t.points
     best = None
     base = standard_cycle(N)
     for i0 in sorted(common_fixed(t)):
-        g = base ** ((N - i0) % N)
+        g = power(base, (N - i0) % N)
         key = (
             conjugate(t.sigma0, g).images,
             conjugate(t.sigma1, g).images,
@@ -193,14 +198,14 @@ def case_by_case_shapes(n):
     for h in range(1, n - 1):
         for k in range(h + 2, N - h - 1, 2):
             sigma0 = sigma0_three(n, h, k)
-            for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+            for choice, (sigma1, tau) in enumerate(_split_product(forced_product(sigma0))):
                 params = ShapeParams(THREE_CYCLE, h=h, k=k, tau_choice=choice)
                 out.append((params, _make_tuple(standard_cycle(N), sigma0, sigma1, tau)))
     for h in range(1, n - 2):
         for k1 in range(h + 2, N - h - 3, 2):
             for k2 in range(k1 + 2, N - h - 1, 2):
                 sigma0 = sigma0_four(n, h, k1, k2)
-                for choice, (sigma1, tau) in enumerate(_split_product(_pi_from_sigma0(sigma0))):
+                for choice, (sigma1, tau) in enumerate(_split_product(forced_product(sigma0))):
                     params = ShapeParams(FOUR_CYCLE, h=h, k1=k1, k2=k2, tau_choice=choice)
                     out.append((params, _make_tuple(standard_cycle(N), sigma0, sigma1, tau)))
     return out
@@ -240,10 +245,25 @@ def test_shape_route_census_holds_no_tuple_list():
     assert peak < 1_000_000, peak
 
 
+def shape_items(n, route=census_module._shape_route):
+    """The shape route's items (CF, taus), each paired with a builder of its
+    layout's sigma0: the oracle _sigma0 on _layouts, in the same order."""
+    for (h, cuts), (cf, taus) in zip(_layouts(n), route(n), strict=True):
+        yield functools.partial(_sigma0, n, h, cuts), cf, taus
+
+
+def brute_items(n, route=census_module._brute_route):
+    """The brute route's items (CF, taus), each paired with a builder of its
+    sigma0: the pruned scan's leaves whose forced product splits."""
+    leaves = [s for s in census_module._brute_leaves(n) if census_module._splits(s)[1]]
+    for leaf, (cf, taus) in zip(leaves, route(n), strict=True):
+        yield functools.partial(pg._unchecked, leaf), cf, taus
+
+
 def oracle_tuples(sigma0):
     """The tuples of sigma0's splits, built by the tuple-level oracle."""
     sigma_inf = standard_cycle(sigma0.size)
-    splits = _split_product(_pi_from_sigma0(sigma0))
+    splits = _split_product(forced_product(sigma0))
     return [_make_tuple(sigma_inf, sigma0, sigma1, tau) for sigma1, tau in splits]
 
 
@@ -251,14 +271,14 @@ def test_split_weights_match_the_tuple_oracle():
     """Every split on both routes, weighed per sigma0 with no tuple built,
     has its tuple's tau, CF, case and tuple-level orbit weight."""
     for n in range(2, 15):
-        routes = {"shape": census_module._shape_route(n), "brute": census_module._brute_route(n)}
+        routes = {"shape": shape_items(n), "brute": brute_items(n)}
         splits = dict.fromkeys(routes, 0)
         for name, route in routes.items():
             for sigma0, cf, taus in route:
                 splits[name] += len(taus)
                 tuples = oracle_tuples(sigma0())
                 assert [set(tau) for tau in taus] == [set(pg.cycles(t.taus[0])[0]) for t in tuples]
-                weights = census_module._split_weights(sigma0, cf, taus)
+                weights = census_module._split_weights(cf, taus)
                 for t, weight in zip(tuples, weights):
                     assert common_fixed(t) == cf, (n, tuple_key(t))
                     assert weight == _orbit_weight(t, cf), (n, tuple_key(t))
@@ -291,42 +311,53 @@ def test_layout_splits_match_the_scan_of_the_built_layout():
     of the built sigma0's forced product finds."""
     for n in range(2, 33):
         for h, cuts in _layouts(n):
-            want = census_module._splits(_sigma0(n, h, cuts))
+            want = census_module._splits(_sigma0(n, h, cuts).images)
             assert _layout_splits(n, h, cuts) == want, (n, h, cuts)
 
 
 def test_shape_route_matches_the_layout_oracle():
     """The route's one loop per case yields the layouts in the oracle's
-    order, each with the oracle's CF and taus and its sigma0."""
+    order, each with the oracle's CF and taus."""
     for n in range(2, 49):
         route = list(census_module._shape_route(n))
         layouts = list(_layouts(n))
         assert len(route) == len(layouts), n
-        for (sigma0, cf, taus), (h, cuts) in zip(route, layouts):
+        for (cf, taus), (h, cuts) in zip(route, layouts):
             assert (cf, taus) == _layout_splits(n, h, cuts), (n, h, cuts)
-            assert sigma0() == _sigma0(n, h, cuts), (n, h, cuts)
 
 
 def test_split_weights_match_the_scan_on_both_routes():
-    """Trying only the rotation by n changes no weight: on every item of the
-    shape route up to SHAPE_MAX and of the brute route up to n = 12, the
-    weights are those of the scan of every point of CF as a shift."""
-    routes = [census_module._shape_route(n) for n in range(2, SHAPE_MAX + 1)]
-    routes += [census_module._brute_route(n) for n in range(2, 13)]
-    for item in itertools.chain.from_iterable(routes):
-        assert census_module._split_weights(*item) == split_weights_by_scan(*item), item[1:]
+    """Reading the weights from CF alone changes none: on every item of the
+    shape route up to SHAPE_MAX and of the brute route up to n = 12, they
+    are those of the scan that tries every point of CF as a shift of the
+    item's built sigma0.  Where CF is closed under +n, the half turn fixes
+    sigma0 (the lemma of _split_weights); Disjoint and FourCycle items are
+    among those."""
+    routes = [shape_items(n) for n in range(2, SHAPE_MAX + 1)]
+    routes += [brute_items(n) for n in range(2, 13)]
+    closed = dict.fromkeys(CASES, 0)
+    for sigma0, cf, taus in itertools.chain.from_iterable(routes):
+        assert census_module._split_weights(cf, taus) == split_weights_by_scan(sigma0, cf, taus), (cf, taus)
+        N = max(cf)
+        if {(x + N // 2) % N or N for x in cf} == cf:
+            built = sigma0()
+            assert rotate(built, N // 2) == built, (cf, taus)
+            closed[CASES[len(cf) - 2]] += 1
+    assert closed[DISJOINT] and closed[FOUR_CYCLE] and not closed[THREE_CYCLE], closed
 
 
 def test_census_builds_no_perm_per_split(monkeypatch):
-    """The shape route builds sigma0 only for a layout whose CF some
-    rotation maps onto itself, and then the rotations of sigma0 it tries;
-    no forced product, sigma1 or tau.  At n = 12 the 221 layouts have 506
-    splits and take 25 Perms."""
+    """Neither route builds a Perm: the weights are read from CF, the brute
+    route scans its leaves as image tuples, and census holds no module that
+    defines a Perm.  At n = 12 the 221 layouts have 506 splits."""
     built = []
-    unchecked = pg._unchecked
-    monkeypatch.setattr(pg, "_unchecked", lambda images: built.append(images) or unchecked(images))
-    assert census(12, use_brute=False)["discrepancies"] == []
-    assert len(built) <= 25
+    unchecked, init = pg._unchecked, pg.Perm.__init__
+    monkeypatch.setattr(pg, "_unchecked", lambda *args: built.append(args) or unchecked(*args))
+    monkeypatch.setattr(pg.Perm, "__init__", lambda self, images: built.append(images) or init(self, images))
+    assert census(12)["discrepancies"] == []
+    assert built == []
+    modules = {v.__name__ for v in vars(census_module).values() if isinstance(v, types.ModuleType)}
+    assert modules == {"math"}
 
 
 def test_shape_route_bound():
@@ -581,10 +612,11 @@ def test_orbit_weights_of_a_class_sum_to_twelve():
 def without_split(route, t):
     """route with the split that makes tuple t left out of its sigma0's taus."""
     tau = pg.cycles(t.taus[0])[0]
+    items = shape_items if route.__name__ == "_shape_route" else brute_items
 
     def patched(n):
-        for sigma0, cf, taus in route(n):
-            yield sigma0, cf, [x for x in taus if (sigma0(), x) != (t.sigma0, tau)]
+        for sigma0, cf, taus in items(n, route):
+            yield cf, [x for x in taus if (sigma0(), x) != (t.sigma0, tau)]
 
     return patched
 
@@ -761,13 +793,13 @@ def test_sigma0_layouts_match_pair_oracle():
             assert Perm(sigma0.images) == sigma0
             assert sigma0 == sigma0_from_pairs(n, h, cuts), (n, h, cuts)
             assert not pg.fixed_points(sigma0)
-            assert pg.compose(sigma0, sigma0) == pg.identity(2 * n)
+            assert compose(sigma0, sigma0) == pg.identity(2 * n)
 
 
 def test_split_product_matches_cycle_list_oracle_on_census_products():
     for n in range(2, 11):
         for t in [t for _, t in enumerate_shapes(n)] + brute_force_enumerate(n):
-            assert assert_split_matches_oracle(_pi_from_sigma0(t.sigma0)), (n, tuple_key(t))
+            assert assert_split_matches_oracle(forced_product(t.sigma0)), (n, tuple_key(t))
 
 
 @st.composite

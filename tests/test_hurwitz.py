@@ -37,7 +37,9 @@ from oracles import (
     conjugate,
     enumerate_shapes,
     format_cycles_loosely,
+    power,
     power_test,
+    rotate,
 )
 
 
@@ -339,7 +341,7 @@ def test_normalize_special_keeps_special_input():
 
 def test_normalize_special_undoes_rotation():
     z = zannier_tuple(5, 2)
-    g = standard_cycle(10) ** 3
+    g = power(standard_cycle(10), 3)
     rotated = HurwitzTuple(
         conjugate(z.sigma0, g),
         conjugate(z.sigmaInf, g),
@@ -401,7 +403,7 @@ def normalize_by_conjugation(t: HurwitzTuple) -> HurwitzTuple:
     fixed = common_fixed(rebased)
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
-    return map_entries(rebased, lambda p: pg.rotate(p, N - min(fixed)))
+    return map_entries(rebased, lambda p: rotate(p, N - min(fixed)))
 
 
 def map_entries(t: HurwitzTuple, f) -> HurwitzTuple:
