@@ -36,6 +36,9 @@ REJECTED = "Rejected"
 ERROR = "Error"
 
 EXIT_CODES = {OK: 0, REJECTED: 1, ERROR: 2}
+# The exit status when the reader of stdout left before the answer was
+# written: a shell's status for a process that SIGPIPE ended, 128 + 13.
+EXIT_BROKEN_PIPE = 141
 
 
 class CommandResult(NamedTuple):
@@ -255,20 +258,16 @@ def _cmd_profile(args) -> CommandResult:
     report = hurwitz.validate(t)
     if not report["ok"]:
         return _validation_result(report)
-    diagnostics = []
-    normalized = hurwitz.normalize_special(t)
-    if normalized != t:
-        diagnostics.append("input tuple was conjugated into special form first")
-    profile = hurwitz.primitivity_profile(normalized)
-    admissible = hurwitz.admissible_exponents(normalized.n, normalized.d)
+    profile = hurwitz.primitivity_profile(t)
     payload = {
-        "n": normalized.n,
-        "d": normalized.d,
-        "admissible": admissible,
+        "n": t.n,
+        "d": t.d,
+        "admissible": hurwitz.admissible_exponents(t.n, t.d),
         "profile": sorted(profile),
         "primitive": not profile,
     }
-    return CommandResult(OK, payload, diagnostics)
+    notes = [] if hurwitz.is_special(t) else ["input tuple was conjugated into special form first"]
+    return CommandResult(OK, payload, notes)
 
 
 def _cmd_census(args) -> CommandResult:
@@ -466,7 +465,7 @@ def _argparser():
 _ERROR_PREFIXES = (
     ("exactpoly", ("PolyParseError", "DegreeTooSmall", "ZeroInput"), "polynomial error: "),
     ("census", ("TooLarge",), "census error: "),
-    ("hurwitz", ("DegreeOrder", "NotSpecialForm"), "tuple error: "),
+    ("hurwitz", ("DegreeOrder",), "tuple error: "),
 )
 
 
@@ -537,9 +536,24 @@ def render(result: CommandResult, as_json: bool) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command line and print its answer; a failed write exits without a traceback."""
     argv = sys.argv[1:] if argv is None else argv
     result = run(argv)
-    print(render(result, as_json="--json" in argv))
+    try:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
+        print(render(result, as_json="--json" in argv), flush=True)
+    except OSError as exc:
+        import os
+
+        # The signal module docs' note on SIGPIPE: stdout goes to devnull,
+        # so the flush at exit writes what is left nowhere and cannot fail.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"{ERROR}: cannot write the answer: {exc}", file=sys.stderr)
+        return EXIT_CODES[ERROR]
     return EXIT_CODES[result.status]
 
 

@@ -1,11 +1,12 @@
 """Branched-cover permutation tuples: validation, the staircase example
-family, the power profile from one residue gcd, and normalization.
+family, and the power profile from one residue gcd.
 
 A tuple acts on 2n points.  Its product is read in application order (the
 first entry acts first); the monodromy entries are sigma0, sigmaInf, sigma1
 and up to d-1 extra transposition-like factors taus.  The special form fixes
 sigmaInf to the standard descending cycle (i maps to i-1, 1 to 2n) and puts
-2n among the points fixed by sigma1 and every tau.
+2n among the points fixed by sigma1 and every tau; the power profile reads
+any tuple through the labels that would put it in that form.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ MAX_TUPLE_POINTS = 2_000_000
 
 class DegreeOrder(ValueError):
     """Constructor needs n >= d >= 2."""
-
-
-class NotSpecialForm(ValueError):
-    """Operation needs a tuple in special (normalized) form."""
 
 
 class HurwitzTuple(NamedTuple):
@@ -60,17 +57,9 @@ def standard_cycle(N: int) -> Perm:
 def is_special(t: HurwitzTuple) -> bool:
     """sigmaInf is the standard cycle and 2n is fixed by sigma1 and every tau."""
     N = t.points
-    return t.sigmaInf.images == standard_cycle(N).images and all(
+    return t.sigmaInf.images == (N, *range(1, N)) and all(
         p.size >= N and p(N) == N for p in (t.sigma1, *t.taus)
     )
-
-
-def common_fixed(t: HurwitzTuple) -> frozenset[int]:
-    """Indices fixed by sigma1 and every tau."""
-    fixed = pg.fixed_points(t.sigma1)
-    for tau in t.taus:
-        fixed &= pg.fixed_points(tau)
-    return fixed
 
 
 def _validation(checks: list[tuple[str, bool, str]], *branching: int) -> dict:
@@ -154,25 +143,32 @@ def zannier_tuple(n: int, d: int) -> HurwitzTuple:
     sigma0 = Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, n + 1)])
     sigma1 = Perm.from_cycles(N, [(i, N - i) for i in range(1, n - d + 1)])
     taus = tuple(Perm.from_cycles(N, [(n - i, n + i)]) for i in range(1, d))
-    return HurwitzTuple(
-        sigma0=sigma0,
-        sigmaInf=standard_cycle(N),
-        sigma1=sigma1,
-        taus=taus,
-        n=n,
-        d=d,
-    )
+    return HurwitzTuple(sigma0, standard_cycle(N), sigma1, taus, n, d)
 
 
 def primitivity_profile(t: HurwitzTuple) -> set[int]:
     """Admissible exponents m >= 2 for which the tuple behaves like an m-th
-    power: mod 2m, sigma1 and sigma0 act as x -> -x and x -> 1 - x, and
-    every tau fixes each residue.  These hold exactly when 2m divides G, the
-    gcd over all x of sigma1(x) + x, sigma0(x) + x - 1 and tau(x) - x
-    (G >= 1, as sigma1(x) + x >= 2).  Empty means combinatorially primitive.
+    power, read through labels that put it in special form: L(f) = 2n for f
+    the largest point fixed by sigma1 and every tau, L(sigmaInf x) = L(x) - 1
+    (L is the identity when t is special).  Mod 2m, sigmaInf lowers every
+    label by one, as 2m divides 2n; the tuple is an m-th power when sigma1
+    and sigma0 act on labels as x -> -x and x -> 1 - x and every tau fixes
+    each residue, exactly when 2m divides G, the gcd over all x of
+    L(sigma1 x) + L(x), L(sigma0 x) + L(x) - 1 and L(tau x) - L(x) (G >= 1,
+    as L(sigma1 x) + L(x) >= 2).  Empty means combinatorially primitive.
 
-    The n = 6 worked example: with tau = (3, 9), the tuple is a cube and no
-    square.
+    Which common fixed point gets label 2n does not matter: labelling f'
+    instead adds some s to every label mod 2n, so mod 2m.  The tau terms
+    stay and the others gain 2s; if 2m divides them all, the sigma1 term at
+    f' gives 2L(f') = 0, so 2s = -2L(f') = 0 mod 2m, and back alike.
+
+    A tuple that passes validate has a common fixed point: of its total
+    branching 4n - 2, sigmaInf (one 2n-cycle) spends 2n - 1, sigma0 (even
+    cycles) at least n and sigma1 (2d fixed points, even cycles) at least
+    n - d.  So the taus spend at most d - 1; spending b moves at most 2b
+    points, so they move at most 2d - 2 of the 2d points sigma1 fixes.
+
+    The n = 6 worked example, tau = (3, 9): a cube and no square.
 
     >>> N = 12
     >>> sigma0 = Perm.from_cycles(N, [(i, N + 1 - i) for i in range(1, 7)])
@@ -182,63 +178,27 @@ def primitivity_profile(t: HurwitzTuple) -> set[int]:
     >>> primitivity_profile(cube)
     {3}
     """
-    if not is_special(t):
-        raise NotSpecialForm("primitivity_profile needs the special form")
     N = t.points
     for p in t.gens():
         if p.size != N:
             raise pg.SizeMismatch(f"size {p.size} != {N}")
-    # sigmaInf, the standard cycle x -> x - 1, lowers every residue by one
-    # because 2m divides 2n.
-    points = range(1, N + 1)
-    G = math.gcd(
-        *map(operator.add, t.sigma1.images, points),
-        *map(operator.add, t.sigma0.images, range(N)),
-    )
-    for tau in t.taus:
-        G = math.gcd(G, *map(operator.sub, tau.images, points))
-    return {m for m in admissible_exponents(t.n, t.d) if G % (2 * m) == 0}
-
-
-def normalize_special(t: HurwitzTuple) -> HurwitzTuple:
-    """Conjugate into special form.  Special inputs come back unchanged;
-    otherwise sigmaInf is rebased to the standard descending cycle and the
-    smallest common fixed index is rotated into 2n."""
-    if is_special(t):
-        return t
-    N = t.points
     if not pg.is_full_cycle(t.sigmaInf):
         raise ValueError("sigmaInf must be a full cycle")
-    for p in t.gens():
-        if p.size != N:
-            raise pg.SizeMismatch(f"sizes {p.size} and {N} differ")
-    # gamma(N - k) = sigmaInf^k(N) conjugates sigmaInf to the standard cycle.
-    gamma, ginv = [0] * N, [0] * (N + 1)
-    x = N
-    for k in range(N):
-        gamma[N - k - 1], ginv[x] = x, N - k
-        x = t.sigmaInf.images[x - 1]
-    fixed = common_fixed(t)
+    fixed = pg.fixed_points(t.sigma1).intersection(*map(pg.fixed_points, t.taus))
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
-    # Conjugating by gamma, then rotating by s, relabels each entry p to
-    # y -> ginv(p(gamma(y - s))) + s, mod N in 1..N.
-    s = N - min(ginv[f] for f in fixed)
-    src = [g - 1 for g in gamma[N - s :] + gamma[: N - s]]
-    back = [0] + [(ginv[z] + s - 1) % N + 1 for z in range(1, N + 1)]
-
-    def relabel(p: Perm) -> Perm:
-        imgs = p.images
-        return pg._unchecked(tuple([back[imgs[z]] for z in src]))
-
-    return HurwitzTuple(
-        sigma0=relabel(t.sigma0),
-        sigmaInf=relabel(t.sigmaInf),
-        sigma1=relabel(t.sigma1),
-        taus=tuple(relabel(tau) for tau in t.taus),
-        n=t.n,
-        d=t.d,
-    )
+    label = [0] * (N + 1)
+    x, down = max(fixed), t.sigmaInf.images
+    for k in range(N, 0, -1):
+        label[x] = k
+        x = down[x - 1]
+    own = label[1:]
+    # L(p x) for x = 1..N, one C gather per entry (N >= 2 gives a tuple).
+    s1, s0, *taus = (operator.itemgetter(*p.images)(label) for p in (t.sigma1, t.sigma0, *t.taus))
+    G = math.gcd(*map(operator.add, s1, own), *map(operator.add, s0, [y - 1 for y in own]))
+    for tau in taus:
+        G = math.gcd(G, *map(operator.sub, tau, own))
+    return {m for m in admissible_exponents(t.n, t.d) if G % (2 * m) == 0}
 
 
 # -- JSON form ----------------------------------------------------------------

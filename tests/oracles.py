@@ -51,8 +51,14 @@ classify_powers skips every m that has an admissible divisor without a
 root, since T_ab = T_a o T_b.  classify_powers_every_m tries every
 admissible m.
 
-profile reads every exponent from one gcd of residues over all entries.
-power_test tests one m at a time, by its residue congruences mod 2m.
+profile labels the points along sigmaInf's cycle, from the largest point
+fixed by sigma1 and every tau down, and reads every exponent from one gcd
+of labelled residues over all entries.  Below, normalize_special builds the
+special-form tuple itself, in one relabel that conjugates by the rebasing
+gamma and rotates the least such point (common_fixed) into 2n, and
+primitivity_profile takes the gcd of a special tuple's own residues,
+refusing any other with NotSpecialForm.  power_test tests one m at a time,
+by its residue congruences mod 2m.
 
 The commands answer with permgroup's cycle walk and with hurwitz's residue
 gcd; validate folds a tuple's product over the image tuples and reads
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -113,13 +120,7 @@ from pellab.exactpoly import (
     squarefree_decomposition,
     squarefree_part,
 )
-from pellab.hurwitz import (
-    HurwitzTuple,
-    NotSpecialForm,
-    common_fixed,
-    is_special,
-    standard_cycle,
-)
+from pellab.hurwitz import HurwitzTuple, is_special, standard_cycle
 from pellab.pellcore import (
     PellSolution,
     PowerClassification,
@@ -189,6 +190,18 @@ def rotate(a: Perm, s: int) -> Perm:
     imgs = a.images
     shift = (0, *range(s + 1, N + 1), *range(1, s + 1))
     return pg._unchecked(tuple([shift[x] for x in imgs[N - s :] + imgs[: N - s]]))
+
+
+class NotSpecialForm(ValueError):
+    """Operation needs a tuple in special (normalized) form."""
+
+
+def common_fixed(t: HurwitzTuple) -> frozenset[int]:
+    """Indices fixed by sigma1 and every tau."""
+    fixed = pg.fixed_points(t.sigma1)
+    for tau in t.taus:
+        fixed &= pg.fixed_points(tau)
+    return fixed
 
 
 def _sigma0(n: int, h: int, cuts: Sequence[int]) -> Perm:
@@ -759,6 +772,69 @@ def power_test(t: HurwitzTuple, m: int) -> bool:
         all((y + x) % m2 == 0 for x, y in enumerate(t.sigma1.images, 1))
         and all((y + x) % m2 == 1 for x, y in enumerate(t.sigma0.images, 1))
         and all((y - x) % m2 == 0 for tau in t.taus for x, y in enumerate(tau.images, 1))
+    )
+
+
+def primitivity_profile(t: HurwitzTuple) -> set[int]:
+    """The power profile of a special tuple read off its own points: the
+    admissible m with 2m dividing the gcd over all x of sigma1(x) + x,
+    sigma0(x) + x - 1 and tau(x) - x."""
+    if not is_special(t):
+        raise NotSpecialForm("primitivity_profile needs the special form")
+    N = t.points
+    for p in t.gens():
+        if p.size != N:
+            raise pg.SizeMismatch(f"size {p.size} != {N}")
+    # sigmaInf, the standard cycle x -> x - 1, lowers every residue by one
+    # because 2m divides 2n.
+    points = range(1, N + 1)
+    G = math.gcd(
+        *map(operator.add, t.sigma1.images, points),
+        *map(operator.add, t.sigma0.images, range(N)),
+    )
+    for tau in t.taus:
+        G = math.gcd(G, *map(operator.sub, tau.images, points))
+    return {m for m in admissible_exponents(t.n, t.d) if G % (2 * m) == 0}
+
+
+def normalize_special(t: HurwitzTuple) -> HurwitzTuple:
+    """Conjugate into special form.  Special inputs come back unchanged;
+    otherwise sigmaInf is rebased to the standard descending cycle and the
+    smallest common fixed index is rotated into 2n."""
+    if is_special(t):
+        return t
+    N = t.points
+    if not pg.is_full_cycle(t.sigmaInf):
+        raise ValueError("sigmaInf must be a full cycle")
+    for p in t.gens():
+        if p.size != N:
+            raise pg.SizeMismatch(f"sizes {p.size} and {N} differ")
+    # gamma(N - k) = sigmaInf^k(N) conjugates sigmaInf to the standard cycle.
+    gamma, ginv = [0] * N, [0] * (N + 1)
+    x = N
+    for k in range(N):
+        gamma[N - k - 1], ginv[x] = x, N - k
+        x = t.sigmaInf.images[x - 1]
+    fixed = common_fixed(t)
+    if not fixed:
+        raise ValueError("no index is fixed by sigma1 and every tau")
+    # Conjugating by gamma, then rotating by s, relabels each entry p to
+    # y -> ginv(p(gamma(y - s))) + s, mod N in 1..N.
+    s = N - min(ginv[f] for f in fixed)
+    src = [g - 1 for g in gamma[N - s :] + gamma[: N - s]]
+    back = [0] + [(ginv[z] + s - 1) % N + 1 for z in range(1, N + 1)]
+
+    def relabel(p: Perm) -> Perm:
+        imgs = p.images
+        return pg._unchecked(tuple([back[imgs[z]] for z in src]))
+
+    return HurwitzTuple(
+        sigma0=relabel(t.sigma0),
+        sigmaInf=relabel(t.sigmaInf),
+        sigma1=relabel(t.sigma1),
+        taus=tuple(relabel(tau) for tau in t.taus),
+        n=t.n,
+        d=t.d,
     )
 
 

@@ -29,7 +29,6 @@ from pellab.census import (
 from pellab.cli import main
 from pellab.hurwitz import (
     HurwitzTuple,
-    common_fixed,
     is_special,
     primitivity_profile,
     standard_cycle,
@@ -51,6 +50,7 @@ from oracles import (
     canonical_key,
     case_of,
     classes_by_case,
+    common_fixed,
     compose,
     conjugacy_classes,
     conjugate,

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellab import cli
+from pellab import permgroup as pg
 from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
 from pellab.cli import CommandResult, build_parser, integer, main, render, run
 from pellab.exactpoly import (
@@ -281,10 +282,14 @@ def test_reader_agrees_with_argparse(argv):
     assert run(argv) == CommandResult("Error", None, [f"argument {flag}: invalid integer value: '--'"])
 
 
-def python_m(module, argv):
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def python_m(module, argv):
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=src_env(), timeout=60)
 
 
 def test_python_dash_m_matches_main(capsys):
@@ -302,6 +307,41 @@ def test_python_dash_m_cli_is_quiet():
     assert module_run.stderr == b""
     assert module_run.returncode == 0
     assert module_run.stdout == package_run.stdout
+
+
+def pellab_process(argv, **streams) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "pellab", *argv], env=src_env(), **streams)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_reader_that_left_is_no_traceback(mode):
+    # The reader closes the pipe before the tuple is sent, so the answer's
+    # first write finds no reader, whatever the pipe's capacity.
+    text = json.dumps(tuple_to_json_dict(zannier_tuple(60, 2)))
+    proc = pellab_process(
+        ["validate", "--file", "-", *mode],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(text.encode(), timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_is_an_error_line():
+    with open("/dev/full", "w") as full:
+        proc = pellab_process(["census", "--n", "6"], stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == ["Error: cannot write the answer: [Errno 28] No space left on device"]
+
+
+def test_closed_stdout_is_an_error_line():
+    # sh runs the command with its stdout closed, as `pellab ... >&-` does.
+    argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "pellab", "census", "--n", "6", "--json"]
+    proc = subprocess.run(argv, capture_output=True, env=src_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["Error: cannot write the answer: stdout is closed"]
 
 
 def test_seed_and_power_and_file_round_trip(tmp_path):
@@ -718,6 +758,39 @@ def test_profile_normalizes_with_note(tmp_path):
     assert result.status == "Ok"
     assert result.payload["profile"] == [3]
     assert result.payload["primitive"] is False
+
+
+def test_profile_builds_no_perm_or_tuple_after_parsing(tmp_path, monkeypatch):
+    """profile reads a special tuple and a relabelled one through labels:
+    once the tuple is parsed, it builds no Perm and no HurwitzTuple."""
+    z = zannier_tuple(12, 3)
+    g = Perm([7 * x % 25 for x in range(1, 25)])
+    moved = HurwitzTuple(*(conjugate(p, g) for p in z[:3]), tuple(conjugate(t, g) for t in z.taus), 12, 3)
+    parsed, built = [], []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            if parsed:
+                built.append(args)
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    def reading(args, read=cli._read_tuple):
+        parsed.append(read(args))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "_read_tuple", reading)
+    monkeypatch.setattr(pg, "_unchecked", counted(pg._unchecked))
+    monkeypatch.setattr(Perm, "__init__", counted(Perm.__init__))
+    monkeypatch.setattr(HurwitzTuple, "__new__", counted(HurwitzTuple.__new__))
+    for t, notes in ((z, []), (moved, ["input tuple was conjugated into special form first"])):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(tuple_to_json_dict(t)), encoding="utf-8")
+        parsed.clear()
+        result = run(["profile", "--file", str(path)])
+        assert (result.status, result.payload["profile"], result.diagnostics) == ("Ok", [], notes)
+        assert parsed and built == []
 
 
 def test_validate_rejects_broken_tuple(tmp_path, capsys):

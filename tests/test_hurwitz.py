@@ -16,11 +16,8 @@ from pellab.hurwitz import (
     MAX_TUPLE_POINTS,
     DegreeOrder,
     HurwitzTuple,
-    NotSpecialForm,
     admissible_exponents,
-    common_fixed,
     is_special,
-    normalize_special,
     primitivity_profile,
     standard_cycle,
     tuple_from_json_dict,
@@ -30,13 +27,19 @@ from pellab.hurwitz import (
 )
 from pellab.permgroup import Perm
 
+import oracles
 from oracles import (
+    NotSpecialForm,
     branching,
     chain,
+    common_fixed,
+    compose,
     congruence_partition,
     conjugate,
     enumerate_shapes,
     format_cycles_loosely,
+    inverse,
+    normalize_special,
     power,
     power_test,
     rotate,
@@ -415,10 +418,10 @@ def map_entries(t: HurwitzTuple, f) -> HurwitzTuple:
     )
 
 
-def normalize_outcome(normalize, t: HurwitzTuple):
-    """The normalized tuple, or the error's type and message."""
+def outcome(f, t: HurwitzTuple):
+    """f(t), or the error's type and message."""
     try:
-        return normalize(t)
+        return f(t)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -462,8 +465,8 @@ def relabelled_tuples(draw):
     )
 )
 def test_normalize_special_matches_conjugation_oracle(t):
-    got = normalize_outcome(normalize_special, t)
-    assert got == normalize_outcome(normalize_by_conjugation, t)
+    got = outcome(normalize_special, t)
+    assert got == outcome(normalize_by_conjugation, t)
     if isinstance(got, HurwitzTuple):
         assert is_special(got)
         assert all(Perm(p.images) == p for p in got.gens())
@@ -472,8 +475,7 @@ def test_normalize_special_matches_conjugation_oracle(t):
 @st.composite
 def profile_tuples(draw):
     """A census-shape tuple for n <= 12, a staircase tuple for n <= 40, or
-    either one with every entry conjugated by a drawn relabelling and then
-    normalized."""
+    either one with every entry conjugated by a drawn relabelling."""
     if draw(st.booleans()):
         t = draw(st.sampled_from(shape_tuples(draw(st.integers(min_value=2, max_value=12)))))
     else:
@@ -481,25 +483,99 @@ def profile_tuples(draw):
         t = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
     if draw(st.booleans()):
         g = Perm(draw(st.permutations(range(1, t.points + 1))))
-        t = normalize_special(map_entries(t, lambda p: conjugate(p, g)))
+        t = map_entries(t, lambda p: conjugate(p, g))
     return t
 
 
 @given(profile_tuples())
 @example(disjoint_census_tuple(12, 4))
 def test_primitivity_profile_matches_power_test(t):
-    want = {m for m in admissible_exponents(t.n, t.d) if power_test(t, m)}
+    # power_test needs the special form; the profile reads any tuple.
+    special = normalize_special(t)
+    want = {m for m in admissible_exponents(t.n, t.d) if power_test(special, m)}
     assert primitivity_profile(t) == want
+
+
+def test_label_profile_matches_normalization_oracle():
+    """On census-shape tuples n <= 12 and staircase tuples n < 60: as made,
+    rotated so that each common fixed point in turn sits at 2n (which one
+    gets label 2n does not change the answer), and under a relabelling."""
+    rng = random.Random(36)
+    tuples = [t for n in range(2, 13) for t in shape_tuples(n)]
+    tuples += [zannier_tuple(n, d) for n in range(2, 60) for d in range(2, n + 1, 1 + n // 8)]
+    rotations = 0
+    for t in tuples:
+        N = t.points
+        want = oracles.primitivity_profile(t)
+        assert primitivity_profile(t) == want
+        for f in common_fixed(t) - {N}:
+            rotated = map_entries(t, lambda p: rotate(p, N - f))
+            assert is_special(rotated)
+            assert primitivity_profile(rotated) == oracles.primitivity_profile(rotated) == want
+            rotations += 1
+        g = Perm(rng.sample(range(1, N + 1), N))
+        moved = map_entries(t, lambda p: conjugate(p, g))
+        assert primitivity_profile(moved) == oracles.primitivity_profile(normalize_special(moved)) == want
+    assert rotations >= len(tuples)
+    assert any(oracles.primitivity_profile(t) for t in tuples)
+
+
+@given(relabelled_tuples())
+@example(zannier_tuple(6, 2)._replace(taus=(Perm.from_cycles(12, "(11,12)"),)))
+def test_label_profile_matches_normalization_oracle_on_drawn_relabellings(t):
+    want = outcome(lambda u: oracles.primitivity_profile(normalize_special(u)), t)
+    assert outcome(primitivity_profile, t) == want
+
+
+@st.composite
+def closed_tuples(draw):
+    """Tuples of the shape validate asks for, n <= 6: sigma0 a fixed-point-free
+    involution, sigma1 an involution fixing 2d points, taus of total
+    branching d - 1 on drawn points, and sigmaInf the entry that closes the
+    product, which passes when it is one 2n-cycle."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=2, max_value=n))
+    N = 2 * n
+
+    def involution(moved: int) -> Perm:
+        points = draw(st.permutations(range(1, N + 1)))[:moved]
+        return Perm.from_cycles(N, list(zip(points[::2], points[1::2])))
+
+    spend = d - 1
+    taus = []
+    while spend:
+        length = draw(st.integers(min_value=2, max_value=spend + 1))
+        taus.append(Perm.from_cycles(N, [draw(st.permutations(range(1, N + 1)))[:length]]))
+        spend -= length - 1
+    sigma0, sigma1 = involution(N), involution(N - 2 * d)
+    # Application order: sigmaInf = (taus after sigma1)^-1 after sigma0^-1.
+    sigma_inf = compose(inverse(chain([sigma1, *taus])), inverse(sigma0))
+    return HurwitzTuple(sigma0, sigma_inf, sigma1, tuple(taus), n, d)
+
+
+@given(closed_tuples())
+@example(zannier_tuple(5, 3))
+def test_validated_tuples_have_a_common_fixed_point(t):
+    if validate(t)["ok"]:
+        assert common_fixed(t)
+        assert primitivity_profile(t) == oracles.primitivity_profile(normalize_special(t))
 
 
 def test_primitivity_profile_rejects_bad_inputs():
     z = zannier_tuple(4, 2)
     short = pg.identity(6)
     for n in (4, 5):  # admissible m: [2] at n = 4, none at n = 5
+        # A tau that moves 2n leaves the special form; such a tuple gets the
+        # profile of its normalization.
         moves_last = Perm.from_cycles(2 * n, [(2 * n - 1, 2 * n)])
         shifted = zannier_tuple(n, 2)._replace(taus=(moves_last,))
-        with pytest.raises(NotSpecialForm):
-            primitivity_profile(shifted)
+        assert not is_special(shifted)
+        assert primitivity_profile(shifted) == oracles.primitivity_profile(normalize_special(shifted))
+    with pytest.raises(ValueError, match="^sigmaInf must be a full cycle$"):
+        primitivity_profile(z._replace(sigmaInf=z.sigma0))
+    no_common = z._replace(sigma1=Perm.from_cycles(8, "(1,3)(2,4)(5,7)(6,8)"))
+    with pytest.raises(ValueError, match="^no index is fixed by sigma1 and every tau$"):
+        primitivity_profile(no_common)
     for sigma0, sigma1, tau in (
         (short, z.sigma1, z.taus[0]),
         (pg.identity(10), z.sigma1, z.taus[0]),
@@ -511,8 +587,8 @@ def test_primitivity_profile_rejects_bad_inputs():
 
 
 def test_primitivity_profile_checks_once(monkeypatch):
-    """One special-form check and one admissible list per call, however
-    many exponents are admissible (four at n = 12)."""
+    """One admissible list per call, however many exponents are admissible
+    (four at n = 12), and no special-form check: the labels read any tuple."""
     calls = Counter()
 
     def counted(name):
@@ -529,7 +605,7 @@ def test_primitivity_profile_checks_once(monkeypatch):
     t = disjoint_census_tuple(12, 4)
     assert admissible_exponents(12, 2) == [2, 3, 4, 6]
     assert primitivity_profile(t) == {2, 4}
-    assert calls == {"is_special": 1, "admissible_exponents": 1}
+    assert calls == {"admissible_exponents": 1}
 
 
 def test_tuple_json_round_trip():
@@ -786,8 +862,9 @@ def test_validate_after_a_loose_json_round_trip_matches_entry_query_oracle(t, rn
 
 def test_validate_and_profile_walk_no_cycles(monkeypatch):
     """Tuple JSON and zannier_tuple build each entry with its cycle type,
-    so validate and profile (special form, then the residue gcd) walk no
-    entry's cycles, on a special tuple and on a relabelled one."""
+    so validate and profile (the full-cycle check, the labels, then the
+    residue gcd) walk no entry's cycles, on a special tuple and on a
+    relabelled one."""
     z = zannier_tuple(12, 3)
     g = Perm(random.Random(5).sample(range(1, 25), 24))
     moved = HurwitzTuple(
@@ -799,8 +876,8 @@ def test_validate_and_profile_walk_no_cycles(monkeypatch):
     cycles = pg.cycles
     monkeypatch.setattr(pg, "cycles", lambda p: walks.append(p) or cycles(p))
     read = [tuple_from_json_dict(data) for data in texts]
-    assert normalize_special(read[1]) != read[1]
+    assert not is_special(read[1])
     for t in (zannier_tuple(12, 3), *read):
         assert validate(t)["ok"]
-        assert primitivity_profile(normalize_special(t)) == want
+        assert primitivity_profile(t) == want
     assert walks == []
