@@ -54,18 +54,8 @@ class _ParserError(Exception):
 def _solution_payload(sol: pellcore.PellSolution) -> dict:
     from . import exactpoly
 
-    return {
-        "A": exactpoly.to_coeff_strings(sol.A),
-        "B": exactpoly.to_coeff_strings(sol.B),
-        "D": exactpoly.to_coeff_strings(sol.D),
-        "n": sol.n,
-        "d": sol.d,
-        "text": {
-            "A": exactpoly.format_poly(sol.A),
-            "B": exactpoly.format_poly(sol.B),
-            "D": exactpoly.format_poly(sol.D),
-        },
-    }
+    (A, text_A), (B, text_B), (D, text_D) = map(exactpoly.coeff_strings_and_text, (sol.A, sol.B, sol.D))
+    return {"A": A, "B": B, "D": D, "n": sol.n, "d": sol.d, "text": {"A": text_A, "B": text_B, "D": text_D}}
 
 
 def _rejection(reason: pellcore.RejectionReason) -> CommandResult:
@@ -258,11 +248,12 @@ def _cmd_profile(args) -> CommandResult:
     report = hurwitz.validate(t)
     if not report["ok"]:
         return _validation_result(report)
-    profile = hurwitz.primitivity_profile(t)
+    admissible = hurwitz.admissible_exponents(t.n, t.d)
+    profile = hurwitz.primitivity_profile(t, admissible)
     payload = {
         "n": t.n,
         "d": t.d,
-        "admissible": hurwitz.admissible_exponents(t.n, t.d),
+        "admissible": admissible,
         "profile": sorted(profile),
         "primitive": not profile,
     }

@@ -10,8 +10,9 @@ The one rational type is the integer pair (numerator, denominator): the
 kernels read and write the stored integers directly, a rational argument
 (to Poly, constant, scale and evaluation) is read as a pair by _pair, and
 parse_rational returns one.  Solution text, printed by format_poly and
-to_coeff_strings and read by from_coeff_strings, and polynomial text read
-by parse_poly go through one pair per coefficient.  Only coeffs, coeff,
+coeff_strings_and_text (both forms from one str() per integer) and read by
+from_coeff_strings, and polynomial text read by parse_poly go through one
+pair per coefficient.  Only coeffs, coeff,
 leading and evaluation hand a caller a fractions.Fraction, whose class
 _fraction_class imports on its first call.  A product convolves
 the numerators, and a square takes each cross product once and doubles it.
@@ -630,48 +631,57 @@ def parse_poly(text: str) -> Poly:
     return _from_pairs(pairs)
 
 
-def _reduced_pairs(p: Poly) -> list[tuple[int, int]]:
-    """Each coefficient of p as (numerator, denominator) in lowest terms,
-    constant term first; 0 is (0, 1)."""
+def _pair_strings(p: Poly) -> list[tuple[str, str]]:
+    """Each coefficient of p as its numerator and denominator in lowest
+    terms, in decimal, constant term first; 0 is ("0", "1")."""
     den = p.den
     out = []
     for c in p.nums:
         g = math.gcd(c, den)
-        out.append((c // g, den // g))
+        out.append((str(c // g), str(den // g)))
     return out
 
 
-def format_poly(p: Poly) -> str:
-    """Canonical human form, highest degree first."""
-    if p.is_zero:
-        return "0"
+def _human_text(strings: list[tuple[str, str]]) -> str:
+    """The canonical human form, highest degree first, from _pair_strings."""
     parts: list[str] = []
-    for k, (num, den) in reversed(list(enumerate(_reduced_pairs(p)))):
-        if not num:
+    for k in range(len(strings) - 1, -1, -1):
+        num, den = strings[k]
+        if num == "0":
             continue
-        mag = abs(num)
-        if k and mag == 1 and den == 1:
+        mag = num.lstrip("-")
+        if k and mag == "1" and den == "1":
             body = "t" if k == 1 else f"t^{k}"
         else:
-            body = str(mag) if den == 1 else f"{mag}/{den}"
+            body = mag if den == "1" else f"{mag}/{den}"
             if k:
                 body += "*t" if k == 1 else f"*t^{k}"
-        parts.append(" - " if num < 0 else " + ")
+        parts.append(" - " if num[0] == "-" else " + ")
         parts.append(body)
+    if not parts:
+        return "0"
     parts[0] = "-" if parts[0] == " - " else ""  # the leading term's sign
     return "".join(parts)
 
 
-def to_coeff_strings(p: Poly) -> list[str]:
-    """JSON form: ["num/den", ...] from the constant term up."""
-    return [f"{num}/{den}" for num, den in _reduced_pairs(p)]
+def format_poly(p: Poly) -> str:
+    """Canonical human form, highest degree first."""
+    return _human_text(_pair_strings(p))
+
+
+def coeff_strings_and_text(p: Poly) -> tuple[list[str], str]:
+    """The JSON form ["num/den", ...], from the constant term up, and
+    format_poly's text, from one str() per numerator and denominator."""
+    strings = _pair_strings(p)
+    return [f"{num}/{den}" for num, den in strings], _human_text(strings)
 
 
 def from_coeff_strings(items: list[Union[str, int]]) -> Poly:
-    """Inverse of to_coeff_strings: a list of at most MAX_DEGREE + 1 strings
-    in parse_rational's form ("num/den" or "num") or bare integers, counted
-    before any is parsed.  Anything else, a float, a bool, a decimal or
-    exponent string, a bare string for the list, is a PolyParseError."""
+    """Inverse of coeff_strings_and_text's list: a list of at most
+    MAX_DEGREE + 1 strings in parse_rational's form ("num/den" or "num") or
+    bare integers, counted before any is parsed.  Anything else, a float, a
+    bool, a decimal or exponent string, a bare string for the list, is a
+    PolyParseError."""
     if not isinstance(items, list):
         raise PolyParseError(f"coefficients must be a list, not {type(items).__name__}", 0)
     if len(items) > MAX_DEGREE + 1:

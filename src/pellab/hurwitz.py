@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from itertools import compress
+from typing import NamedTuple, Optional
 
 from . import permgroup as pg
 from .degrees import admissible_exponents
@@ -146,9 +147,10 @@ def zannier_tuple(n: int, d: int) -> HurwitzTuple:
     return HurwitzTuple(sigma0, standard_cycle(N), sigma1, taus, n, d)
 
 
-def primitivity_profile(t: HurwitzTuple) -> set[int]:
+def primitivity_profile(t: HurwitzTuple, admissible: Optional[list[int]] = None) -> set[int]:
     """Admissible exponents m >= 2 for which the tuple behaves like an m-th
-    power, read through labels that put it in special form: L(f) = 2n for f
+    power, m in admissible (admissible_exponents(t.n, t.d) when not given),
+    read through labels that put it in special form: L(f) = 2n for f
     the largest point fixed by sigma1 and every tau, L(sigmaInf x) = L(x) - 1
     (L is the identity when t is special).  Mod 2m, sigmaInf lowers every
     label by one, as 2m divides 2n; the tuple is an m-th power when sigma1
@@ -184,7 +186,7 @@ def primitivity_profile(t: HurwitzTuple) -> set[int]:
             raise pg.SizeMismatch(f"size {p.size} != {N}")
     if not pg.is_full_cycle(t.sigmaInf):
         raise ValueError("sigmaInf must be a full cycle")
-    fixed = pg.fixed_points(t.sigma1).intersection(*map(pg.fixed_points, t.taus))
+    fixed = [x for x in pg.fixed_points(t.sigma1) if all(tau(x) == x for tau in t.taus)]
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
     label = [0] * (N + 1)
@@ -194,11 +196,16 @@ def primitivity_profile(t: HurwitzTuple) -> set[int]:
         x = down[x - 1]
     own = label[1:]
     # L(p x) for x = 1..N, one C gather per entry (N >= 2 gives a tuple).
-    s1, s0, *taus = (operator.itemgetter(*p.images)(label) for p in (t.sigma1, t.sigma0, *t.taus))
+    s1, s0 = (operator.itemgetter(*p.images)(label) for p in (t.sigma1, t.sigma0))
     G = math.gcd(*map(operator.add, s1, own), *map(operator.add, s0, [y - 1 for y in own]))
-    for tau in taus:
-        G = math.gcd(G, *map(operator.sub, tau, own))
-    return {m for m in admissible_exponents(t.n, t.d) if G % (2 * m) == 0}
+    # A tau's term is 0 at every point it fixes, so only its moved points enter.
+    points = range(1, N + 1)
+    for im in (tau.images for tau in t.taus):
+        moved = compress(points, map(operator.ne, im, points))
+        G = math.gcd(G, *(label[im[x - 1]] - label[x] for x in moved))
+    if admissible is None:
+        admissible = admissible_exponents(t.n, t.d)
+    return {m for m in admissible if G % (2 * m) == 0}
 
 
 # -- JSON form ----------------------------------------------------------------

@@ -96,10 +96,12 @@ def _below_degree_floor(D: Poly, allow_d1: bool) -> Optional[RejectionReason]:
 def verify_pell(
     A: Poly, B: Poly, D: Poly, allow_d1: bool = False
 ) -> Union[PellSolution, RejectionReason]:
-    """Check the unit equation and the degree/squarefreeness policy."""
+    """Check the unit equation and the degree/squarefreeness policy.  The
+    equation is read as A*A - 1 == D*(B*B): equal polynomials have equal
+    stored pairs, so no difference is built."""
     if B.is_zero:
         return RejectionReason(ZERO_B, "B = 0 gives only the trivial unit")
-    if A * A - D * (B * B) != ONE:
+    if A * A - ONE != D * (B * B):
         return RejectionReason(NOT_UNIT, "A^2 - D*B^2 != 1")
     # With B != 0, A^2 - D*B^2 = 1 forces deg D even unless D = 0 (degree -1).
     if (small := _below_degree_floor(D, allow_d1)) is not None:
@@ -127,14 +129,15 @@ def chebyshev(m: int) -> Poly:
 
 def power_solution(sol: PellSolution, m: int) -> PellSolution:
     """The m-th power (A + B*sqrt(D))^m = Am + Bm*sqrt(D), so Am = T_m(A),
-    by square-and-multiply over the bits of m, highest first."""
+    by square-and-multiply over the bits of m, highest first.  Every power
+    of a solution is a unit, a^2 - D*b^2 = 1, so a doubling takes one
+    square: (a + b*sqrt(D))^2 = (2a^2 - 1) + 2ab*sqrt(D), T_2k = 2T_k^2 - 1."""
     if m < 1:
         raise ValueError("power index must be >= 1")
     A, B, D = sol.A, sol.B, sol.D
     Am, Bm = A, B
     for bit in bin(m)[3:]:
-        # (a + b*sqrt(D))^2 = (a^2 + D*b^2) + 2ab*sqrt(D)
-        Am, Bm = Am * Am + D * (Bm * Bm), (Am * Bm).scale(2)
+        Am, Bm = (Am * Am).scale(2) - ONE, (Am * Bm).scale(2)
         if bit == "1":
             Am, Bm = Am * A + D * (Bm * B), Am * B + Bm * A
     return PellSolution(A=Am, B=Bm, D=D, n=m * sol.n, d=sol.d)

@@ -49,7 +49,10 @@ discriminant.  X is the polynomial t.
 
 classify_powers skips every m that has an admissible divisor without a
 root, since T_ab = T_a o T_b.  classify_powers_every_m tries every
-admissible m.
+admissible m.  power_solution doubles a unit by 2a^2 - 1, one square, and
+verify_pell compares A*A - 1 with D*(B*B); power_solution_by_norm_form
+doubles by the norm form a^2 + D*b^2, which needs no unit, and the tests
+compare verify_pell's verdict with the expanded A*A - D*(B*B) == 1.
 
 profile labels the points along sigmaInf's cycle, from the largest point
 fixed by sigma1 and every tau down, and reads every exponent from one gcd
@@ -611,7 +614,7 @@ def format_poly_by_fractions(p: Poly) -> str:
 
 
 def to_coeff_strings_by_fractions(p: Poly) -> list[str]:
-    """to_coeff_strings' list from the Fraction coefficients."""
+    """coeff_strings_and_text's list from the Fraction coefficients."""
     return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
 
 
@@ -690,6 +693,20 @@ def classify_powers_every_m(sol: PellSolution) -> PowerClassification:
     return PowerClassification(
         n=sol.n, admissible_m=frozenset(candidates), witnesses=witnesses
     )
+
+
+def power_solution_by_norm_form(sol: PellSolution, m: int) -> PellSolution:
+    """power_solution's answer by square-and-multiply in Q[t][sqrt(D)],
+    each doubling by (a + b*sqrt(D))^2 = (a^2 + D*b^2) + 2ab*sqrt(D)."""
+    if m < 1:
+        raise ValueError("power index must be >= 1")
+    A, B, D = sol.A, sol.B, sol.D
+    Am, Bm = A, B
+    for bit in bin(m)[3:]:
+        Am, Bm = Am * Am + D * (Bm * Bm), (Am * Bm).scale(2)
+        if bit == "1":
+            Am, Bm = Am * A + D * (Bm * B), Am * B + Bm * A
+    return PellSolution(A=Am, B=Bm, D=D, n=m * sol.n, d=sol.d)
 
 
 def branch_locus_by_product(f: Poly, values) -> bool:

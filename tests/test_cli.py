@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pellab import cli
+from pellab import cli, hurwitz
 from pellab import permgroup as pg
 from pellab.census import BRUTE_DEFAULT_MAX, SHAPE_MAX
 from pellab.cli import CommandResult, build_parser, integer, main, render, run
@@ -791,6 +791,22 @@ def test_profile_builds_no_perm_or_tuple_after_parsing(tmp_path, monkeypatch):
         result = run(["profile", "--file", str(path)])
         assert (result.status, result.payload["profile"], result.diagnostics) == ("Ok", [], notes)
         assert parsed and built == []
+
+
+def test_profile_computes_admissible_exponents_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(n, d, exponents=hurwitz.admissible_exponents):
+        calls.append((n, d))
+        return exponents(n, d)
+
+    monkeypatch.setattr(hurwitz, "admissible_exponents", counting)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(tuple_to_json_dict(zannier_tuple(60, 2))), encoding="utf-8")
+    result = run(["profile", "--file", str(path)])
+    assert (result.status, result.payload["profile"]) == ("Ok", [])
+    assert result.payload["admissible"] == [2, 3, 4, 5, 6, 10, 12, 15, 20, 30]
+    assert calls == [(60, 2)]
 
 
 def test_validate_rejects_broken_tuple(tmp_path, capsys):

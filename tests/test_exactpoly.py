@@ -20,6 +20,7 @@ from pellab.exactpoly import (
     PolyParseError,
     ZeroInput,
     _series_root,
+    coeff_strings_and_text,
     compose,
     constant,
     derivative,
@@ -33,7 +34,6 @@ from pellab.exactpoly import (
     poly_sqrt,
     squarefree_decomposition,
     squarefree_part,
-    to_coeff_strings,
 )
 from pellab.pellcore import chebyshev
 
@@ -694,7 +694,7 @@ def test_format_parse_round_trip(p):
 
 @given(polys)
 def test_coeff_strings_round_trip(p):
-    assert from_coeff_strings(to_coeff_strings(p)) == p
+    assert from_coeff_strings(coeff_strings_and_text(p)[0]) == p
 
 
 def test_from_coeff_strings_errors_name_index():
@@ -749,14 +749,29 @@ bad_items = st.sampled_from(
 item_lists = st.lists(st.one_of(good_items, good_items, bad_items), max_size=6)
 
 
-@given(st.one_of(wide_polys, rational_polys))
+# Coefficients the text form spells out: zeros, both signs, units (printed
+# as a bare t^k at degree >= 1), integers (den 1) and fractions.
+text_coeffs = st.one_of(
+    st.sampled_from((0, 0, 1, -1, 1, -1)),
+    small_ints,
+    st.builds(Fraction, small_ints, st.integers(1, 12)),
+    wide_rationals,
+)
+
+
+@given(st.one_of(wide_polys, rational_polys, st.lists(text_coeffs, max_size=9).map(Poly)))
 @example(Poly([Fraction(-1, 2), 1, 0, -1, Fraction(3, 7)]))
 @example(Poly([1]))
 @example(Poly([-1]))
 @example(ZERO)
+@example(Poly([0, 1, -1, 0, 1]))
+@example(Poly([-1, 0, -1]))
+@example(Poly([0, 0, 0, -1]))
 def test_text_matches_fraction_oracle(p):
     assert format_poly(p) == format_poly_by_fractions(p)
-    assert to_coeff_strings(p) == to_coeff_strings_by_fractions(p)
+    strings, text = coeff_strings_and_text(p)
+    assert strings == to_coeff_strings_by_fractions(p)
+    assert text == format_poly(p)
 
 
 def _read(read, items):

@@ -8,7 +8,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellab import exactpoly, pellcore
@@ -46,6 +46,7 @@ from oracles import (
     classify_powers_every_m,
     discriminant,
     power_polynomial,
+    power_solution_by_norm_form,
     rat_nth_root,
     seed_by_whole_unit,
 )
@@ -288,6 +289,61 @@ def test_power_solution_degree_96():
     assert powered.A.degree == 96
     assert powered.A == compose(chebyshev(32), A)
     assert (powered.A, powered.B) == binomial_power(base.A, base.B, base.D, 32)
+
+
+@st.composite
+def verified_solutions(draw):
+    """A seeded solution under t -> (p/q)t + r, with D scaled by c^2, B by
+    1/c, and A and B of either sign."""
+    base = generate_from_seed(draw(seeds), allow_d1=True)
+    assume(isinstance(base, PellSolution))
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    u = Poly([draw(fractions), draw(fractions.filter(bool))])
+    c = draw(fractions.filter(bool))
+    A, B, D = (compose(p, u) for p in base[:3])
+    A, B = A.scale(draw(st.sampled_from((1, -1)))), B.scale(draw(st.sampled_from((1, -1))) / c)
+    sol = verify_pell(A, B, D.scale(c * c), allow_d1=True)
+    assert isinstance(sol, PellSolution)
+    return sol
+
+
+@settings(deadline=None)
+@given(verified_solutions(), st.integers(1, 40))
+@example(solve("2*t^3 - 1", "2*t", "t^4 - t"), 32)
+@example(solve("t", "1", "t^2 - 1", allow_d1=True), 40)
+def test_power_solution_matches_norm_form_oracle(sol, m):
+    # The doubling by 2a^2 - 1 holds for every power of a unit.
+    assert power_solution(sol, m) == power_solution_by_norm_form(sol, m)
+
+
+def test_power_solution_squares_once_per_doubling(monkeypatch):
+    # m = 32 is five doublings and no multiply-by-base step: one square each.
+    base = solve("2*t^3 - 1", "2*t", "t^4 - t")
+    calls = []
+
+    def counting(a, square=exactpoly._square):
+        calls.append(len(a))
+        return square(a)
+
+    monkeypatch.setattr(exactpoly, "_square", counting)
+    powered = power_solution(base, 32)
+    assert calls == [4, 7, 13, 25, 49]
+    assert powered.A == compose(chebyshev(32), base.A)
+
+
+@given(verified_solutions(), st.integers(0, 2), st.integers(0, 3), st.sampled_from((-1, 1)), st.booleans())
+@example(solve("2*t^3 - 1", "2*t", "t^4 - t"), 0, 0, 1, False)
+def test_verify_pell_verdict_matches_expanded_difference(sol, which, k, step, nudge):
+    # A valid triple, or one with coefficient k of A, B or D moved by one.
+    triple = list(sol[:3])
+    if nudge:
+        triple[which] = triple[which] + Poly([0] * k + [step])
+    A, B, D = triple
+    assume(not B.is_zero)
+    out = verify_pell(A, B, D, allow_d1=True)
+    unit = A * A - D * (B * B) == ONE
+    assert (getattr(out, "kind", None) != NOT_UNIT) == unit
+    assert isinstance(out, PellSolution) == unit
 
 
 def test_generate_from_seed_examples():

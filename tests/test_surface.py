@@ -115,7 +115,9 @@ def test_solution_text_path_builds_no_fraction():
     # Fraction edge, so the path reads no Fraction coefficient, and it
     # builds a Poly only through _poly, not by the constructor's _pair.
     defs = _read_modules()[0]
-    text_path = [("exactpoly", n) for n in ("from_coeff_strings", "to_coeff_strings", "format_poly", "parse_poly")]
+    text_path = [
+        ("exactpoly", n) for n in ("from_coeff_strings", "coeff_strings_and_text", "format_poly", "parse_poly")
+    ]
     reached, _ = reached_definitions(text_path, leaves={("exactpoly", "Poly")})
     for mod, name in reached - {("exactpoly", "Poly")}:
         for node in ast.walk(defs[mod][name]):
