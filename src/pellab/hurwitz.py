@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import compress
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import permgroup as pg
 from .degrees import admissible_exponents
@@ -147,17 +147,17 @@ def zannier_tuple(n: int, d: int) -> HurwitzTuple:
     return HurwitzTuple(sigma0, standard_cycle(N), sigma1, taus, n, d)
 
 
-def primitivity_profile(t: HurwitzTuple, admissible: Optional[list[int]] = None) -> set[int]:
-    """Admissible exponents m >= 2 for which the tuple behaves like an m-th
-    power, m in admissible (admissible_exponents(t.n, t.d) when not given),
-    read through labels that put it in special form: L(f) = 2n for f
-    the largest point fixed by sigma1 and every tau, L(sigmaInf x) = L(x) - 1
-    (L is the identity when t is special).  Mod 2m, sigmaInf lowers every
-    label by one, as 2m divides 2n; the tuple is an m-th power when sigma1
-    and sigma0 act on labels as x -> -x and x -> 1 - x and every tau fixes
-    each residue, exactly when 2m divides G, the gcd over all x of
-    L(sigma1 x) + L(x), L(sigma0 x) + L(x) - 1 and L(tau x) - L(x) (G >= 1,
-    as L(sigma1 x) + L(x) >= 2).  Empty means combinatorially primitive.
+def primitivity_profile(t: HurwitzTuple, admissible: list[int]) -> set[int]:
+    """The exponents m in admissible (admissible_exponents(t.n, t.d)) for
+    which the tuple behaves like an m-th power, read through labels that
+    put it in special form: L(f) = 2n for f the largest point fixed by
+    sigma1 and every tau, L(sigmaInf x) = L(x) - 1 (L is the identity when
+    t is special).  Mod 2m, sigmaInf lowers every label by one, as 2m
+    divides 2n; the tuple is an m-th power when sigma1 and sigma0 act on
+    labels as x -> -x and x -> 1 - x and every tau fixes each residue,
+    exactly when 2m divides G, the gcd over all x of L(sigma1 x) + L(x),
+    L(sigma0 x) + L(x) - 1 and L(tau x) - L(x) (G >= 1, as
+    L(sigma1 x) + L(x) >= 2).  Empty means combinatorially primitive.
 
     Which common fixed point gets label 2n does not matter: labelling f'
     instead adds some s to every label mod 2n, so mod 2m.  The tau terms
@@ -177,7 +177,7 @@ def primitivity_profile(t: HurwitzTuple, admissible: Optional[list[int]] = None)
     >>> sigma1 = Perm.from_cycles(N, [(i, N - i) for i in (1, 2, 4, 5)])
     >>> cube = HurwitzTuple(sigma0, standard_cycle(N), sigma1,
     ...                     (Perm.from_cycles(N, "(3,9)"),), n=6, d=2)
-    >>> primitivity_profile(cube)
+    >>> primitivity_profile(cube, admissible_exponents(6, 2))
     {3}
     """
     N = t.points
@@ -195,7 +195,7 @@ def primitivity_profile(t: HurwitzTuple, admissible: Optional[list[int]] = None)
         label[x] = k
         x = down[x - 1]
     own = label[1:]
-    # L(p x) for x = 1..N, one C gather per entry (N >= 2 gives a tuple).
+    # L(sigma1 x) and L(sigma0 x) for x = 1..N, one C gather each (N >= 2 gives a tuple).
     s1, s0 = (operator.itemgetter(*p.images)(label) for p in (t.sigma1, t.sigma0))
     G = math.gcd(*map(operator.add, s1, own), *map(operator.add, s0, [y - 1 for y in own]))
     # A tau's term is 0 at every point it fixes, so only its moved points enter.
@@ -203,8 +203,6 @@ def primitivity_profile(t: HurwitzTuple, admissible: Optional[list[int]] = None)
     for im in (tau.images for tau in t.taus):
         moved = compress(points, map(operator.ne, im, points))
         G = math.gcd(G, *(label[im[x - 1]] - label[x] for x in moved))
-    if admissible is None:
-        admissible = admissible_exponents(t.n, t.d)
     return {m for m in admissible if G % (2 * m) == 0}
 
 

@@ -227,13 +227,13 @@ def test_criterion_6_primitive_counts():
         disjoint = [t for p, t in enumerate_shapes(n) if p.case == DISJOINT]
         for cls in conjugacy_classes(disjoint):
             h = min(x for x in range(1, 2 * n + 1) if cls[0].taus[0](x) != x)
-            profile = primitivity_profile(cls[0])
+            profile = primitivity_profile(cls[0], admissible_exponents(n, 2))
             assert (math.gcd(h, n) == 1) == (profile == set())
 
     disjoint6 = [t for p, t in enumerate_shapes(6) if p.case == DISJOINT]
     classes = conjugacy_classes(disjoint6)
     by_taus = {
-        tuple(sorted(pg.format_cycles(t.taus[0]) for t in cls)): primitivity_profile(cls[0])
+        tuple(sorted(pg.format_cycles(t.taus[0]) for t in cls)): primitivity_profile(cls[0], admissible_exponents(6, 2))
         for cls in classes
     }
     assert by_taus == {
@@ -257,7 +257,7 @@ def test_criterion_7_zannier_family():
                 "overInfinity": 2 * n - 1,
                 "overTaus": d - 1,
             }
-            assert primitivity_profile(t) == set()
+            assert primitivity_profile(t, admissible_exponents(n, d)) == set()
     verdict(7, "staircase family validates and is primitive", started)
 
 
@@ -266,7 +266,7 @@ def test_criterion_8_dihedral_quotients():
     seen = 0
     for n in range(2, 9):
         for _, t in enumerate_shapes(n):
-            for m in sorted(primitivity_profile(t)):
+            for m in sorted(primitivity_profile(t, admissible_exponents(t.n, t.d))):
                 if m < 3:
                     continue
                 N = 2 * n

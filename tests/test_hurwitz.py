@@ -46,6 +46,11 @@ from oracles import (
 )
 
 
+def full_profile(t: HurwitzTuple) -> set[int]:
+    """The profile over every admissible exponent, as the profile command asks it."""
+    return primitivity_profile(t, admissible_exponents(t.n, t.d))
+
+
 def disjoint_census_tuple(n: int, h: int) -> HurwitzTuple:
     """n - 1 transpositions (i, 2n - i); tau is the one at h."""
     N = 2 * n
@@ -178,11 +183,11 @@ def test_power_test_worked_example_n6():
 
 
 def test_primitivity_profiles_n6():
-    assert primitivity_profile(disjoint_census_tuple(6, 1)) == set()
-    assert primitivity_profile(disjoint_census_tuple(6, 2)) == {2}
-    assert primitivity_profile(disjoint_census_tuple(6, 3)) == {3}
-    assert primitivity_profile(zannier_tuple(6, 2)) == set()
-    assert primitivity_profile(zannier_tuple(8, 2)) == set()
+    assert full_profile(disjoint_census_tuple(6, 1)) == set()
+    assert full_profile(disjoint_census_tuple(6, 2)) == {2}
+    assert full_profile(disjoint_census_tuple(6, 3)) == {3}
+    assert full_profile(zannier_tuple(6, 2)) == set()
+    assert full_profile(zannier_tuple(8, 2)) == set()
 
 
 def test_primitivity_profile_folds_each_tau():
@@ -195,8 +200,8 @@ def test_primitivity_profile_folds_each_tau():
     t = HurwitzTuple(sigma0, standard_cycle(N), sigma1, (Perm.from_cycles(N, "(3,8)"),), n=6, d=2)
     assert is_special(t)
     assert failed(validate(t)) == ["ProductIdentity"]
-    assert primitivity_profile(t) == set()
-    assert primitivity_profile(t._replace(taus=())) == {3}
+    assert full_profile(t) == set()
+    assert full_profile(t._replace(taus=())) == {3}
 
 
 def block_image_power_test(t: HurwitzTuple, m: int) -> bool:
@@ -371,7 +376,7 @@ def test_normalize_special_handles_arbitrary_relabeling():
     fixed = normalize_special(scrambled)
     assert is_special(fixed)
     assert validate(fixed)["ok"]
-    assert primitivity_profile(fixed) == primitivity_profile(z)
+    assert full_profile(fixed) == full_profile(z)
 
 
 def test_normalize_special_needs_common_fixed_point():
@@ -493,7 +498,7 @@ def test_primitivity_profile_matches_power_test(t):
     # power_test needs the special form; the profile reads any tuple.
     special = normalize_special(t)
     want = {m for m in admissible_exponents(t.n, t.d) if power_test(special, m)}
-    assert primitivity_profile(t) == want
+    assert full_profile(t) == want
 
 
 def test_label_profile_matches_normalization_oracle():
@@ -507,15 +512,15 @@ def test_label_profile_matches_normalization_oracle():
     for t in tuples:
         N = t.points
         want = oracles.primitivity_profile(t)
-        assert primitivity_profile(t) == want
+        assert full_profile(t) == want
         for f in common_fixed(t) - {N}:
             rotated = map_entries(t, lambda p: rotate(p, N - f))
             assert is_special(rotated)
-            assert primitivity_profile(rotated) == oracles.primitivity_profile(rotated) == want
+            assert full_profile(rotated) == oracles.primitivity_profile(rotated) == want
             rotations += 1
         g = Perm(rng.sample(range(1, N + 1), N))
         moved = map_entries(t, lambda p: conjugate(p, g))
-        assert primitivity_profile(moved) == oracles.primitivity_profile(normalize_special(moved)) == want
+        assert full_profile(moved) == oracles.primitivity_profile(normalize_special(moved)) == want
     assert rotations >= len(tuples)
     assert any(oracles.primitivity_profile(t) for t in tuples)
 
@@ -524,7 +529,7 @@ def test_label_profile_matches_normalization_oracle():
 @example(zannier_tuple(6, 2)._replace(taus=(Perm.from_cycles(12, "(11,12)"),)))
 def test_label_profile_matches_normalization_oracle_on_drawn_relabellings(t):
     want = outcome(lambda u: oracles.primitivity_profile(normalize_special(u)), t)
-    assert outcome(primitivity_profile, t) == want
+    assert outcome(full_profile, t) == want
 
 
 @st.composite
@@ -558,7 +563,7 @@ def closed_tuples(draw):
 def test_validated_tuples_have_a_common_fixed_point(t):
     if validate(t)["ok"]:
         assert common_fixed(t)
-        assert primitivity_profile(t) == oracles.primitivity_profile(normalize_special(t))
+        assert full_profile(t) == oracles.primitivity_profile(normalize_special(t))
 
 
 def test_primitivity_profile_rejects_bad_inputs():
@@ -570,12 +575,12 @@ def test_primitivity_profile_rejects_bad_inputs():
         moves_last = Perm.from_cycles(2 * n, [(2 * n - 1, 2 * n)])
         shifted = zannier_tuple(n, 2)._replace(taus=(moves_last,))
         assert not is_special(shifted)
-        assert primitivity_profile(shifted) == oracles.primitivity_profile(normalize_special(shifted))
+        assert full_profile(shifted) == oracles.primitivity_profile(normalize_special(shifted))
     with pytest.raises(ValueError, match="^sigmaInf must be a full cycle$"):
-        primitivity_profile(z._replace(sigmaInf=z.sigma0))
+        full_profile(z._replace(sigmaInf=z.sigma0))
     no_common = z._replace(sigma1=Perm.from_cycles(8, "(1,3)(2,4)(5,7)(6,8)"))
     with pytest.raises(ValueError, match="^no index is fixed by sigma1 and every tau$"):
-        primitivity_profile(no_common)
+        full_profile(no_common)
     for sigma0, sigma1, tau in (
         (short, z.sigma1, z.taus[0]),
         (pg.identity(10), z.sigma1, z.taus[0]),
@@ -583,12 +588,13 @@ def test_primitivity_profile_rejects_bad_inputs():
         (z.sigma0, z.sigma1, Perm.from_cycles(10, "(3,5)")),
     ):
         with pytest.raises(pg.SizeMismatch):
-            primitivity_profile(HurwitzTuple(sigma0, z.sigmaInf, sigma1, (tau,), 4, 2))
+            full_profile(HurwitzTuple(sigma0, z.sigmaInf, sigma1, (tau,), 4, 2))
 
 
 def test_primitivity_profile_checks_once(monkeypatch):
-    """One admissible list per call, however many exponents are admissible
-    (four at n = 12), and no special-form check: the labels read any tuple."""
+    """No admissible list of its own, however many exponents are admissible
+    (four at n = 12; the caller passes them), and no special-form check:
+    the labels read any tuple."""
     calls = Counter()
 
     def counted(name):
@@ -604,8 +610,8 @@ def test_primitivity_profile_checks_once(monkeypatch):
     counted("admissible_exponents")
     t = disjoint_census_tuple(12, 4)
     assert admissible_exponents(12, 2) == [2, 3, 4, 6]
-    assert primitivity_profile(t) == {2, 4}
-    assert calls == {"admissible_exponents": 1}
+    assert primitivity_profile(t, [2, 3, 4, 6]) == {2, 4}
+    assert calls == {}
 
 
 def test_tuple_json_round_trip():
@@ -871,7 +877,7 @@ def test_validate_and_profile_walk_no_cycles(monkeypatch):
         *(conjugate(p, g) for p in z[:3]), tuple(conjugate(tau, g) for tau in z.taus), 12, 3
     )
     texts = [tuple_to_json_dict(t) for t in (z, moved)]
-    want = primitivity_profile(z)
+    want = full_profile(z)
     walks = []
     cycles = pg.cycles
     monkeypatch.setattr(pg, "cycles", lambda p: walks.append(p) or cycles(p))
@@ -879,5 +885,5 @@ def test_validate_and_profile_walk_no_cycles(monkeypatch):
     assert not is_special(read[1])
     for t in (zannier_tuple(12, 3), *read):
         assert validate(t)["ok"]
-        assert primitivity_profile(t) == want
+        assert full_profile(t) == want
     assert walks == []
