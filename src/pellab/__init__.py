@@ -5,8 +5,6 @@ are imported on first access (PEP 562), so a command pays only for the
 modules it runs.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 __all__ = ["census", "cli", "degrees", "exactpoly", "hurwitz", "pellcore", "permgroup", "__version__"]

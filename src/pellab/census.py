@@ -23,8 +23,6 @@ The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   FourCycle   n-4 transpositions, one 4-cycle, 4 fixed points
 """
 
-from __future__ import annotations
-
 import math
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -167,7 +165,7 @@ def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
     nxt[N] = prv[N] = N
     nxt[N - 1], prv[1] = 1, N - 1
 
-    def link(u: int, v: int, long: int, fixed: int) -> Optional[tuple[int, int]]:
+    def link(u: int, v: int, long: int, fixed: int) -> "tuple[int, int] | None":
         """Set pi(u) = v; the new counts of long components and fixed points,
         or None (nothing set) when the branch is cut."""
         if u == v:
@@ -188,7 +186,7 @@ def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
         nxt[u], prv[v] = v, u
         return long, fixed
 
-    def descend(unpaired: list[int], long: int, fixed: int) -> Iterator[tuple[int, ...]]:
+    def descend(unpaired: "list[int]", long: int, fixed: int) -> "Iterator[tuple[int, ...]]":
         if not unpaired:
             yield tuple(paired[1:])
             return

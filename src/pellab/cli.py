@@ -15,18 +15,15 @@ cycle notation.  Commands that read files also accept the full JSON output
 of a previous command (the payload is unwrapped), so runs can be piped.
 """
 
-from __future__ import annotations
-
 import functools
 import re
 import sys
 from _json import encode_basestring_ascii, make_encoder
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     from . import hurwitz, pellcore
 
 SCHEMA = "pellab/1"
@@ -39,26 +36,28 @@ EXIT_CODES = {OK: 0, REJECTED: 1, ERROR: 2}
 # The exit status when the reader of stdout left before the answer was
 # written: a shell's status for a process that SIGPIPE ended, 128 + 13.
 EXIT_BROKEN_PIPE = 141
+# The exit status of a run stopped by Ctrl-C: a shell's status for a
+# process that SIGINT ended, 128 + 2.
+EXIT_INTERRUPTED = 130
 
 
-class CommandResult(NamedTuple):
-    status: str
-    payload: object
-    diagnostics: list[str]
+# status is OK, REJECTED or ERROR; payload is what --json prints under
+# "payload"; diagnostics is a list of str.
+CommandResult = namedtuple("CommandResult", "status payload diagnostics")
 
 
 class _ParserError(Exception):
     pass
 
 
-def _solution_payload(sol: pellcore.PellSolution) -> dict:
+def _solution_payload(sol: "pellcore.PellSolution") -> dict:
     from . import exactpoly
 
     (A, text_A), (B, text_B), (D, text_D) = map(exactpoly.coeff_strings_and_text, (sol.A, sol.B, sol.D))
     return {"A": A, "B": B, "D": D, "n": sol.n, "d": sol.d, "text": {"A": text_A, "B": text_B, "D": text_D}}
 
 
-def _rejection(reason: pellcore.RejectionReason) -> CommandResult:
+def _rejection(reason: "pellcore.RejectionReason") -> CommandResult:
     payload = {"reason": {"kind": reason.kind, "message": reason.message}}
     return CommandResult(REJECTED, payload, [f"{reason.kind}: {reason.message}"])
 
@@ -99,7 +98,7 @@ def _load_json_file(path: str) -> dict:
     return _unwrap(data)
 
 
-def _read_solution(args) -> pellcore.PellSolution | CommandResult:
+def _read_solution(args) -> "pellcore.PellSolution | CommandResult":
     """The solution of --file or of --A, --B, --D, verified, or its rejection."""
     from . import exactpoly, pellcore
 
@@ -117,7 +116,7 @@ def _read_solution(args) -> pellcore.PellSolution | CommandResult:
     return _rejection(outcome) if isinstance(outcome, pellcore.RejectionReason) else outcome
 
 
-def _read_tuple(args) -> hurwitz.HurwitzTuple:
+def _read_tuple(args) -> "hurwitz.HurwitzTuple":
     from . import hurwitz
 
     data = _load_json_file(args.file if args.file is not None else "-")
@@ -284,23 +283,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
-class _Option(NamedTuple):
-    """One option of a command.  Its kind is "flag" (bare, stores True),
-    "text", "integer" (read by integer), or "route", one of census's two
-    exclusive route flags, which stores const."""
+_Option = namedtuple("_Option", "flag dest kind help required const", defaults=(None, False, None))
+_Option.__doc__ = """One option of a command.  Its kind is "flag" (bare, stores True),
+"text", "integer" (read by integer), or "route", one of census's two
+exclusive route flags, which stores const."""
 
-    flag: str
-    dest: str
-    kind: str
-    help: str | None = None
-    required: bool = False
-    const: bool | None = None
-
-
-class _Command(NamedTuple):
-    help: str
-    handler: Callable[..., CommandResult]
-    options: tuple[_Option, ...]
+# handler takes the read arguments and returns a CommandResult; options is
+# a tuple of _Option.
+_Command = namedtuple("_Command", "help handler options")
 
 
 _JSON = _Option("--json", "json", "flag", "machine output")
@@ -527,13 +517,17 @@ def render(result: CommandResult, as_json: bool) -> str:
 
 
 def main(argv=None) -> int:
-    """Run one command line and print its answer; a failed write exits without a traceback."""
+    """Run one command line and print its answer; a failed write or Ctrl-C
+    exits without a traceback."""
     argv = sys.argv[1:] if argv is None else argv
-    result = run(argv)
     try:
+        result = run(argv)
         if sys.stdout is None:  # started with stdout closed
             raise OSError("stdout is closed")
         print(render(result, as_json="--json" in argv), flush=True)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except OSError as exc:
         import os
 

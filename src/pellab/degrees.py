@@ -2,8 +2,6 @@
 side (hurwitz).  It imports nothing, so a tuple command does not load the
 polynomial modules to read it."""
 
-from __future__ import annotations
-
 
 def admissible_exponents(n: int, d: int) -> list[int]:
     """The exponents m >= 2 for which a solution with deg A = n and

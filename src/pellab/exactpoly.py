@@ -25,15 +25,14 @@ the two values is read back as balanced base-xi digits, and the candidate
 counts only if it divides both parts exactly; those two quotients are the
 cofactors it returns with the gcd, on which Yun's squarefree decomposition
 runs.  When six points give none, it falls back to the primitive remainder
-sequence, each pseudo-remainder divided by its content, and divides both
-parts by the last.  Each result is reduced once, by one gcd of its
+sequence, each pseudo-remainder divided by its content, whose last member
+is the gcd, and divides both parts by it; gcd shares both routes and
+builds no cofactor.  Each result is reduced once, by one gcd of its
 denominator and numerators.  The series m-th root keeps its coefficients
 as integer numerators over one common denominator.  Exact integer m-th
 roots use an integer Newton iteration, and every sequence runs in a loop,
 so nothing depends on float range or on the recursion limit.
 """
-
-from __future__ import annotations
 
 import math
 import re
@@ -354,34 +353,44 @@ def _heuristic_gcd(u: list[int], v: list[int]) -> Optional[tuple[list[int], list
     return None
 
 
-def gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, a/g, b/g), g the monic gcd, from the primitive parts u and v of
-    the numerators: by the heuristic gcd, which returns the quotients that
-    certify it, and when that gives up, by the primitive remainder
-    sequence, each pseudo-remainder divided by its content, whose last
-    member, made positive, divides u and v exactly.  A constant g gives
-    (ONE, a, b)."""
-    if a.is_zero and b.is_zero:
+def _primitive_gcd(u: list[int], v: list[int]) -> tuple[list[int], Optional[list[int]], Optional[list[int]]]:
+    """(g, u/g, v/g) for primitive lists u and v, not both empty, g their
+    gcd as a primitive list with lc(g) > 0: by the heuristic gcd, which
+    returns the quotients that certify it, and when that gives up, by the
+    primitive remainder sequence, each pseudo-remainder divided by its
+    content, whose last member, made positive, is g; nothing has divided by
+    that g, so both quotients are then None."""
+    if not (u or v):
         raise GcdOfZeros("gcd(0, 0) is undefined")
+    found = _heuristic_gcd(u, v) if u and v else None
+    if found is not None:
+        return found
+    x, y = u, v  # a shorter x leaves itself as the remainder: one swap
+    while y:
+        x, y = y, _primitive(_pseudo_divrem(x, y)[1])[1]
+    return (x if x[-1] > 0 else [-c for c in x]), None, None
+
+
+def gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g), g the monic gcd, from _primitive_gcd of the primitive
+    parts u and v of the numerators; a g from the remainder sequence divides
+    u and v exactly.  A constant g gives (ONE, a, b)."""
     ka, u = _primitive(list(a.nums))
     kb, v = _primitive(list(b.nums))
-    found = _heuristic_gcd(u, v) if u and v else None
-    if found is None:
-        x, y = u, v  # a shorter x leaves itself as the remainder: one swap
-        while y:
-            x, y = y, _primitive(_pseudo_divrem(x, y)[1])[1]
-        g = x if x[-1] > 0 else [-c for c in x]
-        found = g, _cofactor(u, g), _cofactor(v, g)
-    g, cu, cv = found
+    g, cu, cv = _primitive_gcd(u, v)
     if len(g) == 1:
         return ONE, a, b
+    if cu is None:
+        cu, cv = _cofactor(u, g), _cofactor(v, g)
     ka, kb = ka * g[-1], kb * g[-1]
     return _poly(g, g[-1]), _poly([c * ka for c in cu], a.den), _poly([c * kb for c in cv], b.den)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (gcd_cofactors)."""
-    return gcd_cofactors(a, b)[0]
+    """Monic greatest common divisor: gcd_cofactors' g, with no cofactor
+    Poly built."""
+    g = _primitive_gcd(_primitive(list(a.nums))[1], _primitive(list(b.nums))[1])[0]
+    return _poly(g, g[-1])
 
 
 def derivative(p: Poly) -> Poly:

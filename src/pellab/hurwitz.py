@@ -9,12 +9,10 @@ sigmaInf to the standard descending cycle (i maps to i-1, 1 to 2n) and puts
 any tuple through the labels that would put it in that form.
 """
 
-from __future__ import annotations
-
 import math
 import operator
+from collections import namedtuple
 from itertools import compress
-from typing import NamedTuple
 
 from . import permgroup as pg
 from .degrees import admissible_exponents
@@ -32,13 +30,11 @@ class DegreeOrder(ValueError):
     """Constructor needs n >= d >= 2."""
 
 
-class HurwitzTuple(NamedTuple):
-    sigma0: Perm
-    sigmaInf: Perm
-    sigma1: Perm
-    taus: tuple[Perm, ...]
-    n: int
-    d: int
+class HurwitzTuple(namedtuple("HurwitzTuple", "sigma0 sigmaInf sigma1 taus n d")):
+    """The entries sigma0, sigmaInf, sigma1 (each a Perm) and taus (a tuple
+    of Perms) of a tuple on 2n points, with its n and d."""
+
+    __slots__ = ()
 
     def gens(self) -> list[Perm]:
         return [self.sigma0, self.sigmaInf, self.sigma1, *self.taus]

@@ -19,11 +19,10 @@ root has the sign an extraction from A gives (a positive leading
 coefficient for even m, that of lc A for odd m).
 """
 
-from __future__ import annotations
-
 import math
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .degrees import admissible_exponents
 from .exactpoly import (
@@ -47,35 +46,23 @@ SMALL_DEGREE_D = "SmallDegreeD"
 NON_SQUAREFREE_D = "NonSquarefreeD"
 
 
-class RejectionReason(NamedTuple):
-    """Structured negative verdict; kind is one of the module constants."""
+RejectionReason = namedtuple("RejectionReason", "kind message")
+RejectionReason.__doc__ = """Structured negative verdict; kind is one of the module constants."""
 
-    kind: str
-    message: str
-
-
-class PellSolution(NamedTuple):
-    """Verified solution of A^2 - D*B^2 = 1 with n = deg A, d = deg D / 2."""
-
-    A: Poly
-    B: Poly
-    D: Poly
-    n: int
-    d: int
+PellSolution = namedtuple("PellSolution", "A B D n d")
+PellSolution.__doc__ = """Verified solution of A^2 - D*B^2 = 1 with n = deg A, d = deg D / 2."""
 
 
-class PowerClassification(NamedTuple):
+class PowerClassification(namedtuple("PowerClassification", "n admissible_m witnesses")):
     """Which admissible exponents m have a rational Chebyshev root of A.
 
-    admissible_m holds every candidate (see admissible_exponents); witnesses
-    maps each m that has a rational root to that root.  primitive means no
-    witness, i.e. primitive over the rationals; a root might still exist
-    with irrational coefficients.
+    admissible_m is the frozenset of every candidate (see
+    admissible_exponents); witnesses maps each m that has a rational root to
+    that root.  primitive means no witness, i.e. primitive over the
+    rationals; a root might still exist with irrational coefficients.
     """
 
-    n: int
-    admissible_m: frozenset[int]
-    witnesses: dict[int, Poly]
+    __slots__ = ()
 
     @property
     def primitive(self) -> bool:

@@ -6,8 +6,6 @@ multiplies, inverts or rotates Perms (hurwitz folds a tuple's product over
 image tuples), so those operations are test oracles.
 """
 
-from __future__ import annotations
-
 import operator
 import re
 from bisect import bisect

@@ -344,6 +344,22 @@ def test_closed_stdout_is_an_error_line():
     assert proc.stderr.decode().splitlines() == ["Error: cannot write the answer: stdout is closed"]
 
 
+@pytest.mark.parametrize("stage", ["run", "render"])
+def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, capsys, stage):
+    # Ctrl-C while the command runs or while its answer is written.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, stage, interrupted)
+    try:
+        code = main(["census", "--n", "6", "--json"])
+    except KeyboardInterrupt:  # escaping, it would stop the whole test run
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == cli.EXIT_INTERRUPTED == 130
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", ["interrupted"])
+
+
 def test_seed_and_power_and_file_round_trip(tmp_path):
     result, body = run_json(["seed", "--A", "2*t^3-1", "--json"])
     assert result.status == "Ok"

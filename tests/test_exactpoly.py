@@ -390,6 +390,31 @@ def test_gcd_fallback_matches_fraction_euclid(a, b, common):
     assert gave_up or a.is_zero or b.is_zero
 
 
+@given(
+    st.one_of(st.just(ZERO), wide_polys),
+    st.one_of(st.just(ZERO), wide_polys),
+    st.lists(wide_rationals, min_size=1, max_size=4).map(Poly),
+    st.booleans(),
+)
+@example(neg_lead, ZERO, Poly([1, Fraction(-1, 2**64 + 1)]), False)
+@example(ZERO, Poly([2, 3]), ONE, True)
+@example(Poly([4, 0, 1]), Poly([1, 1]), Poly([-1, 0, 3]), False)
+def test_gcd_is_the_gcd_of_gcd_cofactors_and_builds_one_poly(a, b, common, give_up):
+    # A planted common factor, a zero operand, and the heuristic or the
+    # remainder sequence: gcd answers gcd_cofactors' g and builds no cofactor.
+    a, b = a * common, b * common
+    assume(not (a.is_zero and b.is_zero))
+    built = []
+    poly = exactpoly._poly
+    with pytest.MonkeyPatch.context() as mp:
+        if give_up:
+            mp.setattr(exactpoly, "_heuristic_gcd", lambda u, v: None)
+        mp.setattr(exactpoly, "_poly", lambda *args: built.append(args) or poly(*args))
+        g = gcd(a, b)
+        assert len(built) == 1
+        assert g == gcd_cofactors(a, b)[0]
+
+
 # Coefficients of 1 bit to past 2^200, each sign.
 wide_ints = st.integers(0, 210).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
 

@@ -10,7 +10,10 @@ module in the handlers that use it.  A fresh interpreter's start-up,
 importing the CLI and building its parser, must not import `dataclasses`,
 `inspect`, `argparse`, `json` or any library module, each command loads
 only the modules it runs, only help and bad command lines load argparse,
-and only commands that read JSON load json.  Every backticked
+and only commands that read JSON load json.  Neither start-up nor a command
+imports `__future__`, and no src module names `NamedTuple`: the records
+are `collections.namedtuple`, whose fields, defaults, repr and tuple
+behaviour are pinned here.  Every backticked
 `module.NAME` in README.md names a top-level definition of that module.
 The same walk from the solution text functions of exactpoly and from
 parse_poly reaches no Fraction.  Only exactpoly._fraction_class, behind
@@ -170,6 +173,70 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
     added = _loaded(PARSER)
     assert "pellab.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_startup_and_commands_load_no_future(tmp_path):
+    # `from __future__ import annotations` is a real import at run time:
+    # site has not loaded __future__.
+    assert "__future__" not in _loaded(PARSER)
+    tuple_path, solution_path = tmp_path / "tuple.json", tmp_path / "solution.json"
+    tuple_path.write_text(json.dumps(tuple_to_json_dict(zannier_tuple(6, 3))), encoding="utf-8")
+    solution_path.write_text(json.dumps({"A": ["-1", "0", "0", "2"], "B": ["0", "2"], "D": ["0", "-1", "0", "0", "1"]}), encoding="utf-8")
+    for argv in (
+        ["census", "--n", "6", "--json"],
+        ["validate", "--file", str(tuple_path)],
+        ["verify", "--file", str(solution_path), "--json"],
+    ):
+        added = _loaded(PARSER + f"\npellab.cli.main({argv!r})")
+        assert "pellab.cli" in added and "__future__" not in added, argv
+
+
+def test_no_module_imports_future_or_names_namedtuple():
+    # A static guard on every src module: annotations evaluate where they
+    # are defined, and the records are built by collections.namedtuple,
+    # not typing.NamedTuple.
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                offenders.add((path.stem, "__future__"))
+            words = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            if "NamedTuple" in words:
+                offenders.add((path.stem, "NamedTuple"))
+    assert offenders == set()
+
+
+RECORDS = {
+    ("cli", "CommandResult"): ("status", "payload", "diagnostics"),
+    ("cli", "_Option"): ("flag", "dest", "kind", "help", "required", "const"),
+    ("cli", "_Command"): ("help", "handler", "options"),
+    ("pellcore", "RejectionReason"): ("kind", "message"),
+    ("pellcore", "PellSolution"): ("A", "B", "D", "n", "d"),
+    ("pellcore", "PowerClassification"): ("n", "admissible_m", "witnesses"),
+    ("hurwitz", "HurwitzTuple"): ("sigma0", "sigmaInf", "sigma1", "taus", "n", "d"),
+}
+
+
+def test_records_keep_their_fields_and_tuple_behaviour():
+    from pellab import cli, hurwitz, pellcore
+
+    modules = {"cli": cli, "hurwitz": hurwitz, "pellcore": pellcore}
+    for (mod, name), fields in RECORDS.items():
+        record = getattr(modules[mod], name)
+        assert (record.__name__, record._fields) == (name, fields)
+        value = record(*range(len(fields)))
+        assert not hasattr(value, "__dict__"), name
+        assert value == tuple(range(len(fields))) and isinstance(value, tuple)
+        assert repr(value) == f"{name}(" + ", ".join(f"{f}={i}" for i, f in enumerate(fields)) + ")"
+        changed = value._replace(**{fields[-1]: "x"})
+        assert type(changed) is record and changed == (*range(len(fields) - 1), "x")
+    assert cli._Option._field_defaults == {"help": None, "required": False, "const": None}
+    assert cli._Option("--n", "n", "integer") == ("--n", "n", "integer", None, False, None)
+    t = zannier_tuple(4, 2)
+    assert t.gens() == [t.sigma0, t.sigmaInf, t.sigma1, *t.taus] and t.points == 8
+    classification = pellcore.PowerClassification(4, frozenset({2, 4}), {})
+    assert classification.primitive
+    assert not classification._replace(witnesses={2: None}).primitive
 
 
 def test_importing_the_package_loads_no_submodule():
