@@ -3,7 +3,8 @@
 Every subcommand prints either a human summary or, with --json, one line of
 canonical JSON: {"schema": "pellab/1", "status", "payload", "diagnostics"},
 with sorted keys so identical inputs give byte-identical output.  Exit codes:
-0 Ok, 1 Rejected (valid input, negative answer), 2 Error (bad input).
+0 Ok, 1 Rejected (valid input, negative answer), 2 Error (bad input), 141
+when the reader of stdout left before the answer was written, 130 on Ctrl-C.
 
 Polynomials on the command line use the human syntax ("t^4 - 2*t^2 + 1");
 solution files are JSON objects {A, B, D} with coefficient-string arrays
@@ -68,6 +69,24 @@ def _unwrap(data: dict) -> dict:
     return data
 
 
+@functools.cache
+def _json_decoder():
+    """The decoder of every JSON file, built on the first read: json.loads
+    with parse_int builds a decoder and its scanner on every call.  Its
+    integers are read under the digit limit in force at that read."""
+    import json
+
+    def read_int(digits: str) -> int:
+        # JSON has no leading zeros, so the text's length is the digit count.
+        count = len(digits) - digits.startswith("-")
+        limit = sys.get_int_max_str_digits()
+        if limit and count > limit:
+            raise _ParserError(f"integer of {count} digits past the {limit}-digit limit")
+        return int(digits)
+
+    return json.JSONDecoder(parse_int=read_int)
+
+
 def _load_json_file(path: str) -> dict:
     import json
 
@@ -76,20 +95,11 @@ def _load_json_file(path: str) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    limit = sys.get_int_max_str_digits()
-
-    def read_int(digits: str) -> int:
-        # JSON has no leading zeros, so the text's length is the digit count.
-        count = len(digits) - digits.startswith("-")
-        if limit and count > limit:
-            raise _ParserError(
-                f"bad JSON in {path}: integer of {count} digits past the {limit}-digit limit"
-            )
-        return int(digits)
-
     try:
-        data = json.loads(text, parse_int=read_int)
-    except json.JSONDecodeError as exc:
+        if text.startswith("\ufeff"):  # json.loads' test, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _json_decoder().decode(text)
+    except (json.JSONDecodeError, _ParserError) as exc:
         raise _ParserError(f"bad JSON in {path}: {exc}") from None
     except RecursionError:
         raise _ParserError(f"bad JSON in {path}: nested too deeply") from None

@@ -22,16 +22,18 @@ Division is pseudo-division, scale*a = q*b + r with scale a divisor of
 lc(b)^(deg a - deg b + 1).  gcd_cofactors is the heuristic gcd (GCDHEU):
 both primitive parts are evaluated at an integer xi, the integer gcd of
 the two values is read back as balanced base-xi digits, and the candidate
-counts only if it divides both parts exactly; those two quotients are the
-cofactors it returns with the gcd, on which Yun's squarefree decomposition
-runs.  When six points give none, it falls back to the primitive remainder
-sequence, each pseudo-remainder divided by its content, whose last member
-is the gcd, and divides both parts by it; gcd shares both routes and
-builds no cofactor.  Each result is reduced once, by one gcd of its
-denominator and numerators.  The series m-th root keeps its coefficients
-as integer numerators over one common denominator.  Exact integer m-th
-roots use an integer Newton iteration, and every sequence runs in a loop,
-so nothing depends on float range or on the recursion limit.
+g counts only if it divides both parts exactly, by a long division that
+stops at the first leading term lc(g) does not divide; those two
+quotients are the cofactors it returns with the gcd, on which Yun's
+squarefree decomposition runs.  When six points give none, it falls back
+to the primitive remainder sequence, each pseudo-remainder divided by its
+content, whose last member is the gcd, and divides both parts by it; gcd
+shares both routes and builds no cofactor.  Each result is reduced once,
+by one gcd of its denominator and numerators.  The series m-th root keeps
+its coefficients as integer numerators over one common denominator.
+Exact integer m-th roots use an integer Newton iteration, and every
+sequence runs in a loop, so nothing depends on float range or on the
+recursion limit.
 """
 
 import math
@@ -311,10 +313,22 @@ def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def _cofactor(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
-    """a / b for integer lists with lc(b) > 0 when b divides a in Z[t],
-    else None: an exact division by such a b takes every step at scale 1."""
-    q, r, scale = _pseudo_divrem(a, b)
-    return q if scale == 1 and not any(r) else None
+    """a / b for integer lists, b nonempty with lc(b) > 0, when b divides a
+    in Z[t], else None: long division that stops at the first leading term
+    lc(b) does not divide, and at a nonzero remainder."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + db], lb)
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            for j in range(i, i + db):
+                rem[j] -= c * b[j - i]
+    return None if any(rem[:db]) else quo
 
 
 def _heuristic_gcd(u: list[int], v: list[int]) -> Optional[tuple[list[int], list[int], list[int]]]:

@@ -6,10 +6,11 @@ multiplies, inverts or rotates Perms (hurwitz folds a tuple's product over
 image tuples), so those operations are test oracles.
 """
 
+import functools
 import operator
 import re
 from bisect import bisect
-from itertools import compress, dropwhile, repeat
+from itertools import compress, dropwhile
 from typing import Iterable, Optional, Sequence
 
 
@@ -281,8 +282,11 @@ def format_cycles(p: Perm) -> str:
 
 # Cycle text is one or more cycles; a cycle is "()" or at least two
 # comma-separated points in parentheses.  Whitespace may stand anywhere but
-# inside a point.  _read_accepted checks the grammar with string tests;
-# _walk_cycles locates the fault in rejected text.
+# inside a point.  _read_accepted reads accepted text in a few passes over
+# strings: the cycles are the pieces between ")(" pairs, all their points
+# are one JSON list for one shared scanner, and the range checks come from
+# scattering the points into the image slots.  _walk_cycles reads every
+# text it refuses and words the first fault.
 
 
 def parse_cycles(text: str, n: int) -> Perm:
@@ -307,48 +311,64 @@ def parse_cycles(text: str, n: int) -> Perm:
 
 
 def _read_accepted(text: str, n: int) -> Optional[Perm]:
-    """The permutation of text the grammar accepts, read by string splits,
-    with the cycle type counted on the way.  None when the grammar rejects
-    the text, when a point is out of range or repeated, and when a point is
-    not plain JSON (leading zeros, digits beyond ASCII, more than int()'s
-    digit limit): _walk_cycles reads those."""
-    words = text.split()
-    body = "".join(words)
+    """The permutation of text the grammar accepts, with the cycle type
+    from the lengths of its cycles.  None when the grammar rejects the
+    text, when a point is out of range or repeated, and when a point is not
+    plain JSON (leading zeros, digits beyond ASCII, more than int()'s digit
+    limit): _walk_cycles reads those.  Text without whitespace is read as
+    it stands; other text once no whitespace splits a point."""
+    words = text.split()  # text itself when it holds no whitespace
+    if len(words) == 1:
+        body = words[0]
+    elif any(a[-1].isdecimal() and b[0].isdecimal() for a, b in zip(words, words[1:])):
+        return None  # whitespace may not split a point
+    else:
+        body = "".join(words)
     if body[:1] != "(" or body[-1:] != ")":
-        return None
-    # Whitespace may not split a point.
-    if any(a[-1].isdecimal() and b[0].isdecimal() for a, b in zip(words, words[1:])):
         return None
     # Between the outer parentheses, the cycles are the pieces between ")("
     # pairs; "()" leaves an empty one.  Only decimal points and commas may
-    # remain, and an empty point is not JSON.  The JSON scanner reads a
-    # list of points in about half the time of int() per point.
+    # remain, and an empty point is not JSON.
     cycs = list(filter(None, body[1:-1].split(")(")))
     if not cycs:
         return identity(n)
     points = ",".join(cycs)
     if not points.replace(",", "").isdecimal():
         return None
-    import json
-
     try:
-        flat = json.loads(f"[{points}]")
-    except ValueError:
+        flat = _point_scanner()(f"[{points}]", 0)[0]
+    except (ValueError, StopIteration):  # StopIteration: a missing value
         return None
-    commas = list(map(str.count, cycs, repeat(",")))
-    if min(commas) < 1 or min(flat) < 1 or max(flat) > n or len(set(flat)) < len(flat):
+    lengths = [c.count(",") + 1 for c in cycs]
+    if min(lengths) < 2:
         return None
     # Each point goes to the next in its cycle, the last back to the first.
     succ = flat[1:] + flat[:1]
-    start = 0
-    for c in commas:
-        end = start + c + 1
-        succ[end - 1] = flat[start]
-        start = end
+    end = 0
+    for k in lengths:
+        end += k
+        succ[end - 1] = flat[end - k]
+    # A point past n falls off the n + 1 slots; a point 0 fills slot 0.
     imgs = list(range(n + 1))
-    for x, y in zip(flat, succ):
-        imgs[x] = y
-    return _unchecked(tuple(imgs[1:]), _cycle_type([c + 1 for c in commas], n))
+    try:
+        for x, y in zip(flat, succ):
+            imgs[x] = y
+    except IndexError:
+        return None
+    if imgs[0] or len(set(flat)) < len(flat):
+        return None
+    return _unchecked(tuple(imgs[1:]), _cycle_type(lengths, n))
+
+
+@functools.cache
+def _point_scanner():
+    """The scan_once of one JSON decoder, built on the first read.  It
+    reads a list of points in about half the time of int() per point, and
+    skips the per-call work of json.loads: its BOM test, two whitespace
+    matches and the decode and raw_decode calls."""
+    import json
+
+    return json.JSONDecoder().scan_once
 
 
 def _walk_cycles(text: str, n: int) -> Perm:

@@ -26,7 +26,10 @@ The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
 decomposes A^2 - 1 itself and takes B as the square root of the cofactor,
 by exact_div, a division that must leave no remainder; in src every exact
-quotient is a cofactor that gcd_cofactors returns.
+quotient is a cofactor that gcd_cofactors returns.  src takes those
+quotients by a long division that stops at the first leading term the
+divisor's lead does not divide; cofactor_by_pseudo_division takes them by
+pseudo-division, exact when every step runs at scale 1.
 
 The series root and composition run on integer numerators, and the series
 root takes the m-th root of its lead's reduced integer pair.  Below, the
@@ -506,6 +509,14 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if not r.is_zero:
         raise ValueError("division is not exact")
     return q
+
+
+def cofactor_by_pseudo_division(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
+    """exactpoly._cofactor by pseudo-division: a / b for integer lists, b
+    nonempty with lc(b) > 0, when b divides a in Z[t], else None; an exact
+    division by such a b takes every step at scale 1."""
+    q, r, scale = _pseudo_divrem(a, b)
+    return q if scale == 1 and not any(r) else None
 
 
 def seed_by_whole_unit(A: Poly, allow_d1: bool = False) -> Union[PellSolution, RejectionReason]:

@@ -758,6 +758,44 @@ def test_json_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_file_digit_limit_is_read_at_each_read(tmp_path):
+    # The file decoder is built once per process, so the digit limit in
+    # force is read at each read, not when the decoder was built.  The
+    # solution is t^2, 1, t^4 - 1.
+    path = tmp_path / "wide.json"
+    solution = {"A": ["0", "0", "1"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]}
+    path.write_text(json.dumps(solution)[:-1] + ', "note": %s}' % ("7" * 700), encoding="utf-8")
+    argv = ["verify", "--file", str(path)]
+    assert run(argv).status == "Ok"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert run(argv) == CommandResult(
+            "Error", None, [f"bad JSON in {path}: integer of 700 digits past the 640-digit limit"]
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert run(argv).status == "Ok"
+
+
+def test_bom_file_keeps_its_error_text(tmp_path):
+    # A file led by U+FEFF is refused with json.loads' own words, from a
+    # file or from stdin.
+    solution = json.dumps({"A": ["0", "0", "1"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]})  # t^2, 1, t^4 - 1
+    tuple_text = json.dumps(tuple_to_json_dict(zannier_tuple(4, 2)))
+    for command, text in ((["verify"], solution), (["validate"], tuple_text), (["profile"], tuple_text)):
+        path = tmp_path / "bom.json"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        for source, stdin in ((str(path), ""), ("-", "\ufeff" + text)):
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                result = run([*command, "--file", source])
+            assert result == CommandResult("Error", None, [
+                f"bad JSON in {source}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+            ]), command
+        path.write_text(text, encoding="utf-8")
+        assert run([*command, "--file", str(path)]).status == "Ok", command
+
+
 def test_profile_normalizes_with_note(tmp_path):
     data = {
         "n": 6,

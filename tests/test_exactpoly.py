@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -39,6 +40,7 @@ from pellab.pellcore import chebyshev
 
 from oracles import (
     X,
+    cofactor_by_pseudo_division,
     compose_by_fractions,
     discriminant,
     exact_div,
@@ -413,6 +415,32 @@ def test_gcd_is_the_gcd_of_gcd_cofactors_and_builds_one_poly(a, b, common, give_
         g = gcd(a, b)
         assert len(built) == 1
         assert g == gcd_cofactors(a, b)[0]
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    st.lists(st.integers(-(2**40), 2**40), max_size=4),
+    st.integers(1, 2**33),
+    st.lists(st.integers(-3, 3), max_size=8),
+)
+@example([3, 0, -5], [7, 1], 1, [])  # exact, lc(b) = 1
+@example([3, 0, -5], [7, 1], 6, [])  # exact, lc(b) > 1
+@example([3, 0, -5], [7, 1], 6, [0, 0, 0, 1])  # a leading term that 6 does not divide
+@example([3, 0, -5], [7, 1], 6, [1])  # every quotient step exact, a remainder left
+@example([], [7, 1], 6, [2, 3])  # a shorter than b
+@example([], [], 4, [])  # a zero
+def test_cofactor_matches_pseudo_division(q, b_low, lead, noise):
+    # Exact pairs (no noise), inexact ones and divisors with lc(b) > 1: the
+    # stop-early division answers what pseudo-division at scale 1 answers.
+    b = [*b_low, lead]
+    a = exactpoly._convolve(q, b) if q else []
+    a = [x + y for x, y in itertools.zip_longest(a, noise, fillvalue=0)]
+    while a and not a[-1]:
+        a.pop()
+    got = exactpoly._cofactor(a, b)
+    assert got == cofactor_by_pseudo_division(a, b)
+    if not any(noise):
+        assert got is not None and exactpoly._convolve(got, b)[: len(a)] == a
 
 
 # Coefficients of 1 bit to past 2^200, each sign.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     compose,
     congruence_partition,
     conjugate,
+    enumerate_shapes,
     format_cycles_loosely,
     induced_block_action,
     inverse,
@@ -584,9 +586,41 @@ def cycle_texts(draw):
 @example(("()(1,2)()", 4))
 @example(("(\uff11,\uff12)(3,4)", 4))
 @example(("(1,\xa02)\t(3 ,\t4)", 4))
+@example(("(0,1)", 4))
+@example(("(1,0)", 4))
+@example(("(2,5)", 4))  # the point past n last
+@example(("(5,2)", 4))  # the point past n first
+@example(("(1,2,1)", 4))
+@example(("(1,2)(3,1)", 4))
+@example(("(1,2)(1,2)", 4))
+@example(("(" + ",".join(map(str, [*range(1, 20), 0, *range(20, 40)])) + ")", 40))
 def test_parse_cycles_matches_scanning_oracle(case):
     text, n = case
     assert parse_outcome(parse_cycles, text, n) == parse_outcome(parse_cycles_by_scanning, text, n)
+
+
+def test_canonical_entries_never_reach_the_walker(monkeypatch):
+    """Each entry as format_cycles prints it, of zannier tuples, census shape
+    tuples and relabelled copies of both, and the identity "()", is read by
+    the string reader alone: the walker only words rejected text."""
+
+    def walker(text, n):
+        raise AssertionError(f"walked {text!r} on {n} points")
+
+    monkeypatch.setattr(permgroup, "_walk_cycles", walker)
+    tuples = [hurwitz.zannier_tuple(n, d) for n in (2, 7, 40) for d in range(2, n + 1, 3)]
+    tuples += [t for n in (2, 5, 8) for _, t in enumerate_shapes(n)]
+    entries = [p for t in tuples for p in t.gens()]
+    for k, t in enumerate(tuples):
+        images = list(range(1, t.points + 1))
+        random.Random(k).shuffle(images)
+        entries += [conjugate(p, Perm(images)) for p in t.gens()]
+    for p in entries:
+        read = parse_cycles(format_cycles(p), p.size)
+        assert read == p
+        assert read._ctype == _cycle_type(map(len, cycles(p)), p.size)
+    for n in (1, 4, 40):
+        assert parse_cycles("()", n) == identity(n) and cycle_type(parse_cycles("()", n)) == (1,) * n
 
 
 @st.composite
