@@ -43,6 +43,8 @@ Splits = tuple[frozenset[int], list[tuple[int, int]]]
 class TooLarge(ValueError):
     """A census n beyond the bound of a route it would run."""
 
+    prefix = "census error: "
+
 
 def _pi_from_sigma0(sigma0: tuple[int, ...]) -> tuple[int, ...]:
     """pi = sigma1*tau from sigma0, as images: sigma0 after the ascending rotation."""

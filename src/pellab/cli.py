@@ -450,24 +450,6 @@ def _argparser():
     return parser
 
 
-# The Error prefix of the library's exceptions, by the module that defines
-# them.  A module the command did not load cannot have raised, so it is
-# looked up in sys.modules, never imported.
-_ERROR_PREFIXES = (
-    ("exactpoly", ("PolyParseError", "DegreeTooSmall", "ZeroInput"), "polynomial error: "),
-    ("census", ("TooLarge",), "census error: "),
-    ("hurwitz", ("DegreeOrder",), "tuple error: "),
-)
-
-
-def _error_text(exc: ValueError) -> str:
-    for module, names, prefix in _ERROR_PREFIXES:
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None and isinstance(exc, tuple(getattr(loaded, n) for n in names)):
-            return prefix + str(exc)
-    return str(exc)
-
-
 def run(argv) -> CommandResult:
     """Dispatch one command line, read by the reader alone; never raises for bad input."""
     try:
@@ -482,8 +464,8 @@ def run(argv) -> CommandResult:
         return CommandResult(ERROR, None, [str(exc)])
     except OSError as exc:
         return CommandResult(ERROR, None, [f"file error: {exc}"])
-    except ValueError as exc:
-        return CommandResult(ERROR, None, [_error_text(exc)])
+    except ValueError as exc:  # a library error class names its own prefix
+        return CommandResult(ERROR, None, [getattr(exc, "prefix", "") + str(exc)])
 
 
 # json.dumps(value, sort_keys=True, separators=(",", ":")) as the chunks of

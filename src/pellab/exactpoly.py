@@ -17,17 +17,17 @@ leading and evaluation hand a caller a fractions.Fraction, whose class
 _fraction_class imports on its first call.  A product convolves
 the numerators, and a square takes each cross product once and doubles it.
 Composition runs Horner on the numerators of the inner polynomial, with
-the powers of its denominator folded into the outer coefficients.
-Division is pseudo-division, scale*a = q*b + r with scale a divisor of
-lc(b)^(deg a - deg b + 1).  gcd_cofactors is the heuristic gcd (GCDHEU):
+the powers of its denominator folded into the outer coefficients.  There
+is no Euclidean division.  gcd_cofactors is the heuristic gcd (GCDHEU):
 both primitive parts are evaluated at an integer xi, the integer gcd of
 the two values is read back as balanced base-xi digits, and the candidate
 g counts only if it divides both parts exactly, by a long division that
 stops at the first leading term lc(g) does not divide; those two
 quotients are the cofactors it returns with the gcd, on which Yun's
 squarefree decomposition runs.  When six points give none, it falls back
-to the primitive remainder sequence, each pseudo-remainder divided by its
-content, whose last member is the gcd, and divides both parts by it; gcd
+to the primitive remainder sequence, each pseudo-remainder (the r of
+scale*a = q*b + r; no q is built) divided by its content, whose last
+member is the gcd, and divides both parts by it; gcd
 shares both routes and builds no cofactor.  Each result is reduced once,
 by one gcd of its denominator and numerators.  The series m-th root keeps
 its coefficients as integer numerators over one common denominator.
@@ -43,10 +43,6 @@ from itertools import dropwhile
 from typing import Iterable, Optional, Sequence, Union
 
 
-class DivByZeroPoly(ZeroDivisionError):
-    """Division or reduction by the zero polynomial."""
-
-
 class GcdOfZeros(ValueError):
     """gcd(0, 0) is undefined."""
 
@@ -54,14 +50,20 @@ class GcdOfZeros(ValueError):
 class ZeroInput(ValueError):
     """Operation not defined for the zero polynomial."""
 
+    prefix = "polynomial error: "
+
 
 class DegreeTooSmall(ValueError):
     """Operation needs a polynomial of positive degree."""
+
+    prefix = "polynomial error: "
 
 
 class PolyParseError(ValueError):
     """Bad polynomial text; .pos is the 0-based offset of the problem, and
     .message the message without it."""
+
+    prefix = "polynomial error: "
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
@@ -257,38 +259,28 @@ def constant(c) -> Poly:
     return Poly([c])
 
 
-def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of integer lists, len(b) >= 1: scale*a = q*b + r,
-    len(r) = len(b) - 1 (not trimmed), or q = [] and r = a for a shorter a.
-
-    Each step multiplies by lc(b)/g, g = gcd(lc(b), leading remainder term),
-    so scale divides lc(b)^(deg a - deg b + 1) and is 1 when lc(b) divides
-    every leading term.  A coefficient below the current window is multiplied
-    by the scale so far only when the window reaches it."""
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The pseudo-remainder of integer lists, len(b) >= 1: r with
+    scale*a = q*b + r for some q and scale, len(r) = len(b) - 1 (not
+    trimmed), or a itself when it is shorter.  Each step multiplies by
+    lc(b)/g, g = gcd(lc(b), leading remainder term); a coefficient below
+    the current window is multiplied by the scale so far only when the
+    window reaches it."""
     rem = list(a)
     db = len(b) - 1
     lb = b[-1]
-    steps = len(a) - db
-    quo = [0] * steps
-    mults = [1] * steps
     scale = 1
-    for i in range(steps - 1, -1, -1):
+    for i in range(len(a) - db - 1, -1, -1):
         rem[i] *= scale
         c = rem[i + db]
         if not c:
             continue
         g = math.gcd(c, lb)
         f, c = lb // g, c // g
-        quo[i] = c
         for j in range(i, i + db):
             rem[j] = f * rem[j] - c * b[j - i]
-        mults[i] = f
         scale *= f
-    later = 1  # product of the multipliers of the steps after step i
-    for i in range(steps):
-        quo[i] *= later
-        later *= mults[i]
-    return quo, rem[:db], scale
+    return rem[:db]
 
 
 def _primitive(cs: list[int]) -> tuple[int, list[int]]:
@@ -298,18 +290,6 @@ def _primitive(cs: list[int]) -> tuple[int, list[int]]:
         cs.pop()
     g = math.gcd(*cs)
     return g, [c // g for c in cs] if g > 1 else cs
-
-
-def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: a = q*b + r with deg r < deg b.  Pseudo-divides
-    the numerators, scale*a.nums = nq*b.nums + nr, then q = nq*b.den /
-    (scale*a.den) and r = nr / (scale*a.den)."""
-    if b.is_zero:
-        raise DivByZeroPoly("division by the zero polynomial")
-    if a.degree < b.degree:
-        return ZERO, a
-    nq, nr, scale = _pseudo_divrem(a.nums, b.nums)
-    return _poly([c * b.den for c in nq], scale * a.den), _poly(nr, scale * a.den)
 
 
 def _cofactor(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
@@ -381,7 +361,7 @@ def _primitive_gcd(u: list[int], v: list[int]) -> tuple[list[int], Optional[list
         return found
     x, y = u, v  # a shorter x leaves itself as the remainder: one swap
     while y:
-        x, y = y, _primitive(_pseudo_divrem(x, y)[1])[1]
+        x, y = y, _primitive(_pseudo_rem(x, y))[1]
     return (x if x[-1] > 0 else [-c for c in x]), None, None
 
 

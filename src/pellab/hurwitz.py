@@ -29,6 +29,8 @@ MAX_TUPLE_POINTS = 2_000_000
 class DegreeOrder(ValueError):
     """Constructor needs n >= d >= 2."""
 
+    prefix = "tuple error: "
+
 
 class HurwitzTuple(namedtuple("HurwitzTuple", "sigma0 sigmaInf sigma1 taus n d")):
     """The entries sigma0, sigmaInf, sigma1 (each a Perm) and taus (a tuple

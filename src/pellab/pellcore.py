@@ -33,7 +33,6 @@ from .exactpoly import (
     compose,
     constant,
     derivative,
-    divrem,
     gcd,
     gcd_cofactors,
     squarefree_decomposition,
@@ -213,16 +212,17 @@ def verify_branch_locus_in(f: Poly, values) -> bool:
     """Whether every critical value of f lies in the given set: r = rad f'
     must divide prod(f - c).  r is squarefree, so that holds exactly when
     r, replaced by its cofactor r / gcd(r, f - c) for each distinct value
-    c in turn, ends a constant; the loop stops as soon as it is.  g = f mod
-    rad f' stands for f, since r divides rad f', so everything built is a
-    factor of rad f' or comes from g, of a height that does not grow with
-    the number of values.  Every value is read first."""
+    c in turn, ends a constant; the loop stops as soon as it is.  No
+    remainder of f is taken: r divides rad f', so gcd(r, f - c) is
+    gcd(r, (f mod rad f') - c) and the cofactor is the same.  Everything
+    built is f - c, a factor of rad f' or a cofactor of f - c, of degree
+    at most deg f and a height that does not grow with the number of
+    values.  Every value is read first."""
     if f.degree < 2:
         raise DegreeTooSmall("branch locus check needs degree >= 2")
     radical = squarefree_part(derivative(f))
-    g = divrem(f, radical)[1]
     for c in dict.fromkeys(map(constant, values)):
-        radical = gcd_cofactors(radical, g - c)[1]
+        radical = gcd_cofactors(radical, f - c)[1]
         if radical.degree < 1:
             return True
     return False

@@ -26,7 +26,10 @@ The seed splits A^2 - 1 through its coprime factors A - 1 and A + 1 and
 reads D and B from their decompositions.  The whole-unit seed below
 decomposes A^2 - 1 itself and takes B as the square root of the cofactor,
 by exact_div, a division that must leave no remainder; in src every exact
-quotient is a cofactor that gcd_cofactors returns.  src takes those
+quotient is a cofactor that gcd_cofactors returns.  exact_div runs on
+divrem, Euclidean division from the pseudo-division of the numerators,
+pseudo_divrem (scale*a = q*b + r), which no command runs; src keeps only
+the remainder, exactpoly._pseudo_rem, for gcd's fallback.  src takes those
 quotients by a long division that stops at the first leading term the
 divisor's lead does not divide; cofactor_by_pseudo_division takes them by
 pseudo-division, exact when every step runs at scale 1.
@@ -79,10 +82,12 @@ ClosureOverflow) and the dihedral recognizer (is_dihedral_of_order,
 _order_of).  power_polynomial, the f with f(t^2) = T_m(t)^2, is built from
 its closed formulas for the ramification tests.
 
-verify_branch_locus_in divides rad f' by gcd(rad f', f - c) per value.
+verify_branch_locus_in divides rad f' by gcd(rad f', f - c) per value,
+on f itself, and divides no polynomial by another.
 branch_locus_by_product multiplies prod(f - c) out and divides it by
-rad f' once; branch_locus_by_fold folds the product modulo rad f',
-P <- P*(g - c) mod r, whose coefficients grow with every value.
+rad f' once (divrem); branch_locus_by_fold folds the product modulo
+r = rad f', P <- P*(g - c) mod r with g = f mod r, whose coefficients
+grow with every value.
 """
 
 from __future__ import annotations
@@ -117,11 +122,10 @@ from pellab.exactpoly import (
     PolyParseError,
     _RATIONAL_RE,
     _int_nth_root,
+    _poly,
     _primitive,
-    _pseudo_divrem,
     constant,
     derivative,
-    divrem,
     poly_sqrt,
     squarefree_decomposition,
     squarefree_part,
@@ -504,6 +508,56 @@ def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
     return len(primitive), primitive
 
 
+class DivByZeroPoly(ZeroDivisionError):
+    """Division or reduction by the zero polynomial."""
+
+
+def pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer lists, len(b) >= 1: scale*a = q*b + r,
+    len(r) = len(b) - 1 (not trimmed), or q = [] and r = a for a shorter a.
+
+    Each step multiplies by lc(b)/g, g = gcd(lc(b), leading remainder term),
+    so scale divides lc(b)^(deg a - deg b + 1) and is 1 when lc(b) divides
+    every leading term.  A coefficient below the current window is multiplied
+    by the scale so far only when the window reaches it."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    steps = len(a) - db
+    quo = [0] * steps
+    mults = [1] * steps
+    scale = 1
+    for i in range(steps - 1, -1, -1):
+        rem[i] *= scale
+        c = rem[i + db]
+        if not c:
+            continue
+        g = math.gcd(c, lb)
+        f, c = lb // g, c // g
+        quo[i] = c
+        for j in range(i, i + db):
+            rem[j] = f * rem[j] - c * b[j - i]
+        mults[i] = f
+        scale *= f
+    later = 1  # product of the multipliers of the steps after step i
+    for i in range(steps):
+        quo[i] *= later
+        later *= mults[i]
+    return quo, rem[:db], scale
+
+
+def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division: a = q*b + r with deg r < deg b.  Pseudo-divides
+    the numerators, scale*a.nums = nq*b.nums + nr, then q = nq*b.den /
+    (scale*a.den) and r = nr / (scale*a.den)."""
+    if b.is_zero:
+        raise DivByZeroPoly("division by the zero polynomial")
+    if a.degree < b.degree:
+        return ZERO, a
+    nq, nr, scale = pseudo_divrem(a.nums, b.nums)
+    return _poly([c * b.den for c in nq], scale * a.den), _poly(nr, scale * a.den)
+
+
 def exact_div(a: Poly, b: Poly) -> Poly:
     q, r = divrem(a, b)
     if not r.is_zero:
@@ -515,7 +569,7 @@ def cofactor_by_pseudo_division(a: Sequence[int], b: Sequence[int]) -> Optional[
     """exactpoly._cofactor by pseudo-division: a / b for integer lists, b
     nonempty with lc(b) > 0, when b divides a in Z[t], else None; an exact
     division by such a b takes every step at scale 1."""
-    q, r, scale = _pseudo_divrem(a, b)
+    q, r, scale = pseudo_divrem(a, b)
     return q if scale == 1 and not any(r) else None
 
 
@@ -672,7 +726,7 @@ def resultant(a: Poly, b: Poly) -> Rat:
             factor = -factor
     while len(v) > 1:
         m, n = len(u) - 1, len(v) - 1
-        _, r, scale = _pseudo_divrem(u, v)
+        _, r, scale = pseudo_divrem(u, v)
         c, r = _primitive(r)
         if not r:
             return Rat(0)

@@ -15,7 +15,6 @@ from pellab.exactpoly import (
     ONE,
     ZERO,
     DegreeTooSmall,
-    DivByZeroPoly,
     GcdOfZeros,
     Poly,
     PolyParseError,
@@ -25,7 +24,6 @@ from pellab.exactpoly import (
     compose,
     constant,
     derivative,
-    divrem,
     format_poly,
     from_coeff_strings,
     gcd,
@@ -40,13 +38,16 @@ from pellab.pellcore import chebyshev
 
 from oracles import (
     X,
+    DivByZeroPoly,
     cofactor_by_pseudo_division,
     compose_by_fractions,
     discriminant,
+    divrem,
     exact_div,
     format_poly_by_fractions,
     from_coeff_strings_by_fractions,
     parse_rational_by_fraction,
+    pseudo_divrem,
     rat_nth_root,
     resultant,
     series_root_by_fractions,
@@ -441,6 +442,26 @@ def test_cofactor_matches_pseudo_division(q, b_low, lead, noise):
     assert got == cofactor_by_pseudo_division(a, b)
     if not any(noise):
         assert got is not None and exactpoly._convolve(got, b)[: len(a)] == a
+
+
+signed_with_zeros = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+
+
+@given(
+    st.lists(signed_with_zeros, max_size=9),
+    st.lists(signed_with_zeros, max_size=5),
+    st.one_of(st.sampled_from((-1, 1)), st.integers(-(2**33), 2**33).filter(bool)),
+)
+@example([3, 0, -5, 0, 2], [0, 1], 6)  # lc(b) not +-1, zeros in a and b
+@example([3, 0, -5, 0, 2], [7, 0], -4)  # lc(b) negative
+@example([3, -5], [7, 0, 1], 1)  # a shorter than b
+@example([], [2], 3)  # a zero
+@example([0, 0, 7], [], -6)  # b a constant
+def test_pseudo_rem_matches_pseudo_division(a, b_low, lead):
+    # The remainder sequence's pseudo-remainder is the r of the full
+    # pseudo-division scale*a = q*b + r, with no q built.
+    b = [*b_low, lead]
+    assert exactpoly._pseudo_rem(a, b) == pseudo_divrem(a, b)[1]
 
 
 # Coefficients of 1 bit to past 2^200, each sign.

@@ -653,7 +653,6 @@ def test_verify_branch_locus_folds_each_value_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(pellcore, "divrem", counting(pellcore.divrem))
     monkeypatch.setattr(pellcore, "gcd_cofactors", counting(pellcore.gcd_cofactors))
     f = parse_poly("t^3 - 3*t")
     counts = []
@@ -666,14 +665,13 @@ def test_verify_branch_locus_folds_each_value_once(monkeypatch):
 
 def test_quotients_are_gcd_cofactors(monkeypatch):
     # Yun's loop, the squarefree part and the locus loop take each quotient
-    # from gcd_cofactors, whose exact divisions certify its gcd; the one
-    # division left is f mod rad f'.
-    division = pellcore.divrem
-
+    # from gcd_cofactors, whose exact divisions certify its gcd, with no
+    # pseudo-division; the locus loop takes gcd(r, f - c) on f itself, so
+    # it divides no polynomial by another.
     def refuse(a, b):
-        raise AssertionError("divrem called")
+        raise AssertionError("pseudo-division called")
 
-    monkeypatch.setattr(exactpoly, "divrem", refuse)
+    monkeypatch.setattr(exactpoly, "_pseudo_rem", refuse)
     p = parse_poly("-2/3*t^2") * parse_poly("t - 1") ** 3 * parse_poly("t^2 + 1")
     assert squarefree_decomposition(p) == [
         (1, parse_poly("t^2 + 1")),
@@ -683,18 +681,19 @@ def test_quotients_are_gcd_cofactors(monkeypatch):
     assert exactpoly.squarefree_part(p) == parse_poly("t^4 - t^3 + t^2 - t")
     f = parse_poly("16*t^3 - 24*t^2 + 9*t")  # t(4t - 3)^2, critical values 0 and 1
     assert ramification_type(f, 0) == ((1, 1), (2, 1))
-    radical = exactpoly.squarefree_part(exactpoly.derivative(f))
+    assert not hasattr(pellcore, "divrem")
     calls = []
-    monkeypatch.setattr(pellcore, "divrem", lambda a, b: calls.append((a, b)) or division(a, b))
+    cofactors = pellcore.gcd_cofactors
+    monkeypatch.setattr(pellcore, "gcd_cofactors", lambda a, b: calls.append(b) or cofactors(a, b))
     for values, contained in (([0, 1], True), ([5] * 3, False), ([2, 0, 1, 0], True)):
         calls.clear()
         assert verify_branch_locus_in(f, values) is contained
-        assert calls == [(f, radical)]
+        assert calls and all(b == f - constant(c) for b, c in zip(calls, dict.fromkeys(values)))
 
 
 def test_verify_branch_locus_builds_below_twice_the_degree(monkeypatch):
-    # The product of f - c over 2000 values has degree 6000; folded modulo
-    # rad f', nothing built reaches 2 deg f.
+    # The product of f - c over 2000 values has degree 6000; replacing
+    # rad f' by a cofactor per value, nothing built reaches 2 deg f.
     degrees = []
     build = exactpoly._poly
 
@@ -711,8 +710,9 @@ def test_verify_branch_locus_builds_below_twice_the_degree(monkeypatch):
 
 
 def test_verify_branch_locus_height_stays_flat_in_the_values(monkeypatch):
-    # Folding prod(f - c) modulo rad f' adds about log2 |c| bits to every
-    # coefficient per value: near 257,000 bits after 20,000 values.  Every
+    # Folding prod(f - c) modulo rad f' would add about log2 |c| bits to
+    # every coefficient per value: near 257,000 bits after 20,000 values.
+    # Replacing rad f' by a cofactor of gcd(rad f', f - c) per value, every
     # polynomial built stays within a small multiple of the bits of f and
     # of the largest value.
     bits = []
