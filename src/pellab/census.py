@@ -4,18 +4,19 @@ fixed by sigma1 and tau.
 
 Three routes produce per-case conjugacy-class counts: shape enumeration
 (parameterized sigma0 layouts), brute force over fixed-point-free
-involutions, pruned while pairing (ground truth), and closed formulas.  The
-first two count classes by orbit counting per sigma0, with no class and no
-tuple ever built: sigma0 forces the product pi = sigma1*tau, whose splits
-give every tau and the points they all fix.  The shape route reads these
-from each layout's cut points, the brute route by one scan of each leaf's
-pi; both stream into one pass, and only the test oracles build tuples.
-Besides the identity, only the rotation by n can fix a transposition tau,
-and it fixes the tuple exactly when it fixes tau and CF, the points sigma1
-and tau fix in common, holds n and is closed under +n: CF decides, so
-census builds no Perm and imports no other module of the package.  The
-payload census returns carries all three routes' counts, for each case
-and for the primitive Disjoint count, and flags any disagreement.
+involutions, pruned while pairing by two rules that leave only census
+cases (ground truth), and closed formulas.  The first two count classes
+by orbit counting per sigma0, with no class and no tuple ever built:
+sigma0 forces the product pi = sigma1*tau, whose splits give every tau
+and the points they all fix.  The shape route reads these from each
+layout's cut points, the brute route by one scan of each leaf's pi; both
+stream into one pass, and only the test oracles build tuples.  Besides
+the identity, only the rotation by n can fix a transposition tau, and it
+fixes the tuple exactly when it fixes tau and CF, the points sigma1 and
+tau fix in common, holds n and is closed under +n: CF decides, so census
+builds no Perm and imports no other module of the package.  The payload
+census returns carries all three routes' counts, for each case and for
+the primitive Disjoint count, and flags any disagreement.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -56,20 +57,17 @@ def _splits(sigma0: tuple[int, ...]) -> Splits:
     product pi = sigma1*tau (sigma1 acting first): tau a transposition,
     sigma1 = pi*tau all-even cycles with exactly 4 fixed points.
 
-    No taus unless pi is one of the three census cases: transpositions and
-    at most one 3- or 4-cycle, with as many fixed points as its longest
-    cycle has points (2 when there is no 3- or 4-cycle).  The points off
-    pi's 1- and 2-cycles tell which: none, or 3 or 4, which then form one
-    cycle (a b c) or (a b c d) from its least point.  Disjoint takes each
-    transposition as tau, by least point, ThreeCycle (a, c), (b, a) or
-    (c, b), and FourCycle (a, c) or (b, d).  Each split's sigma1 moves the
-    points of pi's cycles that its tau fixes, so sigma1 and tau fix in
-    common exactly pi's fixed points, whatever the split."""
+    pi must be one of the three census cases, and every brute leaf is one,
+    by the lemma in _brute_leaves.  The points off pi's 1- and 2-cycles tell
+    which: none, or 3 or 4, which then form one cycle (a b c) or (a b c d)
+    from its least point.  Disjoint takes each transposition as tau, by
+    least point, ThreeCycle (a, c), (b, a) or (c, b), and FourCycle (a, c)
+    or (b, d).  Each split's sigma1 moves the points of pi's cycles that
+    its tau fixes, so sigma1 and tau fix in common exactly pi's fixed
+    points, whatever the split."""
     pi = _pi_from_sigma0(sigma0)
     cf = frozenset([x for x, y in enumerate(pi, 1) if x == y])
     long = [x for x, y in enumerate(pi, 1) if pi[y - 1] != x]
-    if len(long) not in (0, 3, 4) or len(cf) != (len(long) or 2):
-        return frozenset(), []
     if not long:
         return cf, [(x, y) for x, y in enumerate(pi, 1) if x < y]
     a = long[0]
@@ -91,8 +89,8 @@ def _split_weights(cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[
     (below), so each tau it fixes weighs 24 / |CF|, and every other split
     12 / |CF|.  The quotient is exact: CF(t) is a union of cosets of Stab(t).
 
-    Every sigma0 of either route is a layout (the brute route's leaves that
-    split are the layouts; the tests check it up to n = 24): each arc
+    Every sigma0 of either route is a layout (every leaf of the brute
+    route is one; the tests check it up to n = 24): each arc
     between cyclically consecutive points of P = (h, *cuts, 2n-h) folds
     onto itself about its centre, and CF is the set of those centres; the
     arc through 2n, where x pairs with 2n+1-x, has centre 2n.  When CF holds
@@ -156,9 +154,16 @@ def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
       - a path or cycle has more than 4 points (no census case has a cycle
         longer than 4, and a path lies inside one final cycle),
       - two components have 3 or more points (every case has at most one
-        cycle that long, and two such paths joined would exceed 4 points),
-      - pi has more than 4 fixed points (FourCycle has the most, 4).
-    Each leaf that survives is still judged by _splits alone."""
+        cycle that long, and two such paths joined would exceed 4 points).
+
+    Every leaf kept is a census case.  pi(x) = sigma0(rho(x)) with rho the
+    2n-cycle x -> x+1, so Riemann-Hurwitz (sigma0 has n cycles, rho one)
+    gives pi c(pi) = n + 1 - 2g cycles, g the genus of the cover.  A leaf's
+    pi has t 2-cycles, one longer cycle of L in {0, 3, 4} points and f
+    fixed points, 2t + L + f = 2n, so f = 2 - 4g, 3 - 4g or 4 - 4g; f >= 1
+    since pi fixes 2n, so g = 0 and f = L, or 2 when L = 0: pi is a
+    Disjoint, ThreeCycle or FourCycle product.  Both rules are needed: a
+    5-cycle with 5 fixed points, or two 3-cycles with 4, also has genus 0."""
     N = 2 * n
     paired = [0] * (N + 1)
     paired[1], paired[N] = N, 1
@@ -167,54 +172,46 @@ def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
     nxt[N] = prv[N] = N
     nxt[N - 1], prv[1] = 1, N - 1
 
-    def link(u: int, v: int, long: int, fixed: int) -> "tuple[int, int] | None":
-        """Set pi(u) = v; the new counts of long components and fixed points,
-        or None (nothing set) when the branch is cut."""
-        if u == v:
-            fixed += 1
-        else:
-            head, p = u, 1
-            while prv[head]:
-                head, p = prv[head], p + 1
-            if head != v:  # join two paths; otherwise close a cycle of p points
-                tail, q = v, 1
-                while nxt[tail]:
-                    tail, q = nxt[tail], q + 1
-                if p + q > 4:
-                    return None
-                long += (p + q >= 3) - (p >= 3) - (q >= 3)
-        if long > 1 or fixed > 4:
-            return None
+    def link(u: int, v: int, long: int) -> "int | None":
+        """Set pi(u) = v; the new count of long components, or None (nothing
+        set) when the branch is cut.  u = v closes a cycle of one point."""
+        head, p = u, 1
+        while prv[head]:
+            head, p = prv[head], p + 1
+        if head != v:  # join two paths; otherwise close a cycle of p points
+            tail, q = v, 1
+            while nxt[tail]:
+                tail, q = nxt[tail], q + 1
+            long += (p + q >= 3) - (p >= 3) - (q >= 3)
+            if p + q > 4 or long > 1:
+                return None
         nxt[u], prv[v] = v, u
-        return long, fixed
+        return long
 
-    def descend(unpaired: "list[int]", long: int, fixed: int) -> "Iterator[tuple[int, ...]]":
+    def descend(unpaired: "list[int]", long: int) -> "Iterator[tuple[int, ...]]":
         if not unpaired:
             yield tuple(paired[1:])
             return
         a = unpaired[0]
         rest = unpaired[1:]
         for idx, b in enumerate(rest):
-            first = link(a - 1, b, long, fixed)
+            first = link(a - 1, b, long)
             if first is None:
                 continue
-            second = link(b - 1, a, *first)
+            second = link(b - 1, a, first)
             if second is not None:
                 paired[a], paired[b] = b, a
-                yield from descend(rest[:idx] + rest[idx + 1 :], *second)
+                yield from descend(rest[:idx] + rest[idx + 1 :], second)
                 nxt[b - 1] = prv[a] = 0
             nxt[a - 1] = prv[b] = 0
 
-    return descend(list(range(2, N)), 0, 1)
+    return descend(list(range(2, N)), 0)
 
 
 def _brute_route(n: int) -> Iterator[Splits]:
-    """Every brute-force leaf whose forced product splits, with its CF and
-    taus, each found by one scan of the leaf's pi."""
-    for sigma0 in _brute_leaves(n):
-        cf, taus = _splits(sigma0)
-        if taus:
-            yield cf, taus
+    """Every brute-force leaf with its CF and taus, each found by one scan
+    of the leaf's pi; every leaf splits (the lemma in _brute_leaves)."""
+    yield from map(_splits, _brute_leaves(n))
 
 
 def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:

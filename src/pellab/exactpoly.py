@@ -437,8 +437,6 @@ def _int_nth_root(v: int, m: int) -> Optional[int]:
     """Exact integer m-th root of v >= 0, or None."""
     if v in (0, 1):
         return v
-    if m == 1:
-        return v
     if m == 2:
         r = math.isqrt(v)
         return r if r * r == v else None

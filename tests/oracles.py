@@ -350,8 +350,8 @@ def _shape_tuples(n: int) -> Iterator[HurwitzTuple]:
 
 def brute_force_enumerate(n: int) -> list[HurwitzTuple]:
     """Ground truth: every tuple of the pruned scan's fixed-point-free
-    involutions (census._brute_leaves) whose forced product
-    pi = sigma1*tau matches a census case, split; sorted."""
+    involutions (census._brute_leaves), each forced product
+    pi = sigma1*tau split by the cycle-level oracle; sorted."""
     if n < 2:
         raise ValueError("census needs n >= 2")
     if n > BRUTE_DEFAULT_MAX:

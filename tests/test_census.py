@@ -255,9 +255,9 @@ def shape_items(n, route=census_module._shape_route):
 
 def brute_items(n, route=census_module._brute_route):
     """The brute route's items (CF, taus), each paired with a builder of its
-    sigma0: the pruned scan's leaves whose forced product splits."""
-    leaves = [s for s in census_module._brute_leaves(n) if census_module._splits(s)[1]]
-    for leaf, (cf, taus) in zip(leaves, route(n), strict=True):
+    sigma0: every leaf of the pruned scan, so that a leaf that does not
+    split fails the oracle comparisons."""
+    for leaf, (cf, taus) in zip(census_module._brute_leaves(n), route(n), strict=True):
         yield functools.partial(pg._unchecked, leaf), cf, taus
 
 
@@ -437,6 +437,15 @@ def test_brute_force_matches_leaf_filter_scan_n8():
     assert list(map(tuple_key, brute)) == list(map(tuple_key, leaf_filter_scan(8)))
 
 
+def test_brute_leaves_are_the_layouts():
+    """The two cuts of the pruned scan leave exactly the sigma0 layouts, up
+    to the brute-force bound: every leaf is a census case, with no third
+    cut and no case test (the lemma of _brute_leaves)."""
+    for n in range(2, BRUTE_DEFAULT_MAX + 1):
+        layouts = sorted(_sigma0(n, h, cuts).images for h, cuts in _layouts(n))
+        assert sorted(census_module._brute_leaves(n)) == layouts, n
+
+
 def test_case_from_common_fixed_matches_cycle_oracle():
     for n in range(2, 11):
         for params, t in enumerate_shapes(n):
@@ -571,6 +580,33 @@ def test_census_primitive_count_matches_public_function():
 def disjoint_h(t):
     """h of a Disjoint tuple's tau = (h, 2n-h)."""
     return pg.cycles(t.taus[0])[0][0]
+
+
+def test_primitive_rule_is_the_profile_verdict():
+    """census's primitive Disjoint rule, gcd(h, n) = 1, is an empty
+    primitivity_profile: on the shape route's Disjoint tuples (its first
+    layout's n - 1 splits) up to n = 24 and the brute oracle's up to
+    n = 12.  The rule covers Disjoint only: at n = 12, 13 of the 55
+    ThreeCycle classes and 33 of the 85 FourCycle classes are powers."""
+    routes = [list(itertools.islice(_shape_tuples(n), n - 1)) for n in range(2, 25)]
+    routes += [[t for t in brute_force_enumerate(n) if case_of(t) == DISJOINT] for n in range(2, 13)]
+    powers = 0
+    for tuples in routes:
+        n = tuples[0].n
+        assert len(tuples) == n - 1 and {case_of(t) for t in tuples} == {DISJOINT}, n
+        for t in tuples:
+            profile = primitivity_profile(t, admissible_exponents(n, t.d))
+            assert (not profile) == (math.gcd(disjoint_h(t), n) == 1), (n, tuple_key(t))
+            powers += bool(profile)
+    assert powers
+    power_sums = dict.fromkeys(CASES, 0)
+    for t in _shape_tuples(12):
+        if primitivity_profile(t, admissible_exponents(12, t.d)):
+            cf = common_fixed(t)
+            power_sums[CASES[len(cf) - 2]] += _orbit_weight(t, cf)
+    assert power_sums == {DISJOINT: 12 * 4, THREE_CYCLE: 12 * 13, FOUR_CYCLE: 12 * 33}
+    cases = census(12, use_brute=False)["cases"]
+    assert (cases[THREE_CYCLE]["shape"], cases[FOUR_CYCLE]["shape"]) == (55, 85)
 
 
 def test_orbit_counts_match_class_oracle():

@@ -983,3 +983,14 @@ def test_series_root_reduces_its_lead():
     assert _series_root([18, 0], (18, 2), 2) == Poly([0, 3])
     assert _series_root([-8, 0], (-24, 3), 3) == Poly([0, -2])
     assert _series_root([-8, 0], (-8, 1), 2) is None
+
+
+def test_public_guards_refuse_zero_and_negative_inputs():
+    with pytest.raises(ZeroInput, match="no leading coefficient"):
+        ZERO.leading
+    with pytest.raises(ZeroInput, match="cannot normalize"):
+        ZERO.monic()
+    with pytest.raises(ValueError, match="negative power"):
+        X ** -1
+    with pytest.raises(ZeroInput, match="decomposition of 0"):
+        squarefree_decomposition(ZERO)

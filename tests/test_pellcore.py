@@ -8,7 +8,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pellab import exactpoly, pellcore
@@ -19,8 +19,10 @@ from pellab.exactpoly import (
     Poly,
     compose,
     constant,
+    gcd,
     parse_poly,
     squarefree_decomposition,
+    squarefree_part,
 )
 from pellab.pellcore import (
     NON_SQUAREFREE_D,
@@ -778,3 +780,61 @@ def test_seed_odd_multiplicity_locus_has_degree_2d():
         branch = ramification_type(out.A * out.A, Fraction(1))
         odd_locus = sum(deg for mult, deg in branch if mult % 2 == 1)
         assert odd_locus == 2 * out.d
+
+
+def test_public_guards_refuse_indices_below_their_range():
+    with pytest.raises(ValueError, match="chebyshev index"):
+        chebyshev(-1)
+    with pytest.raises(ValueError, match="power index"):
+        power_solution(solve("t^2", "1", "t^4 - 1"), 0)
+    with pytest.raises(ValueError, match="root index"):
+        extract_mth_root(parse_poly("2*t^2 - 1"), 0)
+
+
+nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+small_polys = st.builds(
+    lambda low, lead: Poly([*low, lead]), st.lists(st.integers(-3, 3), min_size=1, max_size=3), nonzero
+)
+
+
+@st.composite
+def cover_solutions(draw):
+    """A verified solution from one of three sources: the family
+    (2F^2/e + 1, 2F/e, F^2 + e), the seed 1 + S^2*R, or a square or cube
+    of either."""
+    if draw(st.booleans()):
+        F = draw(small_polys)
+        e = draw(st.builds(Fraction, nonzero, st.integers(1, 3)))
+        scaled = F.scale(2 / e)
+        sol = verify_pell(F * scaled + ONE, scaled, F * F + constant(e), allow_d1=True)
+    else:
+        S, R = draw(small_polys), draw(st.one_of(nonzero.map(constant), small_polys))
+        sol = generate_from_seed(ONE + S * S * R, allow_d1=True)
+    assume(isinstance(sol, PellSolution))
+    m = draw(st.sampled_from((1, 1, 2, 3)))
+    return power_solution(sol, m) if m > 1 else sol
+
+
+@settings(deadline=None)
+@given(cover_solutions())
+@example(solve("2*t^3 - 1", "2*t", "t^4 - t"))
+def test_cover_a_squared_branches_as_its_tuple(sol):
+    """The cover A^2 of degree 2n that validate's checks describe: an even
+    fiber over 0; 2d simple points over 1, where A^2 - 1 = D*B^2, and no
+    other odd multiplicity, exactly when gcd(B, D) = 1; and left, what is
+    left of the finite branching 2n - 1 over every other value, at most
+    d - 1, with d - 1 exactly when A and B are squarefree and
+    gcd(B, D) = 1, and 0 exactly when every critical value is 0 or 1.
+    The seed 2t^3 - 1 has gcd(B, D) = t: a point of multiplicity 3 over 1."""
+    f, n, d = sol.A * sol.A, sol.n, sol.d
+    over0, over1 = ramification_type(f, 0), ramification_type(f, 1)
+    assert all(mult % 2 == 0 for mult, _ in over0)
+    coprime = gcd(sol.B, sol.D).degree == 0
+    assert ([(mult, k) for mult, k in over1 if mult % 2] == [(1, 2 * d)]) == coprime
+    b0, b1 = (sum((mult - 1) * k for mult, k in fiber) for fiber in (over0, over1))
+    left = 2 * n - 1 - b0 - b1
+    generic = coprime and all(squarefree_part(p).degree == p.degree for p in (sol.A, sol.B))
+    assert 0 <= left <= d - 1
+    assert (left == d - 1) == generic
+    assert verify_branch_locus_in(f, [0, 1]) == (left == 0)
+    event("generic" if generic else "degenerate")

@@ -707,3 +707,19 @@ def test_parse_cycles_long_point_is_a_positioned_range_fault():
     with pytest.raises(CycleParseError) as err:
         parse_cycles("(1,\u0660\u06602)x", 4)
     assert str(err.value) == "expected '(' (at position 7)"
+
+
+def test_public_guards_refuse_sizes_that_do_not_fit():
+    p = Perm.from_cycles(4, "(1,2,3,4)")
+    assert str(p) == format_cycles(p) == "(1,2,3,4)"
+    with pytest.raises(ValueError, match="at least one point"):
+        is_transitive([], 0)
+    with pytest.raises(SizeMismatch, match="generator size 4 != 5"):
+        is_transitive([p], 5)
+    with pytest.raises(ValueError, match="equal size"):
+        BlockPartition(4, 2, (frozenset({1}), frozenset({2, 3, 4})))
+    halves = BlockPartition(6, 2, (frozenset({1, 3, 5}), frozenset({2, 4, 6})))
+    with pytest.raises(SizeMismatch, match="size 4 != 6"):
+        preserves_partition(p, halves)
+    with pytest.raises(NeedFullCycle, match="no generators"):
+        is_ell_imprimitive([], 2)
