@@ -20,9 +20,10 @@ import functools
 import re
 import sys
 from _json import encode_basestring_ascii, make_encoder
-from collections import namedtuple
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
+
+from . import _Record
 
 if TYPE_CHECKING:
     from . import hurwitz, pellcore
@@ -42,9 +43,14 @@ EXIT_BROKEN_PIPE = 141
 EXIT_INTERRUPTED = 130
 
 
-# status is OK, REJECTED or ERROR; payload is what --json prints under
-# "payload"; diagnostics is a list of str.
-CommandResult = namedtuple("CommandResult", "status payload diagnostics")
+class CommandResult(_Record):
+    """A command's answer: status is OK, REJECTED or ERROR; payload is what
+    --json prints under "payload"; diagnostics is a list of str."""
+
+    __slots__ = ()
+
+    def __new__(cls, status, payload, diagnostics):
+        return tuple.__new__(cls, (status, payload, diagnostics))
 
 
 class _ParserError(Exception):
@@ -254,9 +260,11 @@ def _cmd_profile(args) -> CommandResult:
     from . import hurwitz
 
     t = _read_tuple(args)
-    report = hurwitz.validate(t)
-    if not report["ok"]:
-        return _validation_result(report)
+    # The verdicts alone: the detail strings are worded only for a tuple
+    # that fails, whose answer is validate's.
+    entries, branching = hurwitz.checks(t)
+    if not all(passed for _, passed, _ in entries):
+        return _validation_result(hurwitz.report(entries, branching))
     admissible = hurwitz.admissible_exponents(t.n, t.d)
     profile = hurwitz.primitivity_profile(t, admissible)
     payload = {
@@ -293,14 +301,25 @@ def integer(text: str) -> int:
     return int(text)
 
 
-_Option = namedtuple("_Option", "flag dest kind help required const", defaults=(None, False, None))
-_Option.__doc__ = """One option of a command.  Its kind is "flag" (bare, stores True),
-"text", "integer" (read by integer), or "route", one of census's two
-exclusive route flags, which stores const."""
+class _Option(_Record):
+    """One option of a command.  Its kind is "flag" (bare, stores True),
+    "text", "integer" (read by integer), or "route", one of census's two
+    exclusive route flags, which stores const."""
 
-# handler takes the read arguments and returns a CommandResult; options is
-# a tuple of _Option.
-_Command = namedtuple("_Command", "help handler options")
+    __slots__ = ()
+
+    def __new__(cls, flag, dest, kind, help=None, required=False, const=None):
+        return tuple.__new__(cls, (flag, dest, kind, help, required, const))
+
+
+class _Command(_Record):
+    """One command: handler takes the read arguments and returns a
+    CommandResult; options is a tuple of _Option."""
+
+    __slots__ = ()
+
+    def __new__(cls, help, handler, options):
+        return tuple.__new__(cls, (help, handler, options))
 
 
 _JSON = _Option("--json", "json", "flag", "machine output")

@@ -11,9 +11,9 @@ any tuple through the labels that would put it in that form.
 
 import math
 import operator
-from collections import namedtuple
 from itertools import compress
 
+from . import _Record
 from . import permgroup as pg
 from .degrees import admissible_exponents
 from .permgroup import Perm
@@ -32,11 +32,14 @@ class DegreeOrder(ValueError):
     prefix = "tuple error: "
 
 
-class HurwitzTuple(namedtuple("HurwitzTuple", "sigma0 sigmaInf sigma1 taus n d")):
+class HurwitzTuple(_Record):
     """The entries sigma0, sigmaInf, sigma1 (each a Perm) and taus (a tuple
     of Perms) of a tuple on 2n points, with its n and d."""
 
     __slots__ = ()
+
+    def __new__(cls, sigma0, sigmaInf, sigma1, taus, n, d):
+        return tuple.__new__(cls, (sigma0, sigmaInf, sigma1, taus, n, d))
 
     def gens(self) -> list[Perm]:
         return [self.sigma0, self.sigmaInf, self.sigma1, *self.taus]
@@ -61,32 +64,24 @@ def is_special(t: HurwitzTuple) -> bool:
     )
 
 
-def _validation(checks: list[tuple[str, bool, str]], *branching: int) -> dict:
-    """validate's payload from its checks (name, passed, detail) and branching."""
-    return {
-        "ok": all(passed for _, passed, _ in checks),
-        "checks": [{"name": n, "passed": p, "detail": x} for n, p, x in checks],
-        "branching": dict(zip(("overZero", "overOne", "overInfinity", "overTaus"), branching)),
-    }
+def checks(t: HurwitzTuple) -> tuple[list, tuple]:
+    """validate's facts: one (name, passed, detail) per structural
+    invariant, in order, where detail is a function that words the check,
+    and the branching spent over 0, 1, infinity and the taus.  A caller
+    that needs only the verdicts builds no detail string; `report` words
+    them.
 
-
-def validate(t: HurwitzTuple) -> dict:
-    """The payload validate prints, {"ok", "checks": [{"name", "passed",
-    "detail"}], "branching": {"overZero", "overOne", "overInfinity",
-    "overTaus"}}: one entry per structural invariant, in order, and the
-    branching spent over each branch point.
-
-    >>> report = validate(zannier_tuple(4, 2))
-    >>> report["ok"], report["branching"]
-    (True, {'overZero': 4, 'overOne': 2, 'overInfinity': 7, 'overTaus': 1})
+    >>> entries, branching = checks(zannier_tuple(4, 2))
+    >>> all(passed for _, passed, _ in entries), branching
+    (True, (4, 2, 7, 1))
     """
     N = t.points
 
     sizes = {p.size for p in t.gens()}
     size_ok = sizes == {N} and t.n >= 1 and t.d >= 1
-    checks = [("SizeConsistent", size_ok, f"sizes {sorted(sizes)}, expected {{{N}}}")]
+    entries = [("SizeConsistent", size_ok, lambda: f"sizes {sorted(sizes)}, expected {{{N}}}")]
     if not size_ok:
-        return _validation(checks, 0, 0, 0, 0)
+        return entries, (0, 0, 0, 0)
 
     # The product in application order, folded over the image tuples, one
     # C gather per entry (N = 2n >= 2, so itemgetter gives a tuple).
@@ -95,7 +90,6 @@ def validate(t: HurwitzTuple) -> dict:
     for p in rest:
         product = operator.itemgetter(*product)((0, *p.images))
     product_ok = product == tuple(range(1, N + 1))
-    shown = "()" if product_ok else pg.format_cycles(pg._unchecked(product))
 
     # Each entry's cycle type, counted when its text was read; evenness,
     # fixed points and branching (N minus the number of cycles) follow.
@@ -106,7 +100,6 @@ def validate(t: HurwitzTuple) -> dict:
 
     # A fixed point is a cycle of odd length 1.
     zero_even = all(c % 2 == 0 for c in set(zero_type))
-    zero_fixed = sorted(pg.fixed_points(sigma0)) if zero_type[0] == 1 else []
     one_even = all(c % 2 == 0 or c == 1 for c in set(one_type))
     fix1 = one_type.count(1)
 
@@ -116,17 +109,41 @@ def validate(t: HurwitzTuple) -> dict:
     over_taus = sum(N - len(pg.cycle_type(tau)) for tau in t.taus)
     total = over_zero + over_one + over_inf + over_taus
     k = len(t.taus)
-    checks += [
-        ("TauCount", k <= t.d - 1, f"k = {k}, bound {t.d - 1}"),
-        ("ProductIdentity", product_ok, f"product = {shown}"),
-        ("Transitive", transitive, "orbit of the generators"),
-        ("InfinityFullCycle", inf_type == (N,), f"cycle type {inf_type}"),
-        ("ZeroEvenCycles", zero_even, f"cycle type {zero_type}, fixed {zero_fixed}"),
-        ("OneEvenCycles", one_even, f"cycle type {one_type}"),
-        ("FixedPointCount", fix1 == 2 * t.d, f"sigma1 fixes {fix1} points, expected {2 * t.d}"),
-        ("TotalBranching", total == 4 * t.n - 2, f"total {total}, expected {4 * t.n - 2}"),
+    entries += [
+        ("TauCount", k <= t.d - 1, lambda: f"k = {k}, bound {t.d - 1}"),
+        ("ProductIdentity", product_ok,
+         lambda: f"product = {'()' if product_ok else pg.format_cycles(pg._unchecked(product))}"),
+        ("Transitive", transitive, lambda: "orbit of the generators"),
+        ("InfinityFullCycle", inf_type == (N,), lambda: f"cycle type {inf_type}"),
+        ("ZeroEvenCycles", zero_even,
+         lambda: f"cycle type {zero_type}, fixed {sorted(pg.fixed_points(sigma0)) if zero_type[0] == 1 else []}"),
+        ("OneEvenCycles", one_even, lambda: f"cycle type {one_type}"),
+        ("FixedPointCount", fix1 == 2 * t.d, lambda: f"sigma1 fixes {fix1} points, expected {2 * t.d}"),
+        ("TotalBranching", total == 4 * t.n - 2, lambda: f"total {total}, expected {4 * t.n - 2}"),
     ]
-    return _validation(checks, over_zero, over_one, over_inf, over_taus)
+    return entries, (over_zero, over_one, over_inf, over_taus)
+
+
+def report(entries: list, branching: tuple) -> dict:
+    """The payload validate prints from the facts `checks` returns, {"ok",
+    "checks": [{"name", "passed", "detail"}], "branching": {"overZero",
+    "overOne", "overInfinity", "overTaus"}}: the checks, in order, and the
+    branching spent over each branch point."""
+    return {
+        "ok": all(passed for _, passed, _ in entries),
+        "checks": [{"name": n, "passed": p, "detail": detail()} for n, p, detail in entries],
+        "branching": dict(zip(("overZero", "overOne", "overInfinity", "overTaus"), branching)),
+    }
+
+
+def validate(t: HurwitzTuple) -> dict:
+    """validate's payload, the `report` of the tuple's `checks`.
+
+    >>> payload = validate(zannier_tuple(4, 2))
+    >>> payload["ok"], payload["branching"]
+    (True, {'overZero': 4, 'overOne': 2, 'overInfinity': 7, 'overTaus': 1})
+    """
+    return report(*checks(t))
 
 
 def zannier_tuple(n: int, d: int) -> HurwitzTuple:

@@ -20,10 +20,10 @@ coefficient for even m, that of lc A for odd m).
 """
 
 import math
-from collections import namedtuple
 from functools import cache
 from typing import Optional, Union
 
+from . import _Record
 from .degrees import admissible_exponents
 from .exactpoly import (
     ONE,
@@ -45,14 +45,25 @@ SMALL_DEGREE_D = "SmallDegreeD"
 NON_SQUAREFREE_D = "NonSquarefreeD"
 
 
-RejectionReason = namedtuple("RejectionReason", "kind message")
-RejectionReason.__doc__ = """Structured negative verdict; kind is one of the module constants."""
+class RejectionReason(_Record):
+    """Structured negative verdict; kind is one of the module constants."""
 
-PellSolution = namedtuple("PellSolution", "A B D n d")
-PellSolution.__doc__ = """Verified solution of A^2 - D*B^2 = 1 with n = deg A, d = deg D / 2."""
+    __slots__ = ()
+
+    def __new__(cls, kind, message):
+        return tuple.__new__(cls, (kind, message))
 
 
-class PowerClassification(namedtuple("PowerClassification", "n admissible_m witnesses")):
+class PellSolution(_Record):
+    """Verified solution of A^2 - D*B^2 = 1 with n = deg A, d = deg D / 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, A, B, D, n, d):
+        return tuple.__new__(cls, (A, B, D, n, d))
+
+
+class PowerClassification(_Record):
     """Which admissible exponents m have a rational Chebyshev root of A.
 
     admissible_m is the frozenset of every candidate (see
@@ -62,6 +73,9 @@ class PowerClassification(namedtuple("PowerClassification", "n admissible_m witn
     """
 
     __slots__ = ()
+
+    def __new__(cls, n, admissible_m, witnesses):
+        return tuple.__new__(cls, (n, admissible_m, witnesses))
 
     @property
     def primitive(self) -> bool:

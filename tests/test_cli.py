@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pellab import cli, hurwitz
@@ -48,7 +48,7 @@ from oracles import (
     conjugate,
 )
 from test_exactpoly import fraction_gcd
-from test_hurwitz import disjoint_census_tuple, validate_by_entry_queries
+from test_hurwitz import disjoint_census_tuple, json_tuples, validate_by_entry_queries
 
 
 def run_json(argv):
@@ -812,6 +812,46 @@ def test_profile_normalizes_with_note(tmp_path):
     assert result.status == "Ok"
     assert result.payload["profile"] == [3]
     assert result.payload["primitive"] is False
+
+
+@st.composite
+def staircases_with_one_fault(draw):
+    """A staircase tuple, conjugated by a drawn permutation, as built (it
+    passes every check) or with one fault that fails one check alone: an
+    identity tau too many (TauCount), another fixed-point-free involution
+    as sigma0 (ProductIdentity) or d one above its own (FixedPointCount)."""
+    fault = draw(st.sampled_from((None, "taus", "sigma0", "d")))
+    n = draw(st.integers(min_value=3 if fault == "d" else 2, max_value=8))
+    t = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n - 1 if fault == "d" else n)))
+    N = 2 * n
+    if fault == "taus":
+        t = t._replace(taus=(*t.taus, pg.identity(N)))
+    elif fault == "sigma0":
+        points = draw(st.permutations(range(1, N + 1)))
+        t = t._replace(sigma0=Perm.from_cycles(N, list(zip(points[::2], points[1::2]))))
+    elif fault == "d":
+        t = t._replace(d=t.d + 1)
+    g = Perm(draw(st.permutations(range(1, N + 1))))
+    return HurwitzTuple(*(conjugate(p, g) for p in t[:3]), tuple(conjugate(x, g) for x in t.taus), t.n, t.d)
+
+
+@given(st.one_of(json_tuples(), staircases_with_one_fault()))
+def test_profile_reads_validate_verdict(t):
+    # profile reads validate's verdicts without their detail strings: it is
+    # Ok exactly when validate's ok holds, and on a failed check it answers
+    # validate's payload and diagnostics.
+    text = json.dumps(tuple_to_json_dict(t))
+    results = {}
+    for command in ("validate", "profile"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            results[command] = run([command, "--file", "-"])
+    ok = results["validate"].payload["ok"]
+    event(" ".join(results["validate"].diagnostics) or "valid")
+    assert results["validate"].status == ("Ok" if ok else "Rejected")
+    if ok:
+        assert results["profile"].status == "Ok"
+    else:
+        assert results["profile"] == results["validate"]
 
 
 def test_profile_builds_no_perm_or_tuple_after_parsing(tmp_path, monkeypatch):

@@ -706,6 +706,10 @@ def test_parse_poly_errors_name_position():
     with pytest.raises(PolyParseError) as err:
         parse_poly("t - 3/0*t^2")
     assert err.value.pos == 4
+    for blank in ("", "  "):
+        with pytest.raises(PolyParseError, match="empty polynomial") as err:
+            parse_poly(blank)
+        assert err.value.pos == 0
 
 
 def test_parse_poly_degree_bound():

@@ -11,9 +11,10 @@ importing the CLI and building its parser, must not import `dataclasses`,
 `inspect`, `argparse`, `json` or any library module, each command loads
 only the modules it runs, only help and bad command lines load argparse,
 and only commands that read JSON load json.  Neither start-up nor a command
-imports `__future__`, and no src module names `NamedTuple`: the records
-are `collections.namedtuple`, whose fields, defaults, repr and tuple
-behaviour are pinned here.  Every backticked
+imports `__future__`, no src module names `NamedTuple` or `namedtuple`
+or calls `eval`, `exec` or `compile`: the records are tuple subclasses
+of `pellab._Record`, whose fields, defaults, repr, construction, copy,
+pickle and tuple behaviour are pinned here.  Every backticked
 `module.NAME` in README.md names a top-level definition of that module.
 The same walk from the solution text functions of exactpoly and from
 parse_poly reaches no Fraction.  Only exactpoly._fraction_class, behind
@@ -23,11 +24,15 @@ no solution command loads either."""
 from __future__ import annotations
 
 import ast
+import copy
 import json
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from pellab.hurwitz import tuple_to_json_dict, zannier_tuple
 
@@ -193,16 +198,21 @@ def test_startup_and_commands_load_no_future(tmp_path):
 
 def test_no_module_imports_future_or_names_namedtuple():
     # A static guard on every src module: annotations evaluate where they
-    # are defined, and the records are built by collections.namedtuple,
-    # not typing.NamedTuple.
+    # are defined, and the records are _Record subclasses, neither
+    # typing.NamedTuple nor collections.namedtuple, so defining one runs
+    # no generated code.  No module runs text as code either: the builtins
+    # eval, exec and compile appear nowhere (re.compile is an attribute).
     offenders = set()
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 offenders.add((path.stem, "__future__"))
             words = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
-            if "NamedTuple" in words:
-                offenders.add((path.stem, "NamedTuple"))
+            offenders.update((path.stem, word) for word in words & {"NamedTuple", "namedtuple"})
+            if isinstance(node, ast.Name) and node.id in ("eval", "exec", "compile"):
+                offenders.add((path.stem, node.id))
     assert offenders == set()
 
 
@@ -218,18 +228,28 @@ RECORDS = {
 
 
 def test_records_keep_their_fields_and_tuple_behaviour():
-    from pellab import cli, hurwitz, pellcore
+    from pellab import _Record, cli, hurwitz, pellcore
 
     modules = {"cli": cli, "hurwitz": hurwitz, "pellcore": pellcore}
     for (mod, name), fields in RECORDS.items():
         record = getattr(modules[mod], name)
         assert (record.__name__, record._fields) == (name, fields)
+        assert record.__bases__ == (_Record,), name
         value = record(*range(len(fields)))
         assert not hasattr(value, "__dict__"), name
         assert value == tuple(range(len(fields))) and isinstance(value, tuple)
         assert repr(value) == f"{name}(" + ", ".join(f"{f}={i}" for i, f in enumerate(fields)) + ")"
         changed = value._replace(**{fields[-1]: "x"})
         assert type(changed) is record and changed == (*range(len(fields) - 1), "x")
+        with pytest.raises(ValueError, match="unexpected field names"):
+            value._replace(points=1)
+        assert record(**dict(zip(fields, range(len(fields))))) == value
+        assert [getattr(value, f) for f in fields] == list(range(len(fields)))
+        for wrong in (len(fields) - len(record._field_defaults) - 1, len(fields) + 1):
+            with pytest.raises(TypeError):
+                record(*range(wrong))
+        for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is record and twin == value, name
     assert cli._Option._field_defaults == {"help": None, "required": False, "const": None}
     assert cli._Option("--n", "n", "integer") == ("--n", "n", "integer", None, False, None)
     t = zannier_tuple(4, 2)
@@ -237,6 +257,24 @@ def test_records_keep_their_fields_and_tuple_behaviour():
     classification = pellcore.PowerClassification(4, frozenset({2, 4}), {})
     assert classification.primitive
     assert not classification._replace(witnesses={2: None}).primitive
+
+
+def test_records_read_fields_without_the_c_accessor():
+    # collections._tuplegetter is CPython's; without it a field is a
+    # property over operator.itemgetter.
+    code = (
+        "import collections\ndel collections._tuplegetter\nfrom pellab import cli\n"
+        "value = cli._Option('--n', 'n', 'integer')\n"
+        "print(type(cli._Option.kind).__name__, value.kind, value.required, value._replace(kind='flag'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP, str(SRC.parent), code],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[0] == (
+        "property integer False "
+        "_Option(flag='--n', dest='n', kind='flag', help=None, required=False, const=None)"
+    )
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -302,7 +340,9 @@ def test_only_the_fraction_accessor_imports_fractions_or_decimal():
     # the old Fraction aliases Rat and RatLike appear nowhere.
     lazy = {"fractions", "decimal", "numbers"}
     importers, aliases = set(), set()
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             for node in ast.walk(top):
