@@ -12,7 +12,8 @@ kernels read and write the stored integers directly, a rational argument
 parse_rational returns one.  Solution text, printed by format_poly and
 coeff_strings_and_text (both forms from one str() per integer) and read by
 from_coeff_strings, and polynomial text read by parse_poly go through one
-pair per coefficient.  Only coeffs, coeff,
+pair per coefficient, whose text is read with str methods (strip,
+partition, isdecimal).  Only coeffs, coeff,
 leading and evaluation hand a caller a fractions.Fraction, whose class
 _fraction_class imports on its first call.  A product convolves
 the numerators, and a square takes each cross product once and doubles it.
@@ -510,9 +511,10 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
 # any order and repeated terms (they sum).  A coefficient is digits with an
 # optional "/digits", the one rational form pellab reads from text; an
 # integer option of the command line (cli.integer) is its numerator alone.
+# Terms are matched by _TERM_RE; each coefficient's text is read by
+# _rational_pair with str methods, digits of any script among them.
 
 _UNSIGNED_RATIONAL = r"(\d+)(?:/(\d+))?"  # numerator, denominator
-_RATIONAL_RE = re.compile(rf"\s*([+-]?){_UNSIGNED_RATIONAL}\s*")  # sign, numerator, denominator
 _TERM_RE = re.compile(
     rf"""\s*(?P<sign>[+-])?\s*
         (?:(?P<coeff>{_UNSIGNED_RATIONAL})\s*)?
@@ -542,16 +544,19 @@ def _significant_digits(digits: str, pos: int) -> str:
 
 def _rational_pair(text: str, at: int = 0) -> tuple[int, int]:
     """parse_rational's value as (numerator, denominator), not reduced; at
-    is the offset of text in what it was read from, for error positions."""
-    m = _RATIONAL_RE.fullmatch(text)
-    if not m:
+    is the offset of text in what it was read from, for error positions.
+    strip and isdecimal take the characters a regex's \\s and \\d take."""
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    num, slash, den = body[len(sign) :].partition("/")
+    if not num.isdecimal() or slash and not den.isdecimal():
         raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
-    sign, num, den = m.groups("1")
-    num = int(sign + _significant_digits(num, at + m.start(2)))
-    den = int(_significant_digits(den, at + m.start(3)))
-    if not den:
+    start = at + text.find(body) + len(sign)  # where the numerator's digits start
+    n = int(sign + _significant_digits(num, start))
+    d = int(_significant_digits(den, start + len(num) + 1)) if slash else 1
+    if not d:
         raise ZeroDivisionError("zero denominator")
-    return num, den
+    return n, d
 
 
 def parse_rational(text: str) -> tuple[int, int]:

@@ -5,18 +5,20 @@ D squarefree of even degree 2d.  Powers of a solution are driven by the
 degree-m Chebyshev polynomial: the m-th power has first component T_m(A).
 The default degree policy asks deg D >= 4; allow_d1 relaxes it to 2.
 
-The m-th power (A + B*sqrt(D))^m is computed by square-and-multiply in
-Q[t][sqrt(D)], O(log m) polynomial products.  The Chebyshev root of A is
-read off in one pass: the top coefficients of T_m(P) are those of
-2^(m-1) P^m, so P is the m-th root, as a power series in 1/t, of
-A / 2^(m-1), truncated to the polynomial part (the approximate m-th root
-step of Kozen and Landau, "Polynomial decomposition algorithms", J. Symbolic
-Comput. 7, 1989).  T_m(P) = A is then checked by full composition, which
-is the certificate for the answer.  Chebyshev roots are unique up to sign
-and T_ab = T_a o T_b, so classify_powers takes the root for a composite m
-from the witness of its largest admissible divisor a, at degree n/a; that
-root has the sign an extraction from A gives (a positive leading
-coefficient for even m, that of lc A for odd m).
+The unit equation is checked on the integer numerators of A, B and D,
+with no Poly built.  The m-th power (A + B*sqrt(D))^m is computed by
+square-and-multiply in Q[t][sqrt(D)], O(log m) polynomial products; a
+doubling builds each component from the numerators and reduces it once.
+The Chebyshev root of A is read off in one pass: the top coefficients of
+T_m(P) are those of 2^(m-1) P^m, so P is the m-th root, as a power series
+in 1/t, of A / 2^(m-1), truncated to the polynomial part (the approximate
+m-th root step of Kozen and Landau, "Polynomial decomposition algorithms",
+J. Symbolic Comput. 7, 1989).  T_m(P) = A is then checked by full
+composition, which is the certificate for the answer.  Chebyshev roots are
+unique up to sign and T_ab = T_a o T_b, so classify_powers takes the root
+for a composite m from the witness of its largest admissible divisor a, at
+degree n/a; that root has the sign an extraction from A gives (a positive
+leading coefficient for even m, that of lc A for odd m).
 """
 
 import math
@@ -29,7 +31,10 @@ from .exactpoly import (
     ONE,
     DegreeTooSmall,
     Poly,
+    _convolve,
+    _poly,
     _series_root,
+    _square,
     compose,
     constant,
     derivative,
@@ -96,12 +101,26 @@ def _below_degree_floor(D: Poly, allow_d1: bool) -> Optional[RejectionReason]:
 def verify_pell(
     A: Poly, B: Poly, D: Poly, allow_d1: bool = False
 ) -> Union[PellSolution, RejectionReason]:
-    """Check the unit equation and the degree/squarefreeness policy.  The
-    equation is read as A*A - 1 == D*(B*B): equal polynomials have equal
-    stored pairs, so no difference is built."""
+    """Check the unit equation and the degree/squarefreeness policy.  With
+    A = a/alpha, B = b/beta, D = d/delta and s/r = delta*beta^2/alpha^2 in
+    lowest terms, A^2 - 1 = D*B^2 is a^2*s - alpha^2*s = d*b^2*r on the
+    integer numerators, so two integer lists are compared and no Poly or
+    coefficient gcd is built."""
     if B.is_zero:
         return RejectionReason(ZERO_B, "B = 0 gives only the trivial unit")
-    if A * A - ONE != D * (B * B):
+    alpha2, dbeta2 = A.den * A.den, D.den * B.den * B.den
+    g = math.gcd(dbeta2, alpha2)
+    s, r = dbeta2 // g, alpha2 // g
+    lhs = _square(A.nums) or [0]
+    rhs = _convolve(D.nums, _square(B.nums))
+    if s != 1:
+        lhs = [c * s for c in lhs]
+    if r != 1:
+        rhs = [c * r for c in rhs]
+    lhs[0] -= alpha2 * s
+    # Both lists are untrimmed, but only a constant A (lhs) or D = 0 (rhs)
+    # leaves zeros on top: unequal lists are equal polynomials only as 0.
+    if lhs != rhs and (any(lhs) or any(rhs)):
         return RejectionReason(NOT_UNIT, "A^2 - D*B^2 != 1")
     # With B != 0, A^2 - D*B^2 = 1 forces deg D even unless D = 0 (degree -1).
     if (small := _below_degree_floor(D, allow_d1)) is not None:
@@ -131,13 +150,19 @@ def power_solution(sol: PellSolution, m: int) -> PellSolution:
     """The m-th power (A + B*sqrt(D))^m = Am + Bm*sqrt(D), so Am = T_m(A),
     by square-and-multiply over the bits of m, highest first.  Every power
     of a solution is a unit, a^2 - D*b^2 = 1, so a doubling takes one
-    square: (a + b*sqrt(D))^2 = (2a^2 - 1) + 2ab*sqrt(D), T_2k = 2T_k^2 - 1."""
+    square: (a + b*sqrt(D))^2 = (2a^2 - 1) + 2ab*sqrt(D), T_2k = 2T_k^2 - 1.
+    Each doubled component is built from the numerators, over alpha^2 and
+    alpha*beta for Am = a/alpha and Bm = b/beta, and reduced once."""
     if m < 1:
         raise ValueError("power index must be >= 1")
     A, B, D = sol.A, sol.B, sol.D
     Am, Bm = A, B
     for bit in bin(m)[3:]:
-        Am, Bm = (Am * Am).scale(2) - ONE, (Am * Bm).scale(2)
+        alpha = Am.den
+        a2 = [c + c for c in _square(Am.nums)]
+        a2[0] -= alpha * alpha
+        ab = [c + c for c in _convolve(Am.nums, Bm.nums)]
+        Am, Bm = _poly(a2, alpha * alpha), _poly(ab, alpha * Bm.den)
         if bit == "1":
             Am, Bm = Am * A + D * (Bm * B), Am * B + Bm * A
     return PellSolution(A=Am, B=Bm, D=D, n=m * sol.n, d=sol.d)

@@ -40,9 +40,10 @@ same recurrence runs on Fractions from rat_nth_root, the m-th root of a
 Fraction, and composition is Horner on reduced Poly values.
 
 Solution text is printed and read as integer pairs, one reduced
-(numerator, denominator) per coefficient.  The text functions below print
-from a Fraction per coefficient and read through Fraction's own string
-parser and the Poly constructor.
+(numerator, denominator) per coefficient, and src reads a coefficient's
+text with str methods.  The text functions below print from a Fraction per
+coefficient and read through the coefficient grammar as a regex,
+Fraction's own string parser and the Poly constructor.
 
 The commands decide squarefreeness by gcd(D, D').  gcd is the heuristic
 gcd, certified by exact division, and its fallback, the primitive
@@ -56,9 +57,10 @@ discriminant.  X is the polynomial t.
 classify_powers skips every m that has an admissible divisor without a
 root, since T_ab = T_a o T_b.  classify_powers_every_m tries every
 admissible m.  power_solution doubles a unit by 2a^2 - 1, one square, and
-verify_pell compares A*A - 1 with D*(B*B); power_solution_by_norm_form
-doubles by the norm form a^2 + D*b^2, which needs no unit, and the tests
-compare verify_pell's verdict with the expanded A*A - D*(B*B) == 1.
+verify_pell compares integer numerator lists; power_solution_by_norm_form
+doubles by the norm form a^2 + D*b^2 on Poly values, which needs no unit,
+and the tests compare verify_pell's verdict with the expanded
+A*A - D*(B*B) == 1.
 
 profile labels the points along sigmaInf's cycle, from the largest point
 fixed by sigma1 and every tau down, and reads every exponent from one gcd
@@ -95,6 +97,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -120,10 +123,10 @@ from pellab.exactpoly import (
     DegreeTooSmall,
     Poly,
     PolyParseError,
-    _RATIONAL_RE,
     _int_nth_root,
     _poly,
     _primitive,
+    _significant_digits,
     constant,
     derivative,
     poly_sqrt,
@@ -628,12 +631,30 @@ def compose_by_fractions(p: Poly, q: Poly) -> Poly:
     return acc
 
 
+# The coefficient grammar as a regex: sign, numerator, denominator.
+RATIONAL_RE = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+
+
+def rational_pair_by_regex(text: str, at: int = 0) -> tuple[int, int]:
+    """exactpoly._rational_pair's answer, or its error, from RATIONAL_RE:
+    the regex's groups give the digit runs and where they start."""
+    m = RATIONAL_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
+    sign, num, den = m.groups("1")
+    num = int(sign + _significant_digits(num, at + m.start(2)))
+    den = int(_significant_digits(den, at + m.start(3)))
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    return num, den
+
+
 def parse_rational_by_fraction(text: str) -> Rat:
     """parse_rational's answer from fractions.Fraction's own string parser,
     behind the same grammar check, digit limit and messages.  decimal has
     no limit on its conversions: each run of digits is counted by its
     Decimal's exponent and handed to Fraction as the digits of its int."""
-    m = _RATIONAL_RE.fullmatch(text)
+    m = RATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"expected [sign]digits[/digits], got {text!r}")
     limit = sys.get_int_max_str_digits()

@@ -656,6 +656,14 @@ def test_exponent_form_rationals_are_bad_input(tmp_path):
     assert any("bad coefficient '1e100000'" in d for d in result.diagnostics)
 
 
+def test_solution_file_missing_a_field_is_named(tmp_path):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({"A": ["0", "0", "1"], "B": ["1"]}), encoding="utf-8")
+    result = run(["verify", "--file", str(path)])
+    assert result.status == "Error"
+    assert any("solution file missing field 'D'" in d for d in result.diagnostics), result.diagnostics
+
+
 def test_zero_denominator_is_named(tmp_path, capsys):
     # Fraction's own message for 1/0 is "Fraction(1, 0)".
     path = tmp_path / "sol.json"

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellab import exactpoly
@@ -19,6 +19,7 @@ from pellab.exactpoly import (
     Poly,
     PolyParseError,
     ZeroInput,
+    _rational_pair,
     _series_root,
     coeff_strings_and_text,
     compose,
@@ -48,6 +49,7 @@ from oracles import (
     from_coeff_strings_by_fractions,
     parse_rational_by_fraction,
     pseudo_divrem,
+    rational_pair_by_regex,
     rat_nth_root,
     resultant,
     series_root_by_fractions,
@@ -757,6 +759,70 @@ def test_coefficient_digits_past_the_int_limit():
         from_coeff_strings(["1", "2/" + past])
     assert str(err.value) == f"{message} (at position 1)"
     assert err.value.pos == 1
+
+
+LIMIT = sys.get_int_max_str_digits() or 4300
+# Runs past the int/str digit limit, and of leading zeros, in three scripts.
+LONG_RUNS = ("0" * (LIMIT + 5), "7" * LIMIT, "\u0660" * (LIMIT // 2), "\u0967" * (LIMIT // 2 + 1))
+# ASCII, Arabic-Indic and Devanagari digits; superscript two, a digit that
+# is not decimal; spaces that str.isspace takes (NBSP, U+2028, \x1c).
+READER_CHARS = "0123456789\u0660\u0663\u0669\u0966\u096f\u00b2 \t\xa0\u2028\x1c+-/_x"
+
+
+def _outcome(read, *args):
+    """The value, or the exception's type, message and position."""
+    try:
+        return read(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from((*READER_CHARS, *LONG_RUNS)), max_size=8).map("".join), st.integers(0, 40))
+@example("", 0)
+@example(" -00012/0004 ", 3)
+@example("\u0664\u0662/\u0967", 0)
+@example("\xa0+7\u2028", 0)
+@example("\x1c-3/5\x1c", 1)
+@example("1_0", 0)
+@example("\u00b2", 0)
+@example("+-3", 0)
+@example("3/0", 0)
+@example("1/", 0)
+@example("/2", 0)
+@example(" -" + "9" * (LIMIT + 1) + "/" + "9" * (LIMIT + 1), 5)
+@example("\u2028" + "0" * (LIMIT + 3) + "5/" + "00" + "1" * (LIMIT + 1), 2)
+def test_rational_pair_matches_the_regex_oracle(text, at):
+    # The same pair, or the same exception type, message and position.
+    assert _outcome(_rational_pair, text, at) == _outcome(rational_pair_by_regex, text, at)
+
+
+digit_runs = st.lists(st.sampled_from(("0", "1", "9", "\u0660", "\u0967", *LONG_RUNS)), min_size=1, max_size=4).map(
+    "".join
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digit_runs, st.one_of(st.none(), digit_runs), st.sampled_from(("", "t + ", "t - 2/3*t^2 -  ")))
+@example("1" * (LIMIT + 1), None, "t - 2/3*t^2 -  ")
+@example("3", "00" + "1" * (LIMIT + 1), "t + ")
+@example("5", "000", "")
+def test_parse_poly_coefficient_faults_keep_their_offsets(num, den, prefix):
+    # A coefficient inside a polynomial fails at its offset in the whole
+    # text: the digit limit where its run starts, a zero denominator where
+    # the coefficient does.
+    coeff = num if den is None else f"{num}/{den}"
+    text = f"{prefix}{coeff}*t^3"
+    try:
+        n, d = rational_pair_by_regex(coeff, len(prefix))
+    except ZeroDivisionError:
+        expected = PolyParseError, f"zero denominator (at position {len(prefix)})", len(prefix)
+    except PolyParseError as exc:
+        expected = PolyParseError, str(exc), exc.pos
+    else:
+        sign = -1 if prefix.endswith("-  ") else 1
+        expected = parse_poly(prefix + "0") + Poly([0, 0, 0, (sign * n, d)])
+    assert _outcome(parse_poly, text) == expected
 
 
 def test_format_poly_examples():

@@ -309,10 +309,22 @@ def verified_solutions(draw):
     return sol
 
 
+def substituted(base: PellSolution, u: Poly) -> PellSolution:
+    """base under t -> u, verified."""
+    out = verify_pell(*(compose(p, u) for p in base[:3]))
+    assert isinstance(out, PellSolution)
+    return out
+
+
+# A 64-bit substitution u = (p/q)t + r, as the powers workload draws one.
+U64 = Poly([-0xB7E1_5162_8AED_2A6B, (0xF3C1_9A5B_2D47_8E61, 0x9E37_79B9_7F4A_7C15)])
+
+
 @settings(deadline=None)
 @given(verified_solutions(), st.integers(1, 40))
 @example(solve("2*t^3 - 1", "2*t", "t^4 - t"), 32)
 @example(solve("t", "1", "t^2 - 1", allow_d1=True), 40)
+@example(substituted(solve("2*t^3 - 1", "2*t", "t^4 - t"), U64), 13)  # 1101: doublings and base steps
 def test_power_solution_matches_norm_form_oracle(sol, m):
     # The doubling by 2a^2 - 1 holds for every power of a unit.
     assert power_solution(sol, m) == power_solution_by_norm_form(sol, m)
@@ -323,29 +335,54 @@ def test_power_solution_squares_once_per_doubling(monkeypatch):
     base = solve("2*t^3 - 1", "2*t", "t^4 - t")
     calls = []
 
-    def counting(a, square=exactpoly._square):
+    def counting(a, square=pellcore._square):
         calls.append(len(a))
         return square(a)
 
-    monkeypatch.setattr(exactpoly, "_square", counting)
+    monkeypatch.setattr(pellcore, "_square", counting)
     powered = power_solution(base, 32)
     assert calls == [4, 7, 13, 25, 49]
     assert powered.A == compose(chebyshev(32), base.A)
 
 
-@given(verified_solutions(), st.integers(0, 2), st.integers(0, 3), st.sampled_from((-1, 1)), st.booleans())
-@example(solve("2*t^3 - 1", "2*t", "t^4 - t"), 0, 0, 1, False)
+@given(
+    verified_solutions(),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.sampled_from((-1, 1)),
+    st.sampled_from((None, "coefficient", "scale")),
+)
+@example(solve("2*t^3 - 1", "2*t", "t^4 - t"), 0, 0, 1, None)
+@example((ONE, ONE, ZERO), 0, 0, 1, None)  # D = 0: a unit below the degree floor
+@example((constant(2), ONE, constant(3)), 0, 0, 1, None)  # a constant A, a unit
+@example((constant(2), ONE, constant(3)), 2, 0, 1, "coefficient")  # a constant A, no unit
+@example(solve("t^2", "1/2", "4*t^4 - 4"), 0, 0, 1, None)  # delta*beta^2 = 4, alpha^2 = 1
+@example(solve("t^2", "1/2", "4*t^4 - 4"), 1, 2, 1, "scale")
 def test_verify_pell_verdict_matches_expanded_difference(sol, which, k, step, nudge):
-    # A valid triple, or one with coefficient k of A, B or D moved by one.
+    # A valid triple, or one with coefficient k of A, B or D moved by one,
+    # or with A, B or D scaled by (j + 1)/j, j = k + 1, which moves the
+    # denominators too.
     triple = list(sol[:3])
-    if nudge:
+    if nudge == "coefficient":
         triple[which] = triple[which] + Poly([0] * k + [step])
+    elif nudge == "scale":
+        triple[which] = triple[which].scale((k + 2, k + 1))
     A, B, D = triple
     assume(not B.is_zero)
     out = verify_pell(A, B, D, allow_d1=True)
     unit = A * A - D * (B * B) == ONE
     assert (getattr(out, "kind", None) != NOT_UNIT) == unit
-    assert isinstance(out, PellSolution) == unit
+    assert isinstance(out, PellSolution) == (unit and D.degree >= 2)
+
+
+def test_verify_pell_builds_no_product(monkeypatch):
+    # A valid triple's identity is checked on integer lists: no Poly product.
+    sol = power_solution(substituted(solve("2*t^3 - 1", "2*t", "t^4 - t"), U64), 13)
+    calls = []
+    product = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(b) or product(a, b))
+    assert verify_pell(sol.A, sol.B, sol.D) == sol
+    assert calls == []
 
 
 def test_generate_from_seed_examples():
