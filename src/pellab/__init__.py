@@ -2,26 +2,18 @@
 
 Importing the package loads no submodule: `pellab.census` and the others
 are imported on first access (PEP 562), so a command pays only for the
-modules it runs.
-
-The package's records (`cli.CommandResult`, `pellcore.PellSolution`,
-`hurwitz.HurwitzTuple` and the others) subclass `_Record`, defined here
-because every command imports this module anyway.
+modules it runs.  Every command imports this module first, so it holds
+what the modules share: `_Record`, the records' base; the exponents that
+`pellcore` tries on A and `hurwitz` on the tuple of the cover; and the
+rule that leading zeros do not count when digits are read.
 """
 
-try:
-    # CPython's C field accessor, the one namedtuple uses.
-    from collections import _tuplegetter
-except ImportError:
-
-    def _tuplegetter(index, doc):
-        from operator import itemgetter
-
-        return property(itemgetter(index), doc=doc)
+from collections import _tuplegetter  # the accessor namedtuple uses
+from itertools import dropwhile
 
 __version__ = "0.1.0"
 
-__all__ = ["census", "cli", "degrees", "exactpoly", "hurwitz", "pellcore", "permgroup", "__version__"]
+__all__ = ["census", "cli", "exactpoly", "hurwitz", "pellcore", "permgroup", "__version__"]
 
 
 def __getattr__(name: str):
@@ -73,3 +65,23 @@ class _Record(tuple):
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)
+
+
+def admissible_exponents(n: int, d: int) -> list[int]:
+    """The exponents m >= 2 for which a solution with deg A = n and
+    deg D = 2d can be an m-th power: m divides n and the root keeps
+    degree n/m >= d."""
+    return [m for m in range(2, n + 1) if n % m == 0 and n // m >= d]
+
+
+def _significant(digits: str, most: int) -> str:
+    """digits, a run of decimal digits of any script, without its leading
+    zeros ("0" if none is left) when it is longer than most, where 0 means
+    no bound.  The caller refuses a result still longer than most.
+
+    >>> _significant("0007", 3), _significant("007", 3), _significant("0000", 3)
+    ('7', '007', '0')
+    """
+    if 0 < most < len(digits):
+        return "".join(dropwhile(lambda c: not int(c), digits)) or "0"
+    return digits

@@ -23,7 +23,7 @@ from _json import encode_basestring_ascii, make_encoder
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import _Record
+from . import _Record, _significant
 
 if TYPE_CHECKING:
     from . import hurwitz, pellcore
@@ -235,13 +235,12 @@ def _cmd_zannier(args) -> CommandResult:
     from . import hurwitz
 
     t = hurwitz.zannier_tuple(args.n, args.d)
-    report = hurwitz.validate(t)
-    b = report["branching"]
+    entries, branching = hurwitz.checks(t)
+    ok = all(passed for _, passed, _ in entries)
     diagnostics = [
-        f"validation {'passed' if report['ok'] else 'FAILED'}; branching "
-        f"{b['overZero']}/{b['overOne']}/{b['overInfinity']}/{b['overTaus']} over 0/1/inf/taus"
+        f"validation {'passed' if ok else 'FAILED'}; branching {'/'.join(map(str, branching))} over 0/1/inf/taus"
     ]
-    return CommandResult(OK if report["ok"] else REJECTED, hurwitz.tuple_to_json_dict(t), diagnostics)
+    return CommandResult(OK if ok else REJECTED, hurwitz.tuple_to_json_dict(t), diagnostics)
 
 
 def _validation_result(report: dict) -> CommandResult:
@@ -288,7 +287,8 @@ def _cmd_census(args) -> CommandResult:
 
 def integer(text: str) -> int:
     """The integer options' type: a rational's form without the "/digits",
-    "12" or " -3 ".  Underscores, other bases and every other form raise
+    "12" or " -3 ", read by int() with a long run's leading zeros dropped
+    (_significant).  Underscores, other bases and every other form raise
     ValueError: the reader refuses the line, argparse words the error.
 
     >>> integer("+12")
@@ -298,7 +298,7 @@ def integer(text: str) -> int:
     digits = body[1:] if body[:1] in ("+", "-") else body
     if not digits.isdecimal():
         raise ValueError(f"expected [sign]digits, got {text!r}")
-    return int(text)
+    return int(text.replace(digits, _significant(digits, sys.get_int_max_str_digits()), 1))
 
 
 class _Option(_Record):

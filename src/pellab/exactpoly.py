@@ -40,8 +40,9 @@ recursion limit.
 import math
 import re
 import sys
-from itertools import dropwhile
 from typing import Iterable, Optional, Sequence, Union
+
+from . import _significant
 
 
 class GcdOfZeros(ValueError):
@@ -531,14 +532,13 @@ def _significant_digits(digits: str, pos: int) -> str:
     """A coefficient's run of digits, ready for int().  CPython refuses an
     int/str conversion past sys.get_int_max_str_digits() digits (4300 by
     default, 0 for none); the limit is process-wide, so it is read at each
-    use and never raised here.  A run past it loses its leading zeros,
-    which of any script do not count; more significant digits than the
-    limit is a PolyParseError at pos, where the run starts, that names it."""
+    use and never raised here.  Leading zeros do not count (_significant);
+    more significant digits than the limit is a PolyParseError at pos,
+    where the run starts, that names it."""
     limit = sys.get_int_max_str_digits()
-    if limit and len(digits) > limit:
-        digits = "".join(dropwhile(lambda c: not int(c), digits)) or "0"
-        if len(digits) > limit:
-            raise PolyParseError(f"coefficient of {len(digits)} digits past the {limit}-digit limit", pos)
+    digits = _significant(digits, limit)
+    if 0 < limit < len(digits):
+        raise PolyParseError(f"coefficient of {len(digits)} digits past the {limit}-digit limit", pos)
     return digits
 
 
@@ -582,9 +582,7 @@ def _exponent(m: re.Match) -> int:
     """The term's exponent, 1 when it has none, refused past MAX_DEGREE.
     Leading zeros, of any script, do not count, and no exponent longer than
     the bound reaches int(), which refuses more than 4300 digits."""
-    digits = m.group("exp") or "1"
-    if len(digits) > len(str(MAX_DEGREE)):
-        digits = "".join(dropwhile(lambda c: not int(c), digits)) or "0"
+    digits = _significant(m.group("exp") or "1", len(str(MAX_DEGREE)))
     if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
         raise PolyParseError(f"exponent past the degree bound {MAX_DEGREE}", m.start("exp"))
     return int(digits)

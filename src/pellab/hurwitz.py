@@ -13,9 +13,8 @@ import math
 import operator
 from itertools import compress
 
-from . import _Record
+from . import _Record, admissible_exponents
 from . import permgroup as pg
-from .degrees import admissible_exponents
 from .permgroup import Perm
 
 

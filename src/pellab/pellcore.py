@@ -25,8 +25,7 @@ import math
 from functools import cache
 from typing import Optional, Union
 
-from . import _Record
-from .degrees import admissible_exponents
+from . import _Record, admissible_exponents
 from .exactpoly import (
     ONE,
     DegreeTooSmall,

@@ -10,8 +10,10 @@ import functools
 import operator
 import re
 from bisect import bisect
-from itertools import compress, dropwhile
+from itertools import compress
 from typing import Iterable, Optional, Sequence
+
+from . import _significant
 
 
 class SizeMismatch(ValueError):
@@ -390,10 +392,9 @@ def _walk_cycles(text: str, n: int) -> Perm:
             raise CycleParseError("expected '('", pos)
         cyc = []
         for m in digits_re.finditer(text, pos, head.end()):
-            # Leading zeros, of any script, do not count.  A point with more
-            # digits than n is out of range and never reaches int(), which
-            # refuses more than 4300 digits.
-            digits = "".join(dropwhile(lambda c: not int(c), m.group())) or "0"
+            # Leading zeros do not count.  A point with more digits than n is
+            # out of range and never reaches int(), which caps its digits.
+            digits = _significant(m.group(), len(str(n)))
             if len(digits) > len(str(n)):
                 raise CycleParseError(f"point of {len(digits)} digits out of range 1..{n}", m.start())
             x = int(digits)

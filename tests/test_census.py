@@ -609,6 +609,101 @@ def test_primitive_rule_is_the_profile_verdict():
     assert (cases[THREE_CYCLE]["shape"], cases[FOUR_CYCLE]["shape"]) == (55, 85)
 
 
+def classes_by_profile(tuples, n):
+    """{(case, profile): classes} for d = 2, profile the frozenset of
+    admissible m for which a class is an m-th power, counted by orbit
+    weights (12 per class)."""
+    admissible = admissible_exponents(n, 2)
+    weights = {}
+    for t in tuples:
+        cf = common_fixed(t)
+        key = (CASES[len(cf) - 2], frozenset(primitivity_profile(t, admissible)))
+        weights[key] = weights.get(key, 0) + _orbit_weight(t, cf)
+    assert all(w % 12 == 0 for w in weights.values()), n
+    return {key: w // 12 for key, w in weights.items()}
+
+
+@functools.cache
+def shape_classes_by_profile(n):
+    return classes_by_profile(_shape_tuples(n), n)
+
+
+def power_classes(by_profile, n):
+    """{m: (Disjoint, ThreeCycle, FourCycle)}: the m-th power classes of
+    each case, for each admissible m."""
+    return {
+        m: tuple(sum(v for (c, profile), v in by_profile.items() if c == case and m in profile) for case in CASES)
+        for m in admissible_exponents(n, 2)
+    }
+
+
+# The m-th power classes of each case, (Disjoint, ThreeCycle, FourCycle),
+# for each admissible m; an n with none is left out.
+POWER_CLASSES = {
+    4: {2: (1, 0, 1)},
+    6: {2: (1, 1, 2), 3: (1, 0, 2)},
+    8: {2: (2, 3, 7), 4: (1, 0, 3)},
+    9: {3: (1, 1, 4)},
+    10: {2: (2, 6, 12), 5: (1, 0, 4)},
+    12: {2: (3, 10, 25), 3: (2, 3, 13), 4: (1, 1, 6), 6: (1, 0, 5)},
+    14: {2: (3, 15, 38), 7: (1, 0, 6)},
+    15: {3: (2, 6, 22), 5: (1, 1, 8)},
+    16: {2: (4, 21, 63), 4: (2, 3, 19), 8: (1, 0, 7)},
+    18: {2: (4, 28, 88), 3: (3, 10, 44), 6: (1, 1, 10), 9: (1, 0, 8)},
+    20: {2: (5, 36, 129), 4: (2, 6, 32), 5: (2, 3, 25), 10: (1, 0, 9)},
+    21: {3: (3, 15, 66), 7: (1, 1, 12)},
+    22: {2: (5, 45, 170), 11: (1, 0, 10)},
+    24: {2: (6, 55, 231), 3: (4, 21, 107), 4: (3, 10, 63), 6: (2, 3, 31), 8: (1, 1, 14), 12: (1, 0, 11)},
+}
+
+
+def test_power_classes_per_case_and_exponent():
+    """The per-m table, by orbit weights from primitivity_profile: on the
+    shape route for n <= 24 and on the brute oracle for n <= 12, which
+    agree."""
+    for n in range(2, 25):
+        assert power_classes(shape_classes_by_profile(n), n) == POWER_CLASSES.get(n, {}), n
+        if n <= 12:
+            assert classes_by_profile(brute_force_enumerate(n), n) == shape_classes_by_profile(n), n
+
+
+def mobius(e):
+    sign = 1
+    for p in range(2, e + 1):
+        if e % p == 0:
+            e //= p
+            if e % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+def test_power_classes_have_closed_forms():
+    """With k = n/m, the m-th power classes are the Disjoint and ThreeCycle
+    classes of degree k, in the same case, and m FourCycle(k) + (m - 1)
+    (Disjoint(k) + ThreeCycle(k)) FourCycle classes: m times the classes
+    of degree k in all.  A class's profile holds the divisors above 1 of
+    each of its m and the lcm of any two, so over the divisors e of n
+    (e = 1 counting every class, and an e past n/2 none) the primitive
+    classes of a case are the sum of mu(e) times its e-th power classes,
+    Mobius inversion.  Checked on the table; CHANGES.md records the shape
+    route to n = 64."""
+    for n in range(2, 25):
+        by_profile = shape_classes_by_profile(n)
+        for _, profile in by_profile:
+            assert all(math.lcm(p, q) in profile for p in profile for q in profile), (n, profile)
+            assert all(e in profile for m in profile for e in range(2, m) if m % e == 0), (n, profile)
+        powers = {1: tuple(sum(v for (c, _), v in by_profile.items() if c == case) for case in CASES)}
+        for m in admissible_exponents(n, 2):
+            k = n // m
+            below = closed_formulas(k)
+            disjoint, three = below[DISJOINT], below[THREE_CYCLE]
+            powers[m] = (disjoint, three, m * below[FOUR_CYCLE] + (m - 1) * (disjoint + three))
+        assert {m: counts for m, counts in powers.items() if m > 1} == POWER_CLASSES.get(n, {}), n
+        primitive = tuple(by_profile.get((case, frozenset()), 0) for case in CASES)
+        assert primitive == tuple(sum(mobius(e) * powers[e][i] for e in powers) for i in range(len(CASES))), n
+
+
 def test_orbit_counts_match_class_oracle():
     """Both routes for every n up to the brute-force bound: the orbit count
     of each case is the number of classes the key-based grouping builds,

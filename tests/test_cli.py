@@ -60,6 +60,13 @@ def test_integer_grammar():
     assert integer("-12") == -12
     assert integer(" +3 ") == 3
     assert integer("0007") == 7
+    # Leading zeros, ASCII or Arabic-Indic, do not count toward int()'s
+    # digit limit; more significant digits than the limit are refused.
+    limit = sys.get_int_max_str_digits()
+    assert integer("0" * 5000 + "5") == integer("\u0660" * 5000 + "\u0665") == 5
+    assert integer(" -" + "0" * 5000 + "5 ") == -5
+    with pytest.raises(ValueError, match="limit"):
+        integer("0" * 5000 + "1" * (limit + 1))
     for text in ("1_0", "1/2", "2.0", "1e3", "0x10", "- 3", "", "+", "inf", "x"):
         with pytest.raises(ValueError):
             integer(text)
@@ -683,8 +690,12 @@ def test_zero_denominator_is_named(tmp_path, capsys):
 
 
 def test_zannier_validate_profile_chain(tmp_path):
-    result, body = run_json(["zannier", "--n", "4", "--d", "2"])
+    # zannier prints the verdict and the branching, so it words no check's
+    # detail: validate's report is never called.
+    with mock.patch.object(hurwitz, "report", None):
+        result, body = run_json(["zannier", "--n", "4", "--d", "2"])
     assert result.status == "Ok"
+    assert result.diagnostics == ["validation passed; branching 4/2/7/1 over 0/1/inf/taus"]
     assert body["payload"]["sigma0"] == "(1,8)(2,7)(3,6)(4,5)"
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps(body), encoding="utf-8")
@@ -989,7 +1000,7 @@ def test_integer_options_read_the_rational_grammar(argv, capsys):
         return [arg.format(text) for arg in argv]
 
     assert run(with_value("3")).status == "Ok"
-    assert run(with_value(" +3 ")) == run(with_value("3"))
+    assert run(with_value(" +3 ")) == run(with_value("0" * 5000 + "3")) == run(with_value("3"))
     for text in ("1_0", "3.0", "0x3", "1e1"):
         result = run(with_value(text))
         assert result.status == "Error", text

@@ -538,6 +538,16 @@ def test_gcd_heuristic_needs_each_certificate_and_its_bound():
     assert gcd(Poly([6, 1]), Poly([1, 1])) == ONE
     # The heuristic itself answers once xi has grown.
     assert exactpoly._heuristic_gcd([4, 0, 1], [1, 1])[0] == [1]
+    # At norm 1 the six points are 4, 10, 27, 147, 1204 and 16446.  With c
+    # their lcm, gcd(xi, xi + c) = xi at each point, so every candidate is
+    # t, which does not divide t + c: the heuristic gives up and the
+    # remainder sequence answers, for gcd and for gcd_cofactors.
+    c = math.lcm(4, 10, 27, 147, 1204, 16446)
+    assert c == 3_118_654_980
+    assert exactpoly._heuristic_gcd([0, 1], [c, 1]) is None
+    assert exactpoly._heuristic_gcd([0, -1, 1], [-c, c - 1, 1]) is None
+    assert gcd(t, t + constant(c)) == ONE
+    assert gcd_cofactors(t * t - t, (t - ONE) * (t + constant(c))) == (t - ONE, t, t + constant(c))
 
 
 @given(polys, polys)

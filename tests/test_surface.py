@@ -1,12 +1,13 @@
 """The library keeps in src only what a command reaches, plus a short
 allowlist.  Starting from cli.main, the walk follows every name and
 module-attribute reference through the top-level definitions of the
-modules of src/pellab (not the package's __init__ and __main__); the
-definitions it never reaches must be exactly UNREACHED, and each reason
-names the ROADMAP item that will empty its entry.  Code that only the
-tests call belongs in tests/oracles.py.  The walk follows relative
-imports inside function bodies too, since the CLI imports each library
-module in the handlers that use it.  A fresh interpreter's start-up,
+modules of src/pellab, the package root among them (not __main__ nor the
+root's module hooks); the definitions it never reaches must be exactly
+UNREACHED, and each reason names the ROADMAP item that will empty its
+entry.  Code that only the tests call belongs in tests/oracles.py.  The
+walk follows relative imports inside function bodies too, since the CLI
+imports each library module in the handlers that use it; `from . import
+name` reaches the root's name when the root defines it.  A fresh interpreter's start-up,
 importing the CLI and building its parser, must not import `dataclasses`,
 `inspect`, `argparse`, `json` or any library module, each command loads
 only the modules it runs, only help and bad command lines load argparse,
@@ -60,31 +61,40 @@ def _defined_names(node: ast.stmt) -> list[str]:
 
 def _read_modules():
     """Per module: its top-level definitions, and the names and module
-    aliases its relative imports bind, at the top level or in a function."""
-    defs, names, aliases = {}, {}, {}
-    for path in sorted(SRC.glob("[!_]*.py")):
-        mod = path.stem
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs[mod], names[mod], aliases[mod] = {}, {}, {}
-        for node in tree.body:
-            for name in _defined_names(node):
-                defs[mod][name] = node
+    aliases its relative imports bind, at the top level or in a function.
+    The root, __init__.py, is the module pellab: `from . import name`
+    binds the root's definition when it defines name, and the submodule
+    otherwise."""
+    trees = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__main__":
+            trees["pellab" if path.stem == "__init__" else path.stem] = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {mod: {name: node for node in tree.body for name in _defined_names(node)} for mod, tree in trees.items()}
+    names, aliases = {}, {}
+    for mod, tree in trees.items():
+        names[mod], aliases[mod] = {}, {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
                     bound = a.asname or a.name
-                    if node.module is None:
-                        aliases[mod][bound] = a.name
-                    else:
+                    if node.module is not None:
                         names[mod][bound] = (node.module, a.name)
+                    elif a.name in defs["pellab"]:
+                        names[mod][bound] = ("pellab", a.name)
+                    else:
+                        aliases[mod][bound] = a.name
     return defs, names, aliases
+
+
+# The root's module hooks: Python, not the code, reads them.
+ROOT_HOOKS = {("pellab", name) for name in ("__getattr__", "__all__", "__version__")}
 
 
 def reached_definitions(start=(("cli", "main"),), leaves=()) -> tuple[set, set]:
     """The definitions reached from start, and all of them; a definition in
     leaves is reached but not walked into."""
     defs, names, aliases = _read_modules()
-    everything = {(mod, name) for mod in defs for name in defs[mod]}
+    everything = {(mod, name) for mod in defs for name in defs[mod]} - ROOT_HOOKS
     seen = set()
     stack = list(start)
     while stack:
@@ -114,6 +124,7 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
     reached, everything = reached_definitions()
     assert ("pellcore", "classify_powers") in reached
     assert ("census", "_split_weights") in reached
+    assert {("pellab", "admissible_exponents"), ("pellab", "_significant"), ("pellab", "_Record")} <= reached
     assert everything - reached == set(UNREACHED)
 
 
@@ -142,12 +153,13 @@ def test_each_unreached_reason_names_the_item_that_empties_it():
 
 
 def test_readme_names_only_existing_definitions():
-    # A backticked `module.NAME` in README.md names a top-level definition.
+    # A backticked `module.NAME` in README.md names a top-level definition;
+    # `pellab.NAME` names one of the root's, or a module.
     defs = _read_modules()[0]
     readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
     named = {(m, name) for m, name in re.findall(r"`(\w+)\.(\w+)`", readme) if m in defs}
-    assert ("exactpoly", "MAX_DEGREE") in named
-    assert {(m, name) for m, name in named if name not in defs[m]} == set()
+    assert {("exactpoly", "MAX_DEGREE"), ("pellab", "_Record")} <= named
+    assert {(m, name) for m, name in named if name not in defs[m] and not (m == "pellab" and name in defs)} == set()
 
 
 # Runs the code in argv[2] in a fresh interpreter with src on its path, and
@@ -161,7 +173,7 @@ exec(sys.argv[2])
 print(repr(sorted(set(sys.modules) - before)))
 """
 PARSER = "import pellab.cli\npellab.cli.build_parser()"
-LIBRARY = {f"pellab.{m}" for m in ("census", "degrees", "exactpoly", "hurwitz", "pellcore", "permgroup")}
+LIBRARY = {f"pellab.{m}" for m in ("census", "exactpoly", "hurwitz", "pellcore", "permgroup")}
 
 
 def _loaded(code: str) -> set[str]:
@@ -259,24 +271,6 @@ def test_records_keep_their_fields_and_tuple_behaviour():
     assert not classification._replace(witnesses={2: None}).primitive
 
 
-def test_records_read_fields_without_the_c_accessor():
-    # collections._tuplegetter is CPython's; without it a field is a
-    # property over operator.itemgetter.
-    code = (
-        "import collections\ndel collections._tuplegetter\nfrom pellab import cli\n"
-        "value = cli._Option('--n', 'n', 'integer')\n"
-        "print(type(cli._Option.kind).__name__, value.kind, value.required, value._replace(kind='flag'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP, str(SRC.parent), code],
-        stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.splitlines()[0] == (
-        "property integer False "
-        "_Option(flag='--n', dest='n', kind='flag', help=None, required=False, const=None)"
-    )
-
-
 def test_importing_the_package_loads_no_submodule():
     added = _loaded("import pellab\nassert pellab.census.__name__ == 'pellab.census'")
     assert "pellab.census" in added
@@ -298,7 +292,7 @@ def test_census_loads_no_polynomial_or_tuple_module():
 
 
 def test_validate_loads_neither_census_nor_polynomial_modules(tmp_path):
-    # hurwitz reads admissible_exponents from degrees, not from pellcore.
+    # hurwitz reads admissible_exponents from the root, not from pellcore.
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps(tuple_to_json_dict(zannier_tuple(6, 3))), encoding="utf-8")
     added = _loaded(PARSER + f"\npellab.cli.main(['validate', '--file', {str(path)!r}])")
@@ -311,7 +305,7 @@ def test_solution_commands_load_only_the_solution_modules(tmp_path):
     # solution command loads fractions, nor the decimal and numbers it
     # imports; a file adds only the json package that reads it.  The first
     # Fraction a caller asks a Poly for loads fractions.
-    allowed = {"pellab.degrees", "pellab.exactpoly", "pellab.pellcore"}
+    allowed = {"pellab.exactpoly", "pellab.pellcore"}
     path = tmp_path / "solution.json"
     path.write_text(json.dumps({"A": ["-1", "0", "0", "2"], "B": ["0", "2"], "D": ["0", "-1", "0", "0", "1"]}), encoding="utf-8")
     before = _loaded(PARSER)
