@@ -13,8 +13,9 @@ layout's cut points, the brute route by one scan of each leaf's pi; both
 stream into one pass, and only the test oracles build tuples.  Besides
 the identity, only the rotation by n can fix a transposition tau, and it
 fixes the tuple exactly when it fixes tau and CF, the points sigma1 and
-tau fix in common, holds n and is closed under +n: CF decides, so census
-builds no Perm and imports no other module of the package.  The payload
+tau fix in common (held ascending, so 2n comes last), holds n and is
+closed under +n: CF decides, so census builds no Perm and imports no
+other module of the package.  The payload
 census returns carries all three routes' counts, for each case and for
 the primitive Disjoint count, and flags any disagreement.
 
@@ -37,8 +38,9 @@ BRUTE_DEFAULT_MAX = 24
 SHAPE_MAX = 64
 
 # What the splits of one sigma0 share: CF, the points every split's sigma1 and
-# tau fix, and each split's tau as a point pair.
-Splits = tuple[frozenset[int], list[tuple[int, int]]]
+# tau fix, in ascending order and so ending in 2n, and each split's tau as a
+# point pair.
+Splits = tuple[tuple[int, ...], list[tuple[int, int]]]
 
 
 class TooLarge(ValueError):
@@ -64,9 +66,9 @@ def _splits(sigma0: tuple[int, ...]) -> Splits:
     least point, ThreeCycle (a, c), (b, a) or (c, b), and FourCycle (a, c)
     or (b, d).  Each split's sigma1 moves the points of pi's cycles that
     its tau fixes, so sigma1 and tau fix in common exactly pi's fixed
-    points, whatever the split."""
+    points, whatever the split: CF, read in order, ends in 2n."""
     pi = _pi_from_sigma0(sigma0)
-    cf = frozenset([x for x, y in enumerate(pi, 1) if x == y])
+    cf = tuple([x for x, y in enumerate(pi, 1) if x == y])
     long = [x for x, y in enumerate(pi, 1) if pi[y - 1] != x]
     if not long:
         return cf, [(x, y) for x, y in enumerate(pi, 1) if x < y]
@@ -76,9 +78,10 @@ def _splits(sigma0: tuple[int, ...]) -> Splits:
     return cf, [(a, c), (b, a), (c, b)] if len(long) == 3 else [(a, c), (b, pi[c - 1])]
 
 
-def _split_weights(cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[int]:
+def _split_weights(cf: tuple[int, ...], taus: Sequence[tuple[int, int]]) -> list[int]:
     """12 |Stab(t)| / |CF(t)| for the tuple t of each split of a sigma0
-    layout, with CF(t) = cf, and Stab(t) the rotations that fix every entry.
+    layout, with CF(t) = cf, ascending from its least point to N = 2n, and
+    Stab(t) the rotations that fix every entry.
 
     A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
     and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
@@ -92,7 +95,7 @@ def _split_weights(cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[
     Every sigma0 of either route is a layout (every leaf of the brute
     route is one; the tests check it up to n = 24): each arc
     between cyclically consecutive points of P = (h, *cuts, 2n-h) folds
-    onto itself about its centre, and CF is the set of those centres; the
+    onto itself about its centre, and CF is those centres in order; the
     arc through 2n, where x pairs with 2n+1-x, has centre 2n.  When CF holds
     n and is closed, the half turn swaps n and 2n and pairs off the other
     centres, each below n with one above.
@@ -102,9 +105,9 @@ def _split_weights(cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[
         as c2 = n and c3 = c1 + n.  The arcs give c1 + c3 = (k1 + k2)/2 + n
         = c2 + n = 2n, so c1 = n/2, the cuts are n-h and n+h, and P + n = P:
         the half turn maps each arc onto an arc, and each fold onto a fold."""
-    N = max(cf)
+    N = cf[-1]
     n = N // 2
-    if n in cf and {(x + n) % N or N for x in cf} == cf:
+    if n in cf and {(x + n) % N or N for x in cf} == set(cf):
         return [12 * (1 + ((a + n) % N == b)) // len(cf) for a, b in taus]
     return [12 // len(cf)] * len(taus)
 
@@ -112,10 +115,10 @@ def _split_weights(cf: frozenset[int], taus: Sequence[tuple[int, int]]) -> list[
 def _shape_route(n: int) -> Iterator[Splits]:
     """Every sigma0 layout, in enumeration order, as the CF and taus of its
     forced product pi, read from its cut points P = (h, *cuts, 2n-h) as
-    _splits would find them in pi; every layout's pi splits.  Disjoint is
-    h = n with no cut, then ThreeCycle (cut k), then FourCycle (cuts
-    k1 < k2); the cuts lie strictly between h and 2n-h, at even distances
-    from h and each other.
+    _splits would find them in pi, CF the fold centres in order and then
+    2n; every layout's pi splits.  Disjoint is h = n with no cut, then
+    ThreeCycle (cut k), then FourCycle (cuts k1 < k2); the cuts lie
+    strictly between h and 2n-h, at even distances from h and each other.
 
     The layout pairs i with 2n+1-i for i <= h and folds each stretch
     between consecutive points lo < hi of P onto itself, lo + j with
@@ -127,20 +130,22 @@ def _shape_route(n: int) -> Iterator[Splits]:
     Disjoint has P = (n, n), so n is fixed and its taus are the
     transpositions (x, 2n-x) for x = 1..n-1 in turn.
 
-    >>> [(sorted(cf), taus) for cf, taus in _shape_route(3)]
-    [([3, 6], [(1, 5), (2, 4)]), ([2, 4, 6], [(1, 5), (3, 1), (5, 3)])]
+    >>> list(_shape_route(3))
+    [((3, 6), [(1, 5), (2, 4)]), ((2, 4, 6), [(1, 5), (3, 1), (5, 3)])]
     """
     N = 2 * n
-    yield frozenset((n, N)), [(x, N - x) for x in range(1, n)]
+    yield (n, N), [(x, N - x) for x in range(1, n)]
     for h in range(1, n):
-        for k in range(h + 2, N - h - 1, 2):
-            cf = frozenset((N, (h + k) // 2, (k + N - h) // 2))
-            yield cf, [(h, N - h), (k, h), (N - h, k)]
+        top = N - h
+        for k in range(h + 2, top - 1, 2):
+            yield ((h + k) // 2, (k + top) // 2, N), [(h, top), (k, h), (top, k)]
     for h in range(1, n):
-        for k1 in range(h + 2, N - h - 1, 2):
-            for k2 in range(k1 + 2, N - h - 1, 2):
-                cf = frozenset((N, (h + k1) // 2, (k1 + k2) // 2, (k2 + N - h) // 2))
-                yield cf, [(h, k2), (k1, N - h)]
+        top = N - h
+        for k1 in range(h + 2, top - 1, 2):
+            c1 = (h + k1) // 2
+            tau = (k1, top)
+            for k2 in range(k1 + 2, top - 1, 2):
+                yield (c1, (k1 + k2) // 2, (k2 + top) // 2, N), [(h, k2), tau]
 
 
 def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
@@ -232,7 +237,7 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
         weights = _split_weights(cf, taus)
         sums[case] += sum(weights)
         if case == DISJOINT:
-            n = max(cf) // 2
+            n = cf[-1] // 2
             sums[PRIMITIVE] += sum(
                 w for tau, w in zip(taus, weights) if math.gcd(min(tau), n) == 1
             )

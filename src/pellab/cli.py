@@ -99,8 +99,10 @@ def _load_json_file(path: str) -> dict:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # the newlines text mode would have translated
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         if text.startswith("\ufeff"):  # json.loads' test, which decode skips
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)

@@ -248,7 +248,7 @@ def _layouts(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 def _layout_splits(
     n: int, h: int, cuts: Sequence[int]
-) -> tuple[frozenset[int], list[tuple[int, int]]]:
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """CF and the taus of the layout's forced product pi, read from its cut
     points P = (h, *cuts, 2n-h), as _splits would find them in pi.
 
@@ -260,13 +260,12 @@ def _layout_splits(
     (h k1 k2 2n-h) for two.  Disjoint has P = (n, n), so n is fixed and
     its taus are the transpositions (x, 2n-x).
 
-    >>> cf, taus = _layout_splits(4, 1, (3,))
-    >>> sorted(cf), taus
-    ([2, 5, 8], [(1, 7), (3, 1), (7, 3)])
+    >>> _layout_splits(4, 1, (3,))
+    ((2, 5, 8), [(1, 7), (3, 1), (7, 3)])
     """
     N = 2 * n
     points = (h, *cuts, N - h)
-    cf = frozenset([N, *[(lo + hi) // 2 for lo, hi in zip(points, points[1:])]])
+    cf = (*[(lo + hi) // 2 for lo, hi in zip(points, points[1:])], N)
     if not cuts:
         return cf, [(x, N - x) for x in range(1, n)]
     if len(cuts) == 1:

@@ -815,6 +815,36 @@ def test_bom_file_keeps_its_error_text(tmp_path):
         assert run([*command, "--file", str(path)]).status == "Ok", command
 
 
+FILE_BYTES_DIAGNOSTICS = [
+    # A file is read as UTF-8 bytes with text mode's newlines, "\r\n" and
+    # then "\r" read as "\n": JSON errors count lines, columns and chars in
+    # that text, a decode error counts bytes of the file.
+    (b'{"A": ["0", "0", "1"],\r\n "B" ::  ["1"]}', "bad JSON in {}: Expecting value: line 2 column 7 (char 29)"),
+    (b'{"A": ["0"],\r "B": ["1"],\r "D",: ["1"]}', "bad JSON in {}: Expecting ':' delimiter: line 3 column 5 (char 30)"),
+    (b'{"A": ["0"],\r\n "B": ["1"],\r\r\n\n "D": ["1"],}', "bad JSON in {}: Expecting property name enclosed in double quotes: line 5 column 13 (char 40)"),
+    (b'\xef\xbb\xbf{"A": ["1"]}', "bad JSON in {}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{"A": [\xff"0"]}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+    (b'{"A": ["' + b"1" * 9999 + b'\xc3("]}', "'utf-8' codec can't decode byte 0xc3 in position 10007: invalid continuation byte"),
+    (b'{\r\n"A":\r \xff}', "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    (b'{"A": ["0"]}\xe2\x82', "'utf-8' codec can't decode bytes in position 12-13: unexpected end of data"),
+    (b'{"A": ["0\r", "0", "1"],\r\n "B": ["1"]}', "bad JSON in {}: Invalid control character at: line 1 column 10 (char 9)"),
+    (b'{"A": ["0\r\n", "0", "1"]}', "bad JSON in {}: Invalid control character at: line 1 column 10 (char 9)"),
+]
+
+
+def test_file_bytes_keep_their_error_text(tmp_path):
+    # Each message is the one the text-mode read gave, from the same bytes.
+    path = tmp_path / "in.json"
+    for data, message in FILE_BYTES_DIAGNOSTICS:
+        path.write_bytes(data)
+        for command in ("verify", "validate"):
+            assert run([command, "--file", str(path)]) == CommandResult("Error", None, [message.format(path)]), data
+    solution = b'{"A": ["0", "0", "1"],\n "B": ["1"],\n "D": ["-1", "0", "0", "0", "1"]}'  # t^2, 1, t^4 - 1
+    for newline in (b"\r\n", b"\r"):
+        path.write_bytes(solution.replace(b"\n", newline))
+        assert run(["verify", "--file", str(path)]).status == "Ok", newline
+
+
 def test_profile_normalizes_with_note(tmp_path):
     data = {
         "n": 6,

@@ -355,6 +355,53 @@ def test_only_the_fraction_accessor_imports_fractions_or_decimal():
     assert aliases == set()
 
 
+# Each function of src that calls itself, with the bound on its depth.
+RECURSIVE = {
+    "census._brute_leaves.<locals>.descend": "one level per pair of points, n <= BRUTE_DEFAULT_MAX",
+    "cli._indented": "one level per level of nesting of the payload",
+}
+
+
+def _self_calls(node: ast.AST, qualname: str, own: "str | None", found: set) -> None:
+    """Add to found the qualname of each function below node whose body
+    calls it by name, or as self.name or cls.name; own is the innermost
+    function's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            _self_calls(child, f"{qualname}.{child.name}", None, found)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _self_calls(child, f"{qualname}.{child.name}.<locals>", child.name, found)
+        else:
+            if isinstance(child, ast.Call) and (
+                isinstance(child.func, ast.Name) and child.func.id == own
+                or isinstance(child.func, ast.Attribute) and child.func.attr == own
+                and isinstance(child.func.value, ast.Name) and child.func.value.id in ("self", "cls")
+            ):
+                found.add(qualname.removesuffix(".<locals>"))
+            _self_calls(child, qualname, own, found)
+
+
+def test_src_is_exact_and_calls_itself_only_to_a_stated_depth():
+    # Every number in src is an int or a pair of them: no true division,
+    # no float() and no float literal.  A function calls itself only if
+    # RECURSIVE states how deep it goes.
+    inexact, recursive = [], set()
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ):
+                inexact.append((path.stem, node.lineno))
+        _self_calls(tree, path.stem, None, recursive)
+    assert inexact == []
+    assert recursive == set(RECURSIVE)
+
+
 def test_only_commands_that_read_json_load_json(tmp_path):
     # The envelope is written by the C encoder of _json; the json package
     # (about half of start-up) loads only where a file or stdin is read.
