@@ -25,23 +25,25 @@ def __getattr__(name: str):
 
 
 class _Record(tuple):
-    """A tuple with named fields and the namedtuple interface the package
-    uses: `_fields`, `_field_defaults`, the repr `Name(field=value, ...)`,
-    `_replace`, and copy and pickle.  A subclass declares `__slots__ = ()`,
-    so its values carry no `__dict__`, and a `__new__` whose arguments,
-    with their defaults, are the fields in order.  Unlike
-    `collections.namedtuple`, whose `eval` of a generated `__new__` was
-    most of a record's cost at start-up, defining one runs no generated
-    code.
+    """A tuple with named fields and the part of the namedtuple interface
+    the package uses: `_fields`, the repr `Name(field=value, ...)`, and
+    copy and pickle.  A subclass declares `__slots__ = ()`, so its values
+    carry no `__dict__`, and a `__new__` whose arguments, with their
+    defaults, are the fields in order.  Unlike `collections.namedtuple`,
+    whose `eval` of a generated `__new__` was most of a record's cost at
+    start-up, defining one runs no generated code.  `__getnewargs__` hands
+    copy and pickle the fields as `__new__`'s arguments: tuple's own would
+    hand it the whole tuple as the first field.
 
     >>> class Point(_Record):
     ...     __slots__ = ()
     ...
     ...     def __new__(cls, x, y=0):
     ...         return tuple.__new__(cls, (x, y))
+    >>> import copy
     >>> p = Point(1)
-    >>> p, p.y, p._replace(y=2), Point._field_defaults
-    (Point(x=1, y=0), 0, Point(x=1, y=2), {'y': 0})
+    >>> p, p.y, Point._fields, copy.copy(Point(1, 2))
+    (Point(x=1, y=0), 0, ('x', 'y'), Point(x=1, y=2))
     """
 
     __slots__ = ()
@@ -49,19 +51,11 @@ class _Record(tuple):
     def __init_subclass__(cls):
         new = cls.__new__
         cls._fields = fields = new.__code__.co_varnames[1 : new.__code__.co_argcount]
-        defaults = new.__defaults__ or ()
-        cls._field_defaults = dict(zip(fields[len(fields) - len(defaults) :], defaults))
         for i, name in enumerate(fields):
             setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
-
-    def _replace(self, **changes):
-        record = type(self)(*map(changes.pop, self._fields, self))
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        return record
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)

@@ -8,15 +8,15 @@ meaningful, and equal polynomials have equal stored pairs.
 
 The one rational type is the integer pair (numerator, denominator): the
 kernels read and write the stored integers directly, a rational argument
-(to Poly, constant, scale and evaluation) is read as a pair by _pair, and
-parse_rational returns one.  Solution text, printed by format_poly and
+(to Poly and constant) is read as a pair by _pair, and parse_rational
+returns one.  Solution text, printed by format_poly and
 coeff_strings_and_text (both forms from one str() per integer) and read by
 from_coeff_strings, and polynomial text read by parse_poly go through one
 pair per coefficient, whose text is read with str methods (strip,
-partition, isdecimal).  Only coeffs, coeff,
-leading and evaluation hand a caller a fractions.Fraction, whose class
-_fraction_class imports on its first call.  A product convolves
-the numerators, and a square takes each cross product once and doubles it.
+partition, isdecimal).  Only Poly.coeffs hands a caller fractions.Fraction
+values, whose class _fraction_class imports on its first call.  A product
+convolves the numerators, and a square takes each cross product once and
+doubles it.
 Composition runs Horner on the numerators of the inner polynomial, with
 the powers of its denominator folded into the outer coefficients.  There
 is no Euclidean division.  gcd_cofactors is the heuristic gcd (GCDHEU):
@@ -92,8 +92,9 @@ def _pair(value) -> tuple[int, int]:
 
 
 def _fraction_class() -> type:
-    """fractions.Fraction, for the accessors that hand one to a caller; the
-    first call imports fractions (with decimal and numbers)."""
+    """fractions.Fraction, for Poly.coeffs, which hands a caller the
+    coefficients as fractions; the first call imports fractions (with
+    decimal and numbers)."""
     import fractions
 
     return fractions.Fraction
@@ -103,10 +104,8 @@ class Poly:
     """Immutable, hashable rational polynomial, nums/den in lowest terms.
 
     >>> p = Poly([1, 0, -2])
-    >>> p.degree
-    2
-    >>> p(3)
-    Fraction(-17, 1)
+    >>> p.degree, p.coeffs[-1]
+    (2, Fraction(-2, 1))
     >>> h = Poly([(1, 2), (2, 4)])
     >>> h.nums, h.den
     ((1, 1), 2)
@@ -133,22 +132,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise ZeroInput("zero polynomial has no leading coefficient")
-        return _fraction_class()(self.nums[-1], self.den)
-
-    def coeff(self, k: int):
-        return _fraction_class()(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroInput("cannot normalize the zero polynomial")
         return _poly(list(self.nums), self.nums[-1])
-
-    def __call__(self, x):
-        return compose(self, constant(x)).coeff(0)
 
     def __add__(self, other: "Poly") -> "Poly":
         g = math.gcd(self.den, other.den)
@@ -171,10 +158,6 @@ class Poly:
             return _poly(_square(self.nums), self.den * self.den)
         return _poly(_convolve(self.nums, other.nums), self.den * other.den)
 
-    def scale(self, k) -> "Poly":
-        num, den = _pair(k)
-        return _poly([c * num for c in self.nums], self.den * den)
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -186,13 +169,6 @@ class Poly:
             if bit == "1":
                 acc = acc * self
         return acc
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        return _poly([0] * k + list(self.nums), self.den)
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"

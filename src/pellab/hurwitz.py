@@ -200,7 +200,8 @@ def primitivity_profile(t: HurwitzTuple, admissible: list[int]) -> set[int]:
             raise pg.SizeMismatch(f"size {p.size} != {N}")
     if not pg.is_full_cycle(t.sigmaInf):
         raise ValueError("sigmaInf must be a full cycle")
-    fixed = [x for x in pg.fixed_points(t.sigma1) if all(tau(x) == x for tau in t.taus)]
+    taus = [tau.images for tau in t.taus]
+    fixed = [x for x in pg.fixed_points(t.sigma1) if all(im[x - 1] == x for im in taus)]
     if not fixed:
         raise ValueError("no index is fixed by sigma1 and every tau")
     label = [0] * (N + 1)
@@ -214,7 +215,7 @@ def primitivity_profile(t: HurwitzTuple, admissible: list[int]) -> set[int]:
     G = math.gcd(*map(operator.add, s1, own), *map(operator.add, s0, [y - 1 for y in own]))
     # A tau's term is 0 at every point it fixes, so only its moved points enter.
     points = range(1, N + 1)
-    for im in (tau.images for tau in t.taus):
+    for im in taus:
         moved = compress(points, map(operator.ne, im, points))
         G = math.gcd(G, *(label[im[x - 1]] - label[x] for x in moved))
     return {m for m in admissible if G % (2 * m) == 0}

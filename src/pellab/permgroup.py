@@ -1,9 +1,10 @@
 """Permutations on {1..N}: cycles, fixed points, transitivity, cycle text,
 and the ell-block imprimitivity test.
 
-A Perm stores the image tuple one-based: p(i) == images[i-1].  No command
-multiplies, inverts or rotates Perms (hurwitz folds a tuple's product over
-image tuples), so those operations are test oracles.
+A Perm is a record of its one-based image tuple, p(i) == images[i-1], and
+its cycle type; BlockPartition is a record too.  No command multiplies,
+inverts or rotates Perms (hurwitz folds a tuple's product over image
+tuples), so those operations are test oracles.
 """
 
 import functools
@@ -13,7 +14,7 @@ from bisect import bisect
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-from . import _significant
+from . import _Record, _significant
 
 
 class SizeMismatch(ValueError):
@@ -28,21 +29,26 @@ class CycleParseError(ValueError):
         self.pos = pos
 
 
-class Perm:
-    """Immutable, hashable permutation of {1..N} as a one-based image
-    tuple.  The slot _ctype holds the cycle type once it is known: set by
-    the cycle-list and cycle-text constructors, which count it as they
-    read, or by the first cycle_type call; equality and hashing read the
-    images alone."""
+class Perm(_Record):
+    """Permutation of {1..N} as a record of its one-based image tuple and
+    its cycle type, which every Perm carries from construction: the
+    cycle-list and cycle-text readers count it as they read, and a Perm
+    built from images is walked once.  A Perm is a tuple of those two
+    fields, so len(perm) is 2: src reads a Perm only through images,
+    ctype, size and a call."""
 
-    __slots__ = ("images", "_ctype")
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
+    def __new__(cls, images: Iterable[int], ctype: Optional[tuple[int, ...]] = None) -> "Perm":
+        """The checked constructor: images must be a bijection of 1..N, and
+        a ctype, when given, must be the one the walk finds."""
         imgs = tuple(images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError("images are not a bijection of 1..N")
-        object.__setattr__(self, "images", imgs)
+        p = _unchecked(imgs)
+        if ctype is not None and ctype != p.ctype:
+            raise ValueError(f"cycle type {ctype!r} is not {p.ctype!r}, the cycle type of the images")
+        return p
 
     @property
     def size(self) -> int:
@@ -51,22 +57,8 @@ class Perm:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def __str__(self) -> str:
-        return format_cycles(self)
-
     def __repr__(self) -> str:
         return f"Perm.from_cycles({self.size}, {format_cycles(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Perm")
 
     @staticmethod
     def from_cycles(n: int, text_or_cycles) -> "Perm":
@@ -77,13 +69,11 @@ class Perm:
 
 def _unchecked(images: tuple[int, ...], ctype: Optional[tuple[int, ...]] = None) -> Perm:
     """Perm from images known to be a bijection, with its cycle type when
-    the caller knows it; the checks stay at the boundaries: Perm(images),
-    cycle lists and cycle text."""
-    p = object.__new__(Perm)
-    object.__setattr__(p, "images", images)
-    if ctype is not None:
-        object.__setattr__(p, "_ctype", ctype)
-    return p
+    the caller knows it, walked from the images when not; the checks stay
+    at the boundaries: Perm(images), cycle lists and cycle text."""
+    if ctype is None:
+        ctype = _cycle_type(map(len, _cycles(images)), len(images))
+    return tuple.__new__(Perm, (images, ctype))
 
 
 def identity(n: int) -> Perm:
@@ -108,7 +98,11 @@ def _from_cycle_lists(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted by that
     point."""
-    imgs = p.images
+    return _cycles(p.images)
+
+
+def _cycles(imgs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """cycles of the permutation with one-based images imgs."""
     out = []
     seen = [False] * (len(imgs) + 1)
     for start, x in enumerate(imgs, start=1):
@@ -124,14 +118,8 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Multiset of cycle lengths, 1-cycles included, ascending.  Only a Perm
-    built from images is walked, once."""
-    try:
-        return p._ctype
-    except AttributeError:
-        ctype = _cycle_type(map(len, cycles(p)), p.size)
-        object.__setattr__(p, "_ctype", ctype)
-        return ctype
+    """Multiset of cycle lengths, 1-cycles included, ascending."""
+    return p.ctype
 
 
 def _cycle_type(lengths: Iterable[int], N: int) -> tuple[int, ...]:
@@ -158,12 +146,13 @@ def is_transitive(perms: Sequence[Perm], n: int) -> bool:
     for p in perms:
         if p.size != n:
             raise SizeMismatch(f"generator size {p.size} != {n}")
+    images = [p.images for p in perms]
     seen = [False, True] + [False] * (n - 1)
     stack = [1]
     while stack:
         x = stack.pop()
-        for p in perms:
-            y = p.images[x - 1]
+        for imgs in images:
+            y = imgs[x - 1]
             if not seen[y]:
                 seen[y] = True
                 stack.append(y)
@@ -180,16 +169,13 @@ class NeedFullCycle(ValueError):
     """No generator is a single N-cycle."""
 
 
-class BlockPartition:
+class BlockPartition(_Record):
     """Partition of {1..N} into ell labeled blocks of size N/ell;
-    blocks[h-1] carries label h.  Immutable and hashable."""
+    blocks[h-1] carries label h."""
 
-    __slots__ = ("N", "ell", "blocks")
-    N: int
-    ell: int
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __init__(self, N: int, ell: int, blocks: tuple[frozenset[int], ...]):
+    def __new__(cls, N: int, ell: int, blocks: tuple[frozenset[int], ...]) -> "BlockPartition":
         if ell < 1 or N % ell != 0:
             raise NotADivisor(f"{ell} does not divide {N}")
         size = N // ell
@@ -200,24 +186,7 @@ class BlockPartition:
             seen |= b
         if len(blocks) != ell or seen != set(range(1, N + 1)):
             raise ValueError("blocks must partition 1..N")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.N, self.ell, self.blocks) == (other.N, other.ell, other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.N, self.ell, self.blocks))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable BlockPartition")
-
-    def as_sets(self) -> list[set[int]]:
-        """Blocks in label order."""
-        return [set(b) for b in self.blocks]
+        return tuple.__new__(cls, (N, ell, blocks))
 
 
 def preserves_partition(p: Perm, part: BlockPartition) -> Optional[Perm]:
@@ -229,9 +198,9 @@ def preserves_partition(p: Perm, part: BlockPartition) -> Optional[Perm]:
     for h, b in enumerate(part.blocks, start=1):
         for x in b:
             label[x] = h
-    imgs = [0] * part.ell
+    imgs, step = [0] * part.ell, p.images
     for h, b in enumerate(part.blocks, start=1):
-        targets = {label[p(x)] for x in b}
+        targets = {label[step[x - 1]] for x in b}
         if len(targets) != 1:
             return None
         imgs[h - 1] = targets.pop()
@@ -256,9 +225,9 @@ def is_ell_imprimitive(perms: Sequence[Perm], ell: int) -> Optional[BlockPartiti
     if ell < 1 or N % ell != 0:
         raise NotADivisor(f"{ell} does not divide {N}")
     # x_k = full^k(N); block label h collects the k = -h (mod ell) track.
-    orbit = [N]
+    orbit, step = [N], full.images
     for _ in range(N - 1):
-        orbit.append(full(orbit[-1]))
+        orbit.append(step[orbit[-1] - 1])
     blocks = []
     for h in range(1, ell + 1):
         blocks.append(frozenset(orbit[k] for k in range(N) if (k + h) % ell == 0))

@@ -124,9 +124,11 @@ from pellab.exactpoly import (
     Poly,
     PolyParseError,
     _int_nth_root,
+    _pair,
     _poly,
     _primitive,
     _significant_digits,
+    compose as compose_poly,
     constant,
     derivative,
     poly_sqrt,
@@ -510,6 +512,41 @@ def primitive_disjoint_classes(n: int) -> tuple[int, list[list[HurwitzTuple]]]:
     return len(primitive), primitive
 
 
+def replace(record, **changes):
+    """A copy of a record with the named fields changed, built by its
+    class."""
+    copy = type(record)(*map(changes.pop, record._fields, record))
+    if changes:
+        raise ValueError(f"{type(record).__name__} has no fields {list(changes)!r}")
+    return copy
+
+
+def leading(p: Poly) -> Rat:
+    """The leading coefficient of a nonzero p."""
+    return Rat(p.nums[-1], p.den)
+
+
+def coeff(p: Poly, k: int) -> Rat:
+    """The coefficient of t^k, 0 past either end."""
+    return Rat(p.nums[k] if 0 <= k < len(p.nums) else 0, p.den)
+
+
+def scale(p: Poly, k) -> Poly:
+    """k*p for a rational argument k, read as exactpoly reads one."""
+    num, den = _pair(k)
+    return _poly([c * num for c in p.nums], p.den * den)
+
+
+def shift(p: Poly, k: int) -> Poly:
+    """t^k * p."""
+    return _poly([0] * k + list(p.nums), p.den)
+
+
+def evaluate(p: Poly, x) -> Rat:
+    """p(x) for a rational argument x, as the constant term of p o x."""
+    return coeff(compose_poly(p, constant(x)), 0)
+
+
 class DivByZeroPoly(ZeroDivisionError):
     """Division or reduction by the zero polynomial."""
 
@@ -679,7 +716,7 @@ def format_poly_by_fractions(p: Poly) -> str:
         return "0"
     parts: list[str] = []
     for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
+        c = coeff(p, k)
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -736,7 +773,7 @@ def resultant(a: Poly, b: Poly) -> Rat:
     if a.is_zero or b.is_zero:
         return Rat(0)
     if a.degree == 0 or b.degree == 0:
-        return a.leading ** b.degree * b.leading ** a.degree
+        return leading(a) ** b.degree * leading(b) ** a.degree
     cu, u = _primitive(list(a.nums))
     cv, v = _primitive(list(b.nums))
     factor = Rat(cu, a.den) ** b.degree * Rat(cv, b.den) ** a.degree
@@ -764,7 +801,7 @@ def discriminant(p: Poly) -> Rat:
     if d < 1:
         raise DegreeTooSmall("discriminant needs degree >= 1")
     sign = Rat(-1) ** (d * (d - 1) // 2)
-    return sign * resultant(p, derivative(p)) / p.leading
+    return sign * resultant(p, derivative(p)) / leading(p)
 
 
 def classify_powers_every_m(sol: PellSolution) -> PowerClassification:
@@ -788,7 +825,7 @@ def power_solution_by_norm_form(sol: PellSolution, m: int) -> PellSolution:
     A, B, D = sol.A, sol.B, sol.D
     Am, Bm = A, B
     for bit in bin(m)[3:]:
-        Am, Bm = Am * Am + D * (Bm * Bm), (Am * Bm).scale(2)
+        Am, Bm = Am * Am + D * (Bm * Bm), scale(Am * Bm, 2)
         if bit == "1":
             Am, Bm = Am * A + D * (Bm * B), Am * B + Bm * A
     return PellSolution(A=Am, B=Bm, D=D, n=m * sol.n, d=sol.d)
@@ -833,7 +870,7 @@ def power_polynomial(m: int) -> Poly:
     w1 = Poly([-1, 1])
     inner = Poly([0])
     for j in range(0, k + 1):
-        inner = inner + (w1**j * w ** (k - j)).scale(math.comb(m, 2 * j))
+        inner = inner + scale(w1**j * w ** (k - j), math.comb(m, 2 * j))
     if m % 2 == 0:
         return inner * inner
     return w * inner * inner
@@ -999,6 +1036,11 @@ def congruence_partition(N: int, ell: int) -> BlockPartition:
         frozenset(range(h, N + 1, ell)) for h in range(1, ell + 1)
     )
     return BlockPartition(N, ell, blocks)
+
+
+def as_sets(part: BlockPartition) -> list[set[int]]:
+    """The blocks in label order."""
+    return [set(b) for b in part.blocks]
 
 
 def induced_block_action(perms: Sequence[Perm], part: BlockPartition) -> list[Perm]:

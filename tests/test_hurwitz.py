@@ -42,6 +42,7 @@ from oracles import (
     normalize_special,
     power,
     power_test,
+    replace,
     rotate,
 )
 
@@ -201,7 +202,7 @@ def test_primitivity_profile_folds_each_tau():
     assert is_special(t)
     assert failed(validate(t)) == ["ProductIdentity"]
     assert full_profile(t) == set()
-    assert full_profile(t._replace(taus=())) == {3}
+    assert full_profile(replace(t, taus=())) == {3}
 
 
 def block_image_power_test(t: HurwitzTuple, m: int) -> bool:
@@ -278,7 +279,7 @@ def test_power_test_matches_block_images():
             crossed.add((t.points, m))
             for field in ("sigma0", "sigma1", "taus"):
                 for entry in entries[t.points, field]:
-                    check(f"crossed {field}", t._replace(**{field: entry}), m)
+                    check(f"crossed {field}", replace(t, **{field: entry}), m)
     # Entries that keep every residue rule but one at some points.
     base = disjoint_census_tuple(4, 2)
     check("near miss", base, 2)
@@ -287,7 +288,7 @@ def test_power_test_matches_block_images():
         ("sigma1", Perm.from_cycles(8, "(1,4)(3,6)(5,7)")),
         ("taus", (Perm.from_cycles(8, "(1,2,3,4)"),)),
     ):
-        check("near miss", base._replace(**{field: entry}), 2)
+        check("near miss", replace(base, **{field: entry}), 2)
     assert {kind for kind, _ in verdicts} == {
         "as built", "relabelled", "crossed sigma0", "crossed sigma1", "crossed taus",
         "near miss",
@@ -415,7 +416,8 @@ def normalize_by_conjugation(t: HurwitzTuple) -> HurwitzTuple:
 
 
 def map_entries(t: HurwitzTuple, f) -> HurwitzTuple:
-    return t._replace(
+    return replace(
+        t,
         sigma0=f(t.sigma0),
         sigmaInf=f(t.sigmaInf),
         sigma1=f(t.sigma1),
@@ -451,9 +453,9 @@ def relabelled_tuples(draw):
     t = map_entries(t, lambda p: conjugate(p, g))
     broken = draw(st.sampled_from((None, None, "sigmaInf", "sigma1")))
     if broken == "sigmaInf":
-        t = t._replace(sigmaInf=t.sigma0)
+        t = replace(t, sigmaInf=t.sigma0)
     elif broken == "sigma1":
-        t = t._replace(sigma1=conjugate(standard_cycle(N), g))
+        t = replace(t, sigma1=conjugate(standard_cycle(N), g))
     return t
 
 
@@ -526,7 +528,7 @@ def test_label_profile_matches_normalization_oracle():
 
 
 @given(relabelled_tuples())
-@example(zannier_tuple(6, 2)._replace(taus=(Perm.from_cycles(12, "(11,12)"),)))
+@example(replace(zannier_tuple(6, 2), taus=(Perm.from_cycles(12, "(11,12)"),)))
 def test_label_profile_matches_normalization_oracle_on_drawn_relabellings(t):
     want = outcome(lambda u: oracles.primitivity_profile(normalize_special(u)), t)
     assert outcome(full_profile, t) == want
@@ -573,12 +575,12 @@ def test_primitivity_profile_rejects_bad_inputs():
         # A tau that moves 2n leaves the special form; such a tuple gets the
         # profile of its normalization.
         moves_last = Perm.from_cycles(2 * n, [(2 * n - 1, 2 * n)])
-        shifted = zannier_tuple(n, 2)._replace(taus=(moves_last,))
+        shifted = replace(zannier_tuple(n, 2), taus=(moves_last,))
         assert not is_special(shifted)
         assert full_profile(shifted) == oracles.primitivity_profile(normalize_special(shifted))
     with pytest.raises(ValueError, match="^sigmaInf must be a full cycle$"):
-        full_profile(z._replace(sigmaInf=z.sigma0))
-    no_common = z._replace(sigma1=Perm.from_cycles(8, "(1,3)(2,4)(5,7)(6,8)"))
+        full_profile(replace(z, sigmaInf=z.sigma0))
+    no_common = replace(z, sigma1=Perm.from_cycles(8, "(1,3)(2,4)(5,7)(6,8)"))
     with pytest.raises(ValueError, match="^no index is fixed by sigma1 and every tau$"):
         full_profile(no_common)
     for sigma0, sigma1, tau in (
@@ -786,15 +788,15 @@ def test_validate_matches_entry_query_oracle():
     tuples += [zannier_tuple(n, d) for n in range(2, 13) for d in range(2, n + 1)]
     z = zannier_tuple(4, 2)
     tuples += [
-        z._replace(sigma1=pg.identity(6)),
-        z._replace(taus=(pg.identity(10),)),
-        z._replace(n=0),
-        z._replace(d=0),
-        z._replace(sigma1=Perm.from_cycles(8, "(1,7,2)(3,5)")),
-        z._replace(sigma0=Perm.from_cycles(8, "(1,8)(2,7)(3,6)")),
-        z._replace(sigma0=Perm.from_cycles(8, "(1,8,2,7)(3,6)(4,5)")),
-        z._replace(sigmaInf=Perm.from_cycles(8, "(1,2,3,4)(5,6,7,8)")),
-        z._replace(taus=z.taus * 3),
+        replace(z, sigma1=pg.identity(6)),
+        replace(z, taus=(pg.identity(10),)),
+        replace(z, n=0),
+        replace(z, d=0),
+        replace(z, sigma1=Perm.from_cycles(8, "(1,7,2)(3,5)")),
+        replace(z, sigma0=Perm.from_cycles(8, "(1,8)(2,7)(3,6)")),
+        replace(z, sigma0=Perm.from_cycles(8, "(1,8,2,7)(3,6)(4,5)")),
+        replace(z, sigmaInf=Perm.from_cycles(8, "(1,2,3,4)(5,6,7,8)")),
+        replace(z, taus=z.taus * 3),
         HurwitzTuple(pg.identity(8), pg.identity(8), pg.identity(8), (), 4, 2),
     ]
     reports = [assert_validate_matches_oracle(t) for t in tuples]
@@ -819,14 +821,14 @@ def drawn_tuples(draw):
     if n >= 2 and draw(st.booleans()):
         base = zannier_tuple(n, draw(st.integers(min_value=2, max_value=n)))
         field = draw(st.sampled_from(("sigma0", "sigmaInf", "sigma1", "taus")))
-        return base._replace(**{field: (entry(),) if field == "taus" else entry()})
+        return replace(base, **{field: (entry(),) if field == "taus" else entry()})
     taus = tuple(entry() for _ in range(draw(st.integers(min_value=0, max_value=3))))
     d = draw(st.integers(min_value=0, max_value=4))
     return HurwitzTuple(entry(), standard_cycle(N) if N else entry(), entry(), taus, n, d)
 
 
 @given(drawn_tuples())
-@example(zannier_tuple(3, 2)._replace(sigma0=Perm.from_cycles(6, "(1,6)(2,5)")))
+@example(replace(zannier_tuple(3, 2), sigma0=Perm.from_cycles(6, "(1,6)(2,5)")))
 def test_validate_matches_entry_query_oracle_on_drawn_tuples(t):
     assert_validate_matches_oracle(t)
 
@@ -848,7 +850,7 @@ def json_tuples(draw):
         field = draw(st.sampled_from(("sigma0", "sigmaInf", "sigma1", "taus", None)))
         if field is None:
             return t
-        return t._replace(**{field: (entry(),) if field == "taus" else entry()})
+        return replace(t, **{field: (entry(),) if field == "taus" else entry()})
     taus = tuple(entry() for _ in range(draw(st.integers(min_value=0, max_value=3))))
     return HurwitzTuple(entry(), entry(), entry(), taus, n, d)
 

@@ -46,10 +46,15 @@ from oracles import (
     branch_locus_by_fold,
     branch_locus_by_product,
     classify_powers_every_m,
+    coeff,
     discriminant,
+    evaluate,
+    leading,
     power_polynomial,
     power_solution_by_norm_form,
     rat_nth_root,
+    replace,
+    scale,
     seed_by_whole_unit,
 )
 
@@ -59,7 +64,7 @@ def chebyshev_closed_form(n: int) -> Poly:
     shifted = Poly([-1, 0, 1])
     acc = ZERO
     for h in range(n // 2 + 1):
-        acc = acc + (X ** (n - 2 * h) * shifted**h).scale(comb(n, 2 * h))
+        acc = acc + scale(X ** (n - 2 * h) * shifted**h, comb(n, 2 * h))
     return acc
 
 
@@ -85,7 +90,7 @@ def binomial_power(A: Poly, B: Poly, D: Poly, m: int) -> tuple[Poly, Poly]:
     """(A + sqrt(D)*B)^m from T_m(A) and the odd binomial terms."""
     Bm = ZERO
     for j in range(1, m + 1, 2):
-        Bm = Bm + (D ** ((j - 1) // 2) * B**j * A ** (m - j)).scale(comb(m, j))
+        Bm = Bm + scale(D ** ((j - 1) // 2) * B**j * A ** (m - j), comb(m, j))
     return compose(chebyshev(m), A), Bm
 
 
@@ -98,15 +103,15 @@ def extract_by_coefficients(A: Poly, m: int):
     half = n // m
     lead_unit = Rat(2) ** (m - 1)
     for eps in (1, -1):
-        target = A.scale(eps)
-        a = rat_nth_root(target.leading / lead_unit, m)
+        target = scale(A, eps)
+        a = rat_nth_root(leading(target) / lead_unit, m)
         if a is None:
             continue
         coeffs = [Rat(0)] * (half + 1)
         coeffs[half] = a
         for i in range(1, half + 1):
-            cur = (Poly(coeffs) ** m).coeff(n - i) * lead_unit
-            delta = target.coeff(n - i) - cur
+            cur = coeff(Poly(coeffs) ** m, n - i) * lead_unit
+            delta = coeff(target, n - i) - cur
             coeffs[half - i] = delta / (lead_unit * m * a ** (m - 1))
         candidate = Poly(coeffs)
         if compose(chebyshev(m), candidate) == target:
@@ -134,7 +139,7 @@ def test_chebyshev_matches_closed_form():
 
 def test_chebyshev_matches_dickson():
     for m in range(11):
-        assert chebyshev(m) == compose(dickson(m), Poly([0, 2])).scale(Fraction(1, 2))
+        assert chebyshev(m) == scale(compose(dickson(m), Poly([0, 2])), Fraction(1, 2))
 
 
 def test_chebyshev_semigroup():
@@ -147,15 +152,15 @@ def test_chebyshev_degree_and_leading():
     for m in range(1, 13):
         T = chebyshev(m)
         assert T.degree == m
-        assert T.leading == 2 ** (m - 1)
+        assert leading(T) == 2 ** (m - 1)
 
 
 def test_chebyshev_past_recursion_limit():
     m = sys.getrecursionlimit() + 50
     T = chebyshev(m)
     assert T.degree == m
-    assert T.leading == 2 ** (m - 1)
-    assert T(1) == 1 and T(-1) == (-1) ** m
+    assert leading(T) == 2 ** (m - 1)
+    assert evaluate(T, 1) == 1 and evaluate(T, -1) == (-1) ** m
 
 
 def test_power_polynomial_small_values():
@@ -168,7 +173,7 @@ def test_power_polynomial_degree_and_leading():
     for m in range(1, 13):
         f = power_polynomial(m)
         assert f.degree == m
-        assert f.leading == 4 ** (m - 1)
+        assert leading(f) == 4 ** (m - 1)
 
 
 def test_power_polynomial_square_identity():
@@ -221,8 +226,8 @@ def test_squarefree_verdict_matches_discriminant(seed, c, repeated):
     assume(isinstance(sol, PellSolution))
     A, B, D = sol.A, sol.B, sol.D
     if repeated:
-        A, B, D = (A * A).scale(2) - ONE, B.scale(2), D * A * A
-    D, B = D.scale(c * c), B.scale(1 / c)
+        A, B, D = scale(A * A, 2) - ONE, scale(B, 2), D * A * A
+    D, B = scale(D, c * c), scale(B, 1 / c)
     out = verify_pell(A, B, D, allow_d1=True)
     assert (discriminant(D) == 0) == repeated
     rejected = isinstance(out, RejectionReason)
@@ -285,7 +290,7 @@ def test_power_solution_matches_quotient_ring_power():
 def test_power_solution_degree_96():
     u = Poly([Fraction(-5, 7), Fraction(3, 2)])
     A = compose(parse_poly("2*t^3 - 1"), u)
-    base = verify_pell(A, u.scale(2), compose(parse_poly("t^4 - t"), u))
+    base = verify_pell(A, scale(u, 2), compose(parse_poly("t^4 - t"), u))
     assert isinstance(base, PellSolution)
     powered = power_solution(base, 32)
     assert powered.A.degree == 96
@@ -303,8 +308,8 @@ def verified_solutions(draw):
     u = Poly([draw(fractions), draw(fractions.filter(bool))])
     c = draw(fractions.filter(bool))
     A, B, D = (compose(p, u) for p in base[:3])
-    A, B = A.scale(draw(st.sampled_from((1, -1)))), B.scale(draw(st.sampled_from((1, -1))) / c)
-    sol = verify_pell(A, B, D.scale(c * c), allow_d1=True)
+    A, B = scale(A, draw(st.sampled_from((1, -1)))), scale(B, draw(st.sampled_from((1, -1))) / c)
+    sol = verify_pell(A, B, scale(D, c * c), allow_d1=True)
     assert isinstance(sol, PellSolution)
     return sol
 
@@ -366,7 +371,7 @@ def test_verify_pell_verdict_matches_expanded_difference(sol, which, k, step, nu
     if nudge == "coefficient":
         triple[which] = triple[which] + Poly([0] * k + [step])
     elif nudge == "scale":
-        triple[which] = triple[which].scale((k + 2, k + 1))
+        triple[which] = scale(triple[which], (k + 2, k + 1))
     A, B, D = triple
     assume(not B.is_zero)
     out = verify_pell(A, B, D, allow_d1=True)
@@ -411,7 +416,7 @@ def test_generate_from_seed_degree_40():
     out = generate_from_seed(A)
     assert isinstance(out, PellSolution)
     assert out.D * out.B * out.B == A * A - ONE
-    assert out.D.leading == 1 and out.D.degree == 60
+    assert leading(out.D) == 1 and out.D.degree == 60
     assert discriminant(out.D) != 0
     try:
         import sympy
@@ -484,7 +489,7 @@ def test_extract_inverts_chebyshev_composition(m, coeffs):
     p = Poly(coeffs)
     target = compose(chebyshev(m), p)
     got = extract_mth_root(target, m)
-    if m % 2 == 0 and p.leading < 0:
+    if m % 2 == 0 and leading(p) < 0:
         assert got == -p
     else:
         assert got == p
@@ -506,7 +511,7 @@ wide = st.builds(
     st.integers(min_value=-1, max_value=8),
 )
 def test_extract_mth_root_matches_coefficient_loop(m, coeffs, sign, bump):
-    target = compose(chebyshev(m), Poly(coeffs)).scale(sign)
+    target = scale(compose(chebyshev(m), Poly(coeffs)), sign)
     if 0 <= bump <= target.degree:
         # A nudge below the top n/m + 1 coefficients is caught only by the
         # certificate; a nudge among them changes the series root itself.
@@ -588,9 +593,9 @@ def test_classify_powers_matches_every_m_oracle(seed, m, nudge, flip):
     assume(isinstance(base, PellSolution))
     sol = power_solution(base, m)
     if nudge:
-        sol = sol._replace(A=sol.A + X)
+        sol = replace(sol, A=sol.A + X)
     if flip:
-        sol = sol._replace(A=-sol.A)
+        sol = replace(sol, A=-sol.A)
     assert classify_powers(sol) == classify_powers_every_m(sol)
 
 
@@ -666,7 +671,7 @@ def locus_cases(draw):
         for r in roots:
             df = df * Poly([-r, 1])
         f = Poly([draw(small_rats), *(c / (i + 1) for i, c in enumerate(df.coeffs))])
-        critical = [f(r) for r in roots]
+        critical = [evaluate(f, r) for r in roots]
     pool = critical + draw(st.lists(small_rats, min_size=1, max_size=4))
     values = draw(st.lists(st.sampled_from(pool), max_size=6))
     if draw(st.booleans()):
@@ -786,7 +791,7 @@ seed_scales = st.one_of(
 def test_seed_matches_whole_unit_oracle(S, R, unit, c):
     # A = +-1 + S^2 R has a square factor S^2 in A -+ 1; scaling A by c
     # (negative c flips the leading sign) usually leaves no square factor.
-    A = (constant(unit) + S * S * R).scale(c)
+    A = scale(constant(unit) + S * S * R, c)
     assume(A.degree >= 1)
     for allow_d1 in (False, True):
         assert generate_from_seed(A, allow_d1) == seed_by_whole_unit(A, allow_d1)
@@ -842,7 +847,7 @@ def cover_solutions(draw):
     if draw(st.booleans()):
         F = draw(small_polys)
         e = draw(st.builds(Fraction, nonzero, st.integers(1, 3)))
-        scaled = F.scale(2 / e)
+        scaled = scale(F, 2 / e)
         sol = verify_pell(F * scaled + ONE, scaled, F * F + constant(e), allow_d1=True)
     else:
         S, R = draw(small_polys), draw(st.one_of(nonzero.map(constant), small_polys))

@@ -31,6 +31,7 @@ from pellab.permgroup import (
 from oracles import (
     ClosureOverflow,
     NotPreserved,
+    as_sets,
     branching,
     chain,
     closure,
@@ -221,9 +222,9 @@ def test_is_transitive_matches_union_find(gens_n):
 
 def test_congruence_partition_examples():
     part = congruence_partition(8, 4)
-    assert part.as_sets() == [{1, 5}, {2, 6}, {3, 7}, {4, 8}]
-    assert congruence_partition(6, 6).as_sets() == [{1}, {2}, {3}, {4}, {5}, {6}]
-    assert congruence_partition(6, 1).as_sets() == [{1, 2, 3, 4, 5, 6}]
+    assert as_sets(part) == [{1, 5}, {2, 6}, {3, 7}, {4, 8}]
+    assert as_sets(congruence_partition(6, 6)) == [{1}, {2}, {3}, {4}, {5}, {6}]
+    assert as_sets(congruence_partition(6, 1)) == [{1, 2, 3, 4, 5, 6}]
     with pytest.raises(NotADivisor):
         congruence_partition(8, 3)
 
@@ -240,9 +241,9 @@ def test_perm_and_block_partition_are_value_types():
     assert p == parse_cycles("(1,2,3)", 4) and hash(p) == hash(parse_cycles("(1,2,3)", 4))
     assert p != (2, 3, 1, 4) and p != "(1,2,3)"
     part = congruence_partition(4, 2)
-    same = BlockPartition(4, 2, tuple(frozenset(b) for b in part.as_sets()))
+    same = BlockPartition(4, 2, tuple(frozenset(b) for b in as_sets(part)))
     assert part == same and hash(part) == hash(same)
-    assert part != (4, 2, part.blocks)
+    assert part == (4, 2, part.blocks) and p == ((2, 3, 1, 4), (1, 3))
     for value, field in ((p, "images"), (part, "blocks"), (part, "N")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
@@ -618,7 +619,7 @@ def test_canonical_entries_never_reach_the_walker(monkeypatch):
     for p in entries:
         read = parse_cycles(format_cycles(p), p.size)
         assert read == p
-        assert read._ctype == _cycle_type(map(len, cycles(p)), p.size)
+        assert read.ctype == _cycle_type(map(len, cycles(p)), p.size)
     for n in (1, 4, 40):
         assert parse_cycles("()", n) == identity(n) and cycle_type(parse_cycles("()", n)) == (1,) * n
 
@@ -642,7 +643,7 @@ def test_parsed_text_records_the_walked_cycle_type(case):
         p = parse_cycles(text, n)
     except CycleParseError:
         return
-    assert p._ctype == _cycle_type(map(len, cycles(p)), n)
+    assert p.ctype == _cycle_type(map(len, cycles(p)), n)
 
 
 @st.composite
@@ -664,19 +665,50 @@ def cycle_lists(draw):
 def test_cycle_lists_record_the_walked_cycle_type(case):
     n, lists = case
     p = Perm.from_cycles(n, lists)
-    assert p._ctype == _cycle_type(map(len, cycles(p)), n)
+    assert p.ctype == _cycle_type(map(len, cycles(p)), n)
 
 
 def test_cycle_type_walks_a_perm_from_images_once(monkeypatch):
+    # A Perm built from images is walked once, at construction; the
+    # cycle-list and cycle-text readers and identity count the cycle type
+    # without a walk.
     walks = []
-    walk = cycles
-    monkeypatch.setattr(permgroup, "cycles", lambda p: walks.append(p) or walk(p))
+    walk = permgroup._cycles
+    monkeypatch.setattr(permgroup, "_cycles", lambda imgs: walks.append(imgs) or walk(imgs))
     p = Perm([2, 3, 1, 5, 4])
-    assert cycle_type(p) == cycle_type(p) == (2, 3)
-    assert walks == [p]
+    assert walks == [(2, 3, 1, 5, 4)]
+    assert cycle_type(p) == cycle_type(p) == p.ctype == (2, 3)
     assert cycle_type(Perm.from_cycles(5, "(1,2,3)(4,5)")) == (2, 3)
+    assert cycle_type(Perm.from_cycles(5, [(1, 2, 3), (4, 5)])) == (2, 3)
     assert cycle_type(identity(3)) == (1, 1, 1)
-    assert walks == [p]
+    assert walks == [(2, 3, 1, 5, 4)]
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_perm_from_images_carries_the_walked_cycle_type(images):
+    # The oracle: the sizes of the orbits, each orbit walked from each of
+    # its points.
+    orbits = set()
+    for x in range(1, len(images) + 1):
+        orbit, y = {x}, images[x - 1]
+        while y != x:
+            orbit.add(y)
+            y = images[y - 1]
+        orbits.add(frozenset(orbit))
+    p = Perm(images)
+    assert p.ctype == tuple(sorted(map(len, orbits)))
+    assert Perm(images, p.ctype) == p
+
+
+def test_perm_refuses_a_cycle_type_its_images_do_not_have():
+    for images, ctype in (((2, 1), (1, 1)), ((2, 1), (2, 0)), ((2, 1), (1, 1, 1)), ((1, 2, 3), (3,)), ((2, 1), [2])):
+        with pytest.raises(ValueError, match="is not"):
+            Perm(images, ctype)
+    for images in ((1, 1), (0, 1), (2, 3), (1, 2, 4)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Perm(images)
+        with pytest.raises(ValueError, match="not a bijection"):
+            Perm(images, (1,) * len(images))
 
 
 def test_parse_cycles_rejects_non_decimal_digits():
@@ -711,7 +743,7 @@ def test_parse_cycles_long_point_is_a_positioned_range_fault():
 
 def test_public_guards_refuse_sizes_that_do_not_fit():
     p = Perm.from_cycles(4, "(1,2,3,4)")
-    assert str(p) == format_cycles(p) == "(1,2,3,4)"
+    assert format_cycles(p) == "(1,2,3,4)"
     with pytest.raises(ValueError, match="at least one point"):
         is_transitive([], 0)
     with pytest.raises(SizeMismatch, match="generator size 4 != 5"):

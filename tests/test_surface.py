@@ -4,23 +4,28 @@ module-attribute reference through the top-level definitions of the
 modules of src/pellab, the package root among them (not __main__ nor the
 root's module hooks); the definitions it never reaches must be exactly
 UNREACHED, and each reason names the ROADMAP item that will empty its
-entry.  Code that only the tests call belongs in tests/oracles.py.  The
-walk follows relative imports inside function bodies too, since the CLI
-imports each library module in the handlers that use it; `from . import
-name` reaches the root's name when the root defines it.  A fresh interpreter's start-up,
-importing the CLI and building its parser, must not import `dataclasses`,
-`inspect`, `argparse`, `json` or any library module, each command loads
-only the modules it runs, only help and bad command lines load argparse,
-and only commands that read JSON load json.  Neither start-up nor a command
+entry.  The walk sees methods too: a reached class's method or property is
+reached, and walked, only once its name is read as an attribute in reached
+code, or when PINNED, whose reasons name a ROADMAP item as well; its
+dunders are the ones its DUNDERS entry gives a reason for, and only Poly
+defines __eq__, __hash__ or __setattr__.  Code that only the tests call
+belongs in tests/oracles.py.  The walk follows relative imports inside
+function bodies too, since the CLI imports each library module in the
+handlers that use it; `from . import name` reaches the root's name when
+the root defines it.  A fresh interpreter's start-up, importing the CLI
+and building its parser, must not import `dataclasses`, `inspect`,
+`argparse`, `json` or any library module, each command loads only the
+modules it runs, only help and bad command lines load argparse, and only
+commands that read JSON load json.  Neither start-up nor a command
 imports `__future__`, no src module names `NamedTuple` or `namedtuple`
-or calls `eval`, `exec` or `compile`: the records are tuple subclasses
-of `pellab._Record`, whose fields, defaults, repr, construction, copy,
-pickle and tuple behaviour are pinned here.  Every backticked
-`module.NAME` in README.md names a top-level definition of that module.
-The same walk from the solution text functions of exactpoly and from
-parse_poly reaches no Fraction.  Only exactpoly._fraction_class, behind
-the accessors that hand out a Fraction, imports fractions or decimal, and
-no solution command loads either."""
+or calls `eval`, `exec` or `compile`: the records, Perm and
+BlockPartition among them, are tuple subclasses of `pellab._Record`,
+whose fields, repr, construction, copy, pickle and tuple behaviour are
+pinned here.  Every backticked `module.NAME` in README.md names a
+top-level definition of that module.  The same walk from the solution
+text functions of exactpoly and from parse_poly reaches no Fraction.  Only
+exactpoly._fraction_class, behind Poly.coeffs, imports fractions or
+decimal, and no solution command loads either."""
 
 from __future__ import annotations
 
@@ -36,6 +41,8 @@ from pathlib import Path
 import pytest
 
 from pellab.hurwitz import tuple_to_json_dict, zannier_tuple
+
+from oracles import replace
 
 SRC = Path(__file__).parent.parent / "src" / "pellab"
 
@@ -90,38 +97,114 @@ def _read_modules():
 ROOT_HOOKS = {("pellab", name) for name in ("__getattr__", "__all__", "__version__")}
 
 
-def reached_definitions(start=(("cli", "main"),), leaves=()) -> tuple[set, set]:
-    """The definitions reached from start, and all of them; a definition in
-    leaves is reached but not walked into."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+# The dunders each class of src defines, and why each is kept.  Python calls
+# them, not a name in the code, so the walk enters them with their class.
+RECORD_NEW = {"__new__": "the record's fields, in order"}
+DUNDERS = {
+    ("pellab", "_Record"): {
+        "__init_subclass__": "binds each subclass's fields to tuple accessors",
+        "__repr__": "the repr Name(field=value, ...) of every record",
+        "__getnewargs__": "copy and pickle rebuild a record from its fields; tuple's own hands them the whole tuple",
+    },
+    ("permgroup", "Perm"): {
+        "__new__": "the checked constructor, which perfbench calls on image lists until ROADMAP item 1",
+        "__call__": "p(i), the image of a point",
+        "__repr__": "doctests and failing tests print Perm.from_cycles(...)",
+    },
+    ("permgroup", "BlockPartition"): {"__new__": "the checked constructor of the block record"},
+    ("permgroup", "CycleParseError"): {"__init__": "the message with its position, and .pos"},
+    ("exactpoly", "PolyParseError"): {"__init__": "the message with its position, .message and .pos"},
+    ("exactpoly", "Poly"): {
+        "__new__": "Poly(coeffs) reads rational arguments",
+        "__add__": "a ring operation",
+        "__neg__": "a ring operation",
+        "__sub__": "a ring operation",
+        "__mul__": "a ring operation",
+        "__pow__": "a ring operation",
+        "__repr__": "Poly('text')",
+        "__eq__": "value equality: Poly is a slots class, not a tuple",
+        "__hash__": "the hash of the stored pair",
+        "__setattr__": "immutability, which a tuple would give but with len, order and repetition",
+    },
+    ("cli", "_Reader"): {"__init__": "the empty command table"},
+    ("cli", "CommandResult"): RECORD_NEW,
+    ("cli", "_Option"): RECORD_NEW,
+    ("cli", "_Command"): RECORD_NEW,
+    ("hurwitz", "HurwitzTuple"): RECORD_NEW,
+    ("pellcore", "RejectionReason"): RECORD_NEW,
+    ("pellcore", "PellSolution"): RECORD_NEW,
+    ("pellcore", "PowerClassification"): RECORD_NEW,
+}
+
+# Methods and properties that no command reaches, kept for a caller outside
+# src; the walk enters them with their class.
+PINNED = {("exactpoly", "Poly", "coeffs"): "perfbench's tracer reads it until ROADMAP item 1"}
+
+
+def reached_definitions(start=(("cli", "main"),), leaves=()) -> tuple[set, set, set, set]:
+    """The top-level definitions reached from start, all of them, the class
+    members reached, and the attribute names read in reached code.  A class
+    is reached when its name is; its dunders (DUNDERS) and PINNED members
+    with it, and each other method or property once its name is read as an
+    attribute (obj.name) in reached code.  A method is walked only once
+    reached; a definition in leaves is reached but not walked into."""
     defs, names, aliases = _read_modules()
     everything = {(mod, name) for mod in defs for name in defs[mod]} - ROOT_HOOKS
-    seen = set()
-    stack = list(start)
+    seen, members, used = set(), set(), set()
+    waiting: dict[str, list] = {}  # attribute name -> members not yet reached
+    stack = [(mod, name, None) for mod, name in start]
+
+    def reach_member(mod, cls, node):
+        members.add((mod, f"{cls}.{node.name}"))
+        stack.append((mod, None, node))
+
     while stack:
-        mod, name = stack.pop()
-        if (mod, name) in seen:
-            continue
-        seen.add((mod, name))
-        if (mod, name) in leaves:
-            continue
-        for ref in ast.walk(defs[mod][name]):
+        mod, name, node = stack.pop()
+        if node is None:
+            if (mod, name) in seen:
+                continue
+            seen.add((mod, name))
+            if (mod, name) in leaves:
+                continue
+            node = defs[mod][name]
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.bases, *node.keywords, *node.decorator_list]
+                for stmt in node.body:
+                    if not isinstance(stmt, ast.FunctionDef):
+                        parts.append(stmt)
+                    elif _is_dunder(stmt.name) or (mod, name, stmt.name) in PINNED or stmt.name in used:
+                        reach_member(mod, name, stmt)
+                    else:
+                        waiting.setdefault(stmt.name, []).append((mod, name, stmt))
+                stack.extend((mod, None, part) for part in parts)
+                continue
+        for ref in ast.walk(node):
             target = None
             if isinstance(ref, ast.Name):
                 if ref.id in defs[mod]:
                     target = (mod, ref.id)
                 else:
                     target = names[mod].get(ref.id)
-            elif isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name):
-                other = aliases[mod].get(ref.value.id)
-                if other is not None:
-                    target = (other, ref.attr)
+            elif isinstance(ref, ast.Attribute):
+                if isinstance(ref.ctx, ast.Load):
+                    used.add(ref.attr)
+                    for member in waiting.pop(ref.attr, ()):
+                        reach_member(*member)
+                if isinstance(ref.value, ast.Name):
+                    other = aliases[mod].get(ref.value.id)
+                    if other is not None:
+                        target = (other, ref.attr)
             if target in everything:
-                stack.append(target)
-    return seen, everything
+                stack.append((*target, None))
+    return seen, everything, members, used
 
 
 def test_only_the_allowlist_is_unreached_from_the_cli():
-    reached, everything = reached_definitions()
+    reached, everything, _, _ = reached_definitions()
     assert ("pellcore", "classify_powers") in reached
     assert ("census", "_split_weights") in reached
     assert {("pellab", "admissible_exponents"), ("pellab", "_significant"), ("pellab", "_Record")} <= reached
@@ -130,26 +213,49 @@ def test_only_the_allowlist_is_unreached_from_the_cli():
 
 def test_solution_text_path_builds_no_fraction():
     # Solution text is printed and read, and polynomial text read, as
-    # integer pairs.  Poly is a leaf: its coeffs, coeff and leading are the
-    # Fraction edge, so the path reads no Fraction coefficient, and it
-    # builds a Poly only through _poly, not by the constructor's _pair.
+    # integer pairs.  Poly is a leaf: its coeffs is the Fraction edge, so
+    # the path reads no Fraction coefficient, and it builds a Poly only
+    # through _poly, not by the constructor's _pair.
     defs = _read_modules()[0]
     text_path = [
         ("exactpoly", n) for n in ("from_coeff_strings", "coeff_strings_and_text", "format_poly", "parse_poly")
     ]
-    reached, _ = reached_definitions(text_path, leaves={("exactpoly", "Poly")})
+    reached = reached_definitions(text_path, leaves={("exactpoly", "Poly")})[0]
     for mod, name in reached - {("exactpoly", "Poly")}:
         for node in ast.walk(defs[mod][name]):
             assert not (isinstance(node, ast.Name) and node.id in ("Rat", "Fraction")), name
-            assert not (isinstance(node, ast.Attribute) and node.attr in ("coeff", "coeffs", "leading")), name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "coeffs"), name
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id != "Poly", name
     assert {("exactpoly", "_poly"), ("exactpoly", "_rational_pair")} <= reached
 
 
 def test_each_unreached_reason_names_the_item_that_empties_it():
-    for entry, reason in UNREACHED.items():
+    for entry, reason in (*UNREACHED.items(), *PINNED.items()):
         assert re.search(r"\bROADMAP item \d+\b", reason), entry
+
+
+def test_reached_classes_keep_only_reached_members():
+    # Each method or property of a class the CLI reaches is itself reached,
+    # through its name read as an attribute, or PINNED, and no reached code
+    # reads a PINNED name; each dunder of src is in its class's DUNDERS
+    # entry, and each entry names only what its class defines.  Only Poly hand-writes
+    # equality, hashing and immutability: the other value types are records.
+    defs = _read_modules()[0]
+    reached, _, members, used = reached_definitions()
+    classes = {(mod, name): node for mod in defs for name, node in defs[mod].items() if isinstance(node, ast.ClassDef)}
+    unreached, dunders = [], {}
+    for (mod, name), node in classes.items():
+        methods = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+        dunders[mod, name] = {m for m in methods if _is_dunder(m)}
+        if (mod, name) in reached:
+            unreached += [(mod, name, m) for m in methods if (mod, f"{name}.{m}") not in members]
+    assert unreached == []
+    assert {key: names for key, names in dunders.items() if names} == {key: set(d) for key, d in DUNDERS.items()}
+    assert all((mod, f"{name}.{m}") in members and m not in used for mod, name, m in PINNED)
+    assert {("permgroup", "Perm.size"), ("permgroup", "Perm.from_cycles"), ("exactpoly", "Poly.degree")} <= members
+    owners = {key for key, names in dunders.items() if names & {"__eq__", "__hash__", "__setattr__"}}
+    assert owners == {("exactpoly", "Poly")}
 
 
 def test_readme_names_only_existing_definitions():
@@ -236,39 +342,46 @@ RECORDS = {
     ("pellcore", "PellSolution"): ("A", "B", "D", "n", "d"),
     ("pellcore", "PowerClassification"): ("n", "admissible_m", "witnesses"),
     ("hurwitz", "HurwitzTuple"): ("sigma0", "sigmaInf", "sigma1", "taus", "n", "d"),
+    ("permgroup", "Perm"): ("images", "ctype"),
+    ("permgroup", "BlockPartition"): ("N", "ell", "blocks"),
+}
+# Fields that the checked constructors accept; the other records take any.
+CHECKED_FIELDS = {
+    "Perm": ((2, 3, 1, 4), (1, 3)),
+    "BlockPartition": (4, 2, (frozenset({1, 3}), frozenset({2, 4}))),
 }
 
 
 def test_records_keep_their_fields_and_tuple_behaviour():
-    from pellab import _Record, cli, hurwitz, pellcore
+    from pellab import _Record, cli, hurwitz, pellcore, permgroup
 
-    modules = {"cli": cli, "hurwitz": hurwitz, "pellcore": pellcore}
+    modules = {"cli": cli, "hurwitz": hurwitz, "pellcore": pellcore, "permgroup": permgroup}
     for (mod, name), fields in RECORDS.items():
         record = getattr(modules[mod], name)
         assert (record.__name__, record._fields) == (name, fields)
         assert record.__bases__ == (_Record,), name
-        value = record(*range(len(fields)))
+        args = CHECKED_FIELDS.get(name, tuple(range(len(fields))))
+        value = record(*args)
         assert not hasattr(value, "__dict__"), name
-        assert value == tuple(range(len(fields))) and isinstance(value, tuple)
-        assert repr(value) == f"{name}(" + ", ".join(f"{f}={i}" for i, f in enumerate(fields)) + ")"
-        changed = value._replace(**{fields[-1]: "x"})
-        assert type(changed) is record and changed == (*range(len(fields) - 1), "x")
-        with pytest.raises(ValueError, match="unexpected field names"):
-            value._replace(points=1)
-        assert record(**dict(zip(fields, range(len(fields))))) == value
-        assert [getattr(value, f) for f in fields] == list(range(len(fields)))
-        for wrong in (len(fields) - len(record._field_defaults) - 1, len(fields) + 1):
+        assert value == args and isinstance(value, tuple)
+        if name != "Perm":  # a Perm prints as the cycle text that builds it
+            assert repr(value) == f"{name}(" + ", ".join(map("{}={!r}".format, fields, args)) + ")"
+        assert record(**dict(zip(fields, args))) == value
+        assert [getattr(value, f) for f in fields] == list(args)
+        for wrong in (len(fields) - len(record.__new__.__defaults__ or ()) - 1, len(fields) + 1):
             with pytest.raises(TypeError):
                 record(*range(wrong))
-        for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is record and twin == value, name
-    assert cli._Option._field_defaults == {"help": None, "required": False, "const": None}
+    assert repr(permgroup.Perm((2, 3, 1, 4))) == "Perm.from_cycles(4, '(1,2,3)')"
+    assert cli._Option.__new__.__defaults__ == (None, False, None)
+    assert permgroup.Perm.__new__.__defaults__ == (None,)
     assert cli._Option("--n", "n", "integer") == ("--n", "n", "integer", None, False, None)
     t = zannier_tuple(4, 2)
     assert t.gens() == [t.sigma0, t.sigmaInf, t.sigma1, *t.taus] and t.points == 8
     classification = pellcore.PowerClassification(4, frozenset({2, 4}), {})
     assert classification.primitive
-    assert not classification._replace(witnesses={2: None}).primitive
+    assert not replace(classification, witnesses={2: None}).primitive
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -323,14 +436,14 @@ def test_solution_commands_load_only_the_solution_modules(tmp_path):
         assert "pellab.exactpoly" in added
         assert added <= allowed | (reads_json if "--file" in argv else set()), argv
     poly = "import pellab.exactpoly\np = pellab.exactpoly.Poly([(1, 2), '2/3'])\n"
-    assert "fractions" not in _loaded(poly + "print(p.scale((3, 4)) * p - pellab.exactpoly.constant(-1))")
-    assert "fractions" in _loaded(poly + "p.leading")
+    assert "fractions" not in _loaded(poly + "print(p * p - pellab.exactpoly.constant((-3, 4)))")
+    assert "fractions" in _loaded(poly + "p.coeffs")
 
 
 def test_only_the_fraction_accessor_imports_fractions_or_decimal():
     # A static guard on every path, reached by a command line or not: only
-    # exactpoly._fraction_class, behind coeffs, coeff, leading and
-    # evaluation, imports fractions (which imports decimal and numbers), and
+    # exactpoly._fraction_class, behind Poly.coeffs, imports fractions
+    # (which imports decimal and numbers), and
     # the old Fraction aliases Rat and RatLike appear nowhere.
     lazy = {"fractions", "decimal", "numbers"}
     importers, aliases = set(), set()
