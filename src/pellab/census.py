@@ -15,9 +15,11 @@ the identity, only the rotation by n can fix a transposition tau, and it
 fixes the tuple exactly when it fixes tau and CF, the points sigma1 and
 tau fix in common (held ascending, so 2n comes last), holds n and is
 closed under +n: CF decides, so census builds no Perm and imports no
-other module of the package.  The payload
-census returns carries all three routes' counts, for each case and for
-the primitive Disjoint count, and flags any disagreement.
+other module of the package.  A layout whose CF lacks n (all but 122 of
+the 2,025 at n = 24) adds 12 / |CF| per split in one step; only the rest
+are weighed split by split.  The payload census returns carries all
+three routes' counts, for each case and for the primitive Disjoint count,
+and flags any disagreement.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -91,6 +93,8 @@ def _split_weights(cf: tuple[int, ...], taus: Sequence[tuple[int, int]]) -> list
     itself: n = 2n + n is in CF and CF + n = CF.  Then it fixes sigma0
     (below), so each tau it fixes weighs 24 / |CF|, and every other split
     12 / |CF|.  The quotient is exact: CF(t) is a union of cosets of Stab(t).
+    _orbit_sums calls this only for a CF that holds n and adds every
+    other layout's 12 // |CF| per split itself.
 
     Every sigma0 of either route is a layout (every leaf of the brute
     route is one; the tests check it up to n = 24): each arc
@@ -228,16 +232,24 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     the 2n rotations whose members fix 2n in common.  The rotations that
     carry one of a member's |CF| common fixed points to 2n reach exactly
     those members, each |Stab| times, so a class has |CF| / |Stab| members
-    and its weights (_split_weights) sum to 12.  A Disjoint class is
-    primitive when its tau = (h, 2n-h) has gcd(h, n) = 1; every member has
-    the same gcd(h, n), so each split is judged alone."""
+    and its weights (_split_weights) sum to 12.  Besides the identity only
+    the half turn can fix a split, and only when n is in CF (the lemma of
+    _split_weights), so a layout whose CF lacks n weighs 12 / |CF| on
+    every split and adds 12 // |CF| * |taus| at once.  Only the layouts
+    whose CF holds n are weighed split by split, every Disjoint layout
+    among them, since its CF is (n, 2n).  A Disjoint class is primitive
+    when its tau = (h, 2n-h) has gcd(h, n) = 1; every member has the same
+    gcd(h, n), so each split is judged alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
     for cf, taus in route:
         case = CASES[len(cf) - 2]
+        n = cf[-1] // 2
+        if n not in cf:
+            sums[case] += 12 // len(cf) * len(taus)
+            continue
         weights = _split_weights(cf, taus)
         sums[case] += sum(weights)
         if case == DISJOINT:
-            n = cf[-1] // 2
             sums[PRIMITIVE] += sum(
                 w for tau, w in zip(taus, weights) if math.gcd(min(tau), n) == 1
             )

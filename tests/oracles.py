@@ -13,7 +13,8 @@ below list the same layouts as (h, cuts) and read CF and the taus from the
 cut points in one generic pass, _sigma0 builds each layout, and
 split_weights_by_scan weighs the splits by trying every point of CF as a
 shift of the built sigma0, not the rotation by n alone.  forced_product is
-census's pi on a Perm.
+census's pi on a Perm.  census._orbit_sums weighs split by split only the
+layouts whose CF holds n; orbit_sums_per_split weighs every layout so.
 The tuple level below builds every split tuple and weighs it alone:
 _split_product makes sigma1 and tau as Perms, _shape_tuples streams the
 shape route's tuples, brute_force_enumerate lists and sorts those of the
@@ -112,9 +113,11 @@ from pellab.census import (
     FOUR_CYCLE,
     PRIMITIVE,
     THREE_CYCLE,
+    Splits,
     TooLarge,
     _brute_leaves,
     _pi_from_sigma0,
+    _split_weights,
 )
 from pellab.exactpoly import (
     ONE,
@@ -292,6 +295,22 @@ def split_weights_by_scan(
         12 * (1 + sum({(a + s) % N or N, (b + s) % N or N} == {a, b} for s in shifts)) // len(cf)
         for a, b in taus
     ]
+
+
+def orbit_sums_per_split(route: Iterable[Splits]) -> dict[str, int]:
+    """census._orbit_sums with every item weighed split by split: one
+    _split_weights call per layout, whether or not its CF holds n."""
+    sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
+    for cf, taus in route:
+        case = CASES[len(cf) - 2]
+        weights = _split_weights(cf, taus)
+        sums[case] += sum(weights)
+        if case == DISJOINT:
+            n = cf[-1] // 2
+            sums[PRIMITIVE] += sum(
+                w for tau, w in zip(taus, weights) if math.gcd(min(tau), n) == 1
+            )
+    return sums
 
 
 def _split_product(pi: Perm) -> list[tuple[Perm, Perm]]:

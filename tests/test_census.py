@@ -57,6 +57,7 @@ from oracles import (
     conjugate,
     enumerate_shapes,
     forced_product,
+    orbit_sums_per_split,
     power,
     primitive_disjoint_classes,
     rotate,
@@ -263,14 +264,24 @@ def brute_items(n, route=census_module._brute_route):
 
 def test_common_fixed_points_ascend_to_2n_on_both_routes():
     """_split_weights and _orbit_sums read 2n as CF's last entry: on every
-    item of the shape route up to SHAPE_MAX and of the brute route up to
-    n = 12, CF is a strictly increasing tuple of 2, 3 or 4 points that
-    ends in 2n."""
-    for route, top in ((census_module._shape_route, SHAPE_MAX), (census_module._brute_route, 12)):
+    item of the shape route up to SHAPE_MAX (677,103 items) and of the
+    brute route up to n = 12 (726), CF is a strictly increasing tuple of 2,
+    3 or 4 points that ends in 2n.  Adding 12 // |CF| per split at once
+    where CF lacks n changes no sum: on each of those items alone,
+    _orbit_sums gives every case and the primitive Disjoint sum that
+    weighing each split does.  Both kinds of item occur on both routes."""
+    routes = {"shape": (census_module._shape_route, SHAPE_MAX), "brute": (census_module._brute_route, 12)}
+    holding = {name: dict.fromkeys((False, True), 0) for name in routes}
+    for name, (route, top) in routes.items():
         for n in range(2, top + 1):
-            for cf, _ in route(n):
+            for item in route(n):
+                cf = item[0]
                 assert type(cf) is tuple and 2 <= len(cf) <= 4 and cf[-1] == 2 * n, (n, cf)
                 assert all(x < y for x, y in zip(cf, cf[1:])), (n, cf)
+                holding[name][n in cf] += 1
+                assert census_module._orbit_sums((item,)) == orbit_sums_per_split((item,)), (name, item)
+    assert sum(holding["shape"].values()) == 677_103 and sum(holding["brute"].values()) == 726
+    assert all(counts[False] and counts[True] for counts in holding.values()), holding
 
 
 def oracle_tuples(sigma0):
@@ -306,6 +317,23 @@ def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
     for n in range(2, 13):
         got = census_module._orbit_sums(census_module._brute_route(n))
         assert got == _orbit_sums(brute_force_enumerate(n)), n
+
+
+def test_census_weighs_split_by_split_only_where_cf_holds_n(monkeypatch):
+    """_split_weights runs once per layout whose CF holds n, and for no
+    other: 122 of the 2,025 layouts at n = 24 on the shape route, and at
+    n = 8, 10 of 57 on each route."""
+    calls = []
+    split_weights = census_module._split_weights
+    monkeypatch.setattr(
+        census_module, "_split_weights", lambda cf, taus: calls.append(cf) or split_weights(cf, taus)
+    )
+    holding = [cf for cf, _ in census_module._shape_route(24) if 24 in cf]
+    assert census(24, use_brute=False)["discrepancies"] == []
+    assert calls == holding and len(holding) == 122
+    calls.clear()
+    assert census(8)["discrepancies"] == []
+    assert len(calls) == 20 and all(8 in cf for cf in calls)
 
 
 def test_shape_route_never_scans_a_forced_product(monkeypatch):

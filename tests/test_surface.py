@@ -22,7 +22,8 @@ or calls `eval`, `exec` or `compile`: the records, Perm and
 BlockPartition among them, are tuple subclasses of `pellab._Record`,
 whose fields, repr, construction, copy, pickle and tuple behaviour are
 pinned here.  Every backticked `module.NAME` in README.md names a
-top-level definition of that module.  The same walk from the solution
+top-level definition of that module, and every kernel tests/ledger.py
+wraps names a function of src.  The same walk from the solution
 text functions of exactpoly and from parse_poly reaches no Fraction.  Only
 exactpoly._fraction_class, behind Poly.coeffs, imports fractions or
 decimal, and no solution command loads either."""
@@ -266,6 +267,18 @@ def test_readme_names_only_existing_definitions():
     named = {(m, name) for m, name in re.findall(r"`(\w+)\.(\w+)`", readme) if m in defs}
     assert {("exactpoly", "MAX_DEGREE"), ("pellab", "_Record")} <= named
     assert {(m, name) for m, name in named if name not in defs[m] and not (m == "pellab" and name in defs)} == set()
+
+
+def test_ledger_kernels_are_functions_of_src():
+    # tests/ledger.py wraps each of its kernels by name; a name src no
+    # longer defines fails here rather than printing no count.
+    import ledger
+
+    defs = _read_modules()[0]
+    assert all(name in defs[module] for module, _, name in (k.rpartition(".") for k in ledger.KERNELS))
+    assert list(ledger.resolve(ledger.KERNELS)) == list(ledger.KERNELS)
+    with pytest.raises(LookupError, match="census._no_such_kernel"):
+        ledger.resolve(["census._no_such_kernel"])
 
 
 # Runs the code in argv[2] in a fresh interpreter with src on its path, and
