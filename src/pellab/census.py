@@ -15,11 +15,11 @@ the identity, only the rotation by n can fix a transposition tau, and it
 fixes the tuple exactly when it fixes tau and CF, the points sigma1 and
 tau fix in common (held ascending, so 2n comes last), holds n and is
 closed under +n: CF decides, so census builds no Perm and imports no
-other module of the package.  A layout whose CF lacks n (all but 122 of
-the 2,025 at n = 24) adds 12 / |CF| per split in one step; only the rest
-are weighed split by split.  The payload census returns carries all
-three routes' counts, for each case and for the primitive Disjoint count,
-and flags any disagreement.
+other module of the package.  A layout whose CF lacks n weighs 12 / |CF|
+on every split: the shape route counts those by rows and yields only the
+rest (122 of the 2,025 at n = 24) to be weighed split by split.  The
+payload census returns carries all three routes' counts, for each case
+and for the primitive Disjoint count, and flags any disagreement.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -93,8 +93,7 @@ def _split_weights(cf: tuple[int, ...], taus: Sequence[tuple[int, int]]) -> list
     itself: n = 2n + n is in CF and CF + n = CF.  Then it fixes sigma0
     (below), so each tau it fixes weighs 24 / |CF|, and every other split
     12 / |CF|.  The quotient is exact: CF(t) is a union of cosets of Stab(t).
-    _orbit_sums calls this only for a CF that holds n and adds every
-    other layout's 12 // |CF| per split itself.
+    _orbit_sums calls this only for a CF that holds n.
 
     Every sigma0 of either route is a layout (every leaf of the brute
     route is one; the tests check it up to n = 24): each arc
@@ -117,39 +116,41 @@ def _split_weights(cf: tuple[int, ...], taus: Sequence[tuple[int, int]]) -> list
 
 
 def _shape_route(n: int) -> Iterator[Splits]:
-    """Every sigma0 layout, in enumeration order, as the CF and taus of its
-    forced product pi, read from its cut points P = (h, *cuts, 2n-h) as
-    _splits would find them in pi, CF the fold centres in order and then
-    2n; every layout's pi splits.  Disjoint is h = n with no cut, then
-    ThreeCycle (cut k), then FourCycle (cuts k1 < k2); the cuts lie
-    strictly between h and 2n-h, at even distances from h and each other.
+    """The sigma0 layouts whose CF holds n, in enumeration order, as CF and
+    the taus of the forced product pi, read from the cut points
+    P = (h, *cuts, 2n-h) as _splits would find them in pi: the layout pairs
+    i with 2n+1-i for i <= h and folds each stretch lo < hi of P onto
+    itself, so pi fixes each centre (lo + hi)/2, then 2n, and its one
+    longer cycle is P.  Disjoint is h = n, no cut, taus (x, 2n-x); then
+    each FourCycle (h, k1, 2n-k1) with k1 < n (the lemma of _shape_sums).
 
-    The layout pairs i with 2n+1-i for i <= h and folds each stretch
-    between consecutive points lo < hi of P onto itself, lo + j with
-    hi + 1 - j.  pi(x) = sigma0(x+1) swaps x and lo + hi - x inside such a
-    stretch and fixes the fold centre (lo + hi)/2; outside [h, 2n-h] it
-    swaps x and 2n-x and fixes 2n.  Each point of P goes to the next, and
-    2n-h to h, so pi's one longer cycle is P itself: the 3-cycle
-    (h k 2n-h) for one cut k, the 4-cycle (h k1 k2 2n-h) for two.
-    Disjoint has P = (n, n), so n is fixed and its taus are the
-    transpositions (x, 2n-x) for x = 1..n-1 in turn.
-
-    >>> list(_shape_route(3))
-    [((3, 6), [(1, 5), (2, 4)]), ((2, 4, 6), [(1, 5), (3, 1), (5, 3)])]
+    >>> list(_shape_route(4))
+    [((4, 8), [(1, 7), (2, 6), (3, 5)]), ((2, 4, 6, 8), [(1, 5), (3, 7)])]
     """
     N = 2 * n
     yield (n, N), [(x, N - x) for x in range(1, n)]
     for h in range(1, n):
-        top = N - h
-        for k in range(h + 2, top - 1, 2):
-            yield ((h + k) // 2, (k + top) // 2, N), [(h, top), (k, h), (top, k)]
+        for k1 in range(h + 2, n, 2):
+            yield ((h + k1) // 2, n, N - (h + k1) // 2, N), [(h, N - k1), (k1, N - h)]
+
+
+def _shape_sums(n: int) -> dict[str, int]:
+    """_orbit_sums over every sigma0 layout: those _shape_route yields, the
+    rest by rows, 12 // |CF| per split.  The cuts lie strictly between h
+    and 2n-h, at even distances from h and each other.  A ThreeCycle (cut
+    k) CF has centres (h + k)/2 < n < (k + 2n - h)/2, so row h adds 12 per
+    layout (3 taus, |CF| 3).  A FourCycle (cuts k1 < k2) CF has
+    c1 = (h + k1)/2 < n, and c3 = n only if k2 = h, so it holds n only as
+    c2 = (k1 + k2)/2: row (h, k1) has that layout, k2 = 2n - k1, exactly
+    when k1 < n, and every other adds 6 (2 taus, |CF| 4)."""
+    N = 2 * n
+    sums = _orbit_sums(_shape_route(n))
     for h in range(1, n):
         top = N - h
+        sums[THREE_CYCLE] += 12 * len(range(h + 2, top - 1, 2))
         for k1 in range(h + 2, top - 1, 2):
-            c1 = (h + k1) // 2
-            tau = (k1, top)
-            for k2 in range(k1 + 2, top - 1, 2):
-                yield (c1, (k1 + k2) // 2, (k2 + top) // 2, N), [(h, k2), tau]
+            sums[FOUR_CYCLE] += 6 * (len(range(k1 + 2, top - 1, 2)) - (k1 < n))
+    return sums
 
 
 def _brute_leaves(n: int) -> Iterator[tuple[int, ...]]:
@@ -235,11 +236,10 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     and its weights (_split_weights) sum to 12.  Besides the identity only
     the half turn can fix a split, and only when n is in CF (the lemma of
     _split_weights), so a layout whose CF lacks n weighs 12 / |CF| on
-    every split and adds 12 // |CF| * |taus| at once.  Only the layouts
-    whose CF holds n are weighed split by split, every Disjoint layout
-    among them, since its CF is (n, 2n).  A Disjoint class is primitive
-    when its tau = (h, 2n-h) has gcd(h, n) = 1; every member has the same
-    gcd(h, n), so each split is judged alone."""
+    every split and adds 12 // |CF| * |taus| at once; the shape route
+    yields only the others, every Disjoint layout (CF (n, 2n)) among them.
+    A Disjoint class is primitive when its tau = (h, 2n-h) has
+    gcd(h, n) = 1, the same for every member, so each split is judged alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
     for cf, taus in route:
         case = CASES[len(cf) - 2]
@@ -298,7 +298,7 @@ def census(n: int, use_brute: Optional[bool] = None) -> dict:
     if n > SHAPE_MAX:
         raise TooLarge(f"n = {n} beyond shape-route bound {SHAPE_MAX}")
     formulas = closed_formulas(n)
-    sums = {"shape": _orbit_sums(_shape_route(n))}
+    sums = {"shape": _shape_sums(n)}
     if use_brute:
         sums["brute"] = _orbit_sums(_brute_route(n))
     discrepancies: list[str] = []

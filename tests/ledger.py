@@ -52,6 +52,7 @@ KERNELS = {
     "exactpoly.from_coeff_strings": lambda out, items: {"coefficients": len(items)},
     "permgroup._read_accepted": lambda out, text, n: {"points": _points(text)},
     "permgroup._walk_cycles": lambda out, text, n: {"points": _points(text)},
+    "census._shape_route": None,
     "census._split_weights": None,
     "census._brute_leaves": None,
     "hurwitz.checks": None,

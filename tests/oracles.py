@@ -8,13 +8,15 @@ from the longest cycle of sigma1*tau, so the tests check the counts against
 them.  The census also builds no tuple and no Perm: it weighs each
 sigma0's splits from the points its forced product fixes and each tau as a
 point pair, and decides from CF alone whether the half turn fixes sigma0.
-Its shape route writes one loop per case; _layouts and _layout_splits
-below list the same layouts as (h, cuts) and read CF and the taus from the
-cut points in one generic pass, _sigma0 builds each layout, and
-split_weights_by_scan weighs the splits by trying every point of CF as a
-shift of the built sigma0, not the rotation by n alone.  forced_product is
-census's pi on a Perm.  census._orbit_sums weighs split by split only the
-layouts whose CF holds n; orbit_sums_per_split weighs every layout so.
+Its shape route yields only the layouts whose CF holds n and counts the
+rest by rows; _layout_route below yields every layout, one loop per case,
+and _layouts and _layout_splits list the same layouts as (h, cuts) and
+read CF and the taus from the cut points in one generic pass.  _sigma0
+builds each layout, and split_weights_by_scan weighs the splits by trying
+every point of CF as a shift of the built sigma0, not the rotation by n
+alone.  forced_product is census's pi on a Perm.  census._orbit_sums
+weighs split by split only the layouts whose CF holds n;
+orbit_sums_per_split weighs every layout so.
 The tuple level below builds every split tuple and weighs it alone:
 _split_product makes sigma1 and tau as Perms, _shape_tuples streams the
 shape route's tuples, brute_force_enumerate lists and sorts those of the
@@ -276,6 +278,44 @@ def _layout_splits(
     if len(cuts) == 1:
         return cf, [(h, N - h), (cuts[0], h), (N - h, cuts[0])]
     return cf, [(h, cuts[1]), (cuts[0], N - h)]
+
+
+def _layout_route(n: int) -> Iterator[Splits]:
+    """Every sigma0 layout, in enumeration order, as the CF and taus of its
+    forced product pi, read from its cut points P = (h, *cuts, 2n-h) as
+    _splits would find them in pi, CF the fold centres in order and then
+    2n; every layout's pi splits.  Disjoint is h = n with no cut, then
+    ThreeCycle (cut k), then FourCycle (cuts k1 < k2); the cuts lie
+    strictly between h and 2n-h, at even distances from h and each other.
+
+    The layout pairs i with 2n+1-i for i <= h and folds each stretch
+    between consecutive points lo < hi of P onto itself, lo + j with
+    hi + 1 - j.  pi(x) = sigma0(x+1) swaps x and lo + hi - x inside such a
+    stretch and fixes the fold centre (lo + hi)/2; outside [h, 2n-h] it
+    swaps x and 2n-x and fixes 2n.  Each point of P goes to the next, and
+    2n-h to h, so pi's one longer cycle is P itself: the 3-cycle
+    (h k 2n-h) for one cut k, the 4-cycle (h k1 k2 2n-h) for two.
+    Disjoint has P = (n, n), so n is fixed and its taus are the
+    transpositions (x, 2n-x) for x = 1..n-1 in turn.  census._shape_route
+    yields only the layouts whose CF holds n, and census._shape_sums counts
+    the rest by rows.
+
+    >>> list(_layout_route(3))
+    [((3, 6), [(1, 5), (2, 4)]), ((2, 4, 6), [(1, 5), (3, 1), (5, 3)])]
+    """
+    N = 2 * n
+    yield (n, N), [(x, N - x) for x in range(1, n)]
+    for h in range(1, n):
+        top = N - h
+        for k in range(h + 2, top - 1, 2):
+            yield ((h + k) // 2, (k + top) // 2, N), [(h, top), (k, h), (top, k)]
+    for h in range(1, n):
+        top = N - h
+        for k1 in range(h + 2, top - 1, 2):
+            c1 = (h + k1) // 2
+            tau = (k1, top)
+            for k2 in range(k1 + 2, top - 1, 2):
+                yield (c1, (k1 + k2) // 2, (k2 + top) // 2, N), [(h, k2), tau]
 
 
 def split_weights_by_scan(

@@ -39,6 +39,7 @@ from pellab.permgroup import Perm
 
 from oracles import (
     ShapeParams,
+    _layout_route,
     _layout_splits,
     _layouts,
     _make_tuple,
@@ -247,11 +248,19 @@ def test_shape_route_census_holds_no_tuple_list():
     assert peak < 1_000_000, peak
 
 
-def shape_items(n, route=census_module._shape_route):
-    """The shape route's items (CF, taus), each paired with a builder of its
-    layout's sigma0: the oracle _sigma0 on _layouts, in the same order."""
+def shape_items(n, route=_layout_route):
+    """Every layout's items (CF, taus), each paired with a builder of its
+    sigma0: the oracle _sigma0 on _layouts, in the same order."""
     for (h, cuts), (cf, taus) in zip(_layouts(n), route(n), strict=True):
         yield functools.partial(_sigma0, n, h, cuts), cf, taus
+
+
+def held_items(n, route=census_module._shape_route):
+    """census._shape_route's items, the layouts whose CF holds n, each
+    paired with a builder of its sigma0, in the oracle's order."""
+    held = [sigma0 for sigma0, cf, _ in shape_items(n) if n in cf]
+    for sigma0, (cf, taus) in zip(held, route(n), strict=True):
+        yield sigma0, cf, taus
 
 
 def brute_items(n, route=census_module._brute_route):
@@ -264,13 +273,13 @@ def brute_items(n, route=census_module._brute_route):
 
 def test_common_fixed_points_ascend_to_2n_on_both_routes():
     """_split_weights and _orbit_sums read 2n as CF's last entry: on every
-    item of the shape route up to SHAPE_MAX (677,103 items) and of the
+    layout of the oracle route up to SHAPE_MAX (677,103 items) and of the
     brute route up to n = 12 (726), CF is a strictly increasing tuple of 2,
     3 or 4 points that ends in 2n.  Adding 12 // |CF| per split at once
     where CF lacks n changes no sum: on each of those items alone,
     _orbit_sums gives every case and the primitive Disjoint sum that
     weighing each split does.  Both kinds of item occur on both routes."""
-    routes = {"shape": (census_module._shape_route, SHAPE_MAX), "brute": (census_module._brute_route, 12)}
+    routes = {"shape": (_layout_route, SHAPE_MAX), "brute": (census_module._brute_route, 12)}
     holding = {name: dict.fromkeys((False, True), 0) for name in routes}
     for name, (route, top) in routes.items():
         for n in range(2, top + 1):
@@ -312,7 +321,7 @@ def test_split_weights_match_the_tuple_oracle():
 
 def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
     for n in range(2, 25):
-        got = census_module._orbit_sums(census_module._shape_route(n))
+        got = census_module._shape_sums(n)
         assert got == _orbit_sums(_shape_tuples(n)), n
     for n in range(2, 13):
         got = census_module._orbit_sums(census_module._brute_route(n))
@@ -321,14 +330,14 @@ def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
 
 def test_census_weighs_split_by_split_only_where_cf_holds_n(monkeypatch):
     """_split_weights runs once per layout whose CF holds n, and for no
-    other: 122 of the 2,025 layouts at n = 24 on the shape route, and at
-    n = 8, 10 of 57 on each route."""
+    other: 122 of the 2,025 layouts at n = 24 on the shape route, in the
+    oracle route's order, and at n = 8, 10 of 57 on each route."""
     calls = []
     split_weights = census_module._split_weights
     monkeypatch.setattr(
         census_module, "_split_weights", lambda cf, taus: calls.append(cf) or split_weights(cf, taus)
     )
-    holding = [cf for cf, _ in census_module._shape_route(24) if 24 in cf]
+    holding = [cf for cf, _ in _layout_route(24) if 24 in cf]
     assert census(24, use_brute=False)["discrepancies"] == []
     assert calls == holding and len(holding) == 122
     calls.clear()
@@ -357,19 +366,40 @@ def test_layout_splits_match_the_scan_of_the_built_layout():
 
 
 def test_shape_route_matches_the_layout_oracle():
-    """The route's one loop per case yields the layouts in the oracle's
-    order, each with the oracle's CF and taus."""
+    """The oracle route's one loop per case yields the layouts in the
+    generic oracle's order, each with the oracle's CF and taus."""
     for n in range(2, 49):
-        route = list(census_module._shape_route(n))
+        route = list(_layout_route(n))
         layouts = list(_layouts(n))
         assert len(route) == len(layouts), n
         for (cf, taus), (h, cuts) in zip(route, layouts):
             assert (cf, taus) == _layout_splits(n, h, cuts), (n, h, cuts)
 
 
+def test_shape_sums_count_the_rows_of_the_layout_oracle():
+    """_shape_sums counts by rows every layout whose CF lacks n: for every
+    n up to SHAPE_MAX its sums are those of _orbit_sums over every layout
+    of the oracle route, and _shape_route yields the others in the
+    oracle's order.  The lemma behind the rows holds on the oracle route:
+    no ThreeCycle CF holds n, and a FourCycle row (h, k1) has exactly one
+    layout whose CF holds n, k2 = 2n - k1, exactly when k1 < n."""
+    rows = {}
+    for n in range(2, SHAPE_MAX + 1):
+        route = list(_layout_route(n))
+        assert census_module._shape_sums(n) == census_module._orbit_sums(route), n
+        assert list(census_module._shape_route(n)) == [item for item in route if n in item[0]], n
+        for (h, cuts), (cf, _) in zip(_layouts(n), route, strict=True):
+            if len(cuts) == 1:
+                assert n not in cf, (n, h, cuts)
+            elif len(cuts) == 2:
+                rows.setdefault((n, h, cuts[0]), []).extend([cuts[1]] * (n in cf))
+    assert all(held == [2 * n - k1] * (k1 < n) for (n, _, k1), held in rows.items())
+    assert {k1 < n for n, _, k1 in rows} == {False, True}
+
+
 def test_split_weights_match_the_scan_on_both_routes():
-    """Reading the weights from CF alone changes none: on every item of the
-    shape route up to SHAPE_MAX and of the brute route up to n = 12, they
+    """Reading the weights from CF alone changes none: on every layout of
+    the oracle route up to SHAPE_MAX and of the brute route up to n = 12, they
     are those of the scan that tries every point of CF as a shift of the
     item's built sigma0.  Where CF is closed under +n, the half turn fixes
     sigma0 (the lemma of _split_weights); Disjoint and FourCycle items are
@@ -793,7 +823,7 @@ def test_orbit_weights_of_a_class_sum_to_twelve():
 def without_split(route, t):
     """route with the split that makes tuple t left out of its sigma0's taus."""
     tau = pg.cycles(t.taus[0])[0]
-    items = shape_items if route.__name__ == "_shape_route" else brute_items
+    items = held_items if route.__name__ == "_shape_route" else brute_items
 
     def patched(n):
         for sigma0, cf, taus in items(n, route):
