@@ -10,16 +10,15 @@ by orbit counting per sigma0, with no class and no tuple ever built:
 sigma0 forces the product pi = sigma1*tau, whose splits give every tau
 and the points they all fix.  The shape route reads these from each
 layout's cut points, the brute route by one scan of each leaf's pi; both
-stream into one pass, and only the test oracles build tuples.  Besides
-the identity, only the rotation by n can fix a transposition tau, and it
-fixes the tuple exactly when it fixes tau and CF, the points sigma1 and
-tau fix in common (held ascending, so 2n comes last), holds n and is
-closed under +n: CF decides, so census builds no Perm and imports no
-other module of the package.  A layout whose CF lacks n weighs 12 / |CF|
-on every split: the shape route counts those by rows and yields only the
-rest (122 of the 2,025 at n = 24) to be weighed split by split.  The
-payload census returns carries all three routes' counts, for each case
-and for the primitive Disjoint count, and flags any disagreement.
+stream into one pass, and only the test oracles build tuples.  Every
+split weighs 12 / |CF|, CF the points sigma1 and tau fix in common (held
+ascending, so 2n comes last), and as much again where the half turn, the
+only other rotation that can fix it, does: CF and tau decide, so census
+builds no Perm and imports no other module of the package.  The shape
+route counts the layouts whose CF lacks n by rows, in closed form, and
+yields only the rest (122 of the 2,025 at n = 24).  The payload census
+returns carries all three routes' counts, for each case and for the
+primitive Disjoint count, and flags any disagreement.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -28,7 +27,7 @@ The three cases are keyed by the product sigma1*tau (sigma1 acting first):
 """
 
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 DISJOINT = "Disjoint"
 THREE_CYCLE = "ThreeCycle"
@@ -80,41 +79,6 @@ def _splits(sigma0: tuple[int, ...]) -> Splits:
     return cf, [(a, c), (b, a), (c, b)] if len(long) == 3 else [(a, c), (b, pi[c - 1])]
 
 
-def _split_weights(cf: tuple[int, ...], taus: Sequence[tuple[int, int]]) -> list[int]:
-    """12 |Stab(t)| / |CF(t)| for the tuple t of each split of a sigma0
-    layout, with CF(t) = cf, ascending from its least point to N = 2n, and
-    Stab(t) the rotations that fix every entry.
-
-    A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
-    and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
-    rotations that fix sigma0 and tau.  A rotation by s != 0 fixes a
-    transposition (a, b) only if a + s = b and b + s = a (mod N = 2n), so
-    2s = 0 and s = n, the half turn.  It fixes t only if it maps CF onto
-    itself: n = 2n + n is in CF and CF + n = CF.  Then it fixes sigma0
-    (below), so each tau it fixes weighs 24 / |CF|, and every other split
-    12 / |CF|.  The quotient is exact: CF(t) is a union of cosets of Stab(t).
-    _orbit_sums calls this only for a CF that holds n.
-
-    Every sigma0 of either route is a layout (every leaf of the brute
-    route is one; the tests check it up to n = 24): each arc
-    between cyclically consecutive points of P = (h, *cuts, 2n-h) folds
-    onto itself about its centre, and CF is those centres in order; the
-    arc through 2n, where x pairs with 2n+1-x, has centre 2n.  When CF holds
-    n and is closed, the half turn swaps n and 2n and pairs off the other
-    centres, each below n with one above.
-      - Disjoint: sigma0 is x -> 2n+1-x, which the half turn fixes.
-      - ThreeCycle: three centres cannot be paired off; CF is never closed.
-      - FourCycle: the centres c1 < c2 < c3 inside (h, 2n-h) pair off only
-        as c2 = n and c3 = c1 + n.  The arcs give c1 + c3 = (k1 + k2)/2 + n
-        = c2 + n = 2n, so c1 = n/2, the cuts are n-h and n+h, and P + n = P:
-        the half turn maps each arc onto an arc, and each fold onto a fold."""
-    N = cf[-1]
-    n = N // 2
-    if n in cf and {(x + n) % N or N for x in cf} == set(cf):
-        return [12 * (1 + ((a + n) % N == b)) // len(cf) for a, b in taus]
-    return [12 // len(cf)] * len(taus)
-
-
 def _shape_route(n: int) -> Iterator[Splits]:
     """The sigma0 layouts whose CF holds n, in enumeration order, as CF and
     the taus of the forced product pi, read from the cut points
@@ -122,7 +86,8 @@ def _shape_route(n: int) -> Iterator[Splits]:
     i with 2n+1-i for i <= h and folds each stretch lo < hi of P onto
     itself, so pi fixes each centre (lo + hi)/2, then 2n, and its one
     longer cycle is P.  Disjoint is h = n, no cut, taus (x, 2n-x); then
-    each FourCycle (h, k1, 2n-k1) with k1 < n (the lemma of _shape_sums).
+    each FourCycle (h, k1, 2n-k1) with k1 < n, the one such layout of the
+    pairs (k1, k2) of row h (the lemma of _shape_sums).
 
     >>> list(_shape_route(4))
     [((4, 8), [(1, 7), (2, 6), (3, 5)]), ((2, 4, 6, 8), [(1, 5), (3, 7)])]
@@ -136,20 +101,18 @@ def _shape_route(n: int) -> Iterator[Splits]:
 
 def _shape_sums(n: int) -> dict[str, int]:
     """_orbit_sums over every sigma0 layout: those _shape_route yields, the
-    rest by rows, 12 // |CF| per split.  The cuts lie strictly between h
-    and 2n-h, at even distances from h and each other.  A ThreeCycle (cut
-    k) CF has centres (h + k)/2 < n < (k + 2n - h)/2, so row h adds 12 per
-    layout (3 taus, |CF| 3).  A FourCycle (cuts k1 < k2) CF has
-    c1 = (h + k1)/2 < n, and c3 = n only if k2 = h, so it holds n only as
-    c2 = (k1 + k2)/2: row (h, k1) has that layout, k2 = 2n - k1, exactly
-    when k1 < n, and every other adds 6 (2 taus, |CF| 4)."""
-    N = 2 * n
+    rest by rows, 12 // |CF| per split.  Row h has the m cuts strictly
+    between h and 2n-h at even distances from h.  A ThreeCycle (cut k) CF
+    has centres (h + k)/2 < n < (k + 2n - h)/2, so each of the m layouts
+    adds 12 (3 taus, |CF| 3).  A FourCycle (cuts k1 < k2, C(m, 2) pairs)
+    CF has c1 = (h + k1)/2 < n, and c3 = n only if k2 = h, so it holds n
+    only as c2 = (k1 + k2)/2: the pair k2 = 2n - k1, one for each cut
+    k1 < n, is yielded, and every other adds 6 (2 taus, |CF| 4)."""
     sums = _orbit_sums(_shape_route(n))
     for h in range(1, n):
-        top = N - h
-        sums[THREE_CYCLE] += 12 * len(range(h + 2, top - 1, 2))
-        for k1 in range(h + 2, top - 1, 2):
-            sums[FOUR_CYCLE] += 6 * (len(range(k1 + 2, top - 1, 2)) - (k1 < n))
+        m = len(range(h + 2, 2 * n - h - 1, 2))
+        sums[THREE_CYCLE] += 12 * m
+        sums[FOUR_CYCLE] += 6 * (m * (m - 1) // 2 - len(range(h + 2, n, 2)))
     return sums
 
 
@@ -232,27 +195,49 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     Orbit counting (Cauchy-Frobenius): a class is the part of one orbit of
     the 2n rotations whose members fix 2n in common.  The rotations that
     carry one of a member's |CF| common fixed points to 2n reach exactly
-    those members, each |Stab| times, so a class has |CF| / |Stab| members
-    and its weights (_split_weights) sum to 12.  Besides the identity only
-    the half turn can fix a split, and only when n is in CF (the lemma of
-    _split_weights), so a layout whose CF lacks n weighs 12 / |CF| on
-    every split and adds 12 // |CF| * |taus| at once; the shape route
-    yields only the others, every Disjoint layout (CF (n, 2n)) among them.
+    those members, each |Stab| times, so a class has |CF| / |Stab| members,
+    and each split t weighs 12 |Stab(t)| / |CF|, 12 over its class.
+
+    A rotation commutes with sigmaInf, so one that fixes sigma0 fixes pi,
+    and one that fixes pi and tau fixes sigma1 = pi*tau: Stab(t) is the
+    rotations that fix sigma0 and tau.  A rotation by s != 0 fixes a
+    transposition (a, b) only if a + s = b and b + s = a (mod N = 2n), so
+    2s = 0 and s = n, the half turn.  It fixes t only if it maps CF onto
+    itself: n = 2n + n is in CF and CF + n = CF, that is, the upper half of
+    the ascending CF is its lower half plus n (never when |CF| is odd).
+    Then it fixes sigma0 (below), so each tau it fixes weighs 24 / |CF|:
+    such taus are listed twice, and every entry weighs 12 // |CF|.  The
+    quotient is exact: CF(t) is a union of cosets of Stab(t).
+
+    Every sigma0 of either route is a layout (every leaf of the brute
+    route is one; the tests check it up to n = 24): each arc
+    between cyclically consecutive points of P = (h, *cuts, 2n-h) folds
+    onto itself about its centre, and CF is those centres in order; the
+    arc through 2n, where x pairs with 2n+1-x, has centre 2n.  When CF holds
+    n and is closed, the half turn swaps n and 2n and pairs off the other
+    centres, each below n with one above.
+      - Disjoint: sigma0 is x -> 2n+1-x, which the half turn fixes.
+      - ThreeCycle: three centres cannot be paired off; CF is never closed.
+      - FourCycle: the centres c1 < c2 < c3 inside (h, 2n-h) pair off only
+        as c2 = n and c3 = c1 + n.  The arcs give c1 + c3 = (k1 + k2)/2 + n
+        = c2 + n = 2n, so c1 = n/2, the cuts are n-h and n+h, and P + n = P:
+        the half turn maps each arc onto an arc, and each fold onto a fold.
+
     A Disjoint class is primitive when its tau = (h, 2n-h) has
-    gcd(h, n) = 1, the same for every member, so each split is judged alone."""
+    gcd(h, n) = 1, the same for every member, so each entry of the same
+    list is judged alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
     for cf, taus in route:
+        N = cf[-1]
+        n = N // 2
+        half = len(cf) // 2
+        if cf[half:] == tuple([x + n for x in cf[:half]]):
+            taus = taus + [(a, b) for a, b in taus if (a + n) % N == b]
+        weight = 12 // len(cf)
         case = CASES[len(cf) - 2]
-        n = cf[-1] // 2
-        if n not in cf:
-            sums[case] += 12 // len(cf) * len(taus)
-            continue
-        weights = _split_weights(cf, taus)
-        sums[case] += sum(weights)
+        sums[case] += weight * len(taus)
         if case == DISJOINT:
-            sums[PRIMITIVE] += sum(
-                w for tau, w in zip(taus, weights) if math.gcd(min(tau), n) == 1
-            )
+            sums[PRIMITIVE] += weight * sum(math.gcd(min(tau), n) == 1 for tau in taus)
     return sums
 
 

@@ -21,12 +21,8 @@ import re
 import sys
 from _json import encode_basestring_ascii, make_encoder
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import _Record, _significant
-
-if TYPE_CHECKING:
-    from . import hurwitz, pellcore
 
 SCHEMA = "pellab/1"
 
@@ -96,13 +92,16 @@ def _json_decoder():
 def _load_json_file(path: str) -> dict:
     import json
 
-    if path == "-":
-        text = sys.stdin.read()
-    else:
+    if path != "-":
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        if "\r" in text:  # the newlines text mode would have translated
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            raw = fh.read()
+    elif sys.stdin is None:  # started with stdin closed
+        raise OSError("stdin is closed")
+    else:  # the bytes, so that stdin's encoding cannot change the answer
+        raw = sys.stdin.buffer.read()
+    text = raw.decode("utf-8")
+    if "\r" in text:  # the newlines a text-mode open would translate
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         if text.startswith("\ufeff"):  # json.loads' test, which decode skips
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)

@@ -53,7 +53,6 @@ KERNELS = {
     "permgroup._read_accepted": lambda out, text, n: {"points": _points(text)},
     "permgroup._walk_cycles": lambda out, text, n: {"points": _points(text)},
     "census._shape_route": None,
-    "census._split_weights": None,
     "census._brute_leaves": None,
     "hurwitz.checks": None,
     "hurwitz.primitivity_profile": None,

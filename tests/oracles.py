@@ -12,11 +12,11 @@ Its shape route yields only the layouts whose CF holds n and counts the
 rest by rows; _layout_route below yields every layout, one loop per case,
 and _layouts and _layout_splits list the same layouts as (h, cuts) and
 read CF and the taus from the cut points in one generic pass.  _sigma0
-builds each layout, and split_weights_by_scan weighs the splits by trying
-every point of CF as a shift of the built sigma0, not the rotation by n
-alone.  forced_product is census's pi on a Perm.  census._orbit_sums
-weighs split by split only the layouts whose CF holds n;
-orbit_sums_per_split weighs every layout so.
+builds each layout.  census._orbit_sums weighs each item in one step;
+_split_weights weighs each split alone, split_weights_by_scan does so by
+trying every point of CF as a shift of the built sigma0, not the rotation
+by n alone, and orbit_sums_per_split sums _split_weights' weights.
+forced_product is census's pi on a Perm.
 The tuple level below builds every split tuple and weighs it alone:
 _split_product makes sigma1 and tau as Perms, _shape_tuples streams the
 shape route's tuples, brute_force_enumerate lists and sorts those of the
@@ -119,7 +119,6 @@ from pellab.census import (
     TooLarge,
     _brute_leaves,
     _pi_from_sigma0,
-    _split_weights,
 )
 from pellab.exactpoly import (
     ONE,
@@ -318,10 +317,24 @@ def _layout_route(n: int) -> Iterator[Splits]:
                 yield (c1, (k1 + k2) // 2, (k2 + top) // 2, N), [(h, k2), tau]
 
 
+def _split_weights(cf: tuple[int, ...], taus: Sequence[tuple[int, int]]) -> list[int]:
+    """12 |Stab(t)| / |CF(t)| for the tuple t of each split of a sigma0
+    layout, with CF(t) = cf, ascending from its least point to N = 2n, and
+    Stab(t) the rotations that fix every entry, one list entry per split:
+    24 / |CF| where n is in CF, CF + n = CF and the half turn fixes tau,
+    12 / |CF| elsewhere (the lemma of census._orbit_sums, which weighs
+    each item in one step, by a closure test on the tuple CF)."""
+    N = cf[-1]
+    n = N // 2
+    if n in cf and {(x + n) % N or N for x in cf} == set(cf):
+        return [12 * (1 + ((a + n) % N == b)) // len(cf) for a, b in taus]
+    return [12 // len(cf)] * len(taus)
+
+
 def split_weights_by_scan(
     sigma0: Callable[[], Perm], cf: frozenset[int], taus: Sequence[tuple[int, int]]
 ) -> list[int]:
-    """census._split_weights as a scan: every point s of CF but 2n is tried
+    """_split_weights as a scan: every point s of CF but 2n is tried
     for CF + s = CF (mod 2n), not s = n alone, and sigma0 is built to see
     which of those rotations fix it, where census decides that from CF."""
     N = max(cf)
@@ -337,13 +350,14 @@ def split_weights_by_scan(
     ]
 
 
-def orbit_sums_per_split(route: Iterable[Splits]) -> dict[str, int]:
-    """census._orbit_sums with every item weighed split by split: one
-    _split_weights call per layout, whether or not its CF holds n."""
+def orbit_sums_per_split(route: Iterable[Splits], weigh: Callable[..., list[int]] = _split_weights) -> dict[str, int]:
+    """census._orbit_sums with every item weighed split by split: one weigh
+    call per item (_split_weights by default), each split's weight read
+    alone."""
     sums = dict.fromkeys((*CASES, PRIMITIVE), 0)
     for cf, taus in route:
         case = CASES[len(cf) - 2]
-        weights = _split_weights(cf, taus)
+        weights = weigh(cf, taus)
         sums[case] += sum(weights)
         if case == DISJOINT:
             n = cf[-1] // 2

@@ -48,6 +48,7 @@ from oracles import (
     _shape_tuples,
     _sigma0,
     _split_product,
+    _split_weights,
     brute_force_enumerate,
     canonical_key,
     case_of,
@@ -272,13 +273,14 @@ def brute_items(n, route=census_module._brute_route):
 
 
 def test_common_fixed_points_ascend_to_2n_on_both_routes():
-    """_split_weights and _orbit_sums read 2n as CF's last entry: on every
-    layout of the oracle route up to SHAPE_MAX (677,103 items) and of the
-    brute route up to n = 12 (726), CF is a strictly increasing tuple of 2,
-    3 or 4 points that ends in 2n.  Adding 12 // |CF| per split at once
-    where CF lacks n changes no sum: on each of those items alone,
-    _orbit_sums gives every case and the primitive Disjoint sum that
-    weighing each split does.  Both kinds of item occur on both routes."""
+    """_orbit_sums reads 2n as CF's last entry: on every layout of the
+    oracle route up to SHAPE_MAX (677,103 items) and of the brute route up
+    to n = 12 (726), CF is a strictly increasing tuple of 2, 3 or 4 points
+    that ends in 2n.  Weighing each item in one step changes no sum: on
+    each of those items alone, _orbit_sums gives every case and the
+    primitive Disjoint sum that weighing each split (the oracle
+    _split_weights) does.  Items whose CF holds n and items whose CF lacks
+    it occur on both routes."""
     routes = {"shape": (_layout_route, SHAPE_MAX), "brute": (census_module._brute_route, 12)}
     holding = {name: dict.fromkeys((False, True), 0) for name in routes}
     for name, (route, top) in routes.items():
@@ -301,8 +303,9 @@ def oracle_tuples(sigma0):
 
 
 def test_split_weights_match_the_tuple_oracle():
-    """Every split on both routes, weighed per sigma0 with no tuple built,
-    has its tuple's tau, CF, case and tuple-level orbit weight."""
+    """Every item on both routes, weighed per sigma0 with no tuple built,
+    has the orbit sums of its tuples at the tuple level, and each split
+    its tuple's tau, CF, case and tuple-level orbit weight."""
     for n in range(2, 15):
         routes = {"shape": shape_items(n), "brute": brute_items(n)}
         splits = dict.fromkeys(routes, 0)
@@ -311,7 +314,8 @@ def test_split_weights_match_the_tuple_oracle():
                 splits[name] += len(taus)
                 tuples = oracle_tuples(sigma0())
                 assert [set(tau) for tau in taus] == [set(pg.cycles(t.taus[0])[0]) for t in tuples]
-                weights = census_module._split_weights(cf, taus)
+                assert census_module._orbit_sums(((cf, taus),)) == _orbit_sums(tuples), (n, cf, taus)
+                weights = _split_weights(cf, taus)
                 for t, weight in zip(tuples, weights):
                     assert tuple(sorted(common_fixed(t))) == cf, (n, tuple_key(t))
                     assert weight == _orbit_weight(t, common_fixed(t)), (n, tuple_key(t))
@@ -328,21 +332,26 @@ def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
         assert got == _orbit_sums(brute_force_enumerate(n)), n
 
 
-def test_census_weighs_split_by_split_only_where_cf_holds_n(monkeypatch):
-    """_split_weights runs once per layout whose CF holds n, and for no
-    other: 122 of the 2,025 layouts at n = 24 on the shape route, in the
-    oracle route's order, and at n = 8, 10 of 57 on each route."""
-    calls = []
-    split_weights = census_module._split_weights
-    monkeypatch.setattr(
-        census_module, "_split_weights", lambda cf, taus: calls.append(cf) or split_weights(cf, taus)
-    )
+def test_census_weighs_only_the_layouts_whose_cf_holds_n(monkeypatch):
+    """census hands _orbit_sums only what the routes yield: at n = 24
+    without brute force, the 122 of the 2,025 layouts whose CF holds n, in
+    the oracle route's order, and at n = 8 those 10 of the shape route's 57
+    and the brute route's 57 leaves."""
+    seen = []
+    orbit_sums = census_module._orbit_sums
+
+    def recording(route):
+        items = list(route)
+        seen.append([cf for cf, _ in items])
+        return orbit_sums(items)
+
+    monkeypatch.setattr(census_module, "_orbit_sums", recording)
     holding = [cf for cf, _ in _layout_route(24) if 24 in cf]
     assert census(24, use_brute=False)["discrepancies"] == []
-    assert calls == holding and len(holding) == 122
-    calls.clear()
+    assert seen == [holding] and len(holding) == 122
+    seen.clear()
     assert census(8)["discrepancies"] == []
-    assert len(calls) == 20 and all(8 in cf for cf in calls)
+    assert [len(cfs) for cfs in seen] == [10, 57] and all(8 in cf for cf in seen[0])
 
 
 def test_shape_route_never_scans_a_forced_product(monkeypatch):
@@ -399,16 +408,20 @@ def test_shape_sums_count_the_rows_of_the_layout_oracle():
 
 def test_split_weights_match_the_scan_on_both_routes():
     """Reading the weights from CF alone changes none: on every layout of
-    the oracle route up to SHAPE_MAX and of the brute route up to n = 12, they
-    are those of the scan that tries every point of CF as a shift of the
-    item's built sigma0.  Where CF is closed under +n, the half turn fixes
-    sigma0 (the lemma of _split_weights); Disjoint and FourCycle items are
-    among those."""
+    the oracle route up to SHAPE_MAX and of the brute route up to n = 12,
+    _orbit_sums gives the sums of the weights of the scan that tries every
+    point of CF as a shift of the item's built sigma0, and so does the
+    oracle _split_weights per split.  Where CF is closed under +n, the half
+    turn fixes sigma0 (the lemma of _orbit_sums); Disjoint and FourCycle
+    items are among those."""
     routes = [shape_items(n) for n in range(2, SHAPE_MAX + 1)]
     routes += [brute_items(n) for n in range(2, 13)]
     closed = dict.fromkeys(CASES, 0)
     for sigma0, cf, taus in itertools.chain.from_iterable(routes):
-        assert census_module._split_weights(cf, taus) == split_weights_by_scan(sigma0, frozenset(cf), taus), (cf, taus)
+        scan = split_weights_by_scan(sigma0, frozenset(cf), taus)
+        assert _split_weights(cf, taus) == scan, (cf, taus)
+        item = ((cf, taus),)
+        assert census_module._orbit_sums(item) == orbit_sums_per_split(item, lambda *_: scan), (cf, taus)
         N = max(cf)
         if {(x + N // 2) % N or N for x in cf} == set(cf):
             built = sigma0()

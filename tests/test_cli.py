@@ -59,6 +59,12 @@ def run_json(argv):
     return result, json.loads(render(result, as_json=True))
 
 
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin that holds text as UTF-8 bytes, which the
+    commands read through its buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def test_integer_grammar():
     assert integer("-12") == -12
     assert integer(" +3 ") == 3
@@ -183,7 +189,7 @@ def test_json_lines_match_golden_fixture(case, capsys, monkeypatch):
     tests/fixtures/cli_golden.json: the --json line of the polynomial
     commands, and both modes of census, zannier, validate and profile, a
     tuple read from the entry's stdin."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(case.get("stdin", "")))
+    monkeypatch.setattr("sys.stdin", stdin_of(case.get("stdin", "")))
     code = main(case["argv"])
     line = case["line"]
     assert capsys.readouterr().out == line + "\n"
@@ -335,6 +341,40 @@ def test_reader_that_left_is_no_traceback(mode):
     proc.stdout.close()
     _, err = proc.communicate(text.encode(), timeout=60)
     assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def test_closed_stdin_is_a_file_error(monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)
+    for argv in (["validate", "--json"], ["verify", "--file", "-"], ["profile", "--file", "-"]):
+        assert run(argv) == CommandResult("Error", None, ["file error: stdin is closed"]), argv
+
+
+def test_closed_stdin_is_no_traceback():
+    # The shell closes fd 0 before Python starts, so sys.stdin is None.
+    for argv in (["validate", "--json"], ["verify", "--file", "-", "--json"]):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m pellab "$@" 0<&-', sys.executable, *argv],
+            capture_output=True, env=src_env(), timeout=60,
+        )
+        assert (proc.returncode, b"Traceback" in proc.stderr) == (2, False), (argv, proc.stderr)
+        assert json.loads(proc.stdout)["diagnostics"] == ["file error: stdin is closed"], argv
+
+
+def test_stdin_is_read_as_utf8_whatever_its_encoding(tmp_path):
+    # The coefficient 1 written as an Arabic-Indic digit, U+0661, which
+    # stdin decoded as latin-1 would read as two other characters.
+    path = tmp_path / "solution.json"
+    path.write_bytes('{"A": ["0", "0", "١"], "B": ["1"], "D": ["-1", "0", "0", "0", "1"]}'.encode("utf-8"))
+    env = {**src_env(), "PYTHONIOENCODING": "latin-1"}
+    lines = []
+    for argv, stdin in ((["--file", str(path)], None), (["--file", "-"], path.read_bytes())):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pellab", "verify", *argv, "--json"],
+            input=stdin, capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        lines.append(proc.stdout)
+    assert lines[0] == lines[1] and json.loads(lines[0])["status"] == "Ok"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -626,7 +666,7 @@ def test_tuple_pipeline_matches_the_oracles(case):
         text = json.dumps(tuple_to_json_dict(t))
     results = {}
     for command in ("validate", "profile"):
-        with mock.patch("sys.stdin", io.StringIO(text)):
+        with mock.patch("sys.stdin", stdin_of(text)):
             results[command] = run([command, "--file", "-"])
 
     want = validate_by_entry_queries(t)
@@ -722,7 +762,7 @@ def test_zannier_validate_profile_chain(tmp_path):
 
 def test_profile_reads_stdin(monkeypatch):
     _, body = run_json(["zannier", "--n", "6", "--d", "2"])
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body["payload"])))
+    monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(body["payload"])))
     result = run(["profile"])
     assert result.status == "Ok"
     assert result.payload["admissible"] == [2, 3]
@@ -738,13 +778,13 @@ def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
     for command in ("validate", "profile", "verify"):
         for source, stdin in ((str(path), ""), ("-", NESTED)):
             argv = [command, "--file", source]
-            with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with mock.patch("sys.stdin", stdin_of(stdin)):
                 result = run(argv)
             assert result.status == "Error", argv
             assert result.diagnostics == [f"bad JSON in {source}: nested too deeply"], argv
-            with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with mock.patch("sys.stdin", stdin_of(stdin)):
                 assert main(argv) == 2
-    with mock.patch("sys.stdin", io.StringIO(NESTED)):
+    with mock.patch("sys.stdin", stdin_of(NESTED)):
         assert run(["profile"]).diagnostics == ["bad JSON in -: nested too deeply"]
     capsys.readouterr()
 
@@ -766,13 +806,13 @@ def test_json_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         for source, stdin in ((str(path), ""), ("-", text)):
             argv = [*command, "--file", source]
-            with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with mock.patch("sys.stdin", stdin_of(stdin)):
                 result = run(argv)
             assert result.status == "Error", argv
             assert result.diagnostics == [
                 f"bad JSON in {source}: integer of {digits} digits past the {limit}-digit limit"
             ], argv
-            with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with mock.patch("sys.stdin", stdin_of(stdin)):
                 assert main(argv) == 2
     # At the limit, and with the sign not counted, the integer is read.
     path.write_text(solution % ("-" + "1" * limit), encoding="utf-8")
@@ -809,7 +849,7 @@ def test_bom_file_keeps_its_error_text(tmp_path):
         path = tmp_path / "bom.json"
         path.write_text("\ufeff" + text, encoding="utf-8")
         for source, stdin in ((str(path), ""), ("-", "\ufeff" + text)):
-            with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with mock.patch("sys.stdin", stdin_of(stdin)):
                 result = run([*command, "--file", source])
             assert result == CommandResult("Error", None, [
                 f"bad JSON in {source}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
@@ -895,7 +935,7 @@ def test_profile_reads_validate_verdict(t):
     text = json.dumps(tuple_to_json_dict(t))
     results = {}
     for command in ("validate", "profile"):
-        with mock.patch("sys.stdin", io.StringIO(text)):
+        with mock.patch("sys.stdin", stdin_of(text)):
             results[command] = run([command, "--file", "-"])
     ok = results["validate"].payload["ok"]
     event(" ".join(results["validate"].diagnostics) or "valid")
@@ -1093,7 +1133,7 @@ def test_tuple_points_bound_is_bad_input(tmp_path, capsys):
         result = run([command, "--file", path])
         assert (result.status, result.diagnostics) == ("Error", want)
         assert main([command, "--file", path]) == 2
-        with mock.patch("sys.stdin", io.StringIO(json.dumps(data))):
+        with mock.patch("sys.stdin", stdin_of(json.dumps(data))):
             assert run([command]).diagnostics == want
     capsys.readouterr()
 
@@ -1295,7 +1335,7 @@ def tuple_json(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["validate", "profile"]), tuple_json())
 def test_tuple_commands_never_raise(command, data):
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(data))):
+    with mock.patch("sys.stdin", stdin_of(json.dumps(data))):
         result = run([command, "--json"])
     assert result.status in ("Ok", "Rejected", "Error")
     assert not any("integer string conversion" in d for d in result.diagnostics)
@@ -1424,7 +1464,7 @@ def test_random_command_lines_never_raise(fuzz_dir, argv, solution, tuple_data):
              for key, name in (("own", own), ("other", other), ("missing", "missing"))}
     argv = [paths.get(arg, arg) if prev == "--file" else arg for prev, arg in zip([None, *argv], argv)]
     argv = [f"--file={paths.get(arg[7:], arg[7:])}" if arg.startswith("--file=") else arg for arg in argv]
-    with mock.patch("sys.stdin", io.StringIO("")):
+    with mock.patch("sys.stdin", stdin_of("")):
         result = run(argv)
     assert result.status in ("Ok", "Rejected", "Error")
     assert not any("integer string conversion" in d for d in result.diagnostics)
