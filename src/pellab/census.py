@@ -6,19 +6,18 @@ Three routes produce per-case conjugacy-class counts: shape enumeration
 (parameterized sigma0 layouts), brute force over fixed-point-free
 involutions, pruned while pairing by two rules that leave only census
 cases (ground truth), and closed formulas.  The first two count classes
-by orbit counting per sigma0, with no class and no tuple ever built:
+by orbit counting over sigma0, with no class and no tuple ever built:
 sigma0 forces the product pi = sigma1*tau, whose splits give every tau
-and the points they all fix.  The shape route reads these from each
-layout's cut points, the brute route by one scan of each leaf's pi; both
-stream into one pass, and only the test oracles build tuples.  Every
-split weighs 12 / |CF|, CF the points sigma1 and tau fix in common (held
-ascending, so 2n comes last), and as much again where the half turn, the
-only other rotation that can fix it, does: CF and tau decide, so census
-builds no Perm and imports no other module of the package.  The shape
-route counts the layouts whose CF lacks n by rows, in closed form, and
-yields only the rest (122 of the 2,025 at n = 24).  The payload census
-returns carries all three routes' counts, for each case and for the
-primitive Disjoint count, and flags any disagreement.
+and the points they all fix.  Every split weighs 12 / |CF|, CF the points
+sigma1 and tau fix in common (held ascending, so 2n comes last), and as
+much again where the half turn, the only other rotation that can fix it,
+does: CF and tau decide, so census builds no Perm and imports no other
+module of the package.  The brute route finds CF and the taus by one scan
+of each leaf's pi and streams them into one pass.  The shape route sums
+the layouts' weights row by row in closed form, read from their cut
+points, and lists no layout.  The payload census returns carries all
+three routes' counts, for each case and for the primitive Disjoint count,
+and flags any disagreement.
 
 The three cases are keyed by the product sigma1*tau (sigma1 acting first):
   Disjoint    n-1 transpositions, 2 fixed points
@@ -79,40 +78,35 @@ def _splits(sigma0: tuple[int, ...]) -> Splits:
     return cf, [(a, c), (b, a), (c, b)] if len(long) == 3 else [(a, c), (b, pi[c - 1])]
 
 
-def _shape_route(n: int) -> Iterator[Splits]:
-    """The sigma0 layouts whose CF holds n, in enumeration order, as CF and
-    the taus of the forced product pi, read from the cut points
-    P = (h, *cuts, 2n-h) as _splits would find them in pi: the layout pairs
-    i with 2n+1-i for i <= h and folds each stretch lo < hi of P onto
-    itself, so pi fixes each centre (lo + hi)/2, then 2n, and its one
-    longer cycle is P.  Disjoint is h = n, no cut, taus (x, 2n-x); then
-    each FourCycle (h, k1, 2n-k1) with k1 < n, the one such layout of the
-    pairs (k1, k2) of row h (the lemma of _shape_sums).
-
-    >>> list(_shape_route(4))
-    [((4, 8), [(1, 7), (2, 6), (3, 5)]), ((2, 4, 6, 8), [(1, 5), (3, 7)])]
-    """
-    N = 2 * n
-    yield (n, N), [(x, N - x) for x in range(1, n)]
-    for h in range(1, n):
-        for k1 in range(h + 2, n, 2):
-            yield ((h + k1) // 2, n, N - (h + k1) // 2, N), [(h, N - k1), (k1, N - h)]
-
-
 def _shape_sums(n: int) -> dict[str, int]:
-    """_orbit_sums over every sigma0 layout: those _shape_route yields, the
-    rest by rows, 12 // |CF| per split.  Row h has the m cuts strictly
-    between h and 2n-h at even distances from h.  A ThreeCycle (cut k) CF
-    has centres (h + k)/2 < n < (k + 2n - h)/2, so each of the m layouts
-    adds 12 (3 taus, |CF| 3).  A FourCycle (cuts k1 < k2, C(m, 2) pairs)
-    CF has c1 = (h + k1)/2 < n, and c3 = n only if k2 = h, so it holds n
-    only as c2 = (k1 + k2)/2: the pair k2 = 2n - k1, one for each cut
-    k1 < n, is yielded, and every other adds 6 (2 taus, |CF| 4)."""
-    sums = _orbit_sums(_shape_route(n))
+    """_orbit_sums over every sigma0 layout, row by row in closed form.
+    Row h has the m cuts strictly between h and 2n-h at even distances
+    from h; every split weighs 12 // |CF|, and as much again where the half
+    turn fixes it (the lemma of _orbit_sums).
+      - Disjoint: CF = (n, 2n) is closed, and the half turn fixes the tau
+        (x, 2n-x), x = 1..n-1, only at x = n/2: 6(n - 1) + 6 [n even], and
+        6 #{x < n : gcd(x, n) = 1} + 6 [n = 2] primitive.
+      - ThreeCycle (cut k): CF is never closed, so each of the m layouts
+        adds 12 (3 taus, |CF| 3).
+      - FourCycle (cuts k1 < k2, C(m, 2) pairs): each adds 6 (2 taus,
+        |CF| 4), and 6 more where CF is closed, which is exactly
+        k1 = n - h, k2 = n + h: one layout of row h for even n with
+        2h < n, none otherwise.
+
+    >>> _shape_sums(4)
+    {'Disjoint': 24, 'ThreeCycle': 36, 'FourCycle': 12, 'primitive Disjoint': 12}
+    """
+    even = n % 2 == 0
+    sums = {
+        DISJOINT: 6 * (n - 1) + 6 * even,
+        THREE_CYCLE: 0,
+        FOUR_CYCLE: 0,
+        PRIMITIVE: 6 * sum(math.gcd(x, n) == 1 for x in range(1, n)) + 6 * (n == 2),
+    }
     for h in range(1, n):
         m = len(range(h + 2, 2 * n - h - 1, 2))
         sums[THREE_CYCLE] += 12 * m
-        sums[FOUR_CYCLE] += 6 * (m * (m - 1) // 2 - len(range(h + 2, n, 2)))
+        sums[FOUR_CYCLE] += 6 * (m * (m - 1) // 2 + (even and 2 * h < n))
     return sums
 
 
@@ -209,13 +203,13 @@ def _orbit_sums(route: Iterable[Splits]) -> dict[str, int]:
     such taus are listed twice, and every entry weighs 12 // |CF|.  The
     quotient is exact: CF(t) is a union of cosets of Stab(t).
 
-    Every sigma0 of either route is a layout (every leaf of the brute
-    route is one; the tests check it up to n = 24): each arc
-    between cyclically consecutive points of P = (h, *cuts, 2n-h) folds
-    onto itself about its centre, and CF is those centres in order; the
-    arc through 2n, where x pairs with 2n+1-x, has centre 2n.  When CF holds
-    n and is closed, the half turn swaps n and 2n and pairs off the other
-    centres, each below n with one above.
+    Every sigma0 of the brute route is a layout (the tests check it up to
+    n = 24): each arc between cyclically consecutive points of
+    P = (h, *cuts, 2n-h) folds onto itself about its centre, and CF is
+    those centres in order; the arc through 2n, where x pairs with
+    2n+1-x, has centre 2n.  When CF holds n and is closed, the half turn
+    swaps n and 2n and pairs off the other centres, each below n with one
+    above.
       - Disjoint: sigma0 is x -> 2n+1-x, which the half turn fixes.
       - ThreeCycle: three centres cannot be paired off; CF is never closed.
       - FourCycle: the centres c1 < c2 < c3 inside (h, 2n-h) pair off only

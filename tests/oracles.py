@@ -8,14 +8,15 @@ from the longest cycle of sigma1*tau, so the tests check the counts against
 them.  The census also builds no tuple and no Perm: it weighs each
 sigma0's splits from the points its forced product fixes and each tau as a
 point pair, and decides from CF alone whether the half turn fixes sigma0.
-Its shape route yields only the layouts whose CF holds n and counts the
-rest by rows; _layout_route below yields every layout, one loop per case,
-and _layouts and _layout_splits list the same layouts as (h, cuts) and
-read CF and the taus from the cut points in one generic pass.  _sigma0
-builds each layout.  census._orbit_sums weighs each item in one step;
-_split_weights weighs each split alone, split_weights_by_scan does so by
-trying every point of CF as a shift of the built sigma0, not the rotation
-by n alone, and orbit_sums_per_split sums _split_weights' weights.
+Its shape column, census._shape_sums, sums every layout's weights by
+rows in closed form and lists no layout; _layout_route below yields every
+layout, one loop per case, and _layouts and _layout_splits list the same
+layouts as (h, cuts) and read CF and the taus from the cut points in one
+generic pass.  _sigma0 builds each layout.  census._orbit_sums weighs
+each item in one step; _split_weights weighs each split alone,
+split_weights_by_scan does so by trying every point of CF as a shift of
+the built sigma0, not the rotation by n alone, and orbit_sums_per_split
+sums _split_weights' weights.
 forced_product is census's pi on a Perm.
 The tuple level below builds every split tuple and weighs it alone:
 _split_product makes sigma1 and tau as Perms, _shape_tuples streams the
@@ -295,9 +296,8 @@ def _layout_route(n: int) -> Iterator[Splits]:
     2n-h to h, so pi's one longer cycle is P itself: the 3-cycle
     (h k 2n-h) for one cut k, the 4-cycle (h k1 k2 2n-h) for two.
     Disjoint has P = (n, n), so n is fixed and its taus are the
-    transpositions (x, 2n-x) for x = 1..n-1 in turn.  census._shape_route
-    yields only the layouts whose CF holds n, and census._shape_sums counts
-    the rest by rows.
+    transpositions (x, 2n-x) for x = 1..n-1 in turn.  census._shape_sums
+    counts the same layouts by rows, in closed form, and yields none.
 
     >>> list(_layout_route(3))
     [((3, 6), [(1, 5), (2, 4)]), ((2, 4, 6), [(1, 5), (3, 1), (5, 3)])]

@@ -237,8 +237,8 @@ def test_primitive_orbit_sum_is_the_same_on_both_routes():
 
 
 def test_shape_route_census_holds_no_tuple_list():
-    """At n = 24 the shape route makes 4,324 tuples, about 7 MB held as a
-    list; streamed, the census holds one at a time."""
+    """At n = 24 the shape route stands for 4,324 tuples, about 7 MB held
+    as a list; the census sums them by rows and builds none."""
     tracemalloc.start()
     try:
         report = census(24, use_brute=False)
@@ -254,14 +254,6 @@ def shape_items(n, route=_layout_route):
     sigma0: the oracle _sigma0 on _layouts, in the same order."""
     for (h, cuts), (cf, taus) in zip(_layouts(n), route(n), strict=True):
         yield functools.partial(_sigma0, n, h, cuts), cf, taus
-
-
-def held_items(n, route=census_module._shape_route):
-    """census._shape_route's items, the layouts whose CF holds n, each
-    paired with a builder of its sigma0, in the oracle's order."""
-    held = [sigma0 for sigma0, cf, _ in shape_items(n) if n in cf]
-    for sigma0, (cf, taus) in zip(held, route(n), strict=True):
-        yield sigma0, cf, taus
 
 
 def brute_items(n, route=census_module._brute_route):
@@ -332,37 +324,44 @@ def test_orbit_sums_per_sigma0_match_the_tuple_oracle():
         assert got == _orbit_sums(brute_force_enumerate(n)), n
 
 
-def test_census_weighs_only_the_layouts_whose_cf_holds_n(monkeypatch):
-    """census hands _orbit_sums only what the routes yield: at n = 24
-    without brute force, the 122 of the 2,025 layouts whose CF holds n, in
-    the oracle route's order, and at n = 8 those 10 of the shape route's 57
-    and the brute route's 57 leaves."""
-    seen = []
-    orbit_sums = census_module._orbit_sums
+def recorded_census(monkeypatch, n, use_brute):
+    """census(n, use_brute)'s discrepancies, the items it hands
+    _orbit_sums, one list per call, and the sigma0 each _splits call
+    scans."""
+    seen, scanned = [], []
+    orbit_sums, splits = census_module._orbit_sums, census_module._splits
 
     def recording(route):
         items = list(route)
-        seen.append([cf for cf, _ in items])
+        seen.append(items)
         return orbit_sums(items)
 
     monkeypatch.setattr(census_module, "_orbit_sums", recording)
-    holding = [cf for cf, _ in _layout_route(24) if 24 in cf]
-    assert census(24, use_brute=False)["discrepancies"] == []
-    assert seen == [holding] and len(holding) == 122
-    seen.clear()
-    assert census(8)["discrepancies"] == []
-    assert [len(cfs) for cfs in seen] == [10, 57] and all(8 in cf for cf in seen[0])
+    monkeypatch.setattr(
+        census_module, "_splits", lambda sigma0: scanned.append(sigma0) or splits(sigma0)
+    )
+    discrepancies = census(n, use_brute=use_brute)["discrepancies"]
+    monkeypatch.undo()
+    return discrepancies, seen, scanned
+
+
+def test_census_hands_orbit_sums_only_the_brute_leaves(monkeypatch):
+    """The shape column weighs no item: census(8) hands _orbit_sums one
+    route, the 57 brute leaves with their CF and taus, each leaf scanned
+    once by _splits."""
+    leaves = list(census_module._brute_leaves(8))
+    assert len(leaves) == 57
+    discrepancies, seen, scanned = recorded_census(monkeypatch, 8, None)
+    assert discrepancies == []
+    assert seen == [[census_module._splits(leaf) for leaf in leaves]]
+    assert scanned == leaves
 
 
 def test_shape_route_never_scans_a_forced_product(monkeypatch):
-    calls = []
-    splits = census_module._splits
-    monkeypatch.setattr(
-        census_module, "_splits", lambda sigma0: calls.append(sigma0) or splits(sigma0)
-    )
-    for n in (2, 3, 5, 12):
-        assert census(n, use_brute=False)["discrepancies"] == []
-    assert calls == []
+    """Without brute force, census neither scans a forced product nor
+    hands _orbit_sums anything, up to n = 24."""
+    for n in (2, 3, 5, 12, 24):
+        assert recorded_census(monkeypatch, n, False) == ([], [], []), n
 
 
 def test_layout_splits_match_the_scan_of_the_built_layout():
@@ -386,24 +385,42 @@ def test_shape_route_matches_the_layout_oracle():
 
 
 def test_shape_sums_count_the_rows_of_the_layout_oracle():
-    """_shape_sums counts by rows every layout whose CF lacks n: for every
-    n up to SHAPE_MAX its sums are those of _orbit_sums over every layout
-    of the oracle route, and _shape_route yields the others in the
-    oracle's order.  The lemma behind the rows holds on the oracle route:
-    no ThreeCycle CF holds n, and a FourCycle row (h, k1) has exactly one
-    layout whose CF holds n, k2 = 2n - k1, exactly when k1 < n."""
+    """_shape_sums counts every layout by rows: for every n up to SHAPE_MAX
+    its sums are those of _orbit_sums over every layout of the oracle
+    route.  The lemma behind the rows holds on the oracle route: no
+    ThreeCycle CF holds n, and a FourCycle row (h, k1) has exactly one
+    layout whose CF holds n, k2 = 2n - k1, exactly when k1 < n.  Among the
+    layouts whose CF holds n, CF is closed under +n exactly for Disjoint
+    and for the FourCycles with h + k1 = n, of which there are C2:
+    n/2 - 1 for even n, none for odd."""
     rows = {}
     for n in range(2, SHAPE_MAX + 1):
         route = list(_layout_route(n))
         assert census_module._shape_sums(n) == census_module._orbit_sums(route), n
-        assert list(census_module._shape_route(n)) == [item for item in route if n in item[0]], n
+        closed_fours = 0
         for (h, cuts), (cf, _) in zip(_layouts(n), route, strict=True):
             if len(cuts) == 1:
                 assert n not in cf, (n, h, cuts)
             elif len(cuts) == 2:
                 rows.setdefault((n, h, cuts[0]), []).extend([cuts[1]] * (n in cf))
+            if n in cf:
+                closed = {(x + n) % (2 * n) or 2 * n for x in cf} == set(cf)
+                assert closed == (not cuts or (len(cuts) == 2 and h + cuts[0] == n)), (n, h, cuts)
+                closed_fours += closed and len(cuts) == 2
+        assert closed_fours == (n // 2 - 1 if n % 2 == 0 else 0) == closed_formulas(n)["C2"], n
     assert all(held == [2 * n - k1] * (k1 < n) for (n, _, k1), held in rows.items())
     assert {k1 < n for n, _, k1 in rows} == {False, True}
+
+
+def test_shape_sums_are_twelve_times_the_closed_formulas_past_the_bound():
+    """The shape column is the row-by-row proof of closed_formulas: on every
+    case and the primitive Disjoint count, _shape_sums(n) is 12 times the
+    closed form for every n up to 512, past SHAPE_MAX."""
+    assert SHAPE_MAX < 512
+    for n in range(2, 513):
+        formulas = closed_formulas(n)
+        want = {c: 12 * formulas[c] for c in (*CASES, PRIMITIVE)}
+        assert census_module._shape_sums(n) == want, n
 
 
 def test_split_weights_match_the_scan_on_both_routes():
@@ -834,12 +851,12 @@ def test_orbit_weights_of_a_class_sum_to_twelve():
 
 
 def without_split(route, t):
-    """route with the split that makes tuple t left out of its sigma0's taus."""
+    """The brute route with the split that makes tuple t left out of its
+    sigma0's taus."""
     tau = pg.cycles(t.taus[0])[0]
-    items = held_items if route.__name__ == "_shape_route" else brute_items
 
     def patched(n):
-        for sigma0, cf, taus in items(n, route):
+        for sigma0, cf, taus in brute_items(n, route):
             yield cf, [x for x in taus if (sigma0(), x) != (t.sigma0, tau)]
 
     return patched
@@ -860,9 +877,16 @@ def test_census_flags_an_orbit_sum_that_is_not_whole(monkeypatch):
     assert shapes[0][0] == ShapeParams(DISJOINT, h=1) and len(brute) == len(keep)
     not_whole = "orbit sum 18/12 is not a whole class count"
 
-    monkeypatch.setattr(
-        census_module, "_shape_route", without_split(census_module._shape_route, shapes[0][1])
-    )
+    shape_sums = census_module._shape_sums
+    weight = _orbit_weight(shapes[0][1], common_fixed(shapes[0][1]))
+
+    def without_h1(n):
+        sums = shape_sums(n)
+        sums[DISJOINT] -= weight
+        sums[PRIMITIVE] -= weight
+        return sums
+
+    monkeypatch.setattr(census_module, "_shape_sums", without_h1)
     report = census(5, use_brute=False)
     assert report["cases"][DISJOINT] == {"shape": None, "brute": None, "formula": 2}
     assert report["cases"][THREE_CYCLE]["shape"] == 6
@@ -896,7 +920,6 @@ def test_census_flags_a_primitive_count_that_disagrees(monkeypatch):
     """One route's primitive orbit sum shifted by 12 is still a whole class
     count, so only the comparison with the other route and the closed form
     can catch it.  At n = 5 there are two primitive classes, h = 1 and 2."""
-    orbit_sums = census_module._orbit_sums
     cases = {use_brute: census(5, use_brute=use_brute)["cases"] for use_brute in (False, True)}
     want = {
         ("shape", False): ["primitive Disjoint: shape=3 formula=2"],
@@ -908,12 +931,14 @@ def test_census_flags_a_primitive_count_that_disagrees(monkeypatch):
     }
     for (route, use_brute), discrepancies in want.items():
 
-        def shifted(splits, route=route):
-            sums = orbit_sums(splits)
-            sums[PRIMITIVE] += 12 * (splits.__name__ == f"_{route}_route")
+        name = {"shape": "_shape_sums", "brute": "_orbit_sums"}[route]
+
+        def shifted(arg, sums_of=getattr(census_module, name)):
+            sums = sums_of(arg)
+            sums[PRIMITIVE] += 12
             return sums
 
-        monkeypatch.setattr(census_module, "_orbit_sums", shifted)
+        monkeypatch.setattr(census_module, name, shifted)
         report = census(5, use_brute=use_brute)
         assert report["discrepancies"] == discrepancies, (route, use_brute)
         assert report["primitiveDisjoint"] == 2 + (route == "shape")
